@@ -9,7 +9,7 @@ across runs); point clouds and polylines are CSV.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
 from dataclasses import dataclass
 
@@ -51,7 +51,6 @@ class RunConfig:
     tol: float = 1e-8
     samples: int = 64
     seed: int = 0
-    threads: int = 0  # 0 = auto; analysis currently runs single-threaded
     out_path: str = None
     csv_path: str = None
 
@@ -64,12 +63,26 @@ class RunConfig:
             raise AnalysisError("sampler size must be at least 1")
 
 
-def _threads_from_env():
-    raw = os.environ.get("PFAFF_THREADS", "0")
+def _positive_float(text):
+    """argparse type: a finite float greater than zero."""
     try:
-        return max(0, int(raw))
+        value = float(text)
     except ValueError:
-        return 0
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
 
 
 def _emit(text, path):
@@ -104,8 +117,7 @@ def _var_index(form, name):
 
 def _cmd_check(args):
     form = load_form(args.form_file)
-    cfg = RunConfig(tol=args.tol, samples=args.samples, out_path=args.out,
-                    threads=_threads_from_env())
+    cfg = RunConfig(tol=args.tol, samples=args.samples, out_path=args.out)
     verdict = classify(form, SamplerConfig(points=cfg.samples), tol=cfg.tol)
     _emit(json_text(verdict.as_report()), cfg.out_path)
     if args.expect:
@@ -201,8 +213,7 @@ def _cmd_factor_global(args):
 
 def _cmd_reach(args):
     form = load_form(args.form_file)
-    cfg = RunConfig(seed=args.seed, out_path=args.out, csv_path=args.csv,
-                    threads=_threads_from_env())
+    cfg = RunConfig(seed=args.seed, out_path=args.out, csv_path=args.csv)
     point = (
         _parse_point(args.point, form.n) if args.point else form.domain.center
     )
@@ -388,8 +399,8 @@ def _build_parser():
     p = sub.add_parser("reach", help="null-curve reachability probe")
     p.add_argument("form_file")
     p.add_argument("--point")
-    p.add_argument("--epsilon", type=float, default=0.3)
-    p.add_argument("--budget", type=int, default=200000)
+    p.add_argument("--epsilon", type=_positive_float, default=0.3)
+    p.add_argument("--budget", type=_positive_int, default=200000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--threshold", type=float, default=0.05)
     p.add_argument("--free-var", help="also scan the surrounding line")

@@ -52,6 +52,8 @@ __all__ = [
     "substitute",
     "compile_scalar",
     "compile_tuple",
+    "python_source",
+    "kernel_namespace",
     "checked_evaluator",
     "numeric_equal",
 ]
@@ -539,30 +541,40 @@ _compiled_cache: "weakref.WeakKeyDictionary[Expression, object]" = (
     weakref.WeakKeyDictionary()
 )
 
+# math functions as generated source spells them
+_KERNEL_GLOBALS = {
+    "_exp": math.exp,
+    "_log": math.log,
+    "_sin": math.sin,
+    "_cos": math.cos,
+    "_sqrt": math.sqrt,
+    "_pow": math.pow,
+}
 
-def _codegen(e, out):
+
+def _codegen(e, out, names):
     if isinstance(e, Const):
         out.append(_num_repr(e.value))
     elif isinstance(e, Var):
-        out.append(f"x{e.index}")
+        out.append(names[e.index])
     elif isinstance(e, Unary):
         if e.op == "neg":
             out.append("(-")
-            _codegen(e.arg, out)
+            _codegen(e.arg, out, names)
             out.append(")")
         else:
             out.append(f"_{e.op}(")
-            _codegen(e.arg, out)
+            _codegen(e.arg, out, names)
             out.append(")")
     elif isinstance(e, Binary):
         out.append("(")
-        _codegen(e.left, out)
+        _codegen(e.left, out, names)
         out.append(e.op)
-        _codegen(e.right, out)
+        _codegen(e.right, out, names)
         out.append(")")
     elif isinstance(e, Pow):
         out.append("_pow(")
-        _codegen(e.base, out)
+        _codegen(e.base, out, names)
         out.append(f",{_num_repr(e.exponent)})")
     else:
         raise TypeError(f"not an Expression node: {e!r}")
@@ -580,6 +592,29 @@ def _max_var_index(e):
     return -1
 
 
+def python_source(e: Expression, names) -> str:
+    """Python expression text of ``e`` with ``Var(i)`` spelled ``names[i]``.
+
+    Run in a :func:`kernel_namespace`, the text performs exactly the float
+    operations of :func:`compile_scalar`, so code generated around it (for
+    example one expression inlined at several points) stays bit-identical.
+    """
+    if _max_var_index(e) >= len(names):
+        raise ArityError(f"expression uses more than {len(names)} variables")
+    parts = []
+    _codegen(e, parts, names)
+    return "".join(parts)
+
+
+def kernel_namespace() -> dict:
+    """Fresh globals for executing text from :func:`python_source`."""
+    return dict(_KERNEL_GLOBALS)
+
+
+def _arg_list(n_vars):
+    return ",".join(f"x{i}" for i in range(n_vars)) or "*_ignored"
+
+
 def compile_scalar(e: Expression, n_vars: int):
     """Compile ``e`` into a raw positional callable ``f(x0, ..., x{n-1})``.
 
@@ -593,20 +628,10 @@ def compile_scalar(e: Expression, n_vars: int):
     cached = _compiled_cache.get(e)
     if cached is not None and cached[0] == n_vars:
         return cached[1]
-    parts = []
-    _codegen(e, parts)
-    args = ",".join(f"x{i}" for i in range(n_vars)) or "*_ignored"
-    source = f"lambda {args}: ({''.join(parts)})"
+    body = python_source(e, [f"x{i}" for i in range(n_vars)])
+    source = f"lambda {_arg_list(n_vars)}: ({body})"
     fn = eval(  # noqa: S307 - source is generated from our own AST
-        compile(source, "<pfaffian-expr>", "eval"),
-        {
-            "_exp": math.exp,
-            "_log": math.log,
-            "_sin": math.sin,
-            "_cos": math.cos,
-            "_sqrt": math.sqrt,
-            "_pow": math.pow,
-        },
+        compile(source, "<pfaffian-expr>", "eval"), kernel_namespace()
     )
     _compiled_cache[e] = (n_vars, fn)
     return fn
@@ -618,25 +643,11 @@ def compile_tuple(exprs, n_vars: int):
     Saves per-call overhead in loops that need a full coefficient vector.
     Same raw error behavior as :func:`compile_scalar`.
     """
-    bodies = []
-    for e in exprs:
-        if _max_var_index(e) >= n_vars:
-            raise ArityError(f"expression uses more than {n_vars} variables")
-        parts = []
-        _codegen(e, parts)
-        bodies.append("".join(parts))
-    args = ",".join(f"x{i}" for i in range(n_vars)) or "*_ignored"
-    source = f"lambda {args}: ({','.join(bodies)},)"
+    names = [f"x{i}" for i in range(n_vars)]
+    bodies = [python_source(e, names) for e in exprs]
+    source = f"lambda {_arg_list(n_vars)}: ({','.join(bodies)},)"
     return eval(  # noqa: S307 - source is generated from our own AST
-        compile(source, "<pfaffian-expr>", "eval"),
-        {
-            "_exp": math.exp,
-            "_log": math.log,
-            "_sin": math.sin,
-            "_cos": math.cos,
-            "_sqrt": math.sqrt,
-            "_pow": math.pow,
-        },
+        compile(source, "<pfaffian-expr>", "eval"), kernel_namespace()
     )
 
 

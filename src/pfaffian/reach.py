@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expressions as ex
 from .errors import AnalysisError, ArityError
 from .forms import DEFAULT_SINGULAR_TOL, PfaffianForm
 
@@ -37,15 +38,21 @@ class PivotLostError(AnalysisError):
 # ---------------------------------------------------------------------------
 
 
-def _assemble_velocity(fvals, free_velocity, solved_index, singular_tol):
-    n = len(fvals)
+def constrained_velocity(form: PfaffianForm, p, free_velocity, solved_index,
+                         singular_tol=DEFAULT_SINGULAR_TOL):
+    """Velocity with the given free components and the solved one from the form."""
+    if len(free_velocity) != form.n - 1:
+        raise ArityError("free velocity must have n-1 components")
+    if not 0 <= solved_index < form.n:
+        raise ArityError("solved index out of range")
+    fvals = form.coefficient_tuple_fn(*p)
     fk = fvals[solved_index]
     if not abs(fk) > singular_tol:
         raise PivotLostError("solved coefficient below tolerance")
-    v = [0.0] * n
+    v = [0.0] * form.n
     acc = 0.0
     vi = iter(free_velocity)
-    for i in range(n):
+    for i in range(form.n):
         if i == solved_index:
             continue
         w = next(vi)
@@ -55,17 +62,7 @@ def _assemble_velocity(fvals, free_velocity, solved_index, singular_tol):
     if not -1e300 < vk < 1e300:
         raise PivotLostError("constraint solve produced a non-finite velocity")
     v[solved_index] = vk
-    return v
-
-
-def constrained_velocity(form: PfaffianForm, p, free_velocity, solved_index,
-                         singular_tol=DEFAULT_SINGULAR_TOL):
-    """Velocity with the given free components and the solved one from the form."""
-    if len(free_velocity) != form.n - 1:
-        raise ArityError("free velocity must have n-1 components")
-    fvals = form.coefficient_tuple_fn(*p)
-    return tuple(_assemble_velocity(fvals, free_velocity, solved_index,
-                                    singular_tol))
+    return tuple(v)
 
 
 def steer_step(form: PfaffianForm, p, free_velocity, solved_index, dt,
@@ -79,44 +76,163 @@ def steer_step(form: PfaffianForm, p, free_velocity, solved_index, dt,
     """
     if len(free_velocity) != form.n - 1:
         raise ArityError("free velocity must have n-1 components")
-    coeffs = form.coefficient_tuple_fn
-    f0 = coeffs(*p)
-    x1, f1, fmid = _rk4_constrained(coeffs, p, f0, free_velocity, solved_index,
-                                    dt, singular_tol)
-    return x1, _step_residual(p, x1, f0, f1, fmid)
+    if not 0 <= solved_index < form.n:
+        raise ArityError("solved index out of range")
+    step = _compile_step(form, solved_index, singular_tol)
+    f0 = form.coefficient_tuple_fn(*p)
+    x1, _, residual = _rk4_constrained(step, p, f0, free_velocity, dt)
+    return x1, residual
 
 
-def _rk4_constrained(coeffs, x, f_x, vfree, k, dt, tol):
-    n = len(x)
-    k1 = _assemble_velocity(f_x, vfree, k, tol)
-    s2 = tuple(x[i] + 0.5 * dt * k1[i] for i in range(n))
-    f2 = coeffs(*s2)
-    k2 = _assemble_velocity(f2, vfree, k, tol)
-    s3 = tuple(x[i] + 0.5 * dt * k2[i] for i in range(n))
-    f3 = coeffs(*s3)
-    k3 = _assemble_velocity(f3, vfree, k, tol)
-    s4 = tuple(x[i] + dt * k3[i] for i in range(n))
-    f4 = coeffs(*s4)
-    k4 = _assemble_velocity(f4, vfree, k, tol)
-    x1 = tuple(
-        x[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+def _rk4_constrained(step, x, f_x, vfree, dt):
+    """One constrained RK4 step ``(x1, F(x1), residual)`` of a generated stepper.
+
+    Every step, bisection trials included, goes through this module-level
+    name, so that per-step counts can be taken by wrapping it
+    (``perfbench/tracing.py`` does).
+    """
+    return step(x, f_x, vfree, dt)
+
+
+def _lit(v):
+    """Source text that evaluates to exactly the float ``v``."""
+    text = repr(float(v))
+    if not math.isfinite(v):
+        return f"float('{text}')"
+    return f"({text})" if text.startswith("-") else text
+
+
+def _seq(names):
+    """Tuple display of ``names``; a single name keeps its comma."""
+    names = list(names)
+    return ", ".join(names) + ("," if len(names) == 1 else "")
+
+
+def _compile_function(lines, name):
+    namespace = ex.kernel_namespace()
+    namespace.update(_sum=sum, _sqrt=math.sqrt, _Lost=PivotLostError)
+    source = "\n".join(lines) + "\n"
+    exec(  # noqa: S102 - source is generated from our own AST
+        compile(source, f"<pfaffian-{name}>", "exec"), namespace
+    )
+    return namespace[name]
+
+
+def _compile_step(form: PfaffianForm, k, tol):
+    """Straight-line constrained RK4 step of ``form`` with pivot ``k``.
+
+    ``step(x, f_x, vfree, dt) -> (x1, f1, residual)``, with f1 = F(x1) and
+    the residual of :func:`steer_step`.  The coefficient bodies are inlined
+    at the three stage points and at the end point.  Each float operation is
+    that of the RK4 step written stage by stage, in the same order: the
+    solved velocity is ``-(0.0 + sum of F_i v_i) / F_k``, and the residual
+    sums go through ``sum``.  ``tests/test_reach.py`` keeps that stage-by-
+    stage form as the reference the generated step must match bit for bit.
+    Raises PivotLostError when the solved coefficient is not above ``tol``
+    or the solved velocity is not within (-1e300, 1e300); coefficient domain
+    errors propagate as ValueError, ZeroDivisionError or OverflowError.
+    """
+    n = form.n
+    free = [i for i in range(n) if i != k]
+    tol = _lit(tol)
+    lines = [
+        "def step(x, fx, vfree, dt):",
+        f"    {_seq(f'x{i}' for i in range(n))} = x",
+        f"    {_seq(f'a{i}' for i in range(n))} = fx",
+    ]
+    if free:
+        lines.append(f"    {_seq(f'v{i}' for i in free)} = vfree")
+    lines.append("    h = 0.5 * dt")
+
+    def solve(f, p):
+        acc = "".join(f" + {f}{i} * v{i}" for i in free)
+        lines.extend([
+            f"    if not abs({f}{k}) > {tol}:",
+            "        raise _Lost('solved coefficient below tolerance')",
+            f"    {p} = -(0.0{acc}) / {f}{k}",
+            f"    if not -1e300 < {p} < 1e300:",
+            "        raise _Lost('constraint solve produced a non-finite velocity')",
+        ])
+
+    def coefficients(f, names):
+        for i, c in enumerate(form.coefficients):
+            lines.append(f"    {f}{i} = {ex.python_source(c, names)}")
+
+    # stage points: free components move with vfree, the pivot with the
+    # solved velocity of the previous stage, so stages 2 and 3 differ only
+    # in the pivot component
+    solve("a", "p1")
+    lines.extend(f"    y{i} = x{i} + h * v{i}" for i in free)
+    lines.append(f"    y{k} = x{k} + h * p1")
+    coefficients("b", [f"y{i}" for i in range(n)])
+    solve("b", "p2")
+    lines.append(f"    z{k} = x{k} + h * p2")
+    coefficients("c", [f"z{i}" if i == k else f"y{i}" for i in range(n)])
+    solve("c", "p3")
+    lines.extend(f"    u{i} = x{i} + dt * v{i}" for i in free)
+    lines.append(f"    u{k} = x{k} + dt * p3")
+    coefficients("d", [f"u{i}" for i in range(n)])
+    solve("d", "p4")
+    lines.append("    q = dt / 6.0")
+    lines.extend(f"    X{i} = x{i} + q * (v{i} + 2.0 * v{i} + 2.0 * v{i} + v{i})"
+                 for i in free)
+    lines.append(f"    X{k} = x{k} + q * (p1 + 2.0 * p2 + 2.0 * p3 + p4)")
+    coefficients("e", [f"X{i}" for i in range(n)])
+    # Simpson residual of the form paired with the step chord
+    lines.extend(f"    D{i} = X{i} - x{i}" for i in range(n))
+    pairing = _seq(
+        f"(a{i} + 4.0 * (0.5 * (b{i} + c{i})) + e{i}) / 6.0 * D{i}"
         for i in range(n)
     )
-    f1 = coeffs(*x1)
-    fmid = tuple(0.5 * (a + b) for a, b in zip(f2, f3))
-    return x1, f1, fmid
+    fsq = _seq(f"e{i} * e{i}" for i in range(n))
+    dsq = _seq(f"D{i} * D{i}" for i in range(n))
+    x1 = _seq(f"X{i}" for i in range(n))
+    f1 = _seq(f"e{i}" for i in range(n))
+    lines.extend([
+        f"    pairing = _sum(({pairing}))",
+        f"    fmag = _sqrt(_sum(({fsq})))",
+        f"    dxmag = _sqrt(_sum(({dsq})))",
+        "    if fmag == 0.0 or dxmag == 0.0:",
+        f"        return ({x1}), ({f1}), 0.0",
+        f"    return ({x1}), ({f1}), abs(pairing) / (fmag * dxmag)",
+    ])
+    return _compile_function(lines, "step")
 
 
-def _step_residual(x0, x1, f0, f1, fmid):
-    dx = tuple(b - a for a, b in zip(x0, x1))
-    pairing = sum(
-        (fa + 4.0 * fm + fb) / 6.0 * d for fa, fm, fb, d in zip(f0, fmid, f1, dx)
+class _Steppers(dict):
+    """Generated steps of one form by pivot index, each built on first use."""
+
+    def __init__(self, form: PfaffianForm, tol):
+        super().__init__()
+        self.form = form
+        self.tol = tol
+
+    def __missing__(self, k):
+        step = self[k] = _compile_step(self.form, k, self.tol)
+        return step
+
+
+def _compile_inside(box, center, limit, squared):
+    """Generated ``inside(q)``: q lies in ``box`` and near ``center``.
+
+    Near means a squared distance ``<= limit`` when ``squared``, else a
+    distance ``<= limit``; both sum the squared differences with ``sum``.
+    """
+    n = len(center)
+    in_box = " and ".join(
+        f"{_lit(lo)} <= q{i} <= {_lit(hi)}"
+        for i, (lo, hi) in enumerate(zip(box.lows, box.highs))
     )
-    fmag = math.sqrt(sum(v * v for v in f1))
-    dxmag = math.sqrt(sum(v * v for v in dx))
-    if fmag == 0.0 or dxmag == 0.0:
-        return 0.0
-    return abs(pairing) / (fmag * dxmag)
+    dist2 = "_sum(({}))".format(_seq(
+        f"(q{i} - {_lit(c)}) ** 2" for i, c in enumerate(center)
+    ))
+    near = f"{dist2} <= {_lit(limit)}" if squared else f"_sqrt({dist2}) <= {_lit(limit)}"
+    lines = [
+        "def inside(q):",
+        f"    {_seq(f'q{i}' for i in range(n))} = q",
+        f"    return {in_box} and {near}",
+    ]
+    return _compile_function(lines, "inside")
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +277,10 @@ def _dist(p, q):
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
 
 
-def _bisect_step_fraction(coeffs, x, f_x, vfree, k, dt, tol, outside):
+def _bisect_step_fraction(step, x, f_x, vfree, dt, inside):
     """Largest step fraction that stays inside; returns the boundary state.
 
-    ``outside(point) -> bool``; bisection on the step fraction, each trial
+    ``inside(point) -> bool``; bisection on the step fraction, each trial
     re-stepping from the segment start so the located point lies on the
     integrated curve.
     """
@@ -172,15 +288,15 @@ def _bisect_step_fraction(coeffs, x, f_x, vfree, k, dt, tol, outside):
     state_lo = (x, f_x)
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        xm, fm, _ = _rk4_constrained(coeffs, x, f_x, vfree, k, dt * mid, tol)
-        if outside(xm):
-            hi = mid
-        else:
+        xm, fm, _ = _rk4_constrained(step, x, f_x, vfree, dt * mid)
+        if inside(xm):
             lo = mid
             state_lo = (xm, fm)
+        else:
+            hi = mid
         if hi - lo < 1e-12:
             break
-    return state_lo[0], state_lo[1]
+    return state_lo
 
 
 def explore(form: PfaffianForm, p, epsilon, budget, seed,
@@ -207,9 +323,8 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
         raise AnalysisError("base point is singular for the form")
 
     n = form.n
-    eps2 = epsilon * epsilon
-    box = form.domain
-    lows, highs = box.lows, box.highs
+    steppers = _Steppers(form, singular_tol)
+    inside = _compile_inside(form.domain, p, epsilon * epsilon, squared=True)
     dt = (epsilon * segment_fraction) / steps_per_segment
     endpoints = [p]
     step_counts = [0]
@@ -217,12 +332,6 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
     used = 0
     max_resid = 0.0
     rollout = 0
-
-    def in_box(q):
-        return all(lo <= v <= hi for v, lo, hi in zip(q, lows, highs))
-
-    def in_ball(q):
-        return sum((a - b) ** 2 for a, b in zip(q, p)) <= eps2
 
     while used < budget:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rollout,)))
@@ -239,6 +348,7 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
             k = max(range(n), key=lambda i: abs(f_x[i]))
             if abs(f_x[k]) <= singular_tol:
                 break
+            step = steppers[k]
             vfree = rng.standard_normal(n - 1)
             norm = float(np.linalg.norm(vfree))
             if norm == 0.0:
@@ -248,33 +358,27 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
                 if used >= budget:
                     break
                 try:
-                    x_new, f_new, fmid = _rk4_constrained(
-                        coeffs, x, f_x, vfree, k, dt, singular_tol
-                    )
+                    x_new, f_new, resid = _rk4_constrained(step, x, f_x, vfree, dt)
                 except (PivotLostError, ValueError, ZeroDivisionError,
                         OverflowError):
                     alive = False
                     break
                 used += 1
                 rollout_steps += 1
-                resid = _step_residual(x, x_new, f_x, f_new, fmid)
-                curve_resid = max(curve_resid, resid)
-                max_resid = max(max_resid, resid)
-                escaped_box = not in_box(x_new)
-                escaped_ball = not in_ball(x_new)
-                if escaped_box or escaped_ball:
-                    def outside(q):
-                        return not (in_box(q) and in_ball(q))
-
+                if resid > curve_resid:
+                    curve_resid = resid
+                if resid > max_resid:
+                    max_resid = resid
+                if not inside(x_new):
                     try:
                         x_cross, _ = _bisect_step_fraction(
-                            coeffs, x, f_x, vfree, k, dt, singular_tol, outside
+                            step, x, f_x, vfree, dt, inside
                         )
                     except (PivotLostError, ValueError, ZeroDivisionError,
                             OverflowError):
                         alive = False
                         break
-                    if in_ball(x_cross) and in_box(x_cross):
+                    if inside(x_cross):
                         endpoints.append(x_cross)
                         step_counts.append(rollout_steps)
                         curve_pts.append(x_cross)
@@ -432,14 +536,17 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
     p = tuple(float(v) for v in p)
     offsets = np.linspace(-epsilon, epsilon, n_targets)
     per_budget = max(1, budget // n_targets)
+    steppers = _Steppers(form, singular_tol)
+    inside = _compile_inside(form.domain, p, epsilon * (1 + 1e-12),
+                             squared=False)
     gaps = []
     halves = []
     used_total = 0
     for off in offsets:
         q = list(p)
         q[free_index] += float(off)
-        gap, gap_half, used = _seek_target(form, p, tuple(q), epsilon,
-                                           per_budget, singular_tol)
+        gap, gap_half, used = _seek_target(form, steppers, inside, p, tuple(q),
+                                           epsilon, per_budget)
         gaps.append(gap)
         halves.append(gap_half)
         used_total += used
@@ -453,20 +560,20 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
 class _Seeker:
     """Deterministic steering toward one target inside the epsilon-ball."""
 
-    def __init__(self, form, base, target, epsilon, budget, singular_tol):
-        self.coeffs = form.coefficient_tuple_fn
+    def __init__(self, form, steppers, inside, base, target, epsilon, budget):
+        self.steppers = steppers
+        self.inside = inside
         self.n = form.n
-        self.box = form.domain
         self.base = base
         self.target = target
         self.eps = epsilon
         self.budget = budget
-        self.tol = singular_tol
+        self.tol = steppers.tol
         # seekers report gaps, not curves: coarser steps than explore are fine
         self.dt = (epsilon * SEGMENT_FRACTION) / 3.0
         self.used = 0
         self.x = base
-        self.f = self.coeffs(*base)
+        self.f = form.coefficient_tuple_fn(*base)
         self.best = _dist(base, target)
         self.best_at_half = None
 
@@ -477,31 +584,24 @@ class _Seeker:
         if self.best_at_half is None and self.used >= self.budget // 2:
             self.best_at_half = self.best
 
-    def _inside(self, q):
-        if not self.box.contains(q):
-            return False
-        return _dist(q, self.base) <= self.eps * (1 + 1e-12)
-
     def _leg(self, vfree, k, length):
         """Steer along a fixed free velocity; False when blocked/truncated."""
+        step = self.steppers[k]
         steps = max(1, int(math.ceil(length / (self.dt))))
         dt = length / steps
         for _ in range(steps):
             if self.used >= self.budget:
                 return False
             try:
-                x_new, f_new, _ = _rk4_constrained(
-                    self.coeffs, self.x, self.f, vfree, k, dt, self.tol
-                )
+                x_new, f_new, _ = _rk4_constrained(step, self.x, self.f, vfree, dt)
             except (PivotLostError, ValueError, ZeroDivisionError,
                     OverflowError):
                 return False
             self.used += 1
-            if not self._inside(x_new):
+            if not self.inside(x_new):
                 try:
                     x_cross, f_cross = _bisect_step_fraction(
-                        self.coeffs, self.x, self.f, vfree, k, dt, self.tol,
-                        lambda q: not self._inside(q),
+                        step, self.x, self.f, vfree, dt, self.inside
                     )
                 except (PivotLostError, ValueError, ZeroDivisionError,
                         OverflowError):
@@ -637,8 +737,8 @@ class _Seeker:
                 length *= 0.5
 
 
-def _seek_target(form, base, target, epsilon, budget, singular_tol):
-    seeker = _Seeker(form, base, target, epsilon, budget, singular_tol)
+def _seek_target(form, steppers, inside, base, target, epsilon, budget):
+    seeker = _Seeker(form, steppers, inside, base, target, epsilon, budget)
     try:
         return seeker.run()
     except (PivotLostError, ValueError, ZeroDivisionError, OverflowError):

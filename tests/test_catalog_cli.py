@@ -198,6 +198,23 @@ def test_cli_reach_determinism(contact_file, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "-1"),
+    ("--epsilon", "0"),
+    ("--epsilon", "nan"),
+    ("--epsilon", "inf"),
+    ("--budget", "0"),
+    ("--budget", "-5"),
+])
+def test_cli_reach_rejects_bad_epsilon_and_budget(contact_file, capsys, flag,
+                                                   value):
+    assert main(["reach", str(contact_file), flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cli_foliate(gas_file, capsys):
     assert main(["foliate", str(gas_file), "--curves", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
