@@ -20,6 +20,7 @@ from . import expressions as ex
 from .catalog import catalog, entry
 from .errors import AnalysisError, ExpressionError, FormError, PfaffianError
 from .factor import (
+    CharacteristicKernels,
     TransversalSpec,
     auto_transversal,
     build_potential_2var,
@@ -258,6 +259,7 @@ def _cmd_foliate(args):
     lo, hi = form.domain.lows[vary], form.domain.highs[vary]
     pad = 0.02 * (hi - lo)
     seeds = np.linspace(lo + pad, hi - pad, args.curves)
+    kernels = CharacteristicKernels(form)
     rows = []
     curve_id = 0
     for s in seeds:
@@ -266,7 +268,8 @@ def _cmd_foliate(args):
         start[vary] = float(s)
         pieces = []
         for direction in (-1, 1):
-            curve = solve_characteristic(form, tuple(start), direction)
+            curve = solve_characteristic(form, tuple(start), direction,
+                                         kernels=kernels)
             pts = curve.points[::-1] if direction == -1 else curve.points
             pieces.append(pts)
         merged = np.vstack([pieces[0], pieces[1][1:]])

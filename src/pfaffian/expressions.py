@@ -552,9 +552,25 @@ _KERNEL_GLOBALS = {
 }
 
 
+def python_literal(v: float) -> str:
+    """Python source text that evaluates to exactly the float ``v``.
+
+    Finite values are their ``repr``; inf and nan, whose ``repr`` is not
+    a Python literal, are spelled ``float('inf')`` and the like.
+    """
+    text = repr(float(v))
+    return text if math.isfinite(v) else f"float('{text}')"
+
+
+def python_tuple(items) -> str:
+    """Tuple display of the source texts ``items``; one item keeps its comma."""
+    items = list(items)
+    return ", ".join(items) + ("," if len(items) == 1 else "")
+
+
 def _codegen(e, out, names):
     if isinstance(e, Const):
-        out.append(_num_repr(e.value))
+        out.append(python_literal(e.value))
     elif isinstance(e, Var):
         out.append(names[e.index])
     elif isinstance(e, Unary):
@@ -575,7 +591,7 @@ def _codegen(e, out, names):
     elif isinstance(e, Pow):
         out.append("_pow(")
         _codegen(e.base, out, names)
-        out.append(f",{_num_repr(e.exponent)})")
+        out.append(f",{python_literal(e.exponent)})")
     else:
         raise TypeError(f"not an Expression node: {e!r}")
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import expressions as ex
 from .errors import (
     AnalysisError,
     ArityError,
@@ -28,7 +29,14 @@ from .errors import (
     UnreachableTransversalError,
 )
 from .forms import DEFAULT_SINGULAR_TOL, Box, PfaffianForm
-from .ode import Dopri5, MaxStepsError, StepRejectionError, bisect_root, rk4_step
+from .ode import (
+    Dopri5,
+    MaxStepsError,
+    StepRejectionError,
+    bisect_root,
+    compile_kernel,
+    rk4_step,
+)
 
 METHOD_TWO_VAR = "two_var_characteristic"
 METHOD_GLOBAL = "global_base_fiber"
@@ -96,21 +104,80 @@ def _tangent(fvals):
     return (fvals[1], -fvals[0])
 
 
+def _unit_tangent(fvals, sign=1.0):
+    """``sign * _tangent(fvals) / |fvals|``.
+
+    The norm is the plain ``sqrt(F_2^2 + F_1^2)``: it overflows to inf for
+    coefficients beyond about 1e154, and the tangent then reads 0 or NaN.
+    """
+    norm = math.sqrt(fvals[1] * fvals[1] + fvals[0] * fvals[0])
+    return (sign * fvals[1] / norm, sign * -fvals[0] / norm)
+
+
+def _characteristic_kernel(form: PfaffianForm, b: int, singular_tol):
+    """ODE kernel of ``dx_b/dx_a = -F_a / F_b`` in the coordinate ``a = 1 - b``.
+
+    Raises ZeroDivisionError where ``|F_b| <= singular_tol``.
+    """
+    a = 1 - b
+    fa, fb = form.coefficients[a], form.coefficients[b]
+    tol = ex.python_literal(singular_tol)
+
+    def body(t, ys, ks):
+        names = [None, None]
+        names[a], names[b] = t, ys[0]
+        return [
+            f"fa = {ex.python_source(fa, names)}",
+            f"fb = {ex.python_source(fb, names)}",
+            f"if abs(fb) <= {tol}:",
+            "    raise ZeroDivisionError('solved coefficient vanished')",
+            f"{ks[0]} = -fa / fb",
+        ]
+
+    return compile_kernel(1, body)
+
+
+class CharacteristicKernels(dict):
+    """Characteristic ODE kernels of one two-variable form, by solved axis.
+
+    Each kernel is generated on first use; share one instance between the
+    :func:`solve_characteristic` calls on a form so that none is built per
+    curve.
+    """
+
+    def __init__(self, form: PfaffianForm,
+                 singular_tol: float = DEFAULT_SINGULAR_TOL):
+        super().__init__()
+        self.form = form
+        self.singular_tol = singular_tol
+
+    def __missing__(self, b):
+        kernel = self[b] = _characteristic_kernel(self.form, b, self.singular_tol)
+        return kernel
+
+
 def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
                          transversal: TransversalSpec = None,
                          rtol: float = 1e-9, atol: float = 1e-12,
                          max_steps: int = 100000,
-                         singular_tol: float = DEFAULT_SINGULAR_TOL
+                         singular_tol: float = DEFAULT_SINGULAR_TOL,
+                         kernels: CharacteristicKernels = None
                          ) -> CharacteristicCurve:
     """Trace the characteristic of a two-variable form through ``start``.
 
     Integrates the curve annihilating the form, parametrizing by whichever
     variable currently gives the better-conditioned slope (swapping roles
     with 2x hysteresis), until the domain boundary, the transversal, a
-    singular point of the form, or the step budget.
+    singular point of the form, or the step budget.  ``kernels`` are the
+    generated right-hand sides to reuse, built for ``form`` and
+    ``singular_tol``; by default this call builds its own.
     """
     if form.n != 2:
         raise ArityError("characteristics require a two-variable form")
+    if kernels is None:
+        kernels = CharacteristicKernels(form, singular_tol)
+    elif kernels.form is not form or kernels.singular_tol != singular_tol:
+        raise AnalysisError("kernels were built for another form or tolerance")
     box = form.domain
     if not box.contains(start, tol=1e-12):
         raise AnalysisError(f"start point {tuple(start)} outside domain")
@@ -139,8 +206,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
     if max(abs(f[0]), abs(f[1])) <= singular_tol:
         return CharacteristicCurve(np.array(params), np.array(pts),
                                    status="singular", truncated=True)
-    tau = np.array(_tangent(f))
-    tau = (1.0 if direction >= 0 else -1.0) * tau / np.linalg.norm(tau)
+    tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
 
     dependent = int(np.argmax([abs(f[0]), abs(f[1])]))
     steps_used = 0
@@ -158,15 +224,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
         b = dependent
         a = 1 - b
         sign_a = 1.0 if tau[a] >= 0 else -1.0
-
-        def rhs(t, y, _a=a, _b=b):
-            p = [0.0, 0.0]
-            p[_a] = t
-            p[_b] = y[0]
-            fa, fb = fns[_a](*p), fns[_b](*p)
-            if abs(fb) <= singular_tol:
-                raise ZeroDivisionError("solved coefficient vanished")
-            return (-fa / fb,)
+        kernel = kernels[b]
 
         t_limit = box.highs[a] if sign_a > 0 else box.lows[a]
         hit_transversal_on_a = (
@@ -178,7 +236,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
         t_target = transversal.value if hit_transversal_on_a else t_limit
 
         try:
-            stepper = Dopri5(rhs, x[a], (x[b],), direction=sign_a,
+            stepper = Dopri5(kernel, x[a], (x[b],), direction=sign_a,
                              rtol=rtol, atol=atol,
                              max_steps=max_steps - steps_used)
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -202,7 +260,8 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
             for bound, kind in ((box.lows[b], "boundary"), (box.highs[b], "boundary")):
                 g0, g1 = prev_y[0] - bound, y_new[0] - bound
                 if g0 * g1 < 0:
-                    crossed = (_locate(rhs, prev_t, prev_y, t_new - prev_t, bound), kind)
+                    lam = _locate(kernel, prev_t, prev_y, t_new - prev_t, bound)
+                    crossed = (lam, kind)
             # transversal crossing on the dependent axis
             if (
                 crossed is None
@@ -212,7 +271,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
                 g0 = prev_y[0] - transversal.value
                 g1 = y_new[0] - transversal.value
                 if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
-                    lam = _locate(rhs, prev_t, prev_y, t_new - prev_t,
+                    lam = _locate(kernel, prev_t, prev_y, t_new - prev_t,
                                   transversal.value)
                     t_cross = prev_t + lam * (t_new - prev_t)
                     if transversal.on_span(t_cross):
@@ -221,7 +280,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
             if crossed is not None:
                 lam, kind = crossed
                 t_hit = prev_t + lam * (t_new - prev_t)
-                y_hit = _interior_state(rhs, prev_t, prev_y, t_new - prev_t, lam)
+                y_hit = _interior_state(kernel, prev_t, prev_y, t_new - prev_t, lam)
                 p_hit = [0.0, 0.0]
                 p_hit[a], p_hit[b] = t_hit, y_hit[0]
                 p_hit = box.clamp(p_hit)
@@ -250,10 +309,9 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
             if max(abs(f[0]), abs(f[1])) <= singular_tol:
                 status = "singular"
                 return finish(status, truncated=True)
-            tau_new = np.array(_tangent(f))
-            tau_new = tau_new / np.linalg.norm(tau_new)
-            if float(np.dot(tau_new, tau)) < 0:
-                tau_new = -tau_new
+            tau_new = _unit_tangent(f)
+            if tau_new[0] * tau[0] + tau_new[1] * tau[1] < 0:
+                tau_new = (-tau_new[0], -tau_new[1])
             tau = tau_new
 
             if abs(t_new - t_target) <= 1e-14 * max(1.0, abs(t_target)):
@@ -284,20 +342,20 @@ def _dist(p, q):
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
 
 
-def _interior_state(rhs, t0, y0, dt_total, lam):
+def _interior_state(kernel, t0, y0, dt_total, lam):
     """Approximate the state inside an accepted step with two RK4 substeps."""
     dt = lam * dt_total
     if dt == 0.0:
         return tuple(y0)
-    y_mid = rk4_step(rhs, t0, y0, dt / 2.0)
-    return rk4_step(rhs, t0 + dt / 2.0, y_mid, dt / 2.0)
+    y_mid = rk4_step(kernel, t0, y0, dt / 2.0)
+    return rk4_step(kernel, t0 + dt / 2.0, y_mid, dt / 2.0)
 
 
-def _locate(rhs, t0, y0, dt_total, level):
+def _locate(kernel, t0, y0, dt_total, level):
     """Crossing fraction lam in [0,1] where the interpolated state hits level."""
 
     def g(lam):
-        return _interior_state(rhs, t0, y0, dt_total, lam)[0] - level
+        return _interior_state(kernel, t0, y0, dt_total, lam)[0] - level
 
     return bisect_root(g, 0.0, 1.0, xtol=1e-12)
 
@@ -454,6 +512,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
         raise ArityError("two-variable construction requires n = 2")
     tv = transversal or auto_transversal(form)
     fns = form.coefficient_fns
+    kernels = CharacteristicKernels(form)
     cache = {}
     flags = {"mu_branch_disagreements": 0, "unreachable_points": 0}
 
@@ -476,7 +535,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
         first = 1 if towards * tau_a >= 0 else -1
         for direction in (first, -first):
             curve = solve_characteristic(form, key, direction, transversal=tv,
-                                         rtol=rtol, atol=atol)
+                                         rtol=rtol, atol=atol, kernels=kernels)
             if curve.status == "transversal":
                 cache[key] = curve.label
                 return curve.label
@@ -523,6 +582,8 @@ class SurfaceField:
     ``value(u, s)`` integrates the solved-coordinate ODE along the straight
     segment from the base projection to ``u``, starting the free coordinate
     at fiber position ``s``; it returns the free coordinate above ``u``.
+    Every path solve runs through one generated ODE kernel, whose extra
+    arguments are the path start ``u0`` and increment ``deltas``.
     """
 
     def __init__(self, form: PfaffianForm, free_index: int, base,
@@ -542,37 +603,57 @@ class SurfaceField:
         hi = form.domain.highs[free_index]
         self._free_bounds = (lo - box_tol * (hi - lo), hi + box_tol * (hi - lo))
         self.memo = {}
+        self._fibers = {}
+        self.kernel = self._path_kernel()
 
-    def _embed(self, u, xn):
-        p = [0.0] * self.form.n
-        for idx, val in zip(self.other, u):
-            p[idx] = val
-        p[self.free_index] = xn
-        return tuple(p)
+    def _path_kernel(self):
+        """ODE kernel of the free coordinate along ``u0 + t * deltas``.
 
-    def _path_rhs(self, u0, u1):
-        fns = self.form.coefficient_fns
-        free = self.free_index
-        other = self.other
+        ``dx_free/dt = -sum(F_i * d_i, d_i != 0) / F_free``, summed from 0.0
+        in the order of ``other``, terms with a zero increment skipped
+        unevaluated.  Raises ValueError once the free coordinate leaves
+        ``_free_bounds`` and ZeroDivisionError where ``F_free == 0``.
+        """
+        coeffs = self.form.coefficients
+        free, other = self.free_index, self.other
+        lo, hi = (ex.python_literal(v) for v in self._free_bounds)
+        m = len(other)
+        prologue = [
+            f"{ex.python_tuple(f'a{j}' for j in range(m))} = u0",
+            f"{ex.python_tuple(f'd{j}' for j in range(m))} = deltas",
+        ] if m else []
+
+        def body(t, ys, ks):
+            names = [None] * self.form.n
+            names[free] = ys[0]
+            lines = [f"if not {lo} <= {ys[0]} <= {hi}:",
+                     "    raise ValueError('free coordinate left the box')"]
+            for j, idx in enumerate(other):
+                names[idx] = f"u{j}"
+                lines.append(f"u{j} = a{j} + {t} * d{j}")
+            lines += [
+                f"fn = {ex.python_source(coeffs[free], names)}",
+                "if fn == 0.0:",
+                "    raise ZeroDivisionError('free coefficient vanished on the path')",
+                "acc = 0.0",
+            ]
+            for j, idx in enumerate(other):
+                lines += [f"if d{j} != 0.0:",
+                          f"    acc += ({ex.python_source(coeffs[idx], names)}) * d{j}"]
+            lines.append(f"{ks[0]} = -acc / fn")
+            return lines
+
+        return compile_kernel(1, body, ("u0", "deltas"), prologue)
+
+    def _solve(self, u0, u1, xn, t0, t1):
+        """Free coordinate at ``t1`` on the path from ``u0`` to ``u1``.
+
+        Starts from ``xn`` at ``t0``; ODE failures propagate.
+        """
         deltas = tuple(b - a for a, b in zip(u0, u1))
-        lo, hi = self._free_bounds
-
-        def rhs(t, y):
-            xn = y[0]
-            if not lo <= xn <= hi:
-                raise ValueError("free coordinate left the box")
-            u = tuple(a + t * d for a, d in zip(u0, deltas))
-            p = self._embed(u, xn)
-            fn_val = fns[free](*p)
-            if fn_val == 0.0:
-                raise ZeroDivisionError("free coefficient vanished on the path")
-            total = 0.0
-            for idx, d in zip(other, deltas):
-                if d != 0.0:
-                    total += fns[idx](*p) * d
-            return (-total / fn_val,)
-
-        return rhs
+        y, _ = _integrate_unit(self.kernel, (u0, deltas), (xn,), t0, t1,
+                               self.rtol, self.atol)
+        return y[0]
 
     def value(self, u, s) -> float:
         """Free coordinate of the surface through (base_proj, s) above u."""
@@ -583,36 +664,37 @@ class SurfaceField:
         lo, hi = self._free_bounds
         if not lo <= s <= hi:
             raise AnalysisError("fiber coordinate outside the box")
-        rhs = self._path_rhs(self.base_proj, key[0])
         try:
-            y, _ = _integrate_unit(rhs, (s,), 0.0, 1.0, self.rtol, self.atol)
+            xn = self._solve(self.base_proj, key[0], s, 0.0, 1.0)
         except (StepRejectionError, MaxStepsError, ValueError,
                 ZeroDivisionError, OverflowError) as exc:
             raise AnalysisError(f"surface integration failed: {exc}") from exc
-        self.memo[key] = y[0]
-        return y[0]
+        self.memo[key] = xn
+        return xn
 
     def fiber_through(self, p) -> float:
         """Fiber coordinate s of the surface passing through the point p.
 
         Computed by integrating the same path ODE from p back to the base
-        projection; equals the root of value(proj(p), s) = p_free.
+        projection; equals the root of value(proj(p), s) = p_free.  Successes
+        are memoized per point.
         """
         p = tuple(float(v) for v in p)
+        hit = self._fibers.get(p)
+        if hit is not None:
+            return hit
         u_p = tuple(p[i] for i in self.other)
-        rhs = self._path_rhs(self.base_proj, u_p)
         try:
-            y, _ = _integrate_unit(rhs, (p[self.free_index],), 1.0, 0.0,
-                                   self.rtol, self.atol)
+            s = self._solve(self.base_proj, u_p, p[self.free_index], 1.0, 0.0)
         except (StepRejectionError, MaxStepsError, ValueError,
                 ZeroDivisionError, OverflowError) as exc:
             raise AnalysisError(f"surface integration failed: {exc}") from exc
         lo, hi = self._free_bounds
-        s = y[0]
         if not lo <= s <= hi:
             raise BracketFailureError(
                 "surface through the point meets the base fiber outside the box"
             )
+        self._fibers[p] = s
         return s
 
     def fiber_by_rootfind(self, p, expand=1.5, max_expand=60) -> float:
@@ -641,9 +723,9 @@ class SurfaceField:
         raise BracketFailureError("could not bracket the fiber coordinate")
 
 
-def _integrate_unit(rhs, y0, t0, t1, rtol, atol, max_steps=100000):
-    stepper = Dopri5(rhs, t0, y0, direction=1.0 if t1 > t0 else -1.0,
-                     rtol=rtol, atol=atol, max_steps=max_steps)
+def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol, max_steps=100000):
+    stepper = Dopri5(kernel, t0, y0, direction=1.0 if t1 > t0 else -1.0,
+                     rtol=rtol, atol=atol, max_steps=max_steps, params=params)
     while (stepper.t - t1) * stepper.direction < 0:
         stepper.step(t1)
     return stepper.y, stepper.stats
@@ -786,8 +868,6 @@ def _staircase_value(field_: SurfaceField, u_target, reversed_order: bool):
         u_next[axis_pos] = u_target[axis_pos]
         if u_next == u:
             continue
-        rhs = field_._path_rhs(tuple(u), tuple(u_next))
-        y, _ = _integrate_unit(rhs, (xn,), 0.0, 1.0, field_.rtol, field_.atol)
-        xn = y[0]
+        xn = field_._solve(tuple(u), tuple(u_next), xn, 0.0, 1.0)
         u = u_next
     return xn

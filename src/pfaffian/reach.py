@@ -94,20 +94,6 @@ def _rk4_constrained(step, x, f_x, vfree, dt):
     return step(x, f_x, vfree, dt)
 
 
-def _lit(v):
-    """Source text that evaluates to exactly the float ``v``."""
-    text = repr(float(v))
-    if not math.isfinite(v):
-        return f"float('{text}')"
-    return f"({text})" if text.startswith("-") else text
-
-
-def _seq(names):
-    """Tuple display of ``names``; a single name keeps its comma."""
-    names = list(names)
-    return ", ".join(names) + ("," if len(names) == 1 else "")
-
-
 def _compile_function(lines, name):
     namespace = ex.kernel_namespace()
     namespace.update(_sum=sum, _sqrt=math.sqrt, _Lost=PivotLostError)
@@ -134,14 +120,14 @@ def _compile_step(form: PfaffianForm, k, tol):
     """
     n = form.n
     free = [i for i in range(n) if i != k]
-    tol = _lit(tol)
+    tol = ex.python_literal(tol)
     lines = [
         "def step(x, fx, vfree, dt):",
-        f"    {_seq(f'x{i}' for i in range(n))} = x",
-        f"    {_seq(f'a{i}' for i in range(n))} = fx",
+        f"    {ex.python_tuple(f'x{i}' for i in range(n))} = x",
+        f"    {ex.python_tuple(f'a{i}' for i in range(n))} = fx",
     ]
     if free:
-        lines.append(f"    {_seq(f'v{i}' for i in free)} = vfree")
+        lines.append(f"    {ex.python_tuple(f'v{i}' for i in free)} = vfree")
     lines.append("    h = 0.5 * dt")
 
     def solve(f, p):
@@ -180,14 +166,14 @@ def _compile_step(form: PfaffianForm, k, tol):
     coefficients("e", [f"X{i}" for i in range(n)])
     # Simpson residual of the form paired with the step chord
     lines.extend(f"    D{i} = X{i} - x{i}" for i in range(n))
-    pairing = _seq(
+    pairing = ex.python_tuple(
         f"(a{i} + 4.0 * (0.5 * (b{i} + c{i})) + e{i}) / 6.0 * D{i}"
         for i in range(n)
     )
-    fsq = _seq(f"e{i} * e{i}" for i in range(n))
-    dsq = _seq(f"D{i} * D{i}" for i in range(n))
-    x1 = _seq(f"X{i}" for i in range(n))
-    f1 = _seq(f"e{i}" for i in range(n))
+    fsq = ex.python_tuple(f"e{i} * e{i}" for i in range(n))
+    dsq = ex.python_tuple(f"D{i} * D{i}" for i in range(n))
+    x1 = ex.python_tuple(f"X{i}" for i in range(n))
+    f1 = ex.python_tuple(f"e{i}" for i in range(n))
     lines.extend([
         f"    pairing = _sum(({pairing}))",
         f"    fmag = _sqrt(_sum(({fsq})))",
@@ -219,17 +205,18 @@ def _compile_inside(box, center, limit, squared):
     distance ``<= limit``; both sum the squared differences with ``sum``.
     """
     n = len(center)
+    lit = ex.python_literal
     in_box = " and ".join(
-        f"{_lit(lo)} <= q{i} <= {_lit(hi)}"
+        f"{lit(lo)} <= q{i} <= {lit(hi)}"
         for i, (lo, hi) in enumerate(zip(box.lows, box.highs))
     )
-    dist2 = "_sum(({}))".format(_seq(
-        f"(q{i} - {_lit(c)}) ** 2" for i, c in enumerate(center)
+    dist2 = "_sum(({}))".format(ex.python_tuple(
+        f"(q{i} - {lit(c)}) ** 2" for i, c in enumerate(center)
     ))
-    near = f"{dist2} <= {_lit(limit)}" if squared else f"_sqrt({dist2}) <= {_lit(limit)}"
+    near = f"{dist2} <= {lit(limit)}" if squared else f"_sqrt({dist2}) <= {lit(limit)}"
     lines = [
         "def inside(q):",
-        f"    {_seq(f'q{i}' for i in range(n))} = q",
+        f"    {ex.python_tuple(f'q{i}' for i in range(n))} = q",
         f"    return {in_box} and {near}",
     ]
     return _compile_function(lines, "inside")

@@ -215,6 +215,27 @@ def test_cli_reach_rejects_bad_epsilon_and_budget(contact_file, capsys, flag,
     assert "Traceback" not in captured.err
 
 
+# x^1e400 overflows to x^inf while parsing; compiled code must spell the inf
+OVERFLOWED_FORM = """vars: x, y
+F[1] = x^1e400 + 1
+F[2] = 1 + x*0
+domain: [0.5,1] x [0,1]
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor2", "--grid", "3"],
+    ["reach", "--budget", "100"],
+])
+def test_cli_overflowed_constant(tmp_path, capsys, argv):
+    path = tmp_path / "overflowed.pfaff"
+    path.write_text(OVERFLOWED_FORM)
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    captured = capsys.readouterr()
+    json.loads(captured.out)
+    assert "Traceback" not in captured.err
+
+
 def test_cli_foliate(gas_file, capsys):
     assert main(["foliate", str(gas_file), "--curves", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,3 +290,18 @@ def test_numeric_equal_detects_difference(rng):
     pts = rng.uniform(-2, 2, size=(50, 1))
     assert ex.numeric_equal(a, b, pts)
     assert not ex.numeric_equal(a, c, pts)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.1, -2.5, 1e-300])
+def test_python_literal_round_trips(value):
+    text = ex.python_literal(value)
+    assert repr(eval(text)) == repr(value)  # noqa: S307 - our own literal
+    if math.isfinite(value):
+        assert text == repr(value)
+
+
+def test_compile_non_finite_constants():
+    assert ex.compile_scalar(ex.Const(math.inf), 0)() == math.inf
+    assert math.isnan(ex.compile_scalar(ex.Const(math.nan), 0)())
+    overflowed = ex.parse_expression("x^1e400 + 1", ["x"])
+    assert ex.compile_scalar(overflowed, 1)(0.5) == 1.0

@@ -260,6 +260,33 @@ def test_fiber_rootfind_agrees_with_back_integration(rng):
         assert a == pytest.approx(b, abs=1e-9)
 
 
+def test_fiber_through_memoizes_successes_only(monkeypatch):
+    import pfaffian.factor as factor
+
+    solves = []
+    original = factor._integrate_unit
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(factor, "_integrate_unit", counting)
+    field = SurfaceField(SCALED, 2, (0.0, 0.0, 0.0))
+    p = (0.2, -0.1, 0.05)
+    s = field.fiber_through(p)
+    assert field.fiber_through(p) == s
+    assert len(solves) == 1
+    # on dz = -dx the surface through (0.9, 0, 0.9) would meet the base fiber
+    # at z = 1.8, outside the box; failures are solved again on every call
+    f = make_form(["x", "y", "z"], ["1", "0", "1"], Box((-1,) * 3, (1,) * 3))
+    field = SurfaceField(f, 2, (0.0, 0.0, 0.0))
+    solves.clear()
+    for _ in range(2):
+        with pytest.raises(AnalysisError):
+            field.fiber_through((0.9, 0.0, 0.9))
+    assert len(solves) == 2
+
+
 def test_fiber_map_monotone(rng):
     field = SurfaceField(SCALED, 2, (0.0, 0.0, 0.0))
     u = (0.3, -0.2)
