@@ -136,10 +136,11 @@ def _cmd_check(args):
 
 
 def _factor_report(result, extra=None):
+    absent = result.evaluated_points == 0  # no residual without a point
     report = {
         "method": result.method,
-        "residual_max": result.residual_max,
-        "residual_rms": result.residual_rms,
+        "residual_max": None if absent else result.residual_max,
+        "residual_rms": None if absent else result.residual_rms,
         "evaluated_points": result.evaluated_points,
         "skipped_points": result.skipped_points,
         "flags": result.flags,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-import weakref
 from dataclasses import dataclass
 
 from .errors import ArityError, EvalDomainError, ParseError, UnknownIdentifierError
@@ -257,14 +256,55 @@ def _eval(e, point):
 # ---------------------------------------------------------------------------
 
 
-def differentiate(e: Expression, var_index: int) -> Expression:
-    """Exact symbolic partial derivative of ``e`` with respect to variable ``var_index``."""
+def differentiate(e: Expression, var_index: int, memo=None) -> Expression:
+    """Exact symbolic partial derivative of ``e`` with respect to variable ``var_index``.
+
+    ``memo`` is a dict that caches derivatives per node (by ``id``, keeping
+    the node alive); pass one dict to every call on trees that share nodes,
+    such as all entries of a Jacobian.  A subtree is differentiated once per
+    variable it contains and once for all the variables it does not: the
+    rules never look at the variable inside such a subtree, so its
+    derivative is the same tree, signed zeros included, for each of them.
+    """
+    if var_index < 0:
+        raise ArityError(f"variable index must be non-negative, got {var_index}")
+    return _derivative(e, var_index, {} if memo is None else memo)
+
+
+def _derivative_entry(e, memo):
+    """``(e, mask of the variables in e, derivatives by variable)`` of node ``e``."""
+    entry = memo.get(id(e))
+    if entry is None:
+        if isinstance(e, Var):
+            mask = 1 << e.index
+        elif isinstance(e, Unary):
+            mask = _derivative_entry(e.arg, memo)[1]
+        elif isinstance(e, Binary):
+            mask = _derivative_entry(e.left, memo)[1] | _derivative_entry(e.right, memo)[1]
+        elif isinstance(e, Pow):
+            mask = _derivative_entry(e.base, memo)[1]
+        else:
+            mask = 0
+        entry = memo[id(e)] = (e, mask, {})
+    return entry
+
+
+def _derivative(e, j, memo):
+    _, mask, by_var = _derivative_entry(e, memo)
+    key = j if mask >> j & 1 else -1  # -1: every variable absent from e
+    d = by_var.get(key)
+    if d is None:
+        d = by_var[key] = _derivative_rule(e, j, memo)
+    return d
+
+
+def _derivative_rule(e, j, memo):
     if isinstance(e, Const):
         return Const(0.0)
     if isinstance(e, Var):
-        return Const(1.0) if e.index == var_index else Const(0.0)
+        return Const(1.0) if e.index == j else Const(0.0)
     if isinstance(e, Unary):
-        da = differentiate(e.arg, var_index)
+        da = _derivative(e.arg, j, memo)
         a = e.arg
         if e.op == "neg":
             return neg(da)
@@ -279,8 +319,8 @@ def differentiate(e: Expression, var_index: int) -> Expression:
         if e.op == "sqrt":
             return div(da, mul(Const(2.0), Unary("sqrt", a)))
     if isinstance(e, Binary):
-        dl = differentiate(e.left, var_index)
-        dr = differentiate(e.right, var_index)
+        dl = _derivative(e.left, j, memo)
+        dr = _derivative(e.right, j, memo)
         if e.op == "+":
             return add(dl, dr)
         if e.op == "-":
@@ -291,29 +331,41 @@ def differentiate(e: Expression, var_index: int) -> Expression:
         num = sub(mul(dl, e.right), mul(e.left, dr))
         return div(num, powc(e.right, 2.0))
     if isinstance(e, Pow):
-        db = differentiate(e.base, var_index)
+        db = _derivative(e.base, j, memo)
         return mul(mul(Const(e.exponent), powc(e.base, e.exponent - 1.0)), db)
     raise TypeError(f"not an Expression node: {e!r}")
 
 
-def simplify(e: Expression) -> Expression:
+def simplify(e: Expression, memo=None) -> Expression:
     """Best-effort, value-preserving simplification.
 
     Rebuilds the tree bottom-up through the folding constructors, which
     apply at minimum 0*e -> 0, 1*e -> e, e+0 -> e and constant folding.
     Not canonical: structurally different but equivalent trees remain so.
+    ``memo`` is a dict that caches results per node, as in
+    :func:`differentiate`.
     """
+    return _simplified(e, {} if memo is None else memo)
+
+
+def _simplified(e, memo):
     if isinstance(e, (Const, Var)):
         return e
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Unary):
-        a = simplify(e.arg)
-        return neg(a) if e.op == "neg" else func(e.op, a)
-    if isinstance(e, Binary):
-        left, right = simplify(e.left), simplify(e.right)
-        return {"+": add, "-": sub, "*": mul, "/": div}[e.op](left, right)
-    if isinstance(e, Pow):
-        return powc(simplify(e.base), e.exponent)
-    raise TypeError(f"not an Expression node: {e!r}")
+        a = _simplified(e.arg, memo)
+        s = neg(a) if e.op == "neg" else func(e.op, a)
+    elif isinstance(e, Binary):
+        left, right = _simplified(e.left, memo), _simplified(e.right, memo)
+        s = {"+": add, "-": sub, "*": mul, "/": div}[e.op](left, right)
+    elif isinstance(e, Pow):
+        s = powc(_simplified(e.base, memo), e.exponent)
+    else:
+        raise TypeError(f"not an Expression node: {e!r}")
+    memo[id(e)] = (e, s)
+    return s
 
 
 def substitute(e: Expression, replacements) -> Expression:
@@ -354,7 +406,11 @@ def _prec(e):
 
 
 def _num_repr(v: float) -> str:
-    return repr(float(v))
+    """Number text of the grammar; +-inf, which has no literal, as +-1e999."""
+    v = float(v)
+    if math.isinf(v):
+        return "1e999" if v > 0 else "-1e999"
+    return repr(v)
 
 
 def to_string(e: Expression, var_names) -> str:
@@ -537,10 +593,6 @@ def parse_expression(text: str, var_names) -> Expression:
 # compilation (fast scalar evaluation for inner loops)
 # ---------------------------------------------------------------------------
 
-_compiled_cache: "weakref.WeakKeyDictionary[Expression, object]" = (
-    weakref.WeakKeyDictionary()
-)
-
 # math functions as generated source spells them
 _KERNEL_GLOBALS = {
     "_exp": math.exp,
@@ -568,44 +620,88 @@ def python_tuple(items) -> str:
     return ", ".join(items) + ("," if len(items) == 1 else "")
 
 
-def _codegen(e, out, names):
-    if isinstance(e, Const):
-        out.append(python_literal(e.value))
-    elif isinstance(e, Var):
-        out.append(names[e.index])
-    elif isinstance(e, Unary):
-        if e.op == "neg":
-            out.append("(-")
-            _codegen(e.arg, out, names)
-            out.append(")")
-        else:
-            out.append(f"_{e.op}(")
-            _codegen(e.arg, out, names)
-            out.append(")")
-    elif isinstance(e, Binary):
-        out.append("(")
-        _codegen(e.left, out, names)
-        out.append(e.op)
-        _codegen(e.right, out, names)
-        out.append(")")
-    elif isinstance(e, Pow):
-        out.append("_pow(")
-        _codegen(e.base, out, names)
-        out.append(f",{python_literal(e.exponent)})")
-    else:
-        raise TypeError(f"not an Expression node: {e!r}")
-
-
-def _max_var_index(e):
-    if isinstance(e, Var):
-        return e.index
+def _node_text(e, args):
+    """Source text of the operation of node ``e`` on the texts ``args``."""
     if isinstance(e, Unary):
-        return _max_var_index(e.arg)
+        return f"(-{args[0]})" if e.op == "neg" else f"_{e.op}({args[0]})"
     if isinstance(e, Binary):
-        return max(_max_var_index(e.left), _max_var_index(e.right))
-    if isinstance(e, Pow):
-        return _max_var_index(e.base)
-    return -1
+        return f"({args[0]}{e.op}{args[1]})"
+    return f"_pow({args[0]},{python_literal(e.exponent)})"
+
+
+def _shared_source(exprs, names):
+    """Python expression texts of ``exprs``, each distinct subtree computed once.
+
+    Subtrees are hash-consed on their node kind, operation, ``python_literal``
+    text (so ``-0.0`` and ``0.0`` stay apart) and child slots.  A subtree
+    used more than once across ``exprs`` is bound by an assignment
+    expression at its first textual occurrence and read by name after that;
+    every other node is written inline.  Python evaluates the texts left to
+    right, so they perform the float operations of the trees written out in
+    full, in the same order minus the repeats, and the first one to raise is
+    the same.  ``Var(i)`` is spelled ``names[i]``; a larger index raises
+    :class:`ArityError`.
+    """
+    n_vars = len(names)
+    slots = {}  # structural key -> slot
+    seen = {}  # id(node) -> slot; the trees keep their nodes alive
+    nodes = []  # slot -> (representative node, child slots)
+    uses = []  # slot -> references from distinct parent slots and roots
+
+    def intern(e):
+        slot = seen.get(id(e))
+        if slot is not None:
+            return slot
+        if isinstance(e, Const):
+            kids = ()
+            key = (Const, python_literal(e.value))
+        elif isinstance(e, Var):
+            if e.index >= n_vars:
+                raise ArityError(f"expression uses more than {n_vars} variables")
+            kids = ()
+            key = (Var, e.index)
+        elif isinstance(e, Unary):
+            kids = (intern(e.arg),)
+            key = (Unary, e.op, *kids)
+        elif isinstance(e, Binary):
+            kids = (intern(e.left), intern(e.right))
+            key = (Binary, e.op, *kids)
+        elif isinstance(e, Pow):
+            kids = (intern(e.base),)
+            key = (Pow, python_literal(e.exponent), *kids)
+        else:
+            raise TypeError(f"not an Expression node: {e!r}")
+        slot = slots.get(key)
+        if slot is None:
+            slot = slots[key] = len(nodes)
+            nodes.append((e, kids))
+            uses.append(0)
+            for kid in kids:
+                uses[kid] += 1
+        seen[id(e)] = slot
+        return slot
+
+    bound = {}  # slot -> local name, once its assignment is written
+
+    def text(slot):
+        local = bound.get(slot)
+        if local is not None:
+            return local
+        e, kids = nodes[slot]
+        if isinstance(e, Const):
+            return python_literal(e.value)
+        if isinstance(e, Var):
+            return names[e.index]
+        src = _node_text(e, [text(kid) for kid in kids])
+        if uses[slot] < 2:
+            return src
+        local = bound[slot] = f"_cse{len(bound)}"
+        return f"({local} := {src})"
+
+    roots = [intern(e) for e in exprs]
+    for root in roots:
+        uses[root] += 1
+    return [text(root) for root in roots]
 
 
 def python_source(e: Expression, names) -> str:
@@ -614,12 +710,10 @@ def python_source(e: Expression, names) -> str:
     Run in a :func:`kernel_namespace`, the text performs exactly the float
     operations of :func:`compile_scalar`, so code generated around it (for
     example one expression inlined at several points) stays bit-identical.
+    Repeated subtrees are bound to locals named ``_cse<k>``, which the
+    surrounding code must not use.
     """
-    if _max_var_index(e) >= len(names):
-        raise ArityError(f"expression uses more than {len(names)} variables")
-    parts = []
-    _codegen(e, parts, names)
-    return "".join(parts)
+    return _shared_source([e], names)[0]
 
 
 def kernel_namespace() -> dict:
@@ -627,8 +721,15 @@ def kernel_namespace() -> dict:
     return dict(_KERNEL_GLOBALS)
 
 
-def _arg_list(n_vars):
-    return ",".join(f"x{i}" for i in range(n_vars)) or "*_ignored"
+def _compile_return(text, n_vars):
+    """``def f(x0, ..., x{n-1}): return <text>``, compiled in a kernel namespace."""
+    args = ",".join(f"x{i}" for i in range(n_vars)) or "*_ignored"
+    source = f"def _kernel({args}):\n    return {text}\n"
+    namespace = kernel_namespace()
+    exec(  # noqa: S102 - source is generated from our own AST
+        compile(source, "<pfaffian-expr>", "exec"), namespace
+    )
+    return namespace["_kernel"]
 
 
 def compile_scalar(e: Expression, n_vars: int):
@@ -639,32 +740,18 @@ def compile_scalar(e: Expression, n_vars: int):
     arithmetic.  Use :func:`checked_evaluator` for contract-grade error
     behavior; hot loops should guard at a coarser granularity.
     """
-    if _max_var_index(e) >= n_vars:
-        raise ArityError(f"expression uses more than {n_vars} variables")
-    cached = _compiled_cache.get(e)
-    if cached is not None and cached[0] == n_vars:
-        return cached[1]
-    body = python_source(e, [f"x{i}" for i in range(n_vars)])
-    source = f"lambda {_arg_list(n_vars)}: ({body})"
-    fn = eval(  # noqa: S307 - source is generated from our own AST
-        compile(source, "<pfaffian-expr>", "eval"), kernel_namespace()
-    )
-    _compiled_cache[e] = (n_vars, fn)
-    return fn
+    return _compile_return(python_source(e, [f"x{i}" for i in range(n_vars)]), n_vars)
 
 
 def compile_tuple(exprs, n_vars: int):
     """Compile several expressions into one callable returning a tuple.
 
-    Saves per-call overhead in loops that need a full coefficient vector.
-    Same raw error behavior as :func:`compile_scalar`.
+    Subtrees shared between the expressions are computed once per call
+    (see :func:`python_source`), with the values and raw error behavior of
+    :func:`compile_scalar` on each expression in turn.
     """
-    names = [f"x{i}" for i in range(n_vars)]
-    bodies = [python_source(e, names) for e in exprs]
-    source = f"lambda {_arg_list(n_vars)}: ({','.join(bodies)},)"
-    return eval(  # noqa: S307 - source is generated from our own AST
-        compile(source, "<pfaffian-expr>", "eval"), kernel_namespace()
-    )
+    texts = _shared_source(exprs, [f"x{i}" for i in range(n_vars)])
+    return _compile_return(f"({python_tuple(texts)})", n_vars)
 
 
 def checked_evaluator(e: Expression, n_vars: int):

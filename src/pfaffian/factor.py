@@ -826,7 +826,9 @@ def staircase_defect(form: PfaffianForm, free_index: int, base,
     paths to each target projection and reports the disagreement of the
     resulting free coordinates.  Integrable forms agree to solver tolerance;
     a disagreement well above it is the numerical shadow of a nonzero
-    integrability tensor.
+    integrability tensor.  A target whose path solve fails (a solver
+    failure, or a right-hand side undefined on the path) gets the defect
+    None and does not count toward the maximum.
     """
     field_ = SurfaceField(form, free_index, base, rtol=rtol, atol=atol)
     box = form.domain
@@ -848,7 +850,7 @@ def staircase_defect(form: PfaffianForm, free_index: int, base,
         try:
             a = _staircase_value(field_, u_target, reversed_order=False)
             b = _staircase_value(field_, u_target, reversed_order=True)
-        except (AnalysisError, StepRejectionError, MaxStepsError):
+        except (AnalysisError, ValueError, ZeroDivisionError, OverflowError):
             per_target.append({"target": list(u_target), "defect": None})
             continue
         defect = abs(a - b)

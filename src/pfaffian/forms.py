@@ -97,9 +97,18 @@ class PfaffianForm:
 
     @cached_property
     def derivative_matrix(self):
-        """Symbolic dF[i][j] = dF_i/dx_j."""
+        """Symbolic dF[i][j] = dF_i/dx_j.
+
+        All n^2 entries share one differentiation memo and one
+        simplification memo, so each subtree is differentiated once per
+        variable it contains (and once for all others) and simplified once.
+        """
+        d_memo, s_memo = {}, {}
         return tuple(
-            tuple(ex.simplify(ex.differentiate(c, j)) for j in range(self.n))
+            tuple(
+                ex.simplify(ex.differentiate(c, j, d_memo), s_memo)
+                for j in range(self.n)
+            )
             for c in self.coefficients
         )
 
@@ -110,11 +119,27 @@ class PfaffianForm:
             for row in self.derivative_matrix
         )
 
+    @cached_property
+    def jet_fn(self):
+        """One compiled callable returning F and its Jacobian at a point.
+
+        ``jet_fn(*p)`` is ``(F_1, ..., F_n, dF_1/dx_1, dF_1/dx_2, ...,
+        dF_n/dx_n)``: the coefficients, then the rows of
+        :attr:`derivative_matrix`.  Subtrees shared between the entries are
+        computed once (see expressions.compile_tuple); raw error behavior.
+        """
+        jacobian = (d for row in self.derivative_matrix for d in row)
+        return ex.compile_tuple((*self.coefficients, *jacobian), self.n)
+
+
+def _nonsingular_probe_points(box: Box):
+    """The box center, then Halton points, drawn only if the center fails."""
+    yield box.center
+    yield from map(tuple, box.samples(_NONSINGULAR_SAMPLES))
+
 
 def _check_nonsingular(form: PfaffianForm, tol: float):
-    pts = [form.domain.center]
-    pts.extend(map(tuple, form.domain.samples(_NONSINGULAR_SAMPLES)))
-    for p in pts:
+    for p in _nonsingular_probe_points(form.domain):
         try:
             values = coefficient_vector(form, p)
         except EvalDomainError:

@@ -72,7 +72,8 @@ class Verdict:
             "triple": [i + 1 for i in self.witness_triple]
             if self.witness_triple
             else None,
-            "value": self.witness_value,
+            # inconclusive: no usable sample, so no witness value
+            "value": self.witness_value if self.samples_used else None,
         }
         return {
             "class": self.classification,
@@ -161,26 +162,22 @@ def _better(value, point, best_value, best_point):
 
 def _scan_samples(form, points, singular_tol):
     n = form.n
-    fns = form.coefficient_fns
-    dfs = form.derivative_fns
+    jet = form.jet_fn
     scan = _SampleScan()
     triples = list(itertools.combinations(range(n), 3))
     for t in triples:
         scan.per_triple[t] = (0.0, None)
     for p in points:
         try:
-            fvals = [fn(*p) for fn in fns]
-            dvals = [[d(*p) for d in row] for row in dfs]
-            for v in fvals:
-                float(v)
-        except (ValueError, ZeroDivisionError, OverflowError, EvalDomainError):
+            values = jet(*p)
+        except (ValueError, ZeroDivisionError, OverflowError):
             scan.failed += 1
             continue
-        if not all(_finite(v) for v in fvals) or not all(
-            _finite(v) for row in dvals for v in row
-        ):
+        if not all(_finite(v) for v in values):
             scan.failed += 1
             continue
+        fvals = values[:n]
+        dvals = [values[n * (i + 1):n * (i + 2)] for i in range(n)]
         if max(abs(v) for v in fvals) <= singular_tol:
             scan.singular += 1
             continue

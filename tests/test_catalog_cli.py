@@ -236,6 +236,57 @@ def test_cli_overflowed_constant(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
 
 
+# x^300 overflows dF at every sample, so the verdict is inconclusive
+INCONCLUSIVE_FORM = """vars: x, y
+F[1] = x^300
+F[2] = 1
+domain: [10.55,10.64] x [0,1]
+"""
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--expect", "inconclusive"], 0),
+    ([], 0),
+    (["--strict"], 1),
+])
+def test_cli_check_inconclusive_report(tmp_path, capsys, flags, code):
+    path = tmp_path / "inconclusive.pfaff"
+    path.write_text(INCONCLUSIVE_FORM)
+    assert main(["check", str(path), *flags]) == code
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["class"] == "inconclusive"
+    assert set(report) == {
+        "class", "tolerance", "samples_used", "witness", "per_triple_max"
+    }
+    assert report["witness"] == {"point": None, "triple": None, "value": None}
+    assert "Traceback" not in captured.err
+
+
+def test_cli_factor2_nothing_evaluated(gas_file, capsys):
+    assert main(["factor2", str(gas_file), "--grid", "1"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["evaluated_points"] == 0
+    assert report["residual_max"] is None and report["residual_rms"] is None
+    assert "Traceback" not in captured.err
+
+
+def test_cli_staircase_undefined_path(tmp_path, capsys):
+    # with y free, F_y = exp(z)*x vanishes at the base point (the box
+    # center), where every staircase path starts
+    path = tmp_path / "scaled.pfaff"
+    assert main(["catalog", "--write-form", "scaled_exact", str(path)]) == 0
+    code = main(["factor-global", str(path), "--free-var", "y", "--grid", "3",
+                 "--staircase"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    targets = json.loads(captured.out)["staircase"]["targets"]
+    assert len(targets) == 4
+    assert all(t["defect"] is None for t in targets)
+
+
 def test_cli_foliate(gas_file, capsys):
     assert main(["foliate", str(gas_file), "--curves", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -305,3 +305,48 @@ def test_compile_non_finite_constants():
     assert math.isnan(ex.compile_scalar(ex.Const(math.nan), 0)())
     overflowed = ex.parse_expression("x^1e400 + 1", ["x"])
     assert ex.compile_scalar(overflowed, 1)(0.5) == 1.0
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_compile_keeps_signed_zero_constants_apart(first):
+    # structurally equal under ==, but 0.0*x and -0.0*x differ in sign
+    trees = [ex.Binary("*", ex.Const(first), ex.Var(0)),
+             ex.Binary("*", ex.Const(-first), ex.Var(0))]
+    fns = [ex.compile_scalar(t, 1) for t in trees]  # both trees alive
+    for tree, fn in zip(trees, fns):
+        expected = ex.evaluate(tree, (2.0,))
+        assert math.copysign(1.0, fn(2.0)) == math.copysign(1.0, expected)
+    both = ex.compile_tuple(trees, 1)(2.0)
+    assert [math.copysign(1.0, v) for v in both] == [math.copysign(1.0, first),
+                                                     -math.copysign(1.0, first)]
+
+
+@pytest.mark.parametrize("text", ["x1^1e400 + 1", "-1e400*x1", "x2^-1e400",
+                                  "(0 - 1e400)^2"])
+def test_to_string_spells_infinities_as_numbers(text):
+    tree = ex.parse_expression(text, VARS3)
+    out = ex.to_string(tree, VARS3)
+    assert "inf" not in out
+    assert repr(ex.parse_expression(out, VARS3)) == repr(tree)
+
+
+def test_differentiate_rejects_negative_index():
+    with pytest.raises(ArityError):
+        ex.differentiate(ex.Var(0), -1)
+
+
+def test_memoized_derivatives_match_fresh_calls():
+    e = ex.parse_expression("exp(x1*x2)*sin(x3) - x2/(1 + x1^2)", VARS3)
+    d_memo, s_memo = {}, {}
+    for _ in range(2):
+        for j in range(4):
+            shared = ex.simplify(ex.differentiate(e, j, d_memo), s_memo)
+            assert repr(shared) == repr(ex.simplify(ex.differentiate(e, j)))
+
+
+def test_repeated_subtrees_are_computed_once():
+    e = ex.parse_expression("exp(x1 + x2)*exp(x1 + x2) - sin(x3)/exp(x1 + x2)", VARS3)
+    text = ex.python_source(e, list(VARS3))
+    assert text.count("_exp(") == 1 and text.count("+") == 1
+    fn = ex.compile_scalar(e, 3)
+    assert fn(0.25, -0.5, 1.0) == ex.evaluate(e, (0.25, -0.5, 1.0))

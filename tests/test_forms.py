@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from pfaffian import expressions as ex
+from pfaffian.catalog import catalog
 from pfaffian.errors import (
     ArityError,
     FormError,
@@ -9,6 +11,7 @@ from pfaffian.errors import (
 )
 from pfaffian.forms import (
     Box,
+    PfaffianForm,
     coefficient_vector,
     format_form_file,
     is_singular_at,
@@ -255,3 +258,235 @@ def test_box_validation():
         Box((0, 0), (1,))
     with pytest.raises(FormError):
         Box((0,), (0,))
+
+
+def test_overflowed_constant_round_trips_through_form_file():
+    # x^1e400 parses to x^inf; the file must spell inf as a number again
+    f = parse_form_file(
+        "vars: x, y\nF[1] = x^1e400 + 1\nF[2] = 1\ndomain: [0.5,1] x [0,1]\n"
+    )
+    text = format_form_file(f)
+    assert "1e999" in text
+    g = parse_form_file(text)
+    assert repr(g.coefficients) == repr(f.coefficients)
+    assert g.domain == f.domain
+
+
+# --- Jacobian and compiled kernel against the per-entry reference ---------------
+# The reference is the plain recursive differentiate/simplify and the
+# tree-walking code generator, one compile per expression.
+
+
+def _ref_differentiate(e, j):
+    if isinstance(e, ex.Const):
+        return ex.Const(0.0)
+    if isinstance(e, ex.Var):
+        return ex.Const(1.0) if e.index == j else ex.Const(0.0)
+    if isinstance(e, ex.Unary):
+        da = _ref_differentiate(e.arg, j)
+        a = e.arg
+        if e.op == "neg":
+            return ex.neg(da)
+        if e.op == "exp":
+            return ex.mul(ex.Unary("exp", a), da)
+        if e.op == "log":
+            return ex.div(da, a)
+        if e.op == "sin":
+            return ex.mul(ex.Unary("cos", a), da)
+        if e.op == "cos":
+            return ex.neg(ex.mul(ex.Unary("sin", a), da))
+        if e.op == "sqrt":
+            return ex.div(da, ex.mul(ex.Const(2.0), ex.Unary("sqrt", a)))
+    if isinstance(e, ex.Binary):
+        dl = _ref_differentiate(e.left, j)
+        dr = _ref_differentiate(e.right, j)
+        if e.op == "+":
+            return ex.add(dl, dr)
+        if e.op == "-":
+            return ex.sub(dl, dr)
+        if e.op == "*":
+            return ex.add(ex.mul(dl, e.right), ex.mul(e.left, dr))
+        num = ex.sub(ex.mul(dl, e.right), ex.mul(e.left, dr))
+        return ex.div(num, ex.powc(e.right, 2.0))
+    db = _ref_differentiate(e.base, j)
+    return ex.mul(ex.mul(ex.Const(e.exponent), ex.powc(e.base, e.exponent - 1.0)), db)
+
+
+def _ref_simplify(e):
+    if isinstance(e, (ex.Const, ex.Var)):
+        return e
+    if isinstance(e, ex.Unary):
+        a = _ref_simplify(e.arg)
+        return ex.neg(a) if e.op == "neg" else ex.func(e.op, a)
+    if isinstance(e, ex.Binary):
+        left, right = _ref_simplify(e.left), _ref_simplify(e.right)
+        return {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}[e.op](left, right)
+    return ex.powc(_ref_simplify(e.base), e.exponent)
+
+
+def _ref_source(e, names):
+    if isinstance(e, ex.Const):
+        return ex.python_literal(e.value)
+    if isinstance(e, ex.Var):
+        return names[e.index]
+    if isinstance(e, ex.Unary):
+        if e.op == "neg":
+            return f"(-{_ref_source(e.arg, names)})"
+        return f"_{e.op}({_ref_source(e.arg, names)})"
+    if isinstance(e, ex.Binary):
+        return f"({_ref_source(e.left, names)}{e.op}{_ref_source(e.right, names)})"
+    return f"_pow({_ref_source(e.base, names)},{ex.python_literal(e.exponent)})"
+
+
+def _ref_compile(e, n):
+    args = ",".join(f"x{i}" for i in range(n)) or "*_ignored"
+    body = _ref_source(e, [f"x{i}" for i in range(n)])
+    return eval(f"lambda {args}: ({body})", ex.kernel_namespace())  # noqa: S307
+
+
+def _ref_jacobian(coefficients, n):
+    return tuple(
+        tuple(_ref_simplify(_ref_differentiate(c, j)) for j in range(n))
+        for c in coefficients
+    )
+
+
+_UNARY_OPS = ("neg", "exp", "log", "sin", "cos", "sqrt")
+_CONSTS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -1.5, 3.0)
+_EXPONENTS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, -0.0)
+
+
+def _random_tree(rng, n, depth, pool):
+    """Raw tree using every node kind; reuses node objects from ``pool``."""
+    r = rng.random()
+    if pool and r < 0.15:
+        return pool[int(rng.integers(len(pool)))]
+    if depth == 0 or r < 0.35:
+        if rng.random() < 0.6:
+            return ex.Var(int(rng.integers(n)))
+        return ex.Const(_CONSTS[int(rng.integers(len(_CONSTS)))])
+    kind = int(rng.integers(3))
+    if kind == 0:
+        op = _UNARY_OPS[int(rng.integers(len(_UNARY_OPS)))]
+        node = ex.Unary(op, _random_tree(rng, n, depth - 1, pool))
+    elif kind == 1:
+        op = "+-*/"[int(rng.integers(4))]
+        node = ex.Binary(op, _random_tree(rng, n, depth - 1, pool),
+                         _random_tree(rng, n, depth - 1, pool))
+    else:
+        node = ex.Pow(_random_tree(rng, n, depth - 1, pool),
+                      _EXPONENTS[int(rng.integers(len(_EXPONENTS)))])
+    pool.append(node)
+    return node
+
+
+_FIXED_TEXTS = (
+    ("-y", "x/0", "log(0)*z"),
+    ("x*y - exp(-y)", "sqrt(x^2 + 1)/(1 + y)", "sin(z)*cos(x*z)"),
+    ("-y", "0", "1"),
+    ("x^300", "1/x - 1/y", "-(x*0)"),
+)
+
+
+def _reference_forms(rng):
+    """(var names, coefficient trees) of the catalog, fixed and random forms."""
+    cases = [(e.form.var_names, e.form.coefficients) for e in catalog()]
+    names = ("x", "y", "z")
+    for texts in _FIXED_TEXTS:
+        parsed = tuple(ex.parse_expression(t, names) for t in texts)
+        cases.append((names, parsed))
+        cases.append((names, tuple(ex.simplify(c) for c in parsed)))
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        pool = []
+        coeffs = tuple(_random_tree(rng, n, 4, pool) for _ in range(n))
+        cases.append((tuple(f"x{i}" for i in range(n)), coeffs))
+    return cases
+
+
+def _outcome(fn, p):
+    try:
+        return repr(fn(*p))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc)
+
+
+def _reference_outcome(fns, p):
+    """Values of the per-entry callables, or the class of the first to raise."""
+    values = []
+    for fn in fns:
+        try:
+            values.append(fn(*p))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            return type(exc)
+    return repr(tuple(values))
+
+
+def _probe_points(rng, n):
+    pts = [tuple(p) for p in rng.uniform(-2, 2, size=(12, n))]  # numpy floats
+    pts += [tuple(float(v) for v in p) for p in rng.uniform(-2, 2, size=(12, n))]
+    pts += [(0.0,) * n, (-0.0,) * n, (1.0,) * n, (-1.0,) * n, (800.0,) * n,
+            (1e-200,) * n]
+    return pts
+
+
+def test_jacobian_matches_per_entry_reference(rng):
+    for names, coeffs in _reference_forms(rng):
+        n = len(names)
+        form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
+        assert repr(form.derivative_matrix) == repr(_ref_jacobian(coeffs, n))
+
+
+def test_signed_zero_derivative_kept():
+    names = ("x", "y")
+    form = PfaffianForm(names, (ex.parse_expression("-y", names), ex.Var(0)),
+                        Box((-1, -1), (1, 1)))
+    assert repr(form.derivative_matrix[0][0]) == repr(ex.Const(-0.0))
+
+
+def test_jet_matches_per_entry_compile(rng):
+    for names, coeffs in _reference_forms(rng):
+        n = len(names)
+        form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
+        entries = list(coeffs) + [d for row in form.derivative_matrix for d in row]
+        reference = [_ref_compile(e, n) for e in entries]
+        singles = [ex.compile_scalar(e, n) for e in entries]
+        jet = form.jet_fn
+        with np.errstate(all="ignore"):  # numpy scalars divide by zero quietly
+            for p in _probe_points(rng, n):
+                assert _outcome(jet, p) == _reference_outcome(reference, p)
+                for ref, single in zip(reference, singles):
+                    assert _outcome(single, p) == _outcome(ref, p)
+
+
+def test_compile_tuple_shares_subtrees_structurally():
+    names = ("x", "y")
+    texts = ("exp(x*y) + 0.0*exp(x*y)", "exp(x*y) * (-0.0*x)", "0.0*x",
+             "-0.0*x", "exp(x*y) + 0.0*exp(x*y)")
+    exprs = [ex.parse_expression(t, names) for t in texts]
+    fn = ex.compile_tuple(exprs, 2)
+    reference = [_ref_compile(e, 2) for e in exprs]
+    for p in [(0.5, -1.5), (1.0, 0.0), (700.0, 2.0), (-0.0, 3.0)]:
+        assert _outcome(fn, p) == _reference_outcome(reference, p)
+    with pytest.raises(ArityError):
+        ex.compile_tuple([ex.Var(2)], 2)
+
+
+def test_make_form_probes_center_first():
+    # nonsingular at the center: no Halton point is drawn
+    calls = []
+    box = Box((-1, -1), (1, 1))
+
+    class CountingBox(Box):
+        def samples(self, count, margin=0.0):
+            calls.append(count)
+            return super().samples(count, margin)
+
+    counting = CountingBox(box.lows, box.highs)
+    make_form(["x", "y"], ["1", "x"], counting)
+    assert calls == []
+    make_form(["x", "y"], ["x", "y"], counting)  # singular at the center
+    assert calls == [256]
+    with pytest.raises(SingularFormError):
+        make_form(["x", "y"], ["x*0", "0"], counting)
+    assert calls == [256, 256]

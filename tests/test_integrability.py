@@ -8,13 +8,16 @@ from conftest import gradient_form, random_polynomial, unit_box
 from pfaffian import expressions as ex
 from pfaffian.forms import (
     Box,
+    PfaffianForm,
     make_form,
     make_substitution,
     mild_nonlinear_substitution,
+    pullback,
     random_linear_substitution,
 )
 from pfaffian.integrability import (
     CLASS_EXACT,
+    CLASS_INCONCLUSIVE,
     CLASS_LOCALLY_INTEGRABLE,
     CLASS_NON_INTEGRABLE,
     SamplerConfig,
@@ -23,6 +26,13 @@ from pfaffian.integrability import (
     curl_triple_product,
     exactness_defect,
     invariance_check,
+)
+from pfaffian.integrability import (
+    _better,
+    _finite,
+    _SampleScan,
+    _scale_factors,
+    _scan_samples,
 )
 
 BOX3 = Box((-1, -1, -1), (1, 1, 1))
@@ -275,3 +285,117 @@ def test_sampler_config_is_deterministic(contact):
     a = cfg.sample_points(contact)
     b = cfg.sample_points(contact)
     assert a == b
+
+
+def test_inconclusive_report_writes_absent_witness_as_null():
+    # x^300 overflows dF at every sample: nothing is usable
+    f = make_form(["x", "y"], ["x^300", "1"], Box((10.55, 0), (10.64, 1)))
+    v = classify(f)
+    assert v.classification == CLASS_INCONCLUSIVE
+    report = v.as_report()
+    assert set(report) == {
+        "class", "tolerance", "samples_used", "witness", "per_triple_max"
+    }
+    assert report["witness"] == {"point": None, "triple": None, "value": None}
+    json.dumps(report, allow_nan=False)
+
+
+# --- sample scan against the per-entry reference loop ---------------------------
+
+
+def _ref_scan_samples(form, points, singular_tol):
+    """The scan evaluating each coefficient and derivative separately."""
+    n = form.n
+    fns = form.coefficient_fns
+    dfs = form.derivative_fns
+    scan = _SampleScan()
+    triples = list(itertools.combinations(range(n), 3))
+    for t in triples:
+        scan.per_triple[t] = (0.0, None)
+    for p in points:
+        try:
+            fvals = [fn(*p) for fn in fns]
+            dvals = [[d(*p) for d in row] for row in dfs]
+        except (ValueError, ZeroDivisionError, OverflowError):
+            scan.failed += 1
+            continue
+        if not all(_finite(v) for v in fvals) or not all(
+            _finite(v) for row in dvals for v in row
+        ):
+            scan.failed += 1
+            continue
+        if max(abs(v) for v in fvals) <= singular_tol:
+            scan.singular += 1
+            continue
+        scan.used += 1
+        lin, quad = _scale_factors(fvals)
+        for i in range(n):
+            for j in range(i + 1, n):
+                d = abs(dvals[j][i] - dvals[i][j]) * lin
+                if scan.defect_point is None or _better(
+                    d, p, scan.defect_max, scan.defect_point
+                ):
+                    scan.defect_max, scan.defect_point = d, tuple(p)
+                    scan.defect_pair = (i, j)
+        for (i, j, k) in triples:
+            r = (
+                fvals[i] * (dvals[k][j] - dvals[j][k])
+                + fvals[j] * (dvals[i][k] - dvals[k][i])
+                + fvals[k] * (dvals[j][i] - dvals[i][j])
+            )
+            r = abs(r) * quad
+            prev_val, prev_pt = scan.per_triple[(i, j, k)]
+            if prev_pt is None or _better(r, p, prev_val, prev_pt):
+                scan.per_triple[(i, j, k)] = (r, tuple(p))
+            if scan.tensor_point is None or _better(
+                r, p, scan.tensor_max, scan.tensor_point
+            ):
+                scan.tensor_max, scan.tensor_point = r, tuple(p)
+                scan.tensor_triple = (i, j, k)
+    if scan.tensor_point is None:
+        scan.tensor_max = 0.0
+    return scan
+
+
+_SCAN_FORMS = (
+    (("x", "y"), ("1/x", "1"), (-1, -1), (1, 1)),  # pole through the center
+    (("x", "y"), ("y", "x"), (-1, -1), (1, 1)),  # singular at the center
+    (("x", "y", "z"), ("log(x)", "sqrt(y)", "z*x"), (-1, -1, -1), (1, 1, 1)),
+    (("x", "y", "z"), ("y*z", "-x*z/(y - 0.25)", "x^2"), (-1, -1, -1), (1, 1, 1)),
+    (("x", "y", "z", "w"), ("exp(60*x)*y", "-w", "x*y*z", "log(1.5 + z)/w"),
+     (-1, -1, -1, -1), (1, 1, 1, 1)),
+    (("x", "y"), ("x^300", "1"), (10.55, 0), (10.64, 1)),  # overflows everywhere
+    (("x", "y", "z"), ("-y", "0", "1"), (-1, -1, -1), (1, 1, 1)),
+)
+
+
+def test_one_variable_report_keeps_zero_witness_value():
+    v = classify(make_form(["x"], ["1 + x^2"], Box((-1,), (1,))))
+    assert v.as_report()["witness"] == {"point": None, "triple": None,
+                                        "value": 0.0}
+
+
+def test_scan_matches_per_entry_reference(rng):
+    forms = [
+        PfaffianForm(names, tuple(ex.parse_expression(t, names) for t in texts),
+                     Box(lows, highs))
+        for names, texts, lows, highs in _SCAN_FORMS
+    ]
+    for _ in range(10):
+        n = int(rng.integers(3, 6))
+        forms.append(gradient_form(random_polynomial(rng, n), n, unit_box(n)))
+    contact = forms[len(_SCAN_FORMS) - 1]
+    forms.append(pullback(contact, random_linear_substitution(contact, seed=3)))
+    outcomes = set()
+    with np.errstate(all="ignore"):  # numpy scalars divide by zero quietly
+        for form in forms:
+            points = SamplerConfig(points=48).sample_points(form)
+            points += [tuple(float(v) for v in p) for p in form.domain.samples(8)]
+            for singular_tol in (1e-12, 0.5):
+                got = _scan_samples(form, points, singular_tol)
+                expected = _ref_scan_samples(form, points, singular_tol)
+                assert got == expected
+                assert repr(got) == repr(expected)
+                outcomes.update(k for k in ("used", "singular", "failed")
+                                if getattr(got, k))
+    assert outcomes == {"used", "singular", "failed"}
