@@ -9,9 +9,9 @@ across runs); point clouds and polylines are CSV.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from .factor import (
     staircase_defect,
 )
 from .forms import (
-    Box,
     load_form,
     make_substitution,
     mild_nonlinear_substitution,
+    parse_box,
     random_linear_substitution,
 )
 from .integrability import (
@@ -43,25 +43,6 @@ from .integrability import (
 )
 from .reach import estimate_dimension, explore, surrounding_line_scan
 from .reports import csv_text, json_text, write_text
-
-
-@dataclass
-class RunConfig:
-    """Validated run-wide settings shared by the subcommands."""
-
-    tol: float = 1e-8
-    samples: int = 64
-    seed: int = 0
-    out_path: str = None
-    csv_path: str = None
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise AnalysisError("tolerance must be positive")
-        if not 0 <= int(self.seed) < 2**64:
-            raise AnalysisError("seed must be a 64-bit unsigned value")
-        if self.samples < 1:
-            raise AnalysisError("sampler size must be at least 1")
 
 
 def _positive_float(text):
@@ -86,6 +67,17 @@ def _positive_int(text):
     return value
 
 
+def _seed(text):
+    """argparse type: an integer in [0, 2^64), as numpy seeds take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^64), got {text!r}")
+    return value
+
+
 def _emit(text, path):
     if path:
         write_text(path, text)
@@ -96,16 +88,16 @@ def _emit(text, path):
 def _parse_point(text, n, what="point"):
     parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
     if len(parts) != n:
-        raise AnalysisError(f"{what} needs {n} comma-separated coordinates")
+        raise FormError(f"{what} needs {n} comma-separated coordinates")
     try:
         return tuple(float(p) for p in parts)
     except ValueError as exc:
-        raise AnalysisError(f"bad {what}: {exc}") from exc
+        raise FormError(f"bad {what}: {exc}") from exc
 
 
 def _var_index(form, name):
     if name not in form.var_names:
-        raise AnalysisError(
+        raise FormError(
             f"unknown variable {name!r}; form variables: {', '.join(form.var_names)}"
         )
     return form.var_names.index(name)
@@ -118,9 +110,8 @@ def _var_index(form, name):
 
 def _cmd_check(args):
     form = load_form(args.form_file)
-    cfg = RunConfig(tol=args.tol, samples=args.samples, out_path=args.out)
-    verdict = classify(form, SamplerConfig(points=cfg.samples), tol=cfg.tol)
-    _emit(json_text(verdict.as_report()), cfg.out_path)
+    verdict = classify(form, SamplerConfig(points=args.samples), tol=args.tol)
+    _emit(json_text(verdict.as_report()), args.out)
     if args.expect:
         if verdict.classification != args.expect:
             print(
@@ -215,16 +206,16 @@ def _cmd_factor_global(args):
 
 def _cmd_reach(args):
     form = load_form(args.form_file)
-    cfg = RunConfig(seed=args.seed, out_path=args.out, csv_path=args.csv)
     point = (
         _parse_point(args.point, form.n) if args.point else form.domain.center
     )
+    free_index = _var_index(form, args.free_var) if args.free_var else None
     psi_fn = None
     if args.psi:
         psi_expr = ex.parse_expression(args.psi, form.var_names)
         raw = ex.compile_scalar(psi_expr, form.n)
         psi_fn = lambda p: raw(*p)  # noqa: E731
-    sample = explore(form, point, args.epsilon, args.budget, cfg.seed)
+    sample = explore(form, point, args.epsilon, args.budget, args.seed)
     verdict = estimate_dimension(sample, args.threshold, psi_reference=psi_fn)
     report = {
         "base": list(sample.base),
@@ -236,18 +227,17 @@ def _cmd_reach(args):
         "max_step_residual": sample.max_residual,
         "verdict": verdict.as_report(),
     }
-    if args.free_var:
-        free_index = _var_index(form, args.free_var)
+    if free_index is not None:
         scan = surrounding_line_scan(form, point, free_index, args.epsilon,
                                      args.budget)
         report["surrounding_line_scan"] = scan.as_report()
-    _emit(json_text(report), cfg.out_path)
-    if cfg.csv_path:
+    _emit(json_text(report), args.out)
+    if args.csv:
         header = [*form.var_names, "steps"]
         rows = [
             [*e, c] for e, c in zip(sample.endpoints, sample.step_counts)
         ]
-        write_text(cfg.csv_path, csv_text(header, rows))
+        write_text(args.csv, csv_text(header, rows))
     return 0
 
 
@@ -288,10 +278,12 @@ def _cmd_invariance(args):
     form = load_form(args.form_file)
     if args.map:
         if not (args.new_vars and args.new_domain):
-            raise AnalysisError("--map requires --new-vars and --new-domain")
+            raise FormError("--map requires --new-vars and --new-domain")
         new_names = tuple(v.strip() for v in args.new_vars.split(","))
         texts = [t.strip() for t in args.map.split(";") if t.strip()]
-        box = _parse_domain(args.new_domain, len(new_names))
+        box = parse_box(args.new_domain)
+        if box.dim != len(new_names):
+            raise FormError(f"domain needs {len(new_names)} intervals")
         base = (
             _parse_point(args.base, len(new_names), "base")
             if args.base
@@ -305,17 +297,6 @@ def _cmd_invariance(args):
     report = invariance_check(form, sub, tol=args.tol)
     _emit(json_text(report.as_report()), args.out)
     return 0
-
-
-def _parse_domain(text, n):
-    import re as _re
-
-    intervals = _re.findall(r"\[\s*([^,\]]+)\s*,\s*([^\]]+?)\s*\]", text)
-    if len(intervals) != n:
-        raise AnalysisError(f"domain needs {n} intervals")
-    lows = tuple(float(a) for a, _ in intervals)
-    highs = tuple(float(b) for _, b in intervals)
-    return Box(lows, highs)
 
 
 def _cmd_catalog(args):
@@ -357,7 +338,9 @@ def _cmd_catalog(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="pfaffian",
         description="Integrability analysis of Pfaffian forms on boxes.",
@@ -367,8 +350,8 @@ def _build_parser():
 
     p = sub.add_parser("check", help="classify a form file")
     p.add_argument("form_file")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
+    p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--expect", choices=[
         "exact", "locally_integrable", "non_integrable", "inconclusive"])
     p.add_argument("--strict", action="store_true",
@@ -378,7 +361,7 @@ def _build_parser():
 
     p = sub.add_parser("factor2", help="two-variable integrating factor")
     p.add_argument("form_file")
-    p.add_argument("--grid", type=int, default=17)
+    p.add_argument("--grid", type=_positive_int, default=17)
     p.add_argument("--transversal-axis")
     p.add_argument("--transversal-value", type=float)
     p.add_argument("--transversal-span",
@@ -391,7 +374,7 @@ def _build_parser():
     p.add_argument("form_file")
     p.add_argument("--free-var", required=True)
     p.add_argument("--base")
-    p.add_argument("--grid", type=int, default=9)
+    p.add_argument("--grid", type=_positive_int, default=9)
     p.add_argument("--staircase", action="store_true",
                    help="include the two-path disagreement diagnostic")
     p.add_argument("--force", action="store_true",
@@ -405,8 +388,8 @@ def _build_parser():
     p.add_argument("--point")
     p.add_argument("--epsilon", type=_positive_float, default=0.3)
     p.add_argument("--budget", type=_positive_int, default=200000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--threshold", type=float, default=0.05)
+    p.add_argument("--seed", type=_seed, default=42)
+    p.add_argument("--threshold", type=_positive_float, default=0.05)
     p.add_argument("--free-var", help="also scan the surrounding line")
     p.add_argument("--psi", help="reference level function (conservation oracle)")
     p.add_argument("--csv", help="write the endpoint cloud")
@@ -415,20 +398,20 @@ def _build_parser():
 
     p = sub.add_parser("foliate", help="emit characteristic polylines as CSV")
     p.add_argument("form_file")
-    p.add_argument("--curves", type=int, default=9)
+    p.add_argument("--curves", type=_positive_int, default=9)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_foliate)
 
     p = sub.add_parser("invariance", help="tensor nullity under substitution")
     p.add_argument("form_file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--nonlinear", action="store_true",
                    help="use the mild quadratic substitution")
     p.add_argument("--new-vars")
     p.add_argument("--map", help="semicolon-separated old-variable expressions")
     p.add_argument("--base")
     p.add_argument("--new-domain")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_invariance)
 

@@ -53,7 +53,7 @@ __all__ = [
     "compile_tuple",
     "python_source",
     "kernel_namespace",
-    "checked_evaluator",
+    "exec_source",
     "numeric_equal",
 ]
 
@@ -721,15 +721,26 @@ def kernel_namespace() -> dict:
     return dict(_KERNEL_GLOBALS)
 
 
+def exec_source(source: str, label: str, **extra) -> dict:
+    """Run generated ``source`` in a :func:`kernel_namespace` plus ``extra``.
+
+    Returns the namespace, from which the caller takes the functions the
+    source defines.  ``label`` names the code in tracebacks
+    (``<pfaffian-label>``).  The one place generated code is executed.
+    """
+    namespace = kernel_namespace()
+    namespace.update(extra)
+    exec(  # noqa: S102 - source is generated from our own AST
+        compile(source, f"<pfaffian-{label}>", "exec"), namespace
+    )
+    return namespace
+
+
 def _compile_return(text, n_vars):
     """``def f(x0, ..., x{n-1}): return <text>``, compiled in a kernel namespace."""
     args = ",".join(f"x{i}" for i in range(n_vars)) or "*_ignored"
     source = f"def _kernel({args}):\n    return {text}\n"
-    namespace = kernel_namespace()
-    exec(  # noqa: S102 - source is generated from our own AST
-        compile(source, "<pfaffian-expr>", "exec"), namespace
-    )
-    return namespace["_kernel"]
+    return exec_source(source, "expr")["_kernel"]
 
 
 def compile_scalar(e: Expression, n_vars: int):
@@ -737,8 +748,8 @@ def compile_scalar(e: Expression, n_vars: int):
 
     The raw callable is fast but unguarded: it may raise ValueError,
     ZeroDivisionError or OverflowError, and may return inf/nan from plain
-    arithmetic.  Use :func:`checked_evaluator` for contract-grade error
-    behavior; hot loops should guard at a coarser granularity.
+    arithmetic; callers guard at a coarser granularity.  :func:`evaluate`
+    is the evaluator with the :class:`EvalDomainError` contract.
     """
     return _compile_return(python_source(e, [f"x{i}" for i in range(n_vars)]), n_vars)
 
@@ -752,22 +763,6 @@ def compile_tuple(exprs, n_vars: int):
     """
     texts = _shared_source(exprs, [f"x{i}" for i in range(n_vars)])
     return _compile_return(f"({python_tuple(texts)})", n_vars)
-
-
-def checked_evaluator(e: Expression, n_vars: int):
-    """Compiled evaluator with the same error contract as :func:`evaluate`."""
-    raw = compile_scalar(e, n_vars)
-
-    def call(*coords):
-        try:
-            v = raw(*coords)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise EvalDomainError(str(exc)) from exc
-        if not math.isfinite(v):
-            raise EvalDomainError(f"non-finite result {v!r}")
-        return v
-
-    return call
 
 
 def numeric_equal(e1: Expression, e2: Expression, points, rel_tol=1e-10) -> bool:

@@ -28,7 +28,7 @@ from .errors import (
     EvalDomainError,
     UnreachableTransversalError,
 )
-from .forms import DEFAULT_SINGULAR_TOL, Box, PfaffianForm
+from .forms import DEFAULT_SINGULAR_TOL, Box, PfaffianForm, distance
 from .ode import (
     Dopri5,
     MaxStepsError,
@@ -75,17 +75,16 @@ def auto_transversal(form: PfaffianForm, probes: int = 128) -> TransversalSpec:
     is the partner coefficient, to stay away from zero; choose the axis
     whose partner coefficient has the larger low quantile over the box.
     """
-    pts = form.domain.samples(probes)
-    fns = form.coefficient_fns
+    fns = form.coefficient_tuple_fn
+    values = []
+    for p in form.domain.samples(probes):
+        try:
+            values.append(fns(*p))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            continue
     scores = []
     for axis in range(2):
-        partner = 1 - axis
-        mags = []
-        for p in pts:
-            try:
-                mags.append(abs(fns[partner](*p)))
-            except (ValueError, ZeroDivisionError, OverflowError):
-                continue
+        mags = [abs(f[1 - axis]) for f in values]
         scores.append(np.quantile(mags, 0.05) if mags else 0.0)
     axis = int(np.argmax(scores))
     return TransversalSpec(axis, form.domain.center[axis])
@@ -181,7 +180,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
     box = form.domain
     if not box.contains(start, tol=1e-12):
         raise AnalysisError(f"start point {tuple(start)} outside domain")
-    fns = form.coefficient_fns
+    coeffs = form.coefficient_tuple_fn
     x = (float(start[0]), float(start[1]))
     pts = [x]
     params = [0.0]
@@ -196,11 +195,8 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
                                    label=x[transversal.varying_axis()],
                                    status="transversal")
 
-    def coeffs(p):
-        return (fns[0](*p), fns[1](*p))
-
     try:
-        f = coeffs(x)
+        f = coeffs(*x)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise AnalysisError("coefficients undefined at the start point")
     if max(abs(f[0]), abs(f[1])) <= singular_tol:
@@ -284,7 +280,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
                 p_hit = [0.0, 0.0]
                 p_hit[a], p_hit[b] = t_hit, y_hit[0]
                 p_hit = box.clamp(p_hit)
-                params.append(params[-1] + _dist(pts[-1], p_hit))
+                params.append(params[-1] + distance(pts[-1], p_hit))
                 pts.append(tuple(p_hit))
                 if kind == "transversal":
                     label = p_hit[a]
@@ -297,12 +293,12 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
             p_new = [0.0, 0.0]
             p_new[a], p_new[b] = t_new, y_new[0]
             p_new = tuple(p_new)
-            params.append(params[-1] + _dist(pts[-1], p_new))
+            params.append(params[-1] + distance(pts[-1], p_new))
             pts.append(p_new)
             x = p_new
 
             try:
-                f = coeffs(x)
+                f = coeffs(*x)
             except (ValueError, ZeroDivisionError, OverflowError):
                 status = "singular"
                 return finish(status, truncated=True)
@@ -336,10 +332,6 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
                 return finish(status, truncated=True)
 
     return finish(status)
-
-
-def _dist(p, q):
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
 
 
 def _interior_state(kernel, t0, y0, dt_total, lam):
@@ -448,7 +440,7 @@ def verify_factorization(form: PfaffianForm, result: FactorizationResult,
     with dpsi by finite differences of the psi evaluator.  Failures at a
     sample are counted as skipped, never fatal.
     """
-    fns = form.coefficient_fns
+    fns = form.coefficient_tuple_fn
     box = form.domain
     worst = 0.0
     acc = 0.0
@@ -459,7 +451,7 @@ def verify_factorization(form: PfaffianForm, result: FactorizationResult,
         try:
             grad = fd_gradient(result.psi, p, box, fd_scale)
             mu_p = result.mu(p)
-            fvals = [fn(*p) for fn in fns]
+            fvals = fns(*p)
         except _SKIP_ERRORS:
             skipped += 1
             continue
@@ -482,17 +474,17 @@ def _mu_from_gradient(form, p, grad, grad_tol=1e-12, disagreement_tol=1e-4):
     Returns (mu, disagreement_flagged).  Raises AnalysisError when every
     gradient component is below ``grad_tol``.
     """
-    fns = form.coefficient_fns
     mags = [abs(g) for g in grad]
     best = max(range(len(grad)), key=lambda i: mags[i])
     if mags[best] <= grad_tol:
         raise AnalysisError("psi gradient numerically zero: mu undefined")
-    mu = fns[best](*p) / grad[best]
+    fvals = form.coefficient_tuple_fn(*p)
+    mu = fvals[best] / grad[best]
     flagged = False
     for i, g in enumerate(grad):
         if i == best or mags[i] <= max(grad_tol, 1e-3 * mags[best]):
             continue
-        other = fns[i](*p) / g
+        other = fvals[i] / g
         if abs(other - mu) > disagreement_tol * max(1.0, abs(mu)):
             flagged = True
     return mu, flagged
@@ -511,7 +503,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
     if form.n != 2:
         raise ArityError("two-variable construction requires n = 2")
     tv = transversal or auto_transversal(form)
-    fns = form.coefficient_fns
+    fns = form.coefficient_tuple_fn
     kernels = CharacteristicKernels(form)
     cache = {}
     flags = {"mu_branch_disagreements": 0, "unreachable_points": 0}
@@ -528,8 +520,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
         # prefer the orientation that moves toward the transversal
         towards = tv.value - key[tv.fixed_axis]
         try:
-            f = (fns[0](*key), fns[1](*key))
-            tau_a = _tangent(f)[tv.fixed_axis]
+            tau_a = _tangent(fns(*key))[tv.fixed_axis]
         except (ValueError, ZeroDivisionError, OverflowError):
             tau_a = 0.0
         first = 1 if towards * tau_a >= 0 else -1
@@ -777,7 +768,7 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
             s_lo += shift
             s_hi += shift
         dxn_ds = (field_.value(u_p, s_hi) - field_.value(u_p, s_lo)) / (s_hi - s_lo)
-        return form.coefficient_fns[free_index](*p) * dxn_ds
+        return form.coefficient_tuple_fn(*p)[free_index] * dxn_ds
 
     result = FactorizationResult(psi=psi, mu=mu, method=METHOD_GLOBAL, flags=flags)
     grid = _grid(box, grid_per_axis)

@@ -6,6 +6,7 @@ and a closed box domain.  Forms are immutable; every operation here is pure.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -86,13 +87,13 @@ class PfaffianForm:
         return len(self.var_names)
 
     @cached_property
-    def coefficient_fns(self):
-        """Raw compiled coefficient callables (see expressions.compile_scalar)."""
-        return tuple(ex.compile_scalar(c, self.n) for c in self.coefficients)
-
-    @cached_property
     def coefficient_tuple_fn(self):
-        """One compiled callable returning the whole coefficient vector."""
+        """One compiled callable returning the whole coefficient vector.
+
+        ``coefficient_tuple_fn(*p)`` is ``(F_1, ..., F_n)`` with the raw
+        error behavior of expressions.compile_tuple: it raises wherever any
+        coefficient is undefined, even when the caller reads only another.
+        """
         return ex.compile_tuple(self.coefficients, self.n)
 
     @cached_property
@@ -110,13 +111,6 @@ class PfaffianForm:
                 for j in range(self.n)
             )
             for c in self.coefficients
-        )
-
-    @cached_property
-    def derivative_fns(self):
-        return tuple(
-            tuple(ex.compile_scalar(d, self.n) for d in row)
-            for row in self.derivative_matrix
         )
 
     @cached_property
@@ -179,6 +173,11 @@ def form_from_expressions(var_names, coefficients, box: Box,
     form = PfaffianForm(var_names, tuple(coefficients), box)
     _check_nonsingular(form, singular_tol)
     return form
+
+
+def distance(p, q) -> float:
+    """Euclidean distance between two points given as coordinate sequences."""
+    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
 
 
 def coefficient_vector(form: PfaffianForm, p):
@@ -317,6 +316,19 @@ def mild_nonlinear_substitution(form: PfaffianForm, shift: int = 1,
 _INTERVAL_RE = re.compile(r"\[\s*([^,\]]+)\s*,\s*([^\]]+?)\s*\]")
 
 
+def parse_box(text: str) -> Box:
+    """The box written ``[lo,hi] x [lo,hi] x ...``; raises FormError."""
+    intervals = _INTERVAL_RE.findall(text)
+    if not intervals:
+        raise FormError("no intervals in domain")
+    try:
+        lows = tuple(float(a) for a, _ in intervals)
+        highs = tuple(float(b) for _, b in intervals)
+    except ValueError as exc:
+        raise FormError(f"bad interval bound: {exc}") from exc
+    return Box(lows, highs)
+
+
 def parse_form_file(text: str, singular_tol=DEFAULT_SINGULAR_TOL) -> PfaffianForm:
     """Parse the plain-text form definition format.
 
@@ -335,15 +347,10 @@ def parse_form_file(text: str, singular_tol=DEFAULT_SINGULAR_TOL) -> PfaffianFor
             if any(not v for v in var_names):
                 raise FormError(f"line {lineno}: empty variable name")
         elif line.startswith("domain:"):
-            intervals = _INTERVAL_RE.findall(line[len("domain:"):])
-            if not intervals:
-                raise FormError(f"line {lineno}: no intervals in domain")
             try:
-                lows = tuple(float(a) for a, _ in intervals)
-                highs = tuple(float(b) for _, b in intervals)
-            except ValueError as exc:
-                raise FormError(f"line {lineno}: bad interval bound: {exc}") from exc
-            box = Box(lows, highs)
+                box = parse_box(line[len("domain:"):])
+            except FormError as exc:
+                raise FormError(f"line {lineno}: {exc}") from exc
         elif line.startswith("F["):
             m = re.match(r"F\[(\d+)\]\s*=\s*(.+)$", line)
             if m is None:

@@ -30,20 +30,16 @@ CLASS_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Deterministic sample plan: low-discrepancy points plus center and corners."""
+    """Deterministic sample plan: the center, the corners, then Halton points."""
 
     points: int = 64
-    include_center: bool = True
-    include_corners: bool = True
 
     def sample_points(self, form: PfaffianForm):
-        pts = []
-        if self.include_center:
-            pts.append(form.domain.center)
-        if self.include_corners:
-            pts.extend(map(tuple, form.domain.corners()))
-        pts.extend(map(tuple, form.domain.samples(self.points)))
-        return pts
+        return [
+            form.domain.center,
+            *map(tuple, form.domain.corners()),
+            *map(tuple, form.domain.samples(self.points)),
+        ]
 
 
 @dataclass(frozen=True)
@@ -91,26 +87,41 @@ class Verdict:
         }
 
 
+def _split_jet(values, n):
+    """``(F, dF)`` from a ``jet_fn`` value, with ``dF[i][j] = dF_i/dx_j``."""
+    return values[:n], [values[n * (i + 1):n * (i + 2)] for i in range(n)]
+
+
+def _tensor(f, d, i, j, k):
+    """R_ijk from the values ``f`` of F and ``d`` of dF at one point."""
+    return (
+        f[i] * (d[k][j] - d[j][k])
+        + f[j] * (d[i][k] - d[k][i])
+        + f[k] * (d[j][i] - d[i][j])
+    )
+
+
 def exactness_defect(form: PfaffianForm, i: int, j: int, p) -> float:
-    """dF_j/dx_i - dF_i/dx_j at p (zero everywhere for exact differentials)."""
+    """dF_j/dx_i - dF_i/dx_j at p (zero everywhere for exact differentials).
+
+    F and dF are evaluated together, so this raises wherever any of their
+    entries is undefined.
+    """
     if i == j:
         raise ArityError("defect indices must differ")
-    dfs = form.derivative_fns
-    return dfs[j][i](*p) - dfs[i][j](*p)
+    _, d = _split_jet(form.jet_fn(*p), form.n)
+    return d[j][i] - d[i][j]
 
 
 def clairaut_component(form: PfaffianForm, i: int, j: int, k: int, p) -> float:
-    """The cyclic tensor component R_ijk at p."""
+    """The cyclic tensor component R_ijk at p.
+
+    F and dF are evaluated together, so this raises wherever any of their
+    entries is undefined.
+    """
     if len({i, j, k}) != 3:
         raise ArityError("tensor indices must be pairwise distinct")
-    fns = form.coefficient_fns
-    dfs = form.derivative_fns
-    fi, fj, fk = fns[i](*p), fns[j](*p), fns[k](*p)
-    return (
-        fi * (dfs[k][j](*p) - dfs[j][k](*p))
-        + fj * (dfs[i][k](*p) - dfs[k][i](*p))
-        + fk * (dfs[j][i](*p) - dfs[i][j](*p))
-    )
+    return _tensor(*_split_jet(form.jet_fn(*p), form.n), i, j, k)
 
 
 def curl_triple_product(form: PfaffianForm, p) -> float:
@@ -120,12 +131,10 @@ def curl_triple_product(form: PfaffianForm, p) -> float:
     """
     if form.n != 3:
         raise ArityError("curl triple product requires exactly 3 variables")
-    fns = form.coefficient_fns
-    dfs = form.derivative_fns
-    f1, f2, f3 = fns[0](*p), fns[1](*p), fns[2](*p)
-    curl1 = dfs[2][1](*p) - dfs[1][2](*p)
-    curl2 = dfs[0][2](*p) - dfs[2][0](*p)
-    curl3 = dfs[1][0](*p) - dfs[0][1](*p)
+    (f1, f2, f3), d = _split_jet(form.jet_fn(*p), 3)
+    curl1 = d[2][1] - d[1][2]
+    curl2 = d[0][2] - d[2][0]
+    curl3 = d[1][0] - d[0][1]
     return f1 * curl1 + f2 * curl2 + f3 * curl3
 
 
@@ -176,8 +185,7 @@ def _scan_samples(form, points, singular_tol):
         if not all(_finite(v) for v in values):
             scan.failed += 1
             continue
-        fvals = values[:n]
-        dvals = [values[n * (i + 1):n * (i + 2)] for i in range(n)]
+        fvals, dvals = _split_jet(values, n)
         if max(abs(v) for v in fvals) <= singular_tol:
             scan.singular += 1
             continue
@@ -192,12 +200,7 @@ def _scan_samples(form, points, singular_tol):
                     scan.defect_max, scan.defect_point = d, tuple(p)
                     scan.defect_pair = (i, j)
         for (i, j, k) in triples:
-            r = (
-                fvals[i] * (dvals[k][j] - dvals[j][k])
-                + fvals[j] * (dvals[i][k] - dvals[k][i])
-                + fvals[k] * (dvals[j][i] - dvals[i][j])
-            )
-            r = abs(r) * quad
+            r = abs(_tensor(fvals, dvals, i, j, k)) * quad
             prev_val, prev_pt = scan.per_triple[(i, j, k)]
             if prev_pt is None or _better(r, p, prev_val, prev_pt):
                 scan.per_triple[(i, j, k)] = (r, tuple(p))

@@ -131,12 +131,8 @@ def compile_kernel(dim, body, params=(), prologue=()) -> OdeKernel:
         for i in range(dim)
     )))
 
-    namespace = ex.kernel_namespace()
-    namespace.update(_sum=sum, _isfinite=math.isfinite)
     source = "\n".join([*rhs, "", *attempt, "", *rk4]) + "\n"
-    exec(  # noqa: S102 - source is generated from our own AST
-        compile(source, "<pfaffian-ode>", "exec"), namespace
-    )
+    namespace = ex.exec_source(source, "ode", _sum=sum, _isfinite=math.isfinite)
     return OdeKernel(namespace["rhs"], namespace["attempt"], namespace["rk4"])
 
 

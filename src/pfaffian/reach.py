@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import AnalysisError, ArityError
-from .forms import DEFAULT_SINGULAR_TOL, PfaffianForm
+from .forms import DEFAULT_SINGULAR_TOL, PfaffianForm, distance
 
 KIND_FULL = "full_dimensional"
 KIND_CODIM_ONE = "codimension_one_like"
@@ -92,16 +92,6 @@ def _rk4_constrained(step, x, f_x, vfree, dt):
     (``perfbench/tracing.py`` does).
     """
     return step(x, f_x, vfree, dt)
-
-
-def _compile_function(lines, name):
-    namespace = ex.kernel_namespace()
-    namespace.update(_sum=sum, _sqrt=math.sqrt, _Lost=PivotLostError)
-    source = "\n".join(lines) + "\n"
-    exec(  # noqa: S102 - source is generated from our own AST
-        compile(source, f"<pfaffian-{name}>", "exec"), namespace
-    )
-    return namespace[name]
 
 
 def _compile_step(form: PfaffianForm, k, tol):
@@ -182,7 +172,9 @@ def _compile_step(form: PfaffianForm, k, tol):
         f"        return ({x1}), ({f1}), 0.0",
         f"    return ({x1}), ({f1}), abs(pairing) / (fmag * dxmag)",
     ])
-    return _compile_function(lines, "step")
+    namespace = ex.exec_source("\n".join(lines) + "\n", "step", _sum=sum,
+                               _Lost=PivotLostError)
+    return namespace["step"]
 
 
 class _Steppers(dict):
@@ -219,7 +211,7 @@ def _compile_inside(box, center, limit, squared):
         f"    {ex.python_tuple(f'q{i}' for i in range(n))} = q",
         f"    return {in_box} and {near}",
     ]
-    return _compile_function(lines, "inside")
+    return ex.exec_source("\n".join(lines) + "\n", "inside", _sum=sum)["inside"]
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +250,6 @@ class ReachSample:
             "endpoints": [list(e) for e in self.endpoints],
             "step_counts": list(self.step_counts),
         }
-
-
-def _dist(p, q):
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
 
 
 def _bisect_step_fraction(step, x, f_x, vfree, dt, inside):
@@ -561,11 +549,11 @@ class _Seeker:
         self.used = 0
         self.x = base
         self.f = form.coefficient_tuple_fn(*base)
-        self.best = _dist(base, target)
+        self.best = distance(base, target)
         self.best_at_half = None
 
     def _note(self, q):
-        d = _dist(q, self.target)
+        d = distance(q, self.target)
         if d < self.best:
             self.best = d
         if self.best_at_half is None and self.used >= self.budget // 2:
@@ -636,7 +624,7 @@ class _Seeker:
         return drift <= 1e-9 * max(1.0, self.eps)
 
     def _loop_room(self):
-        slack2 = self.eps * self.eps - _dist(self.x, self.base) ** 2
+        slack2 = self.eps * self.eps - distance(self.x, self.base) ** 2
         if slack2 <= 0:
             return 0.0
         return 0.8 * math.sqrt(slack2 / 2.0)

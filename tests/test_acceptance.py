@@ -46,7 +46,7 @@ def _line(num, ok, detail):
 
 def _tensor_max_normalized(form, points):
     worst = 0.0
-    fns = form.coefficient_fns
+    fns = [ex.compile_scalar(c, form.n) for c in form.coefficients]
     for p in points:
         fvals = [fn(*p) for fn in fns]
         scale = 1.0 / max(1.0, max(abs(v) for v in fvals)) ** 2

@@ -215,6 +215,38 @@ def test_cli_reach_rejects_bad_epsilon_and_budget(contact_file, capsys, flag,
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariance", "CONTACT", "--seed", "-1"],
+    ["invariance", "CONTACT", "--tol", "-1"],
+    ["invariance", "CONTACT", "--new-vars", "u,v,w", "--map", "u; v; w",
+     "--new-domain", "[a,1]x[-0.2,0.2]x[-0.2,0.2]"],
+    ["invariance", "CONTACT", "--new-vars", "u,v,w", "--map", "u; v; w",
+     "--new-domain", "[-0.2,0.2]x[-0.2,0.2]"],
+    ["factor2", "GAS", "--grid", "-2"],
+    ["factor2", "GAS", "--grid", "0"],
+    ["factor-global", "CONTACT", "--free-var", "z", "--grid", "-2"],
+    ["factor-global", "CONTACT", "--free-var", "q"],
+    ["factor-global", "CONTACT", "--free-var", "z", "--base", "0,0"],
+    ["foliate", "GAS", "--curves", "-1"],
+    ["foliate", "GAS", "--curves", "0"],
+    ["check", "CONTACT", "--samples", "0"],
+    ["check", "CONTACT", "--tol", "-1"],
+    ["reach", "CONTACT", "--threshold", "nan"],
+    ["reach", "CONTACT", "--seed", "-1"],
+    ["reach", "CONTACT", "--seed", str(2**64)],
+    ["reach", "CONTACT", "--point", "1,2"],
+    ["reach", "CONTACT", "--point", "1,2,zz"],
+    ["reach", "CONTACT", "--free-var", "q"],
+])
+def test_cli_input_errors_exit_2(contact_file, gas_file, capsys, argv):
+    files = {"CONTACT": str(contact_file), "GAS": str(gas_file)}
+    assert main([files.get(a, a) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err
+    assert "Traceback" not in captured.err
+
+
 # x^1e400 overflows to x^inf while parsing; compiled code must spell the inf
 OVERFLOWED_FORM = """vars: x, y
 F[1] = x^1e400 + 1

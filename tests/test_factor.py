@@ -63,7 +63,7 @@ def test_characteristic_line_integral_small():
     # discrete pairing of the form with each step stays at integrator scale
     f = make_form(["x", "y"], ["y", "x"], Box((0.5, 0.5), (2, 2)))
     curve = solve_characteristic(f, (1.0, 1.2), -1, rtol=1e-9, atol=1e-12)
-    fns = f.coefficient_fns
+    fns = [ex.compile_scalar(c, f.n) for c in f.coefficients]
     worst = 0.0
     for p, q in zip(curve.points, curve.points[1:]):
         fa = np.array([fn(*p) for fn in fns])
@@ -353,3 +353,14 @@ def test_gauge_covariance_of_two_var_construction(rng):
         assert mu_b == pytest.approx(c * mu_a, rel=1e-4)
         checked += 1
     assert checked >= 10
+
+
+def test_mu_from_gradient_evaluates_all_coefficients():
+    # mu reads only F_2 for this gradient, but F_1 = 1/x is undefined at
+    # x = 0 and the coefficients are evaluated together
+    from pfaffian.factor import _mu_from_gradient
+
+    f = make_form(["x", "y"], ["1/x", "1"], Box((-1, -1), (1, 1)))
+    assert _mu_from_gradient(f, (0.5, 0.0), (0.0, 2.0)) == (0.5, False)
+    with pytest.raises(ZeroDivisionError):
+        _mu_from_gradient(f, (0.0, 0.0), (0.0, 2.0))

@@ -209,9 +209,10 @@ def test_exact_forms_annul_tensor(rng):
         psi = random_polynomial(rng, n, degree=3)
         f = gradient_form(psi, n, unit_box(n))
         pts = rng.uniform(-1, 1, size=(16, n))
+        fns = [ex.compile_scalar(c, n) for c in f.coefficients]
         worst = 0.0
         for p in pts:
-            fvals = [fn(*p) for fn in f.coefficient_fns]
+            fvals = [fn(*p) for fn in fns]
             scale = 1.0 / max(1.0, max(abs(v) for v in fvals)) ** 2
             for i, j, k in itertools.combinations(range(n), 3):
                 worst = max(worst, abs(clairaut_component(f, i, j, k, p)) * scale)
@@ -225,9 +226,10 @@ def test_scaled_exact_forms_annul_tensor(rng):
         mu = ex.func("exp", random_polynomial(rng, n, degree=2, coeff_range=1.0))
         f = gradient_form(psi, n, unit_box(n), mu=mu)
         pts = rng.uniform(-1, 1, size=(16, n))
+        fns = [ex.compile_scalar(c, n) for c in f.coefficients]
         worst = 0.0
         for p in pts:
-            fvals = [fn(*p) for fn in f.coefficient_fns]
+            fvals = [fn(*p) for fn in fns]
             scale = 1.0 / max(1.0, max(abs(v) for v in fvals)) ** 2
             for i, j, k in itertools.combinations(range(n), 3):
                 worst = max(worst, abs(clairaut_component(f, i, j, k, p)) * scale)
@@ -306,8 +308,8 @@ def test_inconclusive_report_writes_absent_witness_as_null():
 def _ref_scan_samples(form, points, singular_tol):
     """The scan evaluating each coefficient and derivative separately."""
     n = form.n
-    fns = form.coefficient_fns
-    dfs = form.derivative_fns
+    fns = [ex.compile_scalar(c, n) for c in form.coefficients]
+    dfs = [[ex.compile_scalar(d, n) for d in row] for row in form.derivative_matrix]
     scan = _SampleScan()
     triples = list(itertools.combinations(range(n), 3))
     for t in triples:
@@ -399,3 +401,57 @@ def test_scan_matches_per_entry_reference(rng):
                 outcomes.update(k for k in ("used", "singular", "failed")
                                 if getattr(got, k))
     assert outcomes == {"used", "singular", "failed"}
+
+
+# --- pointwise helpers against per-entry evaluators -----------------------------
+
+
+def _per_entry(form):
+    fns = [ex.compile_scalar(c, form.n) for c in form.coefficients]
+    dfs = [[ex.compile_scalar(d, form.n) for d in row]
+           for row in form.derivative_matrix]
+    return fns, dfs
+
+
+def test_pointwise_helpers_match_per_entry_reference():
+    from pfaffian.catalog import catalog
+
+    checked = 0
+    for e in catalog():
+        form = e.form
+        fns, dfs = _per_entry(form)
+        for p in SamplerConfig().sample_points(form):
+            try:
+                form.jet_fn(*p)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                continue
+            for i, j in itertools.permutations(range(form.n), 2):
+                ref = dfs[j][i](*p) - dfs[i][j](*p)
+                assert repr(exactness_defect(form, i, j, p)) == repr(ref)
+            for i, j, k in itertools.permutations(range(form.n), 3):
+                fi, fj, fk = fns[i](*p), fns[j](*p), fns[k](*p)
+                ref = (
+                    fi * (dfs[k][j](*p) - dfs[j][k](*p))
+                    + fj * (dfs[i][k](*p) - dfs[k][i](*p))
+                    + fk * (dfs[j][i](*p) - dfs[i][j](*p))
+                )
+                assert repr(clairaut_component(form, i, j, k, p)) == repr(ref)
+                checked += 1
+    assert checked > 0
+
+
+def test_pointwise_helpers_evaluate_all_entries_jointly():
+    # only F_1 = 1/x is undefined at x = 0; the defect of the (y, z) pair
+    # reads none of its entries, yet raises with F and dF evaluated together
+    f = make_form(["x", "y", "z"], ["1/x", "z", "y"], BOX3)
+    p = (0.0, 0.5, 0.5)
+    fns, dfs = _per_entry(f)
+    assert dfs[2][1](*p) - dfs[1][2](*p) == 0.0
+    with pytest.raises(ZeroDivisionError):
+        fns[0](*p)
+    with pytest.raises(ZeroDivisionError):
+        exactness_defect(f, 1, 2, p)
+    with pytest.raises(ZeroDivisionError):
+        clairaut_component(f, 0, 1, 2, p)
+    with pytest.raises(ZeroDivisionError):
+        curl_triple_product(f, p)

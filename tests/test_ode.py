@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError
 from pfaffian.factor import SurfaceField, _characteristic_kernel
 from pfaffian.forms import Box, make_form
@@ -61,7 +62,7 @@ def _ref_rk4(rhs, t, y, dt):
 
 
 def _ref_characteristic_rhs(form, b, singular_tol):
-    fns = form.coefficient_fns
+    fns = [ex.compile_scalar(c, form.n) for c in form.coefficients]
     a = 1 - b
 
     def rhs(t, y):
@@ -77,7 +78,7 @@ def _ref_characteristic_rhs(form, b, singular_tol):
 
 
 def _ref_path_rhs(field, u0, deltas):
-    fns = field.form.coefficient_fns
+    fns = [ex.compile_scalar(c, field.form.n) for c in field.form.coefficients]
     free = field.free_index
     lo, hi = field._free_bounds
 
