@@ -45,14 +45,22 @@ from .reach import estimate_dimension, explore, surrounding_line_scan
 from .reports import csv_text, json_text, write_text
 
 
-def _positive_float(text):
-    """argparse type: a finite float greater than zero."""
+def _finite_float(text):
+    """argparse type: a finite float."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text):
+    """argparse type: a finite float greater than zero."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
     return value
 
 
@@ -93,6 +101,14 @@ def _parse_point(text, n, what="point"):
         return tuple(float(p) for p in parts)
     except ValueError as exc:
         raise FormError(f"bad {what}: {exc}") from exc
+
+
+def _box_point(form, text, what):
+    """The point ``text`` of ``form``'s box; FormError outside it."""
+    point = _parse_point(text, form.n, what)
+    if not form.domain.contains(point, tol=1e-12):
+        raise FormError(f"{what} {text!r} outside the domain")
+    return point
 
 
 def _var_index(form, name):
@@ -169,10 +185,17 @@ def _cmd_factor2(args):
             if args.transversal_value is not None
             else form.domain.center[axis]
         )
+        if not form.domain.lows[axis] <= value <= form.domain.highs[axis]:
+            raise FormError(f"transversal value {value!r} outside the domain")
         span = None
         if args.transversal_span:
             span = _parse_point(args.transversal_span, 2, "transversal span")
+            if not (all(math.isfinite(v) for v in span) and span[0] <= span[1]):
+                raise FormError("transversal span needs finite lo <= hi")
         tv = TransversalSpec(axis, value, span)
+    elif args.transversal_value is not None or args.transversal_span:
+        raise FormError(
+            "--transversal-value and --transversal-span need --transversal-axis")
     else:
         tv = auto_transversal(form)
     result = build_potential_2var(form, transversal=tv, grid_per_axis=args.grid)
@@ -186,7 +209,7 @@ def _cmd_factor_global(args):
     form = load_form(args.form_file)
     free_index = _var_index(form, args.free_var)
     base = (
-        _parse_point(args.base, form.n, "base")
+        _box_point(form, args.base, "base")
         if args.base
         else form.domain.center
     )
@@ -207,7 +230,7 @@ def _cmd_factor_global(args):
 def _cmd_reach(args):
     form = load_form(args.form_file)
     point = (
-        _parse_point(args.point, form.n) if args.point else form.domain.center
+        _box_point(form, args.point, "point") if args.point else form.domain.center
     )
     free_index = _var_index(form, args.free_var) if args.free_var else None
     psi_fn = None
@@ -363,7 +386,7 @@ def _build_parser():
     p.add_argument("form_file")
     p.add_argument("--grid", type=_positive_int, default=17)
     p.add_argument("--transversal-axis")
-    p.add_argument("--transversal-value", type=float)
+    p.add_argument("--transversal-value", type=_finite_float)
     p.add_argument("--transversal-span",
                    help="lo,hi bounds on the varying axis of the transversal")
     p.add_argument("--csv")

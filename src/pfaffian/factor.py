@@ -171,6 +171,25 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
     generated right-hand sides to reuse, built for ``form`` and
     ``singular_tol``; by default this call builds its own.
     """
+    pts = []
+    status, label, truncated = _trace_characteristic(
+        form, start, direction, transversal, rtol, atol, max_steps,
+        singular_tol, kernels, pts)
+    params = [0.0]
+    for p, q in zip(pts, pts[1:]):
+        params.append(params[-1] + distance(p, q))
+    return CharacteristicCurve(np.asarray(params), np.asarray(pts), label=label,
+                               status=status, truncated=truncated)
+
+
+def _trace_characteristic(form, start, direction, transversal, rtol, atol,
+                          max_steps=100000, singular_tol=DEFAULT_SINGULAR_TOL,
+                          kernels=None, pts=None):
+    """``(status, label, truncated)`` of the characteristic through ``start``.
+
+    The curve of :func:`solve_characteristic`; its points are appended to
+    the list ``pts`` when one is given.
+    """
     if form.n != 2:
         raise ArityError("characteristics require a two-variable form")
     if kernels is None:
@@ -182,8 +201,8 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
         raise AnalysisError(f"start point {tuple(start)} outside domain")
     coeffs = form.coefficient_tuple_fn
     x = (float(start[0]), float(start[1]))
-    pts = [x]
-    params = [0.0]
+    if pts is not None:
+        pts.append(x)
     scale = max(box.edges)
 
     if (
@@ -191,32 +210,22 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
         and abs(x[transversal.fixed_axis] - transversal.value) <= 1e-14 * scale
         and transversal.on_span(x[transversal.varying_axis()])
     ):
-        return CharacteristicCurve(np.array(params), np.array(pts),
-                                   label=x[transversal.varying_axis()],
-                                   status="transversal")
+        return "transversal", x[transversal.varying_axis()], False
 
     try:
         f = coeffs(*x)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise AnalysisError("coefficients undefined at the start point")
     if max(abs(f[0]), abs(f[1])) <= singular_tol:
-        return CharacteristicCurve(np.array(params), np.array(pts),
-                                   status="singular", truncated=True)
+        return "singular", None, True
     tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
 
     dependent = int(np.argmax([abs(f[0]), abs(f[1])]))
     steps_used = 0
-    status = "running"
-    label = None
 
-    def finish(status_, truncated=False):
-        return CharacteristicCurve(np.asarray(params), np.asarray(pts),
-                                   label=label, status=status_,
-                                   truncated=truncated)
-
-    while status == "running":
+    while True:
         if steps_used >= max_steps:
-            return finish("max_steps", truncated=True)
+            return "max_steps", None, True
         b = dependent
         a = 1 - b
         sign_a = 1.0 if tau[a] >= 0 else -1.0
@@ -236,19 +245,16 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
                              rtol=rtol, atol=atol,
                              max_steps=max_steps - steps_used)
         except (ValueError, ZeroDivisionError, OverflowError):
-            status = "singular"
-            return finish(status, truncated=True)
+            return "singular", None, True
 
         while True:
             prev_t, prev_y = stepper.t, stepper.y
             try:
                 t_new, y_new = stepper.step(t_target)
             except StepRejectionError:
-                status = "singular"
-                return finish(status, truncated=True)
+                return "singular", None, True
             except MaxStepsError:
-                status = "max_steps"
-                return finish(status, truncated=True)
+                return "max_steps", None, True
             steps_used += 1
 
             crossed = None  # (lam, kind)
@@ -280,31 +286,25 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
                 p_hit = [0.0, 0.0]
                 p_hit[a], p_hit[b] = t_hit, y_hit[0]
                 p_hit = box.clamp(p_hit)
-                params.append(params[-1] + distance(pts[-1], p_hit))
-                pts.append(tuple(p_hit))
+                if pts is not None:
+                    pts.append(tuple(p_hit))
                 if kind == "transversal":
-                    label = p_hit[a]
-                    status = "transversal"
-                else:
-                    status = "boundary"
-                    # boundary hit without reaching the transversal
-                return finish(status, truncated=(kind == "boundary"))
+                    return "transversal", p_hit[a], False
+                # boundary hit without reaching the transversal
+                return "boundary", None, True
 
             p_new = [0.0, 0.0]
             p_new[a], p_new[b] = t_new, y_new[0]
-            p_new = tuple(p_new)
-            params.append(params[-1] + distance(pts[-1], p_new))
-            pts.append(p_new)
-            x = p_new
+            x = tuple(p_new)
+            if pts is not None:
+                pts.append(x)
 
             try:
                 f = coeffs(*x)
             except (ValueError, ZeroDivisionError, OverflowError):
-                status = "singular"
-                return finish(status, truncated=True)
+                return "singular", None, True
             if max(abs(f[0]), abs(f[1])) <= singular_tol:
-                status = "singular"
-                return finish(status, truncated=True)
+                return "singular", None, True
             tau_new = _unit_tangent(f)
             if tau_new[0] * tau[0] + tau_new[1] * tau[1] < 0:
                 tau_new = (-tau_new[0], -tau_new[1])
@@ -313,25 +313,19 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
             if abs(t_new - t_target) <= 1e-14 * max(1.0, abs(t_target)):
                 if hit_transversal_on_a:
                     if transversal.on_span(x[b]):
-                        label = x[b]
-                        status = "transversal"
-                        return finish(status)
+                        return "transversal", x[b], False
                     # crossed the transversal line off its segment: keep going
                     hit_transversal_on_a = False
                     t_target = t_limit
                 else:
-                    status = "boundary"
-                    return finish(status)
+                    return "boundary", None, False
 
             if abs(f[a]) > _SWAP_HYSTERESIS * abs(f[b]):
                 dependent = a
                 break  # re-setup with swapped roles
 
             if steps_used >= max_steps:
-                status = "max_steps"
-                return finish(status, truncated=True)
-
-    return finish(status)
+                return "max_steps", None, True
 
 
 def _interior_state(kernel, t0, y0, dt_total, lam):
@@ -525,11 +519,11 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
             tau_a = 0.0
         first = 1 if towards * tau_a >= 0 else -1
         for direction in (first, -first):
-            curve = solve_characteristic(form, key, direction, transversal=tv,
-                                         rtol=rtol, atol=atol, kernels=kernels)
-            if curve.status == "transversal":
-                cache[key] = curve.label
-                return curve.label
+            status, label, _ = _trace_characteristic(
+                form, key, direction, tv, rtol, atol, kernels=kernels)
+            if status == "transversal":
+                cache[key] = label
+                return label
         cache[key] = None
         flags["unreachable_points"] += 1
         raise UnreachableTransversalError(
@@ -573,8 +567,12 @@ class SurfaceField:
     ``value(u, s)`` integrates the solved-coordinate ODE along the straight
     segment from the base projection to ``u``, starting the free coordinate
     at fiber position ``s``; it returns the free coordinate above ``u``.
-    Every path solve runs through one generated ODE kernel, whose extra
-    arguments are the path start ``u0`` and increment ``deltas``.
+    Every path solve is one call of the generated Dormand-Prince loop of one
+    ODE kernel, whose extra arguments are the path start ``u0`` and
+    increment ``deltas``.  The free coordinate may leave the box by
+    ``box_tol`` times its edge; a path that is leaving this widened box from
+    past the box proper ends at once as a box exit, and the point is
+    skipped as for any failed solve.
     """
 
     def __init__(self, form: PfaffianForm, free_index: int, base,
@@ -603,11 +601,13 @@ class SurfaceField:
         ``dx_free/dt = -sum(F_i * d_i, d_i != 0) / F_free``, summed from 0.0
         in the order of ``other``, terms with a zero increment skipped
         unevaluated.  Raises ValueError once the free coordinate leaves
-        ``_free_bounds`` and ZeroDivisionError where ``F_free == 0``.
+        ``_free_bounds`` and ZeroDivisionError where ``F_free == 0``.  A
+        solve that is leaving ``_free_bounds`` from past the box proper ends
+        at once as a box exit (``bounds`` of :func:`compile_kernel`).
         """
         coeffs = self.form.coefficients
         free, other = self.free_index, self.other
-        lo, hi = (ex.python_literal(v) for v in self._free_bounds)
+        box = self.form.domain
         m = len(other)
         prologue = [
             f"{ex.python_tuple(f'a{j}' for j in range(m))} = u0",
@@ -617,8 +617,7 @@ class SurfaceField:
         def body(t, ys, ks):
             names = [None] * self.form.n
             names[free] = ys[0]
-            lines = [f"if not {lo} <= {ys[0]} <= {hi}:",
-                     "    raise ValueError('free coordinate left the box')"]
+            lines = []
             for j, idx in enumerate(other):
                 names[idx] = f"u{j}"
                 lines.append(f"u{j} = a{j} + {t} * d{j}")
@@ -634,7 +633,8 @@ class SurfaceField:
             lines.append(f"{ks[0]} = -acc / fn")
             return lines
 
-        return compile_kernel(1, body, ("u0", "deltas"), prologue)
+        bounds = ((box.lows[free], box.highs[free]), self._free_bounds)
+        return compile_kernel(1, body, ("u0", "deltas"), prologue, bounds)
 
     def _solve(self, u0, u1, xn, t0, t1):
         """Free coordinate at ``t1`` on the path from ``u0`` to ``u1``.
@@ -715,10 +715,10 @@ class SurfaceField:
 
 
 def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol, max_steps=100000):
+    """State and step counts at ``t1`` of one whole solve from ``(t0, y0)``."""
     stepper = Dopri5(kernel, t0, y0, direction=1.0 if t1 > t0 else -1.0,
                      rtol=rtol, atol=atol, max_steps=max_steps, params=params)
-    while (stepper.t - t1) * stepper.direction < 0:
-        stepper.step(t1)
+    stepper.solve(t1)
     return stepper.y, stepper.stats
 
 

@@ -21,7 +21,7 @@ from .errors import (
     OutOfDomainError,
     SingularFormError,
 )
-from .sampling import box_corners, box_samples
+from .sampling import MAX_VARIABLES, box_corners, box_samples
 
 DEFAULT_SINGULAR_TOL = 1e-12
 _NONSINGULAR_SAMPLES = 256
@@ -358,6 +358,8 @@ def parse_form_file(text: str, singular_tol=DEFAULT_SINGULAR_TOL) -> PfaffianFor
             idx = int(m.group(1))
             if idx < 1:
                 raise FormError(f"line {lineno}: coefficient indices start at 1")
+            if idx in coeff_texts:
+                raise FormError(f"line {lineno}: F[{idx}] given twice")
             coeff_texts[idx] = m.group(2)
         else:
             raise FormError(f"line {lineno}: unrecognized line {line!r}")
@@ -366,6 +368,8 @@ def parse_form_file(text: str, singular_tol=DEFAULT_SINGULAR_TOL) -> PfaffianFor
     if box is None:
         raise FormError("missing 'domain:' line")
     n = len(var_names)
+    if n > MAX_VARIABLES:
+        raise FormError(f"{n} variables; at most {MAX_VARIABLES} are supported")
     if sorted(coeff_texts) != list(range(1, n + 1)):
         raise FormError(f"need coefficients F[1]..F[{n}], got {sorted(coeff_texts)}")
     texts = [coeff_texts[i] for i in range(1, n + 1)]

@@ -1,20 +1,31 @@
 """Adaptive explicit ODE integration (Dormand-Prince 5(4) embedded pair).
 
-Callers drive the stepper loop themselves, which keeps event detection
-(transversal crossings, box exits) in the caller where the geometry lives.
-Step rejection below the minimum step size doubles as singularity detection.
-
 The right-hand side of an ODE is not a Python callable but generated source:
 :func:`compile_kernel` takes a function that writes the right-hand side as
-statements and emits one straight-line Python function for a whole
-Dormand-Prince attempt, with that body inlined at each of the six stages,
-plus the right-hand side alone and a classical RK4 step.  Each float
-operation is the one of the attempt written stage by stage with the tableau
-below: the tableau enters as ``repr`` literals with its zero entries kept
-(``0.0 * inf`` is NaN), and each stage combination is one builtin ``sum``
-over a tuple of the products, as a ``sum`` over a generator would add them.
-``tests/test_ode.py`` keeps the stage-by-stage attempt as the reference the
-generated one must match bit for bit.
+statements and emits three straight-line Python functions: the right-hand
+side alone, a classical RK4 step, and the Dormand-Prince step loop
+``advance`` with that body inlined at each of the six stages of an attempt.
+The step loop holds the step-size control of Hairer, Norsett & Wanner,
+*Solving ODEs I*, section II.4 (the error norm, the step growth and
+shrink factors, the step-size floor and the step budget) and counts the
+accepted and rejected attempts.  It runs either one accepted step, so that
+a caller can check its events after every step (characteristics), or a
+whole solve up to the end of the interval in one call (surface paths).
+
+An attempt that raises ValueError, ZeroDivisionError, OverflowError or
+ArithmeticError is refused and the step halved; a step size collapsing
+below its floor ends the solve as StepRejectionError, which doubles as
+singularity detection.  A kernel compiled with ``bounds`` keeps state
+component 0 inside a widened box and ends a solve at once as a box exit
+when it is leaving that box (see :func:`compile_kernel`).
+
+Each float operation is the one of the step loop and attempt written stage by
+stage with the tableau below: the tableau enters as ``repr`` literals with
+its zero entries kept (``0.0 * inf`` is NaN), and each stage combination is
+one builtin ``sum`` over a tuple of the products, as a ``sum`` over a
+generator would add them.  ``tests/test_ode.py`` keeps the stage-by-stage
+attempt and the Python step loop as the reference the generated loop
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -46,16 +57,30 @@ class OdeKernel:
     """Generated functions of one ODE ``y' = f(t, y, *params)``.
 
     ``rhs(t, y, *params) -> f`` evaluates the right-hand side;
-    ``attempt(t, y, f0, dt, *params) -> (t + dt, y1, err, f1)`` is one
-    Dormand-Prince attempt from ``(t, y)`` with ``f0 = f(t, y)``, where
-    ``err`` is the embedded error estimate and ``f1`` the right-hand side at
-    the last stage; ``rk4(t, y, dt, *params) -> y1`` is one classical RK4
-    step.  States and right-hand sides are tuples of floats.
+    ``rk4(t, y, dt, *params) -> y1`` is one classical RK4 step; ``advance``
+    is the Dormand-Prince step loop that :class:`Dopri5` calls,
+
+        advance(t, y, f0, h, t_end, direction, rtol, atol, max_steps,
+                accepted, rejected, whole, *params)
+            -> (status, t, y, f0, h, accepted, rejected)
+
+    from ``(t, y)`` with ``f0 = f(t, y)`` and next step size ``h`` (0.0
+    before the first step) towards ``t_end``.  It runs one accepted step
+    or, with ``whole`` true, accepted steps until ``t_end`` (status "ok").
+    It stops early when the attempt count ``accepted + rejected`` reaches
+    ``max_steps`` ("max_steps"), when the step size collapses
+    ("step_rejection") or on a box exit ("box_exit").  It returns the last
+    accepted state, its ``f0``, the next step size and the counts.  States
+    and right-hand sides are tuples of floats.
     """
 
     rhs: object
-    attempt: object
+    advance: object
     rk4: object
+
+
+class _LeftBounds(Exception):
+    """Raised inside ``advance`` when a stage leaves the widened bounds."""
 
 
 def _combination(coeffs, ks):
@@ -64,56 +89,132 @@ def _combination(coeffs, ks):
     return f"_sum(({ex.python_tuple(terms)}))"
 
 
-def compile_kernel(dim, body, params=(), prologue=()) -> OdeKernel:
+def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
     """Generate the :class:`OdeKernel` of an ODE with ``dim`` state components.
 
     ``body(t, ys, ks)`` returns the right-hand side as unindented statement
     lines that assign the names ``ks[i]`` from the names ``t`` and ``ys[i]``,
     and raise ValueError, ZeroDivisionError or OverflowError where the ODE
     is undefined.  The generated code uses the names ``t``, ``dt``, ``y``,
-    ``f0`` and those of one of the letters t, y, k, Y, E followed by digits
-    and underscores; the body's temporaries must be other names.
-    ``params`` names the extra arguments of every generated function, and
-    the ``prologue`` lines run first in each, so that the body can use
-    names they unpack.
+    ``f0``, those of one of the letters t, y, k, Y, E followed by digits
+    and underscores, and those that start with ``dp_``; the body's
+    temporaries must be other names.  ``params`` names the extra arguments
+    of every generated function, and the ``prologue`` lines run first in
+    each, so that the body can use names they unpack.
+
+    ``bounds = ((lo, hi), (wide_lo, wide_hi))`` confines state component 0
+    to the box ``[lo, hi]`` widened to ``[wide_lo, wide_hi]``: every
+    evaluation of the right-hand side first raises ValueError outside the
+    widened box.  In ``advance`` an attempt refused that way ends the solve
+    as a box exit when the last accepted state lies past ``[lo, hi]`` and
+    its slope, signed by the direction of integration, points further out;
+    every other refused attempt halves the step.
     """
     lit = ex.python_literal
     extra = "".join(f", {p}" for p in params)
     top = [f"    {line}" for line in prologue]
     ys = [f"y0_{i}" for i in range(dim)]
     unpack = f"    {ex.python_tuple(ys)} = y"
+    leave = "raise ValueError('state left its bounds')"
 
-    def stage(lines, t, ys_, ks_):
-        lines.extend(f"    {line}" for line in body(t, ys_, ks_))
+    def stage(lines, t, ys_, ks_, indent="    ", raise_=leave):
+        if bounds is not None:
+            wide_lo, wide_hi = (lit(v) for v in bounds[1])
+            lines += [f"{indent}if not {wide_lo} <= {ys_[0]} <= {wide_hi}:",
+                      f"{indent}    {raise_}"]
+        lines.extend(f"{indent}{line}" for line in body(t, ys_, ks_))
 
     rhs = [f"def rhs(t, y{extra}):", *top, unpack]
     ks = [f"k0_{i}" for i in range(dim)]
     stage(rhs, "t", ys, ks)
     rhs.append(f"    return ({ex.python_tuple(ks)})")
 
-    # Dormand-Prince attempt, stage s at t{s} = t + c_s * dt
+    # Dormand-Prince step loop: the outer loop runs one accepted step per pass,
+    # the inner loop one attempt, stage s at t{s} = t + c_s * dt
     k = [[f"k{s}_{i}" for i in range(dim)] for s in range(7)]
-    attempt = [f"def attempt(t, y, f0, dt{extra}):", *top, unpack,
-               f"    {ex.python_tuple(k[0])} = f0"]
+    state = (f"t, ({ex.python_tuple(ys)}), ({ex.python_tuple(k[0])}), dp_h, "
+             "dp_accepted, dp_rejected")
+    advance = [
+        "def advance(t, y, f0, dp_h, dp_end, dp_dir, dp_rtol, dp_atol, "
+        f"dp_budget, dp_accepted, dp_rejected, dp_whole{extra}):",
+        *top, unpack, f"    {ex.python_tuple(k[0])} = f0",
+        "    while True:",
+        "        dp_span = abs(dp_end - t)",
+        "        if dp_span == 0.0:",
+        "            break",
+        "        if dp_h == 0.0:",
+        "            dp_h = min(dp_span, max(1e-6, 0.01 * dp_span))",
+        "        dp_floor = max(1e-14, 1e-14 * abs(t),"
+        " 1e-12 * dp_span if dp_span < 1 else 1e-14)",
+        "        while True:",
+        "            if dp_accepted + dp_rejected >= dp_budget:",
+        f"                return 'max_steps', {state}",
+        "            dp_step = min(dp_h, dp_span)",
+        "            dt = dp_dir * dp_step",
+        "            try:",
+    ]
+    inner = " " * 16
     for s in range(1, 7):
         y_s = [f"y{s}_{i}" for i in range(dim)]
-        attempt.append(f"    t{s} = t + {lit(_C[s])} * dt")
-        attempt.extend(
-            f"    {y_s[i]} = {ys[i]} + dt * "
+        advance.append(f"{inner}t{s} = t + {lit(_C[s])} * dt")
+        advance.extend(
+            f"{inner}{y_s[i]} = {ys[i]} + dt * "
             + _combination(_A[s], [k[j][i] for j in range(s)])
             for i in range(dim)
         )
-        stage(attempt, f"t{s}", y_s, k[s])
+        stage(advance, f"t{s}", y_s, k[s], inner, "raise _LeftBounds")
     for i in range(dim):
         column = [k[j][i] for j in range(7)]
-        attempt.append(f"    Y{i} = {ys[i]} + dt * {_combination(_B5, column)}")
-        attempt.append(f"    E{i} = dt * {_combination(_E, column)}")
+        advance.append(f"{inner}Y{i} = {ys[i]} + dt * {_combination(_B5, column)}")
+        advance.append(f"{inner}E{i} = dt * {_combination(_E, column)}")
     for i in range(dim):
-        attempt.extend([f"    if not _isfinite(Y{i}):",
-                        "        raise ArithmeticError('non-finite state')"])
-    y1 = ex.python_tuple(f"Y{i}" for i in range(dim))
-    err = ex.python_tuple(f"E{i}" for i in range(dim))
-    attempt.append(f"    return t + dt, ({y1}), ({err}), ({ex.python_tuple(k[6])})")
+        advance.extend([f"{inner}if not _isfinite(Y{i}):",
+                        f"{inner}    raise ArithmeticError('non-finite state')"])
+    refused = [
+        "                dp_rejected += 1",
+        "                dp_h = dp_step / 2.0",
+    ]
+    collapse = [
+        "                if dp_h < dp_floor:",
+        f"                    return 'step_rejection', {state}",
+        "                continue",
+    ]
+    if bounds is not None:
+        lo, hi = (lit(v) for v in bounds[0])
+        advance += [
+            "            except _LeftBounds:",
+            *refused,
+            f"                if ({ys[0]} > {hi} and {k[0][0]} * dp_dir > 0.0"
+            f" or {ys[0]} < {lo} and {k[0][0]} * dp_dir < 0.0):",
+            f"                    return 'box_exit', {state}",
+            *collapse,
+        ]
+    advance += [
+        "            except (ValueError, ZeroDivisionError, OverflowError,"
+        " ArithmeticError):",
+        *refused,
+        *collapse,
+        "            dp_sq = 0.0",
+        *(f"            dp_sq += (E{i} / (dp_atol + dp_rtol"
+          f" * max(abs({ys[i]}), abs(Y{i})))) ** 2" for i in range(dim)),
+        f"            dp_norm = _dp_sqrt(dp_sq / {dim})",
+        "            if dp_norm <= 1.0 or dp_step <= dp_floor:",
+        "                break",
+        "            dp_rejected += 1",
+        "            dp_h = max(dp_step * max(0.2, 0.9 * dp_norm ** -0.2),"
+        " dp_floor / 2)",
+        "            if dp_h < dp_floor:",
+        f"                return 'step_rejection', {state}",
+        "        dp_accepted += 1",
+        "        t = t + dt",
+        f"        {ex.python_tuple(ys)} = {ex.python_tuple(f'Y{i}' for i in range(dim))}",
+        f"        {ex.python_tuple(k[0])} = {ex.python_tuple(k[6])}",
+        "        dp_h = dp_step * (5.0 if dp_norm == 0.0"
+        " else min(5.0, max(0.2, 0.9 * dp_norm ** -0.2)))",
+        "        if not dp_whole or (t - dp_end) * dp_dir >= 0:",
+        "            break",
+        f"    return 'ok', {state}",
+    ]
 
     # classical RK4 step, stage s at t{s} = t + step from y0 + step * k{s-1}
     k = [[f"k{s}_{i}" for i in range(dim)] for s in range(5)]
@@ -131,13 +232,17 @@ def compile_kernel(dim, body, params=(), prologue=()) -> OdeKernel:
         for i in range(dim)
     )))
 
-    source = "\n".join([*rhs, "", *attempt, "", *rk4]) + "\n"
-    namespace = ex.exec_source(source, "ode", _sum=sum, _isfinite=math.isfinite)
-    return OdeKernel(namespace["rhs"], namespace["attempt"], namespace["rk4"])
+    source = "\n".join([*rhs, "", *advance, "", *rk4]) + "\n"
+    namespace = ex.exec_source(source, "ode", _sum=sum, _isfinite=math.isfinite,
+                               _dp_sqrt=math.sqrt, _LeftBounds=_LeftBounds)
+    return OdeKernel(namespace["rhs"], namespace["advance"], namespace["rk4"])
 
 
 class StepRejectionError(AnalysisError):
-    """Step size collapsed below the floor: treated as a singularity."""
+    """Step size collapsed below the floor, or the solution left its bounds.
+
+    A collapse is treated as a singularity of the right-hand side.
+    """
 
 
 class MaxStepsError(AnalysisError):
@@ -154,10 +259,13 @@ class StepStats:
 class Dopri5:
     """Scalar/sequence ODE stepper; y is a tuple of floats.
 
-    The right-hand side is the generated ``kernel`` (see
-    :func:`compile_kernel`), called with the extra arguments ``params``.  It
-    may raise to signal leaving the ODE's domain, which surfaces as
-    StepRejectionError after the step size collapses.
+    The right-hand side and the step loop are the generated ``kernel``
+    (see :func:`compile_kernel`), called with the extra arguments
+    ``params``.  The right-hand side may raise to signal leaving the ODE's
+    domain; the attempt is then refused, and the solve ends as
+    StepRejectionError once the step size collapses (or at once on a box
+    exit).  ``stats`` counts the attempts of every call; ``max_steps``
+    bounds their total.
     """
 
     kernel: OdeKernel
@@ -177,54 +285,35 @@ class Dopri5:
         self.direction = 1.0 if self.direction >= 0 else -1.0
         self._f0 = self.kernel.rhs(self.t, self.y, *self.params)
 
-    def _error_norm(self, y0, y1, err):
-        acc = 0.0
-        for e, a, b in zip(err, y0, y1):
-            scale = self.atol + self.rtol * max(abs(a), abs(b))
-            acc += (e / scale) ** 2
-        return math.sqrt(acc / len(err))
-
     def step(self, t_limit: float):
         """Advance one accepted step, never beyond ``t_limit``.
 
         Returns (t_new, y_new).  The step size adapts; the last step is
         clipped exactly onto ``t_limit``.
         """
-        span = abs(t_limit - self.t)
-        if span == 0.0:
+        return self._advance(t_limit, False)
+
+    def solve(self, t_end: float):
+        """Advance by accepted steps until ``t_end``, in one generated call.
+
+        Returns (t_end, y_end).
+        """
+        return self._advance(t_end, True)
+
+    def _advance(self, t_end, whole):
+        stats = self.stats
+        (status, self.t, self.y, self._f0, self._h, stats.accepted,
+         stats.rejected) = self.kernel.advance(
+            self.t, self.y, self._f0, self._h, t_end, self.direction,
+            self.rtol, self.atol, self.max_steps, stats.accepted,
+            stats.rejected, whole, *self.params)
+        if status == "ok":
             return self.t, self.y
-        if self._h == 0.0:
-            self._h = min(span, max(1e-6, 0.01 * span))
-        h_floor = max(1e-14, 1e-14 * abs(self.t), 1e-12 * span if span < 1 else 1e-14)
-        while True:
-            if self.stats.accepted + self.stats.rejected >= self.max_steps:
-                raise MaxStepsError("ODE step budget exhausted")
-            h = min(self._h, span)
-            dt = self.direction * h
-            try:
-                t1, y1, err, f_last = self.kernel.attempt(
-                    self.t, self.y, self._f0, dt, *self.params)
-            except (ValueError, ZeroDivisionError, OverflowError, ArithmeticError):
-                self.stats.rejected += 1
-                self._h = h / 2.0
-                if self._h < h_floor:
-                    raise StepRejectionError(
-                        "step size collapsed (singular right-hand side)"
-                    )
-                continue
-            norm = self._error_norm(self.y, y1, err)
-            if norm <= 1.0 or h <= h_floor:
-                self.stats.accepted += 1
-                self.t, self.y, self._f0 = t1, y1, f_last
-                factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
-                self._h = h * factor
-                return self.t, self.y
-            self.stats.rejected += 1
-            self._h = max(h * max(0.2, 0.9 * norm ** -0.2), h_floor / 2)
-            if self._h < h_floor:
-                raise StepRejectionError(
-                    "step size collapsed (singular right-hand side)"
-                )
+        if status == "max_steps":
+            raise MaxStepsError("ODE step budget exhausted")
+        if status == "box_exit":
+            raise StepRejectionError("solution left its bounds")
+        raise StepRejectionError("step size collapsed (singular right-hand side)")
 
 
 def rk4_step(kernel: OdeKernel, t, y, dt, *params):

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+MAX_VARIABLES = len(_PRIMES)  # Halton sampling has one prime base per axis
 
 
 def radical_inverse(base: int, index: int) -> float:
@@ -21,8 +22,8 @@ def radical_inverse(base: int, index: int) -> float:
 
 def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
     """First ``count`` Halton points in [0,1)^dims, indices starting at ``start``."""
-    if dims > len(_PRIMES):
-        raise ValueError(f"halton supports up to {len(_PRIMES)} dimensions")
+    if dims > MAX_VARIABLES:
+        raise ValueError(f"halton supports up to {MAX_VARIABLES} dimensions")
     pts = np.empty((count, dims))
     for i in range(count):
         for d in range(dims):

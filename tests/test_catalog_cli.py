@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -237,9 +238,30 @@ def test_cli_reach_rejects_bad_epsilon_and_budget(contact_file, capsys, flag,
     ["reach", "CONTACT", "--point", "1,2"],
     ["reach", "CONTACT", "--point", "1,2,zz"],
     ["reach", "CONTACT", "--free-var", "q"],
+    ["reach", "CONTACT", "--point", "5,5,5"],
+    ["reach", "CONTACT", "--point", "0,0,nan"],
+    ["factor-global", "CONTACT", "--free-var", "z", "--base", "5,5,5"],
+    ["factor2", "GAS", "--transversal-axis", "T", "--transversal-value", "nan"],
+    ["factor2", "GAS", "--transversal-axis", "T", "--transversal-value", "inf"],
+    ["factor2", "GAS", "--transversal-axis", "T", "--transversal-value", "1e9"],
+    ["factor2", "GAS", "--transversal-value", "1.5"],
+    ["factor2", "GAS", "--transversal-span", "1,2"],
+    ["factor2", "GAS", "--transversal-axis", "T", "--transversal-span", "2,1"],
+    ["check", "ELEVEN"],
+    ["check", "TWICE"],
 ])
-def test_cli_input_errors_exit_2(contact_file, gas_file, capsys, argv):
-    files = {"CONTACT": str(contact_file), "GAS": str(gas_file)}
+def test_cli_input_errors_exit_2(contact_file, gas_file, tmp_path, capsys, argv):
+    names = [f"x{i}" for i in range(11)]
+    eleven = tmp_path / "eleven.pfaff"
+    eleven.write_text("".join(
+        [f"vars: {', '.join(names)}\n",
+         *(f"F[{i}] = 1\n" for i in range(1, 12)),
+         "domain: " + " x ".join(["[0,1]"] * 11) + "\n"]))
+    twice = tmp_path / "twice.pfaff"
+    twice.write_text("vars: x, y\nF[1] = 1\nF[2] = x\nF[1] = y\n"
+                     "domain: [0,1] x [0,1]\n")
+    files = {"CONTACT": str(contact_file), "GAS": str(gas_file),
+             "ELEVEN": str(eleven), "TWICE": str(twice)}
     assert main([files.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -354,3 +376,100 @@ def test_cli_out_file(contact_file, tmp_path):
     assert main(["check", str(contact_file), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["class"] == "non_integrable"
+
+
+# --- byte identity of the Dopri5-driven reports ---------------------------------
+#
+# SHA-256 of the exit code, stdout and CSV of each run, recorded before the
+# Dormand-Prince step loop was generated and box exits of surface paths ended
+# solves early: both must leave every report as it was.
+
+
+def _catalog_jobs():
+    jobs = []
+    for e in catalog():
+        if e.form.n == 3:
+            force = ["--force"] if e.expected_class == "non_integrable" else []
+            for var in e.var_names:
+                for grid in ("5", "9"):
+                    jobs.append((f"factor-global {e.name} {var} {grid}",
+                                 ["factor-global", e.name, "--free-var", var,
+                                  "--staircase", "--grid", grid, *force]))
+        elif e.form.n == 2:
+            jobs.append((f"factor2 {e.name}", ["factor2", e.name]))
+            jobs.append((f"foliate {e.name}", ["foliate", e.name]))
+    return jobs
+
+
+def _report_digest(argv, tmp_path, capsys):
+    command, name, *rest = argv
+    path = tmp_path / f"{name}.pfaff"
+    assert main(["catalog", "--write-form", name, str(path)]) == 0
+    csv = tmp_path / "report.csv"
+    with_csv = [] if command == "foliate" else ["--csv", str(csv)]
+    code = main([command, str(path), *rest, *with_csv])
+    out = capsys.readouterr().out
+    csv_text = csv.read_text() if csv.exists() else ""
+    return hashlib.sha256(f"{code}\n{out}\n{csv_text}".encode()).hexdigest()
+
+
+CATALOG_DIGESTS = {
+    "factor-global exact_3var x 5":
+        "fd9f46b2329b0f0f9636385fb45d65e09cf78084896ca625cbea98a08404abfa",
+    "factor-global exact_3var x 9":
+        "bcb2ba74ec96a65bb349f942c800065f76347e82abf271c7f9785138b271bccc",
+    "factor-global exact_3var y 5":
+        "395d68b0adda071801a68ea259817e3c87fadbb39cf35e0331e10f5638555d15",
+    "factor-global exact_3var y 9":
+        "d8ba8d9276f25c5008ae34811836aba7b7a49ac09db74b490e5bded77c640edc",
+    "factor-global exact_3var z 5":
+        "ed52e8de7ed52508bbf0161253b873b27f90b969d18c6742e9d22d16ed8ab810",
+    "factor-global exact_3var z 9":
+        "f92ee63c865cb0fd941874451d51f68931c6d4e4f24033aaf34f687fe5e941f8",
+    "factor2 product_exact":
+        "d2acc82ca392cb0c62095d0e2b93567a50ef1dbde7d0f4b4514290351c926339",
+    "foliate product_exact":
+        "9513b5b7cb975a99c43a53202928d6529c951a7ba21ecd79eff0d70340aa8c08",
+    "factor-global scaled_exact x 5":
+        "b59d8569f3135f2ee23f752ae79dd61276e5f2deb73bb0a96d1dac972e39224b",
+    "factor-global scaled_exact x 9":
+        "5d0550cd919e9b9c86810825120655a75f95c1089dc0d75e9e703db33e4907b9",
+    "factor-global scaled_exact y 5":
+        "8e74aff598ba890d9d24902497878af4d46d3cc05db025bb47e9246e18479f4c",
+    "factor-global scaled_exact y 9":
+        "27388668c2c91aed3b5a95e23e121403028c3f11989e230ba595f6633613bc3e",
+    "factor-global scaled_exact z 5":
+        "978ac80fe991c07e486894a3636fb337f3219fd4647901860064737f3967ae9a",
+    "factor-global scaled_exact z 9":
+        "9d6d1a331ea910dda974d5831d0063a1e150e1558b91295cc01e1b49220c95bd",
+    "factor-global contact x 5":
+        "8052311cf6ac0f4debe405d703770534da558b3fc6acdfbf8c2a5836aa42d2df",
+    "factor-global contact x 9":
+        "0d167a55a58bb09c0c5969564ac50de01a6391a13fbbf0d0880a5ed8043cab9d",
+    "factor-global contact y 5":
+        "9e57bb7339d49e4e4c57ae45c90bde4fd2c41bef88a72606d6d485b9231bea8e",
+    "factor-global contact y 9":
+        "9269d52841ccbb0c8ac9f7f9704ff57b0de3bdca9d91191e7d34d62eaf1cb429",
+    "factor-global contact z 5":
+        "16a9228addc6b2306774f4f4417d78a407d51fe5a4c7c9f102b2b87564886792",
+    "factor-global contact z 9":
+        "0d10f1adc0bb2d2346ebbee4798c997e56a49dd48d88e370fd9343ff389f110c",
+    "factor2 ideal_gas_heat":
+        "130af5f0d63e7141b9d20cb2df5af863ebdabacfdfb04169b6434194e16eb75b",
+    "foliate ideal_gas_heat":
+        "60f59c77324c709d54f238f3d1f4e7dbdbd342f90c7dbec2e755e5a1372d9eb4",
+    "factor2 rolling_cylinder":
+        "fd57a6a5c0f2fb7842617673c16b01a2e70a8cbe36b16f70de62f314271c0aab",
+    "foliate rolling_cylinder":
+        "0ab327d5172eb843616ebb356b10f8f7e38c7d845ae730a26975592765629aaf",
+    "factor2 ray_form":
+        "0f8eb09310f867e3c262ee13f1c70f68ea56cdfe7c00c94b63352ade9e1dcfc3",
+    "foliate ray_form":
+        "d450a93ecda231eb63158851c87c38143e63a00c5ebe4f62a4d972112fb0c982",
+}
+
+
+@pytest.mark.parametrize("job, argv", _catalog_jobs(),
+                         ids=[job for job, _ in _catalog_jobs()])
+def test_catalog_reports_byte_identical(job, argv, tmp_path, capsys):
+    assert _report_digest(argv, tmp_path, capsys) == CATALOG_DIGESTS[job]

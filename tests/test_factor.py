@@ -5,13 +5,17 @@ import pytest
 
 from conftest import entropy
 from pfaffian import expressions as ex
+from pfaffian import ode
+from pfaffian.catalog import entry
 from pfaffian.errors import AnalysisError
 from pfaffian.factor import (
     METHOD_GLOBAL,
     METHOD_TWO_VAR,
+    CharacteristicKernels,
     FactorizationResult,
     SurfaceField,
     TransversalSpec,
+    _trace_characteristic,
     auto_transversal,
     build_potential_2var,
     global_factorization,
@@ -364,3 +368,42 @@ def test_mu_from_gradient_evaluates_all_coefficients():
     assert _mu_from_gradient(f, (0.5, 0.0), (0.0, 2.0)) == (0.5, False)
     with pytest.raises(ZeroDivisionError):
         _mu_from_gradient(f, (0.0, 0.0), (0.0, 2.0))
+
+
+def test_label_only_trace_matches_solve_characteristic(rng):
+    kernels = CharacteristicKernels(IDEAL_GAS)
+    for axis in (0, 1):
+        tv = TransversalSpec(axis, 1.5)
+        for _ in range(10):
+            p = tuple(float(v) for v in rng.uniform(1.0, 2.0, size=2))
+            for direction in (1, -1):
+                curve = solve_characteristic(IDEAL_GAS, p, direction, tv, rtol=1e-11,
+                                             atol=1e-13, kernels=kernels)
+                trace = _trace_characteristic(IDEAL_GAS, p, direction, tv, 1e-11,
+                                              1e-13, kernels=kernels)
+                assert trace == (curve.status, curve.label, curve.truncated)
+
+
+def test_criterion_5_run_attempt_bound(monkeypatch):
+    """The global construction of acceptance criterion 5 stays cheap.
+
+    scaled_exact, free z, grid 9: 41,509 Dormand-Prince attempts, where the
+    stepper without box exits made 449,296 (four solves crawled along the
+    widened bound until the step budget ran out).
+    """
+    attempts = []
+    advance = ode.Dopri5._advance
+
+    def counting(stepper, *args):
+        stats = stepper.stats
+        before = stats.accepted + stats.rejected
+        try:
+            return advance(stepper, *args)
+        finally:
+            attempts.append(stats.accepted + stats.rejected - before)
+
+    monkeypatch.setattr(ode.Dopri5, "_advance", counting)
+    result = global_factorization(entry("scaled_exact").form, 2, (0.0, 0.0, 0.0),
+                                  grid_per_axis=9)
+    assert (result.evaluated_points, result.skipped_points) == (541, 188)
+    assert sum(attempts) <= 60000

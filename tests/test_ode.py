@@ -5,7 +5,8 @@ import pytest
 
 from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError
-from pfaffian.factor import SurfaceField, _characteristic_kernel
+from pfaffian.catalog import catalog, entry
+from pfaffian.factor import SurfaceField, _characteristic_kernel, _grid
 from pfaffian.forms import Box, make_form
 from pfaffian.ode import (
     _A,
@@ -15,6 +16,7 @@ from pfaffian.ode import (
     Dopri5,
     MaxStepsError,
     StepRejectionError,
+    StepStats,
     bisect_root,
     compile_kernel,
     rk4_step,
@@ -22,14 +24,18 @@ from pfaffian.ode import (
 
 # --- generated kernels against the stage-by-stage reference ---------------------
 #
-# The reference is the generic Dormand-Prince attempt and RK4 step the generated
-# straight-line functions replaced, driven by the right-hand-side closures of
-# characteristics and surface paths.  The generated functions must reproduce them
-# bit for bit (compared through repr, so -0.0 and NaN count) and raise the same
-# exception classes.
+# The reference is the generic Dormand-Prince attempt, step loop and RK4 step the
+# generated straight-line functions replaced, driven by the right-hand-side
+# closures of characteristics and surface paths.  The generated functions must
+# reproduce them bit for bit (compared through repr, so -0.0 and NaN count) and
+# raise the same exception classes.
 
 
-def _ref_attempt(rhs, t, y, f0, dt):
+class _RefLeftBounds(Exception):
+    """A stage of the reference attempt left the widened bounds."""
+
+
+def _ref_attempt(rhs, t, y, f0, dt, wide=None):
     k = [f0]
     n = len(y)
     for s in range(1, 7):
@@ -38,6 +44,8 @@ def _ref_attempt(rhs, t, y, f0, dt):
             y[i] + dt * sum(_A[s][j] * k[j][i] for j in range(s))
             for i in range(n)
         )
+        if wide is not None and not wide[0] <= ys[0] <= wide[1]:
+            raise _RefLeftBounds
         k.append(rhs(ts, ys))
     y1 = tuple(y[i] + dt * sum(_B5[j] * k[j][i] for j in range(7)) for i in range(n))
     err = tuple(dt * sum(_E[j] * k[j][i] for j in range(7)) for i in range(n))
@@ -45,6 +53,121 @@ def _ref_attempt(rhs, t, y, f0, dt):
         if not math.isfinite(v):
             raise ArithmeticError("non-finite state")
     return t + dt, y1, err, k[6]
+
+
+class _RefDopri5:
+    """The Dormand-Prince stepper as a Python loop around :func:`_ref_attempt`.
+
+    Step-size control, error norm and step budget as ``Dopri5.step`` wrote them
+    before the loop was generated.  With ``bounds = ((lo, hi), (wide_lo,
+    wide_hi))`` an attempt whose stage leaves the widened bounds ends the solve
+    as a box exit when the last accepted state lies past ``[lo, hi]`` moving
+    out; without ``bounds`` every refused attempt halves the step.
+    """
+
+    def __init__(self, rhs, t, y, direction=1.0, rtol=1e-9, atol=1e-12,
+                 max_steps=100000, h=0.0, bounds=None):
+        self.rhs = rhs
+        self.t = t
+        self.y = tuple(float(v) for v in y)
+        self.direction = 1.0 if direction >= 0 else -1.0
+        self.rtol, self.atol, self.max_steps = rtol, atol, max_steps
+        self._h = h
+        self.bounds = bounds
+        self.stats = StepStats()
+        self._f0 = rhs(self.t, self.y)
+
+    def _error_norm(self, y0, y1, err):
+        acc = 0.0
+        for e, a, b in zip(err, y0, y1):
+            scale = self.atol + self.rtol * max(abs(a), abs(b))
+            acc += (e / scale) ** 2
+        return math.sqrt(acc / len(err))
+
+    def _box_exit(self):
+        (lo, hi), _ = self.bounds
+        slope = self._f0[0] * self.direction
+        return self.y[0] > hi and slope > 0.0 or self.y[0] < lo and slope < 0.0
+
+    def step(self, t_limit):
+        span = abs(t_limit - self.t)
+        if span == 0.0:
+            return self.t, self.y
+        if self._h == 0.0:
+            self._h = min(span, max(1e-6, 0.01 * span))
+        h_floor = max(1e-14, 1e-14 * abs(self.t), 1e-12 * span if span < 1 else 1e-14)
+        wide = self.bounds[1] if self.bounds else None
+        stats = self.stats
+        while True:
+            if stats.accepted + stats.rejected >= self.max_steps:
+                raise MaxStepsError("ODE step budget exhausted")
+            h = min(self._h, span)
+            dt = self.direction * h
+            try:
+                t1, y1, err, f_last = _ref_attempt(self.rhs, self.t, self.y,
+                                                   self._f0, dt, wide)
+            except _RefLeftBounds:
+                stats.rejected += 1
+                self._h = h / 2.0
+                if self._box_exit():
+                    raise StepRejectionError("solution left its bounds")
+                if self._h < h_floor:
+                    raise StepRejectionError("step size collapsed")
+                continue
+            except (ValueError, ZeroDivisionError, OverflowError, ArithmeticError):
+                stats.rejected += 1
+                self._h = h / 2.0
+                if self._h < h_floor:
+                    raise StepRejectionError("step size collapsed")
+                continue
+            norm = self._error_norm(self.y, y1, err)
+            if norm <= 1.0 or h <= h_floor:
+                stats.accepted += 1
+                self.t, self.y, self._f0 = t1, y1, f_last
+                factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** -0.2))
+                self._h = h * factor
+                return self.t, self.y
+            stats.rejected += 1
+            self._h = max(h * max(0.2, 0.9 * norm ** -0.2), h_floor / 2)
+            if self._h < h_floor:
+                raise StepRejectionError("step size collapsed")
+
+    def solve(self, t_end):
+        while (self.t - t_end) * self.direction < 0:
+            self.step(t_end)
+        return self.t, self.y
+
+
+def _state(stepper):
+    """``repr`` of (t, y, f0, h, accepted, rejected) of either stepper."""
+    return repr((stepper.t, stepper.y, stepper._f0, stepper._h,
+                 stepper.stats.accepted, stepper.stats.rejected))
+
+
+def _drive(stepper, t_limit, steps=6):
+    """States after each of up to ``steps`` accepted steps, and how it ended."""
+    seen = []
+    for _ in range(steps):
+        try:
+            stepper.step(t_limit)
+        except Exception as exc:  # the exception class is compared, whatever it is
+            return seen + [type(exc), _state(stepper)]
+        seen.append(_state(stepper))
+    return seen
+
+
+def _assert_steppers_match(kernel, params, ref, t, y, dt, bounds=None):
+    """Generated and reference steppers agree step by step from ``(t, y)``.
+
+    Both start with step size ``|dt|`` in the direction of ``dt``, once with a
+    large step budget and once with a budget of three attempts.
+    """
+    for rtol, atol, budget in ((1e-9, 1e-12, 100000), (1e-11, 1e-13, 3)):
+        options = dict(direction=dt, rtol=rtol, atol=atol, max_steps=budget)
+        gen = Dopri5(kernel, t, y, params=params, _h=abs(dt), **options)
+        reference = _RefDopri5(ref, t, y, h=abs(dt), bounds=bounds, **options)
+        assert _state(gen) == _state(reference)
+        assert _drive(gen, t + 2.0 * dt) == _drive(reference, t + 2.0 * dt)
 
 
 def _ref_rk4(rhs, t, y, dt):
@@ -110,17 +233,22 @@ def _outcome(call):
         return type(exc)
 
 
-def _assert_kernel_matches(kernel, params, ref, t, y, dt):
-    """rhs, attempt and RK4 of ``kernel`` equal the reference at (t, y, dt)."""
+def _assert_kernel_matches(kernel, params, ref, t, y, dt, bounds=None):
+    """rhs, RK4 and the step loop of ``kernel`` equal the reference at (t, y, dt)."""
     assert _outcome(lambda: kernel.rhs(t, y, *params)) == _outcome(lambda: ref(t, y))
     assert (_outcome(lambda: kernel.rk4(t, y, dt, *params))
             == _outcome(lambda: _ref_rk4(ref, t, y, dt)))
     try:
-        f0 = ref(t, y)
+        ref(t, y)
     except (ValueError, ZeroDivisionError, OverflowError):
         return
-    assert (_outcome(lambda: kernel.attempt(t, y, f0, dt, *params))
-            == _outcome(lambda: _ref_attempt(ref, t, y, f0, dt)))
+    _assert_steppers_match(kernel, params, ref, t, y, dt, bounds)
+
+
+def _path_bounds(field):
+    box = field.form.domain
+    free = field.free_index
+    return (box.lows[free], box.highs[free]), field._free_bounds
 
 
 # together these use every node kind: exp, log, sin, cos, sqrt, ^ (positive,
@@ -187,7 +315,8 @@ def test_path_kernel_bit_identical(names, texts, box):
                 t = float(rng.uniform(0.0, 1.0))
                 y = (float(p[free]),)
                 dt = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-4, 0.5))
-                _assert_kernel_matches(field.kernel, (u0, deltas), ref, t, y, dt)
+                _assert_kernel_matches(field.kernel, (u0, deltas), ref, t, y, dt,
+                                       _path_bounds(field))
 
 
 def test_two_component_kernel_bit_identical():
@@ -225,8 +354,9 @@ def test_signed_zero_and_infinite_stages_bit_identical():
     def ref(t, y):
         return (1e308 * 10.0 if t == 0.25 else 1.0,)
 
-    assert _outcome(lambda: spike.attempt(0.0, (0.0,), (1.0,), 1.25)) is ArithmeticError
+    assert _outcome(lambda: _ref_attempt(ref, 0.0, (0.0,), (1.0,), 1.25)) is ArithmeticError
     _assert_kernel_matches(spike, (), ref, 0.0, (0.0,), 1.25)
+    assert _refused_first_attempt(spike, (), 0.0, (0.0,), 1.25)
 
 
 def test_path_terms_with_zero_increment_are_not_evaluated():
@@ -236,10 +366,22 @@ def test_path_terms_with_zero_increment_are_not_evaluated():
     params = ((0.0,), (0.0,))
     assert field.kernel.rhs(0.0, (-0.5,), *params) == (-0.0,)
     _assert_kernel_matches(field.kernel, params, _ref_path_rhs(field, *params),
-                           0.0, (-0.5,), 0.5)
+                           0.0, (-0.5,), 0.5, _path_bounds(field))
 
 
 # --- the same exception classes as the reference --------------------------------
+#
+# An attempt the reference raises on is refused by the generated stepper: with a
+# budget of one attempt, it ends with that attempt rejected and the step halved.
+
+
+def _refused_first_attempt(kernel, params, t, y, dt):
+    stepper = Dopri5(kernel, t, y, direction=dt, max_steps=1, params=params,
+                     _h=abs(dt))
+    with pytest.raises(MaxStepsError):
+        stepper.step(t + 2.0 * dt)
+    stats = stepper.stats
+    return (stats.accepted, stats.rejected, stepper._h) == (0, 1, abs(dt) / 2.0)
 
 
 def test_vanishing_solved_coefficient_raises_like_reference():
@@ -248,8 +390,9 @@ def test_vanishing_solved_coefficient_raises_like_reference():
     ref = _ref_characteristic_rhs(form, 1, 1e-12)
     f0 = ref(0.1, (0.0,))
     # the first stage lands on x = 0.1 + 0.2 * (-0.5) = 0, where F_2 = x vanishes
-    assert _outcome(lambda: kernel.attempt(0.1, (0.0,), f0, -0.5)) is ZeroDivisionError
     assert _outcome(lambda: _ref_attempt(ref, 0.1, (0.0,), f0, -0.5)) is ZeroDivisionError
+    assert _refused_first_attempt(kernel, (), 0.1, (0.0,), -0.5)
+    _assert_steppers_match(kernel, (), ref, 0.1, (0.0,), -0.5)
     assert _outcome(lambda: kernel.rhs(0.0, (0.3,))) is ZeroDivisionError
 
 
@@ -260,8 +403,9 @@ def test_free_coordinate_leaving_bounds_raises_like_reference():
     ref = _ref_path_rhs(field, *params)
     y = (0.999,)
     f0 = ref(0.0, y)
-    assert _outcome(lambda: field.kernel.attempt(0.0, y, f0, 0.1, *params)) is ValueError
     assert _outcome(lambda: _ref_attempt(ref, 0.0, y, f0, 0.1)) is ValueError
+    assert _refused_first_attempt(field.kernel, params, 0.0, y, 0.1)
+    _assert_steppers_match(field.kernel, params, ref, 0.0, y, 0.1, _path_bounds(field))
     assert _outcome(lambda: field.kernel.rhs(0.0, (1.5,), *params)) is ValueError
 
 
@@ -277,8 +421,9 @@ def test_zero_free_coefficient_raises_like_reference():
     assert (_outcome(lambda: field.kernel.rk4(0.0, (0.0,), 1.0, *params))
             is ZeroDivisionError)
     assert _outcome(lambda: _ref_attempt(ref, 0.0, (0.0,), f0, 1.0)) is ZeroDivisionError
-    assert (_outcome(lambda: field.kernel.attempt(0.0, (0.0,), f0, 1.0, *params))
-            is ZeroDivisionError)
+    assert _refused_first_attempt(field.kernel, params, 0.0, (0.0,), 1.0)
+    _assert_steppers_match(field.kernel, params, ref, 0.0, (0.0,), 1.0,
+                          _path_bounds(field))
 
 
 def test_log_of_negative_stage_value_raises_like_reference():
@@ -287,8 +432,9 @@ def test_log_of_negative_stage_value_raises_like_reference():
     ref = _ref_characteristic_rhs(form, 1, 1e-12)
     f0 = ref(0.01, (0.0,))
     # the first stage lands on x = 0.01 - 0.02 < 0
-    assert _outcome(lambda: kernel.attempt(0.01, (0.0,), f0, -0.1)) is ValueError
     assert _outcome(lambda: _ref_attempt(ref, 0.01, (0.0,), f0, -0.1)) is ValueError
+    assert _refused_first_attempt(kernel, (), 0.01, (0.0,), -0.1)
+    _assert_steppers_match(kernel, (), ref, 0.01, (0.0,), -0.1)
     assert _outcome(lambda: kernel.rk4(0.01, (0.0,), -0.1)) is ValueError
 
 
@@ -349,3 +495,139 @@ def test_bisect_root_unbracketed():
 
 def test_bisect_root_finds_root():
     assert bisect_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0))
+
+
+# --- whole solves and box exits -------------------------------------------------
+
+
+def _solve_outcome(make, t_end):
+    try:
+        stepper = make()
+    except Exception as exc:  # the exception class is compared, whatever it is
+        return [type(exc)]
+    try:
+        stepper.solve(t_end)
+    except Exception as exc:
+        return [type(exc), _state(stepper)]
+    return [_state(stepper)]
+
+
+def _succeeded(outcome):
+    return len(outcome) == 1 and isinstance(outcome[0], str)
+
+
+def _fiber_solve(field, p, reference=False, bounds=None):
+    """Outcome of the solve from ``p`` back to the base, as ``fiber_through`` runs it.
+
+    ``reference`` runs :class:`_RefDopri5`, with the box-exit rule when
+    ``bounds`` are given; otherwise the generated stepper.
+    """
+    u_p = tuple(p[i] for i in field.other)
+    params = (field.base_proj, tuple(b - a for a, b in zip(field.base_proj, u_p)))
+    y0 = (p[field.free_index],)
+    options = dict(direction=-1.0, rtol=field.rtol, atol=field.atol)
+    if reference:
+        ref = _ref_path_rhs(field, *params)
+        return _solve_outcome(lambda: _RefDopri5(ref, 1.0, y0, bounds=bounds, **options),
+                              0.0)
+    return _solve_outcome(lambda: Dopri5(field.kernel, 1.0, y0, params=params, **options),
+                          0.0)
+
+
+@pytest.mark.parametrize("kernel, ref, t0, y0, t1, max_steps", [
+    (_decay(), lambda t, y: (-y[0],), 0.0, (1.0,), 1.0, 100000),
+    (_decay(), lambda t, y: (-y[0],), 1.0, (0.5,), -2.0, 100000),
+    (_decay(), lambda t, y: (-y[0],), 0.0, (1.0,), 100.0, 5),
+    (compile_kernel(1, lambda t, ys, ks: [f"{ks[0]} = 1.0 / (1.0 - {t})"]),
+     lambda t, y: (1.0 / (1.0 - t),), 0.0, (0.0,), 2.0, 100000),
+], ids=["decay", "backward", "budget", "pole"])
+def test_whole_solve_matches_reference(kernel, ref, t0, y0, t1, max_steps):
+    options = dict(direction=t1 - t0, max_steps=max_steps)
+    gen = _solve_outcome(lambda: Dopri5(kernel, t0, y0, **options), t1)
+    assert gen == _solve_outcome(lambda: _RefDopri5(ref, t0, y0, **options), t1)
+    # one generated call runs the steps of one call per step
+    stepwise = Dopri5(kernel, t0, y0, **options)
+    try:
+        _run(stepwise, t1)
+    except AnalysisError as exc:
+        assert gen == [type(exc), _state(stepwise)]
+    else:
+        assert gen == [_state(stepwise)]
+
+
+@pytest.mark.parametrize("jump", [0.3, 0.5, 0.7, 0.9])
+def test_step_collapse_at_a_jump_matches_reference(jump):
+    # y' jumps by 1e9 at t = jump: error-norm rejections shrink the step onto
+    # its floor there, and the solve ends as StepRejectionError
+    kernel = compile_kernel(
+        1, lambda t, ys, ks: [f"{ks[0]} = 0.0 if {t} < {jump!r} else 1e9"])
+    gen = _solve_outcome(lambda: Dopri5(kernel, 0.0, (0.0,)), 1.0)
+    ref = _solve_outcome(
+        lambda: _RefDopri5(lambda t, y: (0.0 if t < jump else 1e9,), 0.0, (0.0,)), 1.0)
+    assert gen == ref
+    assert gen[0] is StepRejectionError
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog() if e.form.n == 3])
+def test_box_exit_rule_on_catalog_grid(name):
+    """Every grid-9 point, free variable last, base the box center.
+
+    The generated solve equals the reference stepper with the box-exit rule,
+    attempt counts included.  It succeeds exactly where the stepper without the
+    rule succeeds, with the same state, and the rule ends some failing solves
+    early.
+    """
+    form = entry(name).form
+    field = SurfaceField(form, form.n - 1, form.domain.center)
+    early = 0
+    for p in _grid(form.domain, 9):
+        gen = _fiber_solve(field, p)
+        assert gen == _fiber_solve(field, p, True, _path_bounds(field))
+        no_rule = _fiber_solve(field, p, True)
+        assert _succeeded(gen) == _succeeded(no_rule)
+        if _succeeded(gen):
+            assert gen == no_rule
+        else:
+            early += gen != no_rule
+    assert early > 0
+
+
+def _climb():
+    """dy/dt = -d on [-1, 1]^2 with free y: a path to x = u moves y by -u."""
+    form = make_form(["x", "y"], ["1", "1"], Box((-1, -1), (1, 1)))
+    return SurfaceField(form, 1, (0.0, 0.0))
+
+
+def test_path_ending_inside_the_widening_succeeds():
+    field = _climb()
+    width = field._free_bounds[1] - 1.0
+    # starts past the top of the box, moves further out, ends inside the widening
+    start, u = 1.0 + 0.25 * width, -0.5 * width
+    end = field.value((u,), start)
+    assert 1.0 < end < field._free_bounds[1]
+    assert end == pytest.approx(1.0 + 0.75 * width, abs=1e-15)
+    ref = _ref_path_rhs(field, (0.0,), (u,))
+    reference = _RefDopri5(ref, 0.0, (start,), rtol=field.rtol, atol=field.atol,
+                           bounds=_path_bounds(field))
+    reference.solve(1.0)
+    assert reference.y == (end,)
+
+
+def test_path_leaving_the_widening_ends_at_once():
+    field = _climb()
+    params = ((0.0,), (-1e-8,))  # from y = 1 + width / 4 the path would end at 1 + 1e-8
+    start = 1.0 + 0.25 * (field._free_bounds[1] - 1.0)
+    options = dict(rtol=field.rtol, atol=field.atol, max_steps=2000)
+    stepper = Dopri5(field.kernel, 0.0, (start,), params=params, **options)
+    with pytest.raises(StepRejectionError):
+        stepper.solve(1.0)
+    assert stepper.stats.rejected == 1
+    assert field._free_bounds[0] < stepper.y[0] <= field._free_bounds[1]
+    with pytest.raises(AnalysisError):
+        field.value((-1e-8,), start)
+    # without the rule the stepper crawls along the bound with tiny steps, halving
+    # every refused attempt, until the step budget runs out
+    no_rule = _RefDopri5(_ref_path_rhs(field, *params), 0.0, (start,), **options)
+    with pytest.raises(MaxStepsError):
+        no_rule.solve(1.0)
+    assert no_rule.stats.accepted > 100 and no_rule.stats.rejected > 100
