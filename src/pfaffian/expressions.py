@@ -14,6 +14,8 @@ Grammar accepted by :func:`parse_expression`::
     base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' base
 
 Function names: exp, log, sin, cos, sqrt.  Whitespace is insignificant.
+Nesting is bounded: an expression deeper than :data:`MAX_DEPTH` levels is
+a ParseError (see :func:`parse_expression`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,14 @@ from .errors import ArityError, EvalDomainError, ParseError, UnknownIdentifierEr
 
 FUNCTION_NAMES = ("exp", "log", "sin", "cos", "sqrt")
 
+# Deepest expression the parser accepts.  A number or variable is one
+# level; each operation, function call, unary minus and pair of parentheses
+# around a subexpression adds one.  Simplification, differentiation and the
+# generated code all recurse or nest with depth, and the Jacobian of a
+# coefficient is deeper than the coefficient; at this bound every check of a
+# form still compiles.  Benchmark and catalog forms are at most 24 deep.
+MAX_DEPTH = 64
+
 __all__ = [
     "Expression",
     "Const",
@@ -34,6 +44,7 @@ __all__ = [
     "Binary",
     "Pow",
     "FUNCTION_NAMES",
+    "MAX_DEPTH",
     "constant",
     "variable",
     "neg",
@@ -487,10 +498,18 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive-descent parser; each rule returns ``(expression, depth)``.
+
+    ``depth`` counts levels as :data:`MAX_DEPTH` does.  ``nesting`` counts
+    the parentheses, calls and unary minuses open around the current token,
+    so that the recursion stops at the bound before it goes deeper.
+    """
+
     def __init__(self, text, var_names):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
         self.var_index = {name: i for i, name in enumerate(var_names)}
 
     def peek(self):
@@ -507,40 +526,51 @@ class _Parser:
             raise ParseError(f"expected {symbol!r}", offset)
         return self.advance()
 
+    @staticmethod
+    def deeper(depth, offset):
+        """``depth + 1``; ParseError at ``offset`` past :data:`MAX_DEPTH`."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             offset)
+        return depth + 1
+
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         kind, value, offset = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {value!r}", offset)
         return e
 
     def expr(self):
-        e = self.term()
+        e, depth = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                rhs = self.term()
+                rhs, rhs_depth = self.term()
                 e = Binary(value, e, rhs)
+                depth = self.deeper(max(depth, rhs_depth), offset)
             else:
-                return e
+                return e, depth
 
     def term(self):
-        e = self.factor()
+        e, depth = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                rhs = self.factor()
+                rhs, rhs_depth = self.factor()
                 e = Binary(value, e, rhs)
+                depth = self.deeper(max(depth, rhs_depth), offset)
             else:
-                return e
+                return e, depth
 
     def factor(self):
-        e = self.base()
-        kind, value, _ = self.peek()
+        e, depth = self.base()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
+            depth = self.deeper(depth, offset)
             sign = 1.0
             kind, value, offset = self.peek()
             if kind == "op" and value == "-":
@@ -551,12 +581,12 @@ class _Parser:
                 raise ParseError("expected a numeric exponent after '^'", offset)
             self.advance()
             e = Pow(e, sign * float(value))
-        return e
+        return e, depth
 
     def base(self):
         kind, value, offset = self.advance()
         if kind == "num":
-            return Const(float(value))
+            return Const(float(value)), 1
         if kind == "ident":
             nxt_kind, nxt_value, _ = self.peek()
             if nxt_kind == "op" and nxt_value == "(":
@@ -565,27 +595,38 @@ class _Parser:
                         raise ParseError(f"{value!r} is not a function", offset)
                     raise UnknownIdentifierError(value, offset)
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, offset)
                 self.expect_op(")")
-                return Unary(value, arg)
+                return Unary(value, arg), depth
             if value in self.var_index:
-                return Var(self.var_index[value])
+                return Var(self.var_index[value]), 1
             raise UnknownIdentifierError(value, offset)
         if kind == "op" and value == "(":
-            e = self.expr()
+            e, depth = self.nested(self.expr, offset)
             self.expect_op(")")
-            return e
+            return e, depth
         if kind == "op" and value == "-":
-            inner = self.base()
+            inner, depth = self.nested(self.base, offset)
             # fold '-' on a literal so negative constants round-trip
             if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Unary("neg", inner)
+                return Const(-inner.value), depth
+            return Unary("neg", inner), depth
         raise ParseError(f"expected a number, identifier or '('", offset)
+
+    def nested(self, rule, offset):
+        """``rule()`` one level further in, its depth counting that level."""
+        self.nesting = self.deeper(self.nesting, offset)
+        e, depth = rule()
+        self.nesting -= 1
+        return e, self.deeper(depth, offset)
 
 
 def parse_expression(text: str, var_names) -> Expression:
-    """Parse ``text`` against the ordered variable-name list ``var_names``."""
+    """Parse ``text`` against the ordered variable-name list ``var_names``.
+
+    Raises ParseError on malformed text and on an expression deeper than
+    :data:`MAX_DEPTH` levels.
+    """
     return _Parser(text, var_names).parse()
 
 
@@ -618,6 +659,17 @@ def python_tuple(items) -> str:
     """Tuple display of the source texts ``items``; one item keeps its comma."""
     items = list(items)
     return ", ".join(items) + ("," if len(items) == 1 else "")
+
+
+def python_sum(items) -> str:
+    """Source text ``(0.0 + (t0) + (t1) + ...)`` of the sum of the texts ``items``.
+
+    The terms are added left to right from ``0.0``.  That is the builtin
+    ``sum`` over floats up to Python 3.11; Python 3.12 compensates the
+    rounding in ``sum``, so generated code spells the additions out to
+    round the same way on every version.
+    """
+    return "(0.0{})".format("".join(f" + ({t})" for t in items))
 
 
 def _node_text(e, args):

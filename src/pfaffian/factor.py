@@ -222,6 +222,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
 
     dependent = int(np.argmax([abs(f[0]), abs(f[1])]))
     steps_used = 0
+    level = transversal.value if transversal is not None else None
 
     while True:
         if steps_used >= max_steps:
@@ -230,59 +231,59 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
         a = 1 - b
         sign_a = 1.0 if tau[a] >= 0 else -1.0
         kernel = kernels[b]
+        advance = kernel.advance
+        low_b, high_b = box.lows[b], box.highs[b]
+        on_b = transversal is not None and transversal.fixed_axis == b
 
         t_limit = box.highs[a] if sign_a > 0 else box.lows[a]
         hit_transversal_on_a = (
             transversal is not None
             and transversal.fixed_axis == a
-            and (transversal.value - x[a]) * sign_a > 0
-            and (t_limit - transversal.value) * sign_a >= 0
+            and (level - x[a]) * sign_a > 0
+            and (t_limit - level) * sign_a >= 0
         )
-        t_target = transversal.value if hit_transversal_on_a else t_limit
+        t_target = level if hit_transversal_on_a else t_limit
 
+        # the Dormand-Prince state of this segment, one accepted step per call
+        t, y, h = x[a], (x[b],), 0.0
         try:
-            stepper = Dopri5(kernel, x[a], (x[b],), direction=sign_a,
-                             rtol=rtol, atol=atol,
-                             max_steps=max_steps - steps_used)
+            f0 = kernel.rhs(t, y)
         except (ValueError, ZeroDivisionError, OverflowError):
             return "singular", None, True
+        budget, accepted, rejected = max_steps - steps_used, 0, 0
 
         while True:
-            prev_t, prev_y = stepper.t, stepper.y
-            try:
-                t_new, y_new = stepper.step(t_target)
-            except StepRejectionError:
-                return "singular", None, True
-            except MaxStepsError:
+            prev_t, prev_y = t, y
+            status, t, y, f0, h, accepted, rejected = advance(
+                t, y, f0, h, t_target, sign_a, rtol, atol, budget, accepted,
+                rejected, False)
+            if status == "max_steps":
                 return "max_steps", None, True
+            if status != "ok":
+                return "singular", None, True
             steps_used += 1
 
             crossed = None  # (lam, kind)
             # dependent-axis box exit
-            for bound, kind in ((box.lows[b], "boundary"), (box.highs[b], "boundary")):
-                g0, g1 = prev_y[0] - bound, y_new[0] - bound
+            for bound, kind in ((low_b, "boundary"), (high_b, "boundary")):
+                g0, g1 = prev_y[0] - bound, y[0] - bound
                 if g0 * g1 < 0:
-                    lam = _locate(kernel, prev_t, prev_y, t_new - prev_t, bound)
+                    lam = _locate(kernel, prev_t, prev_y, t - prev_t, bound)
                     crossed = (lam, kind)
             # transversal crossing on the dependent axis
-            if (
-                crossed is None
-                and transversal is not None
-                and transversal.fixed_axis == b
-            ):
-                g0 = prev_y[0] - transversal.value
-                g1 = y_new[0] - transversal.value
+            if crossed is None and on_b:
+                g0 = prev_y[0] - level
+                g1 = y[0] - level
                 if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
-                    lam = _locate(kernel, prev_t, prev_y, t_new - prev_t,
-                                  transversal.value)
-                    t_cross = prev_t + lam * (t_new - prev_t)
+                    lam = _locate(kernel, prev_t, prev_y, t - prev_t, level)
+                    t_cross = prev_t + lam * (t - prev_t)
                     if transversal.on_span(t_cross):
                         crossed = (lam, "transversal")
 
             if crossed is not None:
                 lam, kind = crossed
-                t_hit = prev_t + lam * (t_new - prev_t)
-                y_hit = _interior_state(kernel, prev_t, prev_y, t_new - prev_t, lam)
+                t_hit = prev_t + lam * (t - prev_t)
+                y_hit = _interior_state(kernel, prev_t, prev_y, t - prev_t, lam)
                 p_hit = [0.0, 0.0]
                 p_hit[a], p_hit[b] = t_hit, y_hit[0]
                 p_hit = box.clamp(p_hit)
@@ -294,7 +295,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
                 return "boundary", None, True
 
             p_new = [0.0, 0.0]
-            p_new[a], p_new[b] = t_new, y_new[0]
+            p_new[a], p_new[b] = t, y[0]
             x = tuple(p_new)
             if pts is not None:
                 pts.append(x)
@@ -310,7 +311,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
                 tau_new = (-tau_new[0], -tau_new[1])
             tau = tau_new
 
-            if abs(t_new - t_target) <= 1e-14 * max(1.0, abs(t_target)):
+            if abs(t - t_target) <= 1e-14 * max(1.0, abs(t_target)):
                 if hit_transversal_on_a:
                     if transversal.on_span(x[b]):
                         return "transversal", x[b], False

@@ -133,16 +133,29 @@ def _nonsingular_probe_points(box: Box):
 
 
 def _check_nonsingular(form: PfaffianForm, tol: float):
+    """Raise SingularFormError unless some probe point has a nonzero vector.
+
+    The message tells probes where the vector is zero from those where a
+    coefficient is undefined (a pole, a log of a negative value, ...).
+    """
+    zero = undefined = 0
     for p in _nonsingular_probe_points(form.domain):
         try:
             values = coefficient_vector(form, p)
         except EvalDomainError:
-            continue  # pole or similar: counts as a skipped sample
+            undefined += 1
+            continue
         if max(abs(v) for v in values) > tol:
             return
-    raise SingularFormError(
-        "coefficient vector numerically zero at all sampled points"
-    )
+        zero += 1
+    if not undefined:
+        message = "coefficient vector numerically zero at all sampled points"
+    elif not zero:
+        message = f"coefficients undefined at all {undefined} sampled points"
+    else:
+        message = (f"coefficient vector numerically zero at {zero} and undefined"
+                   f" at {undefined} of the {zero + undefined} sampled points")
+    raise SingularFormError(message)
 
 
 def make_form(var_names, coefficient_texts, box: Box, singular_tol=DEFAULT_SINGULAR_TOL):

@@ -9,8 +9,9 @@ The step loop holds the step-size control of Hairer, Norsett & Wanner,
 *Solving ODEs I*, section II.4 (the error norm, the step growth and
 shrink factors, the step-size floor and the step budget) and counts the
 accepted and rejected attempts.  It runs either one accepted step, so that
-a caller can check its events after every step (characteristics), or a
-whole solve up to the end of the interval in one call (surface paths).
+a caller can check its events after every step (characteristics call it so
+directly), or a whole solve up to the end of the interval in one call
+(surface paths, through :class:`Dopri5`).
 
 An attempt that raises ValueError, ZeroDivisionError, OverflowError or
 ArithmeticError is refused and the step halved; a step size collapsing
@@ -21,11 +22,15 @@ when it is leaving that box (see :func:`compile_kernel`).
 
 Each float operation is the one of the step loop and attempt written stage by
 stage with the tableau below: the tableau enters as ``repr`` literals with
-its zero entries kept (``0.0 * inf`` is NaN), and each stage combination is
-one builtin ``sum`` over a tuple of the products, as a ``sum`` over a
-generator would add them.  ``tests/test_ode.py`` keeps the stage-by-stage
-attempt and the Python step loop as the reference the generated loop
-must match bit for bit.
+its zero entries kept (``0.0 * inf`` is NaN), and each stage combination
+adds its products left to right from ``0.0``, as ``(0.0 + (c0 * k0) +
+(c1 * k1) + ...)``.  Up to Python 3.11 that is what the builtin ``sum``
+does; Python 3.12 compensates the rounding inside ``sum``, so spelling the
+additions out keeps the results independent of the Python version and
+saves a call per combination.  ``min`` and ``max`` of two floats in the
+attempt are written as the conditional expressions they evaluate.
+``tests/test_ode.py`` keeps the stage-by-stage attempt and the Python step
+loop as the reference the generated loop must match bit for bit.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class OdeKernel:
 
     ``rhs(t, y, *params) -> f`` evaluates the right-hand side;
     ``rk4(t, y, dt, *params) -> y1`` is one classical RK4 step; ``advance``
-    is the Dormand-Prince step loop that :class:`Dopri5` calls,
+    is the Dormand-Prince step loop,
 
         advance(t, y, f0, h, t_end, direction, rtol, atol, max_steps,
                 accepted, rejected, whole, *params)
@@ -84,9 +89,11 @@ class _LeftBounds(Exception):
 
 
 def _combination(coeffs, ks):
-    """``_sum((c0 * k0, c1 * k1, ...))`` over every coefficient, zeros too."""
-    terms = (f"{ex.python_literal(c)} * {k}" for c, k in zip(coeffs, ks))
-    return f"_sum(({ex.python_tuple(terms)}))"
+    """``(0.0 + (c0 * k0) + (c1 * k1) + ...)`` over every coefficient, zeros too.
+
+    The products are added left to right from 0.0 (:func:`ex.python_sum`).
+    """
+    return ex.python_sum(f"{ex.python_literal(c)} * {k}" for c, k in zip(coeffs, ks))
 
 
 def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
@@ -100,7 +107,10 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
     and underscores, and those that start with ``dp_``; the body's
     temporaries must be other names.  ``params`` names the extra arguments
     of every generated function, and the ``prologue`` lines run first in
-    each, so that the body can use names they unpack.
+    each, so that the body can use names they unpack.  Stage combinations
+    add their products left to right from ``0.0`` (:func:`_combination`),
+    never through the builtin ``sum``, whose rounding depends on the Python
+    version.
 
     ``bounds = ((lo, hi), (wide_lo, wide_hi))`` confines state component 0
     to the box ``[lo, hi]`` widened to ``[wide_lo, wide_hi]``: every
@@ -149,7 +159,7 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
         "        while True:",
         "            if dp_accepted + dp_rejected >= dp_budget:",
         f"                return 'max_steps', {state}",
-        "            dp_step = min(dp_h, dp_span)",
+        "            dp_step = dp_span if dp_span < dp_h else dp_h",
         "            dt = dp_dir * dp_step",
         "            try:",
     ]
@@ -179,6 +189,13 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
         f"                    return 'step_rejection', {state}",
         "                continue",
     ]
+    # error norm; ``b if b > a else a`` is ``max(a, b)``, comparison for comparison
+    norm = []
+    for i in range(dim):
+        norm += [f"            dp_a = abs({ys[i]})",
+                 f"            dp_b = abs(Y{i})",
+                 f"            dp_sq += (E{i} / (dp_atol + dp_rtol"
+                 " * (dp_b if dp_b > dp_a else dp_a))) ** 2"]
     if bounds is not None:
         lo, hi = (lit(v) for v in bounds[0])
         advance += [
@@ -195,8 +212,7 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
         *refused,
         *collapse,
         "            dp_sq = 0.0",
-        *(f"            dp_sq += (E{i} / (dp_atol + dp_rtol"
-          f" * max(abs({ys[i]}), abs(Y{i})))) ** 2" for i in range(dim)),
+        *norm,
         f"            dp_norm = _dp_sqrt(dp_sq / {dim})",
         "            if dp_norm <= 1.0 or dp_step <= dp_floor:",
         "                break",
@@ -233,7 +249,7 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
     )))
 
     source = "\n".join([*rhs, "", *advance, "", *rk4]) + "\n"
-    namespace = ex.exec_source(source, "ode", _sum=sum, _isfinite=math.isfinite,
+    namespace = ex.exec_source(source, "ode", _isfinite=math.isfinite,
                                _dp_sqrt=math.sqrt, _LeftBounds=_LeftBounds)
     return OdeKernel(namespace["rhs"], namespace["advance"], namespace["rk4"])
 
@@ -285,28 +301,17 @@ class Dopri5:
         self.direction = 1.0 if self.direction >= 0 else -1.0
         self._f0 = self.kernel.rhs(self.t, self.y, *self.params)
 
-    def step(self, t_limit: float):
-        """Advance one accepted step, never beyond ``t_limit``.
-
-        Returns (t_new, y_new).  The step size adapts; the last step is
-        clipped exactly onto ``t_limit``.
-        """
-        return self._advance(t_limit, False)
-
     def solve(self, t_end: float):
         """Advance by accepted steps until ``t_end``, in one generated call.
 
         Returns (t_end, y_end).
         """
-        return self._advance(t_end, True)
-
-    def _advance(self, t_end, whole):
         stats = self.stats
         (status, self.t, self.y, self._f0, self._h, stats.accepted,
          stats.rejected) = self.kernel.advance(
             self.t, self.y, self._f0, self._h, t_end, self.direction,
             self.rtol, self.atol, self.max_steps, stats.accepted,
-            stats.rejected, whole, *self.params)
+            stats.rejected, True, *self.params)
         if status == "ok":
             return self.t, self.y
         if status == "max_steps":

@@ -101,9 +101,11 @@ def _compile_step(form: PfaffianForm, k, tol):
     the residual of :func:`steer_step`.  The coefficient bodies are inlined
     at the three stage points and at the end point.  Each float operation is
     that of the RK4 step written stage by stage, in the same order: the
-    solved velocity is ``-(0.0 + sum of F_i v_i) / F_k``, and the residual
-    sums go through ``sum``.  ``tests/test_reach.py`` keeps that stage-by-
-    stage form as the reference the generated step must match bit for bit.
+    solved velocity is ``-(0.0 + sum of F_i v_i) / F_k``, and the three
+    residual sums add their terms left to right from ``0.0``
+    (:func:`ex.python_sum`), as the builtin ``sum`` does up to Python 3.11.
+    ``tests/test_reach.py`` keeps that stage-by-stage form as the reference
+    the generated step must match bit for bit.
     Raises PivotLostError when the solved coefficient is not above ``tol``
     or the solved velocity is not within (-1e300, 1e300); coefficient domain
     errors propagate as ValueError, ZeroDivisionError or OverflowError.
@@ -156,23 +158,23 @@ def _compile_step(form: PfaffianForm, k, tol):
     coefficients("e", [f"X{i}" for i in range(n)])
     # Simpson residual of the form paired with the step chord
     lines.extend(f"    D{i} = X{i} - x{i}" for i in range(n))
-    pairing = ex.python_tuple(
+    pairing = ex.python_sum(
         f"(a{i} + 4.0 * (0.5 * (b{i} + c{i})) + e{i}) / 6.0 * D{i}"
         for i in range(n)
     )
-    fsq = ex.python_tuple(f"e{i} * e{i}" for i in range(n))
-    dsq = ex.python_tuple(f"D{i} * D{i}" for i in range(n))
+    fsq = ex.python_sum(f"e{i} * e{i}" for i in range(n))
+    dsq = ex.python_sum(f"D{i} * D{i}" for i in range(n))
     x1 = ex.python_tuple(f"X{i}" for i in range(n))
     f1 = ex.python_tuple(f"e{i}" for i in range(n))
     lines.extend([
-        f"    pairing = _sum(({pairing}))",
-        f"    fmag = _sqrt(_sum(({fsq})))",
-        f"    dxmag = _sqrt(_sum(({dsq})))",
+        f"    pairing = {pairing}",
+        f"    fmag = _sqrt({fsq})",
+        f"    dxmag = _sqrt({dsq})",
         "    if fmag == 0.0 or dxmag == 0.0:",
         f"        return ({x1}), ({f1}), 0.0",
         f"    return ({x1}), ({f1}), abs(pairing) / (fmag * dxmag)",
     ])
-    namespace = ex.exec_source("\n".join(lines) + "\n", "step", _sum=sum,
+    namespace = ex.exec_source("\n".join(lines) + "\n", "step",
                                _Lost=PivotLostError)
     return namespace["step"]
 
@@ -194,7 +196,8 @@ def _compile_inside(box, center, limit, squared):
     """Generated ``inside(q)``: q lies in ``box`` and near ``center``.
 
     Near means a squared distance ``<= limit`` when ``squared``, else a
-    distance ``<= limit``; both sum the squared differences with ``sum``.
+    distance ``<= limit``; both add the squared differences left to right
+    from ``0.0``.
     """
     n = len(center)
     lit = ex.python_literal
@@ -202,16 +205,14 @@ def _compile_inside(box, center, limit, squared):
         f"{lit(lo)} <= q{i} <= {lit(hi)}"
         for i, (lo, hi) in enumerate(zip(box.lows, box.highs))
     )
-    dist2 = "_sum(({}))".format(ex.python_tuple(
-        f"(q{i} - {lit(c)}) ** 2" for i, c in enumerate(center)
-    ))
+    dist2 = ex.python_sum(f"(q{i} - {lit(c)}) ** 2" for i, c in enumerate(center))
     near = f"{dist2} <= {lit(limit)}" if squared else f"_sqrt({dist2}) <= {lit(limit)}"
     lines = [
         "def inside(q):",
         f"    {ex.python_tuple(f'q{i}' for i in range(n))} = q",
         f"    return {in_box} and {near}",
     ]
-    return ex.exec_source("\n".join(lines) + "\n", "inside", _sum=sum)["inside"]
+    return ex.exec_source("\n".join(lines) + "\n", "inside")["inside"]
 
 
 # ---------------------------------------------------------------------------

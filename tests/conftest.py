@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from pfaffian import expressions as ex
+from pfaffian.errors import ParseError
 from pfaffian.forms import Box, form_from_expressions
+from pfaffian.ode import MaxStepsError, StepRejectionError
 
 
 def monomials_up_to(n_vars, degree):
@@ -54,6 +56,38 @@ def random_points(rng, box, count):
     return lows + rng.random((count, len(lows))) * (highs - lows)
 
 
+def fold(terms):
+    """``terms`` added left to right from 0.0, as generated code adds them.
+
+    The builtin ``sum`` does the same up to Python 3.11 only; from 3.12 it
+    compensates the rounding.
+    """
+    acc = 0.0
+    for v in terms:
+        acc += v
+    return acc
+
+
+def dopri5_step(stepper, t_limit):
+    """Advance the ``Dopri5`` ``stepper`` one accepted step, never beyond ``t_limit``.
+
+    Calls the generated loop ``stepper.kernel.advance`` with ``whole`` false
+    from the stepper's state and stores the state it returns.  Returns
+    ``(t, y)``; raises MaxStepsError or StepRejectionError as ``solve`` does.
+    """
+    stats = stepper.stats
+    (status, stepper.t, stepper.y, stepper._f0, stepper._h, stats.accepted,
+     stats.rejected) = stepper.kernel.advance(
+        stepper.t, stepper.y, stepper._f0, stepper._h, t_limit, stepper.direction,
+        stepper.rtol, stepper.atol, stepper.max_steps, stats.accepted,
+        stats.rejected, False, *stepper.params)
+    if status == "max_steps":
+        raise MaxStepsError("ODE step budget exhausted")
+    if status != "ok":
+        raise StepRejectionError(status)
+    return stepper.t, stepper.y
+
+
 def entropy(p, cv=1.5, rg=1.0):
     return cv * math.log(p[0]) + rg * math.log(p[1])
 
@@ -61,3 +95,28 @@ def entropy(p, cv=1.5, rg=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# shapes of deep expressions in x and y: k -> text, deeper with k
+DEEP_SHAPES = {
+    "sum": lambda k: " + ".join(f"{i + 1}.5*x*y^{i % 3 + 1}" for i in range(k)),
+    "left_div": lambda k: "/".join(f"(x+{i}.5)" for i in range(k)),
+    "right_div": lambda k: "x/(1+" * k + "y" + ")" * k,
+    "sin": lambda k: "sin(" * k + "x" + ")" * k,
+    "sqrt_log": lambda k: "sqrt(2+log(2+" * k + "x" + "))" * k,
+    "pow": lambda k: "(" * k + "x+2" + ")^1.01+1" * k,
+    "neg": lambda k: "-" * k + "x",
+    "parens": lambda k: "(" * k + "x" + ")" * k,
+}
+
+
+def deepest_accepted(shape):
+    """The text of ``shape`` with the largest k the parser accepts."""
+    make = DEEP_SHAPES[shape]
+    k = 1
+    while True:
+        try:
+            ex.parse_expression(make(k + 1), ["x", "y"])
+        except ParseError:
+            return make(k)
+        k += 1

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import DEEP_SHAPES, deepest_accepted
 from pfaffian.catalog import catalog, entry
 from pfaffian.cli import main, run_command
 from pfaffian.factor import FactorizationResult, verify_factorization
@@ -266,6 +267,49 @@ def test_cli_input_errors_exit_2(contact_file, gas_file, tmp_path, capsys, argv)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err
+    assert "Traceback" not in captured.err
+
+
+def _write_form(path, f1, f2="1", domain="[0.5,1] x [0.5,1]"):
+    path.write_text(f"vars: x, y\nF[1] = {f1}\nF[2] = {f2}\ndomain: {domain}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("f1", [
+    "(" * 2000 + "x" + ")" * 2000,
+    "-" * 3000 + "x",
+    "+".join(["x"] * 3000),
+], ids=["parens", "minuses", "terms"])
+def test_cli_deep_input_exits_2(tmp_path, capsys, f1):
+    assert main(["check", _write_form(tmp_path / "deep.pfaff", f1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested deeper than" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_cli_check_at_depth_bound(tmp_path, capsys, shape):
+    # every shape at the deepest the parser accepts still compiles and classifies
+    path = _write_form(tmp_path / "deepest.pfaff", deepest_accepted(shape),
+                       "1 + y*0 + x*0")
+    assert main(["check", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["class"] in ("exact", "locally_integrable", "non_integrable")
+
+
+@pytest.mark.parametrize("f1, message", [
+    ("log(0-x)", "coefficients undefined at all 257 sampled points"),
+    ("0*x", "coefficient vector numerically zero at all sampled points"),
+    ("sqrt(0.75-x)*1e-300", "coefficient vector numerically zero at 130 and"
+     " undefined at 127 of the 257 sampled points"),
+], ids=["undefined", "zero", "both"])
+def test_cli_singular_form_says_why(tmp_path, capsys, f1, message):
+    path = _write_form(tmp_path / "singular.pfaff", f1, "0",
+                       "[0.5,1] x [0,1]" if f1 != "log(0-x)" else "[1.5,2] x [0,1]")
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"form error: {message}\n"
     assert "Traceback" not in captured.err
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DEEP_SHAPES, deepest_accepted
 from pfaffian import expressions as ex
 from pfaffian.errors import (
     ArityError,
@@ -343,3 +344,47 @@ def test_repeated_subtrees_are_computed_once():
     assert text.count("_exp(") == 1 and text.count("+") == 1
     fn = ex.compile_scalar(e, 3)
     assert fn(0.25, -0.5, 1.0) == ex.evaluate(e, (0.25, -0.5, 1.0))
+
+
+def test_python_sum_adds_left_to_right():
+    terms = ["1e16", "1.0", "-1e16"]
+    # a compensated sum (math.fsum; the builtin sum from Python 3.12) gives 1.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    assert eval(ex.python_sum(terms)) == 0.0  # noqa: S307 - our own literals
+    assert repr(eval(ex.python_sum(["-0.0"]))) == "0.0"  # noqa: S307
+    assert eval(ex.python_sum([])) == 0.0  # noqa: S307
+    # each term is parenthesized: a difference is one term, not two
+    assert eval(ex.python_sum(["1e16 - 1e16", "1.0"])) == 1.0  # noqa: S307
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_parse_depth_bound(shape):
+    with pytest.raises(ParseError, match=f"deeper than {ex.MAX_DEPTH} levels"):
+        ex.parse_expression(DEEP_SHAPES[shape](3000), ["x", "y"])
+
+
+def test_parse_depth_counts_levels():
+    # the variable is one level, each minus, call, parenthesis pair, binary
+    # operation and power one more
+    below = ex.MAX_DEPTH - 1
+    assert deepest_accepted("neg") == "-" * below + "x"
+    assert deepest_accepted("sin") == "sin(" * below + "x" + ")" * below
+    assert deepest_accepted("parens") == "(" * below + "x" + ")" * below
+    assert deepest_accepted("sum") == DEEP_SHAPES["sum"](ex.MAX_DEPTH - 2)
+    for text in ("x" + "*x" * below, "x" + "+x" * below):
+        ex.parse_expression(text, ["x"])
+        with pytest.raises(ParseError):
+            ex.parse_expression(text + text[-2:], ["x"])
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "x" + ")" * 2000,
+    "-" * 3000 + "x",
+    "+".join(["x"] * 3000),
+    "exp(" * 2000 + "x" + ")" * 2000,
+    "x" + "/x" * 3000,
+])
+def test_parse_rejects_deep_input_without_recursion_error(text):
+    with pytest.raises(ParseError):
+        ex.parse_expression(text, ["x"])
+

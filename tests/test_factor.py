@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import entropy
+from conftest import dopri5_step, entropy
 from pfaffian import expressions as ex
 from pfaffian import ode
 from pfaffian.catalog import entry
@@ -15,7 +15,11 @@ from pfaffian.factor import (
     FactorizationResult,
     SurfaceField,
     TransversalSpec,
+    _SWAP_HYSTERESIS,
+    _interior_state,
+    _locate,
     _trace_characteristic,
+    _unit_tangent,
     auto_transversal,
     build_potential_2var,
     global_factorization,
@@ -384,6 +388,184 @@ def test_label_only_trace_matches_solve_characteristic(rng):
                 assert trace == (curve.status, curve.label, curve.truncated)
 
 
+# --- the characteristic trace against the Dopri5-driven reference ----------------
+
+
+def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
+               kernels, pts, swaps):
+    """The characteristic trace with one :class:`ode.Dopri5` per segment.
+
+    ``_trace_characteristic`` as it was written before it called the
+    generated loop directly; appends one entry to ``swaps`` per change of
+    the solved axis.
+    """
+    singular_tol = kernels.singular_tol
+    box = form.domain
+    coeffs = form.coefficient_tuple_fn
+    x = (float(start[0]), float(start[1]))
+    pts.append(x)
+    scale = max(box.edges)
+    if (
+        transversal is not None
+        and abs(x[transversal.fixed_axis] - transversal.value) <= 1e-14 * scale
+        and transversal.on_span(x[transversal.varying_axis()])
+    ):
+        return "transversal", x[transversal.varying_axis()], False
+    f = coeffs(*x)
+    if max(abs(f[0]), abs(f[1])) <= singular_tol:
+        return "singular", None, True
+    tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
+    dependent = int(np.argmax([abs(f[0]), abs(f[1])]))
+    steps_used = 0
+    while True:
+        if steps_used >= max_steps:
+            return "max_steps", None, True
+        b = dependent
+        a = 1 - b
+        sign_a = 1.0 if tau[a] >= 0 else -1.0
+        kernel = kernels[b]
+        t_limit = box.highs[a] if sign_a > 0 else box.lows[a]
+        hit_transversal_on_a = (
+            transversal is not None
+            and transversal.fixed_axis == a
+            and (transversal.value - x[a]) * sign_a > 0
+            and (t_limit - transversal.value) * sign_a >= 0
+        )
+        t_target = transversal.value if hit_transversal_on_a else t_limit
+        try:
+            stepper = ode.Dopri5(kernel, x[a], (x[b],), direction=sign_a, rtol=rtol,
+                                 atol=atol, max_steps=max_steps - steps_used)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            return "singular", None, True
+        while True:
+            prev_t, prev_y = stepper.t, stepper.y
+            try:
+                t_new, y_new = dopri5_step(stepper, t_target)
+            except ode.StepRejectionError:
+                return "singular", None, True
+            except ode.MaxStepsError:
+                return "max_steps", None, True
+            steps_used += 1
+            crossed = None
+            for bound in (box.lows[b], box.highs[b]):
+                g0, g1 = prev_y[0] - bound, y_new[0] - bound
+                if g0 * g1 < 0:
+                    crossed = (_locate(kernel, prev_t, prev_y, t_new - prev_t, bound),
+                               "boundary")
+            if (crossed is None and transversal is not None
+                    and transversal.fixed_axis == b):
+                g0 = prev_y[0] - transversal.value
+                g1 = y_new[0] - transversal.value
+                if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
+                    lam = _locate(kernel, prev_t, prev_y, t_new - prev_t,
+                                  transversal.value)
+                    if transversal.on_span(prev_t + lam * (t_new - prev_t)):
+                        crossed = (lam, "transversal")
+            if crossed is not None:
+                lam, kind = crossed
+                t_hit = prev_t + lam * (t_new - prev_t)
+                y_hit = _interior_state(kernel, prev_t, prev_y, t_new - prev_t, lam)
+                p_hit = [0.0, 0.0]
+                p_hit[a], p_hit[b] = t_hit, y_hit[0]
+                p_hit = box.clamp(p_hit)
+                pts.append(tuple(p_hit))
+                if kind == "transversal":
+                    return "transversal", p_hit[a], False
+                return "boundary", None, True
+            p_new = [0.0, 0.0]
+            p_new[a], p_new[b] = t_new, y_new[0]
+            x = tuple(p_new)
+            pts.append(x)
+            try:
+                f = coeffs(*x)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                return "singular", None, True
+            if max(abs(f[0]), abs(f[1])) <= singular_tol:
+                return "singular", None, True
+            tau_new = _unit_tangent(f)
+            if tau_new[0] * tau[0] + tau_new[1] * tau[1] < 0:
+                tau_new = (-tau_new[0], -tau_new[1])
+            tau = tau_new
+            if abs(t_new - t_target) <= 1e-14 * max(1.0, abs(t_target)):
+                if hit_transversal_on_a:
+                    if transversal.on_span(x[b]):
+                        return "transversal", x[b], False
+                    hit_transversal_on_a = False
+                    t_target = t_limit
+                else:
+                    return "boundary", None, False
+            if abs(f[a]) > _SWAP_HYSTERESIS * abs(f[b]):
+                dependent = a
+                swaps.append(a)
+                break
+            if steps_used >= max_steps:
+                return "max_steps", None, True
+
+
+def _assert_trace_matches(form, kernels, start, direction, tv, max_steps=100000,
+                          rtol=1e-9, atol=1e-12, swaps=None):
+    """The trace and the reference agree on status, label, truncation and points."""
+    pts, ref_pts = [], []
+    trace = _trace_characteristic(form, start, direction, tv, rtol, atol, max_steps,
+                                  kernels.singular_tol, kernels, pts)
+    ref = _ref_trace(form, start, direction, tv, rtol, atol, max_steps, kernels,
+                     ref_pts, [] if swaps is None else swaps)
+    assert (trace[0], repr(trace[1]), trace[2]) == (ref[0], repr(ref[1]), ref[2])
+    assert pts == ref_pts
+    assert repr(pts) == repr(ref_pts)
+    return trace[0]
+
+
+@pytest.mark.parametrize("name", ["ideal_gas_heat", "product_exact", "ray_form",
+                                  "rolling_cylinder"])
+def test_trace_matches_reference_on_catalog(name, rng):
+    form = entry(name).form
+    box = form.domain
+    kernels = CharacteristicKernels(form)
+    lows, highs = np.asarray(box.lows), np.asarray(box.highs)
+    center = box.center
+    # near the corners the slope of product_exact's hyperbolas swaps roles
+    corners = [tuple(float(c + 0.95 * (v - c)) for c, v in zip(center, corner))
+               for corner in ((lows[0], highs[1]), (highs[0], lows[1]))]
+    statuses, swaps = set(), []
+    for axis in (0, 1):
+        varying = 1 - axis
+        quarter = 0.25 * (highs[varying] - lows[varying])
+        span = (center[varying] - quarter, center[varying] + quarter)
+        for tv in (TransversalSpec(axis, center[axis]),
+                   TransversalSpec(axis, center[axis], span), None):
+            starts = corners + [tuple(float(v) for v in rng.uniform(lows, highs))
+                                for _ in range(6)]
+            for p in starts:
+                for direction in (1, -1):
+                    statuses.add(_assert_trace_matches(form, kernels, p, direction,
+                                                       tv, swaps=swaps))
+                    for max_steps in (1, 2, 3):
+                        _assert_trace_matches(form, kernels, p, direction, tv,
+                                              max_steps)
+    assert "transversal" in statuses and "boundary" in statuses
+    assert swaps or name != "product_exact"
+
+
+def test_trace_matches_reference_near_singular_points(rng):
+    # F = (y, x) vanishes at the origin: a start there is singular at once,
+    # starts near it meet the hyperbolas' sharp turns and swap slope roles
+    form = make_form(["x", "y"], ["y", "x"], Box((-1, -1), (1, 1)))
+    kernels = CharacteristicKernels(form)
+    tv = TransversalSpec(0, 0.5)
+    assert _assert_trace_matches(form, kernels, (0.0, 0.0), 1, tv) == "singular"
+    swaps = []
+    for _ in range(20):
+        p = tuple(float(v) for v in rng.uniform(-0.2, 0.2, size=2))
+        for direction in (1, -1):
+            _assert_trace_matches(form, kernels, p, direction, tv, swaps=swaps)
+            _assert_trace_matches(form, kernels, p, direction, None, swaps=swaps)
+            # step budgets that run out before, at and after the swaps
+            for max_steps in (1, 2, 3, 5, 8, 13, 21, 34):
+                _assert_trace_matches(form, kernels, p, direction, tv, max_steps)
+    assert swaps
+
+
 def test_criterion_5_run_attempt_bound(monkeypatch):
     """The global construction of acceptance criterion 5 stays cheap.
 
@@ -392,17 +574,17 @@ def test_criterion_5_run_attempt_bound(monkeypatch):
     widened bound until the step budget ran out).
     """
     attempts = []
-    advance = ode.Dopri5._advance
+    solve = ode.Dopri5.solve
 
     def counting(stepper, *args):
         stats = stepper.stats
         before = stats.accepted + stats.rejected
         try:
-            return advance(stepper, *args)
+            return solve(stepper, *args)
         finally:
             attempts.append(stats.accepted + stats.rejected - before)
 
-    monkeypatch.setattr(ode.Dopri5, "_advance", counting)
+    monkeypatch.setattr(ode.Dopri5, "solve", counting)
     result = global_factorization(entry("scaled_exact").form, 2, (0.0, 0.0, 0.0),
                                   grid_per_axis=9)
     assert (result.evaluated_points, result.skipped_points) == (541, 188)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dopri5_step, fold
 from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError
 from pfaffian.catalog import catalog, entry
@@ -28,27 +29,29 @@ from pfaffian.ode import (
 # generated straight-line functions replaced, driven by the right-hand-side
 # closures of characteristics and surface paths.  The generated functions must
 # reproduce them bit for bit (compared through repr, so -0.0 and NaN count) and
-# raise the same exception classes.
+# raise the same exception classes.  The reference adds the terms of each stage
+# combination left to right from 0.0 (``fold``), the rounding the generated
+# code spells out; the builtin ``sum`` rounds that way up to Python 3.11 only.
 
 
 class _RefLeftBounds(Exception):
     """A stage of the reference attempt left the widened bounds."""
 
 
-def _ref_attempt(rhs, t, y, f0, dt, wide=None):
+def _ref_attempt(rhs, t, y, f0, dt, wide=None, total=fold):
     k = [f0]
     n = len(y)
     for s in range(1, 7):
         ts = t + _C[s] * dt
         ys = tuple(
-            y[i] + dt * sum(_A[s][j] * k[j][i] for j in range(s))
+            y[i] + dt * total(_A[s][j] * k[j][i] for j in range(s))
             for i in range(n)
         )
         if wide is not None and not wide[0] <= ys[0] <= wide[1]:
             raise _RefLeftBounds
         k.append(rhs(ts, ys))
-    y1 = tuple(y[i] + dt * sum(_B5[j] * k[j][i] for j in range(7)) for i in range(n))
-    err = tuple(dt * sum(_E[j] * k[j][i] for j in range(7)) for i in range(n))
+    y1 = tuple(y[i] + dt * total(_B5[j] * k[j][i] for j in range(7)) for i in range(n))
+    err = tuple(dt * total(_E[j] * k[j][i] for j in range(7)) for i in range(n))
     for v in y1:
         if not math.isfinite(v):
             raise ArithmeticError("non-finite state")
@@ -58,11 +61,11 @@ def _ref_attempt(rhs, t, y, f0, dt, wide=None):
 class _RefDopri5:
     """The Dormand-Prince stepper as a Python loop around :func:`_ref_attempt`.
 
-    Step-size control, error norm and step budget as ``Dopri5.step`` wrote them
-    before the loop was generated.  With ``bounds = ((lo, hi), (wide_lo,
-    wide_hi))`` an attempt whose stage leaves the widened bounds ends the solve
-    as a box exit when the last accepted state lies past ``[lo, hi]`` moving
-    out; without ``bounds`` every refused attempt halves the step.
+    Step-size control, error norm and step budget as the Python step method
+    wrote them before the loop was generated.  With ``bounds = ((lo, hi),
+    (wide_lo, wide_hi))`` an attempt whose stage leaves the widened bounds ends
+    the solve as a box exit when the last accepted state lies past ``[lo, hi]``
+    moving out; without ``bounds`` every refused attempt halves the step.
     """
 
     def __init__(self, rhs, t, y, direction=1.0, rtol=1e-9, atol=1e-12,
@@ -144,12 +147,16 @@ def _state(stepper):
                  stepper.stats.accepted, stepper.stats.rejected))
 
 
-def _drive(stepper, t_limit, steps=6):
-    """States after each of up to ``steps`` accepted steps, and how it ended."""
+def _drive(stepper, step, t_limit, steps=6):
+    """States after each of up to ``steps`` calls ``step(stepper, t_limit)``.
+
+    Each call makes one accepted step; an exception ends the list with its
+    class and the state.
+    """
     seen = []
     for _ in range(steps):
         try:
-            stepper.step(t_limit)
+            step(stepper, t_limit)
         except Exception as exc:  # the exception class is compared, whatever it is
             return seen + [type(exc), _state(stepper)]
         seen.append(_state(stepper))
@@ -159,15 +166,18 @@ def _drive(stepper, t_limit, steps=6):
 def _assert_steppers_match(kernel, params, ref, t, y, dt, bounds=None):
     """Generated and reference steppers agree step by step from ``(t, y)``.
 
-    Both start with step size ``|dt|`` in the direction of ``dt``, once with a
-    large step budget and once with a budget of three attempts.
+    The generated loop runs one accepted step per ``kernel.advance`` call
+    (``whole`` false, :func:`dopri5_step`).  Both start with step size
+    ``|dt|`` in the direction of ``dt``, once with a large step budget and
+    once with a budget of three attempts.
     """
     for rtol, atol, budget in ((1e-9, 1e-12, 100000), (1e-11, 1e-13, 3)):
         options = dict(direction=dt, rtol=rtol, atol=atol, max_steps=budget)
         gen = Dopri5(kernel, t, y, params=params, _h=abs(dt), **options)
         reference = _RefDopri5(ref, t, y, h=abs(dt), bounds=bounds, **options)
         assert _state(gen) == _state(reference)
-        assert _drive(gen, t + 2.0 * dt) == _drive(reference, t + 2.0 * dt)
+        assert (_drive(gen, dopri5_step, t + 2.0 * dt)
+                == _drive(reference, _RefDopri5.step, t + 2.0 * dt))
 
 
 def _ref_rk4(rhs, t, y, dt):
@@ -336,9 +346,9 @@ def test_two_component_kernel_bit_identical():
 
 
 def test_signed_zero_and_infinite_stages_bit_identical():
-    # a right-hand side that reads the sign of a zero state: the builtin sum
-    # starts from 0, so the first stage from y = -0.0 lands on +0.0, where a
-    # plain chain of additions would stay at -0.0
+    # a right-hand side that reads the sign of a zero state: a stage
+    # combination adds from 0.0, so the first stage from y = -0.0 lands on
+    # +0.0, where a chain of additions from the first term would stay at -0.0
     signed = compile_kernel(
         1, lambda t, ys, ks: [f"{ks[0]} = -0.0 if repr({ys[0]}) == '-0.0' else 1.0"])
 
@@ -357,6 +367,30 @@ def test_signed_zero_and_infinite_stages_bit_identical():
     assert _outcome(lambda: _ref_attempt(ref, 0.0, (0.0,), (1.0,), 1.25)) is ArithmeticError
     _assert_kernel_matches(spike, (), ref, 0.0, (0.0,), 1.25)
     assert _refused_first_attempt(spike, (), 0.0, (0.0,), 1.25)
+
+
+def test_stage_combinations_add_left_to_right():
+    # the right-hand side is 1e16 at t = 0, 1 at t = 0.3 and -1.4e15 at
+    # t = 0.8, so that the solution's combination reads 35/384 * 1e16 +
+    # 500/1113 * 1 + 125/192 * -1.4e15: its large terms cancel exactly, and
+    # added left to right they round the small one to 0.5, where a
+    # compensated sum keeps 0.449...
+    def ref(t, y):
+        return (1e16 if t == 0.0 else 1.0 if t == 0.3
+                else -1.4e15 if t == 0.8 else 0.0,)
+
+    kernel = compile_kernel(1, lambda t, ys, ks: [
+        f"{ks[0]} = 1e16 if {t} == 0.0 else 1.0 if {t} == 0.3"
+        f" else -1.4e15 if {t} == 0.8 else 0.0"])
+    f0 = ref(0.0, (0.0,))
+    _, y1, _, _ = _ref_attempt(ref, 0.0, (0.0,), f0, 1.0)
+    _, compensated, _, _ = _ref_attempt(ref, 0.0, (0.0,), f0, 1.0, total=math.fsum)
+    assert y1 == (0.5,) and compensated != y1
+    # a huge atol accepts the attempt, whatever its error estimate
+    status, t, y, *_ = kernel.advance(0.0, (0.0,), f0, 1.0, 1.0, 1.0, 1e-9, 1e30,
+                                      1, 0, 0, False)
+    assert (status, t, y) == ("ok", 1.0, y1)
+    _assert_kernel_matches(kernel, (), ref, 0.0, (0.0,), 1.0)
 
 
 def test_path_terms_with_zero_increment_are_not_evaluated():
@@ -379,7 +413,7 @@ def _refused_first_attempt(kernel, params, t, y, dt):
     stepper = Dopri5(kernel, t, y, direction=dt, max_steps=1, params=params,
                      _h=abs(dt))
     with pytest.raises(MaxStepsError):
-        stepper.step(t + 2.0 * dt)
+        dopri5_step(stepper, t + 2.0 * dt)
     stats = stepper.stats
     return (stats.accepted, stats.rejected, stepper._h) == (0, 1, abs(dt) / 2.0)
 
@@ -447,7 +481,7 @@ def _decay():
 
 def _run(stepper, t1):
     while (stepper.t - t1) * stepper.direction < 0:
-        stepper.step(t1)
+        dopri5_step(stepper, t1)
     return stepper.y
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import fold
 from pfaffian.errors import AnalysisError, ArityError
 from pfaffian.forms import Box, make_form
 from pfaffian.reach import (
@@ -102,11 +103,11 @@ def _ref_rk4(coeffs, x, f_x, vfree, k, dt, tol):
 
 def _ref_residual(x0, x1, f0, f1, fmid):
     dx = tuple(b - a for a, b in zip(x0, x1))
-    pairing = sum(
+    pairing = fold(
         (fa + 4.0 * fm + fb) / 6.0 * d for fa, fm, fb, d in zip(f0, fmid, f1, dx)
     )
-    fmag = math.sqrt(sum(v * v for v in f1))
-    dxmag = math.sqrt(sum(v * v for v in dx))
+    fmag = math.sqrt(fold(v * v for v in f1))
+    dxmag = math.sqrt(fold(v * v for v in dx))
     if fmag == 0.0 or dxmag == 0.0:
         return 0.0
     return abs(pairing) / (fmag * dxmag)
