@@ -29,6 +29,7 @@ from .factor import (
     staircase_defect,
 )
 from .forms import (
+    MAX_COORDINATE,
     load_form,
     make_substitution,
     mild_nonlinear_substitution,
@@ -61,6 +62,15 @@ def _positive_float(text):
     value = _finite_float(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _radius(text):
+    """argparse type: a ball radius, > 0 and at most the coordinate bound."""
+    value = _positive_float(text)
+    if value > MAX_COORDINATE:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {MAX_COORDINATE:g}, got {text!r}")
     return value
 
 
@@ -109,6 +119,14 @@ def _box_point(form, text, what):
     if not form.domain.contains(point, tol=1e-12):
         raise FormError(f"{what} {text!r} outside the domain")
     return point
+
+
+def _catalog_entry(name):
+    """The catalog entry ``name``; FormError for an unknown name."""
+    try:
+        return entry(name)
+    except KeyError as exc:
+        raise FormError(exc.args[0]) from None
 
 
 def _var_index(form, name):
@@ -331,11 +349,11 @@ def _cmd_catalog(args):
         name, path = args.write_form
         from .forms import format_form_file
 
-        e = entry(name)
+        e = _catalog_entry(name)
         write_text(path, format_form_file(e.form))
         return 0
     if args.show:
-        e = entry(args.show)
+        e = _catalog_entry(args.show)
         report = {
             "name": e.name,
             "vars": list(e.var_names),
@@ -409,7 +427,7 @@ def _build_parser():
     p = sub.add_parser("reach", help="null-curve reachability probe")
     p.add_argument("form_file")
     p.add_argument("--point")
-    p.add_argument("--epsilon", type=_positive_float, default=0.3)
+    p.add_argument("--epsilon", type=_radius, default=0.3)
     p.add_argument("--budget", type=_positive_int, default=200000)
     p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--threshold", type=_positive_float, default=0.05)

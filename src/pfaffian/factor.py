@@ -264,26 +264,33 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
             steps_used += 1
 
             crossed = None  # (lam, kind)
-            # dependent-axis box exit
-            for bound, kind in ((low_b, "boundary"), (high_b, "boundary")):
-                g0, g1 = prev_y[0] - bound, y[0] - bound
-                if g0 * g1 < 0:
-                    lam = _locate(kernel, prev_t, prev_y, t - prev_t, bound)
-                    crossed = (lam, kind)
-            # transversal crossing on the dependent axis
-            if crossed is None and on_b:
-                g0 = prev_y[0] - level
-                g1 = y[0] - level
-                if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
-                    lam = _locate(kernel, prev_t, prev_y, t - prev_t, level)
-                    t_cross = prev_t + lam * (t - prev_t)
-                    if transversal.on_span(t_cross):
-                        crossed = (lam, "transversal")
+            try:
+                # dependent-axis box exit
+                for bound, kind in ((low_b, "boundary"), (high_b, "boundary")):
+                    g0, g1 = prev_y[0] - bound, y[0] - bound
+                    if g0 * g1 < 0:
+                        lam = _locate(kernel, prev_t, prev_y, t - prev_t, bound)
+                        crossed = (lam, kind)
+                # transversal crossing on the dependent axis
+                if crossed is None and on_b:
+                    g0 = prev_y[0] - level
+                    g1 = y[0] - level
+                    if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
+                        lam = _locate(kernel, prev_t, prev_y, t - prev_t, level)
+                        t_cross = prev_t + lam * (t - prev_t)
+                        if transversal.on_span(t_cross):
+                            crossed = (lam, "transversal")
+                if crossed is not None:
+                    lam, kind = crossed
+                    t_hit = prev_t + lam * (t - prev_t)
+                    y_hit = _interior_state(kernel, prev_t, prev_y, t - prev_t,
+                                            lam)
+            except (ValueError, ZeroDivisionError, OverflowError):
+                # an RK4 substep of the crossing search left the region
+                # where the solved coefficient is defined and nonzero
+                return "singular", None, True
 
             if crossed is not None:
-                lam, kind = crossed
-                t_hit = prev_t + lam * (t - prev_t)
-                y_hit = _interior_state(kernel, prev_t, prev_y, t - prev_t, lam)
                 p_hit = [0.0, 0.0]
                 p_hit[a], p_hit[b] = t_hit, y_hit[0]
                 p_hit = box.clamp(p_hit)
@@ -745,6 +752,7 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
                 "to force the construction"
             )
     field_ = SurfaceField(form, free_index, base, rtol=rtol, atol=atol)
+    _require_transversal_fiber(form, free_index, field_.base)
     box = form.domain
     edge_n = box.edges[free_index]
     delta = fd_scale * edge_n
@@ -781,6 +789,27 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
 
     flags["monotone_violations"] = _monotonicity_violations(field_)
     return result
+
+
+def _require_transversal_fiber(form: PfaffianForm, free_index, base,
+                               tol=DEFAULT_SINGULAR_TOL):
+    """AnalysisError unless ``F_free(base)`` is finite and above ``tol`` in size.
+
+    Where the free coefficient vanishes the base fiber is not transversal
+    to the leaves, and no path solve can leave it.
+    """
+    try:
+        value = form.coefficient_tuple_fn(*base)[free_index]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        value = math.nan
+    if not (math.isfinite(value) and abs(value) > tol):
+        name = form.var_names[free_index]
+        state = "zero" if math.isfinite(value) else "undefined"
+        raise AnalysisError(
+            f"free coefficient F_{name} is {state} at the base "
+            f"{list(base)}: the fiber of {name} is not transversal to the "
+            f"leaves; choose another free variable or base point"
+        )
 
 
 def _monotonicity_violations(field_: SurfaceField, fibers: int = 7,

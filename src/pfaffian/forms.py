@@ -24,6 +24,9 @@ from .errors import (
 from .sampling import MAX_VARIABLES, box_corners, box_samples
 
 DEFAULT_SINGULAR_TOL = 1e-12
+# box bounds lie within +-MAX_COORDINATE, so that the squared distance of
+# two points of a box (up to 10 coordinates) stays finite
+MAX_COORDINATE = 1e150
 _NONSINGULAR_SAMPLES = 256
 
 
@@ -44,6 +47,9 @@ class Box:
         for lo, hi in zip(lows, highs):
             if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
                 raise FormError(f"invalid interval [{lo}, {hi}]")
+            if not -MAX_COORDINATE <= lo < hi <= MAX_COORDINATE:
+                raise FormError(f"interval [{lo}, {hi}] reaches beyond "
+                                f"+-{MAX_COORDINATE:g}")
 
     @property
     def dim(self) -> int:

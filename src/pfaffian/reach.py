@@ -87,11 +87,104 @@ def steer_step(form: PfaffianForm, p, free_velocity, solved_index, dt,
 def _rk4_constrained(step, x, f_x, vfree, dt):
     """One constrained RK4 step ``(x1, F(x1), residual)`` of a generated stepper.
 
-    Every step, bisection trials included, goes through this module-level
-    name, so that per-step counts can be taken by wrapping it
-    (``perfbench/tracing.py`` does).
+    Single steps go through this module-level name: those of
+    :func:`steer_step` and the trials of the exit bisection.  The steps of
+    ``explore`` segments and scan legs run inside the generated loops of
+    :func:`_compile_loop`, which return their step counts instead.
     """
     return step(x, f_x, vfree, dt)
+
+
+def _step_lines(form: PfaffianForm, k, tol, pad, residual):
+    """Source lines of one constrained RK4 step of ``form`` with pivot ``k``.
+
+    The step goes from the state ``x<i>`` with ``a<i> = F(x)`` to ``X<i>``
+    with ``e<i> = F(X)``, reading the free velocity ``v<i>``, the step
+    ``dt``, and ``h``, ``q`` and ``hv<i>``, ``dv<i>``, ``qv<i>`` from
+    :func:`_prologue_lines`.  With ``residual`` it also sets ``r`` to the
+    residual of :func:`steer_step`.  Each line is indented by ``pad``.
+    """
+    n = form.n
+    free = [i for i in range(n) if i != k]
+    tol = ex.python_literal(tol)
+    lines = []
+
+    def solve(f, p):
+        acc = "".join(f" + {f}{i} * v{i}" for i in free)
+        lines.extend([
+            f"if not abs({f}{k}) > {tol}:",
+            "    raise _Lost('solved coefficient below tolerance')",
+            f"{p} = -(0.0{acc}) / {f}{k}",
+            f"if not -1e300 < {p} < 1e300:",
+            "    raise _Lost('constraint solve produced a non-finite velocity')",
+        ])
+
+    def coefficients(f, names):
+        for i, c in enumerate(form.coefficients):
+            lines.append(f"{f}{i} = {ex.python_source(c, names)}")
+
+    # stage points: free components move with vfree, the pivot with the
+    # solved velocity of the previous stage, so stages 2 and 3 differ only
+    # in the pivot component
+    solve("a", "p1")
+    lines.extend(f"y{i} = x{i} + hv{i}" for i in free)
+    lines.append(f"y{k} = x{k} + h * p1")
+    coefficients("b", [f"y{i}" for i in range(n)])
+    solve("b", "p2")
+    lines.append(f"z{k} = x{k} + h * p2")
+    coefficients("c", [f"z{i}" if i == k else f"y{i}" for i in range(n)])
+    solve("c", "p3")
+    lines.extend(f"u{i} = x{i} + dv{i}" for i in free)
+    lines.append(f"u{k} = x{k} + dt * p3")
+    coefficients("d", [f"u{i}" for i in range(n)])
+    solve("d", "p4")
+    lines.extend(f"X{i} = x{i} + qv{i}" for i in free)
+    lines.append(f"X{k} = x{k} + q * (p1 + 2.0 * p2 + 2.0 * p3 + p4)")
+    coefficients("e", [f"X{i}" for i in range(n)])
+    if residual:
+        # Simpson residual of the form paired with the step chord
+        lines.extend(f"D{i} = X{i} - x{i}" for i in range(n))
+        pairing = ex.python_sum(
+            f"(a{i} + 4.0 * (0.5 * (b{i} + c{i})) + e{i}) / 6.0 * D{i}"
+            for i in range(n)
+        )
+        fsq = ex.python_sum(f"e{i} * e{i}" for i in range(n))
+        dsq = ex.python_sum(f"D{i} * D{i}" for i in range(n))
+        lines.extend([
+            f"pairing = {pairing}",
+            f"fmag = _sqrt({fsq})",
+            f"dxmag = _sqrt({dsq})",
+            "if fmag == 0.0 or dxmag == 0.0:",
+            "    r = 0.0",
+            "else:",
+            "    r = abs(pairing) / (fmag * dxmag)",
+        ])
+    return [pad + line for line in lines]
+
+
+def _prologue_lines(n, free):
+    """Function-body lines binding ``x<i>``, ``a<i>``, ``v<i>`` and the step terms.
+
+    The step terms are those of :func:`_step_lines` that stay fixed along a
+    segment: ``h``, ``q``, and per free component ``hv<i> = h * v<i>``,
+    ``dv<i> = dt * v<i>`` and ``qv<i> = q * (v<i> + 2.0 * v<i> + 2.0 * v<i>
+    + v<i>)``, the float operations of the step written stage by stage,
+    evaluated once.
+    """
+    lines = [
+        f"    {ex.python_tuple(f'x{i}' for i in range(n))} = x",
+        f"    {ex.python_tuple(f'a{i}' for i in range(n))} = fx",
+    ]
+    if free:
+        lines.append(f"    {ex.python_tuple(f'v{i}' for i in free)} = vfree")
+    lines.extend(["    h = 0.5 * dt", "    q = dt / 6.0"])
+    for i in free:
+        lines.extend([
+            f"    hv{i} = h * v{i}",
+            f"    dv{i} = dt * v{i}",
+            f"    qv{i} = q * (v{i} + 2.0 * v{i} + 2.0 * v{i} + v{i})",
+        ])
+    return lines
 
 
 def _compile_step(form: PfaffianForm, k, tol):
@@ -112,105 +205,130 @@ def _compile_step(form: PfaffianForm, k, tol):
     """
     n = form.n
     free = [i for i in range(n) if i != k]
-    tol = ex.python_literal(tol)
     lines = [
         "def step(x, fx, vfree, dt):",
-        f"    {ex.python_tuple(f'x{i}' for i in range(n))} = x",
-        f"    {ex.python_tuple(f'a{i}' for i in range(n))} = fx",
+        *_prologue_lines(n, free),
+        *_step_lines(form, k, tol, "    ", residual=True),
+        f"    return ({ex.python_tuple(f'X{i}' for i in range(n))}), "
+        f"({ex.python_tuple(f'e{i}' for i in range(n))}), r",
     ]
-    if free:
-        lines.append(f"    {ex.python_tuple(f'v{i}' for i in free)} = vfree")
-    lines.append("    h = 0.5 * dt")
-
-    def solve(f, p):
-        acc = "".join(f" + {f}{i} * v{i}" for i in free)
-        lines.extend([
-            f"    if not abs({f}{k}) > {tol}:",
-            "        raise _Lost('solved coefficient below tolerance')",
-            f"    {p} = -(0.0{acc}) / {f}{k}",
-            f"    if not -1e300 < {p} < 1e300:",
-            "        raise _Lost('constraint solve produced a non-finite velocity')",
-        ])
-
-    def coefficients(f, names):
-        for i, c in enumerate(form.coefficients):
-            lines.append(f"    {f}{i} = {ex.python_source(c, names)}")
-
-    # stage points: free components move with vfree, the pivot with the
-    # solved velocity of the previous stage, so stages 2 and 3 differ only
-    # in the pivot component
-    solve("a", "p1")
-    lines.extend(f"    y{i} = x{i} + h * v{i}" for i in free)
-    lines.append(f"    y{k} = x{k} + h * p1")
-    coefficients("b", [f"y{i}" for i in range(n)])
-    solve("b", "p2")
-    lines.append(f"    z{k} = x{k} + h * p2")
-    coefficients("c", [f"z{i}" if i == k else f"y{i}" for i in range(n)])
-    solve("c", "p3")
-    lines.extend(f"    u{i} = x{i} + dt * v{i}" for i in free)
-    lines.append(f"    u{k} = x{k} + dt * p3")
-    coefficients("d", [f"u{i}" for i in range(n)])
-    solve("d", "p4")
-    lines.append("    q = dt / 6.0")
-    lines.extend(f"    X{i} = x{i} + q * (v{i} + 2.0 * v{i} + 2.0 * v{i} + v{i})"
-                 for i in free)
-    lines.append(f"    X{k} = x{k} + q * (p1 + 2.0 * p2 + 2.0 * p3 + p4)")
-    coefficients("e", [f"X{i}" for i in range(n)])
-    # Simpson residual of the form paired with the step chord
-    lines.extend(f"    D{i} = X{i} - x{i}" for i in range(n))
-    pairing = ex.python_sum(
-        f"(a{i} + 4.0 * (0.5 * (b{i} + c{i})) + e{i}) / 6.0 * D{i}"
-        for i in range(n)
-    )
-    fsq = ex.python_sum(f"e{i} * e{i}" for i in range(n))
-    dsq = ex.python_sum(f"D{i} * D{i}" for i in range(n))
-    x1 = ex.python_tuple(f"X{i}" for i in range(n))
-    f1 = ex.python_tuple(f"e{i}" for i in range(n))
-    lines.extend([
-        f"    pairing = {pairing}",
-        f"    fmag = _sqrt({fsq})",
-        f"    dxmag = _sqrt({dsq})",
-        "    if fmag == 0.0 or dxmag == 0.0:",
-        f"        return ({x1}), ({f1}), 0.0",
-        f"    return ({x1}), ({f1}), abs(pairing) / (fmag * dxmag)",
-    ])
     namespace = ex.exec_source("\n".join(lines) + "\n", "step",
                                _Lost=PivotLostError)
     return namespace["step"]
 
 
-class _Steppers(dict):
-    """Generated steps of one form by pivot index, each built on first use."""
+# statuses of the generated segment loops
+DONE = "done"  # all m steps taken, every one inside
+EXIT = "exit"  # the last step counted left the ball or the box
+LOST = "lost"  # a step raised: pivot lost or a coefficient domain error
 
-    def __init__(self, form: PfaffianForm, tol):
+
+def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
+                  kind):
+    """Generated loop of up to ``m`` constrained RK4 steps with pivot ``k``.
+
+    Each step is the one of :func:`_compile_step`, followed by the test of
+    :func:`_compile_inside` for ``(box, center, limit, squared)``.  The loop
+    returns ``(status, steps, value, x, f_x)``: ``steps`` counts the steps
+    taken, the one that left included, and ``x, f_x`` is the last state
+    inside.  A step that raises PivotLostError, ValueError,
+    ZeroDivisionError or OverflowError ends the loop as ``LOST`` without
+    being counted.
+
+    ``kind`` "segment" gives ``segment(x, fx, vfree, dt, m, pts)`` for
+    :func:`explore`: ``value`` is the largest step residual (from 0.0), and
+    each state inside is appended to the list ``pts`` unless it is None.
+    ``kind`` "leg" gives ``leg(x, fx, vfree, dt, m, target, best)`` for the
+    surrounding-line scan: ``value`` is the smallest of ``best`` and the
+    distances (``forms.distance``) of the states inside to ``target``.
+    """
+    n = form.n
+    free = [i for i in range(n) if i != k]
+    segment = kind == "segment"
+    xs = ex.python_tuple(f"x{i}" for i in range(n))
+    fs = ex.python_tuple(f"a{i}" for i in range(n))
+    value = "rmax" if segment else "best"
+    state = f"{value}, ({xs}), ({fs})"
+    if segment:
+        lines = ["def segment(x, fx, vfree, dt, m, pts):", "    rmax = 0.0"]
+    else:
+        lines = [
+            "def leg(x, fx, vfree, dt, m, target, best):",
+            f"    {ex.python_tuple(f't{i}' for i in range(n))} = target",
+        ]
+    lines.extend([
+        *_prologue_lines(n, free),
+        "    s = 0",
+        "    while s < m:",
+        "        try:",
+        *_step_lines(form, k, tol, "            ", residual=segment),
+        "        except (_Lost, ValueError, ZeroDivisionError, OverflowError):",
+        f"            return {LOST!r}, s, {state}",
+        "        s += 1",
+    ])
+    if segment:
+        lines.extend(["        if r > rmax:", "            rmax = r"])
+    lines.extend([
+        f"        if not ({_inside_text(box, center, limit, squared, 'X')}):",
+        f"            return {EXIT!r}, s, {state}",
+        f"        {xs}, {fs} = "
+        f"{ex.python_tuple(f'X{i}' for i in range(n))}, "
+        f"{ex.python_tuple(f'e{i}' for i in range(n))}",
+    ])
+    if segment:
+        lines.extend([
+            "        if pts is not None:",
+            f"            pts.append(({xs}))",
+        ])
+    else:
+        gap = ex.python_sum(f"(x{i} - t{i}) ** 2" for i in range(n))
+        lines.extend([
+            f"        dist = _sqrt({gap})",
+            "        if dist < best:",
+            "            best = dist",
+        ])
+    lines.append(f"    return {DONE!r}, s, {state}")
+    namespace = ex.exec_source("\n".join(lines) + "\n", kind,
+                               _Lost=PivotLostError)
+    return namespace[kind]
+
+
+class _PerPivot(dict):
+    """Generated code by pivot index, each built by ``build(k)`` on first use."""
+
+    def __init__(self, build):
         super().__init__()
-        self.form = form
-        self.tol = tol
+        self.build = build
 
     def __missing__(self, k):
-        step = self[k] = _compile_step(self.form, k, self.tol)
-        return step
+        code = self[k] = self.build(k)
+        return code
 
 
-def _compile_inside(box, center, limit, squared):
-    """Generated ``inside(q)``: q lies in ``box`` and near ``center``.
+def _inside_text(box, center, limit, squared, var):
+    """Source text: the point ``<var>0, <var>1, ...`` lies in ``box`` near ``center``.
 
     Near means a squared distance ``<= limit`` when ``squared``, else a
     distance ``<= limit``; both add the squared differences left to right
     from ``0.0``.
     """
-    n = len(center)
     lit = ex.python_literal
     in_box = " and ".join(
-        f"{lit(lo)} <= q{i} <= {lit(hi)}"
+        f"{lit(lo)} <= {var}{i} <= {lit(hi)}"
         for i, (lo, hi) in enumerate(zip(box.lows, box.highs))
     )
-    dist2 = ex.python_sum(f"(q{i} - {lit(c)}) ** 2" for i, c in enumerate(center))
+    dist2 = ex.python_sum(f"({var}{i} - {lit(c)}) ** 2"
+                          for i, c in enumerate(center))
     near = f"{dist2} <= {lit(limit)}" if squared else f"_sqrt({dist2}) <= {lit(limit)}"
+    return f"{in_box} and {near}"
+
+
+def _compile_inside(box, center, limit, squared):
+    """Generated ``inside(q)`` with the test of :func:`_inside_text`."""
     lines = [
         "def inside(q):",
-        f"    {ex.python_tuple(f'q{i}' for i in range(n))} = q",
-        f"    return {in_box} and {near}",
+        f"    {ex.python_tuple(f'q{i}' for i in range(len(center)))} = q",
+        f"    return {_inside_text(box, center, limit, squared, 'q')}",
     ]
     return ex.exec_source("\n".join(lines) + "\n", "inside")["inside"]
 
@@ -299,8 +417,11 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
         raise AnalysisError("base point is singular for the form")
 
     n = form.n
-    steppers = _Steppers(form, singular_tol)
-    inside = _compile_inside(form.domain, p, epsilon * epsilon, squared=True)
+    ball = (form.domain, p, epsilon * epsilon, True)
+    steps = _PerPivot(lambda k: _compile_step(form, k, singular_tol))
+    segments = _PerPivot(
+        lambda k: _compile_loop(form, k, singular_tol, *ball, "segment"))
+    inside = _compile_inside(*ball)
     dt = (epsilon * segment_fraction) / steps_per_segment
     endpoints = [p]
     step_counts = [0]
@@ -315,59 +436,49 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
         x = p
         f_x = coeffs(*x)
         rollout_steps = 0
-        curve_pts = [x]
+        curve_pts = [x] if keep_curves else None
         curve_resid = 0.0
-        alive = True
         for _seg in range(max_segments):
-            if not alive or used >= budget:
+            if used >= budget:
                 break
             k = max(range(n), key=lambda i: abs(f_x[i]))
             if abs(f_x[k]) <= singular_tol:
                 break
-            step = steppers[k]
             vfree = rng.standard_normal(n - 1)
             norm = float(np.linalg.norm(vfree))
             if norm == 0.0:
                 continue
             vfree = tuple(float(v) / norm for v in vfree)
-            for _j in range(steps_per_segment):
-                if used >= budget:
-                    break
+            # the budget may end the segment early, and then the rollout
+            m = min(steps_per_segment, budget - used)
+            status, taken, resid, x_in, f_in = segments[k](
+                x, f_x, vfree, dt, m, curve_pts)
+            used += taken
+            rollout_steps += taken
+            if resid > curve_resid:
+                curve_resid = resid
+            if resid > max_resid:
+                max_resid = resid
+            if status == EXIT:
                 try:
-                    x_new, f_new, resid = _rk4_constrained(step, x, f_x, vfree, dt)
+                    x_cross, _ = _bisect_step_fraction(
+                        steps[k], x_in, f_in, vfree, dt, inside
+                    )
                 except (PivotLostError, ValueError, ZeroDivisionError,
                         OverflowError):
-                    alive = False
                     break
-                used += 1
-                rollout_steps += 1
-                if resid > curve_resid:
-                    curve_resid = resid
-                if resid > max_resid:
-                    max_resid = resid
-                if not inside(x_new):
-                    try:
-                        x_cross, _ = _bisect_step_fraction(
-                            step, x, f_x, vfree, dt, inside
-                        )
-                    except (PivotLostError, ValueError, ZeroDivisionError,
-                            OverflowError):
-                        alive = False
-                        break
-                    if inside(x_cross):
-                        endpoints.append(x_cross)
-                        step_counts.append(rollout_steps)
+                if inside(x_cross):
+                    endpoints.append(x_cross)
+                    step_counts.append(rollout_steps)
+                    if keep_curves:
                         curve_pts.append(x_cross)
-                    alive = False
-                    break
-                x, f_x = x_new, f_new
-                curve_pts.append(x)
-            else:
-                # segment completed inside the ball: record its endpoint
-                endpoints.append(x)
-                step_counts.append(rollout_steps)
-                continue
-            break
+                break
+            if status == LOST or taken < steps_per_segment:
+                break
+            # segment completed inside the ball: record its endpoint
+            x, f_x = x_in, f_in
+            endpoints.append(x)
+            step_counts.append(rollout_steps)
         if keep_curves and len(curve_pts) > 1:
             arr = np.asarray(curve_pts)
             seg_len = np.linalg.norm(np.diff(arr, axis=0), axis=1)
@@ -392,14 +503,19 @@ class ReachabilityVerdict:
     threshold: float
 
     def as_report(self):
+        """Report dict; a ratio or thickness that is not finite is ``None``."""
         return {
             "kind": self.kind,
             "spectrum": list(self.spectrum),
-            "transverse_ratio": self.transverse_ratio,
-            "thickness": self.thickness,
+            "transverse_ratio": _finite_or_none(self.transverse_ratio),
+            "thickness": _finite_or_none(self.thickness),
             "endpoint_count": self.endpoint_count,
             "threshold": self.threshold,
         }
+
+
+def _finite_or_none(value):
+    return value if math.isfinite(value) else None
 
 
 def estimate_dimension(sample: ReachSample, threshold: float = 0.05,
@@ -512,16 +628,18 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
     p = tuple(float(v) for v in p)
     offsets = np.linspace(-epsilon, epsilon, n_targets)
     per_budget = max(1, budget // n_targets)
-    steppers = _Steppers(form, singular_tol)
-    inside = _compile_inside(form.domain, p, epsilon * (1 + 1e-12),
-                             squared=False)
+    ball = (form.domain, p, epsilon * (1 + 1e-12), False)
+    steering = _Steering(
+        _PerPivot(lambda k: _compile_step(form, k, singular_tol)),
+        _PerPivot(lambda k: _compile_loop(form, k, singular_tol, *ball, "leg")),
+        _compile_inside(*ball), singular_tol)
     gaps = []
     halves = []
     used_total = 0
     for off in offsets:
         q = list(p)
         q[free_index] += float(off)
-        gap, gap_half, used = _seek_target(form, steppers, inside, p, tuple(q),
+        gap, gap_half, used = _seek_target(form, steering, p, tuple(q),
                                            epsilon, per_budget)
         gaps.append(gap)
         halves.append(gap_half)
@@ -533,18 +651,29 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
                       tuple(halves), gap_tol, fraction)
 
 
+@dataclass
+class _Steering:
+    """Generated code of one scan: single steps and legs by pivot, containment."""
+
+    steps: _PerPivot
+    legs: _PerPivot
+    inside: object
+    tol: float
+
+
 class _Seeker:
     """Deterministic steering toward one target inside the epsilon-ball."""
 
-    def __init__(self, form, steppers, inside, base, target, epsilon, budget):
-        self.steppers = steppers
-        self.inside = inside
+    def __init__(self, form, steering, base, target, epsilon, budget):
+        self.steering = steering
+        self.inside = steering.inside
         self.n = form.n
         self.base = base
         self.target = target
         self.eps = epsilon
         self.budget = budget
-        self.tol = steppers.tol
+        self.half = budget // 2
+        self.tol = steering.tol
         # seekers report gaps, not curves: coarser steps than explore are fine
         self.dt = (epsilon * SEGMENT_FRACTION) / 3.0
         self.used = 0
@@ -557,36 +686,45 @@ class _Seeker:
         d = distance(q, self.target)
         if d < self.best:
             self.best = d
-        if self.best_at_half is None and self.used >= self.budget // 2:
+        if self.best_at_half is None and self.used >= self.half:
             self.best_at_half = self.best
 
     def _leg(self, vfree, k, length):
-        """Steer along a fixed free velocity; False when blocked/truncated."""
-        step = self.steppers[k]
-        steps = max(1, int(math.ceil(length / (self.dt))))
-        dt = length / steps
-        for _ in range(steps):
-            if self.used >= self.budget:
+        """Steer along a fixed free velocity; False when blocked/truncated.
+
+        The leg runs in chunks of the generated loop.  While the half-budget
+        gap is unset, a chunk ends where ``used`` reaches half the budget, or
+        after one step when ``used`` is already there, so the gap is read
+        after the same step as when every step was noted.
+        """
+        leg = self.steering.legs[k]
+        left = max(1, int(math.ceil(length / (self.dt))))
+        dt = length / left
+        while left:
+            m = min(left, self.budget - self.used)
+            if m <= 0:
                 return False
-            try:
-                x_new, f_new, _ = _rk4_constrained(step, self.x, self.f, vfree, dt)
-            except (PivotLostError, ValueError, ZeroDivisionError,
-                    OverflowError):
-                return False
-            self.used += 1
-            if not self.inside(x_new):
+            if self.best_at_half is None:
+                m = min(m, max(1, self.half - self.used))
+            status, taken, self.best, self.x, self.f = leg(
+                self.x, self.f, vfree, dt, m, self.target, self.best)
+            self.used += taken
+            left -= taken
+            if status == EXIT:
                 try:
-                    x_cross, f_cross = _bisect_step_fraction(
-                        step, self.x, self.f, vfree, dt, self.inside
+                    self.x, self.f = _bisect_step_fraction(
+                        self.steering.steps[k], self.x, self.f, vfree, dt,
+                        self.inside
                     )
                 except (PivotLostError, ValueError, ZeroDivisionError,
                         OverflowError):
                     return False
-                self.x, self.f = x_cross, f_cross
                 self._note(self.x)
                 return False
-            self.x, self.f = x_new, f_new
-            self._note(self.x)
+            if taken and self.best_at_half is None and self.used >= self.half:
+                self.best_at_half = self.best
+            if status == LOST:
+                return False
         return True
 
     def _free_axes(self, k):
@@ -713,8 +851,8 @@ class _Seeker:
                 length *= 0.5
 
 
-def _seek_target(form, steppers, inside, base, target, epsilon, budget):
-    seeker = _Seeker(form, steppers, inside, base, target, epsilon, budget)
+def _seek_target(form, steering, base, target, epsilon, budget):
+    seeker = _Seeker(form, steering, base, target, epsilon, budget)
     try:
         return seeker.run()
     except (PivotLostError, ValueError, ZeroDivisionError, OverflowError):

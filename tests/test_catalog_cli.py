@@ -6,7 +6,11 @@ import pytest
 from conftest import DEEP_SHAPES, deepest_accepted
 from pfaffian.catalog import catalog, entry
 from pfaffian.cli import main, run_command
-from pfaffian.factor import FactorizationResult, verify_factorization
+from pfaffian.factor import (
+    FactorizationResult,
+    staircase_defect,
+    verify_factorization,
+)
 from pfaffian.integrability import classify
 
 EXPECTED_NAMES = {
@@ -370,19 +374,47 @@ def test_cli_factor2_nothing_evaluated(gas_file, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_cli_staircase_undefined_path(tmp_path, capsys):
+def test_cli_staircase_undefined_path():
     # with y free, F_y = exp(z)*x vanishes at the base point (the box
-    # center), where every staircase path starts
-    path = tmp_path / "scaled.pfaff"
-    assert main(["catalog", "--write-form", "scaled_exact", str(path)]) == 0
-    code = main(["factor-global", str(path), "--free-var", "y", "--grid", "3",
-                 "--staircase"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "Traceback" not in captured.err
-    targets = json.loads(captured.out)["staircase"]["targets"]
+    # center), where every staircase path starts; factor-global refuses
+    # that base (test_cli_factor_global_rejects_vanishing_free_coefficient),
+    # so the staircase is called directly
+    form = entry("scaled_exact").form
+    _, targets = staircase_defect(form, 1, form.domain.center)
     assert len(targets) == 4
     assert all(t["defect"] is None for t in targets)
+
+
+@pytest.mark.parametrize("name, var, base, state", [
+    ("scaled_exact", "x", None, "zero"),  # F_x = exp(z)*y, y = 0 at the center
+    ("scaled_exact", "y", "0,0.3,0.1", "zero"),  # F_y = exp(z)*x
+    ("contact", "y", "0.5,0.5,0.5", "zero"),  # F_y = 0 everywhere
+])
+def test_cli_factor_global_rejects_vanishing_free_coefficient(
+        name, var, base, state, tmp_path, capsys):
+    path = tmp_path / f"{name}.pfaff"
+    assert main(["catalog", "--write-form", name, str(path)]) == 0
+    argv = ["factor-global", str(path), "--free-var", var, "--force"]
+    code = main(argv + (["--base", base] if base else []))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith(f"analysis error: free coefficient F_{var} "
+                                   f"is {state} at the base")
+    assert f"the fiber of {var} is not transversal" in captured.err
+
+
+def test_cli_factor_global_rejects_undefined_free_coefficient(tmp_path, capsys):
+    path = tmp_path / "log.pfaff"
+    path.write_text("vars: x, y, z\n"
+                    "domain: [-1,1] x [-1,1] x [-1,1]\n"
+                    "F[1] = 1\nF[2] = 1\nF[3] = log(x)\n")
+    code = main(["factor-global", str(path), "--free-var", "z", "--force"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "analysis error: free coefficient F_z is undefined" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_foliate(gas_file, capsys):
@@ -457,6 +489,10 @@ def _report_digest(argv, tmp_path, capsys):
     return hashlib.sha256(f"{code}\n{out}\n{csv_text}".encode()).hexdigest()
 
 
+# exit 1 with no report: the free coefficient vanishes at the base (the box
+# center), so the base fiber is not transversal to the leaves
+REJECTED_BASE = hashlib.sha256(b"1\n\n").hexdigest()
+
 CATALOG_DIGESTS = {
     "factor-global exact_3var x 5":
         "fd9f46b2329b0f0f9636385fb45d65e09cf78084896ca625cbea98a08404abfa",
@@ -475,25 +511,25 @@ CATALOG_DIGESTS = {
     "foliate product_exact":
         "9513b5b7cb975a99c43a53202928d6529c951a7ba21ecd79eff0d70340aa8c08",
     "factor-global scaled_exact x 5":
-        "b59d8569f3135f2ee23f752ae79dd61276e5f2deb73bb0a96d1dac972e39224b",
+        REJECTED_BASE,
     "factor-global scaled_exact x 9":
-        "5d0550cd919e9b9c86810825120655a75f95c1089dc0d75e9e703db33e4907b9",
+        REJECTED_BASE,
     "factor-global scaled_exact y 5":
-        "8e74aff598ba890d9d24902497878af4d46d3cc05db025bb47e9246e18479f4c",
+        REJECTED_BASE,
     "factor-global scaled_exact y 9":
-        "27388668c2c91aed3b5a95e23e121403028c3f11989e230ba595f6633613bc3e",
+        REJECTED_BASE,
     "factor-global scaled_exact z 5":
         "978ac80fe991c07e486894a3636fb337f3219fd4647901860064737f3967ae9a",
     "factor-global scaled_exact z 9":
         "9d6d1a331ea910dda974d5831d0063a1e150e1558b91295cc01e1b49220c95bd",
     "factor-global contact x 5":
-        "8052311cf6ac0f4debe405d703770534da558b3fc6acdfbf8c2a5836aa42d2df",
+        REJECTED_BASE,
     "factor-global contact x 9":
-        "0d167a55a58bb09c0c5969564ac50de01a6391a13fbbf0d0880a5ed8043cab9d",
+        REJECTED_BASE,
     "factor-global contact y 5":
-        "9e57bb7339d49e4e4c57ae45c90bde4fd2c41bef88a72606d6d485b9231bea8e",
+        REJECTED_BASE,
     "factor-global contact y 9":
-        "9269d52841ccbb0c8ac9f7f9704ff57b0de3bdca9d91191e7d34d62eaf1cb429",
+        REJECTED_BASE,
     "factor-global contact z 5":
         "16a9228addc6b2306774f4f4417d78a407d51fe5a4c7c9f102b2b87564886792",
     "factor-global contact z 9":
@@ -517,3 +553,52 @@ CATALOG_DIGESTS = {
                          ids=[job for job, _ in _catalog_jobs()])
 def test_catalog_reports_byte_identical(job, argv, tmp_path, capsys):
     assert _report_digest(argv, tmp_path, capsys) == CATALOG_DIGESTS[job]
+
+
+# --- cases found by the CLI fuzz test (tests/test_cli_fuzz.py) --------------------
+
+
+@pytest.mark.parametrize("argv", [["catalog", "--show", "nope"],
+                                  ["catalog", "--write-form", "nope", "x.pfaff"]])
+def test_cli_unknown_catalog_name_is_input_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("form error: no catalog entry 'nope'")
+
+
+def test_cli_reach_too_few_endpoints_reports_null(tmp_path, capsys):
+    # one step cannot end a segment: the cloud is the base alone, and the
+    # verdict's ratio and thickness are absent, not NaN
+    path = tmp_path / "exact.pfaff"
+    assert main(["catalog", "--write-form", "exact_3var", str(path)]) == 0
+    assert main(["reach", str(path), "--budget", "1"]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdict"]
+    assert verdict["kind"] == "inconclusive"
+    assert verdict["transverse_ratio"] is None and verdict["thickness"] is None
+
+
+def test_cli_box_beyond_coordinate_bound_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.pfaff"
+    path.write_text("vars: x, y\nF[1] = x\nF[2] = 1\n"
+                    "domain: [-1e300,1e300] x [0,1]\n")
+    assert main(["foliate", str(path)]) == 2
+    assert "reaches beyond +-1e+150" in capsys.readouterr().err
+
+
+def test_cli_foliate_crossing_search_meets_vanishing_coefficient(tmp_path, capsys):
+    # the RK4 substeps that locate a box crossing reach x < 0, where the
+    # solved coefficient sin(x) changes sign: the curve ends as singular
+    path = tmp_path / "sin.pfaff"
+    path.write_text("vars: x, y\nF[1] = sin(x)\nF[2] = sin(x)\n"
+                    "domain: [0,1] x [-1,1]\n")
+    assert main(["foliate", str(path), "--curves", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "curve_id,t,x,y" and len(lines) > 2
+
+
+def test_cli_reach_epsilon_beyond_coordinate_bound_is_input_error(tmp_path, capsys):
+    # scan targets at +-epsilon from the base: their squared distances overflow
+    path = tmp_path / "exact.pfaff"
+    assert main(["catalog", "--write-form", "exact_3var", str(path)]) == 0
+    assert main(["reach", str(path), "--epsilon", "1e300", "--free-var", "x"]) == 2
+    assert "--epsilon: must be at most 1e+150" in capsys.readouterr().err

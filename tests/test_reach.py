@@ -1,19 +1,32 @@
+import functools
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import fold
+from pfaffian.catalog import catalog
 from pfaffian.errors import AnalysisError, ArityError
-from pfaffian.forms import Box, make_form
+from pfaffian.forms import DEFAULT_SINGULAR_TOL, Box, make_form
 from pfaffian.reach import (
     KIND_CODIM_ONE,
     KIND_FULL,
     KIND_INCONCLUSIVE,
+    MAX_SEGMENTS,
+    SEGMENT_FRACTION,
+    STEPS_PER_SEGMENT,
+    NullCurve,
     PivotLostError,
     ReachSample,
+    ScanReport,
+    _bisect_step_fraction,
+    _compile_inside,
     _compile_step,
+    _PerPivot,
+    _Seeker,
+    _Steering,
     constrained_velocity,
     estimate_dimension,
     explore,
@@ -330,3 +343,259 @@ def test_scan_matches_recorded(form, base, free_index, budget, used, fraction,
     assert report.fraction_reached == fraction
     assert _digest({"gaps": report.gaps,
                     "half": report.gaps_at_half_budget}) == digest
+
+
+# --- generated segment loops against the per-step reference ---------------------
+#
+# The references are the per-step loops the generated segment and leg loops
+# replaced: one call of the generated step, one containment test and one
+# bookkeeping update per step.  ``explore`` and the surrounding-line scan must
+# reproduce them bit for bit.  Each reference also tallies how its steps
+# ended (ball exit, box exit, pivot loss or domain error), so the cases can
+# be shown to cover every branch.
+
+_STEP_ERRORS = (PivotLostError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _tally_exit(tally, form, x_new):
+    tally["box_exit" if not form.domain.contains(x_new) else "ball_exit"] += 1
+
+
+def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
+                 singular_tol=DEFAULT_SINGULAR_TOL):
+    """``explore`` stepping one call of the generated step at a time."""
+    p = tuple(float(v) for v in p)
+    coeffs = form.coefficient_tuple_fn
+    n = form.n
+    steps = _PerPivot(lambda k: _compile_step(form, k, singular_tol))
+    inside = _compile_inside(form.domain, p, epsilon * epsilon, squared=True)
+    dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
+    endpoints = [p]
+    step_counts = [0]
+    curves = []
+    used = 0
+    max_resid = 0.0
+    rollout = 0
+    while used < budget:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rollout,)))
+        rollout += 1
+        x = p
+        f_x = coeffs(*x)
+        rollout_steps = 0
+        curve_pts = [x]
+        curve_resid = 0.0
+        alive = True
+        for _seg in range(MAX_SEGMENTS):
+            if not alive or used >= budget:
+                break
+            k = max(range(n), key=lambda i: abs(f_x[i]))
+            if abs(f_x[k]) <= singular_tol:
+                break
+            step = steps[k]
+            vfree = rng.standard_normal(n - 1)
+            norm = float(np.linalg.norm(vfree))
+            if norm == 0.0:
+                continue
+            vfree = tuple(float(v) / norm for v in vfree)
+            for _j in range(STEPS_PER_SEGMENT):
+                if used >= budget:
+                    tally["budget"] += 1
+                    break
+                try:
+                    x_new, f_new, resid = step(x, f_x, vfree, dt)
+                except _STEP_ERRORS as exc:
+                    tally[type(exc).__name__] += 1
+                    alive = False
+                    break
+                used += 1
+                rollout_steps += 1
+                if resid > curve_resid:
+                    curve_resid = resid
+                if resid > max_resid:
+                    max_resid = resid
+                if not inside(x_new):
+                    _tally_exit(tally, form, x_new)
+                    try:
+                        x_cross, _ = _bisect_step_fraction(
+                            step, x, f_x, vfree, dt, inside
+                        )
+                    except _STEP_ERRORS:
+                        alive = False
+                        break
+                    if inside(x_cross):
+                        endpoints.append(x_cross)
+                        step_counts.append(rollout_steps)
+                        curve_pts.append(x_cross)
+                    alive = False
+                    break
+                x, f_x = x_new, f_new
+                curve_pts.append(x)
+            else:
+                endpoints.append(x)
+                step_counts.append(rollout_steps)
+                continue
+            break
+        if keep_curves and len(curve_pts) > 1:
+            arr = np.asarray(curve_pts)
+            seg_len = np.linalg.norm(np.diff(arr, axis=0), axis=1)
+            params = np.concatenate([[0.0], np.cumsum(seg_len)])
+            curves.append(NullCurve(params, arr, curve_resid))
+    return ReachSample(p, float(epsilon), endpoints, step_counts, int(seed),
+                       int(budget), used, max_resid, curves)
+
+
+class _RefSeeker(_Seeker):
+    """``_Seeker`` whose legs step and note one call of the generated step at a time."""
+
+    def __init__(self, tally, form, *args):
+        super().__init__(form, *args)
+        self.tally = tally
+        self.form = form
+
+    def _leg(self, vfree, k, length):
+        step = self.steering.steps[k]
+        steps = max(1, int(math.ceil(length / (self.dt))))
+        dt = length / steps
+        for _ in range(steps):
+            if self.used >= self.budget:
+                self.tally["budget"] += 1
+                return False
+            try:
+                x_new, f_new, _ = step(self.x, self.f, vfree, dt)
+            except _STEP_ERRORS as exc:
+                self.tally[type(exc).__name__] += 1
+                return False
+            self.used += 1
+            if not self.inside(x_new):
+                _tally_exit(self.tally, self.form, x_new)
+                try:
+                    x_cross, f_cross = _bisect_step_fraction(
+                        step, self.x, self.f, vfree, dt, self.inside
+                    )
+                except _STEP_ERRORS:
+                    return False
+                self.x, self.f = x_cross, f_cross
+                self._note(self.x)
+                return False
+            self.x, self.f = x_new, f_new
+            self._note(self.x)
+        return True
+
+
+def _ref_scan(form, p, free_index, epsilon, budget, tally, n_targets=32,
+              singular_tol=DEFAULT_SINGULAR_TOL):
+    """``surrounding_line_scan`` through :class:`_RefSeeker`."""
+    p = tuple(float(v) for v in p)
+    offsets = np.linspace(-epsilon, epsilon, n_targets)
+    per_budget = max(1, budget // n_targets)
+    steering = _Steering(
+        _PerPivot(lambda k: _compile_step(form, k, singular_tol)), None,
+        _compile_inside(form.domain, p, epsilon * (1 + 1e-12), squared=False),
+        singular_tol)
+    gaps, halves, used_total = [], [], 0
+    for off in offsets:
+        q = list(p)
+        q[free_index] += float(off)
+        seeker = _RefSeeker(tally, form, steering, p, tuple(q), epsilon,
+                            per_budget)
+        try:
+            gap, half, used = seeker.run()
+        except _STEP_ERRORS:
+            gap, half, used = seeker.best, seeker.best_at_half, seeker.used
+            half = gap if half is None else half
+        gaps.append(gap)
+        halves.append(half)
+        used_total += used
+    gap_tol = epsilon * 0.01
+    fraction = sum(1 for g in gaps if g <= gap_tol) / len(gaps)
+    return ScanReport(free_index, float(epsilon), int(budget), used_total,
+                      tuple(float(o) for o in offsets), tuple(gaps),
+                      tuple(halves), gap_tol, fraction)
+
+
+def _sample_bits(sample):
+    """Every float of a ReachSample, curves included, as exact text."""
+    curves = [(c.params.tolist(), c.points.tolist(), c.max_residual)
+              for c in sample.curves]
+    return repr((sample.base, sample.epsilon, sample.endpoints,
+                 sample.step_counts, sample.seed, sample.budget,
+                 sample.budget_used, sample.max_residual, curves))
+
+
+LOG_EDGE = make_form(["x", "y"], ["log(x) + 3", "1"], Box((1e-3, -1), (2, 1)))
+SQRT_EDGE = make_form(["x", "y", "z"], ["sqrt(x)", "1", "y"],
+                      Box((0, -1, -1), (1, 1, 1)))
+# the step toward x < 0 fails at once: a scan leg's first chunk takes no step
+LOG_WALL = make_form(["x", "y"], ["-log(x) - 3", "1"], Box((1e-3, -1), (2, 1)))
+PIVOT_DROP = make_form(["x", "y"], ["x", "0.3"], Box((-1, -1), (1, 1)))
+
+# (form, base, epsilon, singular_tol): the catalog entries at their box
+# centers and near a box corner, and forms whose steps fail mid-segment
+LOOP_CASES = [
+    *((e.name, e.form, e.form.domain.center, 0.3, DEFAULT_SINGULAR_TOL)
+      for e in catalog()),
+    *((f"{e.name}-corner", e.form,
+       tuple(lo + 0.05 * (hi - lo) for lo, hi in zip(e.box.lows, e.box.highs)),
+       0.3, DEFAULT_SINGULAR_TOL)
+      for e in catalog()),
+    ("log-edge", LOG_EDGE, (0.05, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
+    ("log-wall", LOG_WALL, (0.003, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
+    ("sqrt-edge", SQRT_EDGE, (0.02, 0.0, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
+    ("pivot-drop", PIVOT_DROP, (0.5, 0.0), 0.3, 0.45),
+]
+EXPLORE_BUDGETS = (1, 7, 1003)  # 7 and 1003 end mid-segment
+SCAN_BUDGETS = (32, 100, 1500)  # half-budget checkpoints after 0, 1, 23 steps
+
+
+@functools.cache
+def _reference(kind, case, budget, arg):
+    """Reference output and its step tally; ``arg`` is the seed or free index."""
+    _, form, base, epsilon, tol = LOOP_CASES[case]
+    tally = Counter()
+    if kind == "explore":
+        out = _ref_explore(form, base, epsilon, budget, arg, tally,
+                           keep_curves=arg == 1, singular_tol=tol)
+    else:
+        out = _ref_scan(form, base, arg, epsilon, budget, tally,
+                        singular_tol=tol)
+    return out, tally
+
+
+@pytest.mark.parametrize("budget", EXPLORE_BUDGETS)
+@pytest.mark.parametrize("case", range(len(LOOP_CASES)),
+                         ids=[c[0] for c in LOOP_CASES])
+def test_explore_matches_per_step_reference(case, budget):
+    _, form, base, epsilon, tol = LOOP_CASES[case]
+    for seed in (1, 2, 3):
+        got = explore(form, base, epsilon, budget, seed, keep_curves=seed == 1,
+                      singular_tol=tol)
+        want, _ = _reference("explore", case, budget, seed)
+        assert _sample_bits(got) == _sample_bits(want), seed
+        assert seed == 1 or not got.curves
+
+
+@pytest.mark.parametrize("budget", SCAN_BUDGETS)
+@pytest.mark.parametrize("case", range(len(LOOP_CASES)),
+                         ids=[c[0] for c in LOOP_CASES])
+def test_scan_matches_per_step_reference(case, budget):
+    _, form, base, epsilon, tol = LOOP_CASES[case]
+    for free_index in range(form.n):
+        got = surrounding_line_scan(form, base, free_index, epsilon, budget,
+                                    singular_tol=tol)
+        want, _ = _reference("scan", case, budget, free_index)
+        assert repr(got) == repr(want), free_index
+
+
+@pytest.mark.parametrize("kind, budgets, args", [
+    ("explore", EXPLORE_BUDGETS, lambda form: (1, 2, 3)),
+    ("scan", SCAN_BUDGETS, lambda form: range(form.n)),
+])
+def test_loop_references_cover_every_ending(kind, budgets, args):
+    """The cases above end steps at the budget, ball, box and in errors."""
+    tally = Counter()
+    for case, (_, form, *_rest) in enumerate(LOOP_CASES):
+        for budget in budgets:
+            for arg in args(form):
+                tally.update(_reference(kind, case, budget, arg)[1])
+    assert tally["budget"] and tally["ball_exit"] and tally["box_exit"], tally
+    assert tally["ValueError"] and tally["PivotLostError"], tally
