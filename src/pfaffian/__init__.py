@@ -16,7 +16,6 @@ from .errors import (  # noqa: F401
 )
 from .expressions import (  # noqa: F401
     differentiate,
-    evaluate,
     parse_expression,
     simplify,
     to_string,

@@ -3,8 +3,10 @@
 Expression trees are immutable and closed under differentiation: constants,
 variable references (by index), the unary operations neg/exp/log/sin/cos/sqrt,
 the binary operations add/sub/mul/div, and pow with a constant exponent.
-Evaluation is total where defined; any operation that would produce a
-non-finite float raises :class:`EvalDomainError` instead of returning it.
+Trees are evaluated only through generated code (:func:`compile_scalar`,
+:func:`compile_tuple`).  :func:`call_checked` calls such code with the
+checked contract: an undefined operation or a non-finite result raises
+:class:`EvalDomainError` instead of returning a value.
 
 Grammar accepted by :func:`parse_expression`::
 
@@ -56,16 +58,15 @@ __all__ = [
     "func",
     "parse_expression",
     "to_string",
-    "evaluate",
     "differentiate",
     "simplify",
     "substitute",
     "compile_scalar",
     "compile_tuple",
+    "call_checked",
     "python_source",
     "kernel_namespace",
     "exec_source",
-    "numeric_equal",
 ]
 
 
@@ -191,75 +192,6 @@ def func(name: str, arg: Expression) -> Expression:
     if name not in FUNCTION_NAMES:
         raise ValueError(f"not a known function: {name!r}")
     return Unary(name, arg)
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-
-_UNARY_EVAL = {
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-}
-
-
-def evaluate(e: Expression, point) -> float:
-    """Evaluate ``e`` at ``point`` (a sequence of floats).
-
-    Raises :class:`EvalDomainError` on division by zero, log of a
-    non-positive value, sqrt of a negative value, or overflow; never
-    returns a non-finite float.  Raises :class:`ArityError` when a
-    variable index exceeds the point length.
-    """
-    v = _eval(e, point)
-    if not math.isfinite(v):
-        raise EvalDomainError(f"non-finite result {v!r}")
-    return v
-
-
-def _eval(e, point):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.index >= len(point):
-            raise ArityError(
-                f"variable index {e.index} out of range for point of length {len(point)}"
-            )
-        return float(point[e.index])
-    if isinstance(e, Unary):
-        a = _eval(e.arg, point)
-        if e.op == "neg":
-            return -a
-        try:
-            return _UNARY_EVAL[e.op](a)
-        except ValueError as exc:
-            raise EvalDomainError(f"{e.op}({a!r}) is undefined") from exc
-        except OverflowError as exc:
-            raise EvalDomainError(f"{e.op}({a!r}) overflows") from exc
-    if isinstance(e, Binary):
-        a = _eval(e.left, point)
-        b = _eval(e.right, point)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0.0:
-            raise EvalDomainError("division by zero")
-        return a / b
-    if isinstance(e, Pow):
-        a = _eval(e.base, point)
-        try:
-            return math.pow(a, e.exponent)
-        except ValueError as exc:
-            raise EvalDomainError(f"pow({a!r}, {e.exponent!r}) is undefined") from exc
-        except OverflowError as exc:
-            raise EvalDomainError(f"pow({a!r}, {e.exponent!r}) overflows") from exc
-    raise TypeError(f"not an Expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +732,8 @@ def compile_scalar(e: Expression, n_vars: int):
 
     The raw callable is fast but unguarded: it may raise ValueError,
     ZeroDivisionError or OverflowError, and may return inf/nan from plain
-    arithmetic; callers guard at a coarser granularity.  :func:`evaluate`
-    is the evaluator with the :class:`EvalDomainError` contract.
+    arithmetic; callers guard at a coarser granularity.  :func:`call_checked`
+    turns those into the :class:`EvalDomainError` contract.
     """
     return _compile_return(python_source(e, [f"x{i}" for i in range(n_vars)]), n_vars)
 
@@ -817,16 +749,28 @@ def compile_tuple(exprs, n_vars: int):
     return _compile_return(f"({python_tuple(texts)})", n_vars)
 
 
-def numeric_equal(e1: Expression, e2: Expression, points, rel_tol=1e-10) -> bool:
-    """Numeric equivalence by sampling: equal at every point where both evaluate."""
-    compared = 0
-    for p in points:
-        try:
-            a = evaluate(e1, p)
-            b = evaluate(e2, p)
-        except EvalDomainError:
-            continue
-        compared += 1
-        if abs(a - b) > rel_tol * max(1.0, abs(a), abs(b)):
-            return False
-    return compared > 0
+def call_checked(fn, point, n_vars: int) -> tuple:
+    """``fn(*point)`` for a :func:`compile_tuple` callable, with checked errors.
+
+    Raises :class:`ArityError` unless ``point`` has ``n_vars`` coordinates.
+    The coordinates are passed as Python floats, so a numpy scalar divides
+    by zero with an error, not to inf.  ValueError, ZeroDivisionError and
+    OverflowError (a pole, log or sqrt of a negative value, an overflowing
+    exp or pow) and a non-finite entry of the result raise
+    :class:`EvalDomainError`.
+    """
+    if len(point) != n_vars:
+        raise ArityError(f"point of length {len(point)} for {n_vars} variables")
+    args = tuple(map(float, point))
+    try:
+        values = fn(*args)
+    except ZeroDivisionError as exc:
+        raise EvalDomainError("division by zero") from exc
+    except ValueError as exc:
+        raise EvalDomainError(f"undefined at {args}: {exc}") from exc
+    except OverflowError as exc:
+        raise EvalDomainError(f"overflow at {args}: {exc}") from exc
+    for v in values:
+        if not math.isfinite(v):
+            raise EvalDomainError(f"non-finite result {v!r}")
+    return values

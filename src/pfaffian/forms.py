@@ -82,11 +82,22 @@ class Box:
 
 @dataclass(frozen=True)
 class PfaffianForm:
-    """n coefficient expressions F_i over n named variables on a box."""
+    """n coefficient expressions F_i over n named variables on a box.
+
+    The coefficients are stored simplified, one memo for all of them,
+    however the form was built; their derivatives are then simplify fixed
+    points, since every derivative rule builds through the folding
+    constructors.
+    """
 
     var_names: tuple
     coefficients: tuple
     domain: Box
+
+    def __post_init__(self):
+        memo = {}
+        object.__setattr__(self, "coefficients",
+                           tuple(ex.simplify(c, memo) for c in self.coefficients))
 
     @property
     def n(self) -> int:
@@ -106,18 +117,11 @@ class PfaffianForm:
     def derivative_matrix(self):
         """Symbolic dF[i][j] = dF_i/dx_j.
 
-        All n^2 entries share one differentiation memo and one
-        simplification memo, so each subtree is differentiated once per
-        variable it contains (and once for all others) and simplified once.
+        All n^2 entries share one differentiation memo, so each subtree is
+        differentiated once per variable it contains (and once for all
+        others).
         """
-        d_memo, s_memo = {}, {}
-        return tuple(
-            tuple(
-                ex.simplify(ex.differentiate(c, j, d_memo), s_memo)
-                for j in range(self.n)
-            )
-            for c in self.coefficients
-        )
+        return _jacobian(self.coefficients, self.n)
 
     @cached_property
     def jet_fn(self):
@@ -130,6 +134,12 @@ class PfaffianForm:
         """
         jacobian = (d for row in self.derivative_matrix for d in row)
         return ex.compile_tuple((*self.coefficients, *jacobian), self.n)
+
+
+def _jacobian(exprs, n):
+    """Rows ``(d e/dx_1, ..., d e/dx_n)`` of ``exprs``, one memo for all."""
+    memo = {}
+    return tuple(tuple(ex.differentiate(e, j, memo) for j in range(n)) for e in exprs)
 
 
 def _nonsingular_probe_points(box: Box):
@@ -175,9 +185,7 @@ def make_form(var_names, coefficient_texts, box: Box, singular_tol=DEFAULT_SINGU
         )
     if box.dim != len(var_names):
         raise ArityError(f"box dimension {box.dim} != {len(var_names)} variables")
-    coeffs = tuple(
-        ex.simplify(ex.parse_expression(text, var_names)) for text in coefficient_texts
-    )
+    coeffs = tuple(ex.parse_expression(text, var_names) for text in coefficient_texts)
     form = PfaffianForm(var_names, coeffs, box)
     _check_nonsingular(form, singular_tol)
     return form
@@ -195,15 +203,23 @@ def form_from_expressions(var_names, coefficients, box: Box,
 
 
 def distance(p, q) -> float:
-    """Euclidean distance between two points given as coordinate sequences."""
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+    """Euclidean distance between two points given as coordinate sequences.
+
+    The squares are added left to right from 0.0, as generated code adds
+    (expressions.python_sum), and not by the builtin ``sum``, which
+    compensates the rounding from Python 3.12 on.
+    """
+    total = 0.0
+    for a, b in zip(p, q):
+        total += (a - b) ** 2
+    return math.sqrt(total)
 
 
 def coefficient_vector(form: PfaffianForm, p):
     """(F_1(p), ..., F_n(p)); raises OutOfDomainError when p is outside the box."""
     if not form.domain.contains(p, tol=1e-12):
         raise OutOfDomainError(f"point {tuple(p)} outside domain")
-    return tuple(ex.evaluate(c, p) for c in form.coefficients)
+    return ex.call_checked(form.coefficient_tuple_fn, p, form.n)
 
 
 def is_singular_at(form: PfaffianForm, p, tol=DEFAULT_SINGULAR_TOL) -> bool:
@@ -234,17 +250,28 @@ class Substitution:
     def n(self) -> int:
         return len(self.new_var_names)
 
+    @cached_property
+    def derivative_matrix(self):
+        """Symbolic dx_i/dxbar_j, differentiated once with one memo."""
+        return _jacobian(self.exprs, self.n)
+
+    @cached_property
+    def _exprs_fn(self):
+        return ex.compile_tuple(self.exprs, self.n)
+
+    @cached_property
+    def _jacobian_fn(self):
+        return ex.compile_tuple([d for row in self.derivative_matrix for d in row],
+                                self.n)
+
     def apply(self, p_new):
         """Map a point in new coordinates to old coordinates."""
-        return tuple(ex.evaluate(e, p_new) for e in self.exprs)
+        return ex.call_checked(self._exprs_fn, p_new, self.n)
 
     def jacobian_at(self, p_new) -> np.ndarray:
-        n = self.n
-        jac = np.empty((n, n))
-        for i, e in enumerate(self.exprs):
-            for j in range(n):
-                jac[i, j] = ex.evaluate(ex.differentiate(e, j), p_new)
-        return jac
+        """The matrix dx_i/dxbar_j at ``p_new``; EvalDomainError where undefined."""
+        values = ex.call_checked(self._jacobian_fn, p_new, self.n)
+        return np.array(values).reshape(self.n, self.n)
 
 
 def make_substitution(new_var_names, expr_texts, base_point, new_domain: Box,
@@ -274,12 +301,13 @@ def pullback(form: PfaffianForm, sub: Substitution,
     if sub.n != form.n:
         raise ArityError("substitution arity does not match the form")
     composed = [ex.substitute(c, sub.exprs) for c in form.coefficients]
+    jac = sub.derivative_matrix
     new_coeffs = []
     for j in range(form.n):
         acc = ex.constant(0.0)
         for i in range(form.n):
-            acc = ex.add(acc, ex.mul(ex.differentiate(sub.exprs[i], j), composed[i]))
-        new_coeffs.append(ex.simplify(acc))
+            acc = ex.add(acc, ex.mul(jac[i][j], composed[i]))
+        new_coeffs.append(acc)
     return form_from_expressions(sub.new_var_names, new_coeffs, sub.new_domain,
                                  singular_tol=singular_tol)
 

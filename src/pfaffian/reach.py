@@ -735,7 +735,10 @@ class _Seeker:
         free = self._free_axes(k)
         for _ in range(8):
             delta = [self.target[i] - self.x[i] for i in free]
-            norm = math.sqrt(sum(d * d for d in delta))
+            norm2 = 0.0  # left to right, as forms.distance adds
+            for d in delta:
+                norm2 += d * d
+            norm = math.sqrt(norm2)
             if norm <= 1e-11 * max(1.0, self.eps):
                 return True
             vfree = tuple(d / norm for d in delta)

@@ -92,6 +92,16 @@ def entropy(p, cv=1.5, rg=1.0):
     return cv * math.log(p[0]) + rg * math.log(p[1])
 
 
+# (text in x1, point) where the expression is undefined or overflows
+DOMAIN_ERROR_CASES = [
+    ("log(x1)", (-1.0,)),
+    ("log(x1)", (0.0,)),
+    ("sqrt(x1)", (-4.0,)),
+    ("exp(x1)", (1e6,)),
+    ("x1^0.5", (-2.0,)),
+]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

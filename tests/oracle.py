@@ -1,0 +1,93 @@
+"""Tree-walking reference evaluator of expression trees.
+
+The package evaluates trees only through generated code
+(``expressions.compile_tuple`` behind ``expressions.call_checked``).  This
+module walks a tree node by node instead, with the same contract: an
+undefined operation or a non-finite result raises EvalDomainError, a
+variable index beyond the point raises ArityError.  Tests compare the
+generated code against it.
+"""
+
+import math
+
+from pfaffian.errors import ArityError, EvalDomainError
+from pfaffian.expressions import Binary, Const, Expression, Pow, Unary, Var
+
+_UNARY_EVAL = {
+    "exp": math.exp,
+    "log": math.log,
+    "sin": math.sin,
+    "cos": math.cos,
+    "sqrt": math.sqrt,
+}
+
+
+def evaluate(e: Expression, point) -> float:
+    """Evaluate ``e`` at ``point`` (a sequence of floats).
+
+    Raises :class:`EvalDomainError` on division by zero, log of a
+    non-positive value, sqrt of a negative value, or overflow; never
+    returns a non-finite float.  Raises :class:`ArityError` when a
+    variable index exceeds the point length.
+    """
+    v = _eval(e, point)
+    if not math.isfinite(v):
+        raise EvalDomainError(f"non-finite result {v!r}")
+    return v
+
+
+def _eval(e, point):
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        if e.index >= len(point):
+            raise ArityError(
+                f"variable index {e.index} out of range for point of length {len(point)}"
+            )
+        return float(point[e.index])
+    if isinstance(e, Unary):
+        a = _eval(e.arg, point)
+        if e.op == "neg":
+            return -a
+        try:
+            return _UNARY_EVAL[e.op](a)
+        except ValueError as exc:
+            raise EvalDomainError(f"{e.op}({a!r}) is undefined") from exc
+        except OverflowError as exc:
+            raise EvalDomainError(f"{e.op}({a!r}) overflows") from exc
+    if isinstance(e, Binary):
+        a = _eval(e.left, point)
+        b = _eval(e.right, point)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if b == 0.0:
+            raise EvalDomainError("division by zero")
+        return a / b
+    if isinstance(e, Pow):
+        a = _eval(e.base, point)
+        try:
+            return math.pow(a, e.exponent)
+        except ValueError as exc:
+            raise EvalDomainError(f"pow({a!r}, {e.exponent!r}) is undefined") from exc
+        except OverflowError as exc:
+            raise EvalDomainError(f"pow({a!r}, {e.exponent!r}) overflows") from exc
+    raise TypeError(f"not an Expression node: {e!r}")
+
+
+def numeric_equal(e1: Expression, e2: Expression, points, rel_tol=1e-10) -> bool:
+    """Numeric equivalence by sampling: equal at every point where both evaluate."""
+    compared = 0
+    for p in points:
+        try:
+            a = evaluate(e1, p)
+            b = evaluate(e2, p)
+        except EvalDomainError:
+            continue
+        compared += 1
+        if abs(a - b) > rel_tol * max(1.0, abs(a), abs(b)):
+            return False
+    return compared > 0

@@ -1,18 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
+import oracle
+from conftest import DOMAIN_ERROR_CASES, fold, monomials_up_to, random_points
 from pfaffian import expressions as ex
 from pfaffian.catalog import catalog
 from pfaffian.errors import (
     ArityError,
+    EvalDomainError,
     FormError,
     OutOfDomainError,
     SingularFormError,
 )
 from pfaffian.forms import (
+    DEFAULT_SINGULAR_TOL,
     Box,
     PfaffianForm,
     coefficient_vector,
+    distance,
     format_form_file,
     is_singular_at,
     load_form,
@@ -274,7 +281,9 @@ def test_overflowed_constant_round_trips_through_form_file():
 
 # --- Jacobian and compiled kernel against the per-entry reference ---------------
 # The reference is the plain recursive differentiate/simplify and the
-# tree-walking code generator, one compile per expression.
+# tree-walking code generator, one compile per expression.  A form simplifies
+# the coefficients it is given, so the reference starts from the simplified
+# coefficients too.
 
 
 def _ref_differentiate(e, j):
@@ -434,7 +443,8 @@ def test_jacobian_matches_per_entry_reference(rng):
     for names, coeffs in _reference_forms(rng):
         n = len(names)
         form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
-        assert repr(form.derivative_matrix) == repr(_ref_jacobian(coeffs, n))
+        simplified = tuple(_ref_simplify(c) for c in coeffs)
+        assert repr(form.derivative_matrix) == repr(_ref_jacobian(simplified, n))
 
 
 def test_signed_zero_derivative_kept():
@@ -448,7 +458,8 @@ def test_jet_matches_per_entry_compile(rng):
     for names, coeffs in _reference_forms(rng):
         n = len(names)
         form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
-        entries = list(coeffs) + [d for row in form.derivative_matrix for d in row]
+        simplified = [_ref_simplify(c) for c in coeffs]
+        entries = simplified + [d for row in form.derivative_matrix for d in row]
         reference = [_ref_compile(e, n) for e in entries]
         singles = [ex.compile_scalar(e, n) for e in entries]
         jet = form.jet_fn
@@ -490,3 +501,194 @@ def test_make_form_probes_center_first():
     with pytest.raises(SingularFormError):
         make_form(["x", "y"], ["x*0", "0"], counting)
     assert calls == [256, 256]
+
+
+# --- checked evaluation against the tree-walking oracle --------------------------
+# coefficient_vector, is_singular_at and Substitution.apply/jacobian_at call
+# compiled tuples through expressions.call_checked; tests/oracle.py walks the
+# trees.  Values and error classes must agree.
+
+
+def _result(call, *args):
+    """``call(*args)``, or the class of the checked error it raises."""
+    try:
+        return call(*args)
+    except (EvalDomainError, ArityError, OutOfDomainError) as exc:
+        return type(exc)
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def _oracle_vector(form, p):
+    return tuple(oracle.evaluate(c, p) for c in form.coefficients)
+
+
+def _oracle_singular(form, p):
+    return max(abs(v) for v in _oracle_vector(form, p)) <= DEFAULT_SINGULAR_TOL
+
+
+def _oracle_apply(sub, p):
+    return tuple(oracle.evaluate(e, p) for e in sub.exprs)
+
+
+def _oracle_jacobian(sub, p):
+    return [[oracle.evaluate(ex.differentiate(e, j), p) for j in range(sub.n)]
+            for e in sub.exprs]
+
+
+def _guard_points(rng, box):
+    """Numpy floats, Python floats and ints inside ``box``, and its corners."""
+    pts = [tuple(p) for p in random_points(rng, box, 8)]
+    pts += [tuple(float(v) for v in p) for p in random_points(rng, box, 8)]
+    pts += [tuple(float(v) for v in p) for p in box.corners()]
+    ints = [tuple(int(v) for v in np.ceil(box.lows)),
+            tuple(int(v) for v in np.floor(box.highs))]
+    return pts + [p for p in ints if box.contains(p)]
+
+
+# a pole and a log of negative values; an overflowing exp and product
+POLE_LOG = make_form(["x", "y"], ["1/x", "log(y) - x"], BOX2)
+OVERFLOW = make_form(["x", "y"], ["exp(800*x)", "y*1e300*1e300 + 1"], BOX2)
+# numpy scalars would divide by zero to inf here, and return 0.0 at x = 0
+HIDDEN_POLE = make_form(["x", "y"], ["x/(1 + 1/x)", "1"], BOX2)
+# undefined where v <= -0.5 and at u = 0, in the point and the Jacobian
+UNDEFINED_SUB = make_substitution(["u", "v"], ["u + 0.1*log(v + 0.5)", "v + 0.2/u"],
+                                  (0.5, 0.5), BOX2)
+EDGE_POINTS = [(0.0, 0.5), (np.float64(0.0), 0.5), (0, 1), (0.5, -0.5),
+               (1.0, 0.0), (0.0, 1.0), (-0.0, -1.0), (np.float64(1.0), 1)]
+
+
+def test_coefficient_vector_matches_oracle(rng):
+    undefined = 0
+    cases = [(e.form, []) for e in catalog()]
+    cases += [(f, EDGE_POINTS) for f in (POLE_LOG, OVERFLOW, HIDDEN_POLE)]
+    for form, edge_points in cases:
+        for p in _guard_points(rng, form.domain) + edge_points:
+            got = _result(coefficient_vector, form, p)
+            _assert_same(got, _result(_oracle_vector, form, p))
+            _assert_same(_result(is_singular_at, form, p),
+                         _result(_oracle_singular, form, p))
+            undefined += got is EvalDomainError
+    assert undefined >= 8
+
+
+def test_substitution_matches_oracle(rng):
+    cases = [(UNDEFINED_SUB, EDGE_POINTS)]
+    for seed, e in enumerate(catalog()):
+        cases += [(random_linear_substitution(e.form, seed=seed), []),
+                  (mild_nonlinear_substitution(e.form), [])]
+    undefined = 0
+    for sub, edge_points in cases:
+        for p in _guard_points(rng, sub.new_domain) + edge_points:
+            got = _result(sub.apply, p)
+            _assert_same(got, _result(_oracle_apply, sub, p))
+            _assert_same(_result(lambda q: sub.jacobian_at(q).tolist(), p),
+                         _result(_oracle_jacobian, sub, p))
+            undefined += got is EvalDomainError
+    assert undefined >= 4
+
+
+@pytest.mark.parametrize("form,p", [
+    (POLE_LOG, (0.0, 0.5)),  # pole
+    (POLE_LOG, (np.float64(0.0), 0.5)),
+    (HIDDEN_POLE, (np.float64(0.0), 0.5)),
+    (POLE_LOG, (0.5, -0.5)),  # log of a negative value
+    (OVERFLOW, (1.0, 0.0)),  # exp overflows
+    (OVERFLOW, (0.0, 1.0)),  # the product overflows to inf
+])
+def test_checked_errors_are_eval_domain_errors(form, p):
+    assert _result(_oracle_vector, form, p) is EvalDomainError
+    with pytest.raises(EvalDomainError):
+        coefficient_vector(form, p)
+    with pytest.raises(EvalDomainError):
+        is_singular_at(form, p)
+
+
+def test_checked_arity_and_domain_errors():
+    with pytest.raises(ArityError):
+        coefficient_vector(POLE_LOG, (0.5,))
+    with pytest.raises(ArityError):
+        UNDEFINED_SUB.apply((0.5,))
+    with pytest.raises(ArityError):
+        UNDEFINED_SUB.jacobian_at((0.5, 0.5, 0.5))
+    with pytest.raises(OutOfDomainError):
+        coefficient_vector(POLE_LOG, (2.0, 0.5))
+    with pytest.raises(EvalDomainError):
+        UNDEFINED_SUB.jacobian_at((0.0, 0.5))
+
+
+@pytest.mark.parametrize("text,point", DOMAIN_ERROR_CASES)
+def test_coefficient_vector_domain_errors(text, point):
+    half = 2.0 * abs(point[0]) + 1.0
+    form = PfaffianForm(("x1",), (ex.parse_expression(text, ["x1"]),),
+                        Box((-half,), (half,)))
+    with pytest.raises(EvalDomainError):
+        coefficient_vector(form, point)
+
+
+# --- coefficients simplified once, derivatives as simplify fixed points ------------
+
+
+def _poly_text(rng, n, degree):
+    """Dense random polynomial in x1..xn, written as form files write them."""
+    terms = []
+    for expo in monomials_up_to(n, degree):
+        factors = [f"x{v + 1}^{e}" for v, e in enumerate(expo) if e]
+        terms.append("*".join([f"{rng.uniform(-1, 1):.3f}", *factors]))
+    return " + ".join(terms)
+
+
+def _sweep_style_forms(rng):
+    """Polynomial forms in 3-5 variables, plain, scaled by exp and twisted."""
+    forms = []
+    for n in (3, 4, 5):
+        names = [f"x{i + 1}" for i in range(n)]
+        box = Box((-1,) * n, (1,) * n)
+        polys = [_poly_text(rng, n, 2) for _ in range(n)]
+        factor = _poly_text(rng, n, 2)
+        forms.append(make_form(names, polys, box))
+        forms.append(make_form(names, [f"exp({factor})*({t})" for t in polys], box))
+        forms.append(make_form(names, [f"{polys[0]} - 0.7*x2", *polys[1:]], box))
+    return forms
+
+
+def test_derivatives_are_simplify_fixed_points(rng):
+    forms = [e.form for e in catalog()]
+    forms += [pullback(f, random_linear_substitution(f, seed=7)) for f in forms]
+    forms += _sweep_style_forms(rng)
+    for names, coeffs in _reference_forms(rng):
+        n = len(names)
+        forms.append(PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n)))
+    for form in forms:
+        memo = {}
+        for row in form.derivative_matrix:
+            for d in row:
+                assert repr(ex.simplify(d, memo)) == repr(d)
+
+
+def test_form_stores_simplified_coefficients(rng):
+    for names, coeffs in _reference_forms(rng):
+        n = len(names)
+        form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
+        assert repr(form.coefficients) == repr(tuple(ex.simplify(c) for c in coeffs))
+        assert repr(PfaffianForm(names, form.coefficients, form.domain).coefficients) \
+            == repr(form.coefficients)
+
+
+# --- distances ---------------------------------------------------------------------
+
+
+def test_distance_adds_squares_left_to_right(rng):
+    # a pair whose distance Python 3.12's compensated sum rounds differently
+    pairs = [((0.9626009722302022, 0.12809522375164262, -0.7344460244417297),
+              (0.792992037356042, -0.17235517342939066, -0.6623582775212051))]
+    for _ in range(500):
+        n = int(rng.integers(2, 6))
+        pairs.append((tuple(rng.uniform(-1, 1, n)),
+                      tuple(float(v) for v in rng.uniform(-1, 1, n))))
+    for p, q in pairs:
+        expected = math.sqrt(fold((a - b) ** 2 for a, b in zip(p, q)))
+        assert repr(distance(p, q)) == repr(expected)

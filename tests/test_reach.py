@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -283,6 +284,28 @@ def test_scan_rolling_blocked():
 def test_scan_exact_blocked_along_level_normal():
     report = surrounding_line_scan(EXACT3, (0, 0, 0), 2, 0.3, 60000)
     assert report.fraction_reached <= 1 / 32
+
+
+def test_align_free_norm_adds_left_to_right(rng):
+    # the leg length is the distance to the target over the free axes, added
+    # as the generated leg adds (Python 3.12's sum rounds some differently)
+    lengths = []
+
+    class Recorder(_Seeker):
+        def _leg(self, vfree, k, length):
+            lengths.append(length)
+            return False
+
+    n = 5
+    form = SimpleNamespace(n=n, coefficient_tuple_fn=lambda *p: (1.0,) * n)
+    steering = SimpleNamespace(inside=None, tol=0.0)
+    for _ in range(300):
+        base = tuple(float(v) for v in rng.uniform(-1, 1, n))
+        target = tuple(float(v) for v in rng.uniform(-1, 1, n))
+        k = int(rng.integers(n))
+        assert not Recorder(form, steering, base, target, 1.0, 100)._align_free(k)
+        delta = [t - b for i, (t, b) in enumerate(zip(target, base)) if i != k]
+        assert repr(lengths[-1]) == repr(math.sqrt(fold(d * d for d in delta)))
 
 
 def test_scan_gap_trend_reported():
