@@ -35,10 +35,16 @@ class SamplerConfig:
     points: int = 64
 
     def sample_points(self, form: PfaffianForm):
+        """Tuples of Python floats, which the compiled evaluators expect.
+
+        On numpy scalars a pole divides to inf with a RuntimeWarning where
+        a Python float raises ZeroDivisionError, and every operation of the
+        generated code runs slower.
+        """
         return [
             form.domain.center,
-            *map(tuple, form.domain.corners()),
-            *map(tuple, form.domain.samples(self.points)),
+            *map(tuple, form.domain.corners().tolist()),
+            *map(tuple, form.domain.samples(self.points).tolist()),
         ]
 
 

@@ -331,7 +331,25 @@ def rk4_step(kernel: OdeKernel, t, y, dt, *params):
 
 
 def bisect_root(fn, lo, hi, xtol=1e-13, max_iter=200):
-    """Root of a scalar function on a bracketing interval (secant-accelerated)."""
+    """Root of a scalar function on a bracketing interval ``[lo, hi]``.
+
+    The Illinois variant of regula falsi (Dowell & Jarratt, *BIT* 11,
+    1971).  Each probe is the regula-falsi point of the bracket, or its
+    midpoint when that point is not strictly inside, and replaces the end
+    whose value has its sign, so the bracket always holds a sign change.
+    When the same end survives two probes in a row, the value stored there
+    is halved, which pushes the next regula-falsi point past the root; a
+    simple root then takes a few probes where plain regula falsi never
+    moves its stale end.  After three survivals in a row the probes are
+    midpoints until the surviving end moves, so a stale end costs at most
+    three probes that do not halve the bracket; this is what converges at
+    a triple root, where the halving alone cannot keep up.
+
+    Returns a probe whose value is exactly zero, an end whose value is
+    zero, or ``0.5 * (lo + hi)`` once ``hi - lo <= xtol`` or after
+    ``max_iter`` probes.  Raises AnalysisError when ``fn(lo)`` and
+    ``fn(hi)`` have the same sign.
+    """
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -339,23 +357,25 @@ def bisect_root(fn, lo, hi, xtol=1e-13, max_iter=200):
         return hi
     if flo * fhi > 0:
         raise AnalysisError(f"root not bracketed on [{lo}, {hi}]")
+    lo_negative = flo < 0.0
+    kept = 0  # probes in a row that hi (> 0) or lo (< 0) survived
     for _ in range(max_iter):
         if hi - lo <= xtol:
             break
-        # secant candidate, clipped into the bracket; fall back to midpoint
-        denom = fhi - flo
-        mid = 0.5 * (lo + hi)
-        if denom != 0.0:
-            cand = lo - flo * (hi - lo) / denom
-            if not (lo + 0.1 * xtol < cand < hi - 0.1 * xtol):
-                cand = mid
-        else:
-            cand = mid
+        cand = lo - flo * (hi - lo) / (fhi - flo)
+        if not (-3 < kept < 3 and lo < cand < hi):
+            cand = 0.5 * (lo + hi)
         fc = fn(cand)
         if fc == 0.0:
             return cand
-        if flo * fc < 0:
-            hi, fhi = cand, fc
-        else:
+        if (fc < 0.0) == lo_negative:
             lo, flo = cand, fc
+            kept = max(kept, 0) + 1
+            if kept > 1:
+                fhi *= 0.5
+        else:
+            hi, fhi = cand, fc
+            kept = min(kept, 0) - 1
+            if kept < -1:
+                flo *= 0.5
     return 0.5 * (lo + hi)

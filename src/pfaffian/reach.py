@@ -403,7 +403,10 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
     spawn-keyed stream, so results do not depend on scheduling.  Endpoints
     are recorded at every segment end inside the closed epsilon-ball; curves
     that exit the ball or the box are truncated at the crossing (located by
-    re-stepping bisection) and the rollout restarts from p.
+    re-stepping bisection) and the rollout restarts from p.  Exploration
+    ends when the step budget is used up, or after ``MAX_SEGMENTS``
+    rollouts in a row that took no step (every first step from p failed),
+    which would otherwise repeat without end.
     """
     if form.n < 2:
         raise ArityError("exploration requires at least 2 variables")
@@ -429,26 +432,29 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
     used = 0
     max_resid = 0.0
     rollout = 0
+    idle = 0  # rollouts in a row that took no step
 
-    while used < budget:
+    while used < budget and idle < MAX_SEGMENTS:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rollout,)))
         rollout += 1
+        # one draw fills the rows in the order of one draw per segment
+        directions = rng.standard_normal((max_segments, n - 1))
         x = p
         f_x = coeffs(*x)
         rollout_steps = 0
         curve_pts = [x] if keep_curves else None
         curve_resid = 0.0
-        for _seg in range(max_segments):
+        for row in directions:
             if used >= budget:
                 break
             k = max(range(n), key=lambda i: abs(f_x[i]))
             if abs(f_x[k]) <= singular_tol:
                 break
-            vfree = rng.standard_normal(n - 1)
-            norm = float(np.linalg.norm(vfree))
+            # the norm np.linalg.norm computes for a 1-D row
+            norm = math.sqrt(row.dot(row))
             if norm == 0.0:
                 continue
-            vfree = tuple(float(v) / norm for v in vfree)
+            vfree = tuple(v / norm for v in row.tolist())
             # the budget may end the segment early, and then the rollout
             m = min(steps_per_segment, budget - used)
             status, taken, resid, x_in, f_in = segments[k](
@@ -479,6 +485,7 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
             x, f_x = x_in, f_in
             endpoints.append(x)
             step_counts.append(rollout_steps)
+        idle = 0 if rollout_steps else idle + 1
         if keep_curves and len(curve_pts) > 1:
             arr = np.asarray(curve_pts)
             seg_len = np.linalg.norm(np.diff(arr, axis=0), axis=1)

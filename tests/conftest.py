@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pfaffian import expressions as ex
-from pfaffian.errors import ParseError
+from pfaffian.errors import AnalysisError, ParseError
 from pfaffian.forms import Box, form_from_expressions
 from pfaffian.ode import MaxStepsError, StepRejectionError
 
@@ -86,6 +86,42 @@ def dopri5_step(stepper, t_limit):
     if status != "ok":
         raise StepRejectionError(status)
     return stepper.t, stepper.y
+
+
+def secant_bisect_root(fn, lo, hi, xtol=1e-13, max_iter=200):
+    """``ode.bisect_root`` as it was before it kept an Illinois bracket.
+
+    Each probe is the secant point of the bracket, clipped to lie at least
+    ``0.1 * xtol`` inside it, or the midpoint.  The secant never moves the
+    stale end of the bracket, so once it reaches the root the search only
+    halves.
+    """
+    flo, fhi = fn(lo), fn(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0:
+        raise AnalysisError(f"root not bracketed on [{lo}, {hi}]")
+    for _ in range(max_iter):
+        if hi - lo <= xtol:
+            break
+        denom = fhi - flo
+        mid = 0.5 * (lo + hi)
+        if denom != 0.0:
+            cand = lo - flo * (hi - lo) / denom
+            if not (lo + 0.1 * xtol < cand < hi - 0.1 * xtol):
+                cand = mid
+        else:
+            cand = mid
+        fc = fn(cand)
+        if fc == 0.0:
+            return cand
+        if flo * fc < 0:
+            hi, fhi = cand, fc
+        else:
+            lo, flo = cand, fc
+    return 0.5 * (lo + hi)
 
 
 def entropy(p, cv=1.5, rg=1.0):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -458,7 +459,9 @@ def test_cli_out_file(contact_file, tmp_path):
 #
 # SHA-256 of the exit code, stdout and CSV of each run, recorded before the
 # Dormand-Prince step loop was generated and box exits of surface paths ended
-# solves early: both must leave every report as it was.
+# solves early: both must leave every report as it was.  The factor2 and
+# foliate digests were re-pinned when crossings came to be located by the
+# Illinois bracket of ``ode.bisect_root``, which moves them at rounding level.
 
 
 def _catalog_jobs():
@@ -507,9 +510,9 @@ CATALOG_DIGESTS = {
     "factor-global exact_3var z 9":
         "f92ee63c865cb0fd941874451d51f68931c6d4e4f24033aaf34f687fe5e941f8",
     "factor2 product_exact":
-        "d2acc82ca392cb0c62095d0e2b93567a50ef1dbde7d0f4b4514290351c926339",
+        "74309bfcffe2c42fc6937865d56075d37f7bab0473138cc2f2ccf7644755ad51",
     "foliate product_exact":
-        "9513b5b7cb975a99c43a53202928d6529c951a7ba21ecd79eff0d70340aa8c08",
+        "e3a29e6a1e9c14a6bf6e1db9ddb8febd54d67685a6fd84bc8013214eabb3670d",
     "factor-global scaled_exact x 5":
         REJECTED_BASE,
     "factor-global scaled_exact x 9":
@@ -535,17 +538,17 @@ CATALOG_DIGESTS = {
     "factor-global contact z 9":
         "0d10f1adc0bb2d2346ebbee4798c997e56a49dd48d88e370fd9343ff389f110c",
     "factor2 ideal_gas_heat":
-        "130af5f0d63e7141b9d20cb2df5af863ebdabacfdfb04169b6434194e16eb75b",
+        "8814ca8b6e241c716caaf4ed188df29da73efa10955c870239a8d936618981fd",
     "foliate ideal_gas_heat":
-        "60f59c77324c709d54f238f3d1f4e7dbdbd342f90c7dbec2e755e5a1372d9eb4",
+        "fd12b39501ef82e2703412e2ec6aaf94748cfd00744ac3fd427cc6b7d3b521a6",
     "factor2 rolling_cylinder":
-        "fd57a6a5c0f2fb7842617673c16b01a2e70a8cbe36b16f70de62f314271c0aab",
+        "85424107e19bc55f0f6efa4321c35fe0b85fa616ad5dda89a926937042ccd62a",
     "foliate rolling_cylinder":
-        "0ab327d5172eb843616ebb356b10f8f7e38c7d845ae730a26975592765629aaf",
+        "f393575e17fe7e618b78b438ca3eacb27e58a1ae874a27d2fa162c4f69e9e922",
     "factor2 ray_form":
-        "0f8eb09310f867e3c262ee13f1c70f68ea56cdfe7c00c94b63352ade9e1dcfc3",
+        "1f82afb36a418ea724f72410517ac6cc3137c18858b848dacb0bdaddba0fb952",
     "foliate ray_form":
-        "d450a93ecda231eb63158851c87c38143e63a00c5ebe4f62a4d972112fb0c982",
+        "1c40200ff3c7223a0bd76343372b37defe2d09148dc9c2b4d0a35c69ab2ed303",
 }
 
 
@@ -594,6 +597,33 @@ def test_cli_foliate_crossing_search_meets_vanishing_coefficient(tmp_path, capsy
     assert main(["foliate", str(path), "--curves", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "curve_id,t,x,y" and len(lines) > 2
+
+
+def test_cli_check_pole_on_a_sample_is_quiet(tmp_path, capsys):
+    # x = 0 is the box center and a Halton coordinate: the samples there
+    # fail without a RuntimeWarning and the rest classify the form
+    path = tmp_path / "pole.pfaff"
+    path.write_text("vars: x, y, z\nF[1] = 1/x\nF[2] = 1\nF[3] = z\n"
+                    "domain: [-1,1] x [-1,1] x [-1,1]\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["check", str(path)]) == 0
+    assert caught == []
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["class"] == "exact"
+
+
+def test_cli_reach_ends_when_no_rollout_takes_a_step(tmp_path, capsys):
+    # F_2 overflows to inf off y = 0: every first step from the base fails,
+    # and explore stops after MAX_SEGMENTS such rollouts in a row
+    path = tmp_path / "idle.pfaff"
+    path.write_text("vars: x, y, z\nF[1] = exp(800*x)\nF[2] = y*1e300*1e300 + 1\n"
+                    "F[3] = z\ndomain: [-1,1] x [-1,1] x [-1,1]\n")
+    assert main(["reach", str(path), "--budget", "1500"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["budget_used"] < report["budget"] == 1500
+    assert report["endpoint_count"] == 1
 
 
 def test_cli_reach_epsilon_beyond_coordinate_bound_is_input_error(tmp_path, capsys):

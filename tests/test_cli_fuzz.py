@@ -172,7 +172,8 @@ EXACT3_TEXT = ("vars: x, y, z\nF[1] = 1\nF[2] = 1\nF[3] = 1\n"
 # cases the fuzzer found, each once a traceback: an unknown catalog name
 # (KeyError), a verdict with too few endpoints (NaN in the report), a ball
 # or a box whose squared distances overflow, and a characteristic's crossing
-# search stepping where the solved coefficient vanishes
+# search stepping where the solved coefficient vanishes; and a reach that
+# never ended, because no rollout of its exploration could take a step
 @example((EXACT3_TEXT, ["catalog", "--show", "nope"]))
 @example((EXACT3_TEXT, ["catalog", "--write-form", "nope", "{write}"]))
 @example((EXACT3_TEXT, ["reach", "{form}", "--budget", "1"]))
@@ -183,6 +184,8 @@ EXACT3_TEXT = ("vars: x, y, z\nF[1] = 1\nF[2] = 1\nF[3] = 1\n"
           ["foliate", "{form}", "--curves", "1"]))
 @example(("vars: x, y\nF[1] = sin(x)\nF[2] = sin(x)\ndomain: [0,1] x [-1,1]\n",
           ["foliate", "{form}", "--curves", "1"]))
+@example(("vars: x, y, z\nF[1] = exp(800*x)\nF[2] = y*1e300*1e300 + 1\nF[3] = z\n"
+          "domain: [-1,1] x [-1,1] x [-1,1]\n", ["reach", "{form}", "--budget", "1500"]))
 def test_cli_contract_under_fuzz(invocation):
     text, template = invocation
     with tempfile.TemporaryDirectory() as tmp:

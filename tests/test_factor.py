@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dopri5_step, entropy
+from conftest import dopri5_step, entropy, secant_bisect_root
 from pfaffian import expressions as ex
-from pfaffian import ode
+from pfaffian import factor, ode
 from pfaffian.catalog import entry
 from pfaffian.errors import AnalysisError
 from pfaffian.factor import (
@@ -564,6 +564,68 @@ def test_trace_matches_reference_near_singular_points(rng):
             for max_steps in (1, 2, 3, 5, 8, 13, 21, 34):
                 _assert_trace_matches(form, kernels, p, direction, tv, max_steps)
     assert swaps
+
+
+# --- crossings located by the Illinois bracket against the secant search ----------
+
+
+def _factor2_traces(monkeypatch, form, grid):
+    """Arguments and results of every trace ``factor2`` makes at ``grid``.
+
+    Those are the traces from the grid points and from every point their
+    finite-difference stencils reach, in both directions where the first
+    misses the transversal.
+    """
+    calls = []
+    trace = factor._trace_characteristic
+
+    def recording(*args, **kwargs):
+        result = trace(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(factor, "_trace_characteristic", recording)
+    build_potential_2var(form, grid_per_axis=grid)
+    monkeypatch.setattr(factor, "_trace_characteristic", trace)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [9, 17])
+@pytest.mark.parametrize("name", ["ideal_gas_heat", "product_exact", "ray_form",
+                                  "rolling_cylinder"])
+def test_crossings_match_secant_search(name, grid, monkeypatch):
+    """Statuses as the secant search found them, labels within 1e-12."""
+    calls = _factor2_traces(monkeypatch, entry(name).form, grid)
+    monkeypatch.setattr(factor, "bisect_root", secant_bisect_root)
+    labels = 0
+    for args, kwargs, (status, label, truncated) in calls:
+        ref_status, ref_label, ref_truncated = _trace_characteristic(*args, **kwargs)
+        assert (status, truncated) == (ref_status, ref_truncated)
+        if ref_label is None:
+            assert label is None
+        else:
+            assert abs(label - ref_label) <= 1e-12
+            labels += 1
+    assert labels > 4 * grid * grid // 10
+
+
+@pytest.mark.parametrize("grid", [9, 17])
+def test_rolling_cylinder_labels_exact(grid, monkeypatch):
+    """Straight characteristics x - theta = c: the label is exact to 1e-14.
+
+    The crossing of the line through p with ``{x_f = v}`` lies at
+    ``v + p_g - p_f`` on the varying axis g, whichever axis is fixed.
+    """
+    form = entry("rolling_cylinder").form
+    tv = auto_transversal(form)
+    fixed, varying = tv.fixed_axis, tv.varying_axis()
+    labels = 0
+    for args, _, (status, label, _) in _factor2_traces(monkeypatch, form, grid):
+        if status == "transversal":
+            p = args[1]
+            assert abs(label - (tv.value + p[varying] - p[fixed])) <= 1e-14
+            labels += 1
+    assert labels > grid * grid
 
 
 def test_criterion_5_run_attempt_bound(monkeypatch):

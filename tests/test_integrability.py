@@ -289,6 +289,16 @@ def test_sampler_config_is_deterministic(contact):
     assert a == b
 
 
+def test_sample_points_are_python_floats(contact):
+    # the compiled evaluators raise at a pole on Python floats; numpy
+    # scalars would divide to inf with a RuntimeWarning
+    gas = make_form(["T", "V"], ["1.5", "T/V"], Box((1, 1), (2, 2)))
+    for form in (contact, gas):
+        points = SamplerConfig(points=32).sample_points(form)
+        assert len(points) == 1 + 2 ** form.n + 32
+        assert all(type(v) is float for p in points for v in p)
+
+
 def test_inconclusive_report_writes_absent_witness_as_null():
     # x^300 overflows dF at every sample: nothing is usable
     f = make_form(["x", "y"], ["x^300", "1"], Box((10.55, 0), (10.64, 1)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dopri5_step, fold
+from conftest import dopri5_step, fold, secant_bisect_root
 from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError
 from pfaffian.catalog import catalog, entry
@@ -529,6 +529,73 @@ def test_bisect_root_unbracketed():
 
 def test_bisect_root_finds_root():
     assert bisect_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0))
+
+
+def _probed(fn, lo, hi, xtol, root_finder=bisect_root, **kwargs):
+    """``(root, probes)`` of ``root_finder`` on ``fn``, ends included."""
+    probes = []
+
+    def counted(x):
+        probes.append(x)
+        return fn(x)
+
+    return root_finder(counted, lo, hi, xtol=xtol, **kwargs), probes
+
+
+def _stale_end_bound(lo, hi, xtol):
+    """Probes a search may make: the two ends, then at most four per halving."""
+    return 2 + 4 * math.ceil(math.log2((hi - lo) / xtol))
+
+
+# (fn, lo, hi, root, most probes at xtol 1e-12 and 1e-13); the flat cubes,
+# where halving a stale value cannot keep up, may use the stale-end bound
+ROOT_CASES = {
+    "linear": (lambda x: 3.0 * x - 1.0, 0.0, 1.0, 1.0 / 3.0, 4),
+    "convex": (lambda x: math.exp(x) - 2.0, 0.0, 1.0, math.log(2.0), 12),
+    "convex_wide": (lambda x: math.exp(x) - 2.0, -2.0, 3.0, math.log(2.0), 16),
+    "flat": (lambda x: x ** 3, -1.0, 2.0, 0.0, None),
+    "flat_shifted": (lambda x: (x - 0.3) ** 3, 0.0, 1.0, 0.3, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+@pytest.mark.parametrize("xtol", [1e-12, 1e-13])
+def test_bisect_root_probe_counts_and_accuracy(case, xtol):
+    fn, lo, hi, root, most = ROOT_CASES[case]
+    found, probes = _probed(fn, lo, hi, xtol)
+    assert abs(found - root) <= xtol
+    assert len(probes) <= (most or _stale_end_bound(lo, hi, xtol))
+    assert probes[:2] == [lo, hi] and all(lo < x < hi for x in probes[2:])
+
+
+def test_bisect_root_beats_the_secant_search():
+    # the secant search halves once the secant reaches the root: 57 probes
+    # on exp(x) - 2, where the Illinois bracket needs 10; on x^3 over
+    # [-1, 2] it never moves the stale end 2 and returns about 1
+    _, probes = _probed(lambda x: math.exp(x) - 2.0, 0.0, 1.0, 1e-12)
+    _, ref_probes = _probed(lambda x: math.exp(x) - 2.0, 0.0, 1.0, 1e-12,
+                            secant_bisect_root)
+    assert 3 * len(probes) < len(ref_probes)
+    ref_root, _ = _probed(lambda x: x ** 3, -1.0, 2.0, 1e-12, secant_bisect_root)
+    assert ref_root > 0.5
+
+
+def test_bisect_root_sides_from_signs_not_products():
+    # values near 1e-200: a product of two of them underflows to zero, which
+    # the secant search read as "same sign" and so lost the bracket
+    fn = lambda x: 1e-200 * (math.exp(x) - 2.0)  # noqa: E731
+    assert abs(bisect_root(fn, 0.0, 1.0, xtol=1e-12) - math.log(2.0)) <= 1e-12
+    assert abs(secant_bisect_root(fn, 0.0, 1.0, xtol=1e-12) - math.log(2.0)) > 0.1
+
+
+@pytest.mark.parametrize("lo, hi, expected", [(0.5, 2.0, 0.5), (-2.0, 0.5, 0.5)])
+def test_bisect_root_returns_a_zero_end(lo, hi, expected):
+    assert bisect_root(lambda x: x - 0.5, lo, hi) == expected
+
+
+def test_bisect_root_stops_after_max_iter_probes():
+    _, probes = _probed(lambda x: x ** 3, -1.0, 2.0, 1e-12, max_iter=10)
+    assert len(probes) == 12
 
 
 # --- whole solves and box exits -------------------------------------------------

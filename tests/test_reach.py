@@ -215,6 +215,23 @@ def test_explore_zero_budget():
     assert sample.budget_used == 0
 
 
+def test_explore_ends_after_idle_rollouts(monkeypatch):
+    # F_2 overflows to inf off y = 0, so every first step from the center fails
+    form = make_form(["x", "y", "z"], ["exp(800*x)", "y*1e300*1e300 + 1", "z"],
+                     Box((-1,) * 3, (1,) * 3))
+    rollouts = []
+    default_rng = np.random.default_rng
+
+    def counting(seed_sequence):
+        rollouts.append(seed_sequence.spawn_key)
+        return default_rng(seed_sequence)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    sample = explore(form, (0.0, 0.0, 0.0), 0.3, 1500, 42)
+    assert rollouts == [(r,) for r in range(MAX_SEGMENTS)]
+    assert sample.budget_used == 0 and sample.endpoints == [(0.0, 0.0, 0.0)]
+
+
 def test_explore_endpoints_stay_in_ball_and_box():
     sample = explore(CONTACT, (0.9, 0.0, 0.9), 0.3, 20000, 11)
     for e in sample.endpoints:
