@@ -143,7 +143,7 @@ def _var_index(form, name):
 
 
 def _cmd_check(args):
-    form = load_form(args.form_file)
+    form = load_form(args.form_file, needs_jet=True)
     verdict = classify(form, SamplerConfig(points=args.samples), tol=args.tol)
     _emit(json_text(verdict.as_report()), args.out)
     if args.expect:
@@ -316,7 +316,7 @@ def _cmd_foliate(args):
 
 
 def _cmd_invariance(args):
-    form = load_form(args.form_file)
+    form = load_form(args.form_file, needs_jet=True)
     if args.map:
         if not (args.new_vars and args.new_domain):
             raise FormError("--map requires --new-vars and --new-domain")

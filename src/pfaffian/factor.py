@@ -268,12 +268,16 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
 
             crossed = None  # (lam, kind)
             try:
-                # dependent-axis box exit
-                for bound, kind in ((low_b, "boundary"), (high_b, "boundary")):
+                # dependent-axis box exit: a step across a face ends at the
+                # located crossing; a step out from on (or past) a face, as
+                # from a start on it, ends where it began
+                for bound, outward in ((low_b, -1.0), (high_b, 1.0)):
                     g0, g1 = prev_y[0] - bound, y[0] - bound
                     if g0 * g1 < 0:
                         lam = _locate(kernel, prev_t, prev_y, t - prev_t, bound)
-                        crossed = (lam, kind)
+                        crossed = (lam, "boundary")
+                    elif g0 * outward >= 0 and g1 * outward > 0:
+                        crossed = (0.0, "boundary")
                 # transversal crossing on the dependent axis
                 if crossed is None and on_b:
                     g0 = prev_y[0] - level

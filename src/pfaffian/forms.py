@@ -148,17 +148,43 @@ def _nonsingular_probe_points(box: Box):
     yield from map(tuple, box.samples(_NONSINGULAR_SAMPLES))
 
 
-def _check_nonsingular(form: PfaffianForm, tol: float):
+def _probe_vector(form: PfaffianForm, p, needs_jet: bool):
+    """F at the probe point ``p``, or None where a coefficient is undefined.
+
+    With ``needs_jet``, F is read from the first n entries of
+    :attr:`PfaffianForm.jet_fn`; they are the float operations of
+    :attr:`PfaffianForm.coefficient_tuple_fn`.  Where the jet raises or one
+    of those entries is non-finite, the answer is that of
+    :func:`coefficient_vector`, which then compiles F.
+    """
+    if needs_jet:
+        try:
+            values = form.jet_fn(*map(float, p))[:form.n]
+        except (ValueError, ZeroDivisionError, OverflowError):
+            values = None
+        if values is not None and all(map(math.isfinite, values)):
+            return values
+    try:
+        return coefficient_vector(form, p)
+    except EvalDomainError:
+        return None
+
+
+def _check_nonsingular(form: PfaffianForm, tol: float, needs_jet: bool = False):
     """Raise SingularFormError unless some probe point has a nonzero vector.
 
     The message tells probes where the vector is zero from those where a
     coefficient is undefined (a pole, a log of a negative value, ...).
+    ``needs_jet`` says the caller will evaluate :attr:`PfaffianForm.jet_fn`
+    anyway, so the probe reads F from the jet and compiles F only where the
+    jet fails (:func:`_probe_vector`); the decision and the message are
+    those of the probe on F either way.  Without it, the probe compiles F
+    alone and never builds the Jacobian.
     """
     zero = undefined = 0
     for p in _nonsingular_probe_points(form.domain):
-        try:
-            values = coefficient_vector(form, p)
-        except EvalDomainError:
+        values = _probe_vector(form, p, needs_jet)
+        if values is None:
             undefined += 1
             continue
         if max(abs(v) for v in values) > tol:
@@ -174,8 +200,13 @@ def _check_nonsingular(form: PfaffianForm, tol: float):
     raise SingularFormError(message)
 
 
-def make_form(var_names, coefficient_texts, box: Box, singular_tol=DEFAULT_SINGULAR_TOL):
-    """Parse coefficient texts and construct a non-singular form on ``box``."""
+def make_form(var_names, coefficient_texts, box: Box, singular_tol=DEFAULT_SINGULAR_TOL,
+              needs_jet=False):
+    """Parse coefficient texts and construct a non-singular form on ``box``.
+
+    ``needs_jet`` lets the nonsingularity probe use the jet (see
+    :func:`_check_nonsingular`).
+    """
     var_names = tuple(var_names)
     if len(var_names) != len(set(var_names)):
         raise FormError("duplicate variable names")
@@ -187,18 +218,20 @@ def make_form(var_names, coefficient_texts, box: Box, singular_tol=DEFAULT_SINGU
         raise ArityError(f"box dimension {box.dim} != {len(var_names)} variables")
     coeffs = tuple(ex.parse_expression(text, var_names) for text in coefficient_texts)
     form = PfaffianForm(var_names, coeffs, box)
-    _check_nonsingular(form, singular_tol)
+    _check_nonsingular(form, singular_tol, needs_jet)
     return form
 
 
 def form_from_expressions(var_names, coefficients, box: Box,
-                          singular_tol=DEFAULT_SINGULAR_TOL) -> PfaffianForm:
-    """Construct a form from already-built expression trees."""
+                          singular_tol=DEFAULT_SINGULAR_TOL,
+                          needs_jet=False) -> PfaffianForm:
+    """Construct a form from already-built expression trees (``needs_jet``
+    as for :func:`make_form`)."""
     var_names = tuple(var_names)
     if len(coefficients) != len(var_names) or box.dim != len(var_names):
         raise ArityError("variable, coefficient and box arities must agree")
     form = PfaffianForm(var_names, tuple(coefficients), box)
-    _check_nonsingular(form, singular_tol)
+    _check_nonsingular(form, singular_tol, needs_jet)
     return form
 
 
@@ -293,10 +326,11 @@ def make_substitution(new_var_names, expr_texts, base_point, new_domain: Box,
 
 
 def pullback(form: PfaffianForm, sub: Substitution,
-             singular_tol=DEFAULT_SINGULAR_TOL) -> PfaffianForm:
+             singular_tol=DEFAULT_SINGULAR_TOL, needs_jet=False) -> PfaffianForm:
     """Coordinate change of the form: Fbar_j = sum_i (dx_i/dxbar_j) * (F_i o s).
 
     Built symbolically; line integrals along corresponding curves agree.
+    ``needs_jet`` as for :func:`make_form`.
     """
     if sub.n != form.n:
         raise ArityError("substitution arity does not match the form")
@@ -309,7 +343,7 @@ def pullback(form: PfaffianForm, sub: Substitution,
             acc = ex.add(acc, ex.mul(jac[i][j], composed[i]))
         new_coeffs.append(acc)
     return form_from_expressions(sub.new_var_names, new_coeffs, sub.new_domain,
-                                 singular_tol=singular_tol)
+                                 singular_tol=singular_tol, needs_jet=needs_jet)
 
 
 def random_linear_substitution(form: PfaffianForm, seed: int, strength=0.3,
@@ -376,11 +410,13 @@ def parse_box(text: str) -> Box:
     return Box(lows, highs)
 
 
-def parse_form_file(text: str, singular_tol=DEFAULT_SINGULAR_TOL) -> PfaffianForm:
+def parse_form_file(text: str, singular_tol=DEFAULT_SINGULAR_TOL,
+                    needs_jet=False) -> PfaffianForm:
     """Parse the plain-text form definition format.
 
     Line 1: ``vars: x, y, z``; then one ``F[i] = <expression>`` per variable;
     finally ``domain: [lo,hi] x [lo,hi] x ...``.  '#' starts a comment.
+    ``needs_jet`` as for :func:`make_form`.
     """
     var_names = None
     coeff_texts = {}
@@ -420,12 +456,15 @@ def parse_form_file(text: str, singular_tol=DEFAULT_SINGULAR_TOL) -> PfaffianFor
     if sorted(coeff_texts) != list(range(1, n + 1)):
         raise FormError(f"need coefficients F[1]..F[{n}], got {sorted(coeff_texts)}")
     texts = [coeff_texts[i] for i in range(1, n + 1)]
-    return make_form(var_names, texts, box, singular_tol=singular_tol)
+    return make_form(var_names, texts, box, singular_tol=singular_tol,
+                     needs_jet=needs_jet)
 
 
-def load_form(path, singular_tol=DEFAULT_SINGULAR_TOL) -> PfaffianForm:
+def load_form(path, singular_tol=DEFAULT_SINGULAR_TOL, needs_jet=False) -> PfaffianForm:
+    """The form in the file ``path``; ``needs_jet`` as for :func:`make_form`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_form_file(fh.read(), singular_tol=singular_tol)
+        return parse_form_file(fh.read(), singular_tol=singular_tol,
+                               needs_jet=needs_jet)
 
 
 def format_form_file(form: PfaffianForm) -> str:

@@ -14,7 +14,9 @@ integrating factor, so they are never classified non_integrable.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import ArityError, EvalDomainError, FormError
@@ -93,18 +95,32 @@ class Verdict:
         }
 
 
-def _split_jet(values, n):
-    """``(F, dF)`` from a ``jet_fn`` value, with ``dF[i][j] = dF_i/dx_j``."""
-    return values[:n], [values[n * (i + 1):n * (i + 2)] for i in range(n)]
+@functools.cache
+def _curl_slots(n):
+    """Rows of ``(u, v)``: the ``jet_fn`` slots of ``dF_b/dx_a`` and ``dF_a/dx_b``."""
+    return tuple(tuple((n + n * b + a, n + n * a + b) for b in range(n))
+                 for a in range(n))
 
 
-def _tensor(f, d, i, j, k):
-    """R_ijk from the values ``f`` of F and ``d`` of dF at one point."""
-    return (
-        f[i] * (d[k][j] - d[j][k])
-        + f[j] * (d[i][k] - d[k][i])
-        + f[k] * (d[j][i] - d[i][j])
-    )
+def _curls(values, n):
+    """The curl matrix ``c[a][b] = dF_b/dx_a - dF_a/dx_b`` of a ``jet_fn`` value.
+
+    Both orientations are computed, each entry by its own subtraction, so
+    ``c[b][a]`` is ``-c[a][b]`` except that both read ``+0.0`` where the two
+    partials are equal.
+    """
+    return [[values[u] - values[v] for u, v in row] for row in _curl_slots(n)]
+
+
+def _tensor(f, c, i, j, k):
+    """R_ijk from the values ``f`` of F and the curl matrix ``c`` at one point.
+
+    ``f[i]*c[j][k] + f[j]*c[k][i] + f[k]*c[i][j]``, with ``c`` from
+    :func:`_curls`: the float operations of the formula in the module
+    docstring, in its order, so the value is the same to the bit, signed
+    zeros included.
+    """
+    return f[i] * c[j][k] + f[j] * c[k][i] + f[k] * c[i][j]
 
 
 def exactness_defect(form: PfaffianForm, i: int, j: int, p) -> float:
@@ -115,8 +131,7 @@ def exactness_defect(form: PfaffianForm, i: int, j: int, p) -> float:
     """
     if i == j:
         raise ArityError("defect indices must differ")
-    _, d = _split_jet(form.jet_fn(*p), form.n)
-    return d[j][i] - d[i][j]
+    return _curls(form.jet_fn(*p), form.n)[i][j]
 
 
 def clairaut_component(form: PfaffianForm, i: int, j: int, k: int, p) -> float:
@@ -127,7 +142,8 @@ def clairaut_component(form: PfaffianForm, i: int, j: int, k: int, p) -> float:
     """
     if len({i, j, k}) != 3:
         raise ArityError("tensor indices must be pairwise distinct")
-    return _tensor(*_split_jet(form.jet_fn(*p), form.n), i, j, k)
+    values = form.jet_fn(*p)
+    return _tensor(values, _curls(values, form.n), i, j, k)
 
 
 def curl_triple_product(form: PfaffianForm, p) -> float:
@@ -137,15 +153,15 @@ def curl_triple_product(form: PfaffianForm, p) -> float:
     """
     if form.n != 3:
         raise ArityError("curl triple product requires exactly 3 variables")
-    (f1, f2, f3), d = _split_jet(form.jet_fn(*p), 3)
-    curl1 = d[2][1] - d[1][2]
-    curl2 = d[0][2] - d[2][0]
-    curl3 = d[1][0] - d[0][1]
+    f1, f2, f3, d11, d12, d13, d21, d22, d23, d31, d32, d33 = form.jet_fn(*p)
+    curl1 = d32 - d23
+    curl2 = d13 - d31
+    curl3 = d21 - d12
     return f1 * curl1 + f2 * curl2 + f3 * curl3
 
 
 def _scale_factors(values):
-    m = max(abs(v) for v in values)
+    m = max(map(abs, values))
     linear = 1.0 / max(1.0, m)
     return linear, linear * linear
 
@@ -176,52 +192,64 @@ def _better(value, point, best_value, best_point):
 
 
 def _scan_samples(form, points, singular_tol):
+    """Defect and tensor maxima of ``form`` over ``points``.
+
+    Each point costs one ``jet_fn`` call.  A point where the jet raises or
+    has a non-finite entry counts as failed, one where ``max|F_i|`` is at
+    most ``singular_tol`` as singular.  At every other point the curl
+    matrix (:func:`_curls`) is built once; the defects ``|c[i][j]| * lin``
+    and the tensor components ``|R_ijk| * quad`` (:func:`_tensor`), scaled
+    by :func:`_scale_factors`, enter max reductions that break ties by the
+    point (:func:`_better`).  A value below the best so far is never better,
+    so :func:`_better` is asked only from the best value up.
+    """
     n = form.n
     jet = form.jet_fn
+    isfinite = math.isfinite
     scan = _SampleScan()
+    pairs = list(itertools.combinations(range(n), 2))
     triples = list(itertools.combinations(range(n), 3))
-    for t in triples:
-        scan.per_triple[t] = (0.0, None)
+    triple_max = [0.0] * len(triples)
+    triple_point = [None] * len(triples)
+    defect_max, defect_point, defect_pair = 0.0, None, None
+    tensor_max, tensor_point, tensor_triple = -1.0, None, None
     for p in points:
         try:
             values = jet(*p)
         except (ValueError, ZeroDivisionError, OverflowError):
             scan.failed += 1
             continue
-        if not all(_finite(v) for v in values):
+        if not all(map(isfinite, values)):
             scan.failed += 1
             continue
-        fvals, dvals = _split_jet(values, n)
-        if max(abs(v) for v in fvals) <= singular_tol:
+        fvals = values[:n]
+        if max(map(abs, fvals)) <= singular_tol:
             scan.singular += 1
             continue
         scan.used += 1
         lin, quad = _scale_factors(fvals)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = abs(dvals[j][i] - dvals[i][j]) * lin
-                if scan.defect_point is None or _better(
-                    d, p, scan.defect_max, scan.defect_point
-                ):
-                    scan.defect_max, scan.defect_point = d, tuple(p)
-                    scan.defect_pair = (i, j)
-        for (i, j, k) in triples:
-            r = abs(_tensor(fvals, dvals, i, j, k)) * quad
-            prev_val, prev_pt = scan.per_triple[(i, j, k)]
-            if prev_pt is None or _better(r, p, prev_val, prev_pt):
-                scan.per_triple[(i, j, k)] = (r, tuple(p))
-            if scan.tensor_point is None or _better(
-                r, p, scan.tensor_max, scan.tensor_point
-            ):
-                scan.tensor_max, scan.tensor_point = r, tuple(p)
-                scan.tensor_triple = (i, j, k)
-    if scan.tensor_point is None:
-        scan.tensor_max = 0.0  # no triples: vacuously null
+        c = _curls(values, n)
+        for i, j in pairs:
+            d = abs(c[i][j]) * lin
+            if defect_point is None or (
+                    d >= defect_max and _better(d, p, defect_max, defect_point)):
+                defect_max, defect_point, defect_pair = d, tuple(p), (i, j)
+        for m, t in enumerate(triples):
+            r = abs(_tensor(fvals, c, *t)) * quad
+            if triple_point[m] is None or (
+                    r >= triple_max[m]
+                    and _better(r, p, triple_max[m], triple_point[m])):
+                triple_max[m], triple_point[m] = r, tuple(p)
+            if tensor_point is None or (
+                    r >= tensor_max and _better(r, p, tensor_max, tensor_point)):
+                tensor_max, tensor_point, tensor_triple = r, tuple(p), t
+    scan.defect_max, scan.defect_point, scan.defect_pair = (
+        defect_max, defect_point, defect_pair)
+    scan.per_triple = dict(zip(triples, zip(triple_max, triple_point)))
+    scan.tensor_point, scan.tensor_triple = tensor_point, tensor_triple
+    # no triples: vacuously null
+    scan.tensor_max = 0.0 if tensor_point is None else tensor_max
     return scan
-
-
-def _finite(v):
-    return -float("inf") < v < float("inf") and v == v
 
 
 def classify(form: PfaffianForm, sampler: SamplerConfig = None,
@@ -288,7 +316,7 @@ def invariance_check(form: PfaffianForm, sub: Substitution,
     if form.n < 2:
         raise FormError("invariance check requires at least 2 variables")
     sampler = sampler or SamplerConfig()
-    pulled = pullback(form, sub)
+    pulled = pullback(form, sub, needs_jet=True)  # scanned on its jet below
     new_points = sampler.sample_points(pulled)
     new_scan = _scan_samples(pulled, new_points, singular_tol)
     image_points = []

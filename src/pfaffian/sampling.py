@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -21,13 +22,23 @@ def radical_inverse(base: int, index: int) -> float:
 
 
 def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
-    """First ``count`` Halton points in [0,1)^dims, indices starting at ``start``."""
+    """First ``count`` Halton points in [0,1)^dims, indices starting at ``start``.
+
+    The table is computed once per ``(count, dims, start)`` and shared
+    between callers, so the array is read-only.
+    """
     if dims > MAX_VARIABLES:
         raise ValueError(f"halton supports up to {MAX_VARIABLES} dimensions")
+    return _halton_table(int(count), int(dims), int(start))
+
+
+@functools.lru_cache(maxsize=32)
+def _halton_table(count, dims, start):
     pts = np.empty((count, dims))
     for i in range(count):
         for d in range(dims):
             pts[i, d] = radical_inverse(_PRIMES[d], start + i)
+    pts.flags.writeable = False
     return pts
 
 

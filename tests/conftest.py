@@ -143,6 +143,19 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+# forms (names, coefficient texts, domain) on which the nonsingularity probe
+# reading F from the jet must decide as the probe on F decides
+PROBE_CASES = {
+    # d sqrt(x^2)/dx = x/sqrt(x^2) divides by zero at the center, where F is
+    # defined and nonzero: the jet probe falls back to F there
+    "jet_raises": (("x", "y", "z"), ("1 + sqrt(x^2)", "z", "y"),
+                   "[-1,1] x [-1,1] x [-1,1]"),
+    "zero": (("x", "y"), ("0*x", "0"), "[0.5,1] x [0,1]"),
+    "undefined": (("x", "y"), ("log(0-x)", "0"), "[1.5,2] x [0,1]"),
+    "mixed": (("x", "y"), ("sqrt(0.75-x)*1e-300", "0"), "[0.5,1] x [0,1]"),
+}
+
+
 # shapes of deep expressions in x and y: k -> text, deeper with k
 DEEP_SHAPES = {
     "sum": lambda k: " + ".join(f"{i + 1}.5*x*y^{i % 3 + 1}" for i in range(k)),

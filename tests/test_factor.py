@@ -5,7 +5,7 @@ import pytest
 
 from conftest import dopri5_step, entropy, secant_bisect_root
 from pfaffian import expressions as ex
-from pfaffian import factor, ode
+from pfaffian import factor, ode, sampling
 from pfaffian.catalog import entry
 from pfaffian.errors import AnalysisError
 from pfaffian.factor import (
@@ -396,8 +396,9 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
     """The characteristic trace with one :class:`ode.Dopri5` per segment.
 
     ``_trace_characteristic`` as it was written before it called the
-    generated loop directly; appends one entry to ``swaps`` per change of
-    the solved axis.
+    generated loop directly, with its later rule that a step leaving the
+    box from on a face of the solved axis is a boundary exit; appends one
+    entry to ``swaps`` per change of the solved axis.
     """
     singular_tol = kernels.singular_tol
     box = form.domain
@@ -447,11 +448,13 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
                 return "max_steps", None, True
             steps_used += 1
             crossed = None
-            for bound in (box.lows[b], box.highs[b]):
+            for bound, outward in ((box.lows[b], -1.0), (box.highs[b], 1.0)):
                 g0, g1 = prev_y[0] - bound, y_new[0] - bound
                 if g0 * g1 < 0:
                     crossed = (_locate(kernel, prev_t, prev_y, t_new - prev_t, bound),
                                "boundary")
+                elif g0 * outward >= 0 and g1 * outward > 0:
+                    crossed = (0.0, "boundary")
             if (crossed is None and transversal is not None
                     and transversal.fixed_axis == b):
                 g0 = prev_y[0] - transversal.value
@@ -534,8 +537,10 @@ def test_trace_matches_reference_on_catalog(name, rng):
         span = (center[varying] - quarter, center[varying] + quarter)
         for tv in (TransversalSpec(axis, center[axis]),
                    TransversalSpec(axis, center[axis], span), None):
-            starts = corners + [tuple(float(v) for v in rng.uniform(lows, highs))
-                                for _ in range(6)]
+            # the box corners start on a face of either solved axis
+            starts = corners + [(float(lows[0]), float(lows[1])),
+                                (float(highs[0]), float(highs[1]))] + [
+                tuple(float(v) for v in rng.uniform(lows, highs)) for _ in range(6)]
             for p in starts:
                 for direction in (1, -1):
                     statuses.add(_assert_trace_matches(form, kernels, p, direction,
@@ -564,6 +569,64 @@ def test_trace_matches_reference_near_singular_points(rng):
             for max_steps in (1, 2, 3, 5, 8, 13, 21, 34):
                 _assert_trace_matches(form, kernels, p, direction, tv, max_steps)
     assert swaps
+
+
+# --- labels of characteristics that start on a face -------------------------------
+
+
+@pytest.mark.parametrize("name", ["ideal_gas_heat", "product_exact", "ray_form",
+                                  "rolling_cylinder"])
+def test_transversal_labels_lie_in_the_box_and_on_the_span(name):
+    """From every grid point, faces and corners included, in both directions."""
+    form = entry(name).form
+    box = form.domain
+    kernels = CharacteristicKernels(form)
+    tv = auto_transversal(form)
+    varying = tv.varying_axis()
+    lo, hi = box.lows[varying], box.highs[varying]
+    span = (lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo))
+    grid = [tuple(float(v) for v in p)
+            for p in sampling.box_grid(box.lows, box.highs, 9)]
+    labels = 0
+    for spec in (tv, TransversalSpec(tv.fixed_axis, tv.value, span)):
+        for p in grid:
+            for direction in (1, -1):
+                status, label, _ = _trace_characteristic(
+                    form, p, direction, spec, 1e-11, 1e-13, kernels=kernels)
+                if status == "transversal":
+                    assert lo <= label <= hi and spec.on_span(label), (p, direction)
+                    labels += 1
+    assert labels > 81
+
+
+@pytest.mark.parametrize("name, start", [("product_exact", (1.5, 1.5)),
+                                         ("ideal_gas_heat", (2.0, 2.0))])
+def test_start_leaving_through_its_face_is_a_boundary_exit(name, start):
+    # at the corner the solved coordinate starts on its upper face and the
+    # +1 direction moves it out: the curve ends there, unlabeled
+    form = entry(name).form
+    tv = auto_transversal(form)
+    curve = solve_characteristic(form, start, 1, tv, rtol=1e-11, atol=1e-13)
+    assert (curve.status, curve.label) == ("boundary", None)
+    assert all(form.domain.contains(p) for p in curve.points)
+
+
+def test_product_exact_labels_are_true_crossings():
+    """xy is constant on the leaves of y dx + x dy: the label is x*y / value."""
+    form = entry("product_exact").form
+    tv = auto_transversal(form)
+    assert (tv.fixed_axis, tv.value) == (1, 1.0)
+    kernels = CharacteristicKernels(form)
+    labels = 0
+    for p in sampling.box_grid(form.domain.lows, form.domain.highs, 9):
+        p = tuple(float(v) for v in p)
+        for direction in (1, -1):
+            status, label, _ = _trace_characteristic(
+                form, p, direction, tv, 1e-11, 1e-13, kernels=kernels)
+            if status == "transversal":
+                assert abs(label - p[0] * p[1] / tv.value) <= 1e-9, (p, direction)
+                labels += 1
+    assert labels > 60
 
 
 # --- crossings located by the Illinois bracket against the secant search ----------

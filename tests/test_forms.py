@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import DOMAIN_ERROR_CASES, fold, monomials_up_to, random_points
+from conftest import (
+    DOMAIN_ERROR_CASES,
+    PROBE_CASES,
+    fold,
+    monomials_up_to,
+    random_points,
+)
 from pfaffian import expressions as ex
 from pfaffian.catalog import catalog
 from pfaffian.errors import (
@@ -26,6 +32,7 @@ from pfaffian.forms import (
     make_form,
     make_substitution,
     mild_nonlinear_substitution,
+    parse_box,
     parse_form_file,
     pullback,
     random_linear_substitution,
@@ -501,6 +508,39 @@ def test_make_form_probes_center_first():
     with pytest.raises(SingularFormError):
         make_form(["x", "y"], ["x*0", "0"], counting)
     assert calls == [256, 256]
+
+
+# --- the nonsingularity probe on the jet against the probe on F ------------------
+
+
+def _probe_outcome(names, texts, domain, needs_jet):
+    """The form's coefficient vector at the center, or the probe's message."""
+    try:
+        form = make_form(names, texts, parse_box(domain), needs_jet=needs_jet)
+    except SingularFormError as exc:
+        return str(exc)
+    return coefficient_vector(form, form.domain.center)
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_CASES))
+def test_jet_probe_matches_coefficient_probe(case):
+    names, texts, domain = PROBE_CASES[case]
+    jet = _probe_outcome(names, texts, domain, True)
+    assert jet == _probe_outcome(names, texts, domain, False)
+    if case == "jet_raises":
+        assert jet == (1.0, 0.0, 0.0)
+    else:
+        assert isinstance(jet, str)
+
+
+def test_jet_probe_compiles_f_only_where_the_jet_fails():
+    names, texts, domain = PROBE_CASES["jet_raises"]
+    form = make_form(names, texts, parse_box(domain), needs_jet=True)
+    assert "jet_fn" in vars(form) and "coefficient_tuple_fn" in vars(form)
+    form = make_form(names, ["2 + x", "z", "y"], parse_box(domain), needs_jet=True)
+    assert "jet_fn" in vars(form) and "coefficient_tuple_fn" not in vars(form)
+    form = make_form(names, ["2 + x", "z", "y"], parse_box(domain))
+    assert "derivative_matrix" not in vars(form) and "jet_fn" not in vars(form)
 
 
 # --- checked evaluation against the tree-walking oracle --------------------------

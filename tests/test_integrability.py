@@ -29,7 +29,6 @@ from pfaffian.integrability import (
 )
 from pfaffian.integrability import (
     _better,
-    _finite,
     _SampleScan,
     _scale_factors,
     _scan_samples,
@@ -313,6 +312,10 @@ def test_inconclusive_report_writes_absent_witness_as_null():
 
 
 # --- sample scan against the per-entry reference loop ---------------------------
+
+
+def _finite(v):
+    return -float("inf") < v < float("inf") and v == v
 
 
 def _ref_scan_samples(form, points, singular_tol):
