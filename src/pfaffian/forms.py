@@ -161,9 +161,10 @@ def _probe_vector(form: PfaffianForm, p, needs_jet: bool):
         try:
             values = form.jet_fn(*map(float, p))[:form.n]
         except (ValueError, ZeroDivisionError, OverflowError):
-            values = None
-        if values is not None and all(map(math.isfinite, values)):
-            return values
+            pass
+        else:
+            if all(map(math.isfinite, values)):
+                return values
     try:
         return coefficient_vector(form, p)
     except EvalDomainError:
