@@ -58,4 +58,4 @@ from .reach import (  # noqa: F401
     steer_step,
     surrounding_line_scan,
 )
-from .catalog import CatalogEntry, catalog, entry  # noqa: F401
+from .catalog import CatalogEntry, entry  # noqa: F401

@@ -29,14 +29,7 @@ from .errors import (
     UnreachableTransversalError,
 )
 from .forms import DEFAULT_SINGULAR_TOL, Box, PfaffianForm, distance
-from .ode import (
-    Dopri5,
-    MaxStepsError,
-    StepRejectionError,
-    bisect_root,
-    compile_kernel,
-    rk4_step,
-)
+from .ode import bisect_root, compile_kernel, rk4_step
 
 METHOD_TWO_VAR = "two_var_characteristic"
 METHOD_GLOBAL = "global_base_fiber"
@@ -590,11 +583,14 @@ class SurfaceField:
     segment from the base projection to ``u``, starting the free coordinate
     at fiber position ``s``; it returns the free coordinate above ``u``.
     Every path solve is one call of the generated Dormand-Prince loop of one
-    ODE kernel, whose extra arguments are the path start ``u0`` and
-    increment ``deltas``.  The free coordinate may leave the box by
-    ``box_tol`` times its edge; a path that is leaving this widened box from
-    past the box proper ends at once as a box exit, and the point is
-    skipped as for any failed solve.
+    ODE kernel (:func:`_integrate_unit`), whose extra arguments are the path
+    start ``u0`` and increment ``deltas``.  The free coordinate may leave
+    the box by ``box_tol`` times its edge; a path that is leaving this
+    widened box from past the box proper ends at once with the status
+    "box_exit".  A solve that ends with any other status but "ok", or whose
+    right-hand side is undefined at the start, is an AnalysisError of
+    ``value`` and ``fiber_through`` (:meth:`_solve`), which memoize
+    successes only, and its point is skipped.
     """
 
     def __init__(self, form: PfaffianForm, free_index: int, base,
@@ -661,11 +657,19 @@ class SurfaceField:
     def _solve(self, u0, u1, xn, t0, t1):
         """Free coordinate at ``t1`` on the path from ``u0`` to ``u1``.
 
-        Starts from ``xn`` at ``t0``; ODE failures propagate.
+        Starts from ``xn`` at ``t0``.  Raises AnalysisError when the
+        right-hand side is undefined at the start or the solve ends with any
+        status but "ok".
         """
         deltas = tuple(b - a for a, b in zip(u0, u1))
-        y, _ = _integrate_unit(self.kernel, (u0, deltas), (xn,), t0, t1,
-                               self.rtol, self.atol)
+        try:
+            status, y, _, _ = _integrate_unit(self.kernel, (u0, deltas),
+                                              (float(xn),), t0, t1,
+                                              self.rtol, self.atol)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise AnalysisError(f"surface integration failed: {exc}") from exc
+        if status != "ok":
+            raise AnalysisError(f"surface integration failed: {status}")
         return y[0]
 
     def value(self, u, s) -> float:
@@ -677,11 +681,7 @@ class SurfaceField:
         lo, hi = self._free_bounds
         if not lo <= s <= hi:
             raise AnalysisError("fiber coordinate outside the box")
-        try:
-            xn = self._solve(self.base_proj, key[0], s, 0.0, 1.0)
-        except (StepRejectionError, MaxStepsError, ValueError,
-                ZeroDivisionError, OverflowError) as exc:
-            raise AnalysisError(f"surface integration failed: {exc}") from exc
+        xn = self._solve(self.base_proj, key[0], s, 0.0, 1.0)
         self.memo[key] = xn
         return xn
 
@@ -697,11 +697,7 @@ class SurfaceField:
         if hit is not None:
             return hit
         u_p = tuple(p[i] for i in self.other)
-        try:
-            s = self._solve(self.base_proj, u_p, p[self.free_index], 1.0, 0.0)
-        except (StepRejectionError, MaxStepsError, ValueError,
-                ZeroDivisionError, OverflowError) as exc:
-            raise AnalysisError(f"surface integration failed: {exc}") from exc
+        s = self._solve(self.base_proj, u_p, p[self.free_index], 1.0, 0.0)
         lo, hi = self._free_bounds
         if not lo <= s <= hi:
             raise BracketFailureError(
@@ -710,38 +706,20 @@ class SurfaceField:
         self._fibers[p] = s
         return s
 
-    def fiber_by_rootfind(self, p, expand=1.5, max_expand=60) -> float:
-        """Root-finding variant of :meth:`fiber_through` (cross-check path)."""
-        p = tuple(float(v) for v in p)
-        u_p = tuple(p[i] for i in self.other)
-        target = p[self.free_index]
-        lo, hi = self._free_bounds
 
-        def g(s):
-            return self.value(u_p, s) - target
+def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol):
+    """One whole solve from ``(t0, y0)`` to ``t1``: one call of ``kernel.advance``.
 
-        half = max(1e-6, 1e-3 * (hi - lo))
-        center = min(max(target, lo), hi)
-        for _ in range(max_expand):
-            s_lo = max(lo, center - half)
-            s_hi = min(hi, center + half)
-            try:
-                if g(s_lo) * g(s_hi) <= 0:
-                    return bisect_root(g, s_lo, s_hi, xtol=1e-13)
-            except AnalysisError:
-                pass
-            if s_lo == lo and s_hi == hi:
-                break
-            half *= expand
-        raise BracketFailureError("could not bracket the fiber coordinate")
-
-
-def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol, max_steps=100000):
-    """State and step counts at ``t1`` of one whole solve from ``(t0, y0)``."""
-    stepper = Dopri5(kernel, t0, y0, direction=1.0 if t1 > t0 else -1.0,
-                     rtol=rtol, atol=atol, max_steps=max_steps, params=params)
-    stepper.solve(t1)
-    return stepper.y, stepper.stats
+    Returns ``(status, y, accepted, rejected)``: the status of the solve
+    ("ok", "box_exit", "step_rejection" or "max_steps" after 100000
+    attempts), its last accepted state and its attempt counts.  The
+    right-hand side at the start may raise ValueError, ZeroDivisionError or
+    OverflowError.
+    """
+    status, _, y, _, _, accepted, rejected = kernel.advance(
+        t0, y0, kernel.rhs(t0, y0, *params), 0.0, t1,
+        1.0 if t1 > t0 else -1.0, rtol, atol, 100000, 0, 0, True, *params)
+    return status, y, accepted, rejected
 
 
 def global_factorization(form: PfaffianForm, free_index: int, base,
@@ -885,7 +863,7 @@ def staircase_defect(form: PfaffianForm, free_index: int, base,
         try:
             a = _staircase_value(field_, u_target, reversed_order=False)
             b = _staircase_value(field_, u_target, reversed_order=True)
-        except (AnalysisError, ValueError, ZeroDivisionError, OverflowError):
+        except AnalysisError:
             per_target.append({"target": list(u_target), "defect": None})
             continue
         defect = abs(a - b)

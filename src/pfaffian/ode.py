@@ -9,16 +9,19 @@ The step loop holds the step-size control of Hairer, Norsett & Wanner,
 *Solving ODEs I*, section II.4 (the error norm, the step growth and
 shrink factors, the step-size floor and the step budget) and counts the
 accepted and rejected attempts.  It runs either one accepted step, so that
-a caller can check its events after every step (characteristics call it so
-directly), or a whole solve up to the end of the interval in one call
-(surface paths, through :class:`Dopri5`).
+a caller can check its events after every step (characteristics do), or a
+whole solve up to the end of the interval in one call (surface paths).
+Callers call ``advance`` directly and read the status it returns.
 
 An attempt that raises ValueError, ZeroDivisionError, OverflowError or
 ArithmeticError is refused and the step halved; a step size collapsing
-below its floor ends the solve as StepRejectionError, which doubles as
-singularity detection.  A kernel compiled with ``bounds`` keeps state
-component 0 inside a widened box and ends a solve at once as a box exit
-when it is leaving that box (see :func:`compile_kernel`).
+below its floor ends the solve with the status ``"step_rejection"``, which
+doubles as singularity detection.  A kernel compiled with ``bounds`` keeps
+state component 0 inside a widened box and ends a solve at once with the
+status ``"box_exit"`` when it is leaving that box (see
+:func:`compile_kernel`); an exhausted step budget ends it with
+``"max_steps"``.  ``rhs`` and ``rk4`` raise where the ODE is undefined;
+``advance`` refuses such an attempt instead.
 
 Each float operation is the one of the step loop and attempt written stage by
 stage with the tableau below: the tableau enters as ``repr`` literals with
@@ -36,7 +39,7 @@ loop as the reference the generated loop must match bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expressions as ex
 from .errors import AnalysisError
@@ -252,73 +255,6 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
     namespace = ex.exec_source(source, "ode", _isfinite=math.isfinite,
                                _dp_sqrt=math.sqrt, _LeftBounds=_LeftBounds)
     return OdeKernel(namespace["rhs"], namespace["advance"], namespace["rk4"])
-
-
-class StepRejectionError(AnalysisError):
-    """Step size collapsed below the floor, or the solution left its bounds.
-
-    A collapse is treated as a singularity of the right-hand side.
-    """
-
-
-class MaxStepsError(AnalysisError):
-    """Step budget exhausted before reaching the integration target."""
-
-
-@dataclass
-class StepStats:
-    accepted: int = 0
-    rejected: int = 0
-
-
-@dataclass
-class Dopri5:
-    """Scalar/sequence ODE stepper; y is a tuple of floats.
-
-    The right-hand side and the step loop are the generated ``kernel``
-    (see :func:`compile_kernel`), called with the extra arguments
-    ``params``.  The right-hand side may raise to signal leaving the ODE's
-    domain; the attempt is then refused, and the solve ends as
-    StepRejectionError once the step size collapses (or at once on a box
-    exit).  ``stats`` counts the attempts of every call; ``max_steps``
-    bounds their total.
-    """
-
-    kernel: OdeKernel
-    t: float
-    y: tuple
-    direction: float = 1.0
-    rtol: float = 1e-9
-    atol: float = 1e-12
-    max_steps: int = 100000
-    params: tuple = ()
-    stats: StepStats = field(default_factory=StepStats)
-    _h: float = 0.0
-    _f0: tuple = None
-
-    def __post_init__(self):
-        self.y = tuple(float(v) for v in self.y)
-        self.direction = 1.0 if self.direction >= 0 else -1.0
-        self._f0 = self.kernel.rhs(self.t, self.y, *self.params)
-
-    def solve(self, t_end: float):
-        """Advance by accepted steps until ``t_end``, in one generated call.
-
-        Returns (t_end, y_end).
-        """
-        stats = self.stats
-        (status, self.t, self.y, self._f0, self._h, stats.accepted,
-         stats.rejected) = self.kernel.advance(
-            self.t, self.y, self._f0, self._h, t_end, self.direction,
-            self.rtol, self.atol, self.max_steps, stats.accepted,
-            stats.rejected, True, *self.params)
-        if status == "ok":
-            return self.t, self.y
-        if status == "max_steps":
-            raise MaxStepsError("ODE step budget exhausted")
-        if status == "box_exit":
-            raise StepRejectionError("solution left its bounds")
-        raise StepRejectionError("step size collapsed (singular right-hand side)")
 
 
 def rk4_step(kernel: OdeKernel, t, y, dt, *params):

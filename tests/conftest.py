@@ -7,7 +7,6 @@ import pytest
 from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError, ParseError
 from pfaffian.forms import Box, form_from_expressions
-from pfaffian.ode import MaxStepsError, StepRejectionError
 
 
 def monomials_up_to(n_vars, degree):
@@ -68,24 +67,31 @@ def fold(terms):
     return acc
 
 
-def dopri5_step(stepper, t_limit):
-    """Advance the ``Dopri5`` ``stepper`` one accepted step, never beyond ``t_limit``.
+def dopri5_start(kernel, t, y, params=(), h=0.0):
+    """State ``(t, y, f0, h, accepted, rejected)`` of a solve from ``(t, y)``.
 
-    Calls the generated loop ``stepper.kernel.advance`` with ``whole`` false
-    from the stepper's state and stores the state it returns.  Returns
-    ``(t, y)``; raises MaxStepsError or StepRejectionError as ``solve`` does.
+    ``f0`` is the generated right-hand side at the start, which may raise;
+    ``h`` is the first step size, 0.0 to let the loop choose it.
     """
-    stats = stepper.stats
-    (status, stepper.t, stepper.y, stepper._f0, stepper._h, stats.accepted,
-     stats.rejected) = stepper.kernel.advance(
-        stepper.t, stepper.y, stepper._f0, stepper._h, t_limit, stepper.direction,
-        stepper.rtol, stepper.atol, stepper.max_steps, stats.accepted,
-        stats.rejected, False, *stepper.params)
-    if status == "max_steps":
-        raise MaxStepsError("ODE step budget exhausted")
-    if status != "ok":
-        raise StepRejectionError(status)
-    return stepper.t, stepper.y
+    y = tuple(float(v) for v in y)
+    return t, y, kernel.rhs(t, y, *params), h, 0, 0
+
+
+def dopri5_step(kernel, state, t_limit, direction=1.0, rtol=1e-9, atol=1e-12,
+                max_steps=100000, params=(), whole=False):
+    """Advance ``state`` one accepted step of the generated loop, never beyond ``t_limit``.
+
+    Calls ``kernel.advance`` with ``whole`` false (or a whole solve to
+    ``t_limit`` with ``whole`` true) from ``state = (t, y, f0, h, accepted,
+    rejected)``, in the sign of ``direction``, with at most ``max_steps``
+    attempts counted from the state's.  Returns ``(status, state)`` with the
+    state ``advance`` returns.
+    """
+    t, y, f0, h, accepted, rejected = state
+    status, *state = kernel.advance(
+        t, y, f0, h, t_limit, 1.0 if direction >= 0 else -1.0, rtol, atol,
+        max_steps, accepted, rejected, whole, *params)
+    return status, tuple(state)
 
 
 def secant_bisect_root(fn, lo, hi, xtol=1e-13, max_iter=200):

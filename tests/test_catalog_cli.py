@@ -1,5 +1,6 @@
 import hashlib
 import json
+import types
 import warnings
 
 import pytest
@@ -29,6 +30,18 @@ EXPECTED_NAMES = {
 
 def test_catalog_contains_required_entries():
     assert {e.name for e in catalog()} >= EXPECTED_NAMES
+
+
+def test_catalog_module_is_not_shadowed():
+    # the package exports ``entry`` but not the function ``catalog``, which
+    # would rebind ``pfaffian.catalog`` from the submodule to itself
+    import pfaffian
+    import pfaffian.catalog as module
+
+    assert isinstance(pfaffian.catalog, types.ModuleType)
+    assert module is pfaffian.catalog
+    assert len(pfaffian.catalog.catalog()) == 7
+    assert pfaffian.entry is entry
 
 
 def test_catalog_classifications_match_expectations():

@@ -1,13 +1,14 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from conftest import dopri5_step, entropy, secant_bisect_root
+from conftest import dopri5_start, dopri5_step, entropy, secant_bisect_root
 from pfaffian import expressions as ex
 from pfaffian import factor, ode, sampling
 from pfaffian.catalog import entry
-from pfaffian.errors import AnalysisError
+from pfaffian.errors import AnalysisError, BracketFailureError
 from pfaffian.factor import (
     METHOD_GLOBAL,
     METHOD_TWO_VAR,
@@ -259,12 +260,38 @@ def test_global_rejects_non_integrable():
         global_factorization(CONTACT, 2, (0, 0, 0))
 
 
+def fiber_by_rootfind(field, p, expand=1.5, max_expand=60) -> float:
+    """Root-finding variant of ``field.fiber_through`` (cross-check path)."""
+    p = tuple(float(v) for v in p)
+    u_p = tuple(p[i] for i in field.other)
+    target = p[field.free_index]
+    lo, hi = field._free_bounds
+
+    def g(s):
+        return field.value(u_p, s) - target
+
+    half = max(1e-6, 1e-3 * (hi - lo))
+    center = min(max(target, lo), hi)
+    for _ in range(max_expand):
+        s_lo = max(lo, center - half)
+        s_hi = min(hi, center + half)
+        try:
+            if g(s_lo) * g(s_hi) <= 0:
+                return ode.bisect_root(g, s_lo, s_hi, xtol=1e-13)
+        except AnalysisError:
+            pass
+        if s_lo == lo and s_hi == hi:
+            break
+        half *= expand
+    raise BracketFailureError("could not bracket the fiber coordinate")
+
+
 def test_fiber_rootfind_agrees_with_back_integration(rng):
     field = SurfaceField(SCALED, 2, (0.0, 0.0, 0.0))
     for _ in range(10):
         p = tuple(rng.uniform(-0.35, 0.35, size=3))
         a = field.fiber_through(p)
-        b = field.fiber_by_rootfind(p)
+        b = fiber_by_rootfind(field, p)
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -293,6 +320,53 @@ def test_fiber_through_memoizes_successes_only(monkeypatch):
         with pytest.raises(AnalysisError):
             field.fiber_through((0.9, 0.0, 0.9))
     assert len(solves) == 2
+
+
+@pytest.mark.parametrize("outcome", ["box_exit", "step_rejection", "max_steps",
+                                     ValueError, ZeroDivisionError, OverflowError])
+def test_failed_path_solves_raise_analysis_error(monkeypatch, outcome):
+    """Every failing end of a path solve is an AnalysisError, never memoized.
+
+    ``_integrate_unit`` is replaced by one that ends each solve with the
+    status ``outcome`` at its start state, or raises ``outcome`` as the
+    right-hand side at the start does.
+    """
+    solves = []
+
+    def failing(kernel, params, y0, *args):
+        solves.append(y0)
+        if not isinstance(outcome, str):
+            raise outcome("right-hand side undefined at the start")
+        return outcome, y0, 3, 4
+
+    monkeypatch.setattr(factor, "_integrate_unit", failing)
+    field = SurfaceField(SCALED, 2, (0.0, 0.0, 0.0))
+    for _ in range(2):
+        with pytest.raises(AnalysisError, match="^surface integration failed") as info:
+            field.value((0.2, -0.1), 0.05)
+        assert type(info.value) is AnalysisError
+        with pytest.raises(AnalysisError, match="^surface integration failed") as info:
+            field.fiber_through((0.2, -0.1, 0.05))
+        assert type(info.value) is AnalysisError
+    assert len(solves) == 4
+    assert field.memo == {} and field._fibers == {}
+
+
+def test_path_solve_undefined_at_the_start_raises_analysis_error():
+    # F_y = y vanishes on y = 0: the path solves of value(u, 0) and
+    # fiber_through((x, 0)) start there, where the right-hand side divides by 0
+    form = make_form(["x", "y"], ["1", "y"], Box((-1, -1), (1, 1)))
+    field = SurfaceField(form, 1, (0.0, 0.5))
+    with pytest.raises(ZeroDivisionError):
+        field.kernel.rhs(0.0, (0.0,), (0.0,), (0.3,))
+    for _ in range(2):
+        with pytest.raises(AnalysisError, match="^surface integration failed"):
+            field.value((0.3,), 0.0)
+        with pytest.raises(AnalysisError, match="^surface integration failed"):
+            field.fiber_through((0.3, 0.0))
+    assert field.memo == {} and field._fibers == {}
+    # on x + y^2 / 2 = const the path to x = -0.3 from y = 0.5 is defined
+    assert field.value((-0.3,), 0.5) == pytest.approx(math.sqrt(0.85), abs=1e-9)
 
 
 def test_fiber_map_monotone(rng):
@@ -388,17 +462,19 @@ def test_label_only_trace_matches_solve_characteristic(rng):
                 assert trace == (curve.status, curve.label, curve.truncated)
 
 
-# --- the characteristic trace against the Dopri5-driven reference ----------------
+# --- the characteristic trace against the stepper-driven reference ---------------
 
 
 def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
                kernels, pts, swaps):
-    """The characteristic trace with one :class:`ode.Dopri5` per segment.
+    """The characteristic trace with one stepper state per segment.
 
     ``_trace_characteristic`` as it was written before it called the
-    generated loop directly, with its later rule that a step leaving the
-    box from on a face of the solved axis is a boundary exit; appends one
-    entry to ``swaps`` per change of the solved axis.
+    generated loop directly, when each segment ran a stepper object with its
+    own attempt counts, here the state ``(t, y, f0, h, accepted, rejected)``
+    of :func:`dopri5_step`; with its later rule that a step leaving the box
+    from on a face of the solved axis is a boundary exit.  Appends one entry
+    to ``swaps`` per change of the solved axis.
     """
     singular_tol = kernels.singular_tol
     box = form.domain
@@ -434,18 +510,19 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
         )
         t_target = transversal.value if hit_transversal_on_a else t_limit
         try:
-            stepper = ode.Dopri5(kernel, x[a], (x[b],), direction=sign_a, rtol=rtol,
-                                 atol=atol, max_steps=max_steps - steps_used)
+            state = dopri5_start(kernel, x[a], (x[b],))
         except (ValueError, ZeroDivisionError, OverflowError):
             return "singular", None, True
+        budget = max_steps - steps_used
         while True:
-            prev_t, prev_y = stepper.t, stepper.y
-            try:
-                t_new, y_new = dopri5_step(stepper, t_target)
-            except ode.StepRejectionError:
-                return "singular", None, True
-            except ode.MaxStepsError:
+            prev_t, prev_y = state[:2]
+            status, state = dopri5_step(kernel, state, t_target, sign_a, rtol, atol,
+                                        budget)
+            if status == "max_steps":
                 return "max_steps", None, True
+            if status != "ok":
+                return "singular", None, True
+            t_new, y_new = state[:2]
             steps_used += 1
             crossed = None
             for bound, outward in ((box.lows[b], -1.0), (box.highs[b], 1.0)):
@@ -694,23 +771,23 @@ def test_rolling_cylinder_labels_exact(grid, monkeypatch):
 def test_criterion_5_run_attempt_bound(monkeypatch):
     """The global construction of acceptance criterion 5 stays cheap.
 
-    scaled_exact, free z, grid 9: 41,509 Dormand-Prince attempts, where the
+    scaled_exact, free z, grid 9: 8,709 path solves, 8,520 of them ending
+    "ok" and 189 as box exits, in 41,509 Dormand-Prince attempts, where the
     stepper without box exits made 449,296 (four solves crawled along the
     widened bound until the step budget ran out).
     """
-    attempts = []
-    solve = ode.Dopri5.solve
+    attempts, statuses = [], collections.Counter()
+    solve = factor._integrate_unit
 
-    def counting(stepper, *args):
-        stats = stepper.stats
-        before = stats.accepted + stats.rejected
-        try:
-            return solve(stepper, *args)
-        finally:
-            attempts.append(stats.accepted + stats.rejected - before)
+    def counting(*args):
+        status, y, accepted, rejected = solve(*args)
+        attempts.append(accepted + rejected)
+        statuses[status] += 1
+        return status, y, accepted, rejected
 
-    monkeypatch.setattr(ode.Dopri5, "solve", counting)
+    monkeypatch.setattr(factor, "_integrate_unit", counting)
     result = global_factorization(entry("scaled_exact").form, 2, (0.0, 0.0, 0.0),
                                   grid_per_axis=9)
     assert (result.evaluated_points, result.skipped_points) == (541, 188)
+    assert statuses == {"ok": 8520, "box_exit": 189}
     assert sum(attempts) <= 60000
