@@ -33,7 +33,6 @@ from .forms import (  # noqa: F401
     pullback,
 )
 from .integrability import (  # noqa: F401
-    SamplerConfig,
     Verdict,
     clairaut_component,
     classify,

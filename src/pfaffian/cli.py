@@ -36,12 +36,7 @@ from .forms import (
     parse_box,
     random_linear_substitution,
 )
-from .integrability import (
-    CLASS_INCONCLUSIVE,
-    SamplerConfig,
-    classify,
-    invariance_check,
-)
+from .integrability import CLASS_INCONCLUSIVE, classify, invariance_check
 from .reach import estimate_dimension, explore, surrounding_line_scan
 from .reports import csv_text, json_text, write_text
 
@@ -144,7 +139,7 @@ def _var_index(form, name):
 
 def _cmd_check(args):
     form = load_form(args.form_file, needs_jet=True)
-    verdict = classify(form, SamplerConfig(points=args.samples), tol=args.tol)
+    verdict = classify(form, args.samples, tol=args.tol)
     _emit(json_text(verdict.as_report()), args.out)
     if args.expect:
         if verdict.classification != args.expect:
@@ -253,21 +248,14 @@ def _cmd_reach(args):
     free_index = _var_index(form, args.free_var) if args.free_var else None
     psi_fn = None
     if args.psi:
-        psi_expr = ex.parse_expression(args.psi, form.var_names)
-        raw = ex.compile_scalar(psi_expr, form.n)
-        psi_fn = lambda p: raw(*p)  # noqa: E731
+        # undefined or non-finite values are EvalDomainError: a form error
+        raw = ex.compile_tuple(
+            [ex.parse_expression(args.psi, form.var_names)], form.n)
+        psi_fn = lambda p: ex.call_checked(raw, p, form.n)[0]  # noqa: E731
     sample = explore(form, point, args.epsilon, args.budget, args.seed)
     verdict = estimate_dimension(sample, args.threshold, psi_reference=psi_fn)
-    report = {
-        "base": list(sample.base),
-        "epsilon": sample.epsilon,
-        "budget": sample.budget,
-        "budget_used": sample.budget_used,
-        "seed": sample.seed,
-        "endpoint_count": len(sample.endpoints),
-        "max_step_residual": sample.max_residual,
-        "verdict": verdict.as_report(),
-    }
+    report = sample.as_report()
+    report["verdict"] = verdict.as_report()
     if free_index is not None:
         scan = surrounding_line_scan(form, point, free_index, args.epsilon,
                                      args.budget)

@@ -15,6 +15,7 @@ checking the defining identity with finite differences of psi.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,16 +62,17 @@ class TransversalSpec:
         return lo <= varying_coord <= hi
 
 
-def auto_transversal(form: PfaffianForm, probes: int = 128) -> TransversalSpec:
+def auto_transversal(form: PfaffianForm) -> TransversalSpec:
     """Pick the fixed axis whose crossings are best conditioned.
 
     Crossing {x_a = c} transversally needs the tangent's a-component, which
     is the partner coefficient, to stay away from zero; choose the axis
-    whose partner coefficient has the larger low quantile over the box.
+    whose partner coefficient has the larger low quantile over 128 Halton
+    points of the box.
     """
     fns = form.coefficient_tuple_fn
     values = []
-    for p in form.domain.samples(probes):
+    for p in form.domain.samples(128):
         try:
             values.append(fns(*p))
         except (ValueError, ZeroDivisionError, OverflowError):
@@ -106,14 +108,14 @@ def _unit_tangent(fvals, sign=1.0):
     return (sign * fvals[1] / norm, sign * -fvals[0] / norm)
 
 
-def _characteristic_kernel(form: PfaffianForm, b: int, singular_tol):
+def _characteristic_kernel(form: PfaffianForm, b: int):
     """ODE kernel of ``dx_b/dx_a = -F_a / F_b`` in the coordinate ``a = 1 - b``.
 
-    Raises ZeroDivisionError where ``|F_b| <= singular_tol``.
+    Raises ZeroDivisionError where ``|F_b| <= DEFAULT_SINGULAR_TOL``.
     """
     a = 1 - b
     fa, fb = form.coefficients[a], form.coefficients[b]
-    tol = ex.python_literal(singular_tol)
+    tol = ex.python_literal(DEFAULT_SINGULAR_TOL)
 
     def body(t, ys, ks):
         names = [None, None]
@@ -137,22 +139,18 @@ class CharacteristicKernels(dict):
     curve.
     """
 
-    def __init__(self, form: PfaffianForm,
-                 singular_tol: float = DEFAULT_SINGULAR_TOL):
+    def __init__(self, form: PfaffianForm):
         super().__init__()
         self.form = form
-        self.singular_tol = singular_tol
 
     def __missing__(self, b):
-        kernel = self[b] = _characteristic_kernel(self.form, b, self.singular_tol)
+        kernel = self[b] = _characteristic_kernel(self.form, b)
         return kernel
 
 
 def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
                          transversal: TransversalSpec = None,
                          rtol: float = 1e-9, atol: float = 1e-12,
-                         max_steps: int = 100000,
-                         singular_tol: float = DEFAULT_SINGULAR_TOL,
                          kernels: CharacteristicKernels = None
                          ) -> CharacteristicCurve:
     """Trace the characteristic of a two-variable form through ``start``.
@@ -160,14 +158,14 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
     Integrates the curve annihilating the form, parametrizing by whichever
     variable currently gives the better-conditioned slope (swapping roles
     with 2x hysteresis), until the domain boundary, the transversal, a
-    singular point of the form, or the step budget.  ``kernels`` are the
-    generated right-hand sides to reuse, built for ``form`` and
-    ``singular_tol``; by default this call builds its own.
+    singular point of the form, or the budget of 100000 steps.  ``kernels``
+    are the generated right-hand sides to reuse, built for ``form``; by
+    default this call builds its own.
     """
     pts = []
     status, label, truncated = _trace_characteristic(
-        form, start, direction, transversal, rtol, atol, max_steps,
-        singular_tol, kernels, pts)
+        form, start, direction, transversal, rtol, atol, kernels=kernels,
+        pts=pts)
     params = [0.0]
     for p, q in zip(pts, pts[1:]):
         params.append(params[-1] + distance(p, q))
@@ -176,23 +174,24 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
 
 
 def _trace_characteristic(form, start, direction, transversal, rtol, atol,
-                          max_steps=100000, singular_tol=DEFAULT_SINGULAR_TOL,
-                          kernels=None, pts=None):
+                          max_steps=100000, kernels=None, pts=None):
     """``(status, label, truncated)`` of the characteristic through ``start``.
 
-    The curve of :func:`solve_characteristic`; its points are appended to
-    the list ``pts`` when one is given.
+    The curve of :func:`solve_characteristic`, at most ``max_steps`` steps
+    long; its points are appended to the list ``pts`` when one is given.
+    The direction of travel is set once, by the tangent of F at the start
+    oriented by ``direction``; at a swap of the solved axis it carries over
+    as the sign of the slope the step loop computed at the swap point.
     """
     if form.n != 2:
         raise ArityError("characteristics require a two-variable form")
     if kernels is None:
-        kernels = CharacteristicKernels(form, singular_tol)
-    elif kernels.form is not form or kernels.singular_tol != singular_tol:
-        raise AnalysisError("kernels were built for another form or tolerance")
+        kernels = CharacteristicKernels(form)
+    elif kernels.form is not form:
+        raise AnalysisError("kernels were built for another form")
     box = form.domain
     if not box.contains(start, tol=1e-12):
         raise AnalysisError(f"start point {tuple(start)} outside domain")
-    coeffs = form.coefficient_tuple_fn
     x = (float(start[0]), float(start[1]))
     if pts is not None:
         pts.append(x)
@@ -206,10 +205,10 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
         return "transversal", x[transversal.varying_axis()], False
 
     try:
-        f = coeffs(*x)
+        f = form.coefficient_tuple_fn(*x)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise AnalysisError("coefficients undefined at the start point")
-    if max(abs(f[0]), abs(f[1])) <= singular_tol:
+    if max(abs(f[0]), abs(f[1])) <= DEFAULT_SINGULAR_TOL:
         return "singular", None, True
     tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
 
@@ -217,6 +216,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
     # wins a tie, and NaN counts as the maximum
     f_abs0, f_abs1 = abs(f[0]), abs(f[1])
     dependent = 0 if f_abs0 >= f_abs1 or f_abs0 != f_abs0 else 1
+    sign_a = 1.0 if tau[1 - dependent] >= 0 else -1.0
     steps_used = 0
     level = transversal.value if transversal is not None else None
 
@@ -225,7 +225,6 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
             return "max_steps", None, True
         b = dependent
         a = 1 - b
-        sign_a = 1.0 if tau[a] >= 0 else -1.0
         kernel = kernels[b]
         advance = kernel.advance
         low_b, high_b = box.lows[b], box.highs[b]
@@ -307,17 +306,6 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
             if pts is not None:
                 pts.append(x)
 
-            try:
-                f = coeffs(*x)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                return "singular", None, True
-            if max(abs(f[0]), abs(f[1])) <= singular_tol:
-                return "singular", None, True
-            tau_new = _unit_tangent(f)
-            if tau_new[0] * tau[0] + tau_new[1] * tau[1] < 0:
-                tau_new = (-tau_new[0], -tau_new[1])
-            tau = tau_new
-
             if abs(t - t_target) <= 1e-14 * max(1.0, abs(t_target)):
                 if hit_transversal_on_a:
                     if transversal.on_span(x[b]):
@@ -328,8 +316,10 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
                 else:
                     return "boundary", None, False
 
-            if abs(f[a]) > _SWAP_HYSTERESIS * abs(f[b]):
+            # f0 is the slope -F_a / F_b at x, the last stage of the step
+            if abs(f0[0]) > _SWAP_HYSTERESIS:
                 dependent = a
+                sign_a = sign_a if f0[0] > 0 else -sign_a
                 break  # re-setup with swapped roles
 
             if steps_used >= max_steps:
@@ -368,16 +358,16 @@ def _locate(kernel, t0, y0, dt_total, level):
 FD_SCALE = 1e-4
 
 
-def fd_partial(fn, p, axis, box: Box, scale: float = FD_SCALE):
+def fd_partial(fn, p, axis, box: Box):
     """Partial derivative of a point evaluator by finite differences.
 
     Uses the 4th-order central stencil where the box leaves room, a plain
     central difference when only +-h fits, and a one-sided second-order
-    stencil at the boundary.  ``h = scale * edge`` per the construction's
+    stencil at the boundary.  ``h = FD_SCALE * edge`` per the construction's
     step policy.
     """
     lo, hi = box.lows[axis], box.highs[axis]
-    h = min(scale * (hi - lo), (hi - lo) / 8.0)
+    h = min(FD_SCALE * (hi - lo), (hi - lo) / 8.0)
     x = float(p[axis])
 
     def at(v):
@@ -396,8 +386,8 @@ def fd_partial(fn, p, axis, box: Box, scale: float = FD_SCALE):
     raise AnalysisError("box too small for the finite-difference stencil")
 
 
-def fd_gradient(fn, p, box: Box, scale: float = FD_SCALE):
-    return tuple(fd_partial(fn, p, i, box, scale) for i in range(box.dim))
+def fd_gradient(fn, p, box: Box):
+    return tuple(fd_partial(fn, p, i, box) for i in range(box.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +432,7 @@ _SKIP_ERRORS = (
 
 
 def verify_factorization(form: PfaffianForm, result: FactorizationResult,
-                         samples, fd_scale: float = FD_SCALE) -> ResidualStats:
+                         samples) -> ResidualStats:
     """Residual statistics of the identity F_i = mu * dpsi/dx_i over samples.
 
     Residual at p is max_i |F_i(p) - mu(p) * dpsi/dx_i(p)| / max(1, |F_i(p)|),
@@ -458,7 +448,7 @@ def verify_factorization(form: PfaffianForm, result: FactorizationResult,
     for p in samples:
         p = tuple(float(v) for v in p)
         try:
-            grad = fd_gradient(result.psi, p, box, fd_scale)
+            grad = fd_gradient(result.psi, p, box)
             mu_p = result.mu(p)
             fvals = fns(*p)
         except _SKIP_ERRORS:
@@ -477,37 +467,37 @@ def verify_factorization(form: PfaffianForm, result: FactorizationResult,
     return ResidualStats(worst if used else math.nan, rms, used, skipped)
 
 
-def _mu_from_gradient(form, p, grad, grad_tol=1e-12, disagreement_tol=1e-4):
+def _mu_from_gradient(form, p, grad):
     """mu = F_i / grad_i using the best-conditioned axis; cross-checked.
 
-    Returns (mu, disagreement_flagged).  Raises AnalysisError when every
-    gradient component is below ``grad_tol``.
+    Returns (mu, disagreement_flagged): flagged when another axis whose
+    gradient component is above 1e-12 and 1e-3 of the largest gives a mu
+    off by more than 1e-4 relative.  Raises AnalysisError when every
+    gradient component is at most 1e-12 in size.
     """
     mags = [abs(g) for g in grad]
     best = max(range(len(grad)), key=lambda i: mags[i])
-    if mags[best] <= grad_tol:
+    if mags[best] <= 1e-12:
         raise AnalysisError("psi gradient numerically zero: mu undefined")
     fvals = form.coefficient_tuple_fn(*p)
     mu = fvals[best] / grad[best]
     flagged = False
     for i, g in enumerate(grad):
-        if i == best or mags[i] <= max(grad_tol, 1e-3 * mags[best]):
+        if i == best or mags[i] <= max(1e-12, 1e-3 * mags[best]):
             continue
         other = fvals[i] / g
-        if abs(other - mu) > disagreement_tol * max(1.0, abs(mu)):
+        if abs(other - mu) > 1e-4 * max(1.0, abs(mu)):
             flagged = True
     return mu, flagged
 
 
 def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None,
-                         grid_per_axis: int = 17, rtol: float = 1e-11,
-                         atol: float = 1e-13, fd_scale: float = FD_SCALE
-                         ) -> FactorizationResult:
+                         grid_per_axis: int = 17) -> FactorizationResult:
     """Construct psi and mu for a two-variable form by characteristic shooting.
 
-    psi(p) is the transversal coordinate of the characteristic through p;
-    regions whose characteristics leave the box before the transversal are
-    reported as skipped.
+    psi(p) is the transversal coordinate of the characteristic through p,
+    traced with rtol 1e-11 and atol 1e-13; regions whose characteristics
+    leave the box before the transversal are reported as skipped.
     """
     if form.n != 2:
         raise ArityError("two-variable construction requires n = 2")
@@ -535,7 +525,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
         first = 1 if towards * tau_a >= 0 else -1
         for direction in (first, -first):
             status, label, _ = _trace_characteristic(
-                form, key, direction, tv, rtol, atol, kernels=kernels)
+                form, key, direction, tv, 1e-11, 1e-13, kernels=kernels)
             if status == "transversal":
                 cache[key] = label
                 return label
@@ -547,7 +537,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
 
     def mu(p):
         p = tuple(float(v) for v in p)
-        grad = fd_gradient(psi, p, form.domain, fd_scale)
+        grad = fd_gradient(psi, p, form.domain)
         value, flagged = _mu_from_gradient(form, p, grad)
         if flagged:
             flags["mu_branch_disagreements"] += 1
@@ -556,7 +546,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
     result = FactorizationResult(psi=psi, mu=mu, method=METHOD_TWO_VAR,
                                  flags=flags)
     grid = _grid(form.domain, grid_per_axis)
-    stats = verify_factorization(form, result, grid, fd_scale)
+    stats = verify_factorization(form, result, grid)
     result.residual_max = stats.residual_max
     result.residual_rms = stats.residual_rms
     result.skipped_points = stats.skipped_points
@@ -585,7 +575,7 @@ class SurfaceField:
     Every path solve is one call of the generated Dormand-Prince loop of one
     ODE kernel (:func:`_integrate_unit`), whose extra arguments are the path
     start ``u0`` and increment ``deltas``.  The free coordinate may leave
-    the box by ``box_tol`` times its edge; a path that is leaving this
+    the box by 1e-9 times its edge; a path that is leaving this
     widened box from past the box proper ends at once with the status
     "box_exit".  A solve that ends with any other status but "ok", or whose
     right-hand side is undefined at the start, is an AnalysisError of
@@ -594,7 +584,7 @@ class SurfaceField:
     """
 
     def __init__(self, form: PfaffianForm, free_index: int, base,
-                 rtol=1e-11, atol=1e-13, box_tol=1e-9):
+                 rtol=1e-11, atol=1e-13):
         if not 0 <= free_index < form.n:
             raise ArityError("free variable index out of range")
         if not form.domain.contains(base, tol=1e-12):
@@ -608,7 +598,7 @@ class SurfaceField:
         self.base_proj = tuple(self.base[i] for i in self.other)
         lo = form.domain.lows[free_index]
         hi = form.domain.highs[free_index]
-        self._free_bounds = (lo - box_tol * (hi - lo), hi + box_tol * (hi - lo))
+        self._free_bounds = (lo - 1e-9 * (hi - lo), hi + 1e-9 * (hi - lo))
         self.memo = {}
         self._fibers = {}
         self.kernel = self._path_kernel()
@@ -723,31 +713,31 @@ def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol):
 
 
 def global_factorization(form: PfaffianForm, free_index: int, base,
-                         grid_per_axis: int = 9, rtol: float = 1e-11,
-                         atol: float = 1e-13, fd_scale: float = FD_SCALE,
-                         require_integrable: bool = True,
-                         classify_tol: float = 1e-8) -> FactorizationResult:
+                         grid_per_axis: int = 9,
+                         require_integrable: bool = True) -> FactorizationResult:
     """Construct psi and mu for an n-variable form from a base fiber.
 
     psi(p) is the fiber coordinate of the level hypersurface through p;
     mu(p) = F_free(p) * d x_free / d psi, the fiber derivative by centered
     difference.  Points whose surfaces leave the box are skipped.  The
     monotonicity of the fiber map is spot-checked and violations flagged.
+    With ``require_integrable``, a form :func:`integrability.classify`
+    calls non_integrable at its default tolerance is an AnalysisError.
     """
     if require_integrable:
         from .integrability import CLASS_NON_INTEGRABLE, classify
 
-        verdict = classify(form, tol=classify_tol)
+        verdict = classify(form)
         if verdict.classification == CLASS_NON_INTEGRABLE:
             raise AnalysisError(
                 "form classified non_integrable; pass require_integrable=False "
                 "to force the construction"
             )
-    field_ = SurfaceField(form, free_index, base, rtol=rtol, atol=atol)
+    field_ = SurfaceField(form, free_index, base)
     _require_transversal_fiber(form, free_index, field_.base)
     box = form.domain
     edge_n = box.edges[free_index]
-    delta = fd_scale * edge_n
+    delta = FD_SCALE * edge_n
     flags = {
         "free_index": free_index,
         "base": list(field_.base),
@@ -773,7 +763,7 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
 
     result = FactorizationResult(psi=psi, mu=mu, method=METHOD_GLOBAL, flags=flags)
     grid = _grid(box, grid_per_axis)
-    stats = verify_factorization(form, result, grid, fd_scale)
+    stats = verify_factorization(form, result, grid)
     result.residual_max = stats.residual_max
     result.residual_rms = stats.residual_rms
     result.skipped_points = stats.skipped_points
@@ -783,9 +773,9 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
     return result
 
 
-def _require_transversal_fiber(form: PfaffianForm, free_index, base,
-                               tol=DEFAULT_SINGULAR_TOL):
-    """AnalysisError unless ``F_free(base)`` is finite and above ``tol`` in size.
+def _require_transversal_fiber(form: PfaffianForm, free_index, base):
+    """AnalysisError unless ``F_free(base)`` is finite and above
+    ``DEFAULT_SINGULAR_TOL`` in size.
 
     Where the free coefficient vanishes the base fiber is not transversal
     to the leaves, and no path solve can leave it.
@@ -794,7 +784,7 @@ def _require_transversal_fiber(form: PfaffianForm, free_index, base,
         value = form.coefficient_tuple_fn(*base)[free_index]
     except (ValueError, ZeroDivisionError, OverflowError):
         value = math.nan
-    if not (math.isfinite(value) and abs(value) > tol):
+    if not (math.isfinite(value) and abs(value) > DEFAULT_SINGULAR_TOL):
         name = form.var_names[free_index]
         state = "zero" if math.isfinite(value) else "undefined"
         raise AnalysisError(
@@ -804,17 +794,19 @@ def _require_transversal_fiber(form: PfaffianForm, free_index, base,
         )
 
 
-def _monotonicity_violations(field_: SurfaceField, fibers: int = 7,
-                             targets: int = 5) -> int:
-    """Count fiber-map monotonicity failures over a small deterministic grid."""
+def _monotonicity_violations(field_: SurfaceField) -> int:
+    """Count fiber-map monotonicity failures over a small deterministic grid.
+
+    7 fiber positions, above the base projection and the projections of 5
+    Halton points.
+    """
     box = field_.form.domain
     free = field_.free_index
     lo, hi = box.lows[free], box.highs[free]
     pad = 0.05 * (hi - lo)
-    s_grid = np.linspace(lo + pad, hi - pad, fibers)
+    s_grid = np.linspace(lo + pad, hi - pad, 7)
     u_targets = [field_.base_proj]
-    samples = box.samples(targets)
-    for p in samples:
+    for p in box.samples(5):
         u_targets.append(tuple(p[i] for i in field_.other))
     violations = 0
     for u in u_targets:
@@ -831,32 +823,27 @@ def _monotonicity_violations(field_: SurfaceField, fibers: int = 7,
     return violations
 
 
-def staircase_defect(form: PfaffianForm, free_index: int, base,
-                     targets=None, rtol: float = 1e-9, atol: float = 1e-12):
+def staircase_defect(form: PfaffianForm, free_index: int, base):
     """Path-dependence diagnostic for the surface construction.
 
-    Integrates the solved-coordinate ODE along two axis-ordered staircase
-    paths to each target projection and reports the disagreement of the
-    resulting free coordinates.  Integrable forms agree to solver tolerance;
+    Integrates the solved-coordinate ODE (rtol 1e-9, atol 1e-12) along two
+    axis-ordered staircase paths to each target projection and reports the
+    disagreement of the resulting free coordinates.  The targets are the
+    corners of the projected box, pulled to 0.9 of the way from its center.
+    Integrable forms agree to solver tolerance;
     a disagreement well above it is the numerical shadow of a nonzero
     integrability tensor.  A target whose path solve fails (a solver
     failure, or a right-hand side undefined on the path) gets the defect
     None and does not count toward the maximum.
     """
-    field_ = SurfaceField(form, free_index, base, rtol=rtol, atol=atol)
+    field_ = SurfaceField(form, free_index, base, rtol=1e-9, atol=1e-12)
     box = form.domain
-    if targets is None:
-        targets = []
-        spans = [
-            (box.lows[i], box.highs[i]) for i in field_.other
-        ]
-        from itertools import product
-
-        center = [0.5 * (lo + hi) for lo, hi in spans]
-        for corner in product(*[(lo, hi) for lo, hi in spans]):
-            targets.append(tuple(
-                c + 0.9 * (v - c) for v, c in zip(corner, center)
-            ))
+    spans = [(box.lows[i], box.highs[i]) for i in field_.other]
+    center = [0.5 * (lo + hi) for lo, hi in spans]
+    targets = [
+        tuple(c + 0.9 * (v - c) for v, c in zip(corner, center))
+        for corner in itertools.product(*spans)
+    ]
     per_target = []
     worst = 0.0
     for u_target in targets:

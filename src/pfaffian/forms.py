@@ -171,8 +171,9 @@ def _probe_vector(form: PfaffianForm, p, needs_jet: bool):
         return None
 
 
-def _check_nonsingular(form: PfaffianForm, tol: float, needs_jet: bool = False):
-    """Raise SingularFormError unless some probe point has a nonzero vector.
+def _check_nonsingular(form: PfaffianForm, needs_jet: bool):
+    """Raise SingularFormError unless some probe point has a vector above
+    ``DEFAULT_SINGULAR_TOL`` in size.
 
     The message tells probes where the vector is zero from those where a
     coefficient is undefined (a pole, a log of a negative value, ...).
@@ -188,7 +189,7 @@ def _check_nonsingular(form: PfaffianForm, tol: float, needs_jet: bool = False):
         if values is None:
             undefined += 1
             continue
-        if max(abs(v) for v in values) > tol:
+        if max(abs(v) for v in values) > DEFAULT_SINGULAR_TOL:
             return
         zero += 1
     if not undefined:
@@ -201,8 +202,7 @@ def _check_nonsingular(form: PfaffianForm, tol: float, needs_jet: bool = False):
     raise SingularFormError(message)
 
 
-def make_form(var_names, coefficient_texts, box: Box, singular_tol=DEFAULT_SINGULAR_TOL,
-              needs_jet=False):
+def make_form(var_names, coefficient_texts, box: Box, needs_jet=False):
     """Parse coefficient texts and construct a non-singular form on ``box``.
 
     ``needs_jet`` lets the nonsingularity probe use the jet (see
@@ -219,12 +219,11 @@ def make_form(var_names, coefficient_texts, box: Box, singular_tol=DEFAULT_SINGU
         raise ArityError(f"box dimension {box.dim} != {len(var_names)} variables")
     coeffs = tuple(ex.parse_expression(text, var_names) for text in coefficient_texts)
     form = PfaffianForm(var_names, coeffs, box)
-    _check_nonsingular(form, singular_tol, needs_jet)
+    _check_nonsingular(form, needs_jet)
     return form
 
 
 def form_from_expressions(var_names, coefficients, box: Box,
-                          singular_tol=DEFAULT_SINGULAR_TOL,
                           needs_jet=False) -> PfaffianForm:
     """Construct a form from already-built expression trees (``needs_jet``
     as for :func:`make_form`)."""
@@ -232,7 +231,7 @@ def form_from_expressions(var_names, coefficients, box: Box,
     if len(coefficients) != len(var_names) or box.dim != len(var_names):
         raise ArityError("variable, coefficient and box arities must agree")
     form = PfaffianForm(var_names, tuple(coefficients), box)
-    _check_nonsingular(form, singular_tol, needs_jet)
+    _check_nonsingular(form, needs_jet)
     return form
 
 
@@ -308,8 +307,13 @@ class Substitution:
         return np.array(values).reshape(self.n, self.n)
 
 
-def make_substitution(new_var_names, expr_texts, base_point, new_domain: Box,
-                      cond_limit=1e12) -> Substitution:
+def make_substitution(new_var_names, expr_texts, base_point, new_domain: Box
+                      ) -> Substitution:
+    """The substitution ``x_i = expr_texts[i]`` of the new variables.
+
+    Raises FormError unless its Jacobian at ``base_point`` is finite with a
+    condition number of at most 1e12.
+    """
     new_var_names = tuple(new_var_names)
     n = len(new_var_names)
     if len(expr_texts) != n or new_domain.dim != n or len(base_point) != n:
@@ -321,13 +325,13 @@ def make_substitution(new_var_names, expr_texts, base_point, new_domain: Box,
     sub = Substitution(new_var_names, exprs, tuple(float(v) for v in base_point),
                        new_domain)
     jac = sub.jacobian_at(sub.base_point)
-    if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > cond_limit:
+    if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e12:
         raise FormError("substitution Jacobian is singular at the base point")
     return sub
 
 
 def pullback(form: PfaffianForm, sub: Substitution,
-             singular_tol=DEFAULT_SINGULAR_TOL, needs_jet=False) -> PfaffianForm:
+             needs_jet=False) -> PfaffianForm:
     """Coordinate change of the form: Fbar_j = sum_i (dx_i/dxbar_j) * (F_i o s).
 
     Built symbolically; line integrals along corresponding curves agree.
@@ -344,25 +348,24 @@ def pullback(form: PfaffianForm, sub: Substitution,
             acc = ex.add(acc, ex.mul(jac[i][j], composed[i]))
         new_coeffs.append(acc)
     return form_from_expressions(sub.new_var_names, new_coeffs, sub.new_domain,
-                                 singular_tol=singular_tol, needs_jet=needs_jet)
+                                 needs_jet=needs_jet)
 
 
-def random_linear_substitution(form: PfaffianForm, seed: int, strength=0.3,
-                               shrink=0.35) -> Substitution:
+def random_linear_substitution(form: PfaffianForm, seed: int) -> Substitution:
     """Well-conditioned random affine change of variables into the box.
 
-    Old coordinates: x_i = c_i + sum_j A_ij u_j with A = I plus a scaled
-    random perturbation; the new box is sized so its image stays inside the
-    form's domain.
+    Old coordinates: x_i = c_i + sum_j A_ij u_j with A = I plus a random
+    perturbation of spectral norm 0.3; the new box is a cube 0.35 times the
+    size whose image would just fit the form's domain.
     """
     rng = np.random.default_rng(seed)
     n = form.n
     g = rng.standard_normal((n, n))
-    a = np.eye(n) + strength * g / np.linalg.norm(g, 2)
+    a = np.eye(n) + 0.3 * g / np.linalg.norm(g, 2)
     center = form.domain.center
     halfwidths = [0.5 * e for e in form.domain.edges]
     row_sums = np.abs(a).sum(axis=1)
-    eta = shrink * min(h / r for h, r in zip(halfwidths, row_sums))
+    eta = 0.35 * min(h / r for h, r in zip(halfwidths, row_sums))
     new_names = tuple(f"u{j + 1}" for j in range(n))
     exprs = []
     for i in range(n):
@@ -374,18 +377,20 @@ def random_linear_substitution(form: PfaffianForm, seed: int, strength=0.3,
     return make_substitution(new_names, exprs, (0.0,) * n, new_box)
 
 
-def mild_nonlinear_substitution(form: PfaffianForm, shift: int = 1,
-                                amplitude=0.1, shrink=0.3) -> Substitution:
-    """Identity plus a small quadratic coupling: x_i = c_i + u_i + a*u_{i+k}^2."""
+def mild_nonlinear_substitution(form: PfaffianForm) -> Substitution:
+    """Identity plus a small quadratic coupling: x_i = c_i + u_i + 0.1*u_{i+1}^2.
+
+    The new box is the cube of half-width 0.3 times the smallest half-edge.
+    """
     n = form.n
     center = form.domain.center
     halfwidths = [0.5 * e for e in form.domain.edges]
-    eta = shrink * min(halfwidths)
+    eta = 0.3 * min(halfwidths)
     new_names = tuple(f"u{j + 1}" for j in range(n))
     exprs = []
     for i in range(n):
-        other = (i + shift) % n
-        quad = ex.mul(ex.constant(amplitude), ex.powc(ex.variable(other), 2.0))
+        other = (i + 1) % n
+        quad = ex.mul(ex.constant(0.1), ex.powc(ex.variable(other), 2.0))
         exprs.append(ex.add(ex.constant(center[i]), ex.add(ex.variable(i), quad)))
     new_box = Box((-eta,) * n, (eta,) * n)
     return make_substitution(new_names, exprs, (0.0,) * n, new_box)
@@ -411,8 +416,7 @@ def parse_box(text: str) -> Box:
     return Box(lows, highs)
 
 
-def parse_form_file(text: str, singular_tol=DEFAULT_SINGULAR_TOL,
-                    needs_jet=False) -> PfaffianForm:
+def parse_form_file(text: str, needs_jet=False) -> PfaffianForm:
     """Parse the plain-text form definition format.
 
     Line 1: ``vars: x, y, z``; then one ``F[i] = <expression>`` per variable;
@@ -457,15 +461,13 @@ def parse_form_file(text: str, singular_tol=DEFAULT_SINGULAR_TOL,
     if sorted(coeff_texts) != list(range(1, n + 1)):
         raise FormError(f"need coefficients F[1]..F[{n}], got {sorted(coeff_texts)}")
     texts = [coeff_texts[i] for i in range(1, n + 1)]
-    return make_form(var_names, texts, box, singular_tol=singular_tol,
-                     needs_jet=needs_jet)
+    return make_form(var_names, texts, box, needs_jet=needs_jet)
 
 
-def load_form(path, singular_tol=DEFAULT_SINGULAR_TOL, needs_jet=False) -> PfaffianForm:
+def load_form(path, needs_jet=False) -> PfaffianForm:
     """The form in the file ``path``; ``needs_jet`` as for :func:`make_form`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_form_file(fh.read(), singular_tol=singular_tol,
-                               needs_jet=needs_jet)
+        return parse_form_file(fh.read(), needs_jet=needs_jet)
 
 
 def format_form_file(form: PfaffianForm) -> str:

@@ -30,24 +30,20 @@ CLASS_NON_INTEGRABLE = "non_integrable"
 CLASS_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Deterministic sample plan: the center, the corners, then Halton points."""
+def sample_points(form: PfaffianForm, points: int = 64):
+    """Deterministic sample plan: the center, the corners, then ``points``
+    Halton points of the form's box.
 
-    points: int = 64
-
-    def sample_points(self, form: PfaffianForm):
-        """Tuples of Python floats, which the compiled evaluators expect.
-
-        On numpy scalars a pole divides to inf with a RuntimeWarning where
-        a Python float raises ZeroDivisionError, and every operation of the
-        generated code runs slower.
-        """
-        return [
-            form.domain.center,
-            *map(tuple, form.domain.corners().tolist()),
-            *map(tuple, form.domain.samples(self.points).tolist()),
-        ]
+    Tuples of Python floats, which the compiled evaluators expect.  On numpy
+    scalars a pole divides to inf with a RuntimeWarning where a Python float
+    raises ZeroDivisionError, and every operation of the generated code runs
+    slower.
+    """
+    return [
+        form.domain.center,
+        *map(tuple, form.domain.corners().tolist()),
+        *map(tuple, form.domain.samples(points).tolist()),
+    ]
 
 
 @dataclass(frozen=True)
@@ -252,19 +248,19 @@ def _scan_samples(form, points, singular_tol):
     return scan
 
 
-def classify(form: PfaffianForm, sampler: SamplerConfig = None,
-             tol: float = DEFAULT_TOL,
-             singular_tol: float = DEFAULT_SINGULAR_TOL) -> Verdict:
+def classify(form: PfaffianForm, points: int = 64,
+             tol: float = DEFAULT_TOL) -> Verdict:
     """Classify the form as exact / locally_integrable / non_integrable.
 
+    Scans the plan of :func:`sample_points` with ``points`` Halton points.
     Defects and tensor components are scale-normalized at each sample point
     (by 1/max(1, max|F_i|) and its square respectively) before comparison
-    against ``tol``.  Forms in fewer than three variables are never
-    non_integrable.  Evaluation failures everywhere yield inconclusive.
+    against ``tol``; points where ``max|F_i|`` is at most
+    ``DEFAULT_SINGULAR_TOL`` are skipped as singular.  Forms in fewer than
+    three variables are never non_integrable.  Evaluation failures
+    everywhere yield inconclusive.
     """
-    sampler = sampler or SamplerConfig()
-    points = sampler.sample_points(form)
-    scan = _scan_samples(form, points, singular_tol)
+    scan = _scan_samples(form, sample_points(form, points), DEFAULT_SINGULAR_TOL)
     if scan.used == 0:
         return Verdict(CLASS_INCONCLUSIVE, None, None, float("nan"), 0, tol)
     per_triple = tuple(
@@ -303,22 +299,20 @@ class InvarianceReport:
 
 
 def invariance_check(form: PfaffianForm, sub: Substitution,
-                     sampler: SamplerConfig = None, tol: float = DEFAULT_TOL,
-                     singular_tol: float = DEFAULT_SINGULAR_TOL) -> InvarianceReport:
+                     tol: float = DEFAULT_TOL) -> InvarianceReport:
     """Check that tensor nullity survives the change of variables.
 
-    Samples the new box; evaluates the pulled-back tensor there and the
-    original tensor at the image points.  Only the zero/nonzero verdict is
-    compared: the tensor itself rescales under coordinate changes.  For
-    two-variable forms the tensor has no components and nullity is
-    vacuously preserved.
+    Samples the new box with the plan of :func:`sample_points`; evaluates
+    the pulled-back tensor there and the original tensor at the image
+    points.  Only the zero/nonzero verdict is compared: the tensor itself
+    rescales under coordinate changes.  For two-variable forms the tensor
+    has no components and nullity is vacuously preserved.
     """
     if form.n < 2:
         raise FormError("invariance check requires at least 2 variables")
-    sampler = sampler or SamplerConfig()
     pulled = pullback(form, sub, needs_jet=True)  # scanned on its jet below
-    new_points = sampler.sample_points(pulled)
-    new_scan = _scan_samples(pulled, new_points, singular_tol)
+    new_points = sample_points(pulled)
+    new_scan = _scan_samples(pulled, new_points, DEFAULT_SINGULAR_TOL)
     image_points = []
     for p in new_points:
         try:
@@ -327,7 +321,7 @@ def invariance_check(form: PfaffianForm, sub: Substitution,
             continue
         if form.domain.contains(q, tol=1e-9):
             image_points.append(form.domain.clamp(q))
-    old_scan = _scan_samples(form, image_points, singular_tol)
+    old_scan = _scan_samples(form, image_points, DEFAULT_SINGULAR_TOL)
     if new_scan.used == 0 or old_scan.used == 0:
         raise FormError("no usable samples for the invariance comparison")
     both_null = old_scan.tensor_max <= tol and new_scan.tensor_max <= tol

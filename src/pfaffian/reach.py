@@ -38,16 +38,19 @@ class PivotLostError(AnalysisError):
 # ---------------------------------------------------------------------------
 
 
-def constrained_velocity(form: PfaffianForm, p, free_velocity, solved_index,
-                         singular_tol=DEFAULT_SINGULAR_TOL):
-    """Velocity with the given free components and the solved one from the form."""
+def constrained_velocity(form: PfaffianForm, p, free_velocity, solved_index):
+    """Velocity with the given free components and the solved one from the form.
+
+    Raises PivotLostError unless the solved coefficient is above
+    ``DEFAULT_SINGULAR_TOL`` in size.
+    """
     if len(free_velocity) != form.n - 1:
         raise ArityError("free velocity must have n-1 components")
     if not 0 <= solved_index < form.n:
         raise ArityError("solved index out of range")
     fvals = form.coefficient_tuple_fn(*p)
     fk = fvals[solved_index]
-    if not abs(fk) > singular_tol:
+    if not abs(fk) > DEFAULT_SINGULAR_TOL:
         raise PivotLostError("solved coefficient below tolerance")
     v = [0.0] * form.n
     acc = 0.0
@@ -65,20 +68,20 @@ def constrained_velocity(form: PfaffianForm, p, free_velocity, solved_index,
     return tuple(v)
 
 
-def steer_step(form: PfaffianForm, p, free_velocity, solved_index, dt,
-               singular_tol=DEFAULT_SINGULAR_TOL):
+def steer_step(form: PfaffianForm, p, free_velocity, solved_index, dt):
     """One fixed-size RK4 step of the constrained velocity field.
 
     The constraint is re-solved at every internal stage.  Returns
     ``(next_point, residual)`` where the residual is the Simpson estimate of
     the form paired with the step chord, normalized by |F| |dx|.  Raises
-    PivotLostError when the solved coefficient degenerates mid-step.
+    PivotLostError when the solved coefficient degenerates mid-step (is not
+    above ``DEFAULT_SINGULAR_TOL`` in size).
     """
     if len(free_velocity) != form.n - 1:
         raise ArityError("free velocity must have n-1 components")
     if not 0 <= solved_index < form.n:
         raise ArityError("solved index out of range")
-    step = _compile_step(form, solved_index, singular_tol)
+    step = _compile_step(form, solved_index, DEFAULT_SINGULAR_TOL)
     f0 = form.coefficient_tuple_fn(*p)
     x1, _, residual = _rk4_constrained(step, p, f0, free_velocity, dt)
     return x1, residual
@@ -358,16 +361,16 @@ class ReachSample:
     curves: list = field(default_factory=list)
 
     def as_report(self):
+        """The head of the ``reach`` report; the endpoints and their step
+        counts go to its ``--csv`` file instead."""
         return {
             "base": list(self.base),
             "epsilon": self.epsilon,
-            "seed": self.seed,
             "budget": self.budget,
             "budget_used": self.budget_used,
+            "seed": self.seed,
             "endpoint_count": len(self.endpoints),
             "max_step_residual": self.max_residual,
-            "endpoints": [list(e) for e in self.endpoints],
-            "step_counts": list(self.step_counts),
         }
 
 
@@ -393,20 +396,21 @@ def _bisect_step_fraction(step, x, f_x, vfree, dt, inside):
     return state_lo
 
 
-def explore(form: PfaffianForm, p, epsilon, budget, seed,
-            steps_per_segment=STEPS_PER_SEGMENT, max_segments=MAX_SEGMENTS,
-            segment_fraction=SEGMENT_FRACTION, keep_curves=False,
+def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
             singular_tol=DEFAULT_SINGULAR_TOL) -> ReachSample:
     """Grow piecewise null curves from p with random free-velocity segments.
 
     Deterministic for a given seed: each rollout draws from its own
-    spawn-keyed stream, so results do not depend on scheduling.  Endpoints
-    are recorded at every segment end inside the closed epsilon-ball; curves
-    that exit the ball or the box are truncated at the crossing (located by
-    re-stepping bisection) and the rollout restarts from p.  Exploration
+    spawn-keyed stream, so results do not depend on scheduling.  A rollout
+    has up to ``MAX_SEGMENTS`` segments of ``STEPS_PER_SEGMENT`` steps,
+    each ``SEGMENT_FRACTION`` of epsilon long.  Endpoints are recorded at
+    every segment end inside the closed epsilon-ball; curves that exit the
+    ball or the box are truncated at the crossing (located by re-stepping
+    bisection) and the rollout restarts from p.  Exploration
     ends when the step budget is used up, or after ``MAX_SEGMENTS``
     rollouts in a row that took no step (every first step from p failed),
-    which would otherwise repeat without end.
+    which would otherwise repeat without end.  ``singular_tol`` is the size
+    the solved coefficient must exceed.
     """
     if form.n < 2:
         raise ArityError("exploration requires at least 2 variables")
@@ -425,7 +429,7 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
     segments = _PerPivot(
         lambda k: _compile_loop(form, k, singular_tol, *ball, "segment"))
     inside = _compile_inside(*ball)
-    dt = (epsilon * segment_fraction) / steps_per_segment
+    dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
     endpoints = [p]
     step_counts = [0]
     curves = []
@@ -438,7 +442,7 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rollout,)))
         rollout += 1
         # one draw fills the rows in the order of one draw per segment
-        directions = rng.standard_normal((max_segments, n - 1))
+        directions = rng.standard_normal((MAX_SEGMENTS, n - 1))
         x = p
         f_x = coeffs(*x)
         rollout_steps = 0
@@ -456,7 +460,7 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
                 continue
             vfree = tuple(v / norm for v in row.tolist())
             # the budget may end the segment early, and then the rollout
-            m = min(steps_per_segment, budget - used)
+            m = min(STEPS_PER_SEGMENT, budget - used)
             status, taken, resid, x_in, f_in = segments[k](
                 x, f_x, vfree, dt, m, curve_pts)
             used += taken
@@ -479,7 +483,7 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed,
                     if keep_curves:
                         curve_pts.append(x_cross)
                 break
-            if status == LOST or taken < steps_per_segment:
+            if status == LOST or taken < STEPS_PER_SEGMENT:
                 break
             # segment completed inside the ball: record its endpoint
             x, f_x = x_in, f_in
@@ -618,23 +622,24 @@ class ScanReport:
 
 
 def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
-                          n_targets: int = 32, gap_fraction: float = 0.01,
                           singular_tol=DEFAULT_SINGULAR_TOL) -> ScanReport:
     """Probe reachability of targets on the line freeing one coordinate.
 
-    Places ``n_targets`` targets with |offset| <= epsilon along the free
-    coordinate through p and steers toward each deterministically: straight
-    legs match the non-pivot coordinates, and where the geometry permits
-    (n >= 3) closed loops in two free directions move the pivot coordinate
-    by their enclosed area.  On integrable forms such loops return to the
+    Places 32 evenly spaced targets with |offset| <= epsilon along the free
+    coordinate through p, each with 1/32 of the budget, and steers toward
+    each deterministically: straight legs match the non-pivot coordinates,
+    and where the geometry permits (n >= 3) closed loops in two free
+    directions move the pivot coordinate by their enclosed area.  On integrable forms such loops return to the
     starting level, so blocked targets keep honest gaps; budget-halving
-    checkpoints record whether gaps persist as effort grows.
+    checkpoints record whether gaps persist as effort grows.  A target
+    counts as reached when its gap is at most 0.01 epsilon.
+    ``singular_tol`` is the size the solved coefficient must exceed.
     """
     if not 0 <= free_index < form.n:
         raise ArityError("free variable index out of range")
     p = tuple(float(v) for v in p)
-    offsets = np.linspace(-epsilon, epsilon, n_targets)
-    per_budget = max(1, budget // n_targets)
+    offsets = np.linspace(-epsilon, epsilon, 32)
+    per_budget = max(1, budget // 32)
     ball = (form.domain, p, epsilon * (1 + 1e-12), False)
     steering = _Steering(
         _PerPivot(lambda k: _compile_step(form, k, singular_tol)),
@@ -651,7 +656,7 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
         gaps.append(gap)
         halves.append(gap_half)
         used_total += used
-    gap_tol = epsilon * gap_fraction
+    gap_tol = epsilon * 0.01
     fraction = sum(1 for g in gaps if g <= gap_tol) / len(gaps)
     return ScanReport(free_index, float(epsilon), int(budget), used_total,
                       tuple(float(o) for o in offsets), tuple(gaps),

@@ -20,9 +20,9 @@ def float_repr(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _emit(obj, out, level):
+    pad = "  " * level  # two spaces per nesting level
+    pad_in = pad + "  "
     if isinstance(obj, np.generic):  # numpy scalars leak in easily
         obj = obj.item()
     if obj is None:
@@ -44,7 +44,7 @@ def _emit(obj, out, indent, level):
         out.write("{\n")
         for idx, (key, value) in enumerate(obj.items()):
             out.write(f'{pad_in}"{key}": ')
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.write(",\n" if idx < len(obj) - 1 else "\n")
         out.write(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -56,7 +56,7 @@ def _emit(obj, out, indent, level):
         if simple:
             out.write("[")
             for idx, value in enumerate(seq):
-                _emit(value, out, indent, level)
+                _emit(value, out, level)
                 if idx < len(seq) - 1:
                     out.write(", ")
             out.write("]")
@@ -64,16 +64,16 @@ def _emit(obj, out, indent, level):
             out.write("[\n")
             for idx, value in enumerate(seq):
                 out.write(pad_in)
-                _emit(value, out, indent, level + 1)
+                _emit(value, out, level + 1)
                 out.write(",\n" if idx < len(seq) - 1 else "\n")
             out.write(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
-def json_text(obj, indent: int = 2) -> str:
+def json_text(obj) -> str:
     out = io.StringIO()
-    _emit(obj, out, indent, 0)
+    _emit(obj, out, 0)
     out.write("\n")
     return out.getvalue()
 

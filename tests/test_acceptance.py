@@ -183,9 +183,12 @@ def _probe_catalog(seed=42, epsilon=0.3, budget=200000, threshold=0.05):
         sample = explore(e.form, e.probe, epsilon, budget, seed)
         psi_fn = e.psi0_fn()
         verdict = estimate_dimension(sample, threshold, psi_reference=psi_fn)
-        reports[e.name] = json_text(
-            {"sample": sample.as_report(), "verdict": verdict.as_report()}
-        )
+        reports[e.name] = json_text({
+            "sample": {**sample.as_report(),
+                       "endpoints": [list(p) for p in sample.endpoints],
+                       "step_counts": list(sample.step_counts)},
+            "verdict": verdict.as_report(),
+        })
         outcome[e.name] = verdict
     return reports, outcome
 

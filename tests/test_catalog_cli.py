@@ -220,6 +220,23 @@ def test_cli_reach_determinism(contact_file, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("psi, message", [
+    ("log(x)", "undefined at (0.0, 0.0, 0.0)"),
+    ("1/x", "division by zero"),
+    ("exp(1000*x+1000)", "overflow at (0.0, 0.0, 0.0)"),
+])
+def test_cli_reach_psi_undefined_at_the_base_is_input_error(contact_file, capsys,
+                                                            psi, message):
+    # the reference is undefined or overflows at the base, the box center
+    argv = ["reach", str(contact_file), "--budget", "200", "--psi", psi]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("form error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--epsilon", "-1"),
     ("--epsilon", "0"),

@@ -17,7 +17,7 @@ import tempfile
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pfaffian.catalog import catalog
+from pfaffian.catalog import catalog, entry
 from pfaffian.cli import main
 from pfaffian.forms import format_form_file
 
@@ -164,6 +164,7 @@ def _run(argv):
 
 EXACT3_TEXT = ("vars: x, y, z\nF[1] = 1\nF[2] = 1\nF[3] = 1\n"
                "domain: [-1,1] x [-1,1] x [-1,1]\n")
+CONTACT_TEXT = format_form_file(entry("contact").form)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None,
@@ -172,8 +173,9 @@ EXACT3_TEXT = ("vars: x, y, z\nF[1] = 1\nF[2] = 1\nF[3] = 1\n"
 # cases the fuzzer found, each once a traceback: an unknown catalog name
 # (KeyError), a verdict with too few endpoints (NaN in the report), a ball
 # or a box whose squared distances overflow, and a characteristic's crossing
-# search stepping where the solved coefficient vanishes; and a reach that
-# never ended, because no rollout of its exploration could take a step
+# search stepping where the solved coefficient vanishes; a reach that
+# never ended, because no rollout of its exploration could take a step; and
+# a reach reference --psi undefined or overflowing at the base
 @example((EXACT3_TEXT, ["catalog", "--show", "nope"]))
 @example((EXACT3_TEXT, ["catalog", "--write-form", "nope", "{write}"]))
 @example((EXACT3_TEXT, ["reach", "{form}", "--budget", "1"]))
@@ -186,6 +188,10 @@ EXACT3_TEXT = ("vars: x, y, z\nF[1] = 1\nF[2] = 1\nF[3] = 1\n"
           ["foliate", "{form}", "--curves", "1"]))
 @example(("vars: x, y, z\nF[1] = exp(800*x)\nF[2] = y*1e300*1e300 + 1\nF[3] = z\n"
           "domain: [-1,1] x [-1,1] x [-1,1]\n", ["reach", "{form}", "--budget", "1500"]))
+@example((CONTACT_TEXT, ["reach", "{form}", "--budget", "200", "--psi", "log(x)"]))
+@example((CONTACT_TEXT, ["reach", "{form}", "--budget", "200", "--psi", "1/x"]))
+@example((CONTACT_TEXT, ["reach", "{form}", "--budget", "200", "--psi",
+                         "exp(1000*x+1000)"]))
 def test_cli_contract_under_fuzz(invocation):
     text, template = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -28,7 +28,7 @@ from pfaffian.factor import (
     staircase_defect,
     verify_factorization,
 )
-from pfaffian.forms import Box, make_form
+from pfaffian.forms import DEFAULT_SINGULAR_TOL, Box, make_form
 
 IDEAL_GAS = make_form(["T", "V"], ["1.5", "T/V"], Box((1, 1), (2, 2)))
 SCALED = make_form(
@@ -476,7 +476,7 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
     from on a face of the solved axis is a boundary exit.  Appends one entry
     to ``swaps`` per change of the solved axis.
     """
-    singular_tol = kernels.singular_tol
+    singular_tol = DEFAULT_SINGULAR_TOL
     box = form.domain
     coeffs = form.coefficient_tuple_fn
     x = (float(start[0]), float(start[1]))
@@ -587,7 +587,7 @@ def _assert_trace_matches(form, kernels, start, direction, tv, max_steps=100000,
     """The trace and the reference agree on status, label, truncation and points."""
     pts, ref_pts = [], []
     trace = _trace_characteristic(form, start, direction, tv, rtol, atol, max_steps,
-                                  kernels.singular_tol, kernels, pts)
+                                  kernels, pts)
     ref = _ref_trace(form, start, direction, tv, rtol, atol, max_steps, kernels,
                      ref_pts, [] if swaps is None else swaps)
     assert (trace[0], repr(trace[1]), trace[2]) == (ref[0], repr(ref[1]), ref[2])

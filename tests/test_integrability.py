@@ -20,12 +20,12 @@ from pfaffian.integrability import (
     CLASS_INCONCLUSIVE,
     CLASS_LOCALLY_INTEGRABLE,
     CLASS_NON_INTEGRABLE,
-    SamplerConfig,
     clairaut_component,
     classify,
     curl_triple_product,
     exactness_defect,
     invariance_check,
+    sample_points,
 )
 from pfaffian.integrability import (
     _better,
@@ -281,10 +281,9 @@ def test_verdict_invariants_hold(contact):
             assert v.witness_value <= v.tolerance
 
 
-def test_sampler_config_is_deterministic(contact):
-    cfg = SamplerConfig(points=32)
-    a = cfg.sample_points(contact)
-    b = cfg.sample_points(contact)
+def test_sample_plan_is_deterministic(contact):
+    a = sample_points(contact, 32)
+    b = sample_points(contact, 32)
     assert a == b
 
 
@@ -293,7 +292,7 @@ def test_sample_points_are_python_floats(contact):
     # scalars would divide to inf with a RuntimeWarning
     gas = make_form(["T", "V"], ["1.5", "T/V"], Box((1, 1), (2, 2)))
     for form in (contact, gas):
-        points = SamplerConfig(points=32).sample_points(form)
+        points = sample_points(form, 32)
         assert len(points) == 1 + 2 ** form.n + 32
         assert all(type(v) is float for p in points for v in p)
 
@@ -404,7 +403,7 @@ def test_scan_matches_per_entry_reference(rng):
     outcomes = set()
     with np.errstate(all="ignore"):  # numpy scalars divide by zero quietly
         for form in forms:
-            points = SamplerConfig(points=48).sample_points(form)
+            points = sample_points(form, 48)
             points += [tuple(float(v) for v in p) for p in form.domain.samples(8)]
             for singular_tol in (1e-12, 0.5):
                 got = _scan_samples(form, points, singular_tol)
@@ -433,7 +432,7 @@ def test_pointwise_helpers_match_per_entry_reference():
     for e in catalog():
         form = e.form
         fns, dfs = _per_entry(form)
-        for p in SamplerConfig().sample_points(form):
+        for p in sample_points(form):
             try:
                 form.jet_fn(*p)
             except (ValueError, ZeroDivisionError, OverflowError):

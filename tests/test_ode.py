@@ -283,7 +283,7 @@ CHARACTERISTIC_FORMS = [
 def test_characteristic_kernel_bit_identical(texts, box, b):
     form = make_form(["x", "y"], texts, box)
     tol = 1e-12
-    kernel = _characteristic_kernel(form, b, tol)
+    kernel = _characteristic_kernel(form, b)
     ref = _ref_characteristic_rhs(form, b, tol)
     rng = np.random.default_rng(10 + b)
     lows, highs = np.asarray(box.lows), np.asarray(box.highs)
@@ -425,7 +425,7 @@ def _refused_first_attempt(kernel, params, t, y, dt):
 
 def test_vanishing_solved_coefficient_raises_like_reference():
     form = make_form(["x", "y"], ["1", "x"], Box((-1, -1), (1, 1)))
-    kernel = _characteristic_kernel(form, 1, 1e-12)
+    kernel = _characteristic_kernel(form, 1)
     ref = _ref_characteristic_rhs(form, 1, 1e-12)
     f0 = ref(0.1, (0.0,))
     # the first stage lands on x = 0.1 + 0.2 * (-0.5) = 0, where F_2 = x vanishes
@@ -467,7 +467,7 @@ def test_zero_free_coefficient_raises_like_reference():
 
 def test_log_of_negative_stage_value_raises_like_reference():
     form = make_form(["x", "y"], ["log(x)", "1"], Box((1e-3, -1), (2, 1)))
-    kernel = _characteristic_kernel(form, 1, 1e-12)
+    kernel = _characteristic_kernel(form, 1)
     ref = _ref_characteristic_rhs(form, 1, 1e-12)
     f0 = ref(0.01, (0.0,))
     # the first stage lands on x = 0.01 - 0.02 < 0

@@ -1,0 +1,42 @@
+"""Smoke runs of the experiment scripts in ``scripts/``, in-process.
+
+The scripts call the library with its defaults, so a signature change that
+breaks one shows here.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(SCRIPTS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, run", [
+    ("catalog_report", lambda m: m.main([])),
+    ("factor_demo", lambda m: m.main()),
+    ("reach_probe", lambda m: m.main(["contact", "--free-var", "z",
+                                      "--budget", "20000"])),
+])
+def test_script_runs(name, run, capsys):
+    assert run(_script(name)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if name == "catalog_report":
+        assert len(lines) == 7 and all(line.endswith(" ok") for line in lines)
+        assert "contact           non_integrable      witness 1.000e+00 ok" in lines
+    elif name == "factor_demo":
+        assert ("  staircase path disagreement 0.000e+00 "
+                "(integrable: solver-level)") in lines
+        assert lines[-1].startswith("  same diagnostic on the contact form: ")
+    else:
+        assert lines[0] == "contact: probe (0.0, 0.0, 0.0), epsilon 0.3, seed 42"
+        assert lines[3].startswith("  budget    20000: kind=full_dimensional ")
+        assert lines[4].startswith("  surrounding line of z: fraction reached ")
