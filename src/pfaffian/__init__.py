@@ -54,7 +54,6 @@ from .reach import (  # noqa: F401
     ReachabilityVerdict,
     estimate_dimension,
     explore,
-    steer_step,
     surrounding_line_scan,
 )
 from .catalog import CatalogEntry, entry  # noqa: F401

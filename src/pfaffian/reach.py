@@ -7,10 +7,16 @@ cloud; the dimension of that cloud separates forms whose reachable set fills
 a neighborhood (non-integrable) from forms confined to a level hypersurface.
 The surrounding-line scan steers deterministically toward targets obtained
 by freeing one coordinate, reporting per-target closest-approach gaps.
+
+Steps run in generated loops, one per pivot and built on first use: the
+segments of the exploration and the legs of the scan.  Where a step leaves
+the ball or the box, the same loop, called for one step, takes the trial
+steps of the bisection that locates the crossing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import AnalysisError, ArityError
-from .forms import DEFAULT_SINGULAR_TOL, PfaffianForm, distance
+from .forms import DEFAULT_SINGULAR_TOL, PfaffianForm, distance, is_singular_at
 
 KIND_FULL = "full_dimensional"
 KIND_CODIM_ONE = "codimension_one_like"
@@ -34,68 +40,8 @@ class PivotLostError(AnalysisError):
 
 
 # ---------------------------------------------------------------------------
-# single-step steering
+# generated steering loops
 # ---------------------------------------------------------------------------
-
-
-def constrained_velocity(form: PfaffianForm, p, free_velocity, solved_index):
-    """Velocity with the given free components and the solved one from the form.
-
-    Raises PivotLostError unless the solved coefficient is above
-    ``DEFAULT_SINGULAR_TOL`` in size.
-    """
-    if len(free_velocity) != form.n - 1:
-        raise ArityError("free velocity must have n-1 components")
-    if not 0 <= solved_index < form.n:
-        raise ArityError("solved index out of range")
-    fvals = form.coefficient_tuple_fn(*p)
-    fk = fvals[solved_index]
-    if not abs(fk) > DEFAULT_SINGULAR_TOL:
-        raise PivotLostError("solved coefficient below tolerance")
-    v = [0.0] * form.n
-    acc = 0.0
-    vi = iter(free_velocity)
-    for i in range(form.n):
-        if i == solved_index:
-            continue
-        w = next(vi)
-        v[i] = w
-        acc += fvals[i] * w
-    vk = -acc / fk
-    if not -1e300 < vk < 1e300:
-        raise PivotLostError("constraint solve produced a non-finite velocity")
-    v[solved_index] = vk
-    return tuple(v)
-
-
-def steer_step(form: PfaffianForm, p, free_velocity, solved_index, dt):
-    """One fixed-size RK4 step of the constrained velocity field.
-
-    The constraint is re-solved at every internal stage.  Returns
-    ``(next_point, residual)`` where the residual is the Simpson estimate of
-    the form paired with the step chord, normalized by |F| |dx|.  Raises
-    PivotLostError when the solved coefficient degenerates mid-step (is not
-    above ``DEFAULT_SINGULAR_TOL`` in size).
-    """
-    if len(free_velocity) != form.n - 1:
-        raise ArityError("free velocity must have n-1 components")
-    if not 0 <= solved_index < form.n:
-        raise ArityError("solved index out of range")
-    step = _compile_step(form, solved_index, DEFAULT_SINGULAR_TOL)
-    f0 = form.coefficient_tuple_fn(*p)
-    x1, _, residual = _rk4_constrained(step, p, f0, free_velocity, dt)
-    return x1, residual
-
-
-def _rk4_constrained(step, x, f_x, vfree, dt):
-    """One constrained RK4 step ``(x1, F(x1), residual)`` of a generated stepper.
-
-    Single steps go through this module-level name: those of
-    :func:`steer_step` and the trials of the exit bisection.  The steps of
-    ``explore`` segments and scan legs run inside the generated loops of
-    :func:`_compile_loop`, which return their step counts instead.
-    """
-    return step(x, f_x, vfree, dt)
 
 
 def _step_lines(form: PfaffianForm, k, tol, pad, residual):
@@ -104,8 +50,10 @@ def _step_lines(form: PfaffianForm, k, tol, pad, residual):
     The step goes from the state ``x<i>`` with ``a<i> = F(x)`` to ``X<i>``
     with ``e<i> = F(X)``, reading the free velocity ``v<i>``, the step
     ``dt``, and ``h``, ``q`` and ``hv<i>``, ``dv<i>``, ``qv<i>`` from
-    :func:`_prologue_lines`.  With ``residual`` it also sets ``r`` to the
-    residual of :func:`steer_step`.  Each line is indented by ``pad``.
+    :func:`_prologue_lines`.  The coefficient bodies are inlined at the
+    three stage points and at the end point.  With ``residual`` it also sets
+    ``r``, the Simpson estimate of the form paired with the step chord,
+    normalized by |F(X)| |X - x|.  Each line is indented by ``pad``.
     """
     n = form.n
     free = [i for i in range(n) if i != k]
@@ -190,36 +138,6 @@ def _prologue_lines(n, free):
     return lines
 
 
-def _compile_step(form: PfaffianForm, k, tol):
-    """Straight-line constrained RK4 step of ``form`` with pivot ``k``.
-
-    ``step(x, f_x, vfree, dt) -> (x1, f1, residual)``, with f1 = F(x1) and
-    the residual of :func:`steer_step`.  The coefficient bodies are inlined
-    at the three stage points and at the end point.  Each float operation is
-    that of the RK4 step written stage by stage, in the same order: the
-    solved velocity is ``-(0.0 + sum of F_i v_i) / F_k``, and the three
-    residual sums add their terms left to right from ``0.0``
-    (:func:`ex.python_sum`), as the builtin ``sum`` does up to Python 3.11.
-    ``tests/test_reach.py`` keeps that stage-by-stage form as the reference
-    the generated step must match bit for bit.
-    Raises PivotLostError when the solved coefficient is not above ``tol``
-    or the solved velocity is not within (-1e300, 1e300); coefficient domain
-    errors propagate as ValueError, ZeroDivisionError or OverflowError.
-    """
-    n = form.n
-    free = [i for i in range(n) if i != k]
-    lines = [
-        "def step(x, fx, vfree, dt):",
-        *_prologue_lines(n, free),
-        *_step_lines(form, k, tol, "    ", residual=True),
-        f"    return ({ex.python_tuple(f'X{i}' for i in range(n))}), "
-        f"({ex.python_tuple(f'e{i}' for i in range(n))}), r",
-    ]
-    namespace = ex.exec_source("\n".join(lines) + "\n", "step",
-                               _Lost=PivotLostError)
-    return namespace["step"]
-
-
 # statuses of the generated segment loops
 DONE = "done"  # all m steps taken, every one inside
 EXIT = "exit"  # the last step counted left the ball or the box
@@ -230,13 +148,25 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
                   kind):
     """Generated loop of up to ``m`` constrained RK4 steps with pivot ``k``.
 
-    Each step is the one of :func:`_compile_step`, followed by the test of
-    :func:`_compile_inside` for ``(box, center, limit, squared)``.  The loop
-    returns ``(status, steps, value, x, f_x)``: ``steps`` counts the steps
-    taken, the one that left included, and ``x, f_x`` is the last state
-    inside.  A step that raises PivotLostError, ValueError,
-    ZeroDivisionError or OverflowError ends the loop as ``LOST`` without
-    being counted.
+    Each step is that of :func:`_step_lines`, followed by the containment
+    test: the end point lies in ``box`` and near ``center``, where near
+    means a squared distance ``<= limit`` when ``squared``, else a distance
+    ``<= limit``.  The loop returns ``(status, steps, value, x, f_x)``:
+    ``steps`` counts the steps taken, the one that left included, and
+    ``x, f_x`` is the last state inside.  A step that raises PivotLostError
+    (the solved coefficient is not above ``tol``, or the solved velocity is
+    not within (-1e300, 1e300)), ValueError, ZeroDivisionError or
+    OverflowError ends the loop as ``LOST`` without being counted.  A call
+    with ``m = 1`` is one step; :func:`_bisect_step_fraction` takes its
+    trial steps that way.
+
+    Each float operation is that of the RK4 step written stage by stage, in
+    the same order: the solved velocity is ``-(0.0 + sum of F_i v_i) /
+    F_k``, and the sums of the residual and of the containment test add
+    their terms left to right from ``0.0`` (:func:`ex.python_sum`), as the
+    builtin ``sum`` does up to Python 3.11.  ``tests/test_reach.py`` keeps
+    that stage-by-stage form as the reference the loop must match bit for
+    bit.
 
     ``kind`` "segment" gives ``segment(x, fx, vfree, dt, m, pts)`` for
     :func:`explore`: ``value`` is the largest step residual (from 0.0), and
@@ -252,6 +182,11 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
     fs = ex.python_tuple(f"a{i}" for i in range(n))
     value = "rmax" if segment else "best"
     state = f"{value}, ({xs}), ({fs})"
+    lit = ex.python_literal
+    in_box = " and ".join(f"{lit(lo)} <= X{i} <= {lit(hi)}"
+                          for i, (lo, hi) in enumerate(zip(box.lows, box.highs)))
+    dist2 = ex.python_sum(f"(X{i} - {lit(c)}) ** 2" for i, c in enumerate(center))
+    near = f"{dist2} <= {lit(limit)}" if squared else f"_sqrt({dist2}) <= {lit(limit)}"
     if segment:
         lines = ["def segment(x, fx, vfree, dt, m, pts):", "    rmax = 0.0"]
     else:
@@ -272,7 +207,7 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
     if segment:
         lines.extend(["        if r > rmax:", "            rmax = r"])
     lines.extend([
-        f"        if not ({_inside_text(box, center, limit, squared, 'X')}):",
+        f"        if not ({in_box} and {near}):",
         f"            return {EXIT!r}, s, {state}",
         f"        {xs}, {fs} = "
         f"{ex.python_tuple(f'X{i}' for i in range(n))}, "
@@ -294,46 +229,6 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
     namespace = ex.exec_source("\n".join(lines) + "\n", kind,
                                _Lost=PivotLostError)
     return namespace[kind]
-
-
-class _PerPivot(dict):
-    """Generated code by pivot index, each built by ``build(k)`` on first use."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, k):
-        code = self[k] = self.build(k)
-        return code
-
-
-def _inside_text(box, center, limit, squared, var):
-    """Source text: the point ``<var>0, <var>1, ...`` lies in ``box`` near ``center``.
-
-    Near means a squared distance ``<= limit`` when ``squared``, else a
-    distance ``<= limit``; both add the squared differences left to right
-    from ``0.0``.
-    """
-    lit = ex.python_literal
-    in_box = " and ".join(
-        f"{lit(lo)} <= {var}{i} <= {lit(hi)}"
-        for i, (lo, hi) in enumerate(zip(box.lows, box.highs))
-    )
-    dist2 = ex.python_sum(f"({var}{i} - {lit(c)}) ** 2"
-                          for i, c in enumerate(center))
-    near = f"{dist2} <= {lit(limit)}" if squared else f"_sqrt({dist2}) <= {lit(limit)}"
-    return f"{in_box} and {near}"
-
-
-def _compile_inside(box, center, limit, squared):
-    """Generated ``inside(q)`` with the test of :func:`_inside_text`."""
-    lines = [
-        "def inside(q):",
-        f"    {ex.python_tuple(f'q{i}' for i in range(len(center)))} = q",
-        f"    return {_inside_text(box, center, limit, squared, 'q')}",
-    ]
-    return ex.exec_source("\n".join(lines) + "\n", "inside")["inside"]
 
 
 # ---------------------------------------------------------------------------
@@ -374,26 +269,31 @@ class ReachSample:
         }
 
 
-def _bisect_step_fraction(step, x, f_x, vfree, dt, inside):
-    """Largest step fraction that stays inside; returns the boundary state.
+def _bisect_step_fraction(loop, x, f_x, vfree, dt, *extra):
+    """Largest step fraction that stays inside, with its state, or None.
 
-    ``inside(point) -> bool``; bisection on the step fraction, each trial
-    re-stepping from the segment start so the located point lies on the
-    integrated curve.
+    Bisection on the fraction of the step ``dt`` from ``(x, f_x)`` that
+    ``loop`` took when it left: each trial re-steps from ``x`` as the one
+    step ``loop(x, f_x, vfree, dt * fraction, 1, *extra)``, so the located
+    point lies on the integrated curve.  Returns ``(fraction, x1, f1)``,
+    which is ``(0.0, x, f_x)`` when no trial stayed inside, or None when a
+    trial ends ``LOST``.
     """
     lo, hi = 0.0, 1.0
     state_lo = (x, f_x)
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        xm, fm, _ = _rk4_constrained(step, x, f_x, vfree, dt * mid)
-        if inside(xm):
+        status, _, _, xm, fm = loop(x, f_x, vfree, dt * mid, 1, *extra)
+        if status == LOST:
+            return None
+        if status == DONE:
             lo = mid
             state_lo = (xm, fm)
         else:
             hi = mid
         if hi - lo < 1e-12:
             break
-    return state_lo
+    return (lo, *state_lo)
 
 
 def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
@@ -418,17 +318,13 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
     if not form.domain.contains(p, tol=1e-12):
         raise AnalysisError("base point outside domain")
     coeffs = form.coefficient_tuple_fn
-    from .forms import is_singular_at
-
     if is_singular_at(form, p, singular_tol):
         raise AnalysisError("base point is singular for the form")
 
     n = form.n
     ball = (form.domain, p, epsilon * epsilon, True)
-    steps = _PerPivot(lambda k: _compile_step(form, k, singular_tol))
-    segments = _PerPivot(
+    segments = functools.cache(
         lambda k: _compile_loop(form, k, singular_tol, *ball, "segment"))
-    inside = _compile_inside(*ball)
     dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
     endpoints = [p]
     step_counts = [0]
@@ -461,7 +357,8 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
             vfree = tuple(v / norm for v in row.tolist())
             # the budget may end the segment early, and then the rollout
             m = min(STEPS_PER_SEGMENT, budget - used)
-            status, taken, resid, x_in, f_in = segments[k](
+            segment = segments(k)
+            status, taken, resid, x_in, f_in = segment(
                 x, f_x, vfree, dt, m, curve_pts)
             used += taken
             rollout_steps += taken
@@ -470,14 +367,14 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
             if resid > max_resid:
                 max_resid = resid
             if status == EXIT:
-                try:
-                    x_cross, _ = _bisect_step_fraction(
-                        steps[k], x_in, f_in, vfree, dt, inside
-                    )
-                except (PivotLostError, ValueError, ZeroDivisionError,
-                        OverflowError):
+                crossing = _bisect_step_fraction(segment, x_in, f_in, vfree,
+                                                 dt, None)
+                if crossing is None:
                     break
-                if inside(x_cross):
+                fraction, x_cross, _ = crossing
+                # with no trial inside, x_cross is x_in: p or a state the
+                # loop found inside, which only the box can rule out
+                if fraction > 0.0 or form.domain.contains(x_cross):
                     endpoints.append(x_cross)
                     step_counts.append(rollout_steps)
                     if keep_curves:
@@ -642,9 +539,9 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
     per_budget = max(1, budget // 32)
     ball = (form.domain, p, epsilon * (1 + 1e-12), False)
     steering = _Steering(
-        _PerPivot(lambda k: _compile_step(form, k, singular_tol)),
-        _PerPivot(lambda k: _compile_loop(form, k, singular_tol, *ball, "leg")),
-        _compile_inside(*ball), singular_tol)
+        functools.cache(
+            lambda k: _compile_loop(form, k, singular_tol, *ball, "leg")),
+        singular_tol)
     gaps = []
     halves = []
     used_total = 0
@@ -665,11 +562,9 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
 
 @dataclass
 class _Steering:
-    """Generated code of one scan: single steps and legs by pivot, containment."""
+    """Generated legs of one scan, each built by pivot on first use."""
 
-    steps: _PerPivot
-    legs: _PerPivot
-    inside: object
+    legs: object  # legs(k) -> the leg loop of pivot k
     tol: float
 
 
@@ -678,7 +573,6 @@ class _Seeker:
 
     def __init__(self, form, steering, base, target, epsilon, budget):
         self.steering = steering
-        self.inside = steering.inside
         self.n = form.n
         self.base = base
         self.target = target
@@ -709,7 +603,7 @@ class _Seeker:
         after one step when ``used`` is already there, so the gap is read
         after the same step as when every step was noted.
         """
-        leg = self.steering.legs[k]
+        leg = self.steering.legs(k)
         left = max(1, int(math.ceil(length / (self.dt))))
         dt = length / left
         while left:
@@ -723,14 +617,13 @@ class _Seeker:
             self.used += taken
             left -= taken
             if status == EXIT:
-                try:
-                    self.x, self.f = _bisect_step_fraction(
-                        self.steering.steps[k], self.x, self.f, vfree, dt,
-                        self.inside
-                    )
-                except (PivotLostError, ValueError, ZeroDivisionError,
-                        OverflowError):
+                # the trials' distances are discarded: only the crossing
+                # is noted
+                crossing = _bisect_step_fraction(
+                    leg, self.x, self.f, vfree, dt, self.target, math.inf)
+                if crossing is None:
                     return False
+                _, self.x, self.f = crossing
                 self._note(self.x)
                 return False
             if taken and self.best_at_half is None and self.used >= self.half:
@@ -845,10 +738,7 @@ class _Seeker:
             if self.used >= self.budget:
                 return
             improved = False
-            try:
-                k = max(range(self.n), key=lambda i: abs(self.f[i]))
-            except ValueError:
-                return
+            k = max(range(self.n), key=lambda i: abs(self.f[i]))
             if abs(self.f[k]) <= self.tol:
                 return
             for pos in range(self.n - 1):

@@ -9,12 +9,14 @@ import pytest
 
 from conftest import fold
 from pfaffian.catalog import catalog
-from pfaffian.errors import AnalysisError, ArityError
+from pfaffian.errors import AnalysisError
 from pfaffian.forms import DEFAULT_SINGULAR_TOL, Box, make_form
 from pfaffian.reach import (
+    DONE,
     KIND_CODIM_ONE,
     KIND_FULL,
     KIND_INCONCLUSIVE,
+    LOST,
     MAX_SEGMENTS,
     SEGMENT_FRACTION,
     STEPS_PER_SEGMENT,
@@ -22,16 +24,11 @@ from pfaffian.reach import (
     PivotLostError,
     ReachSample,
     ScanReport,
-    _bisect_step_fraction,
-    _compile_inside,
-    _compile_step,
-    _PerPivot,
+    _compile_loop,
     _Seeker,
     _Steering,
-    constrained_velocity,
     estimate_dimension,
     explore,
-    steer_step,
     surrounding_line_scan,
 )
 from pfaffian.reports import json_text
@@ -41,27 +38,49 @@ EXACT3 = make_form(["x", "y", "z"], ["1", "1", "1"], Box((-1,) * 3, (1,) * 3))
 ROLLING = make_form(["x", "theta"], ["1", "-1"], Box((-1, -1), (1, 1)))
 
 
+def _loop_step(form, k, tol):
+    """One step of the generated segment loop: a call with ``m = 1``.
+
+    The loop tests containment in a box and a ball that no step here
+    leaves, so ``step(x, f_x, vfree, dt)`` returns ``(x1, f1, residual)``,
+    or LOST where the step raised.
+    """
+    n = form.n
+    segment = _compile_loop(form, k, tol, Box((-1e150,) * n, (1e150,) * n),
+                            (0.0,) * n, math.inf, True, "segment")
+
+    def step(x, f_x, vfree, dt):
+        status, taken, resid, x1, f1 = segment(x, f_x, vfree, dt, 1, None)
+        if status == LOST:
+            return LOST
+        assert (status, taken) == (DONE, 1)
+        return x1, f1, resid
+
+    return step
+
+
 def test_constrained_velocity_examples():
-    assert constrained_velocity(CONTACT, (0, 0, 0), (1, 0), 2) == (1, 0, 0.0)
-    assert constrained_velocity(CONTACT, (0, 1, 0), (1, 0), 2) == (1, 0, 1.0)
-
-
-@pytest.mark.parametrize("solved_index", [-1, 3])
-def test_solved_index_out_of_range(solved_index):
-    with pytest.raises(ArityError):
-        constrained_velocity(CONTACT, (0, 0.5, 0), (1, 0), solved_index)
-    with pytest.raises(ArityError):
-        steer_step(CONTACT, (0, 0.5, 0), (1, 0), solved_index, 0.01)
+    # F = (-y, 0, 1) does not change along a step with v_y = 0, so the step
+    # is dt times the constrained velocity; dt / 6.0 and its sixfold are exact
+    step = _loop_step(CONTACT, 2, DEFAULT_SINGULAR_TOL)
+    x1, _, _ = step((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0), 0.75)
+    assert x1 == (0.75, 0.0, 0.0)  # velocity (1, 0, 0)
+    x1, _, _ = step((0.0, 1.0, 0.0), (-1.0, 0.0, 1.0), (1.0, 0.0), 0.75)
+    assert x1 == (0.75, 1.0, 0.75)  # velocity (1, 0, 1)
 
 
 def test_steer_step_stationary():
-    nxt, resid = steer_step(CONTACT, (0.1, 0.2, 0.3), (0.0, 0.0), 2, 0.01)
+    x = (0.1, 0.2, 0.3)
+    nxt, _, resid = _loop_step(CONTACT, 2, DEFAULT_SINGULAR_TOL)(
+        x, CONTACT.coefficient_tuple_fn(*x), (0.0, 0.0), 0.01)
     assert nxt == (0.1, 0.2, 0.3)
     assert resid == 0.0
 
 
 def test_steer_step_annihilates_form():
-    nxt, resid = steer_step(CONTACT, (0.0, 0.5, 0.0), (1.0, 0.0), 2, 0.01)
+    x = (0.0, 0.5, 0.0)
+    nxt, _, resid = _loop_step(CONTACT, 2, DEFAULT_SINGULAR_TOL)(
+        x, CONTACT.coefficient_tuple_fn(*x), (1.0, 0.0), 0.01)
     assert resid <= 1e-10
     assert nxt[2] == pytest.approx(0.005, rel=1e-6)  # dz = y dx with y ~ 0.5
 
@@ -69,8 +88,9 @@ def test_steer_step_annihilates_form():
 # --- generated step against the generic per-stage reference ---------------------
 #
 # The reference is the generic loop the generated straight-line step replaced:
-# velocity assembly, RK4 stages and the Simpson residual as separate calls.  The
-# generated step must reproduce it bit for bit and raise the same exceptions.
+# velocity assembly, RK4 stages and the Simpson residual as separate calls.  One
+# step of the generated loop must reproduce it bit for bit, and end LOST where
+# the reference raises.
 
 
 def _ref_velocity(fvals, free_velocity, solved_index, singular_tol):
@@ -132,6 +152,11 @@ def _ref_step(form, x, f_x, vfree, k, dt, tol):
     return x1, f1, _ref_residual(x, x1, f_x, f1, fmid)
 
 
+def _ref_stepper(form, k, tol):
+    """``step(x, f_x, vfree, dt)``: :func:`_ref_step` with pivot ``k``."""
+    return lambda x, f_x, vfree, dt: _ref_step(form, x, f_x, vfree, k, dt, tol)
+
+
 def _outcome(call):
     try:
         return call()
@@ -163,16 +188,17 @@ def test_generated_step_bit_identical(names, texts, box):
     rng = np.random.default_rng(len(names))
     lows, highs = np.asarray(box.lows), np.asarray(box.highs)
     for k in range(form.n):
-        step = _compile_step(form, k, tol)
+        step = _loop_step(form, k, tol)
         for _ in range(25):
             x = tuple(float(v) for v in rng.uniform(lows + 0.1, highs - 0.1))
             f_x = form.coefficient_tuple_fn(*x)
             w = rng.standard_normal(form.n - 1)
             vfree = tuple(float(v) for v in w / np.linalg.norm(w))
             dt = float(rng.uniform(0.005, 0.2))
-            got = _outcome(lambda: step(x, f_x, vfree, dt))
             want = _outcome(lambda: _ref_step(form, x, f_x, vfree, k, dt, tol))
-            assert got == want, (k, x, vfree, dt)
+            if isinstance(want, type):
+                want = LOST
+            assert step(x, f_x, vfree, dt) == want, (k, x, vfree, dt)
 
 
 @pytest.mark.parametrize("texts, box, x, k, vfree, dt, tol, raised", [
@@ -190,8 +216,7 @@ def test_generated_step_raises_like_reference(texts, box, x, k, vfree, dt, tol,
                                               raised):
     form = make_form(["x", "y"], texts, box)
     f_x = form.coefficient_tuple_fn(*x)
-    step = _compile_step(form, k, tol)
-    assert _outcome(lambda: step(x, f_x, vfree, dt)) is raised
+    assert _loop_step(form, k, tol)(x, f_x, vfree, dt) == LOST
     assert _outcome(lambda: _ref_step(form, x, f_x, vfree, k, dt, tol)) is raised
 
 
@@ -322,7 +347,7 @@ def test_align_free_norm_adds_left_to_right(rng):
 
     n = 5
     form = SimpleNamespace(n=n, coefficient_tuple_fn=lambda *p: (1.0,) * n)
-    steering = SimpleNamespace(inside=None, tol=0.0)
+    steering = SimpleNamespace(tol=0.0)
     for _ in range(300):
         base = tuple(float(v) for v in rng.uniform(-1, 1, n))
         target = tuple(float(v) for v in rng.uniform(-1, 1, n))
@@ -395,13 +420,50 @@ def test_scan_matches_recorded(form, base, free_index, budget, used, fraction,
 # --- generated segment loops against the per-step reference ---------------------
 #
 # The references are the per-step loops the generated segment and leg loops
-# replaced: one call of the generated step, one containment test and one
-# bookkeeping update per step.  ``explore`` and the surrounding-line scan must
-# reproduce them bit for bit.  Each reference also tallies how its steps
-# ended (ball exit, box exit, pivot loss or domain error), so the cases can
-# be shown to cover every branch.
+# replaced, in pure Python: one reference step, one containment test and one
+# bookkeeping update per step, and exits located by bisection on the step
+# fraction with the same trial steps.  ``explore`` and the surrounding-line
+# scan must reproduce them bit for bit.  Each reference also tallies how its
+# steps ended (ball exit, box exit, pivot loss or domain error), so the cases
+# can be shown to cover every branch.
 
 _STEP_ERRORS = (PivotLostError, ValueError, ZeroDivisionError, OverflowError)
+
+
+def _ref_inside(box, center, limit, squared):
+    """``inside(q)``: q lies in ``box`` and within ``limit`` of ``center``.
+
+    Within means a squared distance ``<= limit`` when ``squared``, else a
+    distance ``<= limit``; the squares add left to right from 0.0.
+    """
+    def inside(q):
+        if not all(lo <= v <= hi for v, lo, hi in zip(q, box.lows, box.highs)):
+            return False
+        dist2 = fold((v - c) ** 2 for v, c in zip(q, center))
+        return (dist2 if squared else math.sqrt(dist2)) <= limit
+
+    return inside
+
+
+def _ref_bisect(step, x, f_x, vfree, dt, inside):
+    """Largest step fraction that stays inside; returns the boundary state.
+
+    Each trial re-steps ``step(x, f_x, vfree, dt * fraction)`` from ``x``;
+    a trial that raises ends the bisection with that error.
+    """
+    lo, hi = 0.0, 1.0
+    state_lo = (x, f_x)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        xm, fm, _ = step(x, f_x, vfree, dt * mid)
+        if inside(xm):
+            lo = mid
+            state_lo = (xm, fm)
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return state_lo
 
 
 def _tally_exit(tally, form, x_new):
@@ -410,12 +472,11 @@ def _tally_exit(tally, form, x_new):
 
 def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
                  singular_tol=DEFAULT_SINGULAR_TOL):
-    """``explore`` stepping one call of the generated step at a time."""
+    """``explore`` taking one reference step at a time."""
     p = tuple(float(v) for v in p)
     coeffs = form.coefficient_tuple_fn
     n = form.n
-    steps = _PerPivot(lambda k: _compile_step(form, k, singular_tol))
-    inside = _compile_inside(form.domain, p, epsilon * epsilon, squared=True)
+    inside = _ref_inside(form.domain, p, epsilon * epsilon, squared=True)
     dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
     endpoints = [p]
     step_counts = [0]
@@ -438,7 +499,7 @@ def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
             k = max(range(n), key=lambda i: abs(f_x[i]))
             if abs(f_x[k]) <= singular_tol:
                 break
-            step = steps[k]
+            step = _ref_stepper(form, k, singular_tol)
             vfree = rng.standard_normal(n - 1)
             norm = float(np.linalg.norm(vfree))
             if norm == 0.0:
@@ -463,9 +524,7 @@ def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
                 if not inside(x_new):
                     _tally_exit(tally, form, x_new)
                     try:
-                        x_cross, _ = _bisect_step_fraction(
-                            step, x, f_x, vfree, dt, inside
-                        )
+                        x_cross, _ = _ref_bisect(step, x, f_x, vfree, dt, inside)
                     except _STEP_ERRORS:
                         alive = False
                         break
@@ -492,15 +551,16 @@ def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
 
 
 class _RefSeeker(_Seeker):
-    """``_Seeker`` whose legs step and note one call of the generated step at a time."""
+    """``_Seeker`` whose legs step and note one reference step at a time."""
 
-    def __init__(self, tally, form, *args):
+    def __init__(self, tally, inside, form, *args):
         super().__init__(form, *args)
         self.tally = tally
+        self.inside = inside
         self.form = form
 
     def _leg(self, vfree, k, length):
-        step = self.steering.steps[k]
+        step = _ref_stepper(self.form, k, self.tol)
         steps = max(1, int(math.ceil(length / (self.dt))))
         dt = length / steps
         for _ in range(steps):
@@ -516,9 +576,8 @@ class _RefSeeker(_Seeker):
             if not self.inside(x_new):
                 _tally_exit(self.tally, self.form, x_new)
                 try:
-                    x_cross, f_cross = _bisect_step_fraction(
-                        step, self.x, self.f, vfree, dt, self.inside
-                    )
+                    x_cross, f_cross = _ref_bisect(step, self.x, self.f, vfree,
+                                                   dt, self.inside)
                 except _STEP_ERRORS:
                     return False
                 self.x, self.f = x_cross, f_cross
@@ -535,15 +594,13 @@ def _ref_scan(form, p, free_index, epsilon, budget, tally, n_targets=32,
     p = tuple(float(v) for v in p)
     offsets = np.linspace(-epsilon, epsilon, n_targets)
     per_budget = max(1, budget // n_targets)
-    steering = _Steering(
-        _PerPivot(lambda k: _compile_step(form, k, singular_tol)), None,
-        _compile_inside(form.domain, p, epsilon * (1 + 1e-12), squared=False),
-        singular_tol)
+    steering = _Steering(None, singular_tol)
+    inside = _ref_inside(form.domain, p, epsilon * (1 + 1e-12), squared=False)
     gaps, halves, used_total = [], [], 0
     for off in offsets:
         q = list(p)
         q[free_index] += float(off)
-        seeker = _RefSeeker(tally, form, steering, p, tuple(q), epsilon,
+        seeker = _RefSeeker(tally, inside, form, steering, p, tuple(q), epsilon,
                             per_budget)
         try:
             gap, half, used = seeker.run()
@@ -575,6 +632,7 @@ SQRT_EDGE = make_form(["x", "y", "z"], ["sqrt(x)", "1", "y"],
 # the step toward x < 0 fails at once: a scan leg's first chunk takes no step
 LOG_WALL = make_form(["x", "y"], ["-log(x) - 3", "1"], Box((1e-3, -1), (2, 1)))
 PIVOT_DROP = make_form(["x", "y"], ["x", "0.3"], Box((-1, -1), (1, 1)))
+CATALOG = {e.name: e.form for e in catalog()}
 
 # (form, base, epsilon, singular_tol): the catalog entries at their box
 # centers and near a box corner, and forms whose steps fail mid-segment
@@ -589,6 +647,13 @@ LOOP_CASES = [
     ("log-wall", LOG_WALL, (0.003, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
     ("sqrt-edge", SQRT_EDGE, (0.02, 0.0, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
     ("pivot-drop", PIVOT_DROP, (0.5, 0.0), 0.3, 0.45),
+    # a step leaving the box from the base, where no bisection trial stays
+    # inside, records the base again when it lies on the face, and nothing
+    # when it lies past the face within the tolerance explore allows
+    ("contact-face", CATALOG["contact"], (1.0, 0.0, 0.0), 0.3,
+     DEFAULT_SINGULAR_TOL),
+    ("contact-past-face", CATALOG["contact"], (1.0 + 5e-13, 0.0, 0.0), 0.3,
+     DEFAULT_SINGULAR_TOL),
 ]
 EXPLORE_BUDGETS = (1, 7, 1003)  # 7 and 1003 end mid-segment
 SCAN_BUDGETS = (32, 100, 1500)  # half-budget checkpoints after 0, 1, 23 steps
