@@ -17,7 +17,6 @@ from .errors import (  # noqa: F401
 from .expressions import (  # noqa: F401
     differentiate,
     parse_expression,
-    simplify,
     to_string,
 )
 from .forms import (  # noqa: F401

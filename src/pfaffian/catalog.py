@@ -34,28 +34,19 @@ class CatalogEntry:
     def probe(self):
         return self.probe_point if self.probe_point is not None else self.box.center
 
-    def psi0(self):
-        if self.psi0_text is None:
-            return None
-        return ex.parse_expression(self.psi0_text, self.var_names)
-
-    def mu0(self):
-        if self.mu0_text is None:
-            return None
-        return ex.parse_expression(self.mu0_text, self.var_names)
-
     def psi0_fn(self):
-        e = self.psi0()
-        if e is None:
-            return None
-        fn = ex.compile_scalar(e, len(self.var_names))
-        return lambda p: fn(*p)
+        return self._reference_fn(self.psi0_text)
 
     def mu0_fn(self):
-        e = self.mu0()
-        if e is None:
+        return self._reference_fn(self.mu0_text)
+
+    def _reference_fn(self, text):
+        """``p -> value`` of the reference ``text`` at the point ``p``, or
+        None without a text; raw error behavior (expressions.compile_scalar)."""
+        if text is None:
             return None
-        fn = ex.compile_scalar(e, len(self.var_names))
+        fn = ex.compile_scalar(ex.parse_expression(text, self.var_names),
+                               len(self.var_names))
         return lambda p: fn(*p)
 
 

@@ -3,6 +3,11 @@
 Expression trees are immutable and closed under differentiation: constants,
 variable references (by index), the unary operations neg/exp/log/sin/cos/sqrt,
 the binary operations add/sub/mul/div, and pow with a constant exponent.
+The parser, :func:`differentiate` and :func:`substitute` build every node
+through the folding constructors (:func:`neg`, :func:`add`, :func:`sub`,
+:func:`mul`, :func:`div`, :func:`powc`), so their trees come out folded as
+they are built: ``e+0``, ``0*e``, ``1*e`` and ``--e`` do not survive, and
+an operation on constants becomes its value where that is defined.
 Trees are evaluated only through generated code (:func:`compile_scalar`,
 :func:`compile_tuple`).  :func:`call_checked` calls such code with the
 checked contract: an undefined operation or a non-finite result raises
@@ -32,7 +37,7 @@ FUNCTION_NAMES = ("exp", "log", "sin", "cos", "sqrt")
 
 # Deepest expression the parser accepts.  A number or variable is one
 # level; each operation, function call, unary minus and pair of parentheses
-# around a subexpression adds one.  Simplification, differentiation and the
+# around a subexpression adds one.  Differentiation, substitution and the
 # generated code all recurse or nest with depth, and the Jacobian of a
 # coefficient is deeper than the coefficient; at this bound every check of a
 # form still compiles.  Benchmark and catalog forms are at most 24 deep.
@@ -59,7 +64,6 @@ __all__ = [
     "parse_expression",
     "to_string",
     "differentiate",
-    "simplify",
     "substitute",
     "compile_scalar",
     "compile_tuple",
@@ -106,7 +110,7 @@ class Pow(Expression):
 
 
 # ---------------------------------------------------------------------------
-# smart constructors (light folding keeps derivative trees small)
+# smart constructors (light folding keeps parsed and derivative trees small)
 # ---------------------------------------------------------------------------
 
 
@@ -194,6 +198,10 @@ def func(name: str, arg: Expression) -> Expression:
     return Unary(name, arg)
 
 
+# the folding constructor of each Binary operation
+_BINARY = {"+": add, "-": sub, "*": mul, "/": div}
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 # ---------------------------------------------------------------------------
@@ -202,6 +210,8 @@ def func(name: str, arg: Expression) -> Expression:
 def differentiate(e: Expression, var_index: int, memo=None) -> Expression:
     """Exact symbolic partial derivative of ``e`` with respect to variable ``var_index``.
 
+    Every rule builds through the folding constructors, so the derivative
+    of a folded tree is folded too.
     ``memo`` is a dict that caches derivatives per node (by ``id``, keeping
     the node alive); pass one dict to every call on trees that share nodes,
     such as all entries of a Jacobian.  A subtree is differentiated once per
@@ -279,38 +289,6 @@ def _derivative_rule(e, j, memo):
     raise TypeError(f"not an Expression node: {e!r}")
 
 
-def simplify(e: Expression, memo=None) -> Expression:
-    """Best-effort, value-preserving simplification.
-
-    Rebuilds the tree bottom-up through the folding constructors, which
-    apply at minimum 0*e -> 0, 1*e -> e, e+0 -> e and constant folding.
-    Not canonical: structurally different but equivalent trees remain so.
-    ``memo`` is a dict that caches results per node, as in
-    :func:`differentiate`.
-    """
-    return _simplified(e, {} if memo is None else memo)
-
-
-def _simplified(e, memo):
-    if isinstance(e, (Const, Var)):
-        return e
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
-    if isinstance(e, Unary):
-        a = _simplified(e.arg, memo)
-        s = neg(a) if e.op == "neg" else func(e.op, a)
-    elif isinstance(e, Binary):
-        left, right = _simplified(e.left, memo), _simplified(e.right, memo)
-        s = {"+": add, "-": sub, "*": mul, "/": div}[e.op](left, right)
-    elif isinstance(e, Pow):
-        s = powc(_simplified(e.base, memo), e.exponent)
-    else:
-        raise TypeError(f"not an Expression node: {e!r}")
-    memo[id(e)] = (e, s)
-    return s
-
-
 def substitute(e: Expression, replacements) -> Expression:
     """Replace every ``Var(i)`` with ``replacements[i]`` (an Expression)."""
     if isinstance(e, Const):
@@ -327,7 +305,7 @@ def substitute(e: Expression, replacements) -> Expression:
     if isinstance(e, Binary):
         left = substitute(e.left, replacements)
         right = substitute(e.right, replacements)
-        return {"+": add, "-": sub, "*": mul, "/": div}[e.op](left, right)
+        return _BINARY[e.op](left, right)
     if isinstance(e, Pow):
         return powc(substitute(e.base, replacements), e.exponent)
     raise TypeError(f"not an Expression node: {e!r}")
@@ -359,7 +337,8 @@ def _num_repr(v: float) -> str:
 def to_string(e: Expression, var_names) -> str:
     """Serialize to the grammar of :func:`parse_expression`.
 
-    Re-parsing the output yields a structurally equal tree.
+    Re-parsing the output of a folded tree (one the parser or the folding
+    constructors built) yields a structurally equal tree.
     """
     if isinstance(e, Const):
         return _num_repr(e.value)
@@ -480,7 +459,7 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs, rhs_depth = self.term()
-                e = Binary(value, e, rhs)
+                e = _BINARY[value](e, rhs)
                 depth = self.deeper(max(depth, rhs_depth), offset)
             else:
                 return e, depth
@@ -492,7 +471,7 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self.advance()
                 rhs, rhs_depth = self.factor()
-                e = Binary(value, e, rhs)
+                e = _BINARY[value](e, rhs)
                 depth = self.deeper(max(depth, rhs_depth), offset)
             else:
                 return e, depth
@@ -512,7 +491,7 @@ class _Parser:
             if kind != "num":
                 raise ParseError("expected a numeric exponent after '^'", offset)
             self.advance()
-            e = Pow(e, sign * float(value))
+            e = powc(e, sign * float(value))
         return e, depth
 
     def base(self):
@@ -529,7 +508,7 @@ class _Parser:
                 self.advance()
                 arg, depth = self.nested(self.expr, offset)
                 self.expect_op(")")
-                return Unary(value, arg), depth
+                return func(value, arg), depth
             if value in self.var_index:
                 return Var(self.var_index[value]), 1
             raise UnknownIdentifierError(value, offset)
@@ -539,10 +518,7 @@ class _Parser:
             return e, depth
         if kind == "op" and value == "-":
             inner, depth = self.nested(self.base, offset)
-            # fold '-' on a literal so negative constants round-trip
-            if isinstance(inner, Const):
-                return Const(-inner.value), depth
-            return Unary("neg", inner), depth
+            return neg(inner), depth
         raise ParseError(f"expected a number, identifier or '('", offset)
 
     def nested(self, rule, offset):
@@ -556,6 +532,9 @@ class _Parser:
 def parse_expression(text: str, var_names) -> Expression:
     """Parse ``text`` against the ordered variable-name list ``var_names``.
 
+    Each node is built through the folding constructors as it is parsed,
+    so ``x + 0`` is ``Var``, ``-2`` and ``2*3`` are constants and ``--x``
+    is ``x``.  Nesting depth is counted on the text, before folding.
     Raises ParseError on malformed text and on an expression deeper than
     :data:`MAX_DEPTH` levels.
     """

@@ -84,20 +84,15 @@ class Box:
 class PfaffianForm:
     """n coefficient expressions F_i over n named variables on a box.
 
-    The coefficients are stored simplified, one memo for all of them,
-    however the form was built; their derivatives are then simplify fixed
-    points, since every derivative rule builds through the folding
-    constructors.
+    The coefficients are stored as given.  Parsed texts and trees built
+    through the folding constructors of :mod:`.expressions` are folded, and
+    so are their derivatives, since every derivative rule builds through
+    those constructors.
     """
 
     var_names: tuple
     coefficients: tuple
     domain: Box
-
-    def __post_init__(self):
-        memo = {}
-        object.__setattr__(self, "coefficients",
-                           tuple(ex.simplify(c, memo) for c in self.coefficients))
 
     @property
     def n(self) -> int:
@@ -226,7 +221,11 @@ def make_form(var_names, coefficient_texts, box: Box, needs_jet=False):
 def form_from_expressions(var_names, coefficients, box: Box,
                           needs_jet=False) -> PfaffianForm:
     """Construct a form from already-built expression trees (``needs_jet``
-    as for :func:`make_form`)."""
+    as for :func:`make_form`).
+
+    The trees are stored as given, not folded; build them through the
+    folding constructors of :mod:`.expressions`, as the parser does.
+    """
     var_names = tuple(var_names)
     if len(coefficients) != len(var_names) or box.dim != len(var_names):
         raise ArityError("variable, coefficient and box arities must agree")
@@ -334,7 +333,9 @@ def pullback(form: PfaffianForm, sub: Substitution,
              needs_jet=False) -> PfaffianForm:
     """Coordinate change of the form: Fbar_j = sum_i (dx_i/dxbar_j) * (F_i o s).
 
-    Built symbolically; line integrals along corresponding curves agree.
+    Built symbolically through :func:`.expressions.substitute` and the
+    folding constructors, so folded coefficients and substitutions give
+    folded coefficients; line integrals along corresponding curves agree.
     ``needs_jet`` as for :func:`make_form`.
     """
     if sub.n != form.n:
@@ -372,7 +373,7 @@ def random_linear_substitution(form: PfaffianForm, seed: int) -> Substitution:
         acc = ex.constant(center[i])
         for j in range(n):
             acc = ex.add(acc, ex.mul(ex.constant(a[i, j]), ex.variable(j)))
-        exprs.append(ex.simplify(acc))
+        exprs.append(acc)
     new_box = Box((-eta,) * n, (eta,) * n)
     return make_substitution(new_names, exprs, (0.0,) * n, new_box)
 

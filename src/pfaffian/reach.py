@@ -24,7 +24,13 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import AnalysisError, ArityError
-from .forms import DEFAULT_SINGULAR_TOL, PfaffianForm, distance, is_singular_at
+from .forms import (
+    DEFAULT_SINGULAR_TOL,
+    MAX_COORDINATE,
+    PfaffianForm,
+    distance,
+    is_singular_at,
+)
 
 KIND_FULL = "full_dimensional"
 KIND_CODIM_ONE = "codimension_one_like"
@@ -296,6 +302,14 @@ def _bisect_step_fraction(loop, x, f_x, vfree, dt, *extra):
     return (lo, *state_lo)
 
 
+def _check_radius(epsilon):
+    """AnalysisError unless ``epsilon`` is finite, > 0 and at most
+    ``MAX_COORDINATE``, the radii the CLI accepts."""
+    if not 0.0 < epsilon <= MAX_COORDINATE:  # false for NaN too
+        raise AnalysisError(f"epsilon must be > 0 and at most {MAX_COORDINATE:g}, "
+                            f"got {epsilon!r}")
+
+
 def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
             singular_tol=DEFAULT_SINGULAR_TOL) -> ReachSample:
     """Grow piecewise null curves from p with random free-velocity segments.
@@ -314,6 +328,7 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
     """
     if form.n < 2:
         raise ArityError("exploration requires at least 2 variables")
+    _check_radius(epsilon)
     p = tuple(float(v) for v in p)
     if not form.domain.contains(p, tol=1e-12):
         raise AnalysisError("base point outside domain")
@@ -534,6 +549,7 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
     """
     if not 0 <= free_index < form.n:
         raise ArityError("free variable index out of range")
+    _check_radius(epsilon)
     p = tuple(float(v) for v in p)
     offsets = np.linspace(-epsilon, epsilon, 32)
     per_budget = max(1, budget // 32)

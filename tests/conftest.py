@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from oracle import _ref_simplify
 from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError, ParseError
 from pfaffian.forms import Box, form_from_expressions
@@ -30,14 +31,58 @@ def random_polynomial(rng, n_vars, degree=3, coeff_range=2.0):
             if e:
                 term = ex.mul(term, ex.powc(ex.variable(v), float(e)))
         acc = ex.add(acc, term)
-    return ex.simplify(acc)
+    return _ref_simplify(acc)
+
+
+_UNARY_OPS = ("neg", "exp", "log", "sin", "cos", "sqrt")
+_CONSTS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -1.5, 3.0)
+_EXPONENTS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, -0.0)
+
+
+# node builders (unary, binary, pow): raw nodes, or the folding constructors
+RAW = (ex.Unary, ex.Binary, ex.Pow)
+FOLDING = (
+    lambda op, a: ex.neg(a) if op == "neg" else ex.func(op, a),
+    lambda op, a, b: {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}[op](a, b),
+    ex.powc,
+)
+
+
+def random_tree(rng, n, depth, pool, build=RAW):
+    """Tree using every node kind; reuses node objects from ``pool``.
+
+    ``build`` makes the nodes: :data:`RAW` leaves them unfolded, and
+    :data:`FOLDING` gives the tree :func:`oracle._ref_simplify` makes of the
+    raw one from the same draws, with the pool's nodes shared.
+    """
+    r = rng.random()
+    if pool and r < 0.15:
+        return pool[int(rng.integers(len(pool)))]
+    if depth == 0 or r < 0.35:
+        if rng.random() < 0.6:
+            return ex.Var(int(rng.integers(n)))
+        return ex.Const(_CONSTS[int(rng.integers(len(_CONSTS)))])
+    unary, binary, power = build
+    kind = int(rng.integers(3))
+    if kind == 0:
+        op = _UNARY_OPS[int(rng.integers(len(_UNARY_OPS)))]
+        node = unary(op, random_tree(rng, n, depth - 1, pool, build))
+    elif kind == 1:
+        op = "+-*/"[int(rng.integers(4))]
+        node = binary(op, random_tree(rng, n, depth - 1, pool, build),
+                      random_tree(rng, n, depth - 1, pool, build))
+    else:
+        node = power(random_tree(rng, n, depth - 1, pool, build),
+                     _EXPONENTS[int(rng.integers(len(_EXPONENTS)))])
+    pool.append(node)
+    return node
 
 
 def gradient_form(psi, n_vars, box, mu=None):
     """Form with coefficients mu * dpsi/dx_i (mu omitted: exact differential)."""
     coeffs = []
     for i in range(n_vars):
-        d = ex.simplify(ex.differentiate(psi, i))
+        d = _ref_simplify(ex.differentiate(psi, i))
         if mu is not None:
             d = ex.mul(mu, d)
         coeffs.append(d)

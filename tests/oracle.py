@@ -1,4 +1,4 @@
-"""Tree-walking reference evaluator of expression trees.
+"""Tree-walking references for expression trees.
 
 The package evaluates trees only through generated code
 (``expressions.compile_tuple`` behind ``expressions.call_checked``).  This
@@ -6,10 +6,16 @@ module walks a tree node by node instead, with the same contract: an
 undefined operation or a non-finite result raises EvalDomainError, a
 variable index beyond the point raises ArityError.  Tests compare the
 generated code against it.
+
+The package folds trees as it builds them (the parser and the derivative
+rules go through the folding constructors).  :func:`_ref_simplify` folds a
+raw tree after the fact, bottom-up through the same constructors, so tests
+compare what the package built against it.
 """
 
 import math
 
+from pfaffian import expressions as ex
 from pfaffian.errors import ArityError, EvalDomainError
 from pfaffian.expressions import Binary, Const, Expression, Pow, Unary, Var
 
@@ -91,3 +97,16 @@ def numeric_equal(e1: Expression, e2: Expression, points, rel_tol=1e-10) -> bool
         if abs(a - b) > rel_tol * max(1.0, abs(a), abs(b)):
             return False
     return compared > 0
+
+
+def _ref_simplify(e):
+    """``e`` rebuilt bottom-up through the folding constructors."""
+    if isinstance(e, (Const, Var)):
+        return e
+    if isinstance(e, Unary):
+        a = _ref_simplify(e.arg)
+        return ex.neg(a) if e.op == "neg" else ex.func(e.op, a)
+    if isinstance(e, Binary):
+        left, right = _ref_simplify(e.left), _ref_simplify(e.right)
+        return {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}[e.op](left, right)
+    return ex.powc(_ref_simplify(e.base), e.exponent)

@@ -6,11 +6,14 @@ import pytest
 import oracle
 from conftest import (
     DOMAIN_ERROR_CASES,
+    FOLDING,
     PROBE_CASES,
     fold,
     monomials_up_to,
     random_points,
+    random_tree,
 )
+from oracle import _ref_simplify
 from pfaffian import expressions as ex
 from pfaffian.catalog import catalog
 from pfaffian.errors import (
@@ -287,10 +290,10 @@ def test_overflowed_constant_round_trips_through_form_file():
 
 
 # --- Jacobian and compiled kernel against the per-entry reference ---------------
-# The reference is the plain recursive differentiate/simplify and the
-# tree-walking code generator, one compile per expression.  A form simplifies
-# the coefficients it is given, so the reference starts from the simplified
-# coefficients too.
+# The reference is the plain recursive differentiate, the oracle's fold and
+# the tree-walking code generator, one compile per expression.  A form stores
+# the coefficients it is given, so the reference forms are folded trees:
+# parsed texts, and random trees built through the folding constructors.
 
 
 def _ref_differentiate(e, j):
@@ -328,18 +331,6 @@ def _ref_differentiate(e, j):
     return ex.mul(ex.mul(ex.Const(e.exponent), ex.powc(e.base, e.exponent - 1.0)), db)
 
 
-def _ref_simplify(e):
-    if isinstance(e, (ex.Const, ex.Var)):
-        return e
-    if isinstance(e, ex.Unary):
-        a = _ref_simplify(e.arg)
-        return ex.neg(a) if e.op == "neg" else ex.func(e.op, a)
-    if isinstance(e, ex.Binary):
-        left, right = _ref_simplify(e.left), _ref_simplify(e.right)
-        return {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}[e.op](left, right)
-    return ex.powc(_ref_simplify(e.base), e.exponent)
-
-
 def _ref_source(e, names):
     if isinstance(e, ex.Const):
         return ex.python_literal(e.value)
@@ -367,35 +358,6 @@ def _ref_jacobian(coefficients, n):
     )
 
 
-_UNARY_OPS = ("neg", "exp", "log", "sin", "cos", "sqrt")
-_CONSTS = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -1.5, 3.0)
-_EXPONENTS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, -0.0)
-
-
-def _random_tree(rng, n, depth, pool):
-    """Raw tree using every node kind; reuses node objects from ``pool``."""
-    r = rng.random()
-    if pool and r < 0.15:
-        return pool[int(rng.integers(len(pool)))]
-    if depth == 0 or r < 0.35:
-        if rng.random() < 0.6:
-            return ex.Var(int(rng.integers(n)))
-        return ex.Const(_CONSTS[int(rng.integers(len(_CONSTS)))])
-    kind = int(rng.integers(3))
-    if kind == 0:
-        op = _UNARY_OPS[int(rng.integers(len(_UNARY_OPS)))]
-        node = ex.Unary(op, _random_tree(rng, n, depth - 1, pool))
-    elif kind == 1:
-        op = "+-*/"[int(rng.integers(4))]
-        node = ex.Binary(op, _random_tree(rng, n, depth - 1, pool),
-                         _random_tree(rng, n, depth - 1, pool))
-    else:
-        node = ex.Pow(_random_tree(rng, n, depth - 1, pool),
-                      _EXPONENTS[int(rng.integers(len(_EXPONENTS)))])
-    pool.append(node)
-    return node
-
-
 _FIXED_TEXTS = (
     ("-y", "x/0", "log(0)*z"),
     ("x*y - exp(-y)", "sqrt(x^2 + 1)/(1 + y)", "sin(z)*cos(x*z)"),
@@ -405,17 +367,16 @@ _FIXED_TEXTS = (
 
 
 def _reference_forms(rng):
-    """(var names, coefficient trees) of the catalog, fixed and random forms."""
+    """(var names, folded coefficient trees) of the catalog, fixed and random
+    forms."""
     cases = [(e.form.var_names, e.form.coefficients) for e in catalog()]
     names = ("x", "y", "z")
     for texts in _FIXED_TEXTS:
-        parsed = tuple(ex.parse_expression(t, names) for t in texts)
-        cases.append((names, parsed))
-        cases.append((names, tuple(ex.simplify(c) for c in parsed)))
+        cases.append((names, tuple(ex.parse_expression(t, names) for t in texts)))
     for _ in range(40):
         n = int(rng.integers(1, 5))
         pool = []
-        coeffs = tuple(_random_tree(rng, n, 4, pool) for _ in range(n))
+        coeffs = tuple(random_tree(rng, n, 4, pool, FOLDING) for _ in range(n))
         cases.append((tuple(f"x{i}" for i in range(n)), coeffs))
     return cases
 
@@ -450,8 +411,7 @@ def test_jacobian_matches_per_entry_reference(rng):
     for names, coeffs in _reference_forms(rng):
         n = len(names)
         form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
-        simplified = tuple(_ref_simplify(c) for c in coeffs)
-        assert repr(form.derivative_matrix) == repr(_ref_jacobian(simplified, n))
+        assert repr(form.derivative_matrix) == repr(_ref_jacobian(coeffs, n))
 
 
 def test_signed_zero_derivative_kept():
@@ -465,8 +425,7 @@ def test_jet_matches_per_entry_compile(rng):
     for names, coeffs in _reference_forms(rng):
         n = len(names)
         form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
-        simplified = [_ref_simplify(c) for c in coeffs]
-        entries = simplified + [d for row in form.derivative_matrix for d in row]
+        entries = [*coeffs, *(d for row in form.derivative_matrix for d in row)]
         reference = [_ref_compile(e, n) for e in entries]
         singles = [ex.compile_scalar(e, n) for e in entries]
         jet = form.jet_fn
@@ -669,7 +628,7 @@ def test_coefficient_vector_domain_errors(text, point):
         coefficient_vector(form, point)
 
 
-# --- coefficients simplified once, derivatives as simplify fixed points ------------
+# --- derivatives of folded coefficients are folded --------------------------------
 
 
 def _poly_text(rng, n, degree):
@@ -703,19 +662,9 @@ def test_derivatives_are_simplify_fixed_points(rng):
         n = len(names)
         forms.append(PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n)))
     for form in forms:
-        memo = {}
         for row in form.derivative_matrix:
             for d in row:
-                assert repr(ex.simplify(d, memo)) == repr(d)
-
-
-def test_form_stores_simplified_coefficients(rng):
-    for names, coeffs in _reference_forms(rng):
-        n = len(names)
-        form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
-        assert repr(form.coefficients) == repr(tuple(ex.simplify(c) for c in coeffs))
-        assert repr(PfaffianForm(names, form.coefficients, form.domain).coefficients) \
-            == repr(form.coefficients)
+                assert repr(_ref_simplify(d)) == repr(d)
 
 
 # --- distances ---------------------------------------------------------------------

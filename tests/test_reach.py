@@ -270,6 +270,15 @@ def test_explore_rejects_singular_base():
         explore(f, (0.0, 0.0), 0.3, 100, 1)
 
 
+@pytest.mark.parametrize("epsilon", [-0.3, 0.0, math.inf, math.nan, 2e150])
+def test_explore_and_scan_reject_bad_radius(epsilon):
+    # the radii the CLI refuses: not finite, not > 0, or past MAX_COORDINATE
+    with pytest.raises(AnalysisError, match="epsilon"):
+        explore(EXACT3, (0.0, 0.0, 0.0), epsilon, 200, 1)
+    with pytest.raises(AnalysisError, match="epsilon"):
+        surrounding_line_scan(CONTACT, (0.0, 0.0, 0.0), 2, epsilon, 320)
+
+
 def test_null_curve_fidelity():
     sample = explore(CONTACT, (0, 0, 0), 0.3, 5000, 3, keep_curves=True)
     assert sample.curves
