@@ -8,6 +8,10 @@ through the folding constructors (:func:`neg`, :func:`add`, :func:`sub`,
 :func:`mul`, :func:`div`, :func:`powc`), so their trees come out folded as
 they are built: ``e+0``, ``0*e``, ``1*e`` and ``--e`` do not survive, and
 an operation on constants becomes its value where that is defined.
+Nodes are interned (hash-consed) as they are built: constructing a node
+that is structurally equal to a live one returns that node, with ``0.0``
+and ``-0.0`` apart.  A subtree repeated within or across trees is one
+object, so memos keyed on node ``id`` share its work.
 Trees are evaluated only through generated code (:func:`compile_scalar`,
 :func:`compile_tuple`).  :func:`call_checked` calls such code with the
 checked contract: an undefined operation or a non-finite result raises
@@ -29,7 +33,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 
 from .errors import ArityError, EvalDomainError, ParseError, UnknownIdentifierError
 
@@ -79,34 +84,110 @@ class Expression:
 
     __slots__ = ()
 
+    def __reduce__(self):
+        # copy and pickle rebuild a node through its constructor, so the
+        # copy is the interned node
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
-@dataclass(frozen=True)
+
+# Every node is interned: constructing a node returns the live node of the
+# same kind, operation and children if there is one.  The key is the kind,
+# the operation, the ``id`` of each child and, for a constant value or a Pow
+# exponent, the value and its sign (:func:`_number_key`).  A live entry's
+# node keeps its children alive, so their ids name them; an entry goes away
+# when its node dies.  Nodes are never keyed on themselves: ``==`` on nodes
+# compares field values, under which ``Const(0.0) == Const(-0.0)``.  Sharing
+# is an optimization only: two equal nodes (as threads racing on one key
+# could make) are computed twice, with the same values.
+_NODES = {}  # intern key -> _NodeRef to the live node
+
+
+class _NodeRef(weakref.ref):
+    """Weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref):
+    """Drop the table entry of a node that died (a weakref callback)."""
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+def _number_key(v):
+    """``v`` and its sign; every NaN alike.  The equivalence of
+    :func:`python_literal`, which spells every NaN ``float('nan')``."""
+    return (v, math.copysign(1.0, v)) if v == v else "nan"
+
+
+def _interned(cls, key, values):
+    """The live node under ``key``, or a new ``cls`` node with field ``values``."""
+    ref = _NODES.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):  # the fields, then __weakref__
+        object.__setattr__(node, name, value)
+    ref = _NODES[key] = _NodeRef(node, _forget)
+    ref.key = key
+    return node
+
+
+@dataclass(frozen=True, init=False)
 class Const(Expression):
+    __slots__ = ("value", "__weakref__")
     value: float
 
+    def __new__(cls, value):
+        return _interned(cls, (cls, _number_key(value)), (value,))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Var(Expression):
+    __slots__ = ("index", "__weakref__")
     index: int
 
+    def __new__(cls, index):
+        return _interned(cls, (cls, index), (index,))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Unary(Expression):
+    __slots__ = ("op", "arg", "__weakref__")
     op: str  # 'neg' or one of FUNCTION_NAMES
     arg: Expression
 
+    def __new__(cls, op, arg):
+        return _interned(cls, (cls, op, id(arg)), (op, arg))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Binary(Expression):
+    __slots__ = ("op", "left", "right", "__weakref__")
     op: str  # '+', '-', '*', '/'
     left: Expression
     right: Expression
 
+    def __new__(cls, op, left, right):
+        return _interned(cls, (cls, op, id(left), id(right)), (op, left, right))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Pow(Expression):
+    __slots__ = ("base", "exponent", "__weakref__")
     base: Expression
     exponent: float  # constant exponent only
+
+    def __new__(cls, base, exponent):
+        return _interned(cls, (cls, id(base), _number_key(exponent)),
+                         (base, exponent))
+
+
+# the constants the folds and the derivative rules return most, kept alive
+# so that returning them costs no table lookup
+_ZERO, _ONE = Const(0.0), Const(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +239,7 @@ def sub(a: Expression, b: Expression) -> Expression:
 
 def mul(a: Expression, b: Expression) -> Expression:
     if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return Const(0.0)
+        return _ZERO
     if _is_const(a, 1.0):
         return b
     if _is_const(b, 1.0):
@@ -172,7 +253,7 @@ def div(a: Expression, b: Expression) -> Expression:
     if _is_const(b, 1.0):
         return a
     if _is_const(a, 0.0) and not _is_const(b, 0.0):
-        return Const(0.0)
+        return _ZERO
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
         return Const(a.value / b.value)
     return Binary("/", a, b)
@@ -183,7 +264,7 @@ def powc(base: Expression, exponent: float) -> Expression:
     if exponent == 1.0:
         return base
     if exponent == 0.0:
-        return Const(1.0)
+        return _ONE
     if isinstance(base, Const):
         try:
             return Const(math.pow(base.value, exponent))
@@ -214,7 +295,9 @@ def differentiate(e: Expression, var_index: int, memo=None) -> Expression:
     of a folded tree is folded too.
     ``memo`` is a dict that caches derivatives per node (by ``id``, keeping
     the node alive); pass one dict to every call on trees that share nodes,
-    such as all entries of a Jacobian.  A subtree is differentiated once per
+    such as all entries of a Jacobian.  Nodes are interned, so a subtree
+    repeated across such trees (the ``exp(Q)`` factor of every coefficient
+    of ``exp(Q) * grad P``, say) is one node and is differentiated once per
     variable it contains and once for all the variables it does not: the
     rules never look at the variable inside such a subtree, so its
     derivative is the same tree, signed zeros included, for each of them.
@@ -253,9 +336,9 @@ def _derivative(e, j, memo):
 
 def _derivative_rule(e, j, memo):
     if isinstance(e, Const):
-        return Const(0.0)
+        return _ZERO
     if isinstance(e, Var):
-        return Const(1.0) if e.index == j else Const(0.0)
+        return _ONE if e.index == j else _ZERO
     if isinstance(e, Unary):
         da = _derivative(e.arg, j, memo)
         a = e.arg
@@ -595,9 +678,9 @@ def _node_text(e, args):
 def _shared_source(exprs, names):
     """Python expression texts of ``exprs``, each distinct subtree computed once.
 
-    Subtrees are hash-consed on their node kind, operation, ``python_literal``
-    text (so ``-0.0`` and ``0.0`` stay apart) and child slots.  A subtree
-    used more than once across ``exprs`` is bound by an assignment
+    Nodes are interned (structurally equal nodes are one object, with
+    ``-0.0`` and ``0.0`` apart), so subtrees are told apart by ``id``.  A
+    subtree used more than once across ``exprs`` is bound by an assignment
     expression at its first textual occurrence and read by name after that;
     every other node is written inline.  Python evaluates the texts left to
     right, so they perform the float operations of the trees written out in
@@ -606,42 +689,33 @@ def _shared_source(exprs, names):
     :class:`ArityError`.
     """
     n_vars = len(names)
-    slots = {}  # structural key -> slot
     seen = {}  # id(node) -> slot; the trees keep their nodes alive
-    nodes = []  # slot -> (representative node, child slots)
+    nodes = []  # slot -> (node, child slots)
     uses = []  # slot -> references from distinct parent slots and roots
 
-    def intern(e):
+    def slot_of(e):
         slot = seen.get(id(e))
         if slot is not None:
             return slot
         if isinstance(e, Const):
             kids = ()
-            key = (Const, python_literal(e.value))
         elif isinstance(e, Var):
             if e.index >= n_vars:
                 raise ArityError(f"expression uses more than {n_vars} variables")
             kids = ()
-            key = (Var, e.index)
         elif isinstance(e, Unary):
-            kids = (intern(e.arg),)
-            key = (Unary, e.op, *kids)
+            kids = (slot_of(e.arg),)
         elif isinstance(e, Binary):
-            kids = (intern(e.left), intern(e.right))
-            key = (Binary, e.op, *kids)
+            kids = (slot_of(e.left), slot_of(e.right))
         elif isinstance(e, Pow):
-            kids = (intern(e.base),)
-            key = (Pow, python_literal(e.exponent), *kids)
+            kids = (slot_of(e.base),)
         else:
             raise TypeError(f"not an Expression node: {e!r}")
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(nodes)
-            nodes.append((e, kids))
-            uses.append(0)
-            for kid in kids:
-                uses[kid] += 1
-        seen[id(e)] = slot
+        slot = seen[id(e)] = len(nodes)
+        nodes.append((e, kids))
+        uses.append(0)
+        for kid in kids:
+            uses[kid] += 1
         return slot
 
     bound = {}  # slot -> local name, once its assignment is written
@@ -661,7 +735,7 @@ def _shared_source(exprs, names):
         local = bound[slot] = f"_cse{len(bound)}"
         return f"({local} := {src})"
 
-    roots = [intern(e) for e in exprs]
+    roots = [slot_of(e) for e in exprs]
     for root in roots:
         uses[root] += 1
     return [text(root) for root in roots]

@@ -109,26 +109,24 @@ class PfaffianForm:
         return ex.compile_tuple(self.coefficients, self.n)
 
     @cached_property
-    def derivative_matrix(self):
-        """Symbolic dF[i][j] = dF_i/dx_j.
-
-        All n^2 entries share one differentiation memo, so each subtree is
-        differentiated once per variable it contains (and once for all
-        others).
-        """
-        return _jacobian(self.coefficients, self.n)
-
-    @cached_property
     def jet_fn(self):
-        """One compiled callable returning F and its Jacobian at a point.
+        """One compiled callable returning F and its off-diagonal partials at a point.
 
-        ``jet_fn(*p)`` is ``(F_1, ..., F_n, dF_1/dx_1, dF_1/dx_2, ...,
-        dF_n/dx_n)``: the coefficients, then the rows of
-        :attr:`derivative_matrix`.  Subtrees shared between the entries are
-        computed once (see expressions.compile_tuple); raw error behavior.
+        ``jet_fn(*p)`` is ``(F_1, ..., F_n, dF_1/dx_2, ..., dF_1/dx_n,
+        dF_2/dx_1, dF_2/dx_3, ..., dF_n/dx_{n-1})``: the coefficients, then
+        ``dF_i/dx_j`` for every ``j != i``, row by row, n + n(n-1) entries.
+        The exactness defects and the Clairaut tensor read only these; the
+        diagonal partials ``dF_i/dx_i`` are neither differentiated nor
+        compiled.  All partials are differentiated with one memo, and
+        subtrees shared between the entries are computed once (see
+        expressions.compile_tuple); raw error behavior.
         """
-        jacobian = (d for row in self.derivative_matrix for d in row)
-        return ex.compile_tuple((*self.coefficients, *jacobian), self.n)
+        n = self.n
+        memo = {}
+        partials = (ex.differentiate(c, j, memo)
+                    for i, c in enumerate(self.coefficients)
+                    for j in range(n) if j != i)
+        return ex.compile_tuple((*self.coefficients, *partials), n)
 
 
 def _jacobian(exprs, n):

@@ -93,8 +93,16 @@ class Verdict:
 
 @functools.cache
 def _curl_slots(n):
-    """Rows of ``(u, v)``: the ``jet_fn`` slots of ``dF_b/dx_a`` and ``dF_a/dx_b``."""
-    return tuple(tuple((n + n * b + a, n + n * a + b) for b in range(n))
+    """Rows of ``(u, v)``: the ``jet_fn`` slots of ``dF_b/dx_a`` and ``dF_a/dx_b``.
+
+    ``jet_fn`` holds F in slots ``0..n-1``, then ``dF_i/dx_j`` for ``j != i``
+    row by row, so that partial sits in slot ``n + i*(n-1) + j - (j > i)``.
+    It holds no diagonal partial: the diagonal pairs are ``(None, None)``.
+    """
+    def slot(i, j):
+        return None if i == j else n + i * (n - 1) + j - (j > i)
+
+    return tuple(tuple((slot(b, a), slot(a, b)) for b in range(n))
                  for a in range(n))
 
 
@@ -103,9 +111,11 @@ def _curls(values, n):
 
     Both orientations are computed, each entry by its own subtraction, so
     ``c[b][a]`` is ``-c[a][b]`` except that both read ``+0.0`` where the two
-    partials are equal.
+    partials are equal.  The diagonal, which no defect or tensor component
+    reads, is ``0.0``.
     """
-    return [[values[u] - values[v] for u, v in row] for row in _curl_slots(n)]
+    return [[0.0 if u is None else values[u] - values[v] for u, v in row]
+            for row in _curl_slots(n)]
 
 
 def _tensor(f, c, i, j, k):
@@ -119,26 +129,42 @@ def _tensor(f, c, i, j, k):
     return f[i] * c[j][k] + f[j] * c[k][i] + f[k] * c[i][j]
 
 
+def _jet_at(form: PfaffianForm, indices, p):
+    """``form.jet_fn`` at ``p``, after the checks of the pointwise helpers.
+
+    Raises ArityError unless every index is in ``0..n-1`` and ``p`` has n
+    coordinates.
+    """
+    n = form.n
+    if not all(0 <= t < n for t in indices):
+        raise ArityError(f"indices {tuple(indices)} out of range for {n} variables")
+    if len(p) != n:
+        raise ArityError(f"point of length {len(p)} for {n} variables")
+    return form.jet_fn(*p)
+
+
 def exactness_defect(form: PfaffianForm, i: int, j: int, p) -> float:
     """dF_j/dx_i - dF_i/dx_j at p (zero everywhere for exact differentials).
 
-    F and dF are evaluated together, so this raises wherever any of their
-    entries is undefined.
+    F and its off-diagonal partials are evaluated together, so this raises
+    wherever any of them is undefined.  ArityError unless ``i != j`` are
+    variable indices and ``p`` has n coordinates.
     """
     if i == j:
         raise ArityError("defect indices must differ")
-    return _curls(form.jet_fn(*p), form.n)[i][j]
+    return _curls(_jet_at(form, (i, j), p), form.n)[i][j]
 
 
 def clairaut_component(form: PfaffianForm, i: int, j: int, k: int, p) -> float:
     """The cyclic tensor component R_ijk at p.
 
-    F and dF are evaluated together, so this raises wherever any of their
-    entries is undefined.
+    F and its off-diagonal partials are evaluated together, so this raises
+    wherever any of them is undefined.  ArityError unless ``i, j, k`` are
+    pairwise distinct variable indices and ``p`` has n coordinates.
     """
     if len({i, j, k}) != 3:
         raise ArityError("tensor indices must be pairwise distinct")
-    values = form.jet_fn(*p)
+    values = _jet_at(form, (i, j, k), p)
     return _tensor(values, _curls(values, form.n), i, j, k)
 
 
@@ -146,10 +172,11 @@ def curl_triple_product(form: PfaffianForm, p) -> float:
     """F . (curl F) for 3-variable forms, via the componentwise curl formula.
 
     Independent of :func:`clairaut_component`; the two agree to roundoff.
+    ArityError unless the form has 3 variables and ``p`` 3 coordinates.
     """
     if form.n != 3:
         raise ArityError("curl triple product requires exactly 3 variables")
-    f1, f2, f3, d11, d12, d13, d21, d22, d23, d31, d32, d33 = form.jet_fn(*p)
+    f1, f2, f3, d12, d13, d21, d23, d31, d32 = _jet_at(form, (), p)
     curl1 = d32 - d23
     curl2 = d13 - d31
     curl3 = d21 - d12

@@ -197,9 +197,10 @@ def rng():
 # forms (names, coefficient texts, domain) on which the nonsingularity probe
 # reading F from the jet must decide as the probe on F decides
 PROBE_CASES = {
-    # d sqrt(x^2)/dx = x/sqrt(x^2) divides by zero at the center, where F is
-    # defined and nonzero: the jet probe falls back to F there
-    "jet_raises": (("x", "y", "z"), ("1 + sqrt(x^2)", "z", "y"),
+    # d sqrt(y^2)/dy = y/sqrt(y^2), an off-diagonal partial of F_1, divides
+    # by zero at the center, where F is defined and nonzero: the jet probe
+    # falls back to F there
+    "jet_raises": (("x", "y", "z"), ("1 + sqrt(y^2)", "z", "y"),
                    "[-1,1] x [-1,1] x [-1,1]"),
     "zero": (("x", "y"), ("0*x", "0"), "[0.5,1] x [0,1]"),
     "undefined": (("x", "y"), ("log(0-x)", "0"), "[1.5,2] x [0,1]"),

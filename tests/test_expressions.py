@@ -1,4 +1,9 @@
+import copy
+import gc
 import math
+import pickle
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from conftest import (
     FOLDING,
     deepest_accepted,
     random_tree,
+    unit_box,
 )
 from oracle import _ref_simplify
 from pfaffian import expressions as ex
@@ -21,6 +27,7 @@ from pfaffian.errors import (
     ParseError,
     UnknownIdentifierError,
 )
+from pfaffian.forms import PfaffianForm
 
 VARS3 = ("x1", "x2", "x3")
 
@@ -444,3 +451,109 @@ def test_parse_rejects_deep_input_without_recursion_error(text):
     with pytest.raises(ParseError):
         ex.parse_expression(text, ["x"])
 
+
+# --- interning ----------------------------------------------------------------
+
+
+def test_parses_of_one_text_are_one_object():
+    text = "exp(x1*x2) - sin(x3)/(1 + x1^2)"
+    first = ex.parse_expression(text, VARS3)
+    second = ex.parse_expression(text, VARS3)
+    assert second is first
+    del first
+    assert ex.parse_expression(text, VARS3) is second
+
+
+def test_constructors_return_the_live_node():
+    x, y = ex.variable(0), ex.variable(1)
+    tree = ex.add(ex.mul(x, ex.func("exp", y)), ex.constant(1.5))
+    assert ex.Binary("+", ex.Binary("*", ex.Var(0), ex.Unary("exp", ex.Var(1))),
+                     ex.Const(1.5)) is tree
+    assert ex.powc(ex.sub(x, y), 2) is ex.Pow(ex.Binary("-", x, y), 2.0)
+    assert ex.neg(ex.neg(tree)) is tree
+
+
+def test_signed_zeros_stay_distinct_nodes():
+    pos, neg = ex.Const(0.0), ex.Const(-0.0)
+    assert pos is not neg and pos == neg  # equal under ==, apart as nodes
+    assert ex.neg(pos) is neg and ex.constant(-0.0) is neg
+    x = ex.variable(0)
+    sines = [ex.func("sin", pos), ex.func("sin", neg)]
+    assert sines[0] is not sines[1]
+    assert ex.Pow(x, 0.0) is not ex.Pow(x, -0.0)
+    assert ex.Binary("*", pos, x) is not ex.Binary("*", neg, x)
+    values = ex.compile_tuple(sines, 1)(2.0)
+    assert [math.copysign(1.0, v) for v in values] == [1.0, -1.0]
+
+
+def test_nan_constants_are_one_node():
+    # python_literal spells every NaN float('nan'), so all NaNs are one node
+    a, b = ex.Const(math.nan), ex.Const(float("nan"))
+    assert a is b and ex.Const(-math.nan) is a
+    x = ex.variable(0)
+    assert ex.Pow(x, math.nan) is ex.Pow(x, float("nan"))
+    assert ex.Const(math.inf) is not a and ex.Const(math.inf) is ex.constant("inf")
+    assert ex.add(x, a) is ex.add(x, b)
+    values = ex.compile_tuple([a, ex.add(x, b)], 1)(1.0)
+    assert all(math.isnan(v) for v in values)
+
+
+def test_copies_are_the_interned_node():
+    tree = ex.parse_expression("exp(x1*x2)*sin(-0.0) + x3^0.5", VARS3)
+    assert copy.copy(tree) is tree and copy.deepcopy(tree) is tree
+    assert pickle.loads(pickle.dumps(tree)) is tree
+
+
+def test_table_entries_go_away_with_their_nodes():
+    gc.collect()
+    before = len(ex._NODES)
+    tree = ex.parse_expression("exp(x1*x2)*7.25 + sqrt(x3 + 1.75)", VARS3)
+    assert len(ex._NODES) > before
+    dead = weakref.ref(tree)
+    del tree
+    gc.collect()
+    assert dead() is None
+    assert len(ex._NODES) == before
+
+
+def test_repeated_factor_is_differentiated_once_per_variable(monkeypatch):
+    # the exp(Q) factor of exp(Q) * grad P is one node in all coefficients,
+    # so the jet's one memo differentiates it once per variable
+    factor = ex.parse_expression("exp(x1^2 - x2*x3)", VARS3)
+    coeffs = tuple(ex.parse_expression(f"exp(x1^2 - x2*x3)*({t})", VARS3)
+                   for t in ("x2*x3", "x1*x3", "x1*x2"))
+    assert all(c.left is factor for c in coeffs)
+    calls = Counter()
+    rule = ex._derivative_rule
+
+    def counting(e, j, memo):
+        if e is factor:
+            calls[j] += 1
+        return rule(e, j, memo)
+
+    monkeypatch.setattr(ex, "_derivative_rule", counting)
+    PfaffianForm(VARS3, coeffs, unit_box(3)).jet_fn
+    assert calls == {0: 1, 1: 1, 2: 1}
+
+
+def test_raw_trees_compile_to_the_values_of_the_oracle(rng):
+    # unfolded trees from the node classes are interned too; the tuple
+    # shares their repeated subtrees and keeps the oracle's values
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        pool = []
+        trees = [random_tree(rng, n, 4, pool) for _ in range(3)]
+        fn = ex.compile_tuple(trees, n)
+        for p in rng.uniform(-2, 2, size=(6, n)).tolist():
+            try:
+                expected = repr(tuple(oracle.evaluate(t, p) for t in trees))
+            except EvalDomainError:
+                expected = EvalDomainError
+            try:
+                got = repr(ex.call_checked(fn, p, n))
+            except EvalDomainError:
+                got = EvalDomainError
+            assert got == expected
+            checked += got is not EvalDomainError
+    assert checked > 0

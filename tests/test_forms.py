@@ -40,6 +40,7 @@ from pfaffian.forms import (
     pullback,
     random_linear_substitution,
 )
+from pfaffian.forms import _jacobian
 
 BOX2 = Box((-1, -1), (1, 1))
 BOX3 = Box((-1, -1, -1), (1, 1, 1))
@@ -409,23 +410,24 @@ def _probe_points(rng, n):
 
 def test_jacobian_matches_per_entry_reference(rng):
     for names, coeffs in _reference_forms(rng):
-        n = len(names)
-        form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
-        assert repr(form.derivative_matrix) == repr(_ref_jacobian(coeffs, n))
+        assert repr(_jacobian(coeffs, len(names))) == repr(
+            _ref_jacobian(coeffs, len(names)))
 
 
 def test_signed_zero_derivative_kept():
     names = ("x", "y")
-    form = PfaffianForm(names, (ex.parse_expression("-y", names), ex.Var(0)),
-                        Box((-1, -1), (1, 1)))
-    assert repr(form.derivative_matrix[0][0]) == repr(ex.Const(-0.0))
+    coeffs = (ex.parse_expression("-y", names), ex.Var(0))
+    assert repr(_jacobian(coeffs, 2)[0][0]) == repr(ex.Const(-0.0))
 
 
 def test_jet_matches_per_entry_compile(rng):
+    # the jet holds F, then dF_i/dx_j for j != i, row by row
     for names, coeffs in _reference_forms(rng):
         n = len(names)
         form = PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n))
-        entries = [*coeffs, *(d for row in form.derivative_matrix for d in row)]
+        partials = [d for i, row in enumerate(_ref_jacobian(coeffs, n))
+                    for j, d in enumerate(row) if j != i]
+        entries = [*coeffs, *partials]
         reference = [_ref_compile(e, n) for e in entries]
         singles = [ex.compile_scalar(e, n) for e in entries]
         jet = form.jet_fn
@@ -437,10 +439,24 @@ def test_jet_matches_per_entry_compile(rng):
 
 
 def test_compile_tuple_shares_subtrees_structurally():
-    names = ("x", "y")
-    texts = ("exp(x*y) + 0.0*exp(x*y)", "exp(x*y) * (-0.0*x)", "0.0*x",
-             "-0.0*x", "exp(x*y) + 0.0*exp(x*y)")
-    exprs = [ex.parse_expression(t, names) for t in texts]
+    # every tree is built through the constructors on its own; interned,
+    # the repeated exp(x*y) is one node and is computed once, while the
+    # constants 0.0 and -0.0 stay two
+    def exp_xy():
+        return ex.func("exp", ex.mul(ex.variable(0), ex.variable(1)))
+
+    def sin_times_x(zero):
+        return ex.mul(ex.func("sin", ex.constant(zero)), ex.variable(0))
+
+    exprs = [ex.add(exp_xy(), ex.mul(ex.constant(0.5), exp_xy())),
+             ex.mul(exp_xy(), sin_times_x(-0.0)),
+             sin_times_x(0.0),
+             sin_times_x(-0.0),
+             ex.add(exp_xy(), ex.mul(ex.constant(0.5), exp_xy()))]
+    assert exprs[4] is exprs[0] and exprs[1].right is exprs[3]
+    texts = ex._shared_source(exprs, ["x", "y"])
+    assert "".join(texts).count("_exp(") == 1
+    assert "_sin(0.0)" in texts[2] and "_sin(-0.0)" in texts[1]
     fn = ex.compile_tuple(exprs, 2)
     reference = [_ref_compile(e, 2) for e in exprs]
     for p in [(0.5, -1.5), (1.0, 0.0), (700.0, 2.0), (-0.0, 3.0)]:
@@ -499,7 +515,7 @@ def test_jet_probe_compiles_f_only_where_the_jet_fails():
     form = make_form(names, ["2 + x", "z", "y"], parse_box(domain), needs_jet=True)
     assert "jet_fn" in vars(form) and "coefficient_tuple_fn" not in vars(form)
     form = make_form(names, ["2 + x", "z", "y"], parse_box(domain))
-    assert "derivative_matrix" not in vars(form) and "jet_fn" not in vars(form)
+    assert "jet_fn" not in vars(form)
 
 
 # --- checked evaluation against the tree-walking oracle --------------------------
@@ -662,7 +678,7 @@ def test_derivatives_are_simplify_fixed_points(rng):
         n = len(names)
         forms.append(PfaffianForm(names, coeffs, Box((-1,) * n, (1,) * n)))
     for form in forms:
-        for row in form.derivative_matrix:
+        for row in _jacobian(form.coefficients, form.n):
             for d in row:
                 assert repr(_ref_simplify(d)) == repr(d)
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import gradient_form, random_polynomial, unit_box
 from oracle import _ref_simplify
 from pfaffian import expressions as ex
+from pfaffian.errors import ArityError
 from pfaffian.forms import (
     Box,
     PfaffianForm,
@@ -16,6 +17,7 @@ from pfaffian.forms import (
     pullback,
     random_linear_substitution,
 )
+from pfaffian.forms import _jacobian
 from pfaffian.integrability import (
     CLASS_EXACT,
     CLASS_INCONCLUSIVE,
@@ -299,8 +301,8 @@ def test_sample_points_are_python_floats(contact):
 
 
 def test_inconclusive_report_writes_absent_witness_as_null():
-    # x^300 overflows dF at every sample: nothing is usable
-    f = make_form(["x", "y"], ["x^300", "1"], Box((10.55, 0), (10.64, 1)))
+    # dF_2/dx = 300*x^299 overflows at every sample: nothing is usable
+    f = make_form(["x", "y"], ["1", "x^300"], Box((10.55, 0), (10.64, 1)))
     v = classify(f)
     assert v.classification == CLASS_INCONCLUSIVE
     report = v.as_report()
@@ -319,10 +321,15 @@ def _finite(v):
 
 
 def _ref_scan_samples(form, points, singular_tol):
-    """The scan evaluating each coefficient and derivative separately."""
+    """The scan evaluating each coefficient and off-diagonal partial separately.
+
+    ``dvals[i][j]`` is dF_i/dx_j; the diagonal partials are not evaluated.
+    """
     n = form.n
     fns = [ex.compile_scalar(c, n) for c in form.coefficients]
-    dfs = [[ex.compile_scalar(d, n) for d in row] for row in form.derivative_matrix]
+    dfs = {(i, j): ex.compile_scalar(d, n)
+           for i, row in enumerate(_jacobian(form.coefficients, n))
+           for j, d in enumerate(row) if j != i}
     scan = _SampleScan()
     triples = list(itertools.combinations(range(n), 3))
     for t in triples:
@@ -330,12 +337,14 @@ def _ref_scan_samples(form, points, singular_tol):
     for p in points:
         try:
             fvals = [fn(*p) for fn in fns]
-            dvals = [[d(*p) for d in row] for row in dfs]
+            dvals = [[None] * n for _ in range(n)]
+            for (i, j), d in dfs.items():
+                dvals[i][j] = d(*p)
         except (ValueError, ZeroDivisionError, OverflowError):
             scan.failed += 1
             continue
         if not all(_finite(v) for v in fvals) or not all(
-            _finite(v) for row in dvals for v in row
+            _finite(v) for row in dvals for v in row if v is not None
         ):
             scan.failed += 1
             continue
@@ -379,7 +388,7 @@ _SCAN_FORMS = (
     (("x", "y", "z"), ("y*z", "-x*z/(y - 0.25)", "x^2"), (-1, -1, -1), (1, 1, 1)),
     (("x", "y", "z", "w"), ("exp(60*x)*y", "-w", "x*y*z", "log(1.5 + z)/w"),
      (-1, -1, -1, -1), (1, 1, 1, 1)),
-    (("x", "y"), ("x^300", "1"), (10.55, 0), (10.64, 1)),  # overflows everywhere
+    (("x", "y"), ("1", "x^300"), (10.55, 0), (10.64, 1)),  # overflows everywhere
     (("x", "y", "z"), ("-y", "0", "1"), (-1, -1, -1), (1, 1, 1)),
 )
 
@@ -422,7 +431,7 @@ def test_scan_matches_per_entry_reference(rng):
 def _per_entry(form):
     fns = [ex.compile_scalar(c, form.n) for c in form.coefficients]
     dfs = [[ex.compile_scalar(d, form.n) for d in row]
-           for row in form.derivative_matrix]
+           for row in _jacobian(form.coefficients, form.n)]
     return fns, dfs
 
 
@@ -468,3 +477,39 @@ def test_pointwise_helpers_evaluate_all_entries_jointly():
         clairaut_component(f, 0, 1, 2, p)
     with pytest.raises(ZeroDivisionError):
         curl_triple_product(f, p)
+
+
+_CONTACT_POINT = (0.1, 0.2, 0.3)
+
+
+def test_pointwise_helpers_reject_indices_out_of_range(contact):
+    # -1 must not read the last jet entry as if it were F_3
+    assert clairaut_component(contact, 2, 0, 1, _CONTACT_POINT) == 1.0
+    for i, j, k in [(-1, 0, 1), (3, 0, 1), (0, 1, 3), (0, -3, 1)]:
+        with pytest.raises(ArityError):
+            clairaut_component(contact, i, j, k, _CONTACT_POINT)
+    for i, j in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
+        with pytest.raises(ArityError):
+            exactness_defect(contact, i, j, _CONTACT_POINT)
+
+
+@pytest.mark.parametrize("p", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), ()])
+def test_pointwise_helpers_reject_points_of_the_wrong_length(contact, p):
+    with pytest.raises(ArityError):
+        exactness_defect(contact, 0, 1, p)
+    with pytest.raises(ArityError):
+        clairaut_component(contact, 0, 1, 2, p)
+    with pytest.raises(ArityError):
+        curl_triple_product(contact, p)
+
+
+def test_diagonal_partials_are_not_evaluated():
+    # d sqrt(x^2)/dx = x/sqrt(x^2) divides by zero on the plane x = 0, which
+    # holds the center and one Halton point of the plan.  It is the diagonal
+    # partial dF_1/dx_1, which no defect or tensor component reads, so all 73
+    # points are usable samples (71 while the jet held the diagonal).
+    f = make_form(["x", "y", "z"], ["1 + sqrt(x^2)", "z", "y"], BOX3,
+                  needs_jet=True)
+    assert f.jet_fn(0.0, 0.5, 0.5) == (1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+    v = classify(f)
+    assert (v.classification, v.samples_used) == (CLASS_EXACT, 73)
