@@ -150,6 +150,8 @@ class Var(Expression):
     index: int
 
     def __new__(cls, index):
+        if index < 0:
+            raise ArityError(f"variable index must be non-negative, got {index}")
         return _interned(cls, (cls, index), (index,))
 
 
@@ -200,8 +202,6 @@ def constant(v) -> Const:
 
 
 def variable(i: int) -> Var:
-    if i < 0:
-        raise ArityError(f"variable index must be non-negative, got {i}")
     return Var(i)
 
 

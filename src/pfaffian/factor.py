@@ -30,7 +30,7 @@ from .errors import (
     UnreachableTransversalError,
 )
 from .forms import DEFAULT_SINGULAR_TOL, Box, PfaffianForm, distance
-from .ode import bisect_root, compile_kernel, rk4_step
+from .ode import bisect_root, compile_kernel
 
 METHOD_TWO_VAR = "two_var_characteristic"
 METHOD_GLOBAL = "global_base_fiber"
@@ -248,7 +248,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
         budget, accepted, rejected = max_steps - steps_used, 0, 0
 
         while True:
-            prev_t, prev_y = t, y
+            prev_t, prev_y, prev_f0 = t, y, f0
             status, t, y, f0, h, accepted, rejected = advance(
                 t, y, f0, h, t_target, sign_a, rtol, atol, budget, accepted,
                 rejected, False)
@@ -258,7 +258,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
                 return "singular", None, True
             steps_used += 1
 
-            crossed = None  # (lam, kind)
+            crossed = None  # (t, y, kind) where the step ends
             try:
                 # dependent-axis box exit: a step across a face ends at the
                 # located crossing; a step out from on (or past) a face, as
@@ -266,30 +266,32 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
                 for bound, outward in ((low_b, -1.0), (high_b, 1.0)):
                     g0, g1 = prev_y[0] - bound, y[0] - bound
                     if g0 * g1 < 0:
-                        lam = _locate(kernel, prev_t, prev_y, t - prev_t, bound)
-                        crossed = (lam, "boundary")
+                        probe = _step_probe(advance, prev_t, prev_y, prev_f0, t,
+                                            y, sign_a, rtol, atol, max_steps)
+                        lam = _locate(probe, bound)
+                        crossed = (prev_t + lam * (t - prev_t), probe(lam),
+                                   "boundary")
                     elif g0 * outward >= 0 and g1 * outward > 0:
-                        crossed = (0.0, "boundary")
+                        crossed = (prev_t, prev_y, "boundary")
                 # transversal crossing on the dependent axis
                 if crossed is None and on_b:
                     g0 = prev_y[0] - level
                     g1 = y[0] - level
                     if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
-                        lam = _locate(kernel, prev_t, prev_y, t - prev_t, level)
+                        probe = _step_probe(advance, prev_t, prev_y, prev_f0, t,
+                                            y, sign_a, rtol, atol, max_steps)
+                        lam = _locate(probe, level)
                         t_cross = prev_t + lam * (t - prev_t)
                         if transversal.on_span(t_cross):
-                            crossed = (lam, "transversal")
-                if crossed is not None:
-                    lam, kind = crossed
-                    t_hit = prev_t + lam * (t - prev_t)
-                    y_hit = _interior_state(kernel, prev_t, prev_y, t - prev_t,
-                                            lam)
-            except (ValueError, ZeroDivisionError, OverflowError):
-                # an RK4 substep of the crossing search left the region
-                # where the solved coefficient is defined and nonzero
+                            crossed = (t_cross, probe(lam), "transversal")
+            except _ProbeFailed:
+                # a probe solve stopped short: its step collapsed where the
+                # solved coefficient vanishes or is undefined, or its
+                # attempts ran out
                 return "singular", None, True
 
             if crossed is not None:
+                t_hit, y_hit, kind = crossed
                 p_hit = [0.0, 0.0]
                 p_hit[a], p_hit[b] = t_hit, y_hit[0]
                 p_hit = box.clamp(p_hit)
@@ -326,29 +328,47 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
                 return "max_steps", None, True
 
 
-def _interior_state(kernel, t0, y0, dt_total, lam):
-    """Approximate the state inside an accepted step with two RK4 substeps."""
-    dt = lam * dt_total
-    if dt == 0.0:
-        return tuple(y0)
-    y_mid = rk4_step(kernel, t0, y0, dt / 2.0)
-    return rk4_step(kernel, t0 + dt / 2.0, y_mid, dt / 2.0)
+class _ProbeFailed(Exception):
+    """Raised by a step probe whose solve ends with a status other than "ok"."""
 
 
-def _locate(kernel, t0, y0, dt_total, level):
-    """Fraction ``lam`` in [0, 1] of an accepted step where the state hits ``level``.
+def _step_probe(advance, t0, y0, f0, t1, y1, direction, rtol, atol, max_steps):
+    """``probe(lam)``: the state at ``t0 + lam * (t1 - t0)`` inside an accepted step.
 
-    The state at ``lam`` is :func:`_interior_state`, two RK4 substeps from
-    the step start, so every probe costs two substeps.  The caller has seen
-    the state cross ``level`` between the ends of the step, and
-    :func:`ode.bisect_root` keeps that bracket to within 1e-12 in ``lam``:
-    about 4.6 probes per crossing on the catalog, ends included.
+    The step went from ``(t0, y0)``, where the slope is ``f0``, to ``(t1,
+    y1)`` in the sign of ``direction``.  A probe is one whole solve of the
+    step loop ``advance`` that took the step, with the step's tolerances and
+    at most ``max_steps`` attempts, from the step start to the probed time,
+    and its first step spans that whole interval: an accepted attempt costs
+    six right-hand-side calls.  ``lam`` 0 and 1 return ``y0`` and ``y1``
+    themselves.  A solve ending with another status than "ok" raises
+    :class:`_ProbeFailed`.
     """
 
-    def g(lam):
-        return _interior_state(kernel, t0, y0, dt_total, lam)[0] - level
+    def probe(lam):
+        if lam == 0.0:
+            return y0
+        if lam == 1.0:
+            return y1
+        t_end = t0 + lam * (t1 - t0)
+        status, _, y, *_ = advance(t0, y0, f0, abs(t_end - t0), t_end, direction,
+                                   rtol, atol, max_steps, 0, 0, True)
+        if status != "ok":
+            raise _ProbeFailed(status)
+        return y
 
-    return bisect_root(g, 0.0, 1.0, xtol=1e-12)
+    return probe
+
+
+def _locate(probe, level):
+    """Fraction ``lam`` in [0, 1] of an accepted step where the state hits ``level``.
+
+    ``probe`` is the step's :func:`_step_probe`.  The caller has seen state
+    component 0 cross ``level`` between the ends of the step, which the
+    probe returns exactly, and :func:`ode.bisect_root` keeps that bracket
+    to within 1e-14 in ``lam``, one probe solve per probe.
+    """
+    return bisect_root(lambda lam: probe(lam)[0] - level, 0.0, 1.0, xtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 The right-hand side of an ODE is not a Python callable but generated source:
 :func:`compile_kernel` takes a function that writes the right-hand side as
-statements and emits three straight-line Python functions: the right-hand
-side alone, a classical RK4 step, and the Dormand-Prince step loop
-``advance`` with that body inlined at each of the six stages of an attempt.
-The step loop holds the step-size control of Hairer, Norsett & Wanner,
-*Solving ODEs I*, section II.4 (the error norm, the step growth and
-shrink factors, the step-size floor and the step budget) and counts the
-accepted and rejected attempts.  It runs either one accepted step, so that
-a caller can check its events after every step (characteristics do), or a
-whole solve up to the end of the interval in one call (surface paths).
-Callers call ``advance`` directly and read the status it returns.
+statements and emits two straight-line Python functions: the right-hand
+side alone, and the Dormand-Prince step loop ``advance`` with that body
+inlined at each of the six stages of an attempt.  The step loop holds the
+step-size control of Hairer, Norsett & Wanner, *Solving ODEs I*, section
+II.4 (the error norm, the step growth and shrink factors, the step-size
+floor and the step budget) and counts the accepted and rejected attempts.
+It runs either one accepted step, so that a caller can check its events
+after every step (characteristics do), or a whole solve up to the end of
+the interval in one call (surface paths, and the probes that locate a
+characteristic's crossing inside an accepted step).  Callers call
+``advance`` directly and read the status it returns.
 
 An attempt that raises ValueError, ZeroDivisionError, OverflowError or
 ArithmeticError is refused and the step halved; a step size collapsing
@@ -20,8 +21,8 @@ doubles as singularity detection.  A kernel compiled with ``bounds`` keeps
 state component 0 inside a widened box and ends a solve at once with the
 status ``"box_exit"`` when it is leaving that box (see
 :func:`compile_kernel`); an exhausted step budget ends it with
-``"max_steps"``.  ``rhs`` and ``rk4`` raise where the ODE is undefined;
-``advance`` refuses such an attempt instead.
+``"max_steps"``.  ``rhs`` raises where the ODE is undefined; ``advance``
+refuses such an attempt instead.
 
 Each float operation is the one of the step loop and attempt written stage by
 stage with the tableau below: the tableau enters as ``repr`` literals with
@@ -64,8 +65,7 @@ _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 class OdeKernel:
     """Generated functions of one ODE ``y' = f(t, y, *params)``.
 
-    ``rhs(t, y, *params) -> f`` evaluates the right-hand side;
-    ``rk4(t, y, dt, *params) -> y1`` is one classical RK4 step; ``advance``
+    ``rhs(t, y, *params) -> f`` evaluates the right-hand side; ``advance``
     is the Dormand-Prince step loop,
 
         advance(t, y, f0, h, t_end, direction, rtol, atol, max_steps,
@@ -84,7 +84,6 @@ class OdeKernel:
 
     rhs: object
     advance: object
-    rk4: object
 
 
 class _LeftBounds(Exception):
@@ -235,35 +234,10 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
         f"    return 'ok', {state}",
     ]
 
-    # classical RK4 step, stage s at t{s} = t + step from y0 + step * k{s-1}
-    k = [[f"k{s}_{i}" for i in range(dim)] for s in range(5)]
-    rk4 = [f"def rk4(t, y, dt{extra}):", *top, unpack]
-    stage(rk4, "t", ys, k[1])
-    for s, step in ((2, "0.5 * dt"), (3, "0.5 * dt"), (4, "dt")):
-        y_s = [f"y{s}_{i}" for i in range(dim)]
-        rk4.append(f"    t{s} = t + {step}")
-        rk4.extend(f"    {y_s[i]} = {ys[i]} + {step} * {k[s - 1][i]}"
-                   for i in range(dim))
-        stage(rk4, f"t{s}", y_s, k[s])
-    rk4.append("    return ({})".format(ex.python_tuple(
-        f"{ys[i]} + dt / 6.0 * ({k[1][i]} + 2.0 * {k[2][i]} + 2.0 * {k[3][i]}"
-        f" + {k[4][i]})"
-        for i in range(dim)
-    )))
-
-    source = "\n".join([*rhs, "", *advance, "", *rk4]) + "\n"
+    source = "\n".join([*rhs, "", *advance]) + "\n"
     namespace = ex.exec_source(source, "ode", _isfinite=math.isfinite,
                                _dp_sqrt=math.sqrt, _LeftBounds=_LeftBounds)
-    return OdeKernel(namespace["rhs"], namespace["advance"], namespace["rk4"])
-
-
-def rk4_step(kernel: OdeKernel, t, y, dt, *params):
-    """One classical fixed-size Runge-Kutta step of a generated kernel.
-
-    Every step goes through this module-level name, so that steps can be
-    counted by wrapping it (``perfbench/tracing.py`` does).
-    """
-    return kernel.rk4(t, y, dt, *params)
+    return OdeKernel(namespace["rhs"], namespace["advance"])
 
 
 def bisect_root(fn, lo, hi, xtol=1e-13, max_iter=200):

@@ -546,9 +546,9 @@ CATALOG_DIGESTS = {
     "factor-global exact_3var z 9":
         "f92ee63c865cb0fd941874451d51f68931c6d4e4f24033aaf34f687fe5e941f8",
     "factor2 product_exact":
-        "8c571da9d49619914aa5f18883d22dab1735920cc816f0788b0a0d3995ebd06d",
+        "7221da7a58f62286884703d9cb4589624ee2a6e5d5278c2a954d5dddf385a959",
     "foliate product_exact":
-        "e3a29e6a1e9c14a6bf6e1db9ddb8febd54d67685a6fd84bc8013214eabb3670d",
+        "a9967e976e0ec1173c83d968d42bcad2e135dcbeeb68c9040521d79be4a7e1db",
     "factor-global scaled_exact x 5":
         REJECTED_BASE,
     "factor-global scaled_exact x 9":
@@ -574,17 +574,17 @@ CATALOG_DIGESTS = {
     "factor-global contact z 9":
         "0d10f1adc0bb2d2346ebbee4798c997e56a49dd48d88e370fd9343ff389f110c",
     "factor2 ideal_gas_heat":
-        "d9e339bfe6f5ae9925e44a189291304fc106fc6488e837cb9c31e7cff2bdfcd8",
+        "b73aa524f00e5e2b67b6b290ce87f77ffc921aed9deeae25c4ed2aeb5a8b9048",
     "foliate ideal_gas_heat":
-        "fd12b39501ef82e2703412e2ec6aaf94748cfd00744ac3fd427cc6b7d3b521a6",
+        "f05fd7708ecfb135385ab12e9be754f3f30d18de2ae8a6052abc6ed57003c90c",
     "factor2 rolling_cylinder":
-        "85424107e19bc55f0f6efa4321c35fe0b85fa616ad5dda89a926937042ccd62a",
+        "b9e36c5eb576e8e09e55ded0ccba905924852e4ba51934ea2a4dbaed4b4715d1",
     "foliate rolling_cylinder":
-        "f393575e17fe7e618b78b438ca3eacb27e58a1ae874a27d2fa162c4f69e9e922",
+        "a8da2972acda9fc8d4f3ce43a06359f2d853c5afbeddb7e2120379cae7b16053",
     "factor2 ray_form":
-        "ba6a72ae84630eba5a1ebd7a1ec17c0280c86475cffe288d647164ecbcbf34b1",
+        "2f12e57c24ba75dbb11b1bf63b2653cccba37e9dacd7675c7aa10d97db9ef07b",
     "foliate ray_form":
-        "1c40200ff3c7223a0bd76343372b37defe2d09148dc9c2b4d0a35c69ab2ed303",
+        "7da715d577bac9e401b749e07b82faf70259e71f5e07a1137768779b9e3aad03",
 }
 
 

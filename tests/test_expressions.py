@@ -392,6 +392,18 @@ def test_differentiate_rejects_negative_index():
         ex.differentiate(ex.Var(0), -1)
 
 
+# a negative index once compiled to the last variable, names[-1], and failed in
+# differentiate with a bare ValueError from the variable mask's shift
+@pytest.mark.parametrize("call", [
+    lambda: ex.compile_scalar(ex.Var(-1), 2),
+    lambda: ex.differentiate(ex.Var(-1), 0),
+    lambda: ex.variable(-1),
+], ids=["compile_scalar", "differentiate", "variable"])
+def test_negative_variable_index_is_an_arity_error(call):
+    with pytest.raises(ArityError, match="non-negative"):
+        call()
+
+
 def test_memoized_derivatives_match_fresh_calls():
     e = ex.parse_expression("exp(x1*x2)*sin(x3) - x2/(1 + x1^2)", VARS3)
     d_memo = {}

@@ -1,4 +1,5 @@
 import collections
+import functools
 import math
 
 import numpy as np
@@ -17,8 +18,7 @@ from pfaffian.factor import (
     SurfaceField,
     TransversalSpec,
     _SWAP_HYSTERESIS,
-    _interior_state,
-    _locate,
+    _step_probe,
     _trace_characteristic,
     _unit_tangent,
     auto_transversal,
@@ -465,6 +465,38 @@ def test_label_only_trace_matches_solve_characteristic(rng):
 # --- the characteristic trace against the stepper-driven reference ---------------
 
 
+class _RefProbeFailed(Exception):
+    pass
+
+
+def _ref_crossing(kernel, start, end, direction, rtol, atol, max_steps, level):
+    """``(lam, probe)`` of the crossing of ``level`` inside an accepted step.
+
+    The step goes from ``start = (t0, y0, f0)`` to ``end = (t1, y1)``.  The
+    state at the fraction ``lam`` is a whole solve of :func:`dopri5_step`
+    from the step start whose first step spans the interval, and the step's
+    own end states at ``lam`` 0 and 1; a solve that does not end "ok" raises
+    :class:`_RefProbeFailed`.
+    """
+    (t0, y0, f0), (t1, y1) = start, end
+
+    def probe(lam):
+        if lam == 0.0:
+            return y0
+        if lam == 1.0:
+            return y1
+        t_end = t0 + lam * (t1 - t0)
+        status, state = dopri5_step(kernel, (t0, y0, f0, abs(t_end - t0), 0, 0),
+                                    t_end, direction, rtol, atol, max_steps,
+                                    whole=True)
+        if status != "ok":
+            raise _RefProbeFailed(status)
+        return state[1]
+
+    lam = ode.bisect_root(lambda lam: probe(lam)[0] - level, 0.0, 1.0, xtol=1e-14)
+    return lam, probe
+
+
 def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
                kernels, pts, swaps):
     """The characteristic trace with one stepper state per segment.
@@ -473,8 +505,9 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
     generated loop directly, when each segment ran a stepper object with its
     own attempt counts, here the state ``(t, y, f0, h, accepted, rejected)``
     of :func:`dopri5_step`; with its later rule that a step leaving the box
-    from on a face of the solved axis is a boundary exit.  Appends one entry
-    to ``swaps`` per change of the solved axis.
+    from on a face of the solved axis is a boundary exit.  A crossing inside
+    a step is located by :func:`_ref_crossing`.  Appends one entry to
+    ``swaps`` per change of the solved axis.
     """
     singular_tol = DEFAULT_SINGULAR_TOL
     box = form.domain
@@ -515,7 +548,8 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
             return "singular", None, True
         budget = max_steps - steps_used
         while True:
-            prev_t, prev_y = state[:2]
+            step_start = state[:3]
+            prev_t, prev_y = step_start[:2]
             status, state = dopri5_step(kernel, state, t_target, sign_a, rtol, atol,
                                         budget)
             if status == "max_steps":
@@ -525,26 +559,30 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
             t_new, y_new = state[:2]
             steps_used += 1
             crossed = None
-            for bound, outward in ((box.lows[b], -1.0), (box.highs[b], 1.0)):
-                g0, g1 = prev_y[0] - bound, y_new[0] - bound
-                if g0 * g1 < 0:
-                    crossed = (_locate(kernel, prev_t, prev_y, t_new - prev_t, bound),
-                               "boundary")
-                elif g0 * outward >= 0 and g1 * outward > 0:
-                    crossed = (0.0, "boundary")
-            if (crossed is None and transversal is not None
-                    and transversal.fixed_axis == b):
-                g0 = prev_y[0] - transversal.value
-                g1 = y_new[0] - transversal.value
-                if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
-                    lam = _locate(kernel, prev_t, prev_y, t_new - prev_t,
-                                  transversal.value)
-                    if transversal.on_span(prev_t + lam * (t_new - prev_t)):
-                        crossed = (lam, "transversal")
+            locate = functools.partial(_ref_crossing, kernel, step_start,
+                                       (t_new, y_new), sign_a, rtol, atol, max_steps)
+            try:
+                for bound, outward in ((box.lows[b], -1.0), (box.highs[b], 1.0)):
+                    g0, g1 = prev_y[0] - bound, y_new[0] - bound
+                    if g0 * g1 < 0:
+                        crossed = (*locate(bound), "boundary")
+                    elif g0 * outward >= 0 and g1 * outward > 0:
+                        crossed = (0.0, None, "boundary")
+                if (crossed is None and transversal is not None
+                        and transversal.fixed_axis == b):
+                    g0 = prev_y[0] - transversal.value
+                    g1 = y_new[0] - transversal.value
+                    if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
+                        lam, probe = locate(transversal.value)
+                        if transversal.on_span(prev_t + lam * (t_new - prev_t)):
+                            crossed = (lam, probe, "transversal")
+                if crossed is not None:
+                    lam, probe, kind = crossed
+                    t_hit = prev_t + lam * (t_new - prev_t)
+                    y_hit = prev_y if probe is None else probe(lam)
+            except _RefProbeFailed:
+                return "singular", None, True
             if crossed is not None:
-                lam, kind = crossed
-                t_hit = prev_t + lam * (t_new - prev_t)
-                y_hit = _interior_state(kernel, prev_t, prev_y, t_new - prev_t, lam)
                 p_hit = [0.0, 0.0]
                 p_hit[a], p_hit[b] = t_hit, y_hit[0]
                 p_hit = box.clamp(p_hit)
@@ -704,6 +742,46 @@ def test_product_exact_labels_are_true_crossings():
                 assert abs(label - p[0] * p[1] / tv.value) <= 1e-9, (p, direction)
                 labels += 1
     assert labels > 60
+
+
+def test_crossing_at_the_end_of_a_step_is_bracketed():
+    # the accepted step ends within rounding of the transversal; an RK4 estimate
+    # of its end state lay on the other side, and the search raised "root not
+    # bracketed on [0.0, 1.0]"
+    start = (1.0118216247002567, 1.4504636963259352)
+    value = 1.1358362438707759
+    curve = solve_characteristic(entry("product_exact").form, start, 1,
+                                 TransversalSpec(0, value), rtol=1e-11, atol=1e-13)
+    assert curve.status == "transversal"
+    assert abs(curve.label - start[0] * start[1] / value) <= 1e-12
+    assert abs(curve.label - 1.292096938889562) <= 1e-12
+
+
+def test_step_probe_returns_the_step_ends_exactly():
+    kernel = CharacteristicKernels(entry("product_exact").form)[1]
+    t0, y0, f0, *_ = state = dopri5_start(kernel, 1.0, (1.5,))
+    status, (t1, y1, *_) = dopri5_step(kernel, state, 2.0, rtol=1e-11, atol=1e-13)
+    assert status == "ok"
+    probe = _step_probe(kernel.advance, t0, y0, f0, t1, y1, 1.0, 1e-11, 1e-13,
+                        100000)
+    assert probe(0.0) is y0 and probe(1.0) is y1
+    # inside the step: one whole solve from the step start, whose first
+    # attempt spans the interval
+    t_mid = t0 + 0.5 * (t1 - t0)
+    status, state = dopri5_step(kernel, (t0, y0, f0, t_mid - t0, 0, 0), t_mid,
+                                rtol=1e-11, atol=1e-13, whole=True)
+    assert (status, state[4], state[5]) == ("ok", 1, 0)
+    assert repr(probe(0.5)) == repr(state[1])
+
+
+def test_step_probe_failure_raises():
+    # y' = 1 / (1 - t): a solve across t = 1 collapses its step
+    pole = ode.compile_kernel(1, lambda t, ys, ks: [f"{ks[0]} = 1.0 / (1.0 - {t})"])
+    probe = _step_probe(pole.advance, 0.0, (0.0,), (1.0,), 2.0, (0.0,), 1.0,
+                        1e-9, 1e-12, 100000)
+    assert probe(0.25)[0] == pytest.approx(-math.log(0.5), rel=1e-8)
+    with pytest.raises(factor._ProbeFailed, match="step_rejection"):
+        probe(0.75)
 
 
 # --- crossings located by the Illinois bracket against the secant search ----------

@@ -16,12 +16,11 @@ from pfaffian.ode import (
     _E,
     bisect_root,
     compile_kernel,
-    rk4_step,
 )
 
 # --- generated kernels against the stage-by-stage reference ---------------------
 #
-# The reference is the generic Dormand-Prince attempt, step loop and RK4 step the
+# The reference is the generic Dormand-Prince attempt and step loop the
 # generated straight-line functions replaced, driven by the right-hand-side
 # closures of characteristics and surface paths.  The generated functions must
 # reproduce them bit for bit (compared through repr, so -0.0 and NaN count), end
@@ -186,20 +185,6 @@ def _assert_steppers_match(kernel, params, ref, t, y, dt, bounds=None):
         assert _drive(gen_step, t + 2.0 * dt) == _drive(ref_step, t + 2.0 * dt)
 
 
-def _ref_rk4(rhs, t, y, dt):
-    k1 = rhs(t, y)
-    n = len(y)
-    y2 = tuple(y[i] + 0.5 * dt * k1[i] for i in range(n))
-    k2 = rhs(t + 0.5 * dt, y2)
-    y3 = tuple(y[i] + 0.5 * dt * k2[i] for i in range(n))
-    k3 = rhs(t + 0.5 * dt, y3)
-    y4 = tuple(y[i] + dt * k3[i] for i in range(n))
-    k4 = rhs(t + dt, y4)
-    return tuple(
-        y[i] + dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(n)
-    )
-
-
 def _ref_characteristic_rhs(form, b, singular_tol):
     fns = [ex.compile_scalar(c, form.n) for c in form.coefficients]
     a = 1 - b
@@ -250,10 +235,8 @@ def _outcome(call):
 
 
 def _assert_kernel_matches(kernel, params, ref, t, y, dt, bounds=None):
-    """rhs, RK4 and the step loop of ``kernel`` equal the reference at (t, y, dt)."""
+    """rhs and the step loop of ``kernel`` equal the reference at (t, y, dt)."""
     assert _outcome(lambda: kernel.rhs(t, y, *params)) == _outcome(lambda: ref(t, y))
-    assert (_outcome(lambda: kernel.rk4(t, y, dt, *params))
-            == _outcome(lambda: _ref_rk4(ref, t, y, dt)))
     try:
         ref(t, y)
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -457,8 +440,6 @@ def test_zero_free_coefficient_raises_like_reference():
     assert _outcome(lambda: field.kernel.rhs(1.0, (0.0,), *params)) is ZeroDivisionError
     assert _outcome(lambda: ref(1.0, (0.0,))) is ZeroDivisionError
     f0 = ref(0.0, (0.0,))
-    assert (_outcome(lambda: field.kernel.rk4(0.0, (0.0,), 1.0, *params))
-            is ZeroDivisionError)
     assert _outcome(lambda: _ref_attempt(ref, 0.0, (0.0,), f0, 1.0)) is ZeroDivisionError
     assert _refused_first_attempt(field.kernel, params, 0.0, (0.0,), 1.0)
     _assert_steppers_match(field.kernel, params, ref, 0.0, (0.0,), 1.0,
@@ -474,7 +455,6 @@ def test_log_of_negative_stage_value_raises_like_reference():
     assert _outcome(lambda: _ref_attempt(ref, 0.01, (0.0,), f0, -0.1)) is ValueError
     assert _refused_first_attempt(kernel, (), 0.01, (0.0,), -0.1)
     _assert_steppers_match(kernel, (), ref, 0.01, (0.0,), -0.1)
-    assert _outcome(lambda: kernel.rk4(0.01, (0.0,), -0.1)) is ValueError
 
 
 # --- stepper behaviour ----------------------------------------------------------
@@ -490,6 +470,23 @@ def _run(kernel, t0, y0, t1, direction=1.0, **options):
     while status == "ok" and (state[0] - t1) * direction < 0:
         status, state = dopri5_step(kernel, state, t1, direction, **options)
     return status, state
+
+
+def test_kernel_source_defines_rhs_and_advance_only(monkeypatch):
+    sources = []
+    run = ex.exec_source
+
+    def recording(source, label, **extra):
+        sources.append(source)
+        return run(source, label, **extra)
+
+    monkeypatch.setattr(ex, "exec_source", recording)
+    kernel = _decay()
+    (source,) = sources
+    defs = [line.split("(")[0] for line in source.splitlines()
+            if line.startswith("def ")]
+    assert defs == ["def rhs", "def advance"]
+    assert vars(kernel).keys() == {"rhs", "advance"}
 
 
 def test_dopri5_exponential_decay():
@@ -519,13 +516,6 @@ def test_dopri5_step_collapses_at_pole():
     status, (t, *_) = _run(pole, 0.0, (0.0,), 2.0)
     assert status == "step_rejection"
     assert t < 1.0
-
-
-def test_rk4_step_calls_generated_rk4():
-    kernel = _decay()
-    assert rk4_step(kernel, 0.0, (1.0,), 0.1) == kernel.rk4(0.0, (1.0,), 0.1)
-    assert rk4_step(kernel, 0.0, (1.0,), 0.1) == _ref_rk4(lambda t, y: (-y[0],),
-                                                           0.0, (1.0,), 0.1)
 
 
 def test_bisect_root_unbracketed():
