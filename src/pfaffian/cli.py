@@ -13,8 +13,6 @@ import functools
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import expressions as ex
 from .catalog import catalog, entry
@@ -30,6 +28,7 @@ from .factor import (
 )
 from .forms import (
     MAX_COORDINATE,
+    distance,
     load_form,
     make_substitution,
     mild_nonlinear_substitution,
@@ -39,6 +38,7 @@ from .forms import (
 from .integrability import CLASS_INCONCLUSIVE, classify, invariance_check
 from .reach import estimate_dimension, explore, surrounding_line_scan
 from .reports import csv_text, json_text, write_text
+from .sampling import box_grid, linspace
 
 
 def _finite_float(text):
@@ -171,11 +171,8 @@ def _factor_report(result, extra=None):
 
 
 def _factor_csv(form, result, per_axis):
-    from .sampling import box_grid
-
     rows = []
     for p in box_grid(form.domain.lows, form.domain.highs, per_axis):
-        p = tuple(float(v) for v in p)
         try:
             psi = result.psi(p)
             mu = result.mu(p)
@@ -278,26 +275,20 @@ def _cmd_foliate(args):
     vary = tv.varying_axis()
     lo, hi = form.domain.lows[vary], form.domain.highs[vary]
     pad = 0.02 * (hi - lo)
-    seeds = np.linspace(lo + pad, hi - pad, args.curves)
     kernels = CharacteristicKernels(form)
     rows = []
-    curve_id = 0
-    for s in seeds:
+    for curve_id, s in enumerate(linspace(lo + pad, hi - pad, args.curves)):
         start = [0.0, 0.0]
         start[tv.fixed_axis] = tv.value
-        start[vary] = float(s)
-        pieces = []
-        for direction in (-1, 1):
-            curve = solve_characteristic(form, tuple(start), direction,
-                                         kernels=kernels)
-            pts = curve.points[::-1] if direction == -1 else curve.points
-            pieces.append(pts)
-        merged = np.vstack([pieces[0], pieces[1][1:]])
-        deltas = np.linalg.norm(np.diff(merged, axis=0), axis=1)
-        t = np.concatenate([[0.0], np.cumsum(deltas)])
-        for ti, p in zip(t, merged):
-            rows.append([curve_id, float(ti), float(p[0]), float(p[1])])
-        curve_id += 1
+        start[vary] = s
+        back, ahead = (solve_characteristic(form, tuple(start), direction,
+                                            kernels=kernels).points
+                       for direction in (-1, 1))
+        merged = back[::-1] + ahead[1:]
+        t = 0.0
+        for prev, p in zip([merged[0]] + merged, merged):
+            t += distance(prev, p)
+            rows.append([curve_id, t, *p])
     header = ["curve_id", "t", *form.var_names]
     _emit(csv_text(header, rows), args.out)
     return 0
@@ -467,9 +458,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except AnalysisError as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 1
     except PfaffianError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 1

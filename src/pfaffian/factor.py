@@ -19,8 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import expressions as ex
 from .errors import (
     AnalysisError,
@@ -29,8 +27,9 @@ from .errors import (
     EvalDomainError,
     UnreachableTransversalError,
 )
-from .forms import DEFAULT_SINGULAR_TOL, Box, PfaffianForm, distance
+from .forms import DEFAULT_SINGULAR_TOL, Box, PfaffianForm
 from .ode import bisect_root, compile_kernel
+from .sampling import box_grid, linspace
 
 METHOD_TWO_VAR = "two_var_characteristic"
 METHOD_GLOBAL = "global_base_fiber"
@@ -80,15 +79,39 @@ def auto_transversal(form: PfaffianForm) -> TransversalSpec:
     scores = []
     for axis in range(2):
         mags = [abs(f[1 - axis]) for f in values]
-        scores.append(np.quantile(mags, 0.05) if mags else 0.0)
-    axis = int(np.argmax(scores))
+        scores.append(_quantile(mags, 0.05) if mags else 0.0)
+    axis = _larger_index(*scores)
     return TransversalSpec(axis, form.domain.center[axis])
+
+
+def _quantile(values, q):
+    """``numpy.quantile(values, q)`` of a nonempty list, with numpy's float
+    operations: its linear method (Hyndman & Fan type 7) and ``_lerp``, and
+    NaN if any value is NaN."""
+    if any(v != v for v in values):
+        return math.nan
+    ordered = sorted(values)
+    last = len(ordered) - 1
+    at = last * q
+    i = math.floor(at)
+    a, b = ordered[i], ordered[min(i + 1, last)]
+    g = at - i
+    diff = b - a
+    return b - diff * (1.0 - g) if g >= 0.5 else a + diff * g
+
+
+def _larger_index(v0, v1):
+    """0 or 1, whichever of ``v0``, ``v1`` is larger, with ``numpy.argmax``'s
+    rule: the first wins a tie, and NaN counts as the maximum."""
+    return 0 if v0 >= v1 or v0 != v0 else 1
 
 
 @dataclass
 class CharacteristicCurve:
-    params: np.ndarray  # cumulative arc length, monotone
-    points: np.ndarray  # m x 2
+    """A traced characteristic: ``points`` is a list of tuples of Python
+    floats, from the start point along the direction of travel."""
+
+    points: list
     label: float = None  # varying-axis coordinate at the transversal crossing
     status: str = "boundary"  # 'transversal' | 'boundary' | 'singular' | 'max_steps'
     truncated: bool = False
@@ -166,11 +189,8 @@ def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
     status, label, truncated = _trace_characteristic(
         form, start, direction, transversal, rtol, atol, kernels=kernels,
         pts=pts)
-    params = [0.0]
-    for p, q in zip(pts, pts[1:]):
-        params.append(params[-1] + distance(p, q))
-    return CharacteristicCurve(np.asarray(params), np.asarray(pts), label=label,
-                               status=status, truncated=truncated)
+    return CharacteristicCurve(pts, label=label, status=status,
+                               truncated=truncated)
 
 
 def _trace_characteristic(form, start, direction, transversal, rtol, atol,
@@ -212,10 +232,8 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
         return "singular", None, True
     tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
 
-    # the larger |F_b| is solved for, with np.argmax's rule: the first axis
-    # wins a tie, and NaN counts as the maximum
-    f_abs0, f_abs1 = abs(f[0]), abs(f[1])
-    dependent = 0 if f_abs0 >= f_abs1 or f_abs0 != f_abs0 else 1
+    # the larger |F_b| is solved for
+    dependent = _larger_index(abs(f[0]), abs(f[1]))
     sign_a = 1.0 if tau[1 - dependent] >= 0 else -1.0
     steps_used = 0
     level = transversal.value if transversal is not None else None
@@ -388,7 +406,7 @@ def fd_partial(fn, p, axis, box: Box):
     """
     lo, hi = box.lows[axis], box.highs[axis]
     h = min(FD_SCALE * (hi - lo), (hi - lo) / 8.0)
-    x = float(p[axis])
+    x = p[axis]
 
     def at(v):
         q = list(p)
@@ -466,7 +484,6 @@ def verify_factorization(form: PfaffianForm, result: FactorizationResult,
     used = 0
     skipped = 0
     for p in samples:
-        p = tuple(float(v) for v in p)
         try:
             grad = fd_gradient(result.psi, p, box)
             mu_p = result.mu(p)
@@ -565,7 +582,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
 
     result = FactorizationResult(psi=psi, mu=mu, method=METHOD_TWO_VAR,
                                  flags=flags)
-    grid = _grid(form.domain, grid_per_axis)
+    grid = box_grid(form.domain.lows, form.domain.highs, grid_per_axis)
     stats = verify_factorization(form, result, grid)
     result.residual_max = stats.residual_max
     result.residual_rms = stats.residual_rms
@@ -573,12 +590,6 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
     result.evaluated_points = stats.evaluated_points
     flags["transversal"] = {"fixed_axis": tv.fixed_axis, "value": tv.value}
     return result
-
-
-def _grid(box: Box, per_axis: int):
-    from .sampling import box_grid
-
-    return [tuple(p) for p in box_grid(box.lows, box.highs, per_axis)]
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +793,7 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
         return form.coefficient_tuple_fn(*p)[free_index] * dxn_ds
 
     result = FactorizationResult(psi=psi, mu=mu, method=METHOD_GLOBAL, flags=flags)
-    grid = _grid(box, grid_per_axis)
+    grid = box_grid(box.lows, box.highs, grid_per_axis)
     stats = verify_factorization(form, result, grid)
     result.residual_max = stats.residual_max
     result.residual_rms = stats.residual_rms
@@ -824,20 +835,19 @@ def _monotonicity_violations(field_: SurfaceField) -> int:
     free = field_.free_index
     lo, hi = box.lows[free], box.highs[free]
     pad = 0.05 * (hi - lo)
-    s_grid = np.linspace(lo + pad, hi - pad, 7)
+    s_grid = linspace(lo + pad, hi - pad, 7)
     u_targets = [field_.base_proj]
     for p in box.samples(5):
         u_targets.append(tuple(p[i] for i in field_.other))
     violations = 0
     for u in u_targets:
-        values = []
+        seen = []
         for s in s_grid:
             try:
-                values.append(field_.value(u, float(s)))
+                seen.append(field_.value(u, s))
             except AnalysisError:
-                values.append(None)
-        seen = [(s, v) for s, v in zip(s_grid, values) if v is not None]
-        for (_, v0), (_, v1) in zip(seen, seen[1:]):
+                pass
+        for v0, v1 in zip(seen, seen[1:]):
             if not v1 > v0:
                 violations += 1
     return violations

@@ -11,8 +11,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import expressions as ex
 from .errors import (
     ArityError,
@@ -45,7 +43,7 @@ class Box:
         if len(lows) != len(highs) or not lows:
             raise FormError("box bounds must be nonempty and of equal length")
         for lo, hi in zip(lows, highs):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise FormError(f"invalid interval [{lo}, {hi}]")
             if not -MAX_COORDINATE <= lo < hi <= MAX_COORDINATE:
                 raise FormError(f"interval [{lo}, {hi}] reaches beyond "
@@ -73,10 +71,12 @@ class Box:
     def edges(self):
         return tuple(hi - lo for lo, hi in zip(self.lows, self.highs))
 
-    def samples(self, count: int, margin: float = 0.0) -> np.ndarray:
+    def samples(self, count: int, margin: float = 0.0) -> list:
+        """``count`` Halton points of the box, as tuples of Python floats."""
         return box_samples(self.lows, self.highs, count, margin)
 
-    def corners(self) -> np.ndarray:
+    def corners(self) -> list:
+        """The 2^dim corners, as tuples of Python floats."""
         return box_corners(self.lows, self.highs)
 
 
@@ -138,7 +138,7 @@ def _jacobian(exprs, n):
 def _nonsingular_probe_points(box: Box):
     """The box center, then Halton points, drawn only if the center fails."""
     yield box.center
-    yield from map(tuple, box.samples(_NONSINGULAR_SAMPLES))
+    yield from box.samples(_NONSINGULAR_SAMPLES)
 
 
 def _probe_vector(form: PfaffianForm, p, needs_jet: bool):
@@ -152,7 +152,7 @@ def _probe_vector(form: PfaffianForm, p, needs_jet: bool):
     """
     if needs_jet:
         try:
-            values = form.jet_fn(*map(float, p))[:form.n]
+            values = form.jet_fn(*p)[:form.n]
         except (ValueError, ZeroDivisionError, OverflowError):
             pass
         else:
@@ -298,8 +298,10 @@ class Substitution:
         """Map a point in new coordinates to old coordinates."""
         return ex.call_checked(self._exprs_fn, p_new, self.n)
 
-    def jacobian_at(self, p_new) -> np.ndarray:
-        """The matrix dx_i/dxbar_j at ``p_new``; EvalDomainError where undefined."""
+    def jacobian_at(self, p_new):
+        """The numpy matrix dx_i/dxbar_j at ``p_new``; EvalDomainError if undefined."""
+        import numpy as np
+
         values = ex.call_checked(self._jacobian_fn, p_new, self.n)
         return np.array(values).reshape(self.n, self.n)
 
@@ -321,6 +323,8 @@ def make_substitution(new_var_names, expr_texts, base_point, new_domain: Box
     )
     sub = Substitution(new_var_names, exprs, tuple(float(v) for v in base_point),
                        new_domain)
+    import numpy as np
+
     jac = sub.jacobian_at(sub.base_point)
     if not np.all(np.isfinite(jac)) or np.linalg.cond(jac) > 1e12:
         raise FormError("substitution Jacobian is singular at the base point")
@@ -357,6 +361,8 @@ def random_linear_substitution(form: PfaffianForm, seed: int) -> Substitution:
     perturbation of spectral norm 0.3; the new box is a cube 0.35 times the
     size whose image would just fit the form's domain.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = form.n
     g = rng.standard_normal((n, n))

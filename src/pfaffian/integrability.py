@@ -32,18 +32,10 @@ CLASS_INCONCLUSIVE = "inconclusive"
 
 def sample_points(form: PfaffianForm, points: int = 64):
     """Deterministic sample plan: the center, the corners, then ``points``
-    Halton points of the form's box.
-
-    Tuples of Python floats, which the compiled evaluators expect.  On numpy
-    scalars a pole divides to inf with a RuntimeWarning where a Python float
-    raises ZeroDivisionError, and every operation of the generated code runs
-    slower.
+    Halton points of the form's box, each a tuple of Python floats.
     """
-    return [
-        form.domain.center,
-        *map(tuple, form.domain.corners().tolist()),
-        *map(tuple, form.domain.samples(points).tolist()),
-    ]
+    return [form.domain.center, *form.domain.corners(),
+            *form.domain.samples(points)]
 
 
 @dataclass(frozen=True)

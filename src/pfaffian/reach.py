@@ -20,8 +20,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import expressions as ex
 from .errors import AnalysisError, ArityError
 from .forms import (
@@ -31,6 +29,7 @@ from .forms import (
     distance,
     is_singular_at,
 )
+from .sampling import linspace
 
 KIND_FULL = "full_dimensional"
 KIND_CODIM_ONE = "codimension_one_like"
@@ -244,8 +243,8 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
 
 @dataclass
 class NullCurve:
-    params: np.ndarray
-    points: np.ndarray
+    params: object  # numpy array of cumulative arc lengths
+    points: object  # numpy array, m x n
     max_residual: float
 
 
@@ -326,6 +325,8 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
     which would otherwise repeat without end.  ``singular_tol`` is the size
     the solved coefficient must exceed.
     """
+    import numpy as np
+
     if form.n < 2:
         raise ArityError("exploration requires at least 2 variables")
     _check_radius(epsilon)
@@ -454,6 +455,8 @@ def estimate_dimension(sample: ReachSample, threshold: float = 0.05,
     point evaluator) replaces the thickness report with the conservation gap
     max |psi(endpoint) - psi(base)|.
     """
+    import numpy as np
+
     n = len(sample.base)
     pts = np.asarray(sorted({tuple(e) for e in sample.endpoints}))
     if pts.ndim != 2 or pts.shape[0] < n + 1:
@@ -551,51 +554,42 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
         raise ArityError("free variable index out of range")
     _check_radius(epsilon)
     p = tuple(float(v) for v in p)
-    offsets = np.linspace(-epsilon, epsilon, 32)
+    offsets = linspace(-epsilon, epsilon, 32)
     per_budget = max(1, budget // 32)
     ball = (form.domain, p, epsilon * (1 + 1e-12), False)
-    steering = _Steering(
-        functools.cache(
-            lambda k: _compile_loop(form, k, singular_tol, *ball, "leg")),
-        singular_tol)
+    legs = functools.cache(
+        lambda k: _compile_loop(form, k, singular_tol, *ball, "leg"))
     gaps = []
     halves = []
     used_total = 0
     for off in offsets:
         q = list(p)
-        q[free_index] += float(off)
-        gap, gap_half, used = _seek_target(form, steering, p, tuple(q),
-                                           epsilon, per_budget)
+        q[free_index] += off
+        gap, gap_half, used = _seek_target(form, legs, singular_tol, p,
+                                           tuple(q), epsilon, per_budget)
         gaps.append(gap)
         halves.append(gap_half)
         used_total += used
     gap_tol = epsilon * 0.01
     fraction = sum(1 for g in gaps if g <= gap_tol) / len(gaps)
     return ScanReport(free_index, float(epsilon), int(budget), used_total,
-                      tuple(float(o) for o in offsets), tuple(gaps),
+                      tuple(offsets), tuple(gaps),
                       tuple(halves), gap_tol, fraction)
 
 
-@dataclass
-class _Steering:
-    """Generated legs of one scan, each built by pivot on first use."""
-
-    legs: object  # legs(k) -> the leg loop of pivot k
-    tol: float
-
-
 class _Seeker:
-    """Deterministic steering toward one target inside the epsilon-ball."""
+    """Deterministic steering toward one target inside the epsilon-ball, by the
+    leg loops ``legs(k)`` of pivot k, on solved coefficients above ``tol``."""
 
-    def __init__(self, form, steering, base, target, epsilon, budget):
-        self.steering = steering
+    def __init__(self, form, legs, tol, base, target, epsilon, budget):
+        self.legs = legs
         self.n = form.n
         self.base = base
         self.target = target
         self.eps = epsilon
         self.budget = budget
         self.half = budget // 2
-        self.tol = steering.tol
+        self.tol = tol
         # seekers report gaps, not curves: coarser steps than explore are fine
         self.dt = (epsilon * SEGMENT_FRACTION) / 3.0
         self.used = 0
@@ -619,7 +613,7 @@ class _Seeker:
         after one step when ``used`` is already there, so the gap is read
         after the same step as when every step was noted.
         """
-        leg = self.steering.legs(k)
+        leg = self.legs(k)
         left = max(1, int(math.ceil(length / (self.dt))))
         dt = length / left
         while left:
@@ -772,8 +766,8 @@ class _Seeker:
                 length *= 0.5
 
 
-def _seek_target(form, steering, base, target, epsilon, budget):
-    seeker = _Seeker(form, steering, base, target, epsilon, budget)
+def _seek_target(form, legs, tol, base, target, epsilon, budget):
+    seeker = _Seeker(form, legs, tol, base, target, epsilon, budget)
     try:
         return seeker.run()
     except (PivotLostError, ValueError, ZeroDivisionError, OverflowError):

@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-
-import numpy as np
+import sys
 
 
 def float_repr(x: float) -> str:
@@ -23,7 +22,8 @@ def float_repr(x: float) -> str:
 def _emit(obj, out, level):
     pad = "  " * level  # two spaces per nesting level
     pad_in = pad + "  "
-    if isinstance(obj, np.generic):  # numpy scalars leak in easily
+    np = sys.modules.get("numpy")  # numpy scalars leak in easily, if it is loaded
+    if np is not None and isinstance(obj, np.generic):
         obj = obj.item()
     if obj is None:
         out.write("null")

@@ -1,11 +1,9 @@
-"""Deterministic low-discrepancy sampling of box domains."""
+"""Deterministic low-discrepancy sampling of box domains: tuples of floats."""
 
 from __future__ import annotations
 
 import functools
 import itertools
-
-import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 MAX_VARIABLES = len(_PRIMES)  # Halton sampling has one prime base per axis
@@ -21,11 +19,26 @@ def radical_inverse(base: int, index: int) -> float:
     return inv
 
 
-def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
+def linspace(start, stop, num: int) -> list:
+    """``num >= 1`` evenly spaced floats from ``start`` to ``stop``, both included,
+    with ``numpy.linspace``'s operations: ``i * step + start``, or
+    ``i / (num - 1) * (stop - start) + start`` where the step rounds to 0."""
+    start, stop = float(start), float(stop)
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    div = num - 1
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
+
+
+def halton(count: int, dims: int, start: int = 1) -> tuple:
     """First ``count`` Halton points in [0,1)^dims, indices starting at ``start``.
 
-    The table is computed once per ``(count, dims, start)`` and shared
-    between callers, so the array is read-only.
+    A tuple of points, each a tuple of Python floats.  The table is computed
+    once per ``(count, dims, start)`` and shared between callers.
     """
     if dims > MAX_VARIABLES:
         raise ValueError(f"halton supports up to {MAX_VARIABLES} dimensions")
@@ -34,30 +47,26 @@ def halton(count: int, dims: int, start: int = 1) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _halton_table(count, dims, start):
-    pts = np.empty((count, dims))
-    for i in range(count):
-        for d in range(dims):
-            pts[i, d] = radical_inverse(_PRIMES[d], start + i)
-    pts.flags.writeable = False
-    return pts
+    return tuple(tuple(radical_inverse(_PRIMES[d], start + i) for d in range(dims))
+                 for i in range(count))
 
 
-def box_samples(lows, highs, count: int, margin: float = 0.0) -> np.ndarray:
+def box_samples(lows, highs, count: int, margin: float = 0.0) -> list:
     """Halton points mapped into the box, optionally inset by a relative margin."""
-    lows = np.asarray(lows, dtype=float)
-    highs = np.asarray(highs, dtype=float)
-    u = halton(count, len(lows))
+    units = halton(count, len(lows))
     if margin:
-        u = margin + (1.0 - 2.0 * margin) * u
-    return lows + u * (highs - lows)
+        units = [[margin + (1.0 - 2.0 * margin) * v for v in u] for u in units]
+    return [tuple(lo + v * (hi - lo) for v, lo, hi in zip(u, lows, highs))
+            for u in units]
 
 
-def box_grid(lows, highs, per_axis: int) -> np.ndarray:
-    """Regular grid over the box including the boundary, per_axis points per axis."""
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(lows, highs)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def box_grid(lows, highs, per_axis: int) -> list:
+    """Regular grid over the box including the boundary, per_axis points per
+    axis, the last axis varying fastest."""
+    axes = [linspace(lo, hi, per_axis) for lo, hi in zip(lows, highs)]
+    return list(itertools.product(*axes))
 
 
-def box_corners(lows, highs) -> np.ndarray:
-    return np.array(list(itertools.product(*zip(lows, highs))), dtype=float)
+def box_corners(lows, highs) -> list:
+    return list(itertools.product(*((float(lo), float(hi))
+                                    for lo, hi in zip(lows, highs))))

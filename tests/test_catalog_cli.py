@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import types
 import warnings
 
@@ -744,3 +747,50 @@ def test_cli_reach_epsilon_beyond_coordinate_bound_is_input_error(tmp_path, caps
     assert main(["catalog", "--write-form", "exact_3var", str(path)]) == 0
     assert main(["reach", str(path), "--epsilon", "1e300", "--free-var", "x"]) == 2
     assert "--epsilon: must be at most 1e+150" in capsys.readouterr().err
+
+
+_NUMPY_FREE_RUNS = r'''
+import contextlib, io, sys
+from pfaffian.cli import main
+
+tmp = sys.argv[1]
+
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+
+def form(name):
+    path = f"{tmp}/{name}.pfaff"
+    run("catalog", "--write-form", name, path)
+    return path
+
+
+run("catalog", "--list")
+for name in ("contact", "scaled_exact", "ray_form"):
+    run("check", form(name))
+run("factor2", form("ray_form"), "--grid", "5", "--csv", f"{tmp}/factor2.csv")
+run("foliate", form("product_exact"), "--curves", "3")
+run("factor-global", form("exact_3var"), "--free-var", "z", "--grid", "3",
+    "--staircase", "--csv", f"{tmp}/global.csv")
+print("numpy loaded:", "numpy" in sys.modules)
+run("reach", form("contact"), "--budget", "2000", "--free-var", "z")
+run("invariance", form("contact"))
+run("invariance", form("scaled_exact"), "--nonlinear")
+print("numpy loaded:", "numpy" in sys.modules)
+'''
+
+
+def test_numpy_free_subcommands_do_not_load_numpy(tmp_path):
+    """check, factor2, factor-global, foliate and catalog run without numpy;
+    reach and invariance, which need it, load it in the same process."""
+    import pfaffian
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pfaffian.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _NUMPY_FREE_RUNS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout == "numpy loaded: False\nnumpy loaded: True\n"

@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_characteristic_conserves_product():
     assert len(curve.points) > 3
     dev = max(abs(p[0] * p[1] - 1.0) for p in curve.points)
     assert dev <= 1e-8
-    assert np.all(np.diff(curve.params) > 0)
+    assert all(p != q for p, q in zip(curve.points, curve.points[1:]))
 
 
 def test_characteristic_vertical_field():
@@ -94,6 +95,92 @@ def test_auto_transversal_picks_good_axis():
     tv = auto_transversal(IDEAL_GAS)
     assert tv.fixed_axis in (0, 1)
     assert 1.0 < tv.value < 2.0
+
+
+def _quantile_cases(rng):
+    """Lists of 1 to 200 values: spread, with ties, with inf, with NaN."""
+    for n in range(1, 201):
+        spread = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+        ties = [rng.choice([0.0, 0.25, 1.0, 1e-300, 7.5]) for _ in range(n)]
+        yield spread
+        yield ties
+        yield [abs(v) for v in spread]
+        for special in (math.inf, -math.inf, math.nan):
+            for base in (spread, ties):
+                values = list(base)
+                for _ in range(rng.randint(1, max(1, n // 10))):
+                    values[rng.randrange(n)] = special
+                yield values
+        yield [math.inf] * n
+
+
+def test_quantile_matches_numpy():
+    count = 0
+    for values in _quantile_cases(random.Random(11)):
+        with np.errstate(invalid="ignore"):
+            want = float(np.quantile(values, 0.05))
+        got = factor._quantile(values, 0.05)
+        assert type(got) is float
+        assert float.hex(got) == float.hex(want), values
+        count += 1
+    assert count == 200 * 10
+
+
+def test_larger_index_is_numpy_argmax():
+    specials = [0.0, -0.0, 1.0, -1.0, 1e-300, math.inf, -math.inf, math.nan]
+    for a in specials:
+        for b in specials:
+            assert factor._larger_index(a, b) == int(np.argmax([a, b])), (a, b)
+
+
+def _numpy_auto_transversal(form):
+    """``auto_transversal`` with ``np.quantile`` and ``np.argmax``, as it was
+    written before it computed both itself."""
+    values = []
+    for p in form.domain.samples(128):
+        try:
+            values.append(form.coefficient_tuple_fn(*p))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            continue
+    scores = []
+    for axis in range(2):
+        mags = [abs(f[1 - axis]) for f in values]
+        with np.errstate(invalid="ignore"):
+            scores.append(np.quantile(mags, 0.05) if mags else 0.0)
+    axis = int(np.argmax(scores))
+    return TransversalSpec(axis, form.domain.center[axis])
+
+
+AXIS_CHOICE_FORMS = [
+    IDEAL_GAS,
+    *(entry(name).form for name in ("product_exact", "ideal_gas_heat",
+                                    "rolling_cylinder", "ray_form")),
+    make_form(["x", "y"], ["1", "1"], Box((-1, -1), (1, 1))),  # a tie
+    make_form(["x", "y"], ["-2", "2"], Box((0, 3), (1, 5))),  # a tie
+    make_form(["x", "y"], ["1/x", "1/y"], Box((-1, -1), (1, 1))),  # poles
+    # F_1 is +-inf at every sample, or NaN where both terms overflow alike
+    make_form(["x", "y"], ["x*1e300*1e300 + 2", "1 + y^2"], Box((-1, -1), (1, 1))),
+    make_form(["x", "y"], ["x*1e300*1e300 - y*1e300*1e300", "1 + y^2"],
+              Box((-1, -1), (1, 1))),
+    make_form(["x", "y"], ["2 + x", "x*1e300*1e300 - y*1e300*1e300"],
+              Box((-1, -1), (1, 1))),
+]
+
+
+def test_auto_transversal_matches_numpy_choice(rng):
+    forms = list(AXIS_CHOICE_FORMS)
+    for _ in range(40):
+        c = [f"{v:.3f}" for v in rng.uniform(-2, 2, 6)]
+        forms.append(make_form(
+            ["x", "y"],
+            [f"{c[0]} + {c[1]}*x + {c[2]}*y^2", f"{c[3]} + {c[4]}*x*y + {c[5]}*y"],
+            Box((-1, -0.5), (0.5, 2))))
+    chosen = set()
+    for form in forms:
+        tv = auto_transversal(form)
+        assert tv == _numpy_auto_transversal(form)
+        chosen.add(tv.fixed_axis)
+    assert chosen == {0, 1}
 
 
 def test_closed_characteristics_need_bounded_transversal():

@@ -7,7 +7,7 @@ from conftest import dopri5_start, dopri5_step, fold, secant_bisect_root
 from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError
 from pfaffian.catalog import catalog, entry
-from pfaffian.factor import SurfaceField, _characteristic_kernel, _grid, _integrate_unit
+from pfaffian.factor import SurfaceField, _characteristic_kernel, _integrate_unit
 from pfaffian.forms import Box, make_form
 from pfaffian.ode import (
     _A,
@@ -17,6 +17,7 @@ from pfaffian.ode import (
     bisect_root,
     compile_kernel,
 )
+from pfaffian.sampling import box_grid
 
 # --- generated kernels against the stage-by-stage reference ---------------------
 #
@@ -686,7 +687,7 @@ def test_box_exit_rule_on_catalog_grid(name):
     form = entry(name).form
     field = SurfaceField(form, form.n - 1, form.domain.center)
     early = 0
-    for p in _grid(form.domain, 9):
+    for p in box_grid(form.domain.lows, form.domain.highs, 9):
         gen = _fiber_solve(field, p)
         assert repr(gen) == repr(_fiber_solve(field, p, True, _path_bounds(field)))
         status, state = gen

@@ -26,7 +26,6 @@ from pfaffian.reach import (
     ScanReport,
     _compile_loop,
     _Seeker,
-    _Steering,
     estimate_dimension,
     explore,
     surrounding_line_scan,
@@ -356,12 +355,11 @@ def test_align_free_norm_adds_left_to_right(rng):
 
     n = 5
     form = SimpleNamespace(n=n, coefficient_tuple_fn=lambda *p: (1.0,) * n)
-    steering = SimpleNamespace(tol=0.0)
     for _ in range(300):
         base = tuple(float(v) for v in rng.uniform(-1, 1, n))
         target = tuple(float(v) for v in rng.uniform(-1, 1, n))
         k = int(rng.integers(n))
-        assert not Recorder(form, steering, base, target, 1.0, 100)._align_free(k)
+        assert not Recorder(form, None, 0.0, base, target, 1.0, 100)._align_free(k)
         delta = [t - b for i, (t, b) in enumerate(zip(target, base)) if i != k]
         assert repr(lengths[-1]) == repr(math.sqrt(fold(d * d for d in delta)))
 
@@ -603,14 +601,13 @@ def _ref_scan(form, p, free_index, epsilon, budget, tally, n_targets=32,
     p = tuple(float(v) for v in p)
     offsets = np.linspace(-epsilon, epsilon, n_targets)
     per_budget = max(1, budget // n_targets)
-    steering = _Steering(None, singular_tol)
     inside = _ref_inside(form.domain, p, epsilon * (1 + 1e-12), squared=False)
     gaps, halves, used_total = [], [], 0
     for off in offsets:
         q = list(p)
         q[free_index] += float(off)
-        seeker = _RefSeeker(tally, inside, form, steering, p, tuple(q), epsilon,
-                            per_budget)
+        seeker = _RefSeeker(tally, inside, form, None, singular_tol, p, tuple(q),
+                            epsilon, per_budget)
         try:
             gap, half, used = seeker.run()
         except _STEP_ERRORS:

@@ -5,6 +5,7 @@ breaks one shows here.
 """
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -40,3 +41,14 @@ def test_script_runs(name, run, capsys):
         assert lines[0] == "contact: probe (0.0, 0.0, 0.0), epsilon 0.3, seed 42"
         assert lines[3].startswith("  budget    20000: kind=full_dimensional ")
         assert lines[4].startswith("  surrounding line of z: fraction reached ")
+
+
+def test_cli_outputs_script_records_every_run(tmp_path):
+    out = tmp_path / "outputs.json"
+    assert _script("cli_outputs").main([str(out)]) == 0
+    records = json.loads(out.read_text(encoding="utf-8"))
+    assert len(records) == 17
+    assert all(r["exit"] == 0 and r["stderr"] == "" and r["stdout"] for r in records)
+    with_csv = [r["command"][:2] for r in records if r["csv"] is not None]
+    assert len(with_csv) == 6 and all(c[0] in ("factor2", "factor-global")
+                                      for c in with_csv)
