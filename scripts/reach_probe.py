@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reachability experiment on a catalog entry with budget-doubling trends.
 
-Explores null curves from the entry's probe point at several budgets,
+Explores null curves from the center of the entry's box at several budgets,
 reporting the dimension verdict at each, and (optionally) scans the
 surrounding line of a freed variable.  Persistent gaps under doubling
 budgets are the empirical signature of unreachability.
@@ -32,9 +32,9 @@ def main(argv=None):
     psi_fn = e.psi0_fn()
     budgets = [args.budget // (2 ** k) for k in range(args.doublings, 0, -1)]
     budgets.append(args.budget)
-    print(f"{e.name}: probe {e.probe}, epsilon {args.epsilon}, seed {args.seed}")
+    print(f"{e.name}: probe {e.box.center}, epsilon {args.epsilon}, seed {args.seed}")
     for budget in budgets:
-        sample = explore(e.form, e.probe, args.epsilon, budget, args.seed)
+        sample = explore(e.form, e.box.center, args.epsilon, budget, args.seed)
         verdict = estimate_dimension(sample, args.threshold, psi_reference=psi_fn)
         spectrum = ", ".join(f"{s:.4f}" for s in verdict.spectrum)
         print(f"  budget {budget:>8}: kind={verdict.kind:<22} "
@@ -42,7 +42,7 @@ def main(argv=None):
               f"thickness={verdict.thickness:.3e} spectrum=[{spectrum}]")
     if args.free_var:
         idx = e.var_names.index(args.free_var)
-        scan = surrounding_line_scan(e.form, e.probe, idx, args.epsilon,
+        scan = surrounding_line_scan(e.form, e.box.center, idx, args.epsilon,
                                      args.budget)
         print(f"  surrounding line of {args.free_var}: fraction reached "
               f"{scan.fraction_reached:.4f} (gap tolerance {scan.gap_tolerance:.2e})")

@@ -24,15 +24,10 @@ class CatalogEntry:
     note: str
     psi0_text: str = None
     mu0_text: str = None
-    probe_point: tuple = None  # defaults to the box center
 
     @cached_property
     def form(self) -> PfaffianForm:
         return make_form(self.var_names, self.coefficient_texts, self.box)
-
-    @property
-    def probe(self):
-        return self.probe_point if self.probe_point is not None else self.box.center
 
     def psi0_fn(self):
         return self._reference_fn(self.psi0_text)

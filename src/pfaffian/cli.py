@@ -281,9 +281,10 @@ def _cmd_foliate(args):
         start = [0.0, 0.0]
         start[tv.fixed_axis] = tv.value
         start[vary] = s
-        back, ahead = (solve_characteristic(form, tuple(start), direction,
-                                            kernels=kernels).points
-                       for direction in (-1, 1))
+        back, ahead = [], []
+        for direction, pts in ((-1, back), (1, ahead)):
+            solve_characteristic(form, tuple(start), direction, None, 1e-9,
+                                 1e-12, kernels, pts)
         merged = back[::-1] + ahead[1:]
         t = 0.0
         for prev, p in zip([merged[0]] + merged, merged):
@@ -461,9 +462,6 @@ def main(argv=None) -> int:
     except PfaffianError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 1
-
-
-run_command = main
 
 
 if __name__ == "__main__":

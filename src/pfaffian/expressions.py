@@ -74,7 +74,6 @@ __all__ = [
     "compile_tuple",
     "call_checked",
     "python_source",
-    "kernel_namespace",
     "exec_source",
 ]
 
@@ -744,7 +743,7 @@ def _shared_source(exprs, names):
 def python_source(e: Expression, names) -> str:
     """Python expression text of ``e`` with ``Var(i)`` spelled ``names[i]``.
 
-    Run in a :func:`kernel_namespace`, the text performs exactly the float
+    Run by :func:`exec_source`, the text performs exactly the float
     operations of :func:`compile_scalar`, so code generated around it (for
     example one expression inlined at several points) stays bit-identical.
     Repeated subtrees are bound to locals named ``_cse<k>``, which the
@@ -753,20 +752,15 @@ def python_source(e: Expression, names) -> str:
     return _shared_source([e], names)[0]
 
 
-def kernel_namespace() -> dict:
-    """Fresh globals for executing text from :func:`python_source`."""
-    return dict(_KERNEL_GLOBALS)
-
-
 def exec_source(source: str, label: str, **extra) -> dict:
-    """Run generated ``source`` in a :func:`kernel_namespace` plus ``extra``.
+    """Run generated ``source`` in fresh globals: the names the text of
+    :func:`python_source` needs, plus ``extra``.
 
     Returns the namespace, from which the caller takes the functions the
     source defines.  ``label`` names the code in tracebacks
     (``<pfaffian-label>``).  The one place generated code is executed.
     """
-    namespace = kernel_namespace()
-    namespace.update(extra)
+    namespace = {**_KERNEL_GLOBALS, **extra}
     exec(  # noqa: S102 - source is generated from our own AST
         compile(source, f"<pfaffian-{label}>", "exec"), namespace
     )

@@ -35,6 +35,7 @@ METHOD_TWO_VAR = "two_var_characteristic"
 METHOD_GLOBAL = "global_base_fiber"
 
 _SWAP_HYSTERESIS = 2.0
+MAX_STEPS = 100000  # attempt budget of a solve, and step budget of a characteristic
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,6 @@ def _larger_index(v0, v1):
     return 0 if v0 >= v1 or v0 != v0 else 1
 
 
-@dataclass
-class CharacteristicCurve:
-    """A traced characteristic: ``points`` is a list of tuples of Python
-    floats, from the start point along the direction of travel."""
-
-    points: list
-    label: float = None  # varying-axis coordinate at the transversal crossing
-    status: str = "boundary"  # 'transversal' | 'boundary' | 'singular' | 'max_steps'
-    truncated: bool = False
-
-
 def _tangent(fvals):
     return (fvals[1], -fvals[0])
 
@@ -157,9 +147,9 @@ def _characteristic_kernel(form: PfaffianForm, b: int):
 class CharacteristicKernels(dict):
     """Characteristic ODE kernels of one two-variable form, by solved axis.
 
-    Each kernel is generated on first use; share one instance between the
-    :func:`solve_characteristic` calls on a form so that none is built per
-    curve.
+    Each kernel is generated on first use.  Every :func:`solve_characteristic`
+    call takes one, so that one instance is shared between the calls on a
+    form and none is built per curve.
     """
 
     def __init__(self, form: PfaffianForm):
@@ -171,43 +161,29 @@ class CharacteristicKernels(dict):
         return kernel
 
 
-def solve_characteristic(form: PfaffianForm, start, direction: int = 1,
-                         transversal: TransversalSpec = None,
-                         rtol: float = 1e-9, atol: float = 1e-12,
-                         kernels: CharacteristicKernels = None
-                         ) -> CharacteristicCurve:
-    """Trace the characteristic of a two-variable form through ``start``.
-
-    Integrates the curve annihilating the form, parametrizing by whichever
-    variable currently gives the better-conditioned slope (swapping roles
-    with 2x hysteresis), until the domain boundary, the transversal, a
-    singular point of the form, or the budget of 100000 steps.  ``kernels``
-    are the generated right-hand sides to reuse, built for ``form``; by
-    default this call builds its own.
-    """
-    pts = []
-    status, label, truncated = _trace_characteristic(
-        form, start, direction, transversal, rtol, atol, kernels=kernels,
-        pts=pts)
-    return CharacteristicCurve(pts, label=label, status=status,
-                               truncated=truncated)
-
-
-def _trace_characteristic(form, start, direction, transversal, rtol, atol,
-                          max_steps=100000, kernels=None, pts=None):
+def solve_characteristic(form: PfaffianForm, start, direction: int,
+                         transversal: TransversalSpec, rtol: float, atol: float,
+                         kernels: CharacteristicKernels, pts=None):
     """``(status, label, truncated)`` of the characteristic through ``start``.
 
-    The curve of :func:`solve_characteristic`, at most ``max_steps`` steps
-    long; its points are appended to the list ``pts`` when one is given.
+    Integrates the curve annihilating a two-variable form, parametrizing by
+    whichever variable currently gives the better-conditioned slope
+    (swapping roles with 2x hysteresis), until the domain boundary, the
+    ``transversal`` (None for none), a singular point of the form, or the
+    budget of ``MAX_STEPS`` steps.  ``status`` is "transversal", "boundary",
+    "singular" or "max_steps"; ``label`` is the varying-axis coordinate of
+    the transversal crossing, else None.  ``kernels`` are the generated
+    right-hand sides, built for ``form``.  The points of the curve, tuples of
+    Python floats from ``start`` along the direction of travel, are appended
+    to the list ``pts`` when one is given.
+
     The direction of travel is set once, by the tangent of F at the start
     oriented by ``direction``; at a swap of the solved axis it carries over
     as the sign of the slope the step loop computed at the swap point.
     """
     if form.n != 2:
         raise ArityError("characteristics require a two-variable form")
-    if kernels is None:
-        kernels = CharacteristicKernels(form)
-    elif kernels.form is not form:
+    if kernels.form is not form:
         raise AnalysisError("kernels were built for another form")
     box = form.domain
     if not box.contains(start, tol=1e-12):
@@ -239,7 +215,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
     level = transversal.value if transversal is not None else None
 
     while True:
-        if steps_used >= max_steps:
+        if steps_used >= MAX_STEPS:
             return "max_steps", None, True
         b = dependent
         a = 1 - b
@@ -263,7 +239,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
             f0 = kernel.rhs(t, y)
         except (ValueError, ZeroDivisionError, OverflowError):
             return "singular", None, True
-        budget, accepted, rejected = max_steps - steps_used, 0, 0
+        budget, accepted, rejected = MAX_STEPS - steps_used, 0, 0
 
         while True:
             prev_t, prev_y, prev_f0 = t, y, f0
@@ -285,7 +261,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
                     g0, g1 = prev_y[0] - bound, y[0] - bound
                     if g0 * g1 < 0:
                         probe = _step_probe(advance, prev_t, prev_y, prev_f0, t,
-                                            y, sign_a, rtol, atol, max_steps)
+                                            y, sign_a, rtol, atol)
                         lam = _locate(probe, bound)
                         crossed = (prev_t + lam * (t - prev_t), probe(lam),
                                    "boundary")
@@ -297,7 +273,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
                     g1 = y[0] - level
                     if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
                         probe = _step_probe(advance, prev_t, prev_y, prev_f0, t,
-                                            y, sign_a, rtol, atol, max_steps)
+                                            y, sign_a, rtol, atol)
                         lam = _locate(probe, level)
                         t_cross = prev_t + lam * (t - prev_t)
                         if transversal.on_span(t_cross):
@@ -342,7 +318,7 @@ def _trace_characteristic(form, start, direction, transversal, rtol, atol,
                 sign_a = sign_a if f0[0] > 0 else -sign_a
                 break  # re-setup with swapped roles
 
-            if steps_used >= max_steps:
+            if steps_used >= MAX_STEPS:
                 return "max_steps", None, True
 
 
@@ -350,13 +326,13 @@ class _ProbeFailed(Exception):
     """Raised by a step probe whose solve ends with a status other than "ok"."""
 
 
-def _step_probe(advance, t0, y0, f0, t1, y1, direction, rtol, atol, max_steps):
+def _step_probe(advance, t0, y0, f0, t1, y1, direction, rtol, atol):
     """``probe(lam)``: the state at ``t0 + lam * (t1 - t0)`` inside an accepted step.
 
     The step went from ``(t0, y0)``, where the slope is ``f0``, to ``(t1,
     y1)`` in the sign of ``direction``.  A probe is one whole solve of the
     step loop ``advance`` that took the step, with the step's tolerances and
-    at most ``max_steps`` attempts, from the step start to the probed time,
+    at most ``MAX_STEPS`` attempts, from the step start to the probed time,
     and its first step spans that whole interval: an accepted attempt costs
     six right-hand-side calls.  ``lam`` 0 and 1 return ``y0`` and ``y1``
     themselves.  A solve ending with another status than "ok" raises
@@ -370,7 +346,7 @@ def _step_probe(advance, t0, y0, f0, t1, y1, direction, rtol, atol, max_steps):
             return y1
         t_end = t0 + lam * (t1 - t0)
         status, _, y, *_ = advance(t0, y0, f0, abs(t_end - t0), t_end, direction,
-                                   rtol, atol, max_steps, 0, 0, True)
+                                   rtol, atol, MAX_STEPS, 0, 0, True)
         if status != "ok":
             raise _ProbeFailed(status)
         return y
@@ -561,8 +537,8 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
             tau_a = 0.0
         first = 1 if towards * tau_a >= 0 else -1
         for direction in (first, -first):
-            status, label, _ = _trace_characteristic(
-                form, key, direction, tv, 1e-11, 1e-13, kernels=kernels)
+            status, label, _ = solve_characteristic(
+                form, key, direction, tv, 1e-11, 1e-13, kernels)
             if status == "transversal":
                 cache[key] = label
                 return label
@@ -732,14 +708,14 @@ def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol):
     """One whole solve from ``(t0, y0)`` to ``t1``: one call of ``kernel.advance``.
 
     Returns ``(status, y, accepted, rejected)``: the status of the solve
-    ("ok", "box_exit", "step_rejection" or "max_steps" after 100000
+    ("ok", "box_exit", "step_rejection" or "max_steps" after ``MAX_STEPS``
     attempts), its last accepted state and its attempt counts.  The
     right-hand side at the start may raise ValueError, ZeroDivisionError or
     OverflowError.
     """
     status, _, y, _, _, accepted, rejected = kernel.advance(
         t0, y0, kernel.rhs(t0, y0, *params), 0.0, t1,
-        1.0 if t1 > t0 else -1.0, rtol, atol, 100000, 0, 0, True, *params)
+        1.0 if t1 > t0 else -1.0, rtol, atol, MAX_STEPS, 0, 0, True, *params)
     return status, y, accepted, rejected
 
 

@@ -71,9 +71,9 @@ class Box:
     def edges(self):
         return tuple(hi - lo for lo, hi in zip(self.lows, self.highs))
 
-    def samples(self, count: int, margin: float = 0.0) -> list:
+    def samples(self, count: int) -> list:
         """``count`` Halton points of the box, as tuples of Python floats."""
-        return box_samples(self.lows, self.highs, count, margin)
+        return box_samples(self.lows, self.highs, count)
 
     def corners(self) -> list:
         """The 2^dim corners, as tuples of Python floats."""
@@ -252,9 +252,11 @@ def coefficient_vector(form: PfaffianForm, p):
     return ex.call_checked(form.coefficient_tuple_fn, p, form.n)
 
 
-def is_singular_at(form: PfaffianForm, p, tol=DEFAULT_SINGULAR_TOL) -> bool:
+def is_singular_at(form: PfaffianForm, p) -> bool:
+    """Whether every coefficient at ``p`` is at most ``DEFAULT_SINGULAR_TOL``
+    in size."""
     values = coefficient_vector(form, p)
-    return max(abs(v) for v in values) <= tol
+    return max(abs(v) for v in values) <= DEFAULT_SINGULAR_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
     return OdeKernel(namespace["rhs"], namespace["advance"])
 
 
-def bisect_root(fn, lo, hi, xtol=1e-13, max_iter=200):
+def bisect_root(fn, lo, hi, xtol=1e-13):
     """Root of a scalar function on a bracketing interval ``[lo, hi]``.
 
     The Illinois variant of regula falsi (Dowell & Jarratt, *BIT* 11,
@@ -257,7 +257,7 @@ def bisect_root(fn, lo, hi, xtol=1e-13, max_iter=200):
 
     Returns a probe whose value is exactly zero, an end whose value is
     zero, or ``0.5 * (lo + hi)`` once ``hi - lo <= xtol`` or after
-    ``max_iter`` probes.  Raises AnalysisError when ``fn(lo)`` and
+    200 probes.  Raises AnalysisError when ``fn(lo)`` and
     ``fn(hi)`` have the same sign.
     """
     flo, fhi = fn(lo), fn(hi)
@@ -269,7 +269,7 @@ def bisect_root(fn, lo, hi, xtol=1e-13, max_iter=200):
         raise AnalysisError(f"root not bracketed on [{lo}, {hi}]")
     lo_negative = flo < 0.0
     kept = 0  # probes in a row that hi (> 0) or lo (< 0) survived
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= xtol:
             break
         cand = lo - flo * (hi - lo) / (fhi - flo)

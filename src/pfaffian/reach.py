@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expressions as ex
 from .errors import AnalysisError, ArityError
@@ -173,9 +173,8 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
     that stage-by-stage form as the reference the loop must match bit for
     bit.
 
-    ``kind`` "segment" gives ``segment(x, fx, vfree, dt, m, pts)`` for
-    :func:`explore`: ``value`` is the largest step residual (from 0.0), and
-    each state inside is appended to the list ``pts`` unless it is None.
+    ``kind`` "segment" gives ``segment(x, fx, vfree, dt, m)`` for
+    :func:`explore`: ``value`` is the largest step residual (from 0.0).
     ``kind`` "leg" gives ``leg(x, fx, vfree, dt, m, target, best)`` for the
     surrounding-line scan: ``value`` is the smallest of ``best`` and the
     distances (``forms.distance``) of the states inside to ``target``.
@@ -193,7 +192,7 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
     dist2 = ex.python_sum(f"(X{i} - {lit(c)}) ** 2" for i, c in enumerate(center))
     near = f"{dist2} <= {lit(limit)}" if squared else f"_sqrt({dist2}) <= {lit(limit)}"
     if segment:
-        lines = ["def segment(x, fx, vfree, dt, m, pts):", "    rmax = 0.0"]
+        lines = ["def segment(x, fx, vfree, dt, m):", "    rmax = 0.0"]
     else:
         lines = [
             "def leg(x, fx, vfree, dt, m, target, best):",
@@ -218,12 +217,7 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
         f"{ex.python_tuple(f'X{i}' for i in range(n))}, "
         f"{ex.python_tuple(f'e{i}' for i in range(n))}",
     ])
-    if segment:
-        lines.extend([
-            "        if pts is not None:",
-            f"            pts.append(({xs}))",
-        ])
-    else:
+    if not segment:
         gap = ex.python_sum(f"(x{i} - t{i}) ** 2" for i in range(n))
         lines.extend([
             f"        dist = _sqrt({gap})",
@@ -242,14 +236,11 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
 
 
 @dataclass
-class NullCurve:
-    params: object  # numpy array of cumulative arc lengths
-    points: object  # numpy array, m x n
-    max_residual: float
-
-
-@dataclass
 class ReachSample:
+    """The endpoint cloud of :func:`explore`: ``endpoints[i]`` was reached
+    after ``step_counts[i]`` steps of its rollout, and ``max_residual`` is the
+    largest step residual of all rollouts."""
+
     base: tuple
     epsilon: float
     endpoints: list
@@ -258,7 +249,6 @@ class ReachSample:
     budget: int
     budget_used: int
     max_residual: float = 0.0
-    curves: list = field(default_factory=list)
 
     def as_report(self):
         """The head of the ``reach`` report; the endpoints and their step
@@ -309,8 +299,7 @@ def _check_radius(epsilon):
                             f"got {epsilon!r}")
 
 
-def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
-            singular_tol=DEFAULT_SINGULAR_TOL) -> ReachSample:
+def explore(form: PfaffianForm, p, epsilon, budget, seed) -> ReachSample:
     """Grow piecewise null curves from p with random free-velocity segments.
 
     Deterministic for a given seed: each rollout draws from its own
@@ -322,8 +311,9 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
     bisection) and the rollout restarts from p.  Exploration
     ends when the step budget is used up, or after ``MAX_SEGMENTS``
     rollouts in a row that took no step (every first step from p failed),
-    which would otherwise repeat without end.  ``singular_tol`` is the size
-    the solved coefficient must exceed.
+    which would otherwise repeat without end.  The solved coefficient must
+    exceed ``DEFAULT_SINGULAR_TOL`` in size.  Only the endpoints are kept,
+    not the curves between them.
     """
     import numpy as np
 
@@ -334,17 +324,16 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
     if not form.domain.contains(p, tol=1e-12):
         raise AnalysisError("base point outside domain")
     coeffs = form.coefficient_tuple_fn
-    if is_singular_at(form, p, singular_tol):
+    if is_singular_at(form, p):
         raise AnalysisError("base point is singular for the form")
 
     n = form.n
     ball = (form.domain, p, epsilon * epsilon, True)
     segments = functools.cache(
-        lambda k: _compile_loop(form, k, singular_tol, *ball, "segment"))
+        lambda k: _compile_loop(form, k, DEFAULT_SINGULAR_TOL, *ball, "segment"))
     dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
     endpoints = [p]
     step_counts = [0]
-    curves = []
     used = 0
     max_resid = 0.0
     rollout = 0
@@ -358,13 +347,11 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
         x = p
         f_x = coeffs(*x)
         rollout_steps = 0
-        curve_pts = [x] if keep_curves else None
-        curve_resid = 0.0
         for row in directions:
             if used >= budget:
                 break
             k = max(range(n), key=lambda i: abs(f_x[i]))
-            if abs(f_x[k]) <= singular_tol:
+            if abs(f_x[k]) <= DEFAULT_SINGULAR_TOL:
                 break
             # the norm np.linalg.norm computes for a 1-D row
             norm = math.sqrt(row.dot(row))
@@ -374,17 +361,13 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
             # the budget may end the segment early, and then the rollout
             m = min(STEPS_PER_SEGMENT, budget - used)
             segment = segments(k)
-            status, taken, resid, x_in, f_in = segment(
-                x, f_x, vfree, dt, m, curve_pts)
+            status, taken, resid, x_in, f_in = segment(x, f_x, vfree, dt, m)
             used += taken
             rollout_steps += taken
-            if resid > curve_resid:
-                curve_resid = resid
             if resid > max_resid:
                 max_resid = resid
             if status == EXIT:
-                crossing = _bisect_step_fraction(segment, x_in, f_in, vfree,
-                                                 dt, None)
+                crossing = _bisect_step_fraction(segment, x_in, f_in, vfree, dt)
                 if crossing is None:
                     break
                 fraction, x_cross, _ = crossing
@@ -393,8 +376,6 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
                 if fraction > 0.0 or form.domain.contains(x_cross):
                     endpoints.append(x_cross)
                     step_counts.append(rollout_steps)
-                    if keep_curves:
-                        curve_pts.append(x_cross)
                 break
             if status == LOST or taken < STEPS_PER_SEGMENT:
                 break
@@ -403,13 +384,8 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed, keep_curves=False,
             endpoints.append(x)
             step_counts.append(rollout_steps)
         idle = 0 if rollout_steps else idle + 1
-        if keep_curves and len(curve_pts) > 1:
-            arr = np.asarray(curve_pts)
-            seg_len = np.linalg.norm(np.diff(arr, axis=0), axis=1)
-            params = np.concatenate([[0.0], np.cumsum(seg_len)])
-            curves.append(NullCurve(params, arr, curve_resid))
     return ReachSample(p, float(epsilon), endpoints, step_counts, int(seed),
-                       int(budget), used, max_resid, curves)
+                       int(budget), used, max_resid)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +512,8 @@ class ScanReport:
         }
 
 
-def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
-                          singular_tol=DEFAULT_SINGULAR_TOL) -> ScanReport:
+def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon,
+                          budget) -> ScanReport:
     """Probe reachability of targets on the line freeing one coordinate.
 
     Places 32 evenly spaced targets with |offset| <= epsilon along the free
@@ -547,8 +523,8 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
     directions move the pivot coordinate by their enclosed area.  On integrable forms such loops return to the
     starting level, so blocked targets keep honest gaps; budget-halving
     checkpoints record whether gaps persist as effort grows.  A target
-    counts as reached when its gap is at most 0.01 epsilon.
-    ``singular_tol`` is the size the solved coefficient must exceed.
+    counts as reached when its gap is at most 0.01 epsilon.  The solved
+    coefficient must exceed ``DEFAULT_SINGULAR_TOL`` in size.
     """
     if not 0 <= free_index < form.n:
         raise ArityError("free variable index out of range")
@@ -558,14 +534,14 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon, budget,
     per_budget = max(1, budget // 32)
     ball = (form.domain, p, epsilon * (1 + 1e-12), False)
     legs = functools.cache(
-        lambda k: _compile_loop(form, k, singular_tol, *ball, "leg"))
+        lambda k: _compile_loop(form, k, DEFAULT_SINGULAR_TOL, *ball, "leg"))
     gaps = []
     halves = []
     used_total = 0
     for off in offsets:
         q = list(p)
         q[free_index] += off
-        gap, gap_half, used = _seek_target(form, legs, singular_tol, p,
+        gap, gap_half, used = _seek_target(form, legs, DEFAULT_SINGULAR_TOL, p,
                                            tuple(q), epsilon, per_budget)
         gaps.append(gap)
         halves.append(gap_half)

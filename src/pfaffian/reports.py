@@ -48,7 +48,9 @@ def _emit(obj, out, level):
             out.write(",\n" if idx < len(obj) - 1 else "\n")
         out.write(pad + "}")
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
+        # numpy scalars become Python ones before the layout is chosen
+        seq = [v.item() if np is not None and isinstance(v, np.generic) else v
+               for v in obj]
         if not seq:
             out.write("[]")
             return

@@ -34,28 +34,26 @@ def linspace(start, stop, num: int) -> list:
     return [i * step + start for i in range(div)] + [stop]
 
 
-def halton(count: int, dims: int, start: int = 1) -> tuple:
-    """First ``count`` Halton points in [0,1)^dims, indices starting at ``start``.
+def halton(count: int, dims: int) -> tuple:
+    """First ``count`` Halton points in [0,1)^dims, indices starting at 1.
 
     A tuple of points, each a tuple of Python floats.  The table is computed
-    once per ``(count, dims, start)`` and shared between callers.
+    once per ``(count, dims)`` and shared between callers.
     """
     if dims > MAX_VARIABLES:
         raise ValueError(f"halton supports up to {MAX_VARIABLES} dimensions")
-    return _halton_table(int(count), int(dims), int(start))
+    return _halton_table(int(count), int(dims))
 
 
 @functools.lru_cache(maxsize=32)
-def _halton_table(count, dims, start):
-    return tuple(tuple(radical_inverse(_PRIMES[d], start + i) for d in range(dims))
+def _halton_table(count, dims):
+    return tuple(tuple(radical_inverse(_PRIMES[d], 1 + i) for d in range(dims))
                  for i in range(count))
 
 
-def box_samples(lows, highs, count: int, margin: float = 0.0) -> list:
-    """Halton points mapped into the box, optionally inset by a relative margin."""
+def box_samples(lows, highs, count: int) -> list:
+    """Halton points mapped into the box."""
     units = halton(count, len(lows))
-    if margin:
-        units = [[margin + (1.0 - 2.0 * margin) * v for v in u] for u in units]
     return [tuple(lo + v * (hi - lo) for v, lo, hi in zip(u, lows, highs))
             for u in units]
 

@@ -8,6 +8,7 @@ from oracle import _ref_simplify
 from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError, ParseError
 from pfaffian.forms import Box, form_from_expressions
+from pfaffian.sampling import halton
 
 
 def monomials_up_to(n_vars, degree):
@@ -98,6 +99,14 @@ def random_points(rng, box, count):
     lows = np.asarray(box.lows)
     highs = np.asarray(box.highs)
     return lows + rng.random((count, len(lows))) * (highs - lows)
+
+
+def inset_samples(box, count, margin):
+    """``count`` Halton points of ``box`` inset by ``margin`` of each edge on
+    both sides: a unit point ``u`` goes to ``margin + (1 - 2 margin) u``."""
+    return [tuple(lo + (margin + (1.0 - 2.0 * margin) * v) * (hi - lo)
+                  for v, lo, hi in zip(u, box.lows, box.highs))
+            for u in halton(count, box.dim)]
 
 
 def fold(terms):

@@ -16,6 +16,7 @@ from pfaffian import expressions as ex
 from pfaffian.catalog import catalog, entry
 from pfaffian.errors import AnalysisError
 from pfaffian.factor import (
+    CharacteristicKernels,
     SurfaceField,
     build_potential_2var,
     global_factorization,
@@ -106,6 +107,7 @@ def test_criterion_3_contact_witness():
 def test_criterion_4_two_variable_construction():
     gas = entry("ideal_gas_heat").form
     result = build_potential_2var(gas, grid_per_axis=17)
+    kernels = CharacteristicKernels(gas)
     rng = np.random.default_rng(404)
     pairs = 0
     level_dev = 0.0
@@ -116,10 +118,11 @@ def test_criterion_4_two_variable_construction():
             psi_p = result.psi(p)
         except AnalysisError:
             continue
-        curve = solve_characteristic(gas, p, 1, rtol=1e-11, atol=1e-13)
-        if len(curve.points) < 5:
+        points = []
+        solve_characteristic(gas, p, 1, None, 1e-11, 1e-13, kernels, points)
+        if len(points) < 5:
             continue
-        q = tuple(curve.points[len(curve.points) // 2])
+        q = tuple(points[len(points) // 2])
         try:
             psi_q = result.psi(q)
         except AnalysisError:
@@ -180,7 +183,7 @@ def _probe_catalog(seed=42, epsilon=0.3, budget=200000, threshold=0.05):
     reports = {}
     outcome = {}
     for e in catalog():
-        sample = explore(e.form, e.probe, epsilon, budget, seed)
+        sample = explore(e.form, e.box.center, epsilon, budget, seed)
         psi_fn = e.psi0_fn()
         verdict = estimate_dimension(sample, threshold, psi_reference=psi_fn)
         reports[e.name] = json_text({
@@ -203,7 +206,7 @@ def _scan_cases(epsilon=0.3, budget=200000):
     for name, (var, _) in cases.items():
         e = entry(name)
         idx = e.var_names.index(var)
-        scan = surrounding_line_scan(e.form, e.probe, idx, epsilon, budget)
+        scan = surrounding_line_scan(e.form, e.box.center, idx, epsilon, budget)
         reports[name] = json_text(scan.as_report())
         fractions[name] = scan.fraction_reached
     return reports, fractions

@@ -8,11 +8,11 @@ import warnings
 
 import pytest
 
-from conftest import DEEP_SHAPES, PROBE_CASES, deepest_accepted
+from conftest import DEEP_SHAPES, PROBE_CASES, deepest_accepted, inset_samples
 from pfaffian import cli
 from pfaffian import expressions as ex
 from pfaffian.catalog import catalog, entry
-from pfaffian.cli import main, run_command
+from pfaffian.cli import main
 from pfaffian.factor import (
     FactorizationResult,
     staircase_defect,
@@ -57,8 +57,8 @@ def test_catalog_probe_points_not_singular():
     from pfaffian.forms import is_singular_at
 
     for e in catalog():
-        assert e.form.domain.contains(e.probe)
-        assert not is_singular_at(e.form, e.probe)
+        assert e.form.domain.contains(e.box.center)
+        assert not is_singular_at(e.form, e.box.center)
 
 
 def test_catalog_references_verify_tightly():
@@ -69,7 +69,7 @@ def test_catalog_references_verify_tightly():
         result = FactorizationResult(
             psi=psi0, mu=mu0, method="reference"
         )
-        samples = e.form.domain.samples(64, margin=0.05)
+        samples = inset_samples(e.form.domain, 64, 0.05)
         stats = verify_factorization(e.form, result, samples)
         assert stats.residual_max <= 1e-8, e.name
 
@@ -97,7 +97,7 @@ def gas_file(tmp_path):
 
 
 def test_cli_check_reports_class(contact_file, capsys):
-    assert run_command(["check", str(contact_file), "--tol", "1e-8"]) == 0
+    assert main(["check", str(contact_file), "--tol", "1e-8"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["class"] == "non_integrable"
     assert report["witness"]["triple"] == [1, 2, 3]

@@ -2,11 +2,18 @@ import collections
 import functools
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import dopri5_start, dopri5_step, entropy, secant_bisect_root
+from conftest import (
+    dopri5_start,
+    dopri5_step,
+    entropy,
+    inset_samples,
+    secant_bisect_root,
+)
 from pfaffian import expressions as ex
 from pfaffian import factor, ode, sampling
 from pfaffian.catalog import entry
@@ -20,7 +27,6 @@ from pfaffian.factor import (
     TransversalSpec,
     _SWAP_HYSTERESIS,
     _step_probe,
-    _trace_characteristic,
     _unit_tangent,
     auto_transversal,
     build_potential_2var,
@@ -43,9 +49,20 @@ CONTACT = make_form(["x", "y", "z"], ["-y", "0", "1"], Box((-1,) * 3, (1,) * 3))
 # --- characteristics -----------------------------------------------------------
 
 
+def _curve(form, start, direction, transversal=None, rtol=1e-9, atol=1e-12):
+    """The characteristic through ``start``: its status, label, truncation
+    and points, by default at the tolerances ``foliate`` traces with."""
+    points = []
+    status, label, truncated = solve_characteristic(
+        form, start, direction, transversal, rtol, atol,
+        CharacteristicKernels(form), points)
+    return SimpleNamespace(status=status, label=label, truncated=truncated,
+                           points=points)
+
+
 def test_characteristic_conserves_product():
     f = make_form(["x", "y"], ["y", "x"], Box((0.5, 0.5), (2, 2)))
-    curve = solve_characteristic(f, (1.0, 1.0), 1)
+    curve = _curve(f, (1.0, 1.0), 1)
     assert len(curve.points) > 3
     dev = max(abs(p[0] * p[1] - 1.0) for p in curve.points)
     assert dev <= 1e-8
@@ -55,7 +72,7 @@ def test_characteristic_conserves_product():
 def test_characteristic_vertical_field():
     # F = (1, 0): the annihilating curves are the lines x = const
     f = make_form(["x", "y"], ["1", "0"], Box((-1, -1), (1, 1)))
-    curve = solve_characteristic(f, (0.25, 0.0), 1)
+    curve = _curve(f, (0.25, 0.0), 1)
     assert curve.status == "boundary"
     assert max(abs(p[0] - 0.25) for p in curve.points) <= 1e-10
     assert abs(abs(curve.points[-1][1]) - 1.0) <= 1e-9
@@ -63,7 +80,7 @@ def test_characteristic_vertical_field():
 
 def test_characteristic_zero_length_on_transversal():
     tv = TransversalSpec(fixed_axis=0, value=1.5)
-    curve = solve_characteristic(IDEAL_GAS, (1.5, 1.25), 1, transversal=tv)
+    curve = _curve(IDEAL_GAS, (1.5, 1.25), 1, tv)
     assert curve.status == "transversal"
     assert curve.label == 1.25
     assert len(curve.points) == 1
@@ -72,7 +89,7 @@ def test_characteristic_zero_length_on_transversal():
 def test_characteristic_line_integral_small():
     # discrete pairing of the form with each step stays at integrator scale
     f = make_form(["x", "y"], ["y", "x"], Box((0.5, 0.5), (2, 2)))
-    curve = solve_characteristic(f, (1.0, 1.2), -1, rtol=1e-9, atol=1e-12)
+    curve = _curve(f, (1.0, 1.2), -1, rtol=1e-9, atol=1e-12)
     fns = [ex.compile_scalar(c, f.n) for c in f.coefficients]
     worst = 0.0
     for p, q in zip(curve.points, curve.points[1:]):
@@ -87,7 +104,7 @@ def test_characteristic_line_integral_small():
 def test_characteristic_singular_truncation():
     # y dx + x dy with a characteristic running into the singular origin
     f = make_form(["x", "y"], ["y", "x"], Box((-1, -1), (1, 1)))
-    curve = solve_characteristic(f, (0.5, 0.0), 1)
+    curve = _curve(f, (0.5, 0.0), 1)
     assert curve.status in ("boundary", "singular")
 
 
@@ -214,7 +231,7 @@ def test_gas_potential_levels_match_entropy(gas_result, rng):
             psi_p = gas_result.psi(p)
         except AnalysisError:
             continue
-        curve = solve_characteristic(IDEAL_GAS, p, 1, rtol=1e-11, atol=1e-13)
+        curve = _curve(IDEAL_GAS, p, 1, rtol=1e-11, atol=1e-13)
         if len(curve.points) < 5:
             continue
         q = tuple(curve.points[len(curve.points) // 2])
@@ -237,7 +254,7 @@ def test_gas_mu_proportional_to_temperature(gas_result):
     # along one level, mu/T is constant
     p = (1.5, 1.5)
     psi0 = gas_result.psi(p)
-    curve = solve_characteristic(IDEAL_GAS, p, 1, rtol=1e-11, atol=1e-13)
+    curve = _curve(IDEAL_GAS, p, 1, rtol=1e-11, atol=1e-13)
     q = tuple(curve.points[len(curve.points) // 2])
     assert abs(gas_result.psi(q) - psi0) <= 1e-8
     ratio_p = gas_result.mu(p) / p[0]
@@ -262,7 +279,7 @@ def test_ray_form_levels_match_ratio(rng):
     assert res.residual_max <= 1e-5
     for _ in range(10):
         p = tuple(rng.uniform(1.2, 1.8, size=2))
-        curve = solve_characteristic(f, p, 1, rtol=1e-11, atol=1e-13)
+        curve = _curve(f, p, 1, rtol=1e-11, atol=1e-13)
         q = tuple(curve.points[len(curve.points) // 2])
         if abs(res.psi(p) - res.psi(q)) <= 1e-6:
             assert p[0] / p[1] == pytest.approx(q[0] / q[1], abs=1e-5)
@@ -282,7 +299,7 @@ def _reference_result(form, psi_text, mu_text):
 
 def test_verify_reference_factorization_tight():
     res = _reference_result(SCALED, "x*y+z", "exp(z)")
-    samples = SCALED.domain.samples(64, margin=0.05)
+    samples = inset_samples(SCALED.domain, 64, 0.05)
     stats = verify_factorization(SCALED, res, samples)
     assert stats.residual_max <= 1e-8
     assert stats.skipped_points == 0
@@ -291,7 +308,7 @@ def test_verify_reference_factorization_tight():
 def test_verify_degenerate_candidate_rejected():
     res = FactorizationResult(psi=lambda p: 0.0, mu=lambda p: 1.0,
                               method="degenerate")
-    samples = SCALED.domain.samples(32, margin=0.05)
+    samples = inset_samples(SCALED.domain, 32, 0.05)
     stats = verify_factorization(SCALED, res, samples)
     assert stats.residual_max > 0.5  # of order max|F| after normalization
 
@@ -302,7 +319,7 @@ def test_verify_gauge_freedom():
         psi=lambda p: 2.0 * res1.psi(p), mu=lambda p: 0.5 * res1.mu(p),
         method="gauge",
     )
-    samples = SCALED.domain.samples(32, margin=0.05)
+    samples = inset_samples(SCALED.domain, 32, 0.05)
     s1 = verify_factorization(SCALED, res1, samples)
     s2 = verify_factorization(SCALED, res2, samples)
     assert s1.residual_max == pytest.approx(s2.residual_max, rel=1e-6, abs=1e-12)
@@ -475,22 +492,17 @@ def test_psi_constant_on_explored_null_curves(scaled_global):
     # curves annihilating the form stay on one recovered level
     from pfaffian.reach import explore
 
-    sample = explore(SCALED, (0.0, 0.0, 0.0), 0.25, 4000, 13, keep_curves=True)
-    assert sample.curves
+    sample = explore(SCALED, (0.0, 0.0, 0.0), 0.25, 4000, 13)
+    # every endpoint lies on a null curve from the base
+    base_level = scaled_global.psi(sample.base)
     checked = 0
-    for curve in sample.curves[:4]:
-        pts = curve.points[:: max(1, len(curve.points) // 8)]
+    for p in sample.endpoints[1:]:
         try:
-            base_level = scaled_global.psi(tuple(pts[0]))
+            level = scaled_global.psi(p)
         except AnalysisError:
             continue
-        for p in pts[1:]:
-            try:
-                level = scaled_global.psi(tuple(p))
-            except AnalysisError:
-                continue
-            assert abs(level - base_level) <= 1e-5
-            checked += 1
+        assert abs(level - base_level) <= 1e-5
+        checked += 1
     assert checked >= 8
 
 
@@ -542,11 +554,12 @@ def test_label_only_trace_matches_solve_characteristic(rng):
         for _ in range(10):
             p = tuple(float(v) for v in rng.uniform(1.0, 2.0, size=2))
             for direction in (1, -1):
-                curve = solve_characteristic(IDEAL_GAS, p, direction, tv, rtol=1e-11,
-                                             atol=1e-13, kernels=kernels)
-                trace = _trace_characteristic(IDEAL_GAS, p, direction, tv, 1e-11,
-                                              1e-13, kernels=kernels)
-                assert trace == (curve.status, curve.label, curve.truncated)
+                pts = []
+                traced = solve_characteristic(IDEAL_GAS, p, direction, tv, 1e-11,
+                                              1e-13, kernels, pts)
+                label_only = solve_characteristic(IDEAL_GAS, p, direction, tv,
+                                                  1e-11, 1e-13, kernels)
+                assert label_only == traced and pts
 
 
 # --- the characteristic trace against the stepper-driven reference ---------------
@@ -711,8 +724,10 @@ def _assert_trace_matches(form, kernels, start, direction, tv, max_steps=100000,
                           rtol=1e-9, atol=1e-12, swaps=None):
     """The trace and the reference agree on status, label, truncation and points."""
     pts, ref_pts = [], []
-    trace = _trace_characteristic(form, start, direction, tv, rtol, atol, max_steps,
-                                  kernels, pts)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(factor, "MAX_STEPS", max_steps)
+        trace = solve_characteristic(form, start, direction, tv, rtol, atol,
+                                     kernels, pts)
     ref = _ref_trace(form, start, direction, tv, rtol, atol, max_steps, kernels,
                      ref_pts, [] if swaps is None else swaps)
     assert (trace[0], repr(trace[1]), trace[2]) == (ref[0], repr(ref[1]), ref[2])
@@ -793,8 +808,8 @@ def test_transversal_labels_lie_in_the_box_and_on_the_span(name):
     for spec in (tv, TransversalSpec(tv.fixed_axis, tv.value, span)):
         for p in grid:
             for direction in (1, -1):
-                status, label, _ = _trace_characteristic(
-                    form, p, direction, spec, 1e-11, 1e-13, kernels=kernels)
+                status, label, _ = solve_characteristic(
+                    form, p, direction, spec, 1e-11, 1e-13, kernels)
                 if status == "transversal":
                     assert lo <= label <= hi and spec.on_span(label), (p, direction)
                     labels += 1
@@ -808,7 +823,7 @@ def test_start_leaving_through_its_face_is_a_boundary_exit(name, start):
     # +1 direction moves it out: the curve ends there, unlabeled
     form = entry(name).form
     tv = auto_transversal(form)
-    curve = solve_characteristic(form, start, 1, tv, rtol=1e-11, atol=1e-13)
+    curve = _curve(form, start, 1, tv, rtol=1e-11, atol=1e-13)
     assert (curve.status, curve.label) == ("boundary", None)
     assert all(form.domain.contains(p) for p in curve.points)
 
@@ -823,8 +838,8 @@ def test_product_exact_labels_are_true_crossings():
     for p in sampling.box_grid(form.domain.lows, form.domain.highs, 9):
         p = tuple(float(v) for v in p)
         for direction in (1, -1):
-            status, label, _ = _trace_characteristic(
-                form, p, direction, tv, 1e-11, 1e-13, kernels=kernels)
+            status, label, _ = solve_characteristic(
+                form, p, direction, tv, 1e-11, 1e-13, kernels)
             if status == "transversal":
                 assert abs(label - p[0] * p[1] / tv.value) <= 1e-9, (p, direction)
                 labels += 1
@@ -837,8 +852,8 @@ def test_crossing_at_the_end_of_a_step_is_bracketed():
     # bracketed on [0.0, 1.0]"
     start = (1.0118216247002567, 1.4504636963259352)
     value = 1.1358362438707759
-    curve = solve_characteristic(entry("product_exact").form, start, 1,
-                                 TransversalSpec(0, value), rtol=1e-11, atol=1e-13)
+    curve = _curve(entry("product_exact").form, start, 1,
+                   TransversalSpec(0, value), rtol=1e-11, atol=1e-13)
     assert curve.status == "transversal"
     assert abs(curve.label - start[0] * start[1] / value) <= 1e-12
     assert abs(curve.label - 1.292096938889562) <= 1e-12
@@ -849,8 +864,7 @@ def test_step_probe_returns_the_step_ends_exactly():
     t0, y0, f0, *_ = state = dopri5_start(kernel, 1.0, (1.5,))
     status, (t1, y1, *_) = dopri5_step(kernel, state, 2.0, rtol=1e-11, atol=1e-13)
     assert status == "ok"
-    probe = _step_probe(kernel.advance, t0, y0, f0, t1, y1, 1.0, 1e-11, 1e-13,
-                        100000)
+    probe = _step_probe(kernel.advance, t0, y0, f0, t1, y1, 1.0, 1e-11, 1e-13)
     assert probe(0.0) is y0 and probe(1.0) is y1
     # inside the step: one whole solve from the step start, whose first
     # attempt spans the interval
@@ -865,7 +879,7 @@ def test_step_probe_failure_raises():
     # y' = 1 / (1 - t): a solve across t = 1 collapses its step
     pole = ode.compile_kernel(1, lambda t, ys, ks: [f"{ks[0]} = 1.0 / (1.0 - {t})"])
     probe = _step_probe(pole.advance, 0.0, (0.0,), (1.0,), 2.0, (0.0,), 1.0,
-                        1e-9, 1e-12, 100000)
+                        1e-9, 1e-12)
     assert probe(0.25)[0] == pytest.approx(-math.log(0.5), rel=1e-8)
     with pytest.raises(factor._ProbeFailed, match="step_rejection"):
         probe(0.75)
@@ -882,16 +896,16 @@ def _factor2_traces(monkeypatch, form, grid):
     misses the transversal.
     """
     calls = []
-    trace = factor._trace_characteristic
+    trace = factor.solve_characteristic
 
     def recording(*args, **kwargs):
         result = trace(*args, **kwargs)
         calls.append((args, kwargs, result))
         return result
 
-    monkeypatch.setattr(factor, "_trace_characteristic", recording)
+    monkeypatch.setattr(factor, "solve_characteristic", recording)
     build_potential_2var(form, grid_per_axis=grid)
-    monkeypatch.setattr(factor, "_trace_characteristic", trace)
+    monkeypatch.setattr(factor, "solve_characteristic", trace)
     return calls
 
 
@@ -904,7 +918,7 @@ def test_crossings_match_secant_search(name, grid, monkeypatch):
     monkeypatch.setattr(factor, "bisect_root", secant_bisect_root)
     labels = 0
     for args, kwargs, (status, label, truncated) in calls:
-        ref_status, ref_label, ref_truncated = _trace_characteristic(*args, **kwargs)
+        ref_status, ref_label, ref_truncated = solve_characteristic(*args, **kwargs)
         assert (status, truncated) == (ref_status, ref_truncated)
         if ref_label is None:
             assert label is None

@@ -528,7 +528,7 @@ def test_bisect_root_finds_root():
     assert bisect_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0))
 
 
-def _probed(fn, lo, hi, xtol, root_finder=bisect_root, **kwargs):
+def _probed(fn, lo, hi, xtol, root_finder=bisect_root):
     """``(root, probes)`` of ``root_finder`` on ``fn``, ends included."""
     probes = []
 
@@ -536,7 +536,7 @@ def _probed(fn, lo, hi, xtol, root_finder=bisect_root, **kwargs):
         probes.append(x)
         return fn(x)
 
-    return root_finder(counted, lo, hi, xtol=xtol, **kwargs), probes
+    return root_finder(counted, lo, hi, xtol=xtol), probes
 
 
 def _stale_end_bound(lo, hi, xtol):
@@ -591,8 +591,12 @@ def test_bisect_root_returns_a_zero_end(lo, hi, expected):
 
 
 def test_bisect_root_stops_after_max_iter_probes():
-    _, probes = _probed(lambda x: x ** 3, -1.0, 2.0, 1e-12, max_iter=10)
-    assert len(probes) == 12
+    # a step function has no zero: with xtol 0 the bracket shrinks to two
+    # adjacent floats and stays there, and the search ends after 200 probes
+    step = lambda x: -1.0 if x < 1.0 / 3.0 else 1.0  # noqa: E731
+    root, probes = _probed(step, 0.0, 1.0, 0.0)
+    assert len(probes) == 202
+    assert root < 1.0 / 3.0 <= math.nextafter(root, 1.0)
 
 
 # --- whole solves and box exits -------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import fold
+from pfaffian import forms, reach
 from pfaffian.catalog import catalog
 from pfaffian.errors import AnalysisError
 from pfaffian.forms import DEFAULT_SINGULAR_TOL, Box, make_form
@@ -20,7 +21,6 @@ from pfaffian.reach import (
     MAX_SEGMENTS,
     SEGMENT_FRACTION,
     STEPS_PER_SEGMENT,
-    NullCurve,
     PivotLostError,
     ReachSample,
     ScanReport,
@@ -49,7 +49,7 @@ def _loop_step(form, k, tol):
                             (0.0,) * n, math.inf, True, "segment")
 
     def step(x, f_x, vfree, dt):
-        status, taken, resid, x1, f1 = segment(x, f_x, vfree, dt, 1, None)
+        status, taken, resid, x1, f1 = segment(x, f_x, vfree, dt, 1)
         if status == LOST:
             return LOST
         assert (status, taken) == (DONE, 1)
@@ -278,14 +278,6 @@ def test_explore_and_scan_reject_bad_radius(epsilon):
         surrounding_line_scan(CONTACT, (0.0, 0.0, 0.0), 2, epsilon, 320)
 
 
-def test_null_curve_fidelity():
-    sample = explore(CONTACT, (0, 0, 0), 0.3, 5000, 3, keep_curves=True)
-    assert sample.curves
-    for curve in sample.curves:
-        assert curve.max_residual <= 1e-6
-        assert len(curve.points) == len(curve.params)
-
-
 def test_estimate_dimension_kinds():
     full = explore(CONTACT, (0, 0, 0), 0.3, 100000, 42)
     assert estimate_dimension(full, 0.05).kind == KIND_FULL
@@ -373,7 +365,7 @@ def test_scan_gap_trend_reported():
 
 # --- exact outputs recorded from the generic per-stage implementation -----------
 #
-# Curves and scan gaps are otherwise checked only by bounds.  Each case pins
+# Endpoints and scan gaps are otherwise checked only by bounds.  Each case pins
 # the SHA-256 of the byte-stable JSON of the output (17 significant digits,
 # so equal digests mean equal floats), plus its counts in the clear.
 
@@ -382,27 +374,23 @@ def _digest(obj):
     return hashlib.sha256(json_text(obj).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("form, base, used, endpoints, curves, max_residual, digest", [
-    (CONTACT, (0.0, 0.0, 0.0), 3000, 253, 7, 1.1523095484137337e-15,
-     "02525b4bdaae086c779386a2b8240d3e9755e46e8f49b2385dd092a7844224b0"),
-    (CONTACT, (0.9, 0.0, 0.9), 3000, 254, 11, 1.9705956404950012e-14,
-     "d18e12da054696097077418a4f70d6193e0058fcd3e63b865cbaa92fbb664c07"),
-    (ROLLING, (0.0, 0.0), 3000, 253, 10, 0.0,
-     "103ab8adcbea20b3799c673e5de007da2c9a024ed525a61239affbc5c2a412e7"),
-    (ROLLING, (0.9, -0.9), 3000, 259, 27, 1.7763568394002565e-14,
-     "eee8b87eb9da8f8f8ba3612ff837c66a56197df3b7b9df53750d06e704994f24"),
+@pytest.mark.parametrize("form, base, used, endpoints, max_residual, digest", [
+    (CONTACT, (0.0, 0.0, 0.0), 3000, 253, 1.1523095484137337e-15,
+     "69ab1098927043bd4b468ed5d7059447f00297fe2723f935f96afd95a5d718e7"),
+    (CONTACT, (0.9, 0.0, 0.9), 3000, 254, 1.9705956404950012e-14,
+     "20c96563ce23d0e31b12e5c083237a46371e62971b60f3a32d1aa250894391ce"),
+    (ROLLING, (0.0, 0.0), 3000, 253, 0.0,
+     "5bab23e80c0036a334df0e00be18ec3d3b810aa94c26c6084aa4b6a342fb2459"),
+    (ROLLING, (0.9, -0.9), 3000, 259, 1.7763568394002565e-14,
+     "3def7dddec7d293c88ce8fa77dc50dd7c984d05fce41303d616b25f2de46b170"),
 ])
-def test_explore_curves_match_recorded(form, base, used, endpoints, curves,
+def test_explore_curves_match_recorded(form, base, used, endpoints,
                                        max_residual, digest):
-    sample = explore(form, base, 0.3, 3000, 5, keep_curves=True)
-    assert (sample.budget_used, len(sample.endpoints), len(sample.curves)) == (
-        used, endpoints, curves)
+    sample = explore(form, base, 0.3, 3000, 5)
+    assert (sample.budget_used, len(sample.endpoints)) == (used, endpoints)
     assert sample.max_residual == max_residual
-    assert _digest([
-        {"points": c.points.tolist(), "params": c.params.tolist(),
-         "max_residual": c.max_residual}
-        for c in sample.curves
-    ]) == digest
+    assert _digest({"endpoints": [list(e) for e in sample.endpoints],
+                    "step_counts": list(sample.step_counts)}) == digest
 
 
 @pytest.mark.parametrize("form, base, free_index, budget, used, fraction, digest", [
@@ -477,8 +465,7 @@ def _tally_exit(tally, form, x_new):
     tally["box_exit" if not form.domain.contains(x_new) else "ball_exit"] += 1
 
 
-def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
-                 singular_tol=DEFAULT_SINGULAR_TOL):
+def _ref_explore(form, p, epsilon, budget, seed, tally, singular_tol):
     """``explore`` taking one reference step at a time."""
     p = tuple(float(v) for v in p)
     coeffs = form.coefficient_tuple_fn
@@ -487,7 +474,6 @@ def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
     dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
     endpoints = [p]
     step_counts = [0]
-    curves = []
     used = 0
     max_resid = 0.0
     rollout = 0
@@ -497,8 +483,6 @@ def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
         x = p
         f_x = coeffs(*x)
         rollout_steps = 0
-        curve_pts = [x]
-        curve_resid = 0.0
         alive = True
         for _seg in range(MAX_SEGMENTS):
             if not alive or used >= budget:
@@ -524,8 +508,6 @@ def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
                     break
                 used += 1
                 rollout_steps += 1
-                if resid > curve_resid:
-                    curve_resid = resid
                 if resid > max_resid:
                     max_resid = resid
                 if not inside(x_new):
@@ -538,23 +520,16 @@ def _ref_explore(form, p, epsilon, budget, seed, tally, keep_curves=False,
                     if inside(x_cross):
                         endpoints.append(x_cross)
                         step_counts.append(rollout_steps)
-                        curve_pts.append(x_cross)
                     alive = False
                     break
                 x, f_x = x_new, f_new
-                curve_pts.append(x)
             else:
                 endpoints.append(x)
                 step_counts.append(rollout_steps)
                 continue
             break
-        if keep_curves and len(curve_pts) > 1:
-            arr = np.asarray(curve_pts)
-            seg_len = np.linalg.norm(np.diff(arr, axis=0), axis=1)
-            params = np.concatenate([[0.0], np.cumsum(seg_len)])
-            curves.append(NullCurve(params, arr, curve_resid))
     return ReachSample(p, float(epsilon), endpoints, step_counts, int(seed),
-                       int(budget), used, max_resid, curves)
+                       int(budget), used, max_resid)
 
 
 class _RefSeeker(_Seeker):
@@ -595,8 +570,8 @@ class _RefSeeker(_Seeker):
         return True
 
 
-def _ref_scan(form, p, free_index, epsilon, budget, tally, n_targets=32,
-              singular_tol=DEFAULT_SINGULAR_TOL):
+def _ref_scan(form, p, free_index, epsilon, budget, tally, singular_tol,
+              n_targets=32):
     """``surrounding_line_scan`` through :class:`_RefSeeker`."""
     p = tuple(float(v) for v in p)
     offsets = np.linspace(-epsilon, epsilon, n_targets)
@@ -624,12 +599,10 @@ def _ref_scan(form, p, free_index, epsilon, budget, tally, n_targets=32,
 
 
 def _sample_bits(sample):
-    """Every float of a ReachSample, curves included, as exact text."""
-    curves = [(c.params.tolist(), c.points.tolist(), c.max_residual)
-              for c in sample.curves]
+    """Every float of a ReachSample as exact text."""
     return repr((sample.base, sample.epsilon, sample.endpoints,
                  sample.step_counts, sample.seed, sample.budget,
-                 sample.budget_used, sample.max_residual, curves))
+                 sample.budget_used, sample.max_residual))
 
 
 LOG_EDGE = make_form(["x", "y"], ["log(x) + 3", "1"], Box((1e-3, -1), (2, 1)))
@@ -665,41 +638,44 @@ EXPLORE_BUDGETS = (1, 7, 1003)  # 7 and 1003 end mid-segment
 SCAN_BUDGETS = (32, 100, 1500)  # half-budget checkpoints after 0, 1, 23 steps
 
 
+def _set_singular_tol(monkeypatch, tol):
+    """Run ``explore`` and the scan with the singular tolerance ``tol``."""
+    monkeypatch.setattr(reach, "DEFAULT_SINGULAR_TOL", tol)
+    monkeypatch.setattr(forms, "DEFAULT_SINGULAR_TOL", tol)
+
+
 @functools.cache
 def _reference(kind, case, budget, arg):
     """Reference output and its step tally; ``arg`` is the seed or free index."""
     _, form, base, epsilon, tol = LOOP_CASES[case]
     tally = Counter()
     if kind == "explore":
-        out = _ref_explore(form, base, epsilon, budget, arg, tally,
-                           keep_curves=arg == 1, singular_tol=tol)
+        out = _ref_explore(form, base, epsilon, budget, arg, tally, tol)
     else:
-        out = _ref_scan(form, base, arg, epsilon, budget, tally,
-                        singular_tol=tol)
+        out = _ref_scan(form, base, arg, epsilon, budget, tally, tol)
     return out, tally
 
 
 @pytest.mark.parametrize("budget", EXPLORE_BUDGETS)
 @pytest.mark.parametrize("case", range(len(LOOP_CASES)),
                          ids=[c[0] for c in LOOP_CASES])
-def test_explore_matches_per_step_reference(case, budget):
+def test_explore_matches_per_step_reference(case, budget, monkeypatch):
     _, form, base, epsilon, tol = LOOP_CASES[case]
+    _set_singular_tol(monkeypatch, tol)
     for seed in (1, 2, 3):
-        got = explore(form, base, epsilon, budget, seed, keep_curves=seed == 1,
-                      singular_tol=tol)
+        got = explore(form, base, epsilon, budget, seed)
         want, _ = _reference("explore", case, budget, seed)
         assert _sample_bits(got) == _sample_bits(want), seed
-        assert seed == 1 or not got.curves
 
 
 @pytest.mark.parametrize("budget", SCAN_BUDGETS)
 @pytest.mark.parametrize("case", range(len(LOOP_CASES)),
                          ids=[c[0] for c in LOOP_CASES])
-def test_scan_matches_per_step_reference(case, budget):
+def test_scan_matches_per_step_reference(case, budget, monkeypatch):
     _, form, base, epsilon, tol = LOOP_CASES[case]
+    _set_singular_tol(monkeypatch, tol)
     for free_index in range(form.n):
-        got = surrounding_line_scan(form, base, free_index, epsilon, budget,
-                                    singular_tol=tol)
+        got = surrounding_line_scan(form, base, free_index, epsilon, budget)
         want, _ = _reference("scan", case, budget, free_index)
         assert repr(got) == repr(want), free_index
 

@@ -28,3 +28,14 @@ def test_non_finite_numpy_float_is_refused_like_a_float(value):
         json_text({"x": value})
     with pytest.raises(ValueError, match="non-finite"):
         json_text({"x": np.float64(value)})
+
+
+@pytest.mark.parametrize("items, want", [
+    ([np.int64(1), 2], [1, 2]),
+    ([np.bool_(True)], [True]),
+    ([np.float32(0.5), "a", None], [0.5, "a", None]),
+])
+def test_numpy_scalars_in_a_list_keep_its_layout(items, want):
+    # the list is written inline, as the same Python values are
+    assert json_text({"a": items}) == json_text({"a": want})
+    assert json_text([items]) == json_text([want])
