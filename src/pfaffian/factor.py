@@ -121,10 +121,36 @@ def _unit_tangent(fvals, sign=1.0):
     return (sign * fvals[1] / norm, sign * -fvals[0] / norm)
 
 
+def _stop_test(t0, ys0, t1, ys1, ks1):
+    """Stop test of a characteristic step, in the stop arguments of :data:`_STOP`.
+
+    True where one of the checks :func:`solve_characteristic` makes after a
+    step could fire: an end of the step is not strictly inside ``(stop_lo,
+    stop_hi)`` on the solved axis, the step meets ``stop_level`` there (the
+    transversal's value when it is fixed on that axis), the step ends within
+    ``stop_tol`` of ``stop_t`` or its end slope is larger than
+    ``stop_slope`` in size.  Each comparison is written as the check it
+    stands for, so that it holds wherever that check holds.
+    """
+    y0, y1 = ys0[0], ys1[0]
+    return (f"not (stop_lo < {y0} < stop_hi and stop_lo < {y1} < stop_hi)"
+            f" or ({y0} - stop_level) * ({y1} - stop_level) <= 0.0"
+            f" or -stop_tol <= {t1} - stop_t <= stop_tol"
+            f" or {ks1[0]} > stop_slope or -{ks1[0]} > stop_slope")
+
+
+# the stop test of a characteristic kernel (``stop`` of ``compile_kernel``),
+# and stop arguments that never stop a solve, for the probes
+_STOP = (("stop_lo", "stop_hi", "stop_level", "stop_t", "stop_tol", "stop_slope"),
+         _stop_test)
+_NO_STOP = (-math.inf, math.inf, math.nan, math.nan, 0.0, math.inf)
+
+
 def _characteristic_kernel(form: PfaffianForm, b: int):
     """ODE kernel of ``dx_b/dx_a = -F_a / F_b`` in the coordinate ``a = 1 - b``.
 
-    Raises ZeroDivisionError where ``|F_b| <= DEFAULT_SINGULAR_TOL``.
+    Raises ZeroDivisionError where ``|F_b| <= DEFAULT_SINGULAR_TOL``.  Its
+    ``advance`` takes the stop arguments of :func:`_stop_test`.
     """
     a = 1 - b
     fa, fb = form.coefficients[a], form.coefficients[b]
@@ -136,12 +162,12 @@ def _characteristic_kernel(form: PfaffianForm, b: int):
         return [
             f"fa = {ex.python_source(fa, names)}",
             f"fb = {ex.python_source(fb, names)}",
-            f"if abs(fb) <= {tol}:",
+            f"if -{tol} <= fb <= {tol}:",
             "    raise ZeroDivisionError('solved coefficient vanished')",
             f"{ks[0]} = -fa / fb",
         ]
 
-    return compile_kernel(1, body)
+    return compile_kernel(1, body, stop=_STOP)
 
 
 class CharacteristicKernels(dict):
@@ -176,6 +202,12 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
     right-hand sides, built for ``form``.  The points of the curve, tuples of
     Python floats from ``start`` along the direction of travel, are appended
     to the list ``pts`` when one is given.
+
+    Each segment between swaps is one call of the kernel's step loop, which
+    returns only at the steps where one of the checks made after a step
+    could fire (:func:`_stop_test`); with ``pts`` it returns after every
+    step, so that each point is kept.  Either way the checks see the same
+    steps fire as one call per step would.
 
     The direction of travel is set once, by the tangent of F at the start
     oriented by ``direction``; at a swap of the solved axis it carries over
@@ -233,24 +265,30 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
         )
         t_target = level if hit_transversal_on_a else t_limit
 
-        # the Dormand-Prince state of this segment, one accepted step per call
+        # the Dormand-Prince state of this segment; each call returns after
+        # one step when the points are kept, else at the first step where a
+        # check below could fire (the stop test of the kernel)
         t, y, h = x[a], (x[b],), 0.0
         try:
             f0 = kernel.rhs(t, y)
         except (ValueError, ZeroDivisionError, OverflowError):
             return "singular", None, True
-        budget, accepted, rejected = MAX_STEPS - steps_used, 0, 0
+        used, budget, accepted, rejected = steps_used, MAX_STEPS - steps_used, 0, 0
+        level_b = level if on_b else math.nan
 
         while True:
-            prev_t, prev_y, prev_f0 = t, y, f0
-            status, t, y, f0, h, accepted, rejected = advance(
+            t_tol = 1e-14 * max(1.0, abs(t_target))
+            limit = budget if pts is None else accepted + 1
+            (status, t, y, f0, h, accepted, rejected,
+             prev_t, prev_y, prev_f0) = advance(
                 t, y, f0, h, t_target, sign_a, rtol, atol, budget, accepted,
-                rejected, False)
+                rejected, limit, low_b, high_b, level_b, t_target, t_tol,
+                _SWAP_HYSTERESIS)
             if status == "max_steps":
                 return "max_steps", None, True
             if status != "ok":
                 return "singular", None, True
-            steps_used += 1
+            steps_used = used + accepted
 
             crossed = None  # (t, y, kind) where the step ends
             try:
@@ -302,7 +340,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
             if pts is not None:
                 pts.append(x)
 
-            if abs(t - t_target) <= 1e-14 * max(1.0, abs(t_target)):
+            if abs(t - t_target) <= t_tol:
                 if hit_transversal_on_a:
                     if transversal.on_span(x[b]):
                         return "transversal", x[b], False
@@ -346,7 +384,8 @@ def _step_probe(advance, t0, y0, f0, t1, y1, direction, rtol, atol):
             return y1
         t_end = t0 + lam * (t1 - t0)
         status, _, y, *_ = advance(t0, y0, f0, abs(t_end - t0), t_end, direction,
-                                   rtol, atol, MAX_STEPS, 0, 0, True)
+                                   rtol, atol, MAX_STEPS, 0, 0, math.inf,
+                                   *_NO_STOP)
         if status != "ok":
             raise _ProbeFailed(status)
         return y
@@ -715,7 +754,7 @@ def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol):
     """
     status, _, y, _, _, accepted, rejected = kernel.advance(
         t0, y0, kernel.rhs(t0, y0, *params), 0.0, t1,
-        1.0 if t1 > t0 else -1.0, rtol, atol, MAX_STEPS, 0, 0, True, *params)
+        1.0 if t1 > t0 else -1.0, rtol, atol, MAX_STEPS, 0, 0, math.inf, *params)
     return status, y, accepted, rejected
 
 

@@ -8,10 +8,13 @@ inlined at each of the six stages of an attempt.  The step loop holds the
 step-size control of Hairer, Norsett & Wanner, *Solving ODEs I*, section
 II.4 (the error norm, the step growth and shrink factors, the step-size
 floor and the step budget) and counts the accepted and rejected attempts.
-It runs either one accepted step, so that a caller can check its events
-after every step (characteristics do), or a whole solve up to the end of
-the interval in one call (surface paths, and the probes that locate a
-characteristic's crossing inside an accepted step).  Callers call
+A call runs up to a limit on accepted steps: one step (the limit is the
+accepted count plus one), or a whole solve up to the end of the interval
+(no limit; surface paths, and the probes that locate a characteristic's
+crossing inside an accepted step).  A kernel compiled with a stop test
+also returns after any accepted step where that test holds, with the
+step's start: a characteristic runs each segment in one call and returns
+only at the steps where one of its events could fire.  Callers call
 ``advance`` directly and read the status it returns.
 
 An attempt that raises ValueError, ZeroDivisionError, OverflowError or
@@ -19,10 +22,11 @@ ArithmeticError is refused and the step halved; a step size collapsing
 below its floor ends the solve with the status ``"step_rejection"``, which
 doubles as singularity detection.  A kernel compiled with ``bounds`` keeps
 state component 0 inside a widened box and ends a solve at once with the
-status ``"box_exit"`` when it is leaving that box (see
-:func:`compile_kernel`); an exhausted step budget ends it with
-``"max_steps"``.  ``rhs`` raises where the ODE is undefined; ``advance``
-refuses such an attempt instead.
+status ``"box_exit"`` when it is leaving that box; a refused attempt
+from inside the box proper aims its next step at the band past the box
+instead of halving into it (see :func:`compile_kernel`).  An exhausted
+step budget ends a solve with ``"max_steps"``.  ``rhs`` raises where the
+ODE is undefined; ``advance`` refuses such an attempt instead.
 
 Each float operation is the one of the step loop and attempt written stage by
 stage with the tableau below: the tableau enters as ``repr`` literals with
@@ -31,8 +35,10 @@ adds its products left to right from ``0.0``, as ``(0.0 + (c0 * k0) +
 (c1 * k1) + ...)``.  Up to Python 3.11 that is what the builtin ``sum``
 does; Python 3.12 compensates the rounding inside ``sum``, so spelling the
 additions out keeps the results independent of the Python version and
-saves a call per combination.  ``min`` and ``max`` of two floats in the
-attempt are written as the conditional expressions they evaluate.
+saves a call per combination.  ``min``, ``max`` and ``abs`` of floats in
+the attempt and in the step-size control that runs at every step are
+written as the conditional expressions they evaluate, comparison for
+comparison.
 ``tests/test_ode.py`` keeps the stage-by-stage attempt and the Python step
 loop as the reference the generated loop must match bit for bit.
 """
@@ -69,17 +75,22 @@ class OdeKernel:
     is the Dormand-Prince step loop,
 
         advance(t, y, f0, h, t_end, direction, rtol, atol, max_steps,
-                accepted, rejected, whole, *params)
+                accepted, rejected, limit, *stop_args, *params)
             -> (status, t, y, f0, h, accepted, rejected)
 
     from ``(t, y)`` with ``f0 = f(t, y)`` and next step size ``h`` (0.0
-    before the first step) towards ``t_end``.  It runs one accepted step
-    or, with ``whole`` true, accepted steps until ``t_end`` (status "ok").
-    It stops early when the attempt count ``accepted + rejected`` reaches
-    ``max_steps`` ("max_steps"), when the step size collapses
+    before the first step) towards ``t_end``.  It takes accepted steps
+    until ``t_end`` or until the accepted count reaches ``limit`` (status
+    "ok"), so ``accepted + 1`` runs one step and ``math.inf`` a whole
+    solve.  It stops early when the attempt count ``accepted + rejected``
+    reaches ``max_steps`` ("max_steps"), when the step size collapses
     ("step_rejection") or on a box exit ("box_exit").  It returns the last
-    accepted state, its ``f0``, the next step size and the counts.  States
-    and right-hand sides are tuples of floats.
+    accepted state, its ``f0``, the next step size and the counts.  A
+    kernel compiled with a stop test takes the ``stop_args`` and returns
+    "ok" after any accepted step where the test holds; its ``advance``
+    returns three more values, ``t, y, f0`` at the start of the last
+    accepted step (those of the call when it accepted none).  States and
+    right-hand sides are tuples of floats.
     """
 
     rhs: object
@@ -98,7 +109,8 @@ def _combination(coeffs, ks):
     return ex.python_sum(f"{ex.python_literal(c)} * {k}" for c, k in zip(coeffs, ks))
 
 
-def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
+def compile_kernel(dim, body, params=(), prologue=(), bounds=None,
+                   stop=None) -> OdeKernel:
     """Generate the :class:`OdeKernel` of an ODE with ``dim`` state components.
 
     ``body(t, ys, ks)`` returns the right-hand side as unindented statement
@@ -119,8 +131,23 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
     evaluation of the right-hand side first raises ValueError outside the
     widened box.  In ``advance`` an attempt refused that way ends the solve
     as a box exit when the last accepted state lies past ``[lo, hi]`` and
-    its slope, signed by the direction of integration, points further out;
-    every other refused attempt halves the step.
+    its slope, signed by the direction of integration, points further out.
+    When that state lies inside ``[lo, hi]`` and its slope is not zero, the
+    next step is the Euler step onto the middle of the band between the
+    face it moves towards and the widened bound, but at most half the
+    refused step and at least the step-size floor: the path lands in the
+    band, where the next refusal ends it, instead of halving its step
+    towards the band tens of times (Shampine & Thompson, "Event location
+    for ordinary differential equations", 2000).  Every other
+    refused attempt halves the step.
+
+    ``stop = (names, test)`` gives ``advance`` the extra arguments
+    ``names``, after ``limit`` and before ``params``, and a stop test:
+    ``test(t0, ys0, t1, ys1, ks1)`` returns a Python expression in the
+    names of the step's start time and state, end time and state and the
+    slope at the end, and the stop arguments.  After each accepted step
+    where it is true, ``advance`` returns "ok" with the start of that step
+    as well as its end.
     """
     lit = ex.python_literal
     extra = "".join(f", {p}" for p in params)
@@ -146,18 +173,34 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
     k = [[f"k{s}_{i}" for i in range(dim)] for s in range(7)]
     state = (f"t, ({ex.python_tuple(ys)}), ({ex.python_tuple(k[0])}), dp_h, "
              "dp_accepted, dp_rejected")
+    stop_args = "".join(f", {name}" for name in stop[0]) if stop else ""
+    # with a stop test, the start of the last accepted step: dp_t0, dp_y0_i, dp_k0_i
+    start = [f"dp_y0_{i}" for i in range(dim)]
+    start_f = [f"dp_k0_{i}" for i in range(dim)]
+    keep_start = (f"dp_t0, {', '.join(start)}, {', '.join(start_f)} = "
+                  f"t, {', '.join(ys)}, {', '.join(k[0])}")
+    if stop:
+        state += (f", dp_t0, ({ex.python_tuple(start)}), "
+                  f"({ex.python_tuple(start_f)})")
     advance = [
         "def advance(t, y, f0, dp_h, dp_end, dp_dir, dp_rtol, dp_atol, "
-        f"dp_budget, dp_accepted, dp_rejected, dp_whole{extra}):",
+        f"dp_budget, dp_accepted, dp_rejected, dp_limit{stop_args}{extra}):",
         *top, unpack, f"    {ex.python_tuple(k[0])} = f0",
+        *([f"    {keep_start}"] if stop else []),
         "    while True:",
-        "        dp_span = abs(dp_end - t)",
+        "        dp_span = dp_end - t",
         "        if dp_span == 0.0:",
         "            break",
+        "        if dp_span < 0.0:",
+        "            dp_span = -dp_span",
         "        if dp_h == 0.0:",
         "            dp_h = min(dp_span, max(1e-6, 0.01 * dp_span))",
-        "        dp_floor = max(1e-14, 1e-14 * abs(t),"
-        " 1e-12 * dp_span if dp_span < 1 else 1e-14)",
+        # max(1e-14, 1e-14 * abs(t), 1e-12 * dp_span if dp_span < 1 else 1e-14)
+        "        dp_floor = 1e-14 * (t if t >= 0.0 else -t)",
+        "        if not dp_floor > 1e-14:",
+        "            dp_floor = 1e-14",
+        "        if dp_span < 1.0 and 1e-12 * dp_span > dp_floor:",
+        "            dp_floor = 1e-12 * dp_span",
         "        while True:",
         "            if dp_accepted + dp_rejected >= dp_budget:",
         f"                return 'max_steps', {state}",
@@ -194,20 +237,35 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
     # error norm; ``b if b > a else a`` is ``max(a, b)``, comparison for comparison
     norm = []
     for i in range(dim):
-        norm += [f"            dp_a = abs({ys[i]})",
-                 f"            dp_b = abs(Y{i})",
+        norm += [f"            dp_a = {ys[i]} if {ys[i]} >= 0.0 else -{ys[i]}",
+                 f"            dp_b = Y{i} if Y{i} >= 0.0 else -Y{i}",
                  f"            dp_sq += (E{i} / (dp_atol + dp_rtol"
                  " * (dp_b if dp_b > dp_a else dp_a))) ** 2"]
     if bounds is not None:
-        lo, hi = (lit(v) for v in bounds[0])
+        (lo_v, hi_v), (wide_lo_v, wide_hi_v) = bounds
+        lo, hi = lit(lo_v), lit(hi_v)
+        # the middles of the bands past the box
+        mid_lo, mid_hi = lit(0.5 * (lo_v + wide_lo_v)), lit(0.5 * (hi_v + wide_hi_v))
         advance += [
             "            except _LeftBounds:",
             *refused,
             f"                if ({ys[0]} > {hi} and {k[0][0]} * dp_dir > 0.0"
             f" or {ys[0]} < {lo} and {k[0][0]} * dp_dir < 0.0):",
             f"                    return 'box_exit', {state}",
+            f"                dp_v = {k[0][0]} * dp_dir",
+            f"                if {lo} <= {ys[0]} <= {hi} and dp_v != 0.0:",
+            f"                    dp_land = (({mid_hi} if dp_v > 0.0 else {mid_lo})"
+            f" - {ys[0]}) / dp_v",
+            "                    if dp_land < dp_floor:",
+            "                        dp_land = dp_floor",
+            "                    if dp_land < dp_h:",
+            "                        dp_h = dp_land",
             *collapse,
         ]
+    done = "dp_accepted >= dp_limit or (t - dp_end) * dp_dir >= 0.0"
+    if stop:
+        test = stop[1]("dp_t0", start, "t", ys, k[0])
+        done += f" or ({test})"
     advance += [
         "            except (ValueError, ZeroDivisionError, OverflowError,"
         " ArithmeticError):",
@@ -224,12 +282,20 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None) -> OdeKernel:
         "            if dp_h < dp_floor:",
         f"                return 'step_rejection', {state}",
         "        dp_accepted += 1",
+        *([f"        {keep_start}"] if stop else []),
         "        t = t + dt",
         f"        {ex.python_tuple(ys)} = {ex.python_tuple(f'Y{i}' for i in range(dim))}",
         f"        {ex.python_tuple(k[0])} = {ex.python_tuple(k[6])}",
-        "        dp_h = dp_step * (5.0 if dp_norm == 0.0"
-        " else min(5.0, max(0.2, 0.9 * dp_norm ** -0.2)))",
-        "        if not dp_whole or (t - dp_end) * dp_dir >= 0:",
+        # dp_step * (5.0 if dp_norm == 0.0
+        #            else min(5.0, max(0.2, 0.9 * dp_norm ** -0.2)))
+        "        if dp_norm == 0.0:",
+        "            dp_h = dp_step * 5.0",
+        "        else:",
+        "            dp_g = 0.9 * dp_norm ** -0.2",
+        "            if not dp_g > 0.2:",
+        "                dp_g = 0.2",
+        "            dp_h = dp_step * (dp_g if dp_g < 5.0 else 5.0)",
+        f"        if {done}:",
         "            break",
         f"    return 'ok', {state}",
     ]

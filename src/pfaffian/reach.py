@@ -49,7 +49,7 @@ class PivotLostError(AnalysisError):
 # ---------------------------------------------------------------------------
 
 
-def _step_lines(form: PfaffianForm, k, tol, pad, residual):
+def _step_lines(form: PfaffianForm, k, pad, residual):
     """Source lines of one constrained RK4 step of ``form`` with pivot ``k``.
 
     The step goes from the state ``x<i>`` with ``a<i> = F(x)`` to ``X<i>``
@@ -58,11 +58,13 @@ def _step_lines(form: PfaffianForm, k, tol, pad, residual):
     :func:`_prologue_lines`.  The coefficient bodies are inlined at the
     three stage points and at the end point.  With ``residual`` it also sets
     ``r``, the Simpson estimate of the form paired with the step chord,
-    normalized by |F(X)| |X - x|.  Each line is indented by ``pad``.
+    normalized by |F(X)| |X - x|.  Each line is indented by ``pad``.  A
+    stage raises PivotLostError where the solved coefficient is not above
+    ``DEFAULT_SINGULAR_TOL`` in size, read when the lines are written.
     """
     n = form.n
     free = [i for i in range(n) if i != k]
-    tol = ex.python_literal(tol)
+    tol = ex.python_literal(DEFAULT_SINGULAR_TOL)
     lines = []
 
     def solve(f, p):
@@ -149,8 +151,7 @@ EXIT = "exit"  # the last step counted left the ball or the box
 LOST = "lost"  # a step raised: pivot lost or a coefficient domain error
 
 
-def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
-                  kind):
+def _compile_loop(form: PfaffianForm, k, box, center, limit, squared, kind):
     """Generated loop of up to ``m`` constrained RK4 steps with pivot ``k``.
 
     Each step is that of :func:`_step_lines`, followed by the containment
@@ -159,9 +160,10 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
     ``<= limit``.  The loop returns ``(status, steps, value, x, f_x)``:
     ``steps`` counts the steps taken, the one that left included, and
     ``x, f_x`` is the last state inside.  A step that raises PivotLostError
-    (the solved coefficient is not above ``tol``, or the solved velocity is
-    not within (-1e300, 1e300)), ValueError, ZeroDivisionError or
-    OverflowError ends the loop as ``LOST`` without being counted.  A call
+    (the solved coefficient is not above ``DEFAULT_SINGULAR_TOL``, or the
+    solved velocity is not within (-1e300, 1e300)), ValueError,
+    ZeroDivisionError or OverflowError ends the loop as ``LOST`` without
+    being counted.  A call
     with ``m = 1`` is one step; :func:`_bisect_step_fraction` takes its
     trial steps that way.
 
@@ -203,7 +205,7 @@ def _compile_loop(form: PfaffianForm, k, tol, box, center, limit, squared,
         "    s = 0",
         "    while s < m:",
         "        try:",
-        *_step_lines(form, k, tol, "            ", residual=segment),
+        *_step_lines(form, k, "            ", residual=segment),
         "        except (_Lost, ValueError, ZeroDivisionError, OverflowError):",
         f"            return {LOST!r}, s, {state}",
         "        s += 1",
@@ -330,7 +332,7 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed) -> ReachSample:
     n = form.n
     ball = (form.domain, p, epsilon * epsilon, True)
     segments = functools.cache(
-        lambda k: _compile_loop(form, k, DEFAULT_SINGULAR_TOL, *ball, "segment"))
+        lambda k: _compile_loop(form, k, *ball, "segment"))
     dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
     endpoints = [p]
     step_counts = [0]
@@ -534,15 +536,15 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon,
     per_budget = max(1, budget // 32)
     ball = (form.domain, p, epsilon * (1 + 1e-12), False)
     legs = functools.cache(
-        lambda k: _compile_loop(form, k, DEFAULT_SINGULAR_TOL, *ball, "leg"))
+        lambda k: _compile_loop(form, k, *ball, "leg"))
     gaps = []
     halves = []
     used_total = 0
     for off in offsets:
         q = list(p)
         q[free_index] += off
-        gap, gap_half, used = _seek_target(form, legs, DEFAULT_SINGULAR_TOL, p,
-                                           tuple(q), epsilon, per_budget)
+        gap, gap_half, used = _seek_target(form, legs, p, tuple(q), epsilon,
+                                           per_budget)
         gaps.append(gap)
         halves.append(gap_half)
         used_total += used
@@ -555,9 +557,10 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon,
 
 class _Seeker:
     """Deterministic steering toward one target inside the epsilon-ball, by the
-    leg loops ``legs(k)`` of pivot k, on solved coefficients above ``tol``."""
+    leg loops ``legs(k)`` of pivot k, on solved coefficients above
+    ``DEFAULT_SINGULAR_TOL`` in size."""
 
-    def __init__(self, form, legs, tol, base, target, epsilon, budget):
+    def __init__(self, form, legs, base, target, epsilon, budget):
         self.legs = legs
         self.n = form.n
         self.base = base
@@ -565,7 +568,6 @@ class _Seeker:
         self.eps = epsilon
         self.budget = budget
         self.half = budget // 2
-        self.tol = tol
         # seekers report gaps, not curves: coarser steps than explore are fine
         self.dt = (epsilon * SEGMENT_FRACTION) / 3.0
         self.used = 0
@@ -670,7 +672,7 @@ class _Seeker:
             if self.used >= self.budget or self.best <= gap_tol:
                 break
             k = max(range(self.n), key=lambda i: abs(self.f[i]))
-            if abs(self.f[k]) <= self.tol:
+            if abs(self.f[k]) <= DEFAULT_SINGULAR_TOL:
                 break
             if not self._align_free(k):
                 break
@@ -725,7 +727,7 @@ class _Seeker:
                 return
             improved = False
             k = max(range(self.n), key=lambda i: abs(self.f[i]))
-            if abs(self.f[k]) <= self.tol:
+            if abs(self.f[k]) <= DEFAULT_SINGULAR_TOL:
                 return
             for pos in range(self.n - 1):
                 for sign in (1.0, -1.0):
@@ -742,8 +744,8 @@ class _Seeker:
                 length *= 0.5
 
 
-def _seek_target(form, legs, tol, base, target, epsilon, budget):
-    seeker = _Seeker(form, legs, tol, base, target, epsilon, budget)
+def _seek_target(form, legs, base, target, epsilon, budget):
+    seeker = _Seeker(form, legs, base, target, epsilon, budget)
     try:
         return seeker.run()
     except (PivotLostError, ValueError, ZeroDivisionError, OverflowError):

@@ -1,3 +1,4 @@
+import inspect
 import math
 from itertools import combinations_with_replacement
 
@@ -7,6 +8,7 @@ import pytest
 from oracle import _ref_simplify
 from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError, ParseError
+from pfaffian.factor import _NO_STOP
 from pfaffian.forms import Box, form_from_expressions
 from pfaffian.sampling import halton
 
@@ -135,17 +137,23 @@ def dopri5_step(kernel, state, t_limit, direction=1.0, rtol=1e-9, atol=1e-12,
                 max_steps=100000, params=(), whole=False):
     """Advance ``state`` one accepted step of the generated loop, never beyond ``t_limit``.
 
-    Calls ``kernel.advance`` with ``whole`` false (or a whole solve to
-    ``t_limit`` with ``whole`` true) from ``state = (t, y, f0, h, accepted,
-    rejected)``, in the sign of ``direction``, with at most ``max_steps``
-    attempts counted from the state's.  Returns ``(status, state)`` with the
-    state ``advance`` returns.
+    Calls ``kernel.advance`` with the limit of one more accepted step (or
+    no limit, a whole solve to ``t_limit``, with ``whole`` true) from
+    ``state = (t, y, f0, h, accepted, rejected)``, in the sign of
+    ``direction``, with at most ``max_steps`` attempts counted from the
+    state's.  A characteristic kernel also gets the stop arguments that
+    never stop a solve (``factor._NO_STOP``).  Returns ``(status, state)``
+    with the state ``advance`` returns, without the start of the last step
+    that a kernel with a stop test adds.
     """
     t, y, f0, h, accepted, rejected = state
+    code = inspect.unwrap(kernel.advance).__code__
+    stop = _NO_STOP if "stop_lo" in code.co_varnames[:code.co_argcount] else ()
     status, *state = kernel.advance(
         t, y, f0, h, t_limit, 1.0 if direction >= 0 else -1.0, rtol, atol,
-        max_steps, accepted, rejected, whole, *params)
-    return status, tuple(state)
+        max_steps, accepted, rejected, math.inf if whole else accepted + 1,
+        *stop, *params)
+    return status, tuple(state[:6])
 
 
 def secant_bisect_root(fn, lo, hi, xtol=1e-13, max_iter=200):

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ import warnings
 import pytest
 
 from conftest import DEEP_SHAPES, PROBE_CASES, deepest_accepted, inset_samples
-from pfaffian import cli
+from pfaffian import cli, factor
 from pfaffian import expressions as ex
 from pfaffian.catalog import catalog, entry
 from pfaffian.cli import main
@@ -519,7 +520,8 @@ def _catalog_jobs():
     return jobs
 
 
-def _report_digest(argv, tmp_path, capsys):
+def _report(argv, tmp_path, capsys):
+    """``(digest, stdout)`` of a run on a catalog form, its CSV included."""
     command, name, *rest = argv
     path = tmp_path / f"{name}.pfaff"
     assert main(["catalog", "--write-form", name, str(path)]) == 0
@@ -528,7 +530,11 @@ def _report_digest(argv, tmp_path, capsys):
     code = main([command, str(path), *rest, *with_csv])
     out = capsys.readouterr().out
     csv_text = csv.read_text() if csv.exists() else ""
-    return hashlib.sha256(f"{code}\n{out}\n{csv_text}".encode()).hexdigest()
+    return hashlib.sha256(f"{code}\n{out}\n{csv_text}".encode()).hexdigest(), out
+
+
+def _report_digest(argv, tmp_path, capsys):
+    return _report(argv, tmp_path, capsys)[0]
 
 
 # exit 1 with no report: the free coefficient vanishes at the base (the box
@@ -595,6 +601,36 @@ CATALOG_DIGESTS = {
                          ids=[job for job, _ in _catalog_jobs()])
 def test_catalog_reports_byte_identical(job, argv, tmp_path, capsys):
     assert _report_digest(argv, tmp_path, capsys) == CATALOG_DIGESTS[job]
+
+
+def test_off_center_base_report_byte_identical(tmp_path, capsys, monkeypatch):
+    """exact_3var from a base off the box center, where box exits dominate.
+
+    Half the grid points are skipped, and 743 of the 6,836 path solves end
+    as box exits.  Those took 32,149 refused attempts (of 66,359) when each
+    refusal halved the step into the band past the box; landing in the band
+    takes 3,508 (of 32,300).  The report was pinned with the halving.
+    """
+    solves = collections.Counter()
+    solve = factor._integrate_unit
+
+    def counting(*args):
+        status, y, accepted, rejected = solve(*args)
+        solves[status] += 1
+        solves[f"{status}_rejected"] += rejected
+        return status, y, accepted, rejected
+
+    monkeypatch.setattr(factor, "_integrate_unit", counting)
+    argv = ["factor-global", "exact_3var", "--free-var", "z",
+            "--base=0.3,-0.2,0.1", "--staircase"]
+    digest, out = _report(argv, tmp_path, capsys)
+    report = json.loads(out)
+    assert (report["evaluated_points"], report["skipped_points"]) == (364, 365)
+    assert report["residual_max"] == pytest.approx(2.608e-12, rel=1e-3)
+    assert solves == {"ok": 6093, "ok_rejected": 0, "box_exit": 743,
+                      "box_exit_rejected": 3508}
+    assert digest == ("2b10c807531913739901a15c5d7b44fd"
+                      "c31e502f405c78b6fefcc06310277580")
 
 
 # --- one compile per check job; F-only commands build no Jacobian ----------------

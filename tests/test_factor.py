@@ -722,15 +722,24 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
 
 def _assert_trace_matches(form, kernels, start, direction, tv, max_steps=100000,
                           rtol=1e-9, atol=1e-12, swaps=None):
-    """The trace and the reference agree on status, label, truncation and points."""
+    """The trace and the reference agree on status, label, truncation and points.
+
+    The trace that keeps its points runs one step per call of the generated
+    loop, the trace of the label only runs each segment in one call that
+    returns at the steps its stop test picks; both must give the reference's
+    result.
+    """
     pts, ref_pts = [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(factor, "MAX_STEPS", max_steps)
         trace = solve_characteristic(form, start, direction, tv, rtol, atol,
                                      kernels, pts)
+        label_only = solve_characteristic(form, start, direction, tv, rtol, atol,
+                                          kernels)
     ref = _ref_trace(form, start, direction, tv, rtol, atol, max_steps, kernels,
                      ref_pts, [] if swaps is None else swaps)
     assert (trace[0], repr(trace[1]), trace[2]) == (ref[0], repr(ref[1]), ref[2])
+    assert repr(label_only) == repr(trace)
     assert pts == ref_pts
     assert repr(pts) == repr(ref_pts)
     return trace[0]
@@ -786,6 +795,124 @@ def test_trace_matches_reference_near_singular_points(rng):
             for max_steps in (1, 2, 3, 5, 8, 13, 21, 34):
                 _assert_trace_matches(form, kernels, p, direction, tv, max_steps)
     assert swaps
+
+
+def _recorded_stops(kernels, stops):
+    """Wrap the step loops of ``kernels`` to tally why segment calls return.
+
+    A call that runs a segment up to its step budget (not one step, not a
+    probe's whole solve) and returns "ok" is tallied in ``stops`` under each
+    check of the stop test that holds at its last step ("face", "level",
+    "target", "slope") and under "limit" when it reached the step limit.
+    Such a return with none of them is tallied as "none".
+    """
+    for b in (0, 1):
+        advance = kernels[b].advance
+
+        @functools.wraps(advance)
+        def recording(*args, _advance=advance):
+            result = _advance(*args)
+            accepted0, limit = args[9], args[11]
+            lo, hi, level, t_stop, tol, slope = args[12:]
+            status, t1, y1, f1, _, accepted, _, _, y0, _ = result
+            if status == "ok" and limit not in (math.inf, accepted0 + 1):
+                fired = [name for name, hit in (
+                    ("face", not (lo < y0[0] < hi and lo < y1[0] < hi)),
+                    ("level", (y0[0] - level) * (y1[0] - level) <= 0),
+                    ("target", abs(t1 - t_stop) <= tol),
+                    ("slope", abs(f1[0]) > slope),
+                    ("limit", accepted >= limit)) if hit]
+                stops.update(fired or ["none"])
+            return result
+
+        kernels[b] = ode.OdeKernel(kernels[b].rhs, recording)
+    return kernels
+
+
+def test_trace_stops_at_every_check(rng):
+    """Each check of the stop test ends segment calls, and only those do.
+
+    The starts cross a spanned transversal off its span on either axis,
+    swap the solved axis, start on a face and run out of step budgets of 1
+    to 34 steps; every trace matches the one-step reference.
+    """
+    stops = collections.Counter()
+    # x - theta is constant on the characteristics; x is solved for.  From
+    # (-0.5, 0) against the tangent the curve meets x = 0 and theta = 0.5 at
+    # (0, 0.5), off the spans below, and goes on to theta = 1
+    rolling = entry("rolling_cylinder").form
+    kernels = _recorded_stops(CharacteristicKernels(rolling), stops)
+    # the call that meets x = 0 returns there, the one that meets theta = 0.5
+    # and the one that reaches theta = 1 return at their targets
+    for tv, seen in ((TransversalSpec(0, 0.0, (0.6, 0.9)), {"level": 1, "target": 1}),
+                     (TransversalSpec(1, 0.5, (0.2, 0.4)), {"target": 2})):
+        before = collections.Counter(stops)
+        status = _assert_trace_matches(rolling, kernels, (-0.5, 0.0), -1, tv)
+        assert status == "boundary"
+        assert stops - before == seen
+    assert _assert_trace_matches(rolling, kernels, (-0.5, 0.0), -1,
+                                 TransversalSpec(0, 0.0, (0.4, 0.6))) == "transversal"
+    # product_exact swaps its solved axis near the corners of its box, and
+    # its corners start on faces of either axis
+    form = entry("product_exact").form
+    kernels = _recorded_stops(CharacteristicKernels(form), stops)
+    tv = auto_transversal(form)
+    starts = [(0.55, 1.45), (1.45, 0.55), (0.5, 0.5), (1.5, 1.5), (0.5, 1.5),
+              *(tuple(float(v) for v in rng.uniform(0.5, 1.5, 2)) for _ in range(6))]
+    swaps = []
+    for p in starts:
+        for direction in (1, -1):
+            for spec in (tv, None):
+                _assert_trace_matches(form, kernels, p, direction, spec, swaps=swaps)
+            for max_steps in (1, 2, 3, 5, 8, 13, 21, 34):
+                _assert_trace_matches(form, kernels, p, direction, tv, max_steps)
+    assert swaps
+    assert {"face", "level", "target", "slope", "limit"} <= set(stops)
+    assert "none" not in stops
+
+
+# stop arguments that make one check of the stop test hold from some step of
+# xy = 0.84 on, solved for y from x = 1.5 down to x = 0.6: y rises from 0.56
+# through 1.0 at x = 0.84, and the slope -y/x passes -1 at x = 0.917
+_ONE_CHECK = {
+    "face": (-math.inf, 1.0, math.nan, math.nan, 0.0, math.inf),
+    "level": (-math.inf, math.inf, 1.0, math.nan, 0.0, math.inf),
+    "target": (-math.inf, math.inf, math.nan, 1.0, 0.05, math.inf),
+    "slope": (-math.inf, math.inf, math.nan, math.nan, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_ONE_CHECK))
+def test_segment_call_returns_at_the_first_step_a_check_holds(check):
+    """One call runs to the first step where the check holds, as single steps do.
+
+    It returns that step's end and start, and every step before it is taken
+    as one call per step takes it.
+    """
+    kernel = CharacteristicKernels(entry("product_exact").form)[1]
+    lo, hi, level, t_stop, tol, slope = stop = _ONE_CHECK[check]
+    holds = {
+        "face": lambda t1, y0, y1, f1: not (lo < y0 < hi and lo < y1 < hi),
+        "level": lambda t1, y0, y1, f1: (y0 - level) * (y1 - level) <= 0,
+        "target": lambda t1, y0, y1, f1: abs(t1 - t_stop) <= tol,
+        "slope": lambda t1, y0, y1, f1: abs(f1) > slope,
+    }[check]
+    start = (1.5, (0.56,), kernel.rhs(1.5, (0.56,)), 0.0, 0, 0)
+    args = (0.6, -1.0, 1e-9, 1e-12, 100000)
+    t, y, f0, h, accepted, rejected = start
+    steps = 0
+    while True:
+        status, *state = kernel.advance(t, y, f0, h, *args, accepted, rejected,
+                                        accepted + 1, *stop)
+        assert status == "ok" and state[0] > 0.6
+        t1, y1, f1, h, accepted, rejected, _, y0, _ = state
+        steps += 1
+        if holds(t1, y0[0], y1[0], f1[0]):
+            break
+        t, y, f0 = t1, y1, f1
+    assert steps > 2
+    segment = kernel.advance(*start[:4], *args, 0, 0, 100000, *stop)
+    assert repr(segment) == repr((status, *state))
 
 
 # --- labels of characteristics that start on a face -------------------------------
@@ -877,7 +1004,8 @@ def test_step_probe_returns_the_step_ends_exactly():
 
 def test_step_probe_failure_raises():
     # y' = 1 / (1 - t): a solve across t = 1 collapses its step
-    pole = ode.compile_kernel(1, lambda t, ys, ks: [f"{ks[0]} = 1.0 / (1.0 - {t})"])
+    pole = ode.compile_kernel(1, lambda t, ys, ks: [f"{ks[0]} = 1.0 / (1.0 - {t})"],
+                              stop=factor._STOP)
     probe = _step_probe(pole.advance, 0.0, (0.0,), (1.0,), 2.0, (0.0,), 1.0,
                         1e-9, 1e-12)
     assert probe(0.25)[0] == pytest.approx(-math.log(0.5), rel=1e-8)
@@ -951,9 +1079,10 @@ def test_criterion_5_run_attempt_bound(monkeypatch):
     """The global construction of acceptance criterion 5 stays cheap.
 
     scaled_exact, free z, grid 9: 8,709 path solves, 8,520 of them ending
-    "ok" and 189 as box exits, in 41,509 Dormand-Prince attempts, where the
-    stepper without box exits made 449,296 (four solves crawled along the
-    widened bound until the step budget ran out).
+    "ok" and 189 as box exits, in 36,914 Dormand-Prince attempts.  Halving
+    the step into the band past the box made 41,509, and the stepper
+    without box exits 449,296 (four solves crawled along the widened bound
+    until the step budget ran out).
     """
     attempts, statuses = [], collections.Counter()
     solve = factor._integrate_unit
@@ -969,4 +1098,4 @@ def test_criterion_5_run_attempt_bound(monkeypatch):
                                   grid_per_axis=9)
     assert (result.evaluated_points, result.skipped_points) == (541, 188)
     assert statuses == {"ok": 8520, "box_exit": 189}
-    assert sum(attempts) <= 60000
+    assert sum(attempts) <= 40000

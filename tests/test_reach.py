@@ -40,13 +40,16 @@ ROLLING = make_form(["x", "theta"], ["1", "-1"], Box((-1, -1), (1, 1)))
 def _loop_step(form, k, tol):
     """One step of the generated segment loop: a call with ``m = 1``.
 
-    The loop tests containment in a box and a ball that no step here
-    leaves, so ``step(x, f_x, vfree, dt)`` returns ``(x1, f1, residual)``,
-    or LOST where the step raised.
+    The loop is compiled with the singular tolerance ``tol`` and tests
+    containment in a box and a ball that no step here leaves, so ``step(x,
+    f_x, vfree, dt)`` returns ``(x1, f1, residual)``, or LOST where the
+    step raised.
     """
     n = form.n
-    segment = _compile_loop(form, k, tol, Box((-1e150,) * n, (1e150,) * n),
-                            (0.0,) * n, math.inf, True, "segment")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reach, "DEFAULT_SINGULAR_TOL", tol)
+        segment = _compile_loop(form, k, Box((-1e150,) * n, (1e150,) * n),
+                                (0.0,) * n, math.inf, True, "segment")
 
     def step(x, f_x, vfree, dt):
         status, taken, resid, x1, f1 = segment(x, f_x, vfree, dt, 1)
@@ -351,7 +354,7 @@ def test_align_free_norm_adds_left_to_right(rng):
         base = tuple(float(v) for v in rng.uniform(-1, 1, n))
         target = tuple(float(v) for v in rng.uniform(-1, 1, n))
         k = int(rng.integers(n))
-        assert not Recorder(form, None, 0.0, base, target, 1.0, 100)._align_free(k)
+        assert not Recorder(form, None, base, target, 1.0, 100)._align_free(k)
         delta = [t - b for i, (t, b) in enumerate(zip(target, base)) if i != k]
         assert repr(lengths[-1]) == repr(math.sqrt(fold(d * d for d in delta)))
 
@@ -533,13 +536,21 @@ def _ref_explore(form, p, epsilon, budget, seed, tally, singular_tol):
 
 
 class _RefSeeker(_Seeker):
-    """``_Seeker`` whose legs step and note one reference step at a time."""
+    """``_Seeker`` whose legs step and note one reference step at a time, on
+    solved coefficients above ``tol``; it runs with ``tol`` as the singular
+    tolerance of ``reach``."""
 
-    def __init__(self, tally, inside, form, *args):
+    def __init__(self, tally, inside, tol, form, *args):
         super().__init__(form, *args)
         self.tally = tally
         self.inside = inside
+        self.tol = tol
         self.form = form
+
+    def run(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reach, "DEFAULT_SINGULAR_TOL", self.tol)
+            return super().run()
 
     def _leg(self, vfree, k, length):
         step = _ref_stepper(self.form, k, self.tol)
@@ -581,7 +592,7 @@ def _ref_scan(form, p, free_index, epsilon, budget, tally, singular_tol,
     for off in offsets:
         q = list(p)
         q[free_index] += float(off)
-        seeker = _RefSeeker(tally, inside, form, None, singular_tol, p, tuple(q),
+        seeker = _RefSeeker(tally, inside, singular_tol, form, None, p, tuple(q),
                             epsilon, per_budget)
         try:
             gap, half, used = seeker.run()
