@@ -18,7 +18,6 @@ from . import expressions as ex
 from .catalog import catalog, entry
 from .errors import AnalysisError, ExpressionError, FormError, PfaffianError
 from .factor import (
-    CharacteristicKernels,
     TransversalSpec,
     auto_transversal,
     build_potential_2var,
@@ -275,16 +274,18 @@ def _cmd_foliate(args):
     vary = tv.varying_axis()
     lo, hi = form.domain.lows[vary], form.domain.highs[vary]
     pad = 0.02 * (hi - lo)
-    kernels = CharacteristicKernels(form)
     rows = []
     for curve_id, s in enumerate(linspace(lo + pad, hi - pad, args.curves)):
         start = [0.0, 0.0]
         start[tv.fixed_axis] = tv.value
         start[vary] = s
         back, ahead = [], []
-        for direction, pts in ((-1, back), (1, ahead)):
-            solve_characteristic(form, tuple(start), direction, None, 1e-9,
-                                 1e-12, kernels, pts)
+        try:
+            for direction, pts in ((-1, back), (1, ahead)):
+                solve_characteristic(form, tuple(start), direction, None, 1e-9,
+                                     1e-12, pts)
+        except AnalysisError:
+            continue  # coefficients undefined at the start: no curve, no rows
         merged = back[::-1] + ahead[1:]
         t = 0.0
         for prev, p in zip([merged[0]] + merged, merged):

@@ -56,7 +56,3 @@ class AnalysisError(PfaffianError):
 
 class UnreachableTransversalError(AnalysisError):
     """A characteristic left the domain before hitting the transversal."""
-
-
-class BracketFailureError(AnalysisError):
-    """Scalar solve failed to bracket a root (point not covered by surfaces)."""

@@ -9,8 +9,10 @@ a base fiber by integrating the solved-coordinate ODE along straight paths
 in the projected variables; psi is the base-fiber coordinate of that
 hypersurface and mu = F_free * (d x_free / d fiber-coordinate).
 
-All psi/mu evaluators are numerical; verify_factorization closes the loop by
-checking the defining identity with finite differences of psi.
+Both integrate with generated Dormand-Prince kernels that the form keeps in
+``PfaffianForm.ode_kernels``.  All psi/mu evaluators are numerical;
+verify_factorization closes the loop by checking the defining identity with
+finite differences of psi.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from . import expressions as ex
 from .errors import (
     AnalysisError,
     ArityError,
-    BracketFailureError,
     EvalDomainError,
     UnreachableTransversalError,
 )
@@ -149,9 +150,14 @@ _NO_STOP = (-math.inf, math.inf, math.nan, math.nan, 0.0, math.inf)
 def _characteristic_kernel(form: PfaffianForm, b: int):
     """ODE kernel of ``dx_b/dx_a = -F_a / F_b`` in the coordinate ``a = 1 - b``.
 
-    Raises ZeroDivisionError where ``|F_b| <= DEFAULT_SINGULAR_TOL``.  Its
+    Generated once per form and solved axis and kept in
+    ``form.ode_kernels`` under ``("characteristic", b)``.  Raises
+    ZeroDivisionError where ``|F_b| <= DEFAULT_SINGULAR_TOL``.  Its
     ``advance`` takes the stop arguments of :func:`_stop_test`.
     """
+    key = ("characteristic", b)
+    if key in form.ode_kernels:
+        return form.ode_kernels[key]
     a = 1 - b
     fa, fb = form.coefficients[a], form.coefficients[b]
     tol = ex.python_literal(DEFAULT_SINGULAR_TOL)
@@ -167,29 +173,13 @@ def _characteristic_kernel(form: PfaffianForm, b: int):
             f"{ks[0]} = -fa / fb",
         ]
 
-    return compile_kernel(1, body, stop=_STOP)
-
-
-class CharacteristicKernels(dict):
-    """Characteristic ODE kernels of one two-variable form, by solved axis.
-
-    Each kernel is generated on first use.  Every :func:`solve_characteristic`
-    call takes one, so that one instance is shared between the calls on a
-    form and none is built per curve.
-    """
-
-    def __init__(self, form: PfaffianForm):
-        super().__init__()
-        self.form = form
-
-    def __missing__(self, b):
-        kernel = self[b] = _characteristic_kernel(self.form, b)
-        return kernel
+    kernel = form.ode_kernels[key] = compile_kernel(1, body, stop=_STOP)
+    return kernel
 
 
 def solve_characteristic(form: PfaffianForm, start, direction: int,
                          transversal: TransversalSpec, rtol: float, atol: float,
-                         kernels: CharacteristicKernels, pts=None):
+                         pts=None):
     """``(status, label, truncated)`` of the characteristic through ``start``.
 
     Integrates the curve annihilating a two-variable form, parametrizing by
@@ -198,12 +188,13 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
     ``transversal`` (None for none), a singular point of the form, or the
     budget of ``MAX_STEPS`` steps.  ``status`` is "transversal", "boundary",
     "singular" or "max_steps"; ``label`` is the varying-axis coordinate of
-    the transversal crossing, else None.  ``kernels`` are the generated
-    right-hand sides, built for ``form``.  The points of the curve, tuples of
+    the transversal crossing, else None.  A start where the coefficients
+    are undefined is an AnalysisError.  The points of the curve, tuples of
     Python floats from ``start`` along the direction of travel, are appended
     to the list ``pts`` when one is given.
 
-    Each segment between swaps is one call of the kernel's step loop, which
+    Each segment between swaps is one call of the step loop of the form's
+    kernel for the solved axis (:func:`_characteristic_kernel`), which
     returns only at the steps where one of the checks made after a step
     could fire (:func:`_stop_test`); with ``pts`` it returns after every
     step, so that each point is kept.  Either way the checks see the same
@@ -215,8 +206,6 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
     """
     if form.n != 2:
         raise ArityError("characteristics require a two-variable form")
-    if kernels.form is not form:
-        raise AnalysisError("kernels were built for another form")
     box = form.domain
     if not box.contains(start, tol=1e-12):
         raise AnalysisError(f"start point {tuple(start)} outside domain")
@@ -247,11 +236,9 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
     level = transversal.value if transversal is not None else None
 
     while True:
-        if steps_used >= MAX_STEPS:
-            return "max_steps", None, True
         b = dependent
         a = 1 - b
-        kernel = kernels[b]
+        kernel = _characteristic_kernel(form, b)
         advance = kernel.advance
         low_b, high_b = box.lows[b], box.highs[b]
         on_b = transversal is not None and transversal.fixed_axis == b
@@ -276,7 +263,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
         used, budget, accepted, rejected = steps_used, MAX_STEPS - steps_used, 0, 0
         level_b = level if on_b else math.nan
 
-        while True:
+        while steps_used < MAX_STEPS:
             t_tol = 1e-14 * max(1.0, abs(t_target))
             limit = budget if pts is None else accepted + 1
             (status, t, y, f0, h, accepted, rejected,
@@ -355,9 +342,10 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
                 dependent = a
                 sign_a = sign_a if f0[0] > 0 else -sign_a
                 break  # re-setup with swapped roles
-
-            if steps_used >= MAX_STEPS:
-                return "max_steps", None, True
+        else:
+            # the step budget is spent, after a step or after a swap on the
+            # last step (whose first slope, above, is defined at the swap)
+            return "max_steps", None, True
 
 
 class _ProbeFailed(Exception):
@@ -555,7 +543,6 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
         raise ArityError("two-variable construction requires n = 2")
     tv = transversal or auto_transversal(form)
     fns = form.coefficient_tuple_fn
-    kernels = CharacteristicKernels(form)
     cache = {}
     flags = {"mu_branch_disagreements": 0, "unreachable_points": 0}
 
@@ -577,7 +564,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
         first = 1 if towards * tau_a >= 0 else -1
         for direction in (first, -first):
             status, label, _ = solve_characteristic(
-                form, key, direction, tv, 1e-11, 1e-13, kernels)
+                form, key, direction, tv, 1e-11, 1e-13)
             if status == "transversal":
                 cache[key] = label
                 return label
@@ -604,6 +591,8 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
     result.skipped_points = stats.skipped_points
     result.evaluated_points = stats.evaluated_points
     flags["transversal"] = {"fixed_axis": tv.fixed_axis, "value": tv.value}
+    if tv.span is not None:
+        flags["transversal"]["span"] = list(tv.span)
     return result
 
 
@@ -626,7 +615,8 @@ class SurfaceField:
     "box_exit".  A solve that ends with any other status but "ok", or whose
     right-hand side is undefined at the start, is an AnalysisError of
     ``value`` and ``fiber_through`` (:meth:`_solve`), which memoize
-    successes only, and its point is skipped.
+    successes only, and its point is skipped.  Every field on a form and
+    free variable shares one kernel (:meth:`_path_kernel`).
     """
 
     def __init__(self, form: PfaffianForm, free_index: int, base,
@@ -657,8 +647,14 @@ class SurfaceField:
         unevaluated.  Raises ValueError once the free coordinate leaves
         ``_free_bounds`` and ZeroDivisionError where ``F_free == 0``.  A
         solve that is leaving ``_free_bounds`` from past the box proper ends
-        at once as a box exit (``bounds`` of :func:`compile_kernel`).
+        at once as a box exit (``bounds`` of :func:`compile_kernel`).  Its
+        source depends on the form and the free index only, so it is
+        generated once per form and free index and kept in
+        ``form.ode_kernels`` under ``("path", free_index)``.
         """
+        key = ("path", self.free_index)
+        if key in self.form.ode_kernels:
+            return self.form.ode_kernels[key]
         coeffs = self.form.coefficients
         free, other = self.free_index, self.other
         box = self.form.domain
@@ -688,7 +684,9 @@ class SurfaceField:
             return lines
 
         bounds = ((box.lows[free], box.highs[free]), self._free_bounds)
-        return compile_kernel(1, body, ("u0", "deltas"), prologue, bounds)
+        kernel = self.form.ode_kernels[key] = compile_kernel(
+            1, body, ("u0", "deltas"), prologue, bounds)
+        return kernel
 
     def _solve(self, u0, u1, xn, t0, t1):
         """Free coordinate at ``t1`` on the path from ``u0`` to ``u1``.
@@ -734,11 +732,6 @@ class SurfaceField:
             return hit
         u_p = tuple(p[i] for i in self.other)
         s = self._solve(self.base_proj, u_p, p[self.free_index], 1.0, 0.0)
-        lo, hi = self._free_bounds
-        if not lo <= s <= hi:
-            raise BracketFailureError(
-                "surface through the point meets the base fiber outside the box"
-            )
         self._fibers[p] = s
         return s
 

@@ -128,6 +128,13 @@ class PfaffianForm:
                     for j in range(n) if j != i)
         return ex.compile_tuple((*self.coefficients, *partials), n)
 
+    @cached_property
+    def ode_kernels(self):
+        """Generated ODE kernels of this form, each built once by :mod:`.factor`:
+        ``("characteristic", b)`` solves for axis b, ``("path", i)`` moves
+        the free variable i along surface paths."""
+        return {}
+
 
 def _jacobian(exprs, n):
     """Rows ``(d e/dx_1, ..., d e/dx_n)`` of ``exprs``, one memo for all."""

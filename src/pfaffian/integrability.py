@@ -206,12 +206,12 @@ def _better(value, point, best_value, best_point):
     return False
 
 
-def _scan_samples(form, points, singular_tol):
+def _scan_samples(form, points):
     """Defect and tensor maxima of ``form`` over ``points``.
 
     Each point costs one ``jet_fn`` call.  A point where the jet raises or
     has a non-finite entry counts as failed, one where ``max|F_i|`` is at
-    most ``singular_tol`` as singular.  At every other point the curl
+    most ``DEFAULT_SINGULAR_TOL`` as singular.  At every other point the curl
     matrix (:func:`_curls`) is built once; the defects ``|c[i][j]| * lin``
     and the tensor components ``|R_ijk| * quad`` (:func:`_tensor`), scaled
     by :func:`_scale_factors`, enter max reductions that break ties by the
@@ -238,7 +238,7 @@ def _scan_samples(form, points, singular_tol):
             scan.failed += 1
             continue
         fvals = values[:n]
-        if max(map(abs, fvals)) <= singular_tol:
+        if max(map(abs, fvals)) <= DEFAULT_SINGULAR_TOL:
             scan.singular += 1
             continue
         scan.used += 1
@@ -279,7 +279,7 @@ def classify(form: PfaffianForm, points: int = 64,
     three variables are never non_integrable.  Evaluation failures
     everywhere yield inconclusive.
     """
-    scan = _scan_samples(form, sample_points(form, points), DEFAULT_SINGULAR_TOL)
+    scan = _scan_samples(form, sample_points(form, points))
     if scan.used == 0:
         return Verdict(CLASS_INCONCLUSIVE, None, None, float("nan"), 0, tol)
     per_triple = tuple(
@@ -331,7 +331,7 @@ def invariance_check(form: PfaffianForm, sub: Substitution,
         raise FormError("invariance check requires at least 2 variables")
     pulled = pullback(form, sub, needs_jet=True)  # scanned on its jet below
     new_points = sample_points(pulled)
-    new_scan = _scan_samples(pulled, new_points, DEFAULT_SINGULAR_TOL)
+    new_scan = _scan_samples(pulled, new_points)
     image_points = []
     for p in new_points:
         try:
@@ -340,7 +340,7 @@ def invariance_check(form: PfaffianForm, sub: Substitution,
             continue
         if form.domain.contains(q, tol=1e-9):
             image_points.append(form.domain.clamp(q))
-    old_scan = _scan_samples(form, image_points, DEFAULT_SINGULAR_TOL)
+    old_scan = _scan_samples(form, image_points)
     if new_scan.used == 0 or old_scan.used == 0:
         raise FormError("no usable samples for the invariance comparison")
     both_null = old_scan.tensor_max <= tol and new_scan.tensor_max <= tol

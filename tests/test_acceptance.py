@@ -16,7 +16,6 @@ from pfaffian import expressions as ex
 from pfaffian.catalog import catalog, entry
 from pfaffian.errors import AnalysisError
 from pfaffian.factor import (
-    CharacteristicKernels,
     SurfaceField,
     build_potential_2var,
     global_factorization,
@@ -107,7 +106,6 @@ def test_criterion_3_contact_witness():
 def test_criterion_4_two_variable_construction():
     gas = entry("ideal_gas_heat").form
     result = build_potential_2var(gas, grid_per_axis=17)
-    kernels = CharacteristicKernels(gas)
     rng = np.random.default_rng(404)
     pairs = 0
     level_dev = 0.0
@@ -119,7 +117,7 @@ def test_criterion_4_two_variable_construction():
         except AnalysisError:
             continue
         points = []
-        solve_characteristic(gas, p, 1, None, 1e-11, 1e-13, kernels, points)
+        solve_characteristic(gas, p, 1, None, 1e-11, 1e-13, points)
         if len(points) < 5:
             continue
         q = tuple(points[len(points) // 2])

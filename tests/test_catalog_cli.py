@@ -311,6 +311,25 @@ def test_cli_input_errors_exit_2(contact_file, gas_file, tmp_path, capsys, argv)
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("options, transversal, evaluated", [
+    (["--transversal-axis", "V"], {"fixed_axis": 1, "value": 1.5}, 232),
+    (["--transversal-axis", "V", "--transversal-value", "1.2"],
+     {"fixed_axis": 1, "value": 1.2}, 204),
+    (["--transversal-axis", "V", "--transversal-span", "1.2,1.8"],
+     {"fixed_axis": 1, "value": 1.5, "span": [1.2, 1.8]}, 154),
+], ids=["axis", "value", "span"])
+def test_cli_factor2_transversal_options(gas_file, capsys, options, transversal,
+                                         evaluated):
+    # V = 1.5 is also the automatic transversal; on a span fewer
+    # characteristics reach it, and the report names the span
+    assert main(["factor2", str(gas_file), *options]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["flags"]["transversal"] == transversal
+    assert report["evaluated_points"] == evaluated
+
+
 def _write_form(path, f1, f2="1", domain="[0.5,1] x [0.5,1]"):
     path.write_text(f"vars: x, y\nF[1] = {f1}\nF[2] = {f2}\ndomain: {domain}\n")
     return str(path)
@@ -657,6 +676,47 @@ def test_check_compiles_once(name, tmp_path, capsys, monkeypatch):
     assert compiled == ["expr"]
 
 
+FACTOR_COMPILES = [
+    (["factor2", "ideal_gas_heat"], ["expr", "ode", "ode"]),
+    (["factor2", "product_exact"], ["expr", "ode", "ode"]),
+    (["factor2", "ray_form"], ["expr", "ode", "ode"]),
+    (["factor2", "rolling_cylinder"], ["expr", "ode"]),
+    (["foliate", "ideal_gas_heat"], ["expr", "ode"]),
+    (["foliate", "product_exact"], ["expr", "ode", "ode"]),
+    (["foliate", "ray_form"], ["expr", "ode", "ode"]),
+    (["foliate", "rolling_cylinder"], ["expr", "ode"]),
+    (["factor-global", "scaled_exact", "--free-var", "z", "--staircase"],
+     ["expr", "expr", "ode"]),
+    (["factor-global", "exact_3var", "--free-var", "z", "--staircase"],
+     ["expr", "expr", "ode"]),
+]
+
+
+@pytest.mark.parametrize("argv, compiled", FACTOR_COMPILES,
+                         ids=[" ".join(argv[:2]) for argv, _ in FACTOR_COMPILES])
+def test_factor_jobs_compile_each_kernel_once(argv, compiled, tmp_path, capsys,
+                                              monkeypatch):
+    """F (and the jet, for the tensor test), then each ODE kernel once.
+
+    A characteristic kernel per solved axis that some curve uses; for
+    factor-global one path kernel, which the construction, the monotonicity
+    check and the staircase share.
+    """
+    command, name, *rest = argv
+    path = _catalog_file(tmp_path, name)
+    seen = []
+    exec_source = ex.exec_source
+
+    def counting(source, label, **extra):
+        seen.append(label)
+        return exec_source(source, label, **extra)
+
+    monkeypatch.setattr(ex, "exec_source", counting)
+    grid = [] if command == "foliate" else ["--grid", "5"]
+    assert main([command, path, *rest, *grid]) == 0
+    assert seen == compiled
+
+
 def _f_only_jobs():
     jobs = []
     for e in catalog():
@@ -740,14 +800,33 @@ def test_cli_box_beyond_coordinate_bound_is_input_error(tmp_path, capsys):
 
 
 def test_cli_foliate_crossing_search_meets_vanishing_coefficient(tmp_path, capsys):
-    # the RK4 substeps that locate a box crossing reach x < 0, where the
-    # solved coefficient sin(x) changes sign: the curve ends as singular
+    # the probe solves that locate a box crossing inside a step reach x < 0,
+    # where the solved coefficient sin(x) changes sign: the curve ends as
+    # singular
     path = tmp_path / "sin.pfaff"
     path.write_text("vars: x, y\nF[1] = sin(x)\nF[2] = sin(x)\n"
                     "domain: [0,1] x [-1,1]\n")
     assert main(["foliate", str(path), "--curves", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "curve_id,t,x,y" and len(lines) > 2
+
+
+def test_cli_foliate_and_factor2_skip_undefined_starts(tmp_path, capsys):
+    # sqrt(x) is undefined on x < 0: the first of three foliate starts, at
+    # x = -0.96, gets no rows and the others keep their curve ids; factor2
+    # skips the grid points whose characteristics it cannot trace
+    path = _write_form(tmp_path / "sqrt.pfaff", "1", "sqrt(x)", "[-1,1] x [-1,1]")
+    assert main(["foliate", path, "--curves", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == "curve_id,t,x,y"
+    assert {line.split(",")[0] for line in lines[1:]} == {"1", "2"}
+    assert main(["factor2", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["evaluated_points"] > 0 and report["skipped_points"] > 0
 
 
 def test_cli_check_pole_on_a_sample_is_quiet(tmp_path, capsys):

@@ -17,11 +17,10 @@ from conftest import (
 from pfaffian import expressions as ex
 from pfaffian import factor, ode, sampling
 from pfaffian.catalog import entry
-from pfaffian.errors import AnalysisError, BracketFailureError
+from pfaffian.errors import AnalysisError
 from pfaffian.factor import (
     METHOD_GLOBAL,
     METHOD_TWO_VAR,
-    CharacteristicKernels,
     FactorizationResult,
     SurfaceField,
     TransversalSpec,
@@ -54,8 +53,7 @@ def _curve(form, start, direction, transversal=None, rtol=1e-9, atol=1e-12):
     and points, by default at the tolerances ``foliate`` traces with."""
     points = []
     status, label, truncated = solve_characteristic(
-        form, start, direction, transversal, rtol, atol,
-        CharacteristicKernels(form), points)
+        form, start, direction, transversal, rtol, atol, points)
     return SimpleNamespace(status=status, label=label, truncated=truncated,
                            points=points)
 
@@ -387,7 +385,39 @@ def fiber_by_rootfind(field, p, expand=1.5, max_expand=60) -> float:
         if s_lo == lo and s_hi == hi:
             break
         half *= expand
-    raise BracketFailureError("could not bracket the fiber coordinate")
+    raise AnalysisError("could not bracket the fiber coordinate")
+
+
+@pytest.mark.parametrize("name, base", [("scaled_exact", (0.0, 0.0, 0.0)),
+                                        ("exact_3var", (0.0, 0.0, 0.0)),
+                                        ("exact_3var", (0.3, -0.2, 0.1))])
+def test_ok_path_solves_end_inside_the_widened_box(name, base, monkeypatch):
+    """Why ``fiber_through`` needs no range check on the fiber coordinate.
+
+    A solve ends "ok" at an accepted state, which is the state of the last
+    stage of its step (``_A[6]`` is ``_B5`` without its last weight, 0.0),
+    and every stage state was held inside the widened box before the
+    right-hand side ran.  Over the construction, the monotonicity check and
+    the staircase, box exits included, no "ok" solve ends outside it.
+    """
+    form = entry(name).form
+    lo, hi = SurfaceField(form, 2, base)._free_bounds
+    ends = collections.Counter()
+    solve = factor._integrate_unit
+
+    def recording(*args):
+        status, y, accepted, rejected = solve(*args)
+        if status == "ok":
+            ends["inside" if lo <= y[0] <= hi else "outside"] += 1
+        else:
+            ends[status] += 1
+        return status, y, accepted, rejected
+
+    monkeypatch.setattr(factor, "_integrate_unit", recording)
+    global_factorization(form, 2, base, grid_per_axis=5)
+    staircase_defect(form, 2, base)
+    assert ends["inside"] > 500 and "outside" not in ends
+    assert ends["box_exit"] > 0
 
 
 def test_fiber_rootfind_agrees_with_back_integration(rng):
@@ -547,8 +577,24 @@ def test_mu_from_gradient_evaluates_all_coefficients():
         _mu_from_gradient(f, (0.0, 0.0), (0.0, 2.0))
 
 
+def test_characteristic_ends_singular_mid_curve():
+    # F = (1, sqrt(x)): x is solved for, dx/dy = -sqrt(x), and the curve from
+    # (0.5, -0.5) against the tangent reaches x = 0 at y = 2 sqrt(0.5) - 0.5;
+    # past it sqrt(x) is undefined, the step size collapses, and the curve
+    # ends there as singular
+    form = make_form(["x", "y"], ["1", "sqrt(x)"], Box((-1, -1), (1, 1)))
+    for points in (None, []):
+        assert solve_characteristic(form, (0.5, -0.5), -1, None, 1e-9, 1e-12,
+                                    points) == ("singular", None, True)
+    x, y = points[-1]
+    assert 0.0 <= x <= 1e-12
+    assert y == pytest.approx(2 * math.sqrt(0.5) - 0.5, abs=1e-6)
+    # a start where sqrt(x) is undefined is an analysis error
+    with pytest.raises(AnalysisError, match="undefined at the start"):
+        solve_characteristic(form, (-0.5, 0.0), 1, None, 1e-9, 1e-12)
+
+
 def test_label_only_trace_matches_solve_characteristic(rng):
-    kernels = CharacteristicKernels(IDEAL_GAS)
     for axis in (0, 1):
         tv = TransversalSpec(axis, 1.5)
         for _ in range(10):
@@ -556,9 +602,9 @@ def test_label_only_trace_matches_solve_characteristic(rng):
             for direction in (1, -1):
                 pts = []
                 traced = solve_characteristic(IDEAL_GAS, p, direction, tv, 1e-11,
-                                              1e-13, kernels, pts)
+                                              1e-13, pts)
                 label_only = solve_characteristic(IDEAL_GAS, p, direction, tv,
-                                                  1e-11, 1e-13, kernels)
+                                                  1e-11, 1e-13)
                 assert label_only == traced and pts
 
 
@@ -598,16 +644,17 @@ def _ref_crossing(kernel, start, end, direction, rtol, atol, max_steps, level):
 
 
 def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
-               kernels, pts, swaps):
+               pts, swaps):
     """The characteristic trace with one stepper state per segment.
 
     ``_trace_characteristic`` as it was written before it called the
     generated loop directly, when each segment ran a stepper object with its
     own attempt counts, here the state ``(t, y, f0, h, accepted, rejected)``
-    of :func:`dopri5_step`; with its later rule that a step leaving the box
-    from on a face of the solved axis is a boundary exit.  A crossing inside
-    a step is located by :func:`_ref_crossing`.  Appends one entry to
-    ``swaps`` per change of the solved axis.
+    of :func:`dopri5_step` over the form's characteristic kernels; with its
+    later rule that a step leaving the box from on a face of the solved axis
+    is a boundary exit.  A crossing inside a step is located by
+    :func:`_ref_crossing`.  Appends one entry to ``swaps`` per change of the
+    solved axis.
     """
     singular_tol = DEFAULT_SINGULAR_TOL
     box = form.domain
@@ -633,7 +680,7 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
         b = dependent
         a = 1 - b
         sign_a = 1.0 if tau[a] >= 0 else -1.0
-        kernel = kernels[b]
+        kernel = factor._characteristic_kernel(form, b)
         t_limit = box.highs[a] if sign_a > 0 else box.lows[a]
         hit_transversal_on_a = (
             transversal is not None
@@ -720,7 +767,7 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
                 return "max_steps", None, True
 
 
-def _assert_trace_matches(form, kernels, start, direction, tv, max_steps=100000,
+def _assert_trace_matches(form, start, direction, tv, max_steps=100000,
                           rtol=1e-9, atol=1e-12, swaps=None):
     """The trace and the reference agree on status, label, truncation and points.
 
@@ -732,11 +779,9 @@ def _assert_trace_matches(form, kernels, start, direction, tv, max_steps=100000,
     pts, ref_pts = [], []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(factor, "MAX_STEPS", max_steps)
-        trace = solve_characteristic(form, start, direction, tv, rtol, atol,
-                                     kernels, pts)
-        label_only = solve_characteristic(form, start, direction, tv, rtol, atol,
-                                          kernels)
-    ref = _ref_trace(form, start, direction, tv, rtol, atol, max_steps, kernels,
+        trace = solve_characteristic(form, start, direction, tv, rtol, atol, pts)
+        label_only = solve_characteristic(form, start, direction, tv, rtol, atol)
+    ref = _ref_trace(form, start, direction, tv, rtol, atol, max_steps,
                      ref_pts, [] if swaps is None else swaps)
     assert (trace[0], repr(trace[1]), trace[2]) == (ref[0], repr(ref[1]), ref[2])
     assert repr(label_only) == repr(trace)
@@ -750,7 +795,6 @@ def _assert_trace_matches(form, kernels, start, direction, tv, max_steps=100000,
 def test_trace_matches_reference_on_catalog(name, rng):
     form = entry(name).form
     box = form.domain
-    kernels = CharacteristicKernels(form)
     lows, highs = np.asarray(box.lows), np.asarray(box.highs)
     center = box.center
     # near the corners the slope of product_exact's hyperbolas swaps roles
@@ -769,11 +813,10 @@ def test_trace_matches_reference_on_catalog(name, rng):
                 tuple(float(v) for v in rng.uniform(lows, highs)) for _ in range(6)]
             for p in starts:
                 for direction in (1, -1):
-                    statuses.add(_assert_trace_matches(form, kernels, p, direction,
-                                                       tv, swaps=swaps))
+                    statuses.add(_assert_trace_matches(form, p, direction, tv,
+                                                       swaps=swaps))
                     for max_steps in (1, 2, 3):
-                        _assert_trace_matches(form, kernels, p, direction, tv,
-                                              max_steps)
+                        _assert_trace_matches(form, p, direction, tv, max_steps)
     assert "transversal" in statuses and "boundary" in statuses
     assert swaps or name != "product_exact"
 
@@ -782,23 +825,35 @@ def test_trace_matches_reference_near_singular_points(rng):
     # F = (y, x) vanishes at the origin: a start there is singular at once,
     # starts near it meet the hyperbolas' sharp turns and swap slope roles
     form = make_form(["x", "y"], ["y", "x"], Box((-1, -1), (1, 1)))
-    kernels = CharacteristicKernels(form)
     tv = TransversalSpec(0, 0.5)
-    assert _assert_trace_matches(form, kernels, (0.0, 0.0), 1, tv) == "singular"
+    assert _assert_trace_matches(form, (0.0, 0.0), 1, tv) == "singular"
     swaps = []
     for _ in range(20):
         p = tuple(float(v) for v in rng.uniform(-0.2, 0.2, size=2))
         for direction in (1, -1):
-            _assert_trace_matches(form, kernels, p, direction, tv, swaps=swaps)
-            _assert_trace_matches(form, kernels, p, direction, None, swaps=swaps)
+            _assert_trace_matches(form, p, direction, tv, swaps=swaps)
+            _assert_trace_matches(form, p, direction, None, swaps=swaps)
             # step budgets that run out before, at and after the swaps
             for max_steps in (1, 2, 3, 5, 8, 13, 21, 34):
-                _assert_trace_matches(form, kernels, p, direction, tv, max_steps)
+                _assert_trace_matches(form, p, direction, tv, max_steps)
     assert swaps
 
 
-def _recorded_stops(kernels, stops):
-    """Wrap the step loops of ``kernels`` to tally why segment calls return.
+def test_trace_spends_its_budget_on_a_face_transversal():
+    # theta = 1 is a face of the box and a transversal whose span the curve
+    # misses: the fourth step lands exactly on it, off the span, and with
+    # four budgeted steps the trace ends as max_steps, not at the boundary
+    form = entry("rolling_cylinder").form
+    tv = TransversalSpec(1, 1.0, (-1.0, -1.0 + 2e-9))
+    statuses = [_assert_trace_matches(form, (0.0, 0.0), -1, tv, max_steps)
+                for max_steps in (3, 4, 5)]
+    assert statuses == ["max_steps", "max_steps", "boundary"]
+
+
+def _recorded_stops(form, stops, monkeypatch):
+    """Wrap the step loops of ``form``'s characteristic kernels to tally why
+    segment calls return; ``monkeypatch`` swaps the wrapped kernels into
+    ``form.ode_kernels`` until the test ends.
 
     A call that runs a segment up to its step budget (not one step, not a
     probe's whole solve) and returns "ok" is tallied in ``stops`` under each
@@ -807,7 +862,8 @@ def _recorded_stops(kernels, stops):
     Such a return with none of them is tallied as "none".
     """
     for b in (0, 1):
-        advance = kernels[b].advance
+        kernel = factor._characteristic_kernel(form, b)
+        advance = kernel.advance
 
         @functools.wraps(advance)
         def recording(*args, _advance=advance):
@@ -825,11 +881,11 @@ def _recorded_stops(kernels, stops):
                 stops.update(fired or ["none"])
             return result
 
-        kernels[b] = ode.OdeKernel(kernels[b].rhs, recording)
-    return kernels
+        monkeypatch.setitem(form.ode_kernels, ("characteristic", b),
+                            ode.OdeKernel(kernel.rhs, recording))
 
 
-def test_trace_stops_at_every_check(rng):
+def test_trace_stops_at_every_check(rng, monkeypatch):
     """Each check of the stop test ends segment calls, and only those do.
 
     The starts cross a spanned transversal off its span on either axis,
@@ -841,21 +897,21 @@ def test_trace_stops_at_every_check(rng):
     # (-0.5, 0) against the tangent the curve meets x = 0 and theta = 0.5 at
     # (0, 0.5), off the spans below, and goes on to theta = 1
     rolling = entry("rolling_cylinder").form
-    kernels = _recorded_stops(CharacteristicKernels(rolling), stops)
+    _recorded_stops(rolling, stops, monkeypatch)
     # the call that meets x = 0 returns there, the one that meets theta = 0.5
     # and the one that reaches theta = 1 return at their targets
     for tv, seen in ((TransversalSpec(0, 0.0, (0.6, 0.9)), {"level": 1, "target": 1}),
                      (TransversalSpec(1, 0.5, (0.2, 0.4)), {"target": 2})):
         before = collections.Counter(stops)
-        status = _assert_trace_matches(rolling, kernels, (-0.5, 0.0), -1, tv)
+        status = _assert_trace_matches(rolling, (-0.5, 0.0), -1, tv)
         assert status == "boundary"
         assert stops - before == seen
-    assert _assert_trace_matches(rolling, kernels, (-0.5, 0.0), -1,
+    assert _assert_trace_matches(rolling, (-0.5, 0.0), -1,
                                  TransversalSpec(0, 0.0, (0.4, 0.6))) == "transversal"
     # product_exact swaps its solved axis near the corners of its box, and
     # its corners start on faces of either axis
     form = entry("product_exact").form
-    kernels = _recorded_stops(CharacteristicKernels(form), stops)
+    _recorded_stops(form, stops, monkeypatch)
     tv = auto_transversal(form)
     starts = [(0.55, 1.45), (1.45, 0.55), (0.5, 0.5), (1.5, 1.5), (0.5, 1.5),
               *(tuple(float(v) for v in rng.uniform(0.5, 1.5, 2)) for _ in range(6))]
@@ -863,9 +919,9 @@ def test_trace_stops_at_every_check(rng):
     for p in starts:
         for direction in (1, -1):
             for spec in (tv, None):
-                _assert_trace_matches(form, kernels, p, direction, spec, swaps=swaps)
+                _assert_trace_matches(form, p, direction, spec, swaps=swaps)
             for max_steps in (1, 2, 3, 5, 8, 13, 21, 34):
-                _assert_trace_matches(form, kernels, p, direction, tv, max_steps)
+                _assert_trace_matches(form, p, direction, tv, max_steps)
     assert swaps
     assert {"face", "level", "target", "slope", "limit"} <= set(stops)
     assert "none" not in stops
@@ -889,7 +945,7 @@ def test_segment_call_returns_at_the_first_step_a_check_holds(check):
     It returns that step's end and start, and every step before it is taken
     as one call per step takes it.
     """
-    kernel = CharacteristicKernels(entry("product_exact").form)[1]
+    kernel = factor._characteristic_kernel(entry("product_exact").form, 1)
     lo, hi, level, t_stop, tol, slope = stop = _ONE_CHECK[check]
     holds = {
         "face": lambda t1, y0, y1, f1: not (lo < y0 < hi and lo < y1 < hi),
@@ -924,7 +980,6 @@ def test_transversal_labels_lie_in_the_box_and_on_the_span(name):
     """From every grid point, faces and corners included, in both directions."""
     form = entry(name).form
     box = form.domain
-    kernels = CharacteristicKernels(form)
     tv = auto_transversal(form)
     varying = tv.varying_axis()
     lo, hi = box.lows[varying], box.highs[varying]
@@ -936,7 +991,7 @@ def test_transversal_labels_lie_in_the_box_and_on_the_span(name):
         for p in grid:
             for direction in (1, -1):
                 status, label, _ = solve_characteristic(
-                    form, p, direction, spec, 1e-11, 1e-13, kernels)
+                    form, p, direction, spec, 1e-11, 1e-13)
                 if status == "transversal":
                     assert lo <= label <= hi and spec.on_span(label), (p, direction)
                     labels += 1
@@ -960,13 +1015,12 @@ def test_product_exact_labels_are_true_crossings():
     form = entry("product_exact").form
     tv = auto_transversal(form)
     assert (tv.fixed_axis, tv.value) == (1, 1.0)
-    kernels = CharacteristicKernels(form)
     labels = 0
     for p in sampling.box_grid(form.domain.lows, form.domain.highs, 9):
         p = tuple(float(v) for v in p)
         for direction in (1, -1):
             status, label, _ = solve_characteristic(
-                form, p, direction, tv, 1e-11, 1e-13, kernels)
+                form, p, direction, tv, 1e-11, 1e-13)
             if status == "transversal":
                 assert abs(label - p[0] * p[1] / tv.value) <= 1e-9, (p, direction)
                 labels += 1
@@ -987,7 +1041,7 @@ def test_crossing_at_the_end_of_a_step_is_bracketed():
 
 
 def test_step_probe_returns_the_step_ends_exactly():
-    kernel = CharacteristicKernels(entry("product_exact").form)[1]
+    kernel = factor._characteristic_kernel(entry("product_exact").form, 1)
     t0, y0, f0, *_ = state = dopri5_start(kernel, 1.0, (1.5,))
     status, (t1, y1, *_) = dopri5_step(kernel, state, 2.0, rtol=1e-11, atol=1e-13)
     assert status == "ok"

@@ -7,6 +7,7 @@ import pytest
 from conftest import gradient_form, random_polynomial, unit_box
 from oracle import _ref_simplify
 from pfaffian import expressions as ex
+from pfaffian import integrability
 from pfaffian.errors import ArityError
 from pfaffian.forms import (
     Box,
@@ -399,7 +400,7 @@ def test_one_variable_report_keeps_zero_witness_value():
                                         "value": 0.0}
 
 
-def test_scan_matches_per_entry_reference(rng):
+def test_scan_matches_per_entry_reference(rng, monkeypatch):
     forms = [
         PfaffianForm(names, tuple(ex.parse_expression(t, names) for t in texts),
                      Box(lows, highs))
@@ -416,7 +417,9 @@ def test_scan_matches_per_entry_reference(rng):
             points = sample_points(form, 48)
             points += [tuple(float(v) for v in p) for p in form.domain.samples(8)]
             for singular_tol in (1e-12, 0.5):
-                got = _scan_samples(form, points, singular_tol)
+                monkeypatch.setattr(integrability, "DEFAULT_SINGULAR_TOL",
+                                    singular_tol)
+                got = _scan_samples(form, points)
                 expected = _ref_scan_samples(form, points, singular_tol)
                 assert got == expected
                 assert repr(got) == repr(expected)
