@@ -8,10 +8,13 @@ a neighborhood (non-integrable) from forms confined to a level hypersurface.
 The surrounding-line scan steers deterministically toward targets obtained
 by freeing one coordinate, reporting per-target closest-approach gaps.
 
-Steps run in generated loops, one per pivot and built on first use: the
-segments of the exploration and the legs of the scan.  Where a step leaves
-the ball or the box, the same loop, called for one step, takes the trial
-steps of the bisection that locates the crossing.
+Steps run in generated loops, one per pivot and built on first use.  An
+exploration rollout is one call, which picks the pivot and normalizes the
+direction row of each segment itself and returns to Python only where the
+pivot changes, for the other pivot's loop to go on, or where the rollout
+ends.  A leg of the scan is one call per chunk of steps.  Where a step
+leaves the ball or the box, the loop locates the crossing by bisection on
+the step fraction, re-stepping through its one copy of the step body.
 """
 
 from __future__ import annotations
@@ -54,13 +57,15 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
 
     The step goes from the state ``x<i>`` with ``a<i> = F(x)`` to ``X<i>``
     with ``e<i> = F(X)``, reading the free velocity ``v<i>``, the step
-    ``dt``, and ``h``, ``q`` and ``hv<i>``, ``dv<i>``, ``qv<i>`` from
-    :func:`_prologue_lines`.  The coefficient bodies are inlined at the
-    three stage points and at the end point.  With ``residual`` it also sets
-    ``r``, the Simpson estimate of the form paired with the step chord,
-    normalized by |F(X)| |X - x|.  Each line is indented by ``pad``.  A
-    stage raises PivotLostError where the solved coefficient is not above
-    ``DEFAULT_SINGULAR_TOL`` in size, read when the lines are written.
+    ``dt`` and the step terms of :func:`_term_lines`.  The coefficient
+    bodies are inlined at the three stage points and at the end point.  With
+    ``residual`` it also sets ``res``, the Simpson estimate of the form
+    paired with the step chord, normalized by |F(X)| |X - x|.  Each line is
+    indented by ``pad``.  A stage raises PivotLostError where the solved
+    coefficient is not above ``DEFAULT_SINGULAR_TOL`` in size, read when the
+    lines are written; the test spells out the two comparisons that
+    ``abs(f) > tol`` makes, which saves a call per stage and is false for
+    NaN just the same.
     """
     n = form.n
     free = [i for i in range(n) if i != k]
@@ -70,7 +75,7 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
     def solve(f, p):
         acc = "".join(f" + {f}{i} * v{i}" for i in free)
         lines.extend([
-            f"if not abs({f}{k}) > {tol}:",
+            f"if not ({f}{k} > {tol} or {f}{k} < -{tol}):",
             "    raise _Lost('solved coefficient below tolerance')",
             f"{p} = -(0.0{acc}) / {f}{k}",
             f"if not -1e300 < {p} < 1e300:",
@@ -113,120 +118,228 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
             f"fmag = _sqrt({fsq})",
             f"dxmag = _sqrt({dsq})",
             "if fmag == 0.0 or dxmag == 0.0:",
-            "    r = 0.0",
+            "    res = 0.0",
             "else:",
-            "    r = abs(pairing) / (fmag * dxmag)",
+            "    res = abs(pairing) / (fmag * dxmag)",
         ])
     return [pad + line for line in lines]
 
 
-def _prologue_lines(n, free):
-    """Function-body lines binding ``x<i>``, ``a<i>``, ``v<i>`` and the step terms.
+def _term_lines(free, pad):
+    """Source lines setting the step terms :func:`_step_lines` reads.
 
-    The step terms are those of :func:`_step_lines` that stay fixed along a
-    segment: ``h``, ``q``, and per free component ``hv<i> = h * v<i>``,
-    ``dv<i> = dt * v<i>`` and ``qv<i> = q * (v<i> + 2.0 * v<i> + 2.0 * v<i>
-    + v<i>)``, the float operations of the step written stage by stage,
-    evaluated once.
+    They are ``h = 0.5 * dt``, ``q = dt / 6.0`` and, per free component,
+    ``hv<i> = h * v<i>``, ``dv<i> = dt * v<i>`` and ``qv<i> = q * (v<i> +
+    2.0 * v<i> + 2.0 * v<i> + v<i>)``: the float operations of the step
+    written stage by stage that depend only on ``dt`` and ``v``, evaluated
+    once per step size.  Each line is indented by ``pad``.
     """
-    lines = [
-        f"    {ex.python_tuple(f'x{i}' for i in range(n))} = x",
-        f"    {ex.python_tuple(f'a{i}' for i in range(n))} = fx",
-    ]
-    if free:
-        lines.append(f"    {ex.python_tuple(f'v{i}' for i in free)} = vfree")
-    lines.extend(["    h = 0.5 * dt", "    q = dt / 6.0"])
+    lines = ["h = 0.5 * dt", "q = dt / 6.0"]
     for i in free:
         lines.extend([
-            f"    hv{i} = h * v{i}",
-            f"    dv{i} = dt * v{i}",
-            f"    qv{i} = q * (v{i} + 2.0 * v{i} + 2.0 * v{i} + v{i})",
+            f"hv{i} = h * v{i}",
+            f"dv{i} = dt * v{i}",
+            f"qv{i} = q * (v{i} + 2.0 * v{i} + 2.0 * v{i} + v{i})",
         ])
-    return lines
+    return [pad + line for line in lines]
 
 
-# statuses of the generated segment loops
+# statuses of the generated leg loop
 DONE = "done"  # all m steps taken, every one inside
 EXIT = "exit"  # the last step counted left the ball or the box
 LOST = "lost"  # a step raised: pivot lost or a coefficient domain error
+CUT = "cut"  # the last step counted left, and a bisection trial raised
 
 
 def _compile_loop(form: PfaffianForm, k, box, center, limit, squared, kind):
-    """Generated loop of up to ``m`` constrained RK4 steps with pivot ``k``.
+    """Generated loop of constrained RK4 steps with pivot ``k``.
 
     Each step is that of :func:`_step_lines`, followed by the containment
     test: the end point lies in ``box`` and near ``center``, where near
     means a squared distance ``<= limit`` when ``squared``, else a distance
-    ``<= limit``.  The loop returns ``(status, steps, value, x, f_x)``:
-    ``steps`` counts the steps taken, the one that left included, and
-    ``x, f_x`` is the last state inside.  A step that raises PivotLostError
-    (the solved coefficient is not above ``DEFAULT_SINGULAR_TOL``, or the
-    solved velocity is not within (-1e300, 1e300)), ValueError,
-    ZeroDivisionError or OverflowError ends the loop as ``LOST`` without
-    being counted.  A call
-    with ``m = 1`` is one step; :func:`_bisect_step_fraction` takes its
-    trial steps that way.
+    ``<= limit``.  A step that raises PivotLostError (the solved coefficient
+    is not above ``DEFAULT_SINGULAR_TOL`` in size, or the solved velocity is
+    not within (-1e300, 1e300)), ValueError, ZeroDivisionError or
+    OverflowError is not counted and ends the loop.
+
+    Where a counted step leaves, the same loop locates the crossing by
+    bisection on the fraction of the step: each trial re-steps from the last
+    state inside with ``dt = step * fraction``, the step terms of
+    :func:`_term_lines` recomputed, through the function's one copy of the
+    step body.  The halving stops when the bracket is narrower than 1e-12,
+    after 40 trials, the fractions being exact.  The crossing is the state
+    of the largest fraction that stayed inside, or the last state inside
+    when no trial did; a trial that raises leaves no crossing.
 
     Each float operation is that of the RK4 step written stage by stage, in
     the same order: the solved velocity is ``-(0.0 + sum of F_i v_i) /
     F_k``, and the sums of the residual and of the containment test add
     their terms left to right from ``0.0`` (:func:`ex.python_sum`), as the
     builtin ``sum`` does up to Python 3.11.  ``tests/test_reach.py`` keeps
-    that stage-by-stage form as the reference the loop must match bit for
-    bit.
+    that stage-by-stage form, and loops that take one step per iteration in
+    Python, as the references the loop must match bit for bit.
 
-    ``kind`` "segment" gives ``segment(x, fx, vfree, dt, m)`` for
-    :func:`explore`: ``value`` is the largest step residual (from 0.0).
-    ``kind`` "leg" gives ``leg(x, fx, vfree, dt, m, target, best)`` for the
-    surrounding-line scan: ``value`` is the smallest of ``best`` and the
-    distances (``forms.distance``) of the states inside to ``target``.
+    ``kind`` "rollout" gives ``rollout(x, fx, rows, r, steps, left, rmax,
+    step, ends, counts)``, one rollout of :func:`explore` from ``(x, fx)``.
+    It runs a segment of ``STEPS_PER_SEGMENT`` steps of size ``step`` per
+    direction row of ``rows``, from row ``r`` on, while ``left`` steps of
+    the budget remain.  At each segment start it picks the pivot as the
+    first largest ``|F_i|``, as ``max`` over ``range(n)`` does; the rollout
+    ends where that is at most ``DEFAULT_SINGULAR_TOL``, and where the
+    pivot is not ``k`` the loop returns, for the other pivot's loop to go on
+    from the same state.  A row is normalized by ``sqrt(row.dot(row))``, the
+    norm ``np.linalg.norm`` computes for a 1-D row, and skipped when that is
+    0.  A completed segment appends its end to ``ends`` and the rollout's
+    step count ``steps`` to ``counts``.  A segment cut short by the budget,
+    a lost step or an exit ends the rollout; an exit appends its crossing
+    when the fraction is positive or the crossing lies in ``box``.  Returns
+    ``(pivot, r, steps, left, rmax, x, fx)``: the new pivot, or None when
+    the rollout ended; the next row; the rollout's steps; the steps left;
+    the largest of ``rmax`` and the residuals of the counted steps; and, at
+    a pivot change, the state to go on from.
+
+    ``kind`` "leg" gives ``leg(x, fx, vfree, step, m, target, best)`` for the
+    surrounding-line scan: up to ``m >= 1`` steps of size ``step`` with the
+    free velocity ``vfree``.  Returns ``(status, steps, best, x, fx)``:
+    ``status`` is DONE, LOST, EXIT, where ``x, fx`` is the crossing, or CUT,
+    where it is the last state inside; ``steps`` counts the steps taken, the
+    one that left included; ``best`` is the smallest of ``best`` and the
+    distances (``forms.distance``) to ``target`` of the states inside and of
+    the crossing.
     """
     n = form.n
     free = [i for i in range(n) if i != k]
-    segment = kind == "segment"
-    xs = ex.python_tuple(f"x{i}" for i in range(n))
-    fs = ex.python_tuple(f"a{i}" for i in range(n))
-    value = "rmax" if segment else "best"
-    state = f"{value}, ({xs}), ({fs})"
+    rollout = kind == "rollout"
     lit = ex.python_literal
-    in_box = " and ".join(f"{lit(lo)} <= X{i} <= {lit(hi)}"
-                          for i, (lo, hi) in enumerate(zip(box.lows, box.highs)))
+
+    def point(name):
+        return ex.python_tuple(f"{name}{i}" for i in range(n))
+
+    def in_box(name):
+        return " and ".join(
+            f"{lit(lo)} <= {name}{i} <= {lit(hi)}"
+            for i, (lo, hi) in enumerate(zip(box.lows, box.highs)))
+
+    # The squares stay powers, as forms.distance writes them: on glibc 2.36
+    # ``d ** 2 != d * d`` for 2,676 of 3,000,000 uniform draws of d in
+    # [-1, 1], and a square one ulp off can move a step across the sphere.
     dist2 = ex.python_sum(f"(X{i} - {lit(c)}) ** 2" for i, c in enumerate(center))
     near = f"{dist2} <= {lit(limit)}" if squared else f"_sqrt({dist2}) <= {lit(limit)}"
-    if segment:
-        lines = ["def segment(x, fx, vfree, dt, m):", "    rmax = 0.0"]
+    state = f"({point('x')}), ({point('a')})"
+    if rollout:
+        ended = "return None, r, steps + s, left - s, rmax, x, fx"
+        lost = [ended]
+        done = [
+            "steps += s",
+            "left -= s",
+            f"if s == {STEPS_PER_SEGMENT}:",
+            f"    ends.append(({point('x')}))",
+            "    counts.append(steps)",
+            "break",
+        ]
+        crossing = [
+            f"if lo > 0.0 or {in_box('w')}:",
+            f"    ends.append(({point('w')}))",
+            "    counts.append(steps + s)",
+            ended,
+        ]
+        gap = []
+    else:
+        lost = [f"return {CUT!r} if bis else {LOST!r}, s, best, {state}"]
+        done = [f"return {DONE!r}, s, best, {state}"]
+        crossing = [f"return {EXIT!r}, s, best, ({point('w')}), ({point('g')})"]
+        # forms.distance of the new state to the target
+        gap = [
+            f"dist = _sqrt({ex.python_sum(f'(x{i} - t{i}) ** 2' for i in range(n))})",
+            "if dist < best:",
+            "    best = dist",
+        ]
+    # One pass of the outer loop per step size: the step terms, then steps
+    # while the size holds.  s counts the steps taken; once one leaves, bis
+    # is set and each step is a bisection trial of the fraction mid of the
+    # step, in (lo, hi), with w, g the state at the fraction lo.
+    loop = [
+        *_term_lines(free, ""),
+        "while True:",
+        "    try:",
+        *_step_lines(form, k, "        ", residual=rollout),
+        "    except (_Lost, ValueError, ZeroDivisionError, OverflowError):",
+        *("        " + line for line in lost),
+        f"    inside = {in_box('X')} and {near}",
+        "    if bis:",
+        "        if inside:",
+        "            lo = mid",
+        f"            {point('w')}, {point('g')} = {point('X')}, {point('e')}",
+        "        else:",
+        "            hi = mid",
+        "    else:",
+        "        s += 1",
+        *(["        if res > rmax:", "            rmax = res"] if rollout else []),
+        "        if inside:",
+        f"            {point('x')}, {point('a')} = {point('X')}, {point('e')}",
+        *("            " + line for line in gap),
+        "            if s < m:",
+        "                continue",
+        *("            " + line for line in done),
+        "        bis = True",
+        "        lo, hi = 0.0, 1.0",
+        f"        {point('w')}, {point('g')} = {point('x')}, {point('a')}",
+        "    if hi - lo < 1e-12:",
+        *("        " + line for line in crossing),
+        "    mid = 0.5 * (lo + hi)",
+        "    dt = step * mid",
+        "    break",
+    ]
+    vfree = ex.python_tuple(f"v{i}" for i in free)
+    if rollout:
+        # The row norm stays numpy's ``row.dot(row)``, the norm explore has
+        # always drawn its directions with: with numpy 2.4.6 it differs from
+        # a left-to-right sum of the squares on 16-27% of the rows of 2 to 6
+        # components.
+        lines = [
+            "def rollout(x, fx, rows, r, steps, left, rmax, step, ends, counts):",
+            f"    {point('x')} = x",
+            f"    {point('a')} = fx",
+            "    bis = False",
+            "    while True:",
+            "        if not bis:",
+            "            s = 0",
+            "            big = abs(a0)",
+            "            j = 0",
+        ]
+        for i in range(1, n):
+            lines.extend([f"            if abs(a{i}) > big:",
+                          f"                big, j = abs(a{i}), {i}"])
+        lines.extend([
+            "            if r == len(rows) or left <= 0 or "
+            f"big <= {lit(DEFAULT_SINGULAR_TOL)}:",
+            f"                {ended}",
+            f"            if j != {k}:",
+            f"                return j, r, steps, left, rmax, {state}",
+            "            row = rows[r]",
+            "            r += 1",
+            "            norm = _sqrt(row.dot(row))",
+            "            if norm == 0.0:",
+            "                continue",
+            f"            {vfree} = row.tolist()",
+            *(f"            v{i} = v{i} / norm" for i in free),
+            f"            m = min({STEPS_PER_SEGMENT}, left)",
+            "            dt = step",
+            *("        " + line for line in loop),
+        ])
     else:
         lines = [
-            "def leg(x, fx, vfree, dt, m, target, best):",
-            f"    {ex.python_tuple(f't{i}' for i in range(n))} = target",
+            "def leg(x, fx, vfree, step, m, target, best):",
+            f"    {point('t')} = target",
+            f"    {point('x')} = x",
+            f"    {point('a')} = fx",
+            *([f"    {vfree} = vfree"] if free else []),
+            "    dt = step",
+            "    s = 0",
+            "    bis = False",
+            "    while True:",
+            *("        " + line for line in loop),
         ]
-    lines.extend([
-        *_prologue_lines(n, free),
-        "    s = 0",
-        "    while s < m:",
-        "        try:",
-        *_step_lines(form, k, "            ", residual=segment),
-        "        except (_Lost, ValueError, ZeroDivisionError, OverflowError):",
-        f"            return {LOST!r}, s, {state}",
-        "        s += 1",
-    ])
-    if segment:
-        lines.extend(["        if r > rmax:", "            rmax = r"])
-    lines.extend([
-        f"        if not ({in_box} and {near}):",
-        f"            return {EXIT!r}, s, {state}",
-        f"        {xs}, {fs} = "
-        f"{ex.python_tuple(f'X{i}' for i in range(n))}, "
-        f"{ex.python_tuple(f'e{i}' for i in range(n))}",
-    ])
-    if not segment:
-        gap = ex.python_sum(f"(x{i} - t{i}) ** 2" for i in range(n))
-        lines.extend([
-            f"        dist = _sqrt({gap})",
-            "        if dist < best:",
-            "            best = dist",
-        ])
-    lines.append(f"    return {DONE!r}, s, {state}")
     namespace = ex.exec_source("\n".join(lines) + "\n", kind,
                                _Lost=PivotLostError)
     return namespace[kind]
@@ -266,33 +379,6 @@ class ReachSample:
         }
 
 
-def _bisect_step_fraction(loop, x, f_x, vfree, dt, *extra):
-    """Largest step fraction that stays inside, with its state, or None.
-
-    Bisection on the fraction of the step ``dt`` from ``(x, f_x)`` that
-    ``loop`` took when it left: each trial re-steps from ``x`` as the one
-    step ``loop(x, f_x, vfree, dt * fraction, 1, *extra)``, so the located
-    point lies on the integrated curve.  Returns ``(fraction, x1, f1)``,
-    which is ``(0.0, x, f_x)`` when no trial stayed inside, or None when a
-    trial ends ``LOST``.
-    """
-    lo, hi = 0.0, 1.0
-    state_lo = (x, f_x)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        status, _, _, xm, fm = loop(x, f_x, vfree, dt * mid, 1, *extra)
-        if status == LOST:
-            return None
-        if status == DONE:
-            lo = mid
-            state_lo = (xm, fm)
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return (lo, *state_lo)
-
-
 def _check_radius(epsilon):
     """AnalysisError unless ``epsilon`` is finite, > 0 and at most
     ``MAX_COORDINATE``, the radii the CLI accepts."""
@@ -325,69 +411,36 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed) -> ReachSample:
     p = tuple(float(v) for v in p)
     if not form.domain.contains(p, tol=1e-12):
         raise AnalysisError("base point outside domain")
-    coeffs = form.coefficient_tuple_fn
     if is_singular_at(form, p):
         raise AnalysisError("base point is singular for the form")
 
     n = form.n
     ball = (form.domain, p, epsilon * epsilon, True)
-    segments = functools.cache(
-        lambda k: _compile_loop(form, k, *ball, "segment"))
+    rollouts = functools.cache(
+        lambda k: _compile_loop(form, k, *ball, "rollout"))
     dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
+    f_p = form.coefficient_tuple_fn(*p)
+    k_p = max(range(n), key=lambda i: abs(f_p[i]))
     endpoints = [p]
     step_counts = [0]
-    used = 0
+    left = budget
     max_resid = 0.0
     rollout = 0
     idle = 0  # rollouts in a row that took no step
 
-    while used < budget and idle < MAX_SEGMENTS:
+    while left > 0 and idle < MAX_SEGMENTS:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rollout,)))
         rollout += 1
         # one draw fills the rows in the order of one draw per segment
         directions = rng.standard_normal((MAX_SEGMENTS, n - 1))
-        x = p
-        f_x = coeffs(*x)
-        rollout_steps = 0
-        for row in directions:
-            if used >= budget:
-                break
-            k = max(range(n), key=lambda i: abs(f_x[i]))
-            if abs(f_x[k]) <= DEFAULT_SINGULAR_TOL:
-                break
-            # the norm np.linalg.norm computes for a 1-D row
-            norm = math.sqrt(row.dot(row))
-            if norm == 0.0:
-                continue
-            vfree = tuple(v / norm for v in row.tolist())
-            # the budget may end the segment early, and then the rollout
-            m = min(STEPS_PER_SEGMENT, budget - used)
-            segment = segments(k)
-            status, taken, resid, x_in, f_in = segment(x, f_x, vfree, dt, m)
-            used += taken
-            rollout_steps += taken
-            if resid > max_resid:
-                max_resid = resid
-            if status == EXIT:
-                crossing = _bisect_step_fraction(segment, x_in, f_in, vfree, dt)
-                if crossing is None:
-                    break
-                fraction, x_cross, _ = crossing
-                # with no trial inside, x_cross is x_in: p or a state the
-                # loop found inside, which only the box can rule out
-                if fraction > 0.0 or form.domain.contains(x_cross):
-                    endpoints.append(x_cross)
-                    step_counts.append(rollout_steps)
-                break
-            if status == LOST or taken < STEPS_PER_SEGMENT:
-                break
-            # segment completed inside the ball: record its endpoint
-            x, f_x = x_in, f_in
-            endpoints.append(x)
-            step_counts.append(rollout_steps)
-        idle = 0 if rollout_steps else idle + 1
+        k, r, steps, x, f_x = k_p, 0, 0, p, f_p
+        while k is not None:  # a pivot change: the other pivot's loop goes on
+            k, r, steps, left, max_resid, x, f_x = rollouts(k)(
+                x, f_x, directions, r, steps, left, max_resid, dt, endpoints,
+                step_counts)
+        idle = 0 if steps else idle + 1
     return ReachSample(p, float(epsilon), endpoints, step_counts, int(seed),
-                       int(budget), used, max_resid)
+                       int(budget), budget - left, max_resid)
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +572,22 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon,
     """Probe reachability of targets on the line freeing one coordinate.
 
     Places 32 evenly spaced targets with |offset| <= epsilon along the free
-    coordinate through p, each with 1/32 of the budget, and steers toward
-    each deterministically: straight legs match the non-pivot coordinates,
-    and where the geometry permits (n >= 3) closed loops in two free
-    directions move the pivot coordinate by their enclosed area.  On integrable forms such loops return to the
-    starting level, so blocked targets keep honest gaps; budget-halving
-    checkpoints record whether gaps persist as effort grows.  A target
-    counts as reached when its gap is at most 0.01 epsilon.  The solved
-    coefficient must exceed ``DEFAULT_SINGULAR_TOL`` in size.
+    coordinate through p, each with ``budget // 32`` steps, and steers
+    toward each deterministically: straight legs match the non-pivot
+    coordinates, and where the geometry permits (n >= 3) closed loops in two
+    free directions move the pivot coordinate by their enclosed area.  A
+    target with no steps keeps its starting gap.  On integrable forms such
+    loops return to the starting level, so blocked targets keep honest gaps;
+    budget-halving checkpoints record whether gaps persist as effort grows.
+    A target counts as reached when its gap is at most 0.01 epsilon.  The
+    solved coefficient must exceed ``DEFAULT_SINGULAR_TOL`` in size.
     """
     if not 0 <= free_index < form.n:
         raise ArityError("free variable index out of range")
     _check_radius(epsilon)
     p = tuple(float(v) for v in p)
     offsets = linspace(-epsilon, epsilon, 32)
-    per_budget = max(1, budget // 32)
+    per_budget = budget // 32
     ball = (form.domain, p, epsilon * (1 + 1e-12), False)
     legs = functools.cache(
         lambda k: _compile_loop(form, k, *ball, "leg"))
@@ -589,7 +643,9 @@ class _Seeker:
         The leg runs in chunks of the generated loop.  While the half-budget
         gap is unset, a chunk ends where ``used`` reaches half the budget, or
         after one step when ``used`` is already there, so the gap is read
-        after the same step as when every step was noted.
+        after the same step as when every step was noted.  A chunk that
+        leaves ends at the crossing, which is noted; where a bisection trial
+        raised, nothing more is.
         """
         leg = self.legs(k)
         left = max(1, int(math.ceil(length / (self.dt))))
@@ -605,14 +661,9 @@ class _Seeker:
             self.used += taken
             left -= taken
             if status == EXIT:
-                # the trials' distances are discarded: only the crossing
-                # is noted
-                crossing = _bisect_step_fraction(
-                    leg, self.x, self.f, vfree, dt, self.target, math.inf)
-                if crossing is None:
-                    return False
-                _, self.x, self.f = crossing
                 self._note(self.x)
+                return False
+            if status == CUT:
                 return False
             if taken and self.best_at_half is None and self.used >= self.half:
                 self.best_at_half = self.best

@@ -81,13 +81,17 @@ def json_text(obj) -> str:
 
 
 def csv_text(header, rows) -> str:
+    """CSV of a header and rows of numbers: a float cell is
+    :func:`float_repr`, any other cell ``str``.  Cells are joined directly,
+    as ``csv.writer`` would write them, since numbers need no quoting; the
+    header goes through ``csv.writer``."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(
-            [float_repr(v) if isinstance(v, float) else v for v in row]
-        )
+    csv.writer(out, lineterminator="\n").writerow(header)
+    out.writelines(
+        ",".join([float_repr(v) if isinstance(v, float) else str(v) for v in row])
+        + "\n"
+        for row in rows
+    )
     return out.getvalue()
 
 

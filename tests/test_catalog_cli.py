@@ -622,6 +622,57 @@ def test_catalog_reports_byte_identical(job, argv, tmp_path, capsys):
     assert _report_digest(argv, tmp_path, capsys) == CATALOG_DIGESTS[job]
 
 
+# ``reach`` at the flags of the benchmark's reach-probe jobs: seed 1, a
+# 10000-step budget (32000 on contact, whose line scan shares it among 32
+# targets), the entry's potential as --psi and a free variable on contact and
+# rolling_cylinder; and contact from a base on a box face.  Recorded before the
+# exploration and the scan ran a whole rollout or leg in one generated call.
+REACH_FREE_VAR = {"contact": "z", "rolling_cylinder": "x"}
+
+
+def _reach_jobs():
+    jobs = []
+    for e in catalog():
+        budget = "32000" if e.name == "contact" else "10000"
+        argv = ["reach", e.name, "--epsilon", "0.3", "--threshold", "0.05",
+                "--budget", budget, "--seed", "1"]
+        if e.psi0_text is not None:
+            argv += ["--psi", e.psi0_text]
+        if e.name in REACH_FREE_VAR:
+            argv += ["--free-var", REACH_FREE_VAR[e.name]]
+        jobs.append((f"reach {e.name}", argv))
+        if e.name == "contact":
+            jobs.append(("reach contact --point 1,0,0",
+                         [*argv, "--point", "1,0,0"]))
+    return jobs
+
+
+REACH_DIGESTS = {
+    "reach exact_3var":
+        "8ba3674d0cf5ac74b43cdc690c412da6acba07add1a7b68ef1d6d904d0f312d7",
+    "reach product_exact":
+        "7a101b248b94ce35956d111163f9e7fc54c9b5286fb46ca4775e4fff76508aa0",
+    "reach scaled_exact":
+        "b2aa6ea8ee992fe6af2dabb995e31582559e70dce2a3bbf96b46531ea2ea499a",
+    "reach contact":
+        "d1485acdbe80d2f0a25340ec86b5f89d427302661c6a417b1e7507876d31c9e0",
+    "reach contact --point 1,0,0":
+        "e345a56270ad5246186545e9046ab70a184f23f1ce360b6adb41e2363c11813d",
+    "reach ideal_gas_heat":
+        "8b3de6d5ae8dd2d0835f6c3441e201c246ceb3602224e3a6fec0cb8e93ae08bc",
+    "reach rolling_cylinder":
+        "72ed8339560b6413c3d0a3b66be50b10d2978efdd06702b6caf61e38978e52a9",
+    "reach ray_form":
+        "e08b8071742c9cc7233814dbde2c6a8e295f90461c1894309b35ff2ffca77398",
+}
+
+
+@pytest.mark.parametrize("job, argv", _reach_jobs(),
+                         ids=[job for job, _ in _reach_jobs()])
+def test_reach_reports_byte_identical(job, argv, tmp_path, capsys):
+    assert _report_digest(argv, tmp_path, capsys) == REACH_DIGESTS[job]
+
+
 def test_off_center_base_report_byte_identical(tmp_path, capsys, monkeypatch):
     """exact_3var from a base off the box center, where box exits dominate.
 

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import fold
+from pfaffian import expressions as ex
 from pfaffian import forms, reach
 from pfaffian.catalog import catalog
 from pfaffian.errors import AnalysisError
 from pfaffian.forms import DEFAULT_SINGULAR_TOL, Box, make_form
 from pfaffian.reach import (
-    DONE,
     KIND_CODIM_ONE,
     KIND_FULL,
     KIND_INCONCLUSIVE,
@@ -24,7 +24,6 @@ from pfaffian.reach import (
     PivotLostError,
     ReachSample,
     ScanReport,
-    _compile_loop,
     _Seeker,
     estimate_dimension,
     explore,
@@ -38,27 +37,32 @@ ROLLING = make_form(["x", "theta"], ["1", "-1"], Box((-1, -1), (1, 1)))
 
 
 def _loop_step(form, k, tol):
-    """One step of the generated segment loop: a call with ``m = 1``.
+    """One step of the generated loops: the lines of ``reach._step_lines``,
+    written for the singular tolerance ``tol``, in a function of their inputs.
 
-    The loop is compiled with the singular tolerance ``tol`` and tests
-    containment in a box and a ball that no step here leaves, so ``step(x,
-    f_x, vfree, dt)`` returns ``(x1, f1, residual)``, or LOST where the
-    step raised.
+    ``step(x, f_x, vfree, dt)`` sets the step terms as ``reach._term_lines``
+    does and returns ``(x1, f1, residual)``, or LOST where the step raised.
     """
     n = form.n
+    free = [i for i in range(n) if i != k]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reach, "DEFAULT_SINGULAR_TOL", tol)
-        segment = _compile_loop(form, k, Box((-1e150,) * n, (1e150,) * n),
-                                (0.0,) * n, math.inf, True, "segment")
-
-    def step(x, f_x, vfree, dt):
-        status, taken, resid, x1, f1 = segment(x, f_x, vfree, dt, 1)
-        if status == LOST:
-            return LOST
-        assert (status, taken) == (DONE, 1)
-        return x1, f1, resid
-
-    return step
+        body = reach._step_lines(form, k, "        ", residual=True)
+    xs, fs = (ex.python_tuple(f"{v}{i}" for i in range(n)) for v in "xa")
+    source = "\n".join([
+        "def step(x, fx, vfree, dt):",
+        f"    {xs} = x",
+        f"    {fs} = fx",
+        f"    {ex.python_tuple(f'v{i}' for i in free)} = vfree",
+        *reach._term_lines(free, "    "),
+        "    try:",
+        *body,
+        "    except (_Lost, ValueError, ZeroDivisionError, OverflowError):",
+        f"        return {LOST!r}",
+        f"    return ({ex.python_tuple(f'X{i}' for i in range(n))}), "
+        f"({ex.python_tuple(f'e{i}' for i in range(n))}), res",
+    ])
+    return ex.exec_source(source + "\n", "step", _Lost=PivotLostError)["step"]
 
 
 def test_constrained_velocity_examples():
@@ -338,6 +342,19 @@ def test_scan_exact_blocked_along_level_normal():
     assert report.fraction_reached <= 1 / 32
 
 
+def test_scan_spends_at_most_its_budget():
+    # each of the 32 targets gets budget // 32 steps, none below 32 steps
+    for budget in range(1, 65):
+        report = surrounding_line_scan(CONTACT, (0, 0, 0), 2, 0.3, budget)
+        assert report.budget_used <= budget, budget
+    # a target with no steps reports its starting gap
+    report = surrounding_line_scan(CONTACT, (0, 0, 0), 2, 0.3, 31)
+    assert report.budget_used == 0
+    assert report.gaps == report.gaps_at_half_budget == tuple(
+        forms.distance((0.0, 0.0, 0.0), (0.0, 0.0, off))
+        for off in report.offsets)
+
+
 def test_align_free_norm_adds_left_to_right(rng):
     # the leg length is the distance to the target over the free axes, added
     # as the generated leg adds (Python 3.12's sum rounds some differently)
@@ -487,16 +504,21 @@ def _ref_explore(form, p, epsilon, budget, seed, tally, singular_tol):
         f_x = coeffs(*x)
         rollout_steps = 0
         alive = True
+        pivot = None
         for _seg in range(MAX_SEGMENTS):
             if not alive or used >= budget:
                 break
             k = max(range(n), key=lambda i: abs(f_x[i]))
             if abs(f_x[k]) <= singular_tol:
                 break
+            if pivot is not None and k != pivot:
+                tally["pivot_change"] += 1
+            pivot = k
             step = _ref_stepper(form, k, singular_tol)
             vfree = rng.standard_normal(n - 1)
             norm = float(np.linalg.norm(vfree))
             if norm == 0.0:
+                tally["zero_row"] += 1
                 continue
             vfree = tuple(float(v) / norm for v in vfree)
             for _j in range(STEPS_PER_SEGMENT):
@@ -586,7 +608,7 @@ def _ref_scan(form, p, free_index, epsilon, budget, tally, singular_tol,
     """``surrounding_line_scan`` through :class:`_RefSeeker`."""
     p = tuple(float(v) for v in p)
     offsets = np.linspace(-epsilon, epsilon, n_targets)
-    per_budget = max(1, budget // n_targets)
+    per_budget = budget // n_targets
     inside = _ref_inside(form.domain, p, epsilon * (1 + 1e-12), squared=False)
     gaps, halves, used_total = [], [], 0
     for off in offsets:
@@ -679,6 +701,58 @@ def test_explore_matches_per_step_reference(case, budget, monkeypatch):
         assert _sample_bits(got) == _sample_bits(want), seed
 
 
+class _ZeroRowGenerator:
+    """The normal draws of ``rng`` with every third direction row zero, in
+    the order of one row per segment, whether drawn row by row or at once."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.rows = 0
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        rows = out.reshape(-1, out.shape[-1])
+        for i in range(len(rows)):
+            if (self.rows + i) % 3 == 2:
+                rows[i] = 0.0
+        self.rows += len(rows)
+        return out
+
+
+def _zero_rows(monkeypatch):
+    """Draw directions through :class:`_ZeroRowGenerator`."""
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seeds: _ZeroRowGenerator(default_rng(seeds)))
+
+
+ZERO_ROW_BUDGET = 1003
+
+
+@functools.cache
+def _zero_row_reference(case, seed):
+    """Reference ``explore`` output and tally with every third row zero."""
+    _, form, base, epsilon, tol = LOOP_CASES[case]
+    tally = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        _zero_rows(patch)
+        out = _ref_explore(form, base, epsilon, ZERO_ROW_BUDGET, seed, tally, tol)
+    return out, tally
+
+
+@pytest.mark.parametrize("case", range(len(LOOP_CASES)),
+                         ids=[c[0] for c in LOOP_CASES])
+def test_explore_skips_zero_rows_like_reference(case, monkeypatch):
+    # a zero direction row is skipped without a step, inside a rollout that
+    # may change its pivot around it
+    _, form, base, epsilon, tol = LOOP_CASES[case]
+    _set_singular_tol(monkeypatch, tol)
+    _zero_rows(monkeypatch)
+    got = explore(form, base, epsilon, ZERO_ROW_BUDGET, 1)
+    want, _ = _zero_row_reference(case, 1)
+    assert _sample_bits(got) == _sample_bits(want)
+
+
 @pytest.mark.parametrize("budget", SCAN_BUDGETS)
 @pytest.mark.parametrize("case", range(len(LOOP_CASES)),
                          ids=[c[0] for c in LOOP_CASES])
@@ -696,11 +770,16 @@ def test_scan_matches_per_step_reference(case, budget, monkeypatch):
     ("scan", SCAN_BUDGETS, lambda form: range(form.n)),
 ])
 def test_loop_references_cover_every_ending(kind, budgets, args):
-    """The cases above end steps at the budget, ball, box and in errors."""
+    """The cases above end steps at the budget, ball, box and in errors; the
+    rollouts of ``explore`` also change pivot and skip zero rows."""
     tally = Counter()
     for case, (_, form, *_rest) in enumerate(LOOP_CASES):
         for budget in budgets:
             for arg in args(form):
                 tally.update(_reference(kind, case, budget, arg)[1])
+        if kind == "explore":
+            tally.update(_zero_row_reference(case, 1)[1])
     assert tally["budget"] and tally["ball_exit"] and tally["box_exit"], tally
     assert tally["ValueError"] and tally["PivotLostError"], tally
+    if kind == "explore":
+        assert tally["pivot_change"] and tally["zero_row"], tally
