@@ -4,6 +4,11 @@ Subcommands: check, factor2, factor-global, reach, foliate, invariance,
 catalog.  Machine output is JSON (17-significant-digit floats, byte-stable
 across runs); point clouds and polylines are CSV.  Exit codes: 0 success,
 1 analysis failure (e.g. an --expect mismatch), 2 input error.
+
+At module level this imports only the standard library and the error
+classes.  Each handler imports the analysis modules it uses when it runs, so
+a run loads only what its subcommand needs (``python -X importtime -m
+pfaffian.cli <subcommand> ...`` lists it).
 """
 
 from __future__ import annotations
@@ -14,30 +19,7 @@ import math
 import sys
 
 from . import __version__
-from . import expressions as ex
-from .catalog import catalog, entry
 from .errors import AnalysisError, ExpressionError, FormError, PfaffianError
-from .factor import (
-    TransversalSpec,
-    auto_transversal,
-    build_potential_2var,
-    global_factorization,
-    solve_characteristic,
-    staircase_defect,
-)
-from .forms import (
-    MAX_COORDINATE,
-    distance,
-    load_form,
-    make_substitution,
-    mild_nonlinear_substitution,
-    parse_box,
-    random_linear_substitution,
-)
-from .integrability import CLASS_INCONCLUSIVE, classify, invariance_check
-from .reach import estimate_dimension, explore, surrounding_line_scan
-from .reports import csv_text, json_text, write_text
-from .sampling import box_grid, linspace
 
 
 def _finite_float(text):
@@ -61,6 +43,8 @@ def _positive_float(text):
 
 def _radius(text):
     """argparse type: a ball radius, > 0 and at most the coordinate bound."""
+    from .forms import MAX_COORDINATE
+
     value = _positive_float(text)
     if value > MAX_COORDINATE:
         raise argparse.ArgumentTypeError(
@@ -92,6 +76,8 @@ def _seed(text):
 
 def _emit(text, path):
     if path:
+        from .reports import write_text
+
         write_text(path, text)
     else:
         sys.stdout.write(text)
@@ -117,6 +103,8 @@ def _box_point(form, text, what):
 
 def _catalog_entry(name):
     """The catalog entry ``name``; FormError for an unknown name."""
+    from .catalog import entry
+
     try:
         return entry(name)
     except KeyError as exc:
@@ -137,6 +125,10 @@ def _var_index(form, name):
 
 
 def _cmd_check(args):
+    from .forms import load_form
+    from .integrability import CLASS_INCONCLUSIVE, classify
+    from .reports import json_text
+
     form = load_form(args.form_file, needs_jet=True)
     verdict = classify(form, args.samples, tol=args.tol)
     _emit(json_text(verdict.as_report()), args.out)
@@ -170,6 +162,9 @@ def _factor_report(result, extra=None):
 
 
 def _factor_csv(form, result, per_axis):
+    from .reports import csv_text
+    from .sampling import box_grid
+
     rows = []
     for p in box_grid(form.domain.lows, form.domain.highs, per_axis):
         try:
@@ -184,6 +179,10 @@ def _factor_csv(form, result, per_axis):
 
 
 def _cmd_factor2(args):
+    from .factor import TransversalSpec, auto_transversal, build_potential_2var
+    from .forms import load_form
+    from .reports import json_text, write_text
+
     form = load_form(args.form_file)
     if form.n != 2:
         raise AnalysisError("factor2 requires a two-variable form")
@@ -215,6 +214,10 @@ def _cmd_factor2(args):
 
 
 def _cmd_factor_global(args):
+    from .factor import global_factorization, staircase_defect
+    from .forms import load_form
+    from .reports import json_text, write_text
+
     form = load_form(args.form_file)
     free_index = _var_index(form, args.free_var)
     base = (
@@ -237,6 +240,11 @@ def _cmd_factor_global(args):
 
 
 def _cmd_reach(args):
+    from . import expressions as ex
+    from .forms import load_form
+    from .reach import estimate_dimension, explore, surrounding_line_scan
+    from .reports import csv_text, json_text, write_text
+
     form = load_form(args.form_file)
     point = (
         _box_point(form, args.point, "point") if args.point else form.domain.center
@@ -267,6 +275,11 @@ def _cmd_reach(args):
 
 
 def _cmd_foliate(args):
+    from .factor import auto_transversal, solve_characteristic
+    from .forms import distance, load_form
+    from .reports import csv_text
+    from .sampling import linspace
+
     form = load_form(args.form_file)
     if form.n != 2:
         raise AnalysisError("foliate requires a two-variable form")
@@ -297,6 +310,16 @@ def _cmd_foliate(args):
 
 
 def _cmd_invariance(args):
+    from .forms import (
+        load_form,
+        make_substitution,
+        mild_nonlinear_substitution,
+        parse_box,
+        random_linear_substitution,
+    )
+    from .integrability import invariance_check
+    from .reports import json_text
+
     form = load_form(args.form_file, needs_jet=True)
     if args.map:
         if not (args.new_vars and args.new_domain):
@@ -322,14 +345,16 @@ def _cmd_invariance(args):
 
 
 def _cmd_catalog(args):
+    from .catalog import catalog
+    from .forms import format_form_file
+    from .reports import json_text, write_text
+
     if args.list:
         for e in catalog():
             sys.stdout.write(e.name + "\n")
         return 0
     if args.write_form:
         name, path = args.write_form
-        from .forms import format_form_file
-
         e = _catalog_entry(name)
         write_text(path, format_form_file(e.form))
         return 0

@@ -74,6 +74,7 @@ __all__ = [
     "compile_tuple",
     "call_checked",
     "python_source",
+    "python_sources",
     "exec_source",
 ]
 
@@ -665,16 +666,42 @@ def python_sum(items) -> str:
     return "(0.0{})".format("".join(f" + ({t})" for t in items))
 
 
+# Binding strengths of generated text, loosest first: a sum, a product, a
+# negation (a negative literal is one too) and an atom (a name, a literal, a
+# call or a parenthesized assignment expression).  Pow is a call of _pow.
+_SUM, _PRODUCT, _NEGATION, _ATOM = range(4)
+
+
+def _operand(arg, strength):
+    """The text of ``arg``, a ``(text, strength)`` pair, as an operand that
+    must bind at least as tightly as ``strength``."""
+    text, own = arg
+    return text if own >= strength else f"({text})"
+
+
 def _node_text(e, args):
-    """Source text of the operation of node ``e`` on the texts ``args``."""
+    """``(text, strength)`` of the operation of node ``e`` on the operand
+    pairs ``args``, in only the parentheses Python's precedence needs.
+
+    Python parses the text to the tree a fully parenthesized text of ``e``
+    parses to: an operand is parenthesized where it binds more loosely than
+    its operator, and the right operand of a sum or product also where it
+    binds equally (``a-(b+c)``, ``a/(b*c)``), as the operators group left to
+    right.
+    """
     if isinstance(e, Unary):
-        return f"(-{args[0]})" if e.op == "neg" else f"_{e.op}({args[0]})"
+        if e.op == "neg":
+            return f"-{_operand(args[0], _NEGATION)}", _NEGATION
+        return f"_{e.op}({args[0][0]})", _ATOM
     if isinstance(e, Binary):
-        return f"({args[0]}{e.op}{args[1]})"
-    return f"_pow({args[0]},{python_literal(e.exponent)})"
+        strength = _SUM if e.op in "+-" else _PRODUCT
+        left = _operand(args[0], strength)
+        right = _operand(args[1], strength + 1)
+        return f"{left}{e.op}{right}", strength
+    return f"_pow({args[0][0]},{python_literal(e.exponent)})", _ATOM
 
 
-def _shared_source(exprs, names):
+def python_sources(exprs, names):
     """Python expression texts of ``exprs``, each distinct subtree computed once.
 
     Nodes are interned (structurally equal nodes are one object, with
@@ -684,8 +711,10 @@ def _shared_source(exprs, names):
     every other node is written inline.  Python evaluates the texts left to
     right, so they perform the float operations of the trees written out in
     full, in the same order minus the repeats, and the first one to raise is
-    the same.  ``Var(i)`` is spelled ``names[i]``; a larger index raises
-    :class:`ArityError`.
+    the same.  A text reads the names bound in the texts before it, so
+    the texts must run in order and unconditionally; the locals are named
+    ``_cse<k>``, which the surrounding code must not use.  ``Var(i)`` is
+    spelled ``names[i]``; a larger index raises :class:`ArityError`.
     """
     n_vars = len(names)
     seen = {}  # id(node) -> slot; the trees keep their nodes alive
@@ -720,24 +749,26 @@ def _shared_source(exprs, names):
     bound = {}  # slot -> local name, once its assignment is written
 
     def text(slot):
+        """``(text, strength)`` of the node in ``slot``."""
         local = bound.get(slot)
         if local is not None:
-            return local
+            return local, _ATOM
         e, kids = nodes[slot]
         if isinstance(e, Const):
-            return python_literal(e.value)
+            src = python_literal(e.value)
+            return src, _NEGATION if src[0] == "-" else _ATOM
         if isinstance(e, Var):
-            return names[e.index]
+            return names[e.index], _ATOM
         src = _node_text(e, [text(kid) for kid in kids])
         if uses[slot] < 2:
             return src
         local = bound[slot] = f"_cse{len(bound)}"
-        return f"({local} := {src})"
+        return f"({local} := {src[0]})", _ATOM
 
     roots = [slot_of(e) for e in exprs]
     for root in roots:
         uses[root] += 1
-    return [text(root) for root in roots]
+    return [text(root)[0] for root in roots]
 
 
 def python_source(e: Expression, names) -> str:
@@ -747,9 +778,10 @@ def python_source(e: Expression, names) -> str:
     operations of :func:`compile_scalar`, so code generated around it (for
     example one expression inlined at several points) stays bit-identical.
     Repeated subtrees are bound to locals named ``_cse<k>``, which the
-    surrounding code must not use.
+    surrounding code must not use.  The text has only the parentheses its
+    own operations need: code that uses it as an operand parenthesizes it.
     """
-    return _shared_source([e], names)[0]
+    return python_sources([e], names)[0]
 
 
 def exec_source(source: str, label: str, **extra) -> dict:
@@ -792,7 +824,7 @@ def compile_tuple(exprs, n_vars: int):
     (see :func:`python_source`), with the values and raw error behavior of
     :func:`compile_scalar` on each expression in turn.
     """
-    texts = _shared_source(exprs, [f"x{i}" for i in range(n_vars)])
+    texts = python_sources(exprs, [f"x{i}" for i in range(n_vars)])
     return _compile_return(f"({python_tuple(texts)})", n_vars)
 
 

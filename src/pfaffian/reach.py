@@ -83,8 +83,10 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
         ])
 
     def coefficients(f, names):
-        for i, c in enumerate(form.coefficients):
-            lines.append(f"{f}{i} = {ex.python_source(c, names)}")
+        # one text per stage: a subtree shared by two coefficients is
+        # computed once, in the line of the first (the lines run in order)
+        texts = ex.python_sources(form.coefficients, names)
+        lines.extend(f"{f}{i} = {t}" for i, t in enumerate(texts))
 
     # stage points: free components move with vfree, the pivot with the
     # solved velocity of the previous stage, so stages 2 and 3 differ only

@@ -110,3 +110,56 @@ def _ref_simplify(e):
         left, right = _ref_simplify(e.left), _ref_simplify(e.right)
         return {"+": ex.add, "-": ex.sub, "*": ex.mul, "/": ex.div}[e.op](left, right)
     return ex.powc(_ref_simplify(e.base), e.exponent)
+
+
+def parenthesized_sources(exprs, names):
+    """The texts of ``expressions.python_sources`` with every operation in
+    parentheses: each sum, product and negation is written ``(...)``.
+
+    The package writes only the parentheses Python's precedence needs; the
+    two texts must parse to the same tree.  Shared subtrees are bound and
+    read exactly as the package does it.
+    """
+    uses = {}  # id(node) -> references from distinct parents and roots
+    children = {}
+
+    def count(e):
+        if id(e) in children:
+            return
+        kids = (
+            (e.arg,) if isinstance(e, Unary)
+            else (e.left, e.right) if isinstance(e, Binary)
+            else (e.base,) if isinstance(e, Pow)
+            else ()
+        )
+        children[id(e)] = kids
+        uses.setdefault(id(e), 0)
+        for kid in kids:
+            count(kid)
+            uses[id(kid)] += 1
+
+    for e in exprs:
+        count(e)
+        uses[id(e)] += 1
+    bound = {}
+
+    def text(e):
+        if id(e) in bound:
+            return bound[id(e)]
+        if isinstance(e, Const):
+            return ex.python_literal(e.value)
+        if isinstance(e, Var):
+            return names[e.index]
+        args = [text(kid) for kid in children[id(e)]]
+        if isinstance(e, Unary):
+            src = f"(-{args[0]})" if e.op == "neg" else f"_{e.op}({args[0]})"
+        elif isinstance(e, Binary):
+            src = f"({args[0]}{e.op}{args[1]})"
+        else:
+            src = f"_pow({args[0]},{ex.python_literal(e.exponent)})"
+        if uses[id(e)] < 2:
+            return src
+        local = bound[id(e)] = f"_cse{len(bound)}"
+        return f"({local} := {src})"
+
+    return [text(e) for e in exprs]

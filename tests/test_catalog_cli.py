@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 from conftest import DEEP_SHAPES, PROBE_CASES, deepest_accepted, inset_samples
-from pfaffian import cli, factor
+from pfaffian import factor, forms
 from pfaffian import expressions as ex
 from pfaffian.catalog import catalog, entry
 from pfaffian.cli import main
@@ -46,6 +46,32 @@ def test_catalog_module_is_not_shadowed():
     assert module is pfaffian.catalog
     assert len(pfaffian.catalog.catalog()) == 7
     assert pfaffian.entry is entry
+
+
+def test_package_exports_load_on_first_use():
+    import pfaffian
+
+    namespace = {}
+    exec("from pfaffian import *", namespace)  # noqa: S102
+    exported = {k: v for k, v in namespace.items() if k != "__builtins__"}
+    assert sorted(exported) == sorted(pfaffian.__all__)
+    assert len(exported) == 43
+    for name, value in exported.items():
+        assert getattr(sys.modules[value.__module__], name) is value, name
+        assert getattr(pfaffian, name) is value
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pfaffian.no_such_name  # noqa: B018
+    # importing the package imports no submodule; reading one imports it
+    code = ("import sys, pfaffian\n"
+            "loaded = lambda: sorted(m for m in sys.modules if 'pfaffian' in m)\n"
+            "print(loaded())\n"
+            "print(type(pfaffian.errors).__name__, loaded())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pfaffian.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=60)
+    assert done.stdout == ("['pfaffian']\n"
+                           "module ['pfaffian', 'pfaffian.errors']\n"), done.stderr
 
 
 def test_catalog_classifications_match_expectations():
@@ -786,13 +812,14 @@ def _f_only_jobs():
 def test_f_only_commands_build_no_jacobian(argv, tmp_path, capsys, monkeypatch):
     command, name, *rest = argv
     loaded = []
-    load_form = cli.load_form
+    load_form = forms.load_form
 
     def loading(*args, **kwargs):
         loaded.append(load_form(*args, **kwargs))
         return loaded[-1]
 
-    monkeypatch.setattr(cli, "load_form", loading)
+    # the handlers import load_form when they run, so they see the patch
+    monkeypatch.setattr(forms, "load_form", loading)
     assert main([command, _catalog_file(tmp_path, name), *rest]) == 0
     (form,) = loaded
     assert "jet_fn" not in vars(form)
@@ -807,8 +834,8 @@ def test_check_with_jet_probe_matches_f_probe(case, tmp_path, capsys, monkeypatc
                     + f"domain: {domain}\n")
     code = main(["check", str(path)])
     jet = (code, *capsys.readouterr())
-    load_form = cli.load_form
-    monkeypatch.setattr(cli, "load_form", lambda p, **_: load_form(p))
+    load_form = forms.load_form
+    monkeypatch.setattr(forms, "load_form", lambda p, **_: load_form(p))
     code = main(["check", str(path)])
     assert jet == (code, *capsys.readouterr())
     if case == "jet_raises":
@@ -915,48 +942,71 @@ def test_cli_reach_epsilon_beyond_coordinate_bound_is_input_error(tmp_path, caps
     assert "--epsilon: must be at most 1e+150" in capsys.readouterr().err
 
 
-_NUMPY_FREE_RUNS = r'''
-import contextlib, io, sys
+# one CLI run in a fresh interpreter; prints the pfaffian submodules and
+# whether numpy is loaded after it (no arguments: after the import alone)
+_MODULES_OF_RUN = r'''
+import contextlib, io, json, sys
 from pfaffian.cli import main
 
-tmp = sys.argv[1]
-
-
-def run(*argv):
+if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(list(argv)) == 0, argv
-
-
-def form(name):
-    path = f"{tmp}/{name}.pfaff"
-    run("catalog", "--write-form", name, path)
-    return path
-
-
-run("catalog", "--list")
-for name in ("contact", "scaled_exact", "ray_form"):
-    run("check", form(name))
-run("factor2", form("ray_form"), "--grid", "5", "--csv", f"{tmp}/factor2.csv")
-run("foliate", form("product_exact"), "--curves", "3")
-run("factor-global", form("exact_3var"), "--free-var", "z", "--grid", "3",
-    "--staircase", "--csv", f"{tmp}/global.csv")
-print("numpy loaded:", "numpy" in sys.modules)
-run("reach", form("contact"), "--budget", "2000", "--free-var", "z")
-run("invariance", form("contact"))
-run("invariance", form("scaled_exact"), "--nonlinear")
-print("numpy loaded:", "numpy" in sys.modules)
+        assert main(sys.argv[1:]) == 0, sys.argv
+print(json.dumps([sorted(m for m in sys.modules if m.startswith("pfaffian")),
+                  "numpy" in sys.modules]))
 '''
+
+# what reading a form file and writing a report load
+_FORM_AND_REPORT = {"expressions", "forms", "reports", "sampling"}
+# the pfaffian submodules each subcommand loads beyond pfaffian.cli and
+# pfaffian.errors, and whether it loads numpy
+_RUN_LOADS = {
+    "import": (set(), False),
+    "catalog": ({"catalog", *_FORM_AND_REPORT}, False),
+    "check": ({"integrability", *_FORM_AND_REPORT}, False),
+    "factor2": ({"factor", "ode", *_FORM_AND_REPORT}, False),
+    "foliate": ({"factor", "ode", *_FORM_AND_REPORT}, False),
+    "factor-global": ({"factor", "ode", "integrability", *_FORM_AND_REPORT}, False),
+    "reach": ({"reach", *_FORM_AND_REPORT}, True),
+    "invariance": ({"integrability", *_FORM_AND_REPORT}, True),
+}
 
 
 def test_numpy_free_subcommands_do_not_load_numpy(tmp_path):
-    """check, factor2, factor-global, foliate and catalog run without numpy;
-    reach and invariance, which need it, load it in the same process."""
+    """Each run, in a fresh interpreter, loads only the modules its subcommand
+    uses: check, factor2, factor-global, foliate and catalog run without
+    numpy, and reach and invariance, which need it, load it."""
     import pfaffian
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(pfaffian.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _NUMPY_FREE_RUNS, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
-    assert done.stdout == "numpy loaded: False\nnumpy loaded: True\n"
+
+    def form(name):
+        path = str(tmp_path / f"{name}.pfaff")
+        assert main(["catalog", "--write-form", name, path]) == 0
+        return path
+
+    runs = [
+        [],
+        ["catalog", "--list"],
+        ["catalog", "--show", "contact"],
+        ["catalog", "--write-form", "ray_form", str(tmp_path / "written.pfaff")],
+        *(["check", form(name)] for name in ("contact", "scaled_exact", "ray_form")),
+        ["factor2", form("ray_form"), "--grid", "5", "--csv",
+         str(tmp_path / "factor2.csv")],
+        ["foliate", form("product_exact"), "--curves", "3"],
+        ["factor-global", form("exact_3var"), "--free-var", "z", "--grid", "3",
+         "--staircase", "--csv", str(tmp_path / "global.csv")],
+        ["reach", form("contact"), "--budget", "2000", "--free-var", "z"],
+        ["invariance", form("contact")],
+        ["invariance", form("scaled_exact"), "--nonlinear"],
+    ]
+    for argv in runs:
+        done = subprocess.run([sys.executable, "-c", _MODULES_OF_RUN, *argv],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, (argv, done.stderr)
+        assert done.stderr == ""
+        modules, numpy_loaded = json.loads(done.stdout)
+        loads, numpy_needed = _RUN_LOADS[argv[0] if argv else "import"]
+        expected = {"pfaffian", "pfaffian.cli", "pfaffian.errors",
+                    *(f"pfaffian.{m}" for m in loads)}
+        assert (set(modules), numpy_loaded) == (expected, numpy_needed), argv

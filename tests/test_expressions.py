@@ -1,3 +1,4 @@
+import ast
 import copy
 import gc
 import math
@@ -430,6 +431,84 @@ def test_python_sum_adds_left_to_right():
     assert eval(ex.python_sum([])) == 0.0  # noqa: S307
     # each term is parenthesized: a difference is one term, not two
     assert eval(ex.python_sum(["1e16 - 1e16", "1.0"])) == 1.0  # noqa: S307
+
+
+# --- generated code: only the parentheses precedence needs -------------------
+
+_code_leaf = st.one_of(
+    _names.map(ex.Var),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -1.5, 2.5, -1e-300, 1e300,
+                     math.inf, -math.inf, math.nan]).map(ex.Const),
+    st.floats().map(ex.Const),
+)
+
+
+@st.composite
+def _shared_trees(draw):
+    """Random folded trees, plus trees built from several of them, so that
+    subtrees repeat within and across the list."""
+    pool = draw(st.lists(_trees(_code_leaf), min_size=1, max_size=3))
+    picks = st.integers(0, len(pool) - 1)
+    combos = draw(st.lists(
+        st.tuples(st.sampled_from("+-*/"), picks, picks), max_size=4))
+    return pool + [_apply_binary((op, pool[i], pool[j])) for op, i, j in combos]
+
+
+def _assert_parses_as_parenthesized(exprs, names):
+    texts = ex.python_sources(exprs, names)
+    for text, full in zip(texts, oracle.parenthesized_sources(exprs, names),
+                          strict=True):
+        assert ast.dump(ast.parse(text, mode="eval")) == ast.dump(
+            ast.parse(full, mode="eval")), (text, full)
+        assert len(text) <= len(full)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_shared_trees())
+def test_generated_text_parses_as_the_parenthesized_text(exprs):
+    _assert_parses_as_parenthesized(exprs, list(VARS3))
+
+
+def _sweep_style_coefficients(n):
+    """exp(Q) grad P for a polynomial P with every monomial of degree at most
+    2 in ``n`` variables, as the classify sweep of the benchmark builds."""
+    names = [f"x{i + 1}" for i in range(n)]
+    monomials = [*names, *(f"{a}*{b}" for i, a in enumerate(names)
+                           for b in names[i:])]
+    p_text = " + ".join(f"{(-1) ** k * (k + 1) / 4}*{m}"
+                        for k, m in enumerate(monomials))
+    psi = ex.parse_expression(p_text, names)
+    mu = ex.parse_expression(f"exp(0.25*x1*x2 - 0.5*{names[-1]}^2)", names)
+    return names, [ex.mul(mu, ex.differentiate(psi, i)) for i in range(n)]
+
+
+@pytest.mark.parametrize("case", ["catalog", "sweep-3", "sweep-5"])
+def test_generated_text_of_forms_parses_as_the_parenthesized_text(case):
+    from pfaffian.catalog import catalog
+
+    if case == "catalog":
+        forms = [(e.var_names, list(e.form.coefficients)) for e in catalog()]
+    else:
+        forms = [_sweep_style_coefficients(int(case[-1]))]
+    for names, coefficients in forms:
+        n = len(names)
+        memo = {}
+        partials = [ex.differentiate(c, j, memo)
+                    for i, c in enumerate(coefficients) for j in range(n) if j != i]
+        _assert_parses_as_parenthesized([*coefficients, *partials], list(names))
+        _assert_parses_as_parenthesized(coefficients, list(names))
+
+
+@pytest.mark.parametrize("text,source", [
+    ("x1 + x2 + x3", "x1+x2+x3"),
+    ("x1 - (x2 + x3)", "x1-(x2+x3)"),
+    ("(x1 - x2)*x3 / (x1*x2)", "(x1-x2)*x3/(x1*x2)"),
+    ("-(x1*x2) - -x3", "-(x1*x2)--x3"),
+    ("x1*-1.5 + exp(-x2)", "x1*-1.5+_exp(-x2)"),
+    ("(x1 + x2)^2", "_pow(x1+x2,2.0)"),
+])
+def test_generated_text_has_only_needed_parentheses(text, source):
+    assert ex.python_source(ex.parse_expression(text, VARS3), list(VARS3)) == source
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))

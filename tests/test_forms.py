@@ -454,7 +454,7 @@ def test_compile_tuple_shares_subtrees_structurally():
              sin_times_x(-0.0),
              ex.add(exp_xy(), ex.mul(ex.constant(0.5), exp_xy()))]
     assert exprs[4] is exprs[0] and exprs[1].right is exprs[3]
-    texts = ex._shared_source(exprs, ["x", "y"])
+    texts = ex.python_sources(exprs, ["x", "y"])
     assert "".join(texts).count("_exp(") == 1
     assert "_sin(0.0)" in texts[2] and "_sin(-0.0)" in texts[1]
     fn = ex.compile_tuple(exprs, 2)
