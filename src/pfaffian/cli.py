@@ -162,20 +162,11 @@ def _factor_report(result, extra=None):
 
 
 def _factor_csv(form, result, per_axis):
+    from .factor import grid_rows
     from .reports import csv_text
-    from .sampling import box_grid
 
-    rows = []
-    for p in box_grid(form.domain.lows, form.domain.highs, per_axis):
-        try:
-            psi = result.psi(p)
-            mu = result.mu(p)
-        except (AnalysisError, ExpressionError, ValueError, ZeroDivisionError,
-                OverflowError):
-            continue
-        rows.append([*p, psi, mu])
     header = [*("{}".format(v) for v in form.var_names), "psi", "mu"]
-    return csv_text(header, rows)
+    return csv_text(header, grid_rows(form, result, per_axis))
 
 
 def _cmd_factor2(args):

@@ -12,7 +12,8 @@ hypersurface and mu = F_free * (d x_free / d fiber-coordinate).
 Both integrate with generated Dormand-Prince kernels that the form keeps in
 ``PfaffianForm.ode_kernels``.  All psi/mu evaluators are numerical;
 verify_factorization closes the loop by checking the defining identity with
-finite differences of psi.
+finite differences of psi.  Its statistics and the CSV rows of grid_rows
+leave out the same points: those where a value is undefined or not finite.
 """
 
 from __future__ import annotations
@@ -277,53 +278,48 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
                 return "singular", None, True
             steps_used = used + accepted
 
+            # dependent-axis box exit: a step across a face ends at the
+            # located crossing; a step out from on (or past) a face, as from
+            # a start on it, ends where it began
             crossed = None  # (t, y, kind) where the step ends
-            try:
-                # dependent-axis box exit: a step across a face ends at the
-                # located crossing; a step out from on (or past) a face, as
-                # from a start on it, ends where it began
-                for bound, outward in ((low_b, -1.0), (high_b, 1.0)):
-                    g0, g1 = prev_y[0] - bound, y[0] - bound
-                    if g0 * g1 < 0:
-                        probe = _step_probe(advance, prev_t, prev_y, prev_f0, t,
-                                            y, sign_a, rtol, atol)
-                        lam = _locate(probe, bound)
-                        crossed = (prev_t + lam * (t - prev_t), probe(lam),
-                                   "boundary")
-                    elif g0 * outward >= 0 and g1 * outward > 0:
-                        crossed = (prev_t, prev_y, "boundary")
-                # transversal crossing on the dependent axis
-                if crossed is None and on_b:
-                    g0 = prev_y[0] - level
-                    g1 = y[0] - level
-                    if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
-                        probe = _step_probe(advance, prev_t, prev_y, prev_f0, t,
-                                            y, sign_a, rtol, atol)
-                        lam = _locate(probe, level)
-                        t_cross = prev_t + lam * (t - prev_t)
-                        if transversal.on_span(t_cross):
-                            crossed = (t_cross, probe(lam), "transversal")
-            except _ProbeFailed:
-                # a probe solve stopped short: its step collapsed where the
-                # solved coefficient vanishes or is undefined, or its
-                # attempts ran out
-                return "singular", None, True
+            located = None  # (level, kind) of a crossing inside the step
+            for bound, outward in ((low_b, -1.0), (high_b, 1.0)):
+                g0, g1 = prev_y[0] - bound, y[0] - bound
+                if g0 * g1 < 0:
+                    located = (bound, "boundary")
+                elif g0 * outward >= 0 and g1 * outward > 0:
+                    crossed = (prev_t, prev_y, "boundary")
+            # transversal crossing on the dependent axis
+            if crossed is None and located is None and on_b:
+                g0, g1 = prev_y[0] - level, y[0] - level
+                if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
+                    located = (level, "transversal")
+            if located is not None:
+                crossing_level, kind = located
+                try:
+                    probe = _step_probe(advance, prev_t, prev_y, prev_f0, t, y,
+                                        sign_a, rtol, atol)
+                    lam = _locate(probe, crossing_level)
+                    t_hit = prev_t + lam * (t - prev_t)
+                    if kind == "boundary" or transversal.on_span(t_hit):
+                        crossed = (t_hit, probe(lam), kind)
+                except _ProbeFailed:
+                    # a probe solve stopped short: its step collapsed where
+                    # the solved coefficient vanishes or is undefined, or its
+                    # attempts ran out
+                    return "singular", None, True
 
             if crossed is not None:
                 t_hit, y_hit, kind = crossed
-                p_hit = [0.0, 0.0]
-                p_hit[a], p_hit[b] = t_hit, y_hit[0]
-                p_hit = box.clamp(p_hit)
+                p_hit = box.clamp(_point(a, t_hit, y_hit[0]))
                 if pts is not None:
-                    pts.append(tuple(p_hit))
+                    pts.append(p_hit)
                 if kind == "transversal":
                     return "transversal", p_hit[a], False
                 # boundary hit without reaching the transversal
                 return "boundary", None, True
 
-            p_new = [0.0, 0.0]
-            p_new[a], p_new[b] = t, y[0]
-            x = tuple(p_new)
+            x = _point(a, t, y[0])
             if pts is not None:
                 pts.append(x)
 
@@ -346,6 +342,11 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
             # the step budget is spent, after a step or after a swap on the
             # last step (whose first slope, above, is defined at the swap)
             return "max_steps", None, True
+
+
+def _point(a, t, y_b):
+    """The point with coordinate ``t`` on axis ``a`` and ``y_b`` on the other."""
+    return (t, y_b) if a == 0 else (y_b, t)
 
 
 class _ProbeFailed(Exception):
@@ -437,14 +438,6 @@ def fd_gradient(fn, p, box: Box):
 
 
 @dataclass
-class ResidualStats:
-    residual_max: float
-    residual_rms: float
-    evaluated_points: int
-    skipped_points: int
-
-
-@dataclass
 class FactorizationResult:
     """Numerical factorization delta_xi = mu * d(psi) on the usable sub-box.
 
@@ -463,48 +456,70 @@ class FactorizationResult:
     flags: dict = field(default_factory=dict)
 
 
-_SKIP_ERRORS = (
-    AnalysisError,
-    EvalDomainError,
-    ValueError,
-    ZeroDivisionError,
-    OverflowError,
-)
+# ZeroDivisionError and OverflowError are ArithmeticErrors
+_SKIP_ERRORS = (AnalysisError, EvalDomainError, ValueError, ArithmeticError)
+
+
+def _defined_values(evaluate, points):
+    """``(p, evaluate(p))`` for the points where ``evaluate`` raises none of
+    ``_SKIP_ERRORS`` and returns finite values only: the point-skip rule."""
+    for p in points:
+        try:
+            values = evaluate(p)
+        except _SKIP_ERRORS:
+            continue
+        if all(map(math.isfinite, values)):
+            yield p, values
+
+
+def grid_rows(form: PfaffianForm, result: FactorizationResult, per_axis: int):
+    """Rows ``[*p, psi(p), mu(p)]`` of the ``per_axis``-point box grid, for
+    the points where both values are defined and finite."""
+    grid = box_grid(form.domain.lows, form.domain.highs, per_axis)
+    return [[*p, *values] for p, values in
+            _defined_values(lambda p: (result.psi(p), result.mu(p)), grid)]
+
+
+def _rms(values, scale):
+    """``scale * sqrt(mean((v / scale)^2))``, summed left to right (NaN for no
+    value); exactly the plain root mean square with ``scale`` 1.0."""
+    acc = 0.0
+    for v in values:
+        v /= scale
+        acc += v * v
+    return scale * math.sqrt(acc / len(values)) if values else math.nan
 
 
 def verify_factorization(form: PfaffianForm, result: FactorizationResult,
-                         samples) -> ResidualStats:
-    """Residual statistics of the identity F_i = mu * dpsi/dx_i over samples.
+                         samples) -> FactorizationResult:
+    """Fill the residual statistics of the identity F_i = mu * dpsi/dx_i over
+    ``samples`` into ``result``, and return it.
 
     Residual at p is max_i |F_i(p) - mu(p) * dpsi/dx_i(p)| / max(1, |F_i(p)|),
-    with dpsi by finite differences of the psi evaluator.  Failures at a
-    sample are counted as skipped, never fatal.
+    with dpsi by finite differences of the psi evaluator.  Samples left out
+    by :func:`_defined_values` are counted as skipped, never fatal.  Where
+    the squares overflow, the rms is scaled by the largest residual.
     """
+    n = form.n
     fns = form.coefficient_tuple_fn
     box = form.domain
-    worst = 0.0
-    acc = 0.0
-    used = 0
-    skipped = 0
-    for p in samples:
-        try:
-            grad = fd_gradient(result.psi, p, box)
-            mu_p = result.mu(p)
-            fvals = fns(*p)
-        except _SKIP_ERRORS:
-            skipped += 1
-            continue
-        if not all(math.isfinite(v) for v in (*grad, mu_p, *fvals)):
-            skipped += 1
-            continue
-        r = max(
-            abs(f - mu_p * g) / max(1.0, abs(f)) for f, g in zip(fvals, grad)
-        )
-        worst = max(worst, r)
-        acc += r * r
-        used += 1
-    rms = math.sqrt(acc / used) if used else math.nan
-    return ResidualStats(worst if used else math.nan, rms, used, skipped)
+    samples = list(samples)
+
+    def evaluate(p):
+        return (*fd_gradient(result.psi, p, box), result.mu(p), *fns(*p))
+
+    residuals = []
+    for _, values in _defined_values(evaluate, samples):
+        grad, mu_p, fvals = values[:n], values[n], values[n + 1:]
+        residuals.append(max(abs(f - mu_p * g) / max(1.0, abs(f))
+                             for f, g in zip(fvals, grad)))
+    result.evaluated_points = len(residuals)
+    result.skipped_points = len(samples) - len(residuals)
+    result.residual_max = max(residuals, default=math.nan)
+    result.residual_rms = _rms(residuals, 1.0)
+    if not math.isfinite(result.residual_rms):  # the squares overflow
+        result.residual_rms = _rms(residuals, result.residual_max)
+    return result
 
 
 def _mu_from_gradient(form, p, grad):
@@ -585,11 +600,7 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
     result = FactorizationResult(psi=psi, mu=mu, method=METHOD_TWO_VAR,
                                  flags=flags)
     grid = box_grid(form.domain.lows, form.domain.highs, grid_per_axis)
-    stats = verify_factorization(form, result, grid)
-    result.residual_max = stats.residual_max
-    result.residual_rms = stats.residual_rms
-    result.skipped_points = stats.skipped_points
-    result.evaluated_points = stats.evaluated_points
+    verify_factorization(form, result, grid)
     flags["transversal"] = {"fixed_axis": tv.fixed_axis, "value": tv.value}
     if tv.span is not None:
         flags["transversal"]["span"] = list(tv.span)
@@ -614,9 +625,9 @@ class SurfaceField:
     widened box from past the box proper ends at once with the status
     "box_exit".  A solve that ends with any other status but "ok", or whose
     right-hand side is undefined at the start, is an AnalysisError of
-    ``value`` and ``fiber_through`` (:meth:`_solve`), which memoize
-    successes only, and its point is skipped.  Every field on a form and
-    free variable shares one kernel (:meth:`_path_kernel`).
+    :meth:`_solve`, which ``value``, ``fiber_through`` and the staircase legs
+    call, and which memoizes successes only; its point is skipped.  Every
+    field on a form and free variable shares one kernel (:meth:`_path_kernel`).
     """
 
     def __init__(self, form: PfaffianForm, free_index: int, base,
@@ -636,7 +647,6 @@ class SurfaceField:
         hi = form.domain.highs[free_index]
         self._free_bounds = (lo - 1e-9 * (hi - lo), hi + 1e-9 * (hi - lo))
         self.memo = {}
-        self._fibers = {}
         self.kernel = self._path_kernel()
 
     def _path_kernel(self):
@@ -693,8 +703,12 @@ class SurfaceField:
 
         Starts from ``xn`` at ``t0``.  Raises AnalysisError when the
         right-hand side is undefined at the start or the solve ends with any
-        status but "ok".
+        status but "ok".  Successes are kept in ``memo``, keyed by the
+        arguments.
         """
+        key = (u0, u1, xn, t0, t1)
+        if key in self.memo:
+            return self.memo[key]
         deltas = tuple(b - a for a, b in zip(u0, u1))
         try:
             status, y, _, _ = _integrate_unit(self.kernel, (u0, deltas),
@@ -704,36 +718,26 @@ class SurfaceField:
             raise AnalysisError(f"surface integration failed: {exc}") from exc
         if status != "ok":
             raise AnalysisError(f"surface integration failed: {status}")
+        self.memo[key] = y[0]
         return y[0]
 
     def value(self, u, s) -> float:
         """Free coordinate of the surface through (base_proj, s) above u."""
-        key = (tuple(float(v) for v in u), float(s))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
         lo, hi = self._free_bounds
         if not lo <= s <= hi:
             raise AnalysisError("fiber coordinate outside the box")
-        xn = self._solve(self.base_proj, key[0], s, 0.0, 1.0)
-        self.memo[key] = xn
-        return xn
+        return self._solve(self.base_proj, tuple(float(v) for v in u), float(s),
+                           0.0, 1.0)
 
     def fiber_through(self, p) -> float:
         """Fiber coordinate s of the surface passing through the point p.
 
         Computed by integrating the same path ODE from p back to the base
-        projection; equals the root of value(proj(p), s) = p_free.  Successes
-        are memoized per point.
+        projection; equals the root of value(proj(p), s) = p_free.
         """
         p = tuple(float(v) for v in p)
-        hit = self._fibers.get(p)
-        if hit is not None:
-            return hit
-        u_p = tuple(p[i] for i in self.other)
-        s = self._solve(self.base_proj, u_p, p[self.free_index], 1.0, 0.0)
-        self._fibers[p] = s
-        return s
+        return self._solve(self.base_proj, tuple(p[i] for i in self.other),
+                           p[self.free_index], 1.0, 0.0)
 
 
 def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol):
@@ -784,9 +788,6 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
         "mu_branch_disagreements": 0,
     }
 
-    def psi(p):
-        return field_.fiber_through(p)
-
     def mu(p):
         p = tuple(float(v) for v in p)
         s = field_.fiber_through(p)
@@ -800,13 +801,10 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
         dxn_ds = (field_.value(u_p, s_hi) - field_.value(u_p, s_lo)) / (s_hi - s_lo)
         return form.coefficient_tuple_fn(*p)[free_index] * dxn_ds
 
-    result = FactorizationResult(psi=psi, mu=mu, method=METHOD_GLOBAL, flags=flags)
+    result = FactorizationResult(psi=field_.fiber_through, mu=mu,
+                                 method=METHOD_GLOBAL, flags=flags)
     grid = box_grid(box.lows, box.highs, grid_per_axis)
-    stats = verify_factorization(form, result, grid)
-    result.residual_max = stats.residual_max
-    result.residual_rms = stats.residual_rms
-    result.skipped_points = stats.skipped_points
-    result.evaluated_points = stats.evaluated_points
+    verify_factorization(form, result, grid)
 
     flags["monotone_violations"] = _monotonicity_violations(field_)
     return result

@@ -181,6 +181,14 @@ def _scale_factors(values):
     return linear, linear * linear
 
 
+def _scaled_jet(values, lin, n):
+    """``(f, c)``: F and the curls (:func:`_curls`) of a ``jet_fn`` value
+    with each entry multiplied by ``lin`` first, so that neither overflows
+    where ``|R_ijk|`` does (``max|F_i|`` above about 1e154)."""
+    scaled = [v * lin for v in values]
+    return scaled[:n], _curls(scaled, n)
+
+
 @dataclass
 class _SampleScan:
     """Aggregates defect/tensor maxima over the sample plan."""
@@ -215,8 +223,10 @@ def _scan_samples(form, points):
     matrix (:func:`_curls`) is built once; the defects ``|c[i][j]| * lin``
     and the tensor components ``|R_ijk| * quad`` (:func:`_tensor`), scaled
     by :func:`_scale_factors`, enter max reductions that break ties by the
-    point (:func:`_better`).  A value below the best so far is never better,
-    so :func:`_better` is asked only from the best value up.
+    point (:func:`_better`).  A scaled value that is not finite is computed
+    again from the jet scaled by ``lin`` (:func:`_scaled_jet`).  A value
+    below the best so far is never better, so :func:`_better` is asked only
+    from the best value up.
     """
     n = form.n
     jet = form.jet_fn
@@ -244,13 +254,20 @@ def _scan_samples(form, points):
         scan.used += 1
         lin, quad = _scale_factors(fvals)
         c = _curls(values, n)
+        scaled = None  # _scaled_jet, where a scaled value is not finite
         for i, j in pairs:
             d = abs(c[i][j]) * lin
+            if not isfinite(d):
+                scaled = scaled or _scaled_jet(values, lin, n)
+                d = abs(scaled[1][i][j])
             if defect_point is None or (
                     d >= defect_max and _better(d, p, defect_max, defect_point)):
                 defect_max, defect_point, defect_pair = d, tuple(p), (i, j)
         for m, t in enumerate(triples):
             r = abs(_tensor(fvals, c, *t)) * quad
+            if not isfinite(r):
+                scaled = scaled or _scaled_jet(values, lin, n)
+                r = abs(_tensor(*scaled, *t))
             if triple_point[m] is None or (
                     r >= triple_max[m]
                     and _better(r, p, triple_max[m], triple_point[m])):

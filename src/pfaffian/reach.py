@@ -206,8 +206,9 @@ def _compile_loop(form: PfaffianForm, k, box, center, limit, squared, kind):
     ``status`` is DONE, LOST, EXIT, where ``x, fx`` is the crossing, or CUT,
     where it is the last state inside; ``steps`` counts the steps taken, the
     one that left included; ``best`` is the smallest of ``best`` and the
-    distances (``forms.distance``) to ``target`` of the states inside and of
-    the crossing.
+    distances (``forms.distance``) to ``target`` of the states inside.  The
+    crossing's distance is not in it: the caller notes that after an EXIT
+    (``_Seeker._note``).
     """
     n = form.n
     free = [i for i in range(n) if i != k]
@@ -739,22 +740,13 @@ class _Seeker:
             room = self._loop_room()
             if room <= 1e-6 * self.eps:
                 break
+            # a loop measures kappa while it is unknown, else kappa sizes it
             if kappa is None:
-                a = min(room, self.eps / 4.0)
-                before = self.x[k]
-                if not self._square_loop(k, i, j, a, 1.0):
-                    continue
-                delta = self.x[k] - before
-                if abs(delta) < max(1e-12, 1e-7 * a * a):
-                    stalls += 1
-                    if stalls >= 2:
-                        break
-                    continue
-                kappa = delta / (a * a)
-                continue
-            area_needed = r / kappa
-            a = min(room, math.sqrt(abs(area_needed)))
-            orient = 1.0 if area_needed > 0 else -1.0
+                a, orient, stall_limit = min(room, self.eps / 4.0), 1.0, 2
+            else:
+                area_needed = r / kappa
+                a, stall_limit = min(room, math.sqrt(abs(area_needed))), 3
+                orient = 1.0 if area_needed > 0 else -1.0
             before = self.x[k]
             if not self._square_loop(k, i, j, a, orient):
                 kappa = None
@@ -763,7 +755,7 @@ class _Seeker:
             if abs(delta) < max(1e-12, 1e-7 * a * a):
                 stalls += 1
                 kappa = None
-                if stalls >= 3:
+                if stalls >= stall_limit:
                     break
                 continue
             kappa = delta / (orient * a * a)

@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -165,6 +166,13 @@ def _run(argv):
 EXACT3_TEXT = ("vars: x, y, z\nF[1] = 1\nF[2] = 1\nF[3] = 1\n"
                "domain: [-1,1] x [-1,1] x [-1,1]\n")
 CONTACT_TEXT = format_form_file(entry("contact").form)
+# coefficients near 1e200: F . curl F = -(3+x+y+z)*1e400 overflows
+BIG_TEXT = ("vars: x, y, z\nF[1] = 1e200*(1+y)\nF[2] = 1e200*z\n"
+            "F[3] = 1e200*(2+x)\ndomain: [-0.5,0.5] x [-0.5,0.5] x [-0.5,0.5]\n")
+# a coefficient 1 or 2 + x^2*1e308, which overflows where |x| > 1.34
+WIDE2_TEXT = "vars: x, y\nF[1] = 1\nF[2] = 2 + x^2*1e308\ndomain: [-2,2] x [-1,1]\n"
+WIDE3_TEXT = ("vars: x, y, z\nF[1] = 0\nF[2] = 0\nF[3] = 1 + x^2*1e308\n"
+              "domain: [-2,2] x [-1,1] x [-1,1]\n")
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None,
@@ -174,8 +182,11 @@ CONTACT_TEXT = format_form_file(entry("contact").form)
 # (KeyError), a verdict with too few endpoints (NaN in the report), a ball
 # or a box whose squared distances overflow, and a characteristic's crossing
 # search stepping where the solved coefficient vanishes; a reach that
-# never ended, because no rollout of its exploration could take a step; and
-# a reach reference --psi undefined or overflowing at the base
+# never ended, because no rollout of its exploration could take a step; a
+# reach reference --psi undefined or overflowing at the base; a tensor
+# overflowing where the square of the scale underflows (check, invariance),
+# a sum of squared residuals overflowing (factor2, factor-global), and a mu
+# overflowing on CSV grid points (factor-global)
 @example((EXACT3_TEXT, ["catalog", "--show", "nope"]))
 @example((EXACT3_TEXT, ["catalog", "--write-form", "nope", "{write}"]))
 @example((EXACT3_TEXT, ["reach", "{form}", "--budget", "1"]))
@@ -192,6 +203,13 @@ CONTACT_TEXT = format_form_file(entry("contact").form)
 @example((CONTACT_TEXT, ["reach", "{form}", "--budget", "200", "--psi", "1/x"]))
 @example((CONTACT_TEXT, ["reach", "{form}", "--budget", "200", "--psi",
                          "exp(1000*x+1000)"]))
+@example((BIG_TEXT, ["check", "{form}"]))
+@example((BIG_TEXT, ["invariance", "{form}"]))
+@example((WIDE2_TEXT, ["factor2", "{form}", "--grid", "5", "--csv", "{csv}"]))
+@example((BIG_TEXT, ["factor-global", "{form}", "--free-var", "z", "--force",
+                     "--grid", "3", "--csv", "{csv}"]))
+@example((WIDE3_TEXT, ["factor-global", "{form}", "--free-var", "z", "--grid", "5",
+                       "--csv", "{csv}"]))
 def test_cli_contract_under_fuzz(invocation):
     text, template = invocation
     with tempfile.TemporaryDirectory() as tmp:
@@ -219,3 +237,20 @@ def test_cli_contract_under_fuzz(invocation):
         if code == 0 and os.path.exists(paths["write"]):
             # a written catalog form loads again
             assert _run(["check", paths["write"], "--samples", "4"])[0] == 0
+
+
+def test_check_large_coefficients_non_integrable(tmp_path):
+    """The scaled tensor of BIG_TEXT is finite where the tensor overflows.
+
+    At the witness it is ``(3+x+y+z) / max|F_i / 1e200|^2``.
+    """
+    path = tmp_path / "big.pfaff"
+    path.write_text(BIG_TEXT, encoding="utf-8")
+    code, out, err = _run(["check", str(path)])
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["class"] == "non_integrable"
+    x, y, z = report["witness"]["point"]
+    scale = max(abs(1 + y), abs(z), abs(2 + x))
+    assert report["witness"]["value"] == pytest.approx(
+        (3 + x + y + z) / scale ** 2, rel=1e-12)

@@ -323,6 +323,19 @@ def test_verify_gauge_freedom():
     assert s1.residual_max == pytest.approx(s2.residual_max, rel=1e-6, abs=1e-12)
 
 
+def test_verify_fills_result_and_scales_overflowing_rms():
+    # dpsi = (1, 1) and mu = 1e200 against F = (1, 1): every residual is
+    # 1e200 - 1, whose square overflows
+    form = make_form(["x", "y"], ["1", "1"], Box((-1, -1), (1, 1)))
+    res = FactorizationResult(psi=lambda p: p[0] + p[1], mu=lambda p: 1e200,
+                              method="huge")
+    samples = inset_samples(form.domain, 8, 0.05)
+    assert verify_factorization(form, res, samples) is res
+    assert (res.evaluated_points, res.skipped_points) == (8, 0)
+    assert res.residual_max == pytest.approx(1e200, rel=1e-9)
+    assert res.residual_rms == pytest.approx(1e200, rel=1e-9)
+
+
 # --- global construction ---------------------------------------------------------
 
 
@@ -483,7 +496,7 @@ def test_failed_path_solves_raise_analysis_error(monkeypatch, outcome):
             field.fiber_through((0.2, -0.1, 0.05))
         assert type(info.value) is AnalysisError
     assert len(solves) == 4
-    assert field.memo == {} and field._fibers == {}
+    assert field.memo == {}
 
 
 def test_path_solve_undefined_at_the_start_raises_analysis_error():
@@ -498,7 +511,7 @@ def test_path_solve_undefined_at_the_start_raises_analysis_error():
             field.value((0.3,), 0.0)
         with pytest.raises(AnalysisError, match="^surface integration failed"):
             field.fiber_through((0.3, 0.0))
-    assert field.memo == {} and field._fibers == {}
+    assert field.memo == {}
     # on x + y^2 / 2 = const the path to x = -0.3 from y = 0.5 is defined
     assert field.value((-0.3,), 0.5) == pytest.approx(math.sqrt(0.85), abs=1e-9)
 
