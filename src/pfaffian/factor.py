@@ -299,7 +299,9 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
                 try:
                     probe = _step_probe(advance, prev_t, prev_y, prev_f0, t, y,
                                         sign_a, rtol, atol)
-                    lam = _locate(probe, crossing_level)
+                    # the probe is exact at the step's ends, which bracket the crossing
+                    lam = bisect_root(lambda lam: probe(lam)[0] - crossing_level,
+                                      0.0, 1.0, xtol=1e-14)
                     t_hit = prev_t + lam * (t - prev_t)
                     if kind == "boundary" or transversal.on_span(t_hit):
                         crossed = (t_hit, probe(lam), kind)
@@ -382,17 +384,6 @@ def _step_probe(advance, t0, y0, f0, t1, y1, direction, rtol, atol):
     return probe
 
 
-def _locate(probe, level):
-    """Fraction ``lam`` in [0, 1] of an accepted step where the state hits ``level``.
-
-    ``probe`` is the step's :func:`_step_probe`.  The caller has seen state
-    component 0 cross ``level`` between the ends of the step, which the
-    probe returns exactly, and :func:`ode.bisect_root` keeps that bracket
-    to within 1e-14 in ``lam``, one probe solve per probe.
-    """
-    return bisect_root(lambda lam: probe(lam)[0] - level, 0.0, 1.0, xtol=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference gradients of evaluator-defined functions
 # ---------------------------------------------------------------------------
@@ -405,8 +396,8 @@ def fd_partial(fn, p, axis, box: Box):
 
     Uses the 4th-order central stencil where the box leaves room, a plain
     central difference when only +-h fits, and a one-sided second-order
-    stencil at the boundary.  ``h = FD_SCALE * edge`` per the construction's
-    step policy.
+    stencil at the boundary.  ``h = min(FD_SCALE, 1/8) * edge``, so one of
+    them fits at every point of the box.
     """
     lo, hi = box.lows[axis], box.highs[axis]
     h = min(FD_SCALE * (hi - lo), (hi - lo) / 8.0)
@@ -423,9 +414,7 @@ def fd_partial(fn, p, axis, box: Box):
         return (at(x + h) - at(x - h)) / (2 * h)
     if x + 2 * h <= hi:
         return (-3 * at(x) + 4 * at(x + h) - at(x + 2 * h)) / (2 * h)
-    if x - 2 * h >= lo:
-        return (3 * at(x) - 4 * at(x - h) + at(x - 2 * h)) / (2 * h)
-    raise AnalysisError("box too small for the finite-difference stencil")
+    return (3 * at(x) - 4 * at(x - h) + at(x - 2 * h)) / (2 * h)
 
 
 def fd_gradient(fn, p, box: Box):
@@ -619,15 +608,16 @@ class SurfaceField:
     segment from the base projection to ``u``, starting the free coordinate
     at fiber position ``s``; it returns the free coordinate above ``u``.
     Every path solve is one call of the generated Dormand-Prince loop of one
-    ODE kernel (:func:`_integrate_unit`), whose extra arguments are the path
-    start ``u0`` and increment ``deltas``.  The free coordinate may leave
-    the box by 1e-9 times its edge; a path that is leaving this
-    widened box from past the box proper ends at once with the status
-    "box_exit".  A solve that ends with any other status but "ok", or whose
-    right-hand side is undefined at the start, is an AnalysisError of
-    :meth:`_solve`, which ``value``, ``fiber_through`` and the staircase legs
-    call, and which memoizes successes only; its point is skipped.  Every
-    field on a form and free variable shares one kernel (:meth:`_path_kernel`).
+    ODE kernel (:func:`_integrate_unit`), whose extra arguments are the
+    coordinates of the path start ``u0``, then those of its increment
+    ``deltas``.  The free coordinate may leave the box by 1e-9 times its
+    edge; a path that is leaving this widened box from past the box proper
+    ends at once with the status "box_exit".  A solve that ends with any
+    other status but "ok", or whose right-hand side is undefined at the
+    start, is an AnalysisError of :meth:`_solve`, which ``value``,
+    ``fiber_through`` and the staircase legs call, and which memoizes
+    successes only; its point is skipped.  Every field on a form and free
+    variable shares one kernel (:meth:`_path_kernel`).
     """
 
     def __init__(self, form: PfaffianForm, free_index: int, base,
@@ -660,7 +650,9 @@ class SurfaceField:
         at once as a box exit (``bounds`` of :func:`compile_kernel`).  Its
         source depends on the form and the free index only, so it is
         generated once per form and free index and kept in
-        ``form.ode_kernels`` under ``("path", free_index)``.
+        ``form.ode_kernels`` under ``("path", free_index)``.  Its extra
+        arguments are ``a0, a1, ..``, then ``d0, d1, ..``: the coordinates
+        of ``u0`` and of ``deltas``.
         """
         key = ("path", self.free_index)
         if key in self.form.ode_kernels:
@@ -668,11 +660,7 @@ class SurfaceField:
         coeffs = self.form.coefficients
         free, other = self.free_index, self.other
         box = self.form.domain
-        m = len(other)
-        prologue = [
-            f"{ex.python_tuple(f'a{j}' for j in range(m))} = u0",
-            f"{ex.python_tuple(f'd{j}' for j in range(m))} = deltas",
-        ] if m else []
+        params = [f"{name}{j}" for name in "ad" for j in range(len(other))]
 
         def body(t, ys, ks):
             names = [None] * self.form.n
@@ -694,8 +682,7 @@ class SurfaceField:
             return lines
 
         bounds = ((box.lows[free], box.highs[free]), self._free_bounds)
-        kernel = self.form.ode_kernels[key] = compile_kernel(
-            1, body, ("u0", "deltas"), prologue, bounds)
+        kernel = self.form.ode_kernels[key] = compile_kernel(1, body, params, bounds)
         return kernel
 
     def _solve(self, u0, u1, xn, t0, t1):
@@ -711,7 +698,7 @@ class SurfaceField:
             return self.memo[key]
         deltas = tuple(b - a for a, b in zip(u0, u1))
         try:
-            status, y, _, _ = _integrate_unit(self.kernel, (u0, deltas),
+            status, y, _, _ = _integrate_unit(self.kernel, (*u0, *deltas),
                                               (float(xn),), t0, t1,
                                               self.rtol, self.atol)
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -785,7 +772,6 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
         "free_index": free_index,
         "base": list(field_.base),
         "monotone_violations": 0,
-        "mu_branch_disagreements": 0,
     }
 
     def mu(p):

@@ -209,7 +209,7 @@ def _better(value, point, best_value, best_point):
     """Max-reduction with lexicographic tie-break on point coordinates."""
     if value > best_value:
         return True
-    if value == best_value and best_point is not None and tuple(point) < tuple(best_point):
+    if value == best_value and tuple(point) < tuple(best_point):
         return True
     return False
 
@@ -224,9 +224,13 @@ def _scan_samples(form, points):
     and the tensor components ``|R_ijk| * quad`` (:func:`_tensor`), scaled
     by :func:`_scale_factors`, enter max reductions that break ties by the
     point (:func:`_better`).  A scaled value that is not finite is computed
-    again from the jet scaled by ``lin`` (:func:`_scaled_jet`).  A value
-    below the best so far is never better, so :func:`_better` is asked only
-    from the best value up.
+    again from the jet scaled by ``lin`` (:func:`_scaled_jet`); a point where
+    that is not finite either counts as failed, and none of its values
+    enters a maximum (only a point whose jet entries add up in size to 1e153
+    or more is checked for that).  Every value is at least 0.0, so the
+    maxima start at -1.0 and the first point used sets them; a maximum no
+    point sets reads 0.0.  A value below the best so far is never better,
+    so :func:`_better` is asked only from the best value up.
     """
     n = form.n
     jet = form.jet_fn
@@ -234,9 +238,9 @@ def _scan_samples(form, points):
     scan = _SampleScan()
     pairs = list(itertools.combinations(range(n), 2))
     triples = list(itertools.combinations(range(n), 3))
-    triple_max = [0.0] * len(triples)
+    triple_max = [-1.0] * len(triples)
     triple_point = [None] * len(triples)
-    defect_max, defect_point, defect_pair = 0.0, None, None
+    defect_max, defect_point, defect_pair = -1.0, None, None
     tensor_max, tensor_point, tensor_triple = -1.0, None, None
     for p in points:
         try:
@@ -244,43 +248,46 @@ def _scan_samples(form, points):
         except (ValueError, ZeroDivisionError, OverflowError):
             scan.failed += 1
             continue
-        if not all(map(isfinite, values)):
+        # below 1e153: no inf or NaN, and no value overflows (|R_ijk| <= 6 sum^2)
+        safe = sum(map(abs, values)) < 1e153
+        if not (safe or all(map(isfinite, values))):
             scan.failed += 1
             continue
         fvals = values[:n]
         if max(map(abs, fvals)) <= DEFAULT_SINGULAR_TOL:
             scan.singular += 1
             continue
-        scan.used += 1
         lin, quad = _scale_factors(fvals)
         c = _curls(values, n)
-        scaled = None  # _scaled_jet, where a scaled value is not finite
+        if not safe:  # fails where a value is not finite from the scaled jet either
+            f, sc = _scaled_jet(values, lin, n)
+            vals = [(c[i][j], sc[i][j]) for i, j in pairs]
+            vals += [(_tensor(fvals, c, *t), _tensor(f, sc, *t)) for t in triples]
+            if not all(isfinite(a) or isfinite(b) for a, b in vals):
+                scan.failed += 1
+                continue
+        scan.used += 1
         for i, j in pairs:
             d = abs(c[i][j]) * lin
             if not isfinite(d):
-                scaled = scaled or _scaled_jet(values, lin, n)
-                d = abs(scaled[1][i][j])
-            if defect_point is None or (
-                    d >= defect_max and _better(d, p, defect_max, defect_point)):
+                d = abs(sc[i][j])
+            if d >= defect_max and _better(d, p, defect_max, defect_point):
                 defect_max, defect_point, defect_pair = d, tuple(p), (i, j)
         for m, t in enumerate(triples):
             r = abs(_tensor(fvals, c, *t)) * quad
             if not isfinite(r):
-                scaled = scaled or _scaled_jet(values, lin, n)
-                r = abs(_tensor(*scaled, *t))
-            if triple_point[m] is None or (
-                    r >= triple_max[m]
-                    and _better(r, p, triple_max[m], triple_point[m])):
+                r = abs(_tensor(f, sc, *t))
+            if r >= triple_max[m] and _better(r, p, triple_max[m], triple_point[m]):
                 triple_max[m], triple_point[m] = r, tuple(p)
-            if tensor_point is None or (
-                    r >= tensor_max and _better(r, p, tensor_max, tensor_point)):
+            if r >= tensor_max and _better(r, p, tensor_max, tensor_point):
                 tensor_max, tensor_point, tensor_triple = r, tuple(p), t
+    # a maximum no point sets reads 0.0: with no triples, vacuously null
     scan.defect_max, scan.defect_point, scan.defect_pair = (
-        defect_max, defect_point, defect_pair)
-    scan.per_triple = dict(zip(triples, zip(triple_max, triple_point)))
-    scan.tensor_point, scan.tensor_triple = tensor_point, tensor_triple
-    # no triples: vacuously null
-    scan.tensor_max = 0.0 if tensor_point is None else tensor_max
+        max(defect_max, 0.0), defect_point, defect_pair)
+    scan.per_triple = {t: (max(v, 0.0), q)
+                       for t, v, q in zip(triples, triple_max, triple_point)}
+    scan.tensor_max, scan.tensor_point, scan.tensor_triple = (
+        max(tensor_max, 0.0), tensor_point, tensor_triple)
     return scan
 
 

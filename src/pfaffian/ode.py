@@ -109,8 +109,7 @@ def _combination(coeffs, ks):
     return ex.python_sum(f"{ex.python_literal(c)} * {k}" for c, k in zip(coeffs, ks))
 
 
-def compile_kernel(dim, body, params=(), prologue=(), bounds=None,
-                   stop=None) -> OdeKernel:
+def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
     """Generate the :class:`OdeKernel` of an ODE with ``dim`` state components.
 
     ``body(t, ys, ks)`` returns the right-hand side as unindented statement
@@ -120,8 +119,7 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None,
     ``f0``, those of one of the letters t, y, k, Y, E followed by digits
     and underscores, and those that start with ``dp_``; the body's
     temporaries must be other names.  ``params`` names the extra arguments
-    of every generated function, and the ``prologue`` lines run first in
-    each, so that the body can use names they unpack.  Stage combinations
+    of every generated function, which the body may read.  Stage combinations
     add their products left to right from ``0.0`` (:func:`_combination`),
     never through the builtin ``sum``, whose rounding depends on the Python
     version.
@@ -151,7 +149,6 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None,
     """
     lit = ex.python_literal
     extra = "".join(f", {p}" for p in params)
-    top = [f"    {line}" for line in prologue]
     ys = [f"y0_{i}" for i in range(dim)]
     unpack = f"    {ex.python_tuple(ys)} = y"
     leave = "raise ValueError('state left its bounds')"
@@ -163,7 +160,7 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None,
                       f"{indent}    {raise_}"]
         lines.extend(f"{indent}{line}" for line in body(t, ys_, ks_))
 
-    rhs = [f"def rhs(t, y{extra}):", *top, unpack]
+    rhs = [f"def rhs(t, y{extra}):", unpack]
     ks = [f"k0_{i}" for i in range(dim)]
     stage(rhs, "t", ys, ks)
     rhs.append(f"    return ({ex.python_tuple(ks)})")
@@ -185,7 +182,7 @@ def compile_kernel(dim, body, params=(), prologue=(), bounds=None,
     advance = [
         "def advance(t, y, f0, dp_h, dp_end, dp_dir, dp_rtol, dp_atol, "
         f"dp_budget, dp_accepted, dp_rejected, dp_limit{stop_args}{extra}):",
-        *top, unpack, f"    {ex.python_tuple(k[0])} = f0",
+        unpack, f"    {ex.python_tuple(k[0])} = f0",
         *([f"    {keep_start}"] if stop else []),
         "    while True:",
         "        dp_span = dp_end - t",

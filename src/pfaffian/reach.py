@@ -29,8 +29,8 @@ from .forms import (
     DEFAULT_SINGULAR_TOL,
     MAX_COORDINATE,
     PfaffianForm,
+    coefficient_vector,
     distance,
-    is_singular_at,
 )
 from .sampling import linspace
 
@@ -153,11 +153,11 @@ LOST = "lost"  # a step raised: pivot lost or a coefficient domain error
 CUT = "cut"  # the last step counted left, and a bisection trial raised
 
 
-def _compile_loop(form: PfaffianForm, k, box, center, limit, squared, kind):
+def _compile_loop(form: PfaffianForm, k, center, limit, squared, kind):
     """Generated loop of constrained RK4 steps with pivot ``k``.
 
     Each step is that of :func:`_step_lines`, followed by the containment
-    test: the end point lies in ``box`` and near ``center``, where near
+    test: the end point lies in ``form.domain`` and near ``center``, where near
     means a squared distance ``<= limit`` when ``squared``, else a distance
     ``<= limit``.  A step that raises PivotLostError (the solved coefficient
     is not above ``DEFAULT_SINGULAR_TOL`` in size, or the solved velocity is
@@ -194,7 +194,7 @@ def _compile_loop(form: PfaffianForm, k, box, center, limit, squared, kind):
     0.  A completed segment appends its end to ``ends`` and the rollout's
     step count ``steps`` to ``counts``.  A segment cut short by the budget,
     a lost step or an exit ends the rollout; an exit appends its crossing
-    when the fraction is positive or the crossing lies in ``box``.  Returns
+    when the fraction is positive or the crossing lies in the box.  Returns
     ``(pivot, r, steps, left, rmax, x, fx)``: the new pivot, or None when
     the rollout ended; the next row; the rollout's steps; the steps left;
     the largest of ``rmax`` and the residuals of the counted steps; and, at
@@ -221,7 +221,7 @@ def _compile_loop(form: PfaffianForm, k, box, center, limit, squared, kind):
     def in_box(name):
         return " and ".join(
             f"{lit(lo)} <= {name}{i} <= {lit(hi)}"
-            for i, (lo, hi) in enumerate(zip(box.lows, box.highs)))
+            for i, (lo, hi) in enumerate(zip(form.domain.lows, form.domain.highs)))
 
     # The squares stay powers, as forms.distance writes them: on glibc 2.36
     # ``d ** 2 != d * d`` for 2,676 of 3,000,000 uniform draws of d in
@@ -414,15 +414,14 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed) -> ReachSample:
     p = tuple(float(v) for v in p)
     if not form.domain.contains(p, tol=1e-12):
         raise AnalysisError("base point outside domain")
-    if is_singular_at(form, p):
+    f_p = coefficient_vector(form, p)
+    if max(abs(v) for v in f_p) <= DEFAULT_SINGULAR_TOL:
         raise AnalysisError("base point is singular for the form")
 
     n = form.n
-    ball = (form.domain, p, epsilon * epsilon, True)
     rollouts = functools.cache(
-        lambda k: _compile_loop(form, k, *ball, "rollout"))
+        lambda k: _compile_loop(form, k, p, epsilon * epsilon, True, "rollout"))
     dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
-    f_p = form.coefficient_tuple_fn(*p)
     k_p = max(range(n), key=lambda i: abs(f_p[i]))
     endpoints = [p]
     step_counts = [0]
@@ -591,9 +590,8 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon,
     p = tuple(float(v) for v in p)
     offsets = linspace(-epsilon, epsilon, 32)
     per_budget = budget // 32
-    ball = (form.domain, p, epsilon * (1 + 1e-12), False)
     legs = functools.cache(
-        lambda k: _compile_loop(form, k, *ball, "leg"))
+        lambda k: _compile_loop(form, k, p, epsilon * (1 + 1e-12), False, "leg"))
     gaps = []
     halves = []
     used_total = 0
@@ -695,12 +693,11 @@ class _Seeker:
                 return False
         return True
 
-    def _square_loop(self, k, i, j, a, orient):
-        """Closed loop of side a in the (i, j) free plane; returns completion."""
+    def _square_loop(self, k, a, orient):
+        """Closed loop of side a on the first two free axes; returns completion."""
         free = self._free_axes(k)
-        pos_i, pos_j = free.index(i), free.index(j)
         start_free = [self.x[idx] for idx in free]
-        legs = [(pos_i, a), (pos_j, a * orient), (pos_i, -a), (pos_j, -a * orient)]
+        legs = [(0, a), (1, a * orient), (0, -a), (1, -a * orient)]
         for pos, signed in legs:
             vfree = [0.0] * (self.n - 1)
             vfree[pos] = 1.0 if signed > 0 else -1.0
@@ -735,8 +732,6 @@ class _Seeker:
                 break
             if self.n < 3:
                 break  # no loop plane: the level constraint cannot be beaten
-            free = self._free_axes(k)
-            i, j = free[0], free[1]
             room = self._loop_room()
             if room <= 1e-6 * self.eps:
                 break
@@ -748,7 +743,7 @@ class _Seeker:
                 a, stall_limit = min(room, math.sqrt(abs(area_needed))), 3
                 orient = 1.0 if area_needed > 0 else -1.0
             before = self.x[k]
-            if not self._square_loop(k, i, j, a, orient):
+            if not self._square_loop(k, a, orient):
                 kappa = None
                 continue
             delta = self.x[k] - before

@@ -169,6 +169,10 @@ CONTACT_TEXT = format_form_file(entry("contact").form)
 # coefficients near 1e200: F . curl F = -(3+x+y+z)*1e400 overflows
 BIG_TEXT = ("vars: x, y, z\nF[1] = 1e200*(1+y)\nF[2] = 1e200*z\n"
             "F[3] = 1e200*(2+x)\ndomain: [-0.5,0.5] x [-0.5,0.5] x [-0.5,0.5]\n")
+# |F_i| <= 1 with partials near 1e308: curls that overflow, which no rescale
+# by max|F_i| can help
+SIN308_TEXT = ("vars: x, y, z\nF[1] = sin(1e308*y)\nF[2] = sin(-1e308*x)\nF[3] = 1\n"
+               "domain: [-1,1] x [-1,1] x [-1,1]\n")
 # a coefficient 1 or 2 + x^2*1e308, which overflows where |x| > 1.34
 WIDE2_TEXT = "vars: x, y\nF[1] = 1\nF[2] = 2 + x^2*1e308\ndomain: [-2,2] x [-1,1]\n"
 WIDE3_TEXT = ("vars: x, y, z\nF[1] = 0\nF[2] = 0\nF[3] = 1 + x^2*1e308\n"
@@ -185,8 +189,9 @@ WIDE3_TEXT = ("vars: x, y, z\nF[1] = 0\nF[2] = 0\nF[3] = 1 + x^2*1e308\n"
 # never ended, because no rollout of its exploration could take a step; a
 # reach reference --psi undefined or overflowing at the base; a tensor
 # overflowing where the square of the scale underflows (check, invariance),
-# a sum of squared residuals overflowing (factor2, factor-global), and a mu
-# overflowing on CSV grid points (factor-global)
+# a sum of squared residuals overflowing (factor2, factor-global), a mu
+# overflowing on CSV grid points (factor-global), and curls overflowing
+# where max|F_i| <= 1 (check, invariance)
 @example((EXACT3_TEXT, ["catalog", "--show", "nope"]))
 @example((EXACT3_TEXT, ["catalog", "--write-form", "nope", "{write}"]))
 @example((EXACT3_TEXT, ["reach", "{form}", "--budget", "1"]))
@@ -210,6 +215,8 @@ WIDE3_TEXT = ("vars: x, y, z\nF[1] = 0\nF[2] = 0\nF[3] = 1 + x^2*1e308\n"
                      "--grid", "3", "--csv", "{csv}"]))
 @example((WIDE3_TEXT, ["factor-global", "{form}", "--free-var", "z", "--grid", "5",
                        "--csv", "{csv}"]))
+@example((SIN308_TEXT, ["check", "{form}"]))
+@example((SIN308_TEXT, ["invariance", "{form}"]))
 def test_cli_contract_under_fuzz(invocation):
     text, template = invocation
     with tempfile.TemporaryDirectory() as tmp:

@@ -286,6 +286,28 @@ def test_ray_form_levels_match_ratio(rng):
 # --- verification --------------------------------------------------------------
 
 
+@pytest.mark.parametrize("x, offsets, order", [
+    (50.3, {-2, -1, 1, 2}, 4),  # room for +-2h: the 4th-order central stencil
+    (0.015, {-1, 1}, 2),  # within [lo + h, lo + 2h): the plain central difference
+    (0.005, {0, 1, 2}, 2),  # within h of the low face: one-sided forward
+    (100.0, {0, -1, -2}, 2),  # on the high face: one-sided backward
+])
+def test_fd_partial_stencil_of_each_region(x, offsets, order):
+    # h = FD_SCALE * 100 = 0.01 on axis 0; |d^k sin / dx^k| <= 1, so each
+    # stencil is within h^order of cos(x), rounding (about 1e-14) aside
+    box = Box((0.0, -1.0), (100.0, 1.0))
+    h = factor.FD_SCALE * 100.0
+    seen = []
+
+    def fn(p):
+        seen.append(round((p[0] - x) / h))
+        return math.sin(p[0]) + p[1] ** 2
+
+    value = factor.fd_partial(fn, (x, 0.25), 0, box)
+    assert set(seen) == offsets
+    assert abs(value - math.cos(x)) <= h ** order
+
+
 def _reference_result(form, psi_text, mu_text):
     names = form.var_names
     psi_fn = ex.compile_scalar(ex.parse_expression(psi_text, names), form.n)
@@ -505,7 +527,7 @@ def test_path_solve_undefined_at_the_start_raises_analysis_error():
     form = make_form(["x", "y"], ["1", "y"], Box((-1, -1), (1, 1)))
     field = SurfaceField(form, 1, (0.0, 0.5))
     with pytest.raises(ZeroDivisionError):
-        field.kernel.rhs(0.0, (0.0,), (0.0,), (0.3,))
+        field.kernel.rhs(0.0, (0.0,), 0.0, 0.3)
     for _ in range(2):
         with pytest.raises(AnalysisError, match="^surface integration failed"):
             field.value((0.3,), 0.0)

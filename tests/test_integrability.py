@@ -314,6 +314,16 @@ def test_inconclusive_report_writes_absent_witness_as_null():
     json.dumps(report, allow_nan=False)
 
 
+def test_points_whose_curls_overflow_after_the_rescale_count_as_failed():
+    # max|F_i| <= 1, so the rescale by it cannot bring the curls of partials
+    # near 1e308 back below the overflow; the other points still decide
+    f = make_form(["x", "y", "z"], ["sin(1e308*y)", "sin(-1e308*x)", "1"], BOX3)
+    v = classify(f)
+    assert v.classification == CLASS_NON_INTEGRABLE
+    assert 0 < v.samples_used < len(sample_points(f))
+    json.dumps(v.as_report(), allow_nan=False)
+
+
 # --- sample scan against the per-entry reference loop ---------------------------
 
 

@@ -333,7 +333,7 @@ def test_path_kernel_bit_identical(names, texts, box):
                 t = float(rng.uniform(0.0, 1.0))
                 y = (float(p[free]),)
                 dt = float(rng.choice([-1.0, 1.0]) * rng.uniform(1e-4, 0.5))
-                _assert_kernel_matches(field.kernel, (u0, deltas), ref, t, y, dt,
+                _assert_kernel_matches(field.kernel, (*u0, *deltas), ref, t, y, dt,
                                        _path_bounds(field))
 
 
@@ -405,10 +405,11 @@ def test_path_terms_with_zero_increment_are_not_evaluated():
     # F_1 = log(y) is undefined below y = 0, but the path never moves in x
     form = make_form(["x", "y"], ["log(y)", "2"], Box((-1, -1), (1, 1)))
     field = SurfaceField(form, 1, (0.0, 0.5))
-    params = ((0.0,), (0.0,))
-    assert field.kernel.rhs(0.0, (-0.5,), *params) == (-0.0,)
-    _assert_kernel_matches(field.kernel, params, _ref_path_rhs(field, *params),
-                           0.0, (-0.5,), 0.5, _path_bounds(field))
+    u0, deltas = (0.0,), (0.0,)
+    assert field.kernel.rhs(0.0, (-0.5,), *u0, *deltas) == (-0.0,)
+    _assert_kernel_matches(field.kernel, (*u0, *deltas),
+                           _ref_path_rhs(field, u0, deltas), 0.0, (-0.5,), 0.5,
+                           _path_bounds(field))
 
 
 # --- the same exception classes as the reference --------------------------------
@@ -441,8 +442,9 @@ def test_vanishing_solved_coefficient_raises_like_reference():
 def test_free_coordinate_leaving_bounds_raises_like_reference():
     form = make_form(["x", "y"], ["1", "1"], Box((-1, -1), (1, 1)))
     field = SurfaceField(form, 1, (0.0, 0.0))
-    params = ((1.0,), (-2.0,))  # dy/dt = 2: climbs out of the top of the box
-    ref = _ref_path_rhs(field, *params)
+    u0, deltas = (1.0,), (-2.0,)  # dy/dt = 2: climbs out of the top of the box
+    params = (*u0, *deltas)
+    ref = _ref_path_rhs(field, u0, deltas)
     y = (0.999,)
     f0 = ref(0.0, y)
     assert _outcome(lambda: _ref_attempt(ref, 0.0, y, f0, 0.1)) is ValueError
@@ -457,8 +459,9 @@ def test_zero_free_coefficient_raises_like_reference():
     form = make_form(["x", "y"], ["0", "x"], Box((-1, -1), (1, 1)))
     field = SurfaceField(form, 1, (0.5, 0.0))
     # y stays put while the path reaches x = 0, where F_free = x vanishes
-    params = ((0.5,), (-0.5,))
-    ref = _ref_path_rhs(field, *params)
+    u0, deltas = (0.5,), (-0.5,)
+    params = (*u0, *deltas)
+    ref = _ref_path_rhs(field, u0, deltas)
     assert _outcome(lambda: field.kernel.rhs(1.0, (0.0,), *params)) is ZeroDivisionError
     assert _outcome(lambda: ref(1.0, (0.0,))) is ZeroDivisionError
     f0 = ref(0.0, (0.0,))
@@ -645,11 +648,11 @@ def _ref_solve(rhs, t0, y0, t_end, **options):
 
 
 def _fiber_args(field, p):
-    """``(params, y0)`` of the solve from ``p`` back to the base, in floats."""
+    """``(u0, deltas, y0)`` of the solve from ``p`` back to the base, in floats."""
     p = tuple(float(v) for v in p)
     u_p = tuple(p[i] for i in field.other)
-    params = (field.base_proj, tuple(b - a for a, b in zip(field.base_proj, u_p)))
-    return params, (p[field.free_index],)
+    deltas = tuple(b - a for a, b in zip(field.base_proj, u_p))
+    return field.base_proj, deltas, (p[field.free_index],)
 
 
 def _fiber_solve(field, p, reference=False, bounds=None):
@@ -659,12 +662,12 @@ def _fiber_solve(field, p, reference=False, bounds=None):
     :class:`_RefDopri5`, with the box-exit rule when ``bounds`` are given;
     otherwise the generated loop.
     """
-    params, y0 = _fiber_args(field, p)
+    u0, deltas, y0 = _fiber_args(field, p)
     options = dict(direction=-1.0, rtol=field.rtol, atol=field.atol)
     if reference:
-        ref = _ref_path_rhs(field, *params)
+        ref = _ref_path_rhs(field, u0, deltas)
         return _ref_solve(ref, 1.0, y0, 0.0, bounds=bounds, **options)
-    return _gen_solve(field.kernel, 1.0, y0, 0.0, params, **options)
+    return _gen_solve(field.kernel, 1.0, y0, 0.0, (*u0, *deltas), **options)
 
 
 @pytest.mark.parametrize("kernel, ref, t0, y0, t1, max_steps", [
@@ -721,8 +724,8 @@ def test_box_exit_rule_on_catalog_grid(name):
         status, state = gen
         if state is not None:
             _, y, _, _, accepted, rejected = state
-            params, y0 = _fiber_args(field, p)
-            unit = _integrate_unit(field.kernel, params, y0, 1.0, 0.0,
+            u0, deltas, y0 = _fiber_args(field, p)
+            unit = _integrate_unit(field.kernel, (*u0, *deltas), y0, 1.0, 0.0,
                                    field.rtol, field.atol)
             assert repr(unit) == repr((status, y, accepted, rejected))
             if status == "box_exit":
@@ -762,17 +765,18 @@ def test_path_ending_inside_the_widening_succeeds():
 
 def test_path_leaving_the_widening_ends_at_once():
     field = _climb()
-    params = ((0.0,), (-1e-8,))  # from y = 1 + width / 4 the path would end at 1 + 1e-8
+    # from y = 1 + width / 4 the path would end at 1 + 1e-8
+    u0, deltas = (0.0,), (-1e-8,)
     start = 1.0 + 0.25 * (field._free_bounds[1] - 1.0)
     options = dict(rtol=field.rtol, atol=field.atol, max_steps=2000)
     status, (_, y, _, _, _, rejected) = _gen_solve(field.kernel, 0.0, (start,), 1.0,
-                                                   params, **options)
+                                                   (*u0, *deltas), **options)
     assert (status, rejected) == ("box_exit", 1)
     assert field._free_bounds[0] < y[0] <= field._free_bounds[1]
     with pytest.raises(AnalysisError):
         field.value((-1e-8,), start)
     # without the rule the stepper crawls along the bound with tiny steps, halving
     # every refused attempt, until the step budget runs out
-    no_rule = _RefDopri5(_ref_path_rhs(field, *params), 0.0, (start,), **options)
+    no_rule = _RefDopri5(_ref_path_rhs(field, u0, deltas), 0.0, (start,), **options)
     assert no_rule.solve(1.0) == "max_steps"
     assert no_rule.accepted > 100 and no_rule.rejected > 100
