@@ -5,8 +5,11 @@ Usage: python scripts/cli_outputs.py OUT
 
 Runs, in-process through ``pfaffian.cli.main``: ``check`` on all seven
 catalog forms, ``factor2 --csv`` and ``foliate`` on the four two-variable
-forms, and ``factor-global --free-var z --staircase --csv`` on the two
-integrable three-variable forms.  None of these needs numpy.  OUT receives,
+forms, ``factor-global --free-var z --staircase --csv`` on the two
+integrable three-variable forms, and ``check`` on two fixed polynomial forms
+in 4 and 5 variables, which the script writes (catalog forms have at most
+three variables, so at most one tensor component).  None of these needs
+numpy.  OUT receives,
 per run, the command, exit code, stdout, stderr and CSV file as JSON, so two
 interpreters (or two versions of the package) can be compared with ``cmp``.
 """
@@ -24,6 +27,17 @@ from pfaffian.cli import main as cli_main
 
 TWO_VAR = ("ideal_gas_heat", "product_exact", "ray_form", "rolling_cylinder")
 THREE_VAR_INTEGRABLE = ("exact_3var", "scaled_exact")
+# the products of neighbouring variables around a cycle: several tensor
+# components per point, whose maxima tie between components and between
+# sample points, so the scan's tie-breaks decide the report
+POLYNOMIAL_FORMS = {
+    "cyclic_4var": ("vars: w, x, y, z\n"
+                    "F[1] = y*z\nF[2] = z*w\nF[3] = w*x\nF[4] = x*y\n"
+                    "domain: [-1,1] x [-1,1] x [-1,1] x [-1,1]\n"),
+    "cyclic_5var": ("vars: v, w, x, y, z\n"
+                    "F[1] = w*x\nF[2] = x*y\nF[3] = y*z\nF[4] = z*v\nF[5] = v*w\n"
+                    "domain: [-1,1] x [-1,1] x [-1,1] x [-1,1] x [-1,1]\n"),
+}
 
 
 def runs():
@@ -33,6 +47,7 @@ def runs():
     yield from ((name, "foliate", [], False) for name in TWO_VAR)
     yield from ((name, "factor-global", ["--free-var", "z", "--staircase"], True)
                 for name in THREE_VAR_INTEGRABLE)
+    yield from ((name, "check", [], False) for name in POLYNOMIAL_FORMS)
 
 
 def run_one(argv):
@@ -49,6 +64,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in POLYNOMIAL_FORMS.items():
+            with open(os.path.join(tmp, f"{name}.pfaff"), "w", encoding="utf-8") as fh:
+                fh.write(text)
         for name, command, extra, with_csv in runs():
             form = os.path.join(tmp, f"{name}.pfaff")
             if not os.path.exists(form):

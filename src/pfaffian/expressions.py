@@ -21,10 +21,14 @@ Grammar accepted by :func:`parse_expression`::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' ['-'] number)?
-    base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' base
+    factor := '-' factor | power
+    power  := base ('^' ['-'] number)?
+    base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
-Function names: exp, log, sin, cos, sqrt.  Whitespace is insignificant.
+Function names: exp, log, sin, cos, sqrt.  Unary minus binds more loosely
+than ``^`` and more tightly than ``*`` and ``/``, as in Python: ``-x^2`` is
+``-(x^2)``, ``x*-y`` is ``x*(-y)`` and ``x^-2`` is ``x^(-2)``.  Whitespace
+is insignificant anywhere, leading and trailing whitespace included.
 Nesting is bounded: an expression deeper than :data:`MAX_DEPTH` levels is
 a ParseError (see :func:`parse_expression`).
 """
@@ -187,9 +191,11 @@ class Pow(Expression):
                          (base, exponent))
 
 
-# the constants the folds and the derivative rules return most, kept alive
-# so that returning them costs no table lookup
-_ZERO, _ONE = Const(0.0), Const(1.0)
+# The constants the folds and the derivative rules return most, kept alive
+# so that returning them costs no table lookup.  Nodes are interned, so while
+# these live every constant 0.0, -0.0 and 1.0 is one of them, and the folds
+# test for them by identity.
+_ZERO, _NEG_ZERO, _ONE = Const(0.0), Const(-0.0), Const(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,56 +211,52 @@ def variable(i: int) -> Var:
     return Var(i)
 
 
-def _is_const(e, v=None):
-    return isinstance(e, Const) and (v is None or e.value == v)
-
-
 def neg(a: Expression) -> Expression:
-    if isinstance(a, Const):
+    if type(a) is Const:
         return Const(-a.value)
-    if isinstance(a, Unary) and a.op == "neg":
+    if type(a) is Unary and a.op == "neg":
         return a.arg
     return Unary("neg", a)
 
 
 def add(a: Expression, b: Expression) -> Expression:
-    if _is_const(a, 0.0):
+    if a is _ZERO or a is _NEG_ZERO:
         return b
-    if _is_const(b, 0.0):
+    if b is _ZERO or b is _NEG_ZERO:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(a.value + b.value)
     return Binary("+", a, b)
 
 
 def sub(a: Expression, b: Expression) -> Expression:
-    if _is_const(b, 0.0):
+    if b is _ZERO or b is _NEG_ZERO:
         return a
-    if _is_const(a, 0.0):
+    if a is _ZERO or a is _NEG_ZERO:
         return neg(b)
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(a.value - b.value)
     return Binary("-", a, b)
 
 
 def mul(a: Expression, b: Expression) -> Expression:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
+    if a is _ZERO or a is _NEG_ZERO or b is _ZERO or b is _NEG_ZERO:
         return _ZERO
-    if _is_const(a, 1.0):
+    if a is _ONE:
         return b
-    if _is_const(b, 1.0):
+    if b is _ONE:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(a.value * b.value)
     return Binary("*", a, b)
 
 
 def div(a: Expression, b: Expression) -> Expression:
-    if _is_const(b, 1.0):
+    if b is _ONE:
         return a
-    if _is_const(a, 0.0) and not _is_const(b, 0.0):
+    if (a is _ZERO or a is _NEG_ZERO) and not (b is _ZERO or b is _NEG_ZERO):
         return _ZERO
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
+    if type(a) is Const and type(b) is Const and b.value != 0.0:
         return Const(a.value / b.value)
     return Binary("/", a, b)
 
@@ -265,7 +267,7 @@ def powc(base: Expression, exponent: float) -> Expression:
         return base
     if exponent == 0.0:
         return _ONE
-    if isinstance(base, Const):
+    if type(base) is Const:
         try:
             return Const(math.pow(base.value, exponent))
         except (ValueError, OverflowError):
@@ -311,14 +313,15 @@ def _derivative_entry(e, memo):
     """``(e, mask of the variables in e, derivatives by variable)`` of node ``e``."""
     entry = memo.get(id(e))
     if entry is None:
-        if isinstance(e, Var):
-            mask = 1 << e.index
-        elif isinstance(e, Unary):
-            mask = _derivative_entry(e.arg, memo)[1]
-        elif isinstance(e, Binary):
+        t = type(e)
+        if t is Binary:
             mask = _derivative_entry(e.left, memo)[1] | _derivative_entry(e.right, memo)[1]
-        elif isinstance(e, Pow):
+        elif t is Pow:
             mask = _derivative_entry(e.base, memo)[1]
+        elif t is Var:
+            mask = 1 << e.index
+        elif t is Unary:
+            mask = _derivative_entry(e.arg, memo)[1]
         else:
             mask = 0
         entry = memo[id(e)] = (e, mask, {})
@@ -326,7 +329,7 @@ def _derivative_entry(e, memo):
 
 
 def _derivative(e, j, memo):
-    _, mask, by_var = _derivative_entry(e, memo)
+    _, mask, by_var = memo.get(id(e)) or _derivative_entry(e, memo)
     key = j if mask >> j & 1 else -1  # -1: every variable absent from e
     d = by_var.get(key)
     if d is None:
@@ -335,62 +338,66 @@ def _derivative(e, j, memo):
 
 
 def _derivative_rule(e, j, memo):
-    if isinstance(e, Const):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if e.index == j else _ZERO
-    if isinstance(e, Unary):
-        da = _derivative(e.arg, j, memo)
-        a = e.arg
-        if e.op == "neg":
-            return neg(da)
-        if e.op == "exp":
-            return mul(Unary("exp", a), da)
-        if e.op == "log":
-            return div(da, a)
-        if e.op == "sin":
-            return mul(Unary("cos", a), da)
-        if e.op == "cos":
-            return neg(mul(Unary("sin", a), da))
-        if e.op == "sqrt":
-            return div(da, mul(Const(2.0), Unary("sqrt", a)))
-    if isinstance(e, Binary):
+    t = type(e)
+    if t is Binary:
         dl = _derivative(e.left, j, memo)
         dr = _derivative(e.right, j, memo)
-        if e.op == "+":
+        op = e.op
+        if op == "+":
             return add(dl, dr)
-        if e.op == "-":
+        if op == "-":
             return sub(dl, dr)
-        if e.op == "*":
+        if op == "*":
             return add(mul(dl, e.right), mul(e.left, dr))
         # quotient rule
         num = sub(mul(dl, e.right), mul(e.left, dr))
         return div(num, powc(e.right, 2.0))
-    if isinstance(e, Pow):
+    if t is Pow:
         db = _derivative(e.base, j, memo)
         return mul(mul(Const(e.exponent), powc(e.base, e.exponent - 1.0)), db)
+    if t is Var:
+        return _ONE if e.index == j else _ZERO
+    if t is Const:
+        return _ZERO
+    if t is Unary:
+        da = _derivative(e.arg, j, memo)
+        a = e.arg
+        op = e.op
+        if op == "neg":
+            return neg(da)
+        if op == "exp":
+            return mul(Unary("exp", a), da)
+        if op == "log":
+            return div(da, a)
+        if op == "sin":
+            return mul(Unary("cos", a), da)
+        if op == "cos":
+            return neg(mul(Unary("sin", a), da))
+        if op == "sqrt":
+            return div(da, mul(Const(2.0), Unary("sqrt", a)))
     raise TypeError(f"not an Expression node: {e!r}")
 
 
 def substitute(e: Expression, replacements) -> Expression:
     """Replace every ``Var(i)`` with ``replacements[i]`` (an Expression)."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
+    t = type(e)
+    if t is Binary:
+        left = substitute(e.left, replacements)
+        right = substitute(e.right, replacements)
+        return _BINARY[e.op](left, right)
+    if t is Var:
         if e.index >= len(replacements):
             raise ArityError(
                 f"variable index {e.index} out of range for {len(replacements)} replacements"
             )
         return replacements[e.index]
-    if isinstance(e, Unary):
+    if t is Const:
+        return e
+    if t is Pow:
+        return powc(substitute(e.base, replacements), e.exponent)
+    if t is Unary:
         a = substitute(e.arg, replacements)
         return neg(a) if e.op == "neg" else func(e.op, a)
-    if isinstance(e, Binary):
-        left = substitute(e.left, replacements)
-        right = substitute(e.right, replacements)
-        return _BINARY[e.op](left, right)
-    if isinstance(e, Pow):
-        return powc(substitute(e.base, replacements), e.exponent)
     raise TypeError(f"not an Expression node: {e!r}")
 
 
@@ -402,9 +409,10 @@ _PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
 
 
 def _prec(e):
-    if isinstance(e, Binary):
+    t = type(e)
+    if t is Binary:
         return _PREC_ADD if e.op in "+-" else _PREC_MUL
-    if isinstance(e, Pow):
+    if t is Pow:
         return _PREC_POW
     return _PREC_ATOM
 
@@ -423,21 +431,21 @@ def to_string(e: Expression, var_names) -> str:
     Re-parsing the output of a folded tree (one the parser or the folding
     constructors built) yields a structurally equal tree.
     """
-    if isinstance(e, Const):
+    t = type(e)
+    if t is Const:
         return _num_repr(e.value)
-    if isinstance(e, Var):
+    if t is Var:
         return var_names[e.index]
-    if isinstance(e, Unary):
+    if t is Unary:
         if e.op == "neg":
             inner = to_string(e.arg, var_names)
-            # '-' binds to a base; anything else must be parenthesized
-            if isinstance(e.arg, (Var, Unary)) or (
-                isinstance(e.arg, Const) and e.arg.value >= 0
-            ):
+            # written bare after '-': a variable, a call, a negation or an
+            # unsigned number; anything else is parenthesized
+            if _is_primary(e.arg) or type(e.arg) is Unary:
                 return "-" + inner
             return "-(" + inner + ")"
         return f"{e.op}({to_string(e.arg, var_names)})"
-    if isinstance(e, Binary):
+    if t is Binary:
         lhs = to_string(e.left, var_names)
         rhs = to_string(e.right, var_names)
         p = _prec(e)
@@ -447,46 +455,56 @@ def to_string(e: Expression, var_names) -> str:
         if _prec(e.right) <= p:
             rhs = "(" + rhs + ")"
         return f"{lhs}{e.op}{rhs}"
-    if isinstance(e, Pow):
+    if t is Pow:
         base = to_string(e.base, var_names)
-        if not (
-            isinstance(e.base, (Var, Unary))
-            or (isinstance(e.base, Const) and e.base.value >= 0)
-        ):
+        # '-x^2' is the negation of 'x^2': a negated base is parenthesized
+        if not _is_primary(e.base):
             base = "(" + base + ")"
         return f"{base}^{_num_repr(e.exponent)}"
     raise TypeError(f"not an Expression node: {e!r}")
+
+
+def _is_primary(e):
+    """Whether ``e`` is written as a base of the grammar without parentheses:
+    a variable, a function call or a number whose text has no sign (not
+    ``-0.0``, which reads as the negation of ``0.0``)."""
+    t = type(e)
+    return (t is Var or (t is Unary and e.op != "neg")
+            or (t is Const and e.value >= 0 and math.copysign(1.0, e.value) > 0))
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
 
+# One token per match, after the whitespace before it: a number, an
+# identifier, an operator, or any other character, which is an error.  The
+# matches of findall are then contiguous, and only trailing whitespace is
+# left unmatched.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|([-+*/^()])"
+    r"|(\S))"
 )
 
 
 def _tokenize(text):
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip leading whitespace handled by the regex; a failure here
-            # means an unrecognized character
-            stripped = text[pos:].lstrip()
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
+    for space, num, ident, op, other in _TOKEN_RE.findall(text):
+        pos += len(space)
+        if num:
+            tokens.append(("num", num, pos))
+            pos += len(num)
+        elif ident:
+            tokens.append(("ident", ident, pos))
+            pos += len(ident)
+        elif op:
+            tokens.append(("op", op, pos))
+            pos += 1
         else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+            raise ParseError(f"unexpected character {other!r}", pos)
     tokens.append(("eof", "", len(text)))
     return tokens
 
@@ -560,7 +578,12 @@ class _Parser:
                 return e, depth
 
     def factor(self):
-        e, depth = self.base()
+        kind, value, offset = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            inner, depth = self.nested(self.factor, offset)
+            return neg(inner), depth
+        e, depth = self.base()  # power := base ("^" ["-"] number)?
         kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
@@ -599,9 +622,6 @@ class _Parser:
             e, depth = self.nested(self.expr, offset)
             self.expect_op(")")
             return e, depth
-        if kind == "op" and value == "-":
-            inner, depth = self.nested(self.base, offset)
-            return neg(inner), depth
         raise ParseError(f"expected a number, identifier or '('", offset)
 
     def nested(self, rule, offset):
@@ -689,15 +709,16 @@ def _node_text(e, args):
     binds equally (``a-(b+c)``, ``a/(b*c)``), as the operators group left to
     right.
     """
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return f"-{_operand(args[0], _NEGATION)}", _NEGATION
-        return f"_{e.op}({args[0][0]})", _ATOM
-    if isinstance(e, Binary):
+    t = type(e)
+    if t is Binary:
         strength = _SUM if e.op in "+-" else _PRODUCT
         left = _operand(args[0], strength)
         right = _operand(args[1], strength + 1)
         return f"{left}{e.op}{right}", strength
+    if t is Unary:
+        if e.op == "neg":
+            return f"-{_operand(args[0], _NEGATION)}", _NEGATION
+        return f"_{e.op}({args[0][0]})", _ATOM
     return f"_pow({args[0][0]},{python_literal(e.exponent)})", _ATOM
 
 
@@ -725,18 +746,19 @@ def python_sources(exprs, names):
         slot = seen.get(id(e))
         if slot is not None:
             return slot
-        if isinstance(e, Const):
+        t = type(e)
+        if t is Binary:
+            kids = (slot_of(e.left), slot_of(e.right))
+        elif t is Const:
             kids = ()
-        elif isinstance(e, Var):
+        elif t is Var:
             if e.index >= n_vars:
                 raise ArityError(f"expression uses more than {n_vars} variables")
             kids = ()
-        elif isinstance(e, Unary):
-            kids = (slot_of(e.arg),)
-        elif isinstance(e, Binary):
-            kids = (slot_of(e.left), slot_of(e.right))
-        elif isinstance(e, Pow):
+        elif t is Pow:
             kids = (slot_of(e.base),)
+        elif t is Unary:
+            kids = (slot_of(e.arg),)
         else:
             raise TypeError(f"not an Expression node: {e!r}")
         slot = seen[id(e)] = len(nodes)
@@ -754,10 +776,11 @@ def python_sources(exprs, names):
         if local is not None:
             return local, _ATOM
         e, kids = nodes[slot]
-        if isinstance(e, Const):
+        t = type(e)
+        if t is Const:
             src = python_literal(e.value)
             return src, _NEGATION if src[0] == "-" else _ATOM
-        if isinstance(e, Var):
+        if t is Var:
             return names[e.index], _ATOM
         src = _node_text(e, [text(kid) for kid in kids])
         if uses[slot] < 2:

@@ -83,42 +83,62 @@ class Verdict:
         }
 
 
-@functools.cache
-def _curl_slots(n):
-    """Rows of ``(u, v)``: the ``jet_fn`` slots of ``dF_b/dx_a`` and ``dF_a/dx_b``.
+def _partial_slot(n, i, j):
+    """Slot of ``dF_i/dx_j`` (``j != i``) in a ``jet_fn`` value.
 
     ``jet_fn`` holds F in slots ``0..n-1``, then ``dF_i/dx_j`` for ``j != i``
-    row by row, so that partial sits in slot ``n + i*(n-1) + j - (j > i)``.
-    It holds no diagonal partial: the diagonal pairs are ``(None, None)``.
+    row by row; it holds no diagonal partial.
     """
-    def slot(i, j):
-        return None if i == j else n + i * (n - 1) + j - (j > i)
-
-    return tuple(tuple((slot(b, a), slot(a, b)) for b in range(n))
-                 for a in range(n))
+    return n + i * (n - 1) + j - (j > i)
 
 
-def _curls(values, n):
-    """The curl matrix ``c[a][b] = dF_b/dx_a - dF_a/dx_b`` of a ``jet_fn`` value.
+def _curl(values, n, a, b):
+    """``c_ab = dF_b/dx_a - dF_a/dx_b`` of a ``jet_fn`` value (``a != b``).
 
-    Both orientations are computed, each entry by its own subtraction, so
-    ``c[b][a]`` is ``-c[a][b]`` except that both read ``+0.0`` where the two
-    partials are equal.  The diagonal, which no defect or tensor component
-    reads, is ``0.0``.
+    Each orientation is its own subtraction, so ``c_ba`` is ``-c_ab`` except
+    that both read ``+0.0`` where the two partials are equal.
     """
-    return [[0.0 if u is None else values[u] - values[v] for u, v in row]
-            for row in _curl_slots(n)]
+    return values[_partial_slot(n, b, a)] - values[_partial_slot(n, a, b)]
 
 
-def _tensor(f, c, i, j, k):
-    """R_ijk from the values ``f`` of F and the curl matrix ``c`` at one point.
+@functools.cache
+def _scan_plan(n):
+    """The flat plan of the sample scan in ``n`` variables:
+    ``(curls, pairs, triples, rows)``.
 
-    ``f[i]*c[j][k] + f[j]*c[k][i] + f[k]*c[i][j]``, with ``c`` from
-    :func:`_curls`: the float operations of the formula in the module
-    docstring, in its order, so the value is the same to the bit, signed
-    zeros included.
+    ``curls`` lists the ``(u, v)`` ``jet_fn`` slots of each curl a point
+    needs, the curl being ``values[u] - values[v]`` (:func:`_curl`): first
+    ``c_ij`` of each pair of ``pairs``, ``(i, j)`` with ``i < j`` in
+    combinations order, so the defect of pair ``q`` is curl ``q``; then
+    ``c_ki`` of each pair the tensor also reads in that orientation.
+    ``triples`` lists each ``(i, j, k)`` with ``i < j < k``, and ``rows``
+    the matching ``(i, j, k, jk, ki, ij)``: the triple and the positions of
+    ``c_jk``, ``c_ki`` and ``c_ij`` in ``curls`` (:func:`_tensors`).
     """
-    return f[i] * c[j][k] + f[j] * c[k][i] + f[k] * c[i][j]
+    pairs = tuple(itertools.combinations(range(n), 2))
+    triples = tuple(itertools.combinations(range(n), 3))
+    position = {pair: q for q, pair in enumerate(pairs)}
+    for i, _, k in triples:
+        position.setdefault((k, i), len(position))
+    curls = tuple((_partial_slot(n, b, a), _partial_slot(n, a, b))
+                  for a, b in position)  # dicts keep insertion order
+    rows = tuple((i, j, k, position[j, k], position[k, i], position[i, j])
+                 for i, j, k in triples)
+    return curls, pairs, triples, rows
+
+
+def _tensors(f, c, rows):
+    """R_ijk for each row ``(i, j, k, jk, ki, ij)`` of ``rows``, from the
+    values ``f`` of F and the curls ``c`` at one point.
+
+    ``f[i]*c[jk] + f[j]*c[ki] + f[k]*c[ij]``, where ``c[jk]`` is ``c_jk``
+    and so on (:func:`_scan_plan`): the float operations of the formula in
+    the module docstring, in its order, so the value is the same to the
+    bit, signed zeros included.  ``f`` may be a whole ``jet_fn`` value,
+    whose first n slots are F.
+    """
+    return [f[i] * c[jk] + f[j] * c[ki] + f[k] * c[ij]
+            for i, j, k, jk, ki, ij in rows]
 
 
 def _jet_at(form: PfaffianForm, indices, p):
@@ -144,7 +164,7 @@ def exactness_defect(form: PfaffianForm, i: int, j: int, p) -> float:
     """
     if i == j:
         raise ArityError("defect indices must differ")
-    return _curls(_jet_at(form, (i, j), p), form.n)[i][j]
+    return _curl(_jet_at(form, (i, j), p), form.n, i, j)
 
 
 def clairaut_component(form: PfaffianForm, i: int, j: int, k: int, p) -> float:
@@ -157,7 +177,9 @@ def clairaut_component(form: PfaffianForm, i: int, j: int, k: int, p) -> float:
     if len({i, j, k}) != 3:
         raise ArityError("tensor indices must be pairwise distinct")
     values = _jet_at(form, (i, j, k), p)
-    return _tensor(values, _curls(values, form.n), i, j, k)
+    n = form.n
+    c = [_curl(values, n, j, k), _curl(values, n, k, i), _curl(values, n, i, j)]
+    return _tensors(values, c, [(i, j, k, 0, 1, 2)])[0]
 
 
 def curl_triple_product(form: PfaffianForm, p) -> float:
@@ -181,14 +203,6 @@ def _scale_factors(values):
     return linear, linear * linear
 
 
-def _scaled_jet(values, lin, n):
-    """``(f, c)``: F and the curls (:func:`_curls`) of a ``jet_fn`` value
-    with each entry multiplied by ``lin`` first, so that neither overflows
-    where ``|R_ijk|`` does (``max|F_i|`` above about 1e154)."""
-    scaled = [v * lin for v in values]
-    return scaled[:n], _curls(scaled, n)
-
-
 @dataclass
 class _SampleScan:
     """Aggregates defect/tensor maxima over the sample plan."""
@@ -206,7 +220,11 @@ class _SampleScan:
 
 
 def _better(value, point, best_value, best_point):
-    """Max-reduction with lexicographic tie-break on point coordinates."""
+    """Max-reduction with lexicographic tie-break on point coordinates.
+
+    The rule of every maximum of :func:`_scan_samples`, which makes these
+    comparisons inline.
+    """
     if value > best_value:
         return True
     if value == best_value and tuple(point) < tuple(best_point):
@@ -219,25 +237,30 @@ def _scan_samples(form, points):
 
     Each point costs one ``jet_fn`` call.  A point where the jet raises or
     has a non-finite entry counts as failed, one where ``max|F_i|`` is at
-    most ``DEFAULT_SINGULAR_TOL`` as singular.  At every other point the curl
-    matrix (:func:`_curls`) is built once; the defects ``|c[i][j]| * lin``
-    and the tensor components ``|R_ijk| * quad`` (:func:`_tensor`), scaled
-    by :func:`_scale_factors`, enter max reductions that break ties by the
-    point (:func:`_better`).  A scaled value that is not finite is computed
-    again from the jet scaled by ``lin`` (:func:`_scaled_jet`); a point where
-    that is not finite either counts as failed, and none of its values
-    enters a maximum (only a point whose jet entries add up in size to 1e153
-    or more is checked for that).  Every value is at least 0.0, so the
-    maxima start at -1.0 and the first point used sets them; a maximum no
-    point sets reads 0.0.  A value below the best so far is never better,
-    so :func:`_better` is asked only from the best value up.
+    most ``DEFAULT_SINGULAR_TOL`` as singular.  Every other point reads the
+    flat plan of :func:`_scan_plan`, built once per variable count: its
+    curls are one list, computed each by one subtraction, and its defects
+    ``|c_ij| * lin`` and tensor components ``|R_ijk| * quad``
+    (:func:`_tensors`), scaled by :func:`_scale_factors`, are two lists
+    read by position.  A scaled value that is not finite is computed again
+    from the jet entries multiplied by ``lin`` first, so that neither F nor
+    a curl overflows where ``|R_ijk|`` does (``max|F_i|`` above about
+    1e154); a point where that is not finite either counts as failed, and
+    none of its values enters a maximum (only a point whose jet entries add
+    up in size to 1e153 or more is checked for that).  The maxima break ties
+    by the point as :func:`_better` does: a value replaces the best so far
+    if it is larger, or equal at a point that is lexicographically smaller.
+    Within one point the first of several equal largest values wins, so
+    the defect and the tensor maximum take the first maximum of their list.
+    Every value is at least 0.0, so the maxima start at -1.0 and the first
+    point used sets them; a maximum no point sets reads 0.0.
     """
     n = form.n
     jet = form.jet_fn
     isfinite = math.isfinite
+    singular_tol = DEFAULT_SINGULAR_TOL
+    curls, pairs, triples, rows = _scan_plan(n)
     scan = _SampleScan()
-    pairs = list(itertools.combinations(range(n), 2))
-    triples = list(itertools.combinations(range(n), 3))
     triple_max = [-1.0] * len(triples)
     triple_point = [None] * len(triples)
     defect_max, defect_point, defect_pair = -1.0, None, None
@@ -254,33 +277,38 @@ def _scan_samples(form, points):
             scan.failed += 1
             continue
         fvals = values[:n]
-        if max(map(abs, fvals)) <= DEFAULT_SINGULAR_TOL:
+        if max(map(abs, fvals)) <= singular_tol:
             scan.singular += 1
             continue
         lin, quad = _scale_factors(fvals)
-        c = _curls(values, n)
+        c = [values[u] - values[v] for u, v in curls]
+        defects = [abs(v) * lin for v in c[:len(pairs)]]
+        tensors = [abs(r) * quad for r in _tensors(values, c, rows)]
         if not safe:  # fails where a value is not finite from the scaled jet either
-            f, sc = _scaled_jet(values, lin, n)
-            vals = [(c[i][j], sc[i][j]) for i, j in pairs]
-            vals += [(_tensor(fvals, c, *t), _tensor(f, sc, *t)) for t in triples]
-            if not all(isfinite(a) or isfinite(b) for a, b in vals):
+            scaled = [v * lin for v in values]
+            sc = [scaled[u] - scaled[v] for u, v in curls]
+            defects = [d if isfinite(d) else abs(s) for d, s in zip(defects, sc)]
+            tensors = [r if isfinite(r) else abs(s) for r, s in
+                       zip(tensors, _tensors(scaled, sc, rows))]
+            if not all(map(isfinite, defects + tensors)):
                 scan.failed += 1
                 continue
         scan.used += 1
-        for i, j in pairs:
-            d = abs(c[i][j]) * lin
-            if not isfinite(d):
-                d = abs(sc[i][j])
-            if d >= defect_max and _better(d, p, defect_max, defect_point):
-                defect_max, defect_point, defect_pair = d, tuple(p), (i, j)
-        for m, t in enumerate(triples):
-            r = abs(_tensor(fvals, c, *t)) * quad
-            if not isfinite(r):
-                r = abs(_tensor(f, sc, *t))
-            if r >= triple_max[m] and _better(r, p, triple_max[m], triple_point[m]):
-                triple_max[m], triple_point[m] = r, tuple(p)
-            if r >= tensor_max and _better(r, p, tensor_max, tensor_point):
-                tensor_max, tensor_point, tensor_triple = r, tuple(p), t
+        point = tuple(p)
+        if defects:
+            d = max(defects)
+            if d > defect_max or d == defect_max and point < defect_point:
+                defect_max, defect_point = d, point
+                defect_pair = pairs[defects.index(d)]
+        if tensors:
+            for m, r in enumerate(tensors):
+                best = triple_max[m]
+                if r > best or r == best and point < triple_point[m]:
+                    triple_max[m], triple_point[m] = r, point
+            r = max(tensors)
+            if r > tensor_max or r == tensor_max and point < tensor_point:
+                tensor_max, tensor_point = r, point
+                tensor_triple = triples[tensors.index(r)]
     # a maximum no point sets reads 0.0: with no triples, vacuously null
     scan.defect_max, scan.defect_point, scan.defect_pair = (
         max(defect_max, 0.0), defect_point, defect_pair)

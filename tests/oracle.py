@@ -112,6 +112,68 @@ def _ref_simplify(e):
     return ex.powc(_ref_simplify(e.base), e.exponent)
 
 
+def _is_const(e, v):
+    return isinstance(e, Const) and e.value == v
+
+
+def _ref_neg(a):
+    if isinstance(a, Const):
+        return Const(-a.value)
+    if isinstance(a, Unary) and a.op == "neg":
+        return a.arg
+    return Unary("neg", a)
+
+
+def _ref_add(a, b):
+    if _is_const(a, 0.0):
+        return b
+    if _is_const(b, 0.0):
+        return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value + b.value)
+    return Binary("+", a, b)
+
+
+def _ref_sub(a, b):
+    if _is_const(b, 0.0):
+        return a
+    if _is_const(a, 0.0):
+        return _ref_neg(b)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value - b.value)
+    return Binary("-", a, b)
+
+
+def _ref_mul(a, b):
+    if _is_const(a, 0.0) or _is_const(b, 0.0):
+        return Const(0.0)
+    if _is_const(a, 1.0):
+        return b
+    if _is_const(b, 1.0):
+        return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value * b.value)
+    return Binary("*", a, b)
+
+
+def _ref_div(a, b):
+    if _is_const(b, 1.0):
+        return a
+    if _is_const(a, 0.0) and not _is_const(b, 0.0):
+        return Const(0.0)
+    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
+        return Const(a.value / b.value)
+    return Binary("/", a, b)
+
+
+# The folding rules of the package's constructors, written with value
+# compares: ``_is_const(e, 0.0)`` matches both signed zeros.  The package
+# tests operands by identity against its kept-alive interned constants;
+# each rule here must return the same node.
+REF_FOLDS = {"neg": _ref_neg, "add": _ref_add, "sub": _ref_sub,
+             "mul": _ref_mul, "div": _ref_div}
+
+
 def parenthesized_sources(exprs, names):
     """The texts of ``expressions.python_sources`` with every operation in
     parentheses: each sum, product and negation is written ``(...)``.

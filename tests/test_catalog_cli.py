@@ -267,6 +267,17 @@ def test_cli_reach_psi_undefined_at_the_base_is_input_error(contact_file, capsys
     assert "Traceback" not in captured.err
 
 
+def test_cli_reach_psi_with_trailing_whitespace(contact_file, capsys):
+    # trailing whitespace ends the text: the same report, not a traceback
+    argv = ["reach", str(contact_file), "--budget", "200", "--psi"]
+    assert main([*argv, "x+y+z"]) == 0
+    expected = capsys.readouterr()
+    assert main([*argv, "x+y+z "]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == expected.err == ""
+    assert captured.out == expected.out
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--epsilon", "-1"),
     ("--epsilon", "0"),

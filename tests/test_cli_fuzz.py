@@ -190,8 +190,9 @@ WIDE3_TEXT = ("vars: x, y, z\nF[1] = 0\nF[2] = 0\nF[3] = 1 + x^2*1e308\n"
 # reach reference --psi undefined or overflowing at the base; a tensor
 # overflowing where the square of the scale underflows (check, invariance),
 # a sum of squared residuals overflowing (factor2, factor-global), a mu
-# overflowing on CSV grid points (factor-global), and curls overflowing
-# where max|F_i| <= 1 (check, invariance)
+# overflowing on CSV grid points (factor-global), curls overflowing
+# where max|F_i| <= 1 (check, invariance), and an expression with trailing
+# whitespace (an IndexError in the tokenizer)
 @example((EXACT3_TEXT, ["catalog", "--show", "nope"]))
 @example((EXACT3_TEXT, ["catalog", "--write-form", "nope", "{write}"]))
 @example((EXACT3_TEXT, ["reach", "{form}", "--budget", "1"]))
@@ -217,6 +218,7 @@ WIDE3_TEXT = ("vars: x, y, z\nF[1] = 0\nF[2] = 0\nF[3] = 1 + x^2*1e308\n"
                        "--csv", "{csv}"]))
 @example((SIN308_TEXT, ["check", "{form}"]))
 @example((SIN308_TEXT, ["invariance", "{form}"]))
+@example((EXACT3_TEXT, ["reach", "{form}", "--budget", "13", "--psi", "x+y+z "]))
 def test_cli_contract_under_fuzz(invocation):
     text, template = invocation
     with tempfile.TemporaryDirectory() as tmp:

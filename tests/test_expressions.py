@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -183,6 +183,137 @@ FOLDING_CASES = [
 @pytest.mark.parametrize("text,tree", FOLDING_CASES)
 def test_parse_folding_edge_cases(text, tree):
     assert repr(ex.parse_expression(text, VARS3)) == repr(tree)
+
+
+def test_folds_of_signed_zeros_and_one_are_the_reference_nodes():
+    # the constructors fold by identity against their kept-alive constants;
+    # operands built after a collection are still those constants
+    gc.collect()
+    x = ex.Var(0)
+    pool = [ex.Const(v) for v in (0.0, -0.0, 1.0, -1.0, 2.5, math.inf, math.nan)]
+    pool += [x, ex.Unary("neg", x), ex.Binary("*", x, x)]
+    for a in pool:
+        assert ex.neg(a) is oracle.REF_FOLDS["neg"](a), a
+        for b in pool:
+            for name in ("add", "sub", "mul", "div"):
+                got = getattr(ex, name)(a, b)
+                assert got is oracle.REF_FOLDS[name](a, b), (name, a, b)
+    zero, neg_zero, one = ex.Const(0.0), ex.Const(-0.0), ex.Const(1.0)
+    assert ex.neg(zero) is neg_zero and ex.neg(neg_zero) is zero
+    assert ex.add(zero, neg_zero) is neg_zero and ex.add(neg_zero, zero) is zero
+    assert ex.sub(neg_zero, zero) is neg_zero and ex.sub(zero, neg_zero) is zero
+    assert ex.sub(neg_zero, x) is ex.neg(x)
+    assert ex.mul(neg_zero, one) is zero and ex.mul(x, neg_zero) is zero
+    assert ex.div(neg_zero, one) is neg_zero and ex.div(neg_zero, x) is zero
+    assert repr(ex.div(neg_zero, zero)) == repr(ex.Binary("/", neg_zero, zero))
+
+
+@pytest.mark.parametrize("text", ["x1 ", "x1\t", " x1 \n", "x1 +x2 \t "])
+def test_trailing_whitespace_ends_the_text(text):
+    assert ex.parse_expression(text, VARS3) is ex.parse_expression(text.strip(), VARS3)
+
+
+@pytest.mark.parametrize("text, offset, message", [
+    ("x1 + ", 5, "expected a number"),  # the text ends after the operator
+    ("x1 ? ", 3, "unexpected character '?'"),
+    ("x1 +\t@", 5, "unexpected character '@'"),
+    (" ", 1, "expected a number"),
+])
+def test_parse_errors_after_whitespace_keep_their_offset(text, offset, message):
+    with pytest.raises(ParseError, match=message) as err:
+        ex.parse_expression(text, VARS3)
+    assert err.value.offset == offset
+
+
+# --- unary minus binds more loosely than '^' ---------------------------------
+
+
+@pytest.mark.parametrize("text, point, value", [
+    ("-x1^2", (3.0, 1.0), -9.0),
+    ("-2^2", (0.0, 0.0), -4.0),
+    ("x1*-x2^2", (3.0, 1.0), -3.0),
+    ("-(x1)^2", (3.0, 1.0), -9.0),
+    ("(-x1)^2", (3.0, 1.0), 9.0),
+    ("x1^-2", (2.0, 1.0), 0.25),
+    ("-x1^-2", (2.0, 1.0), -0.25),
+    ("--x1^2", (3.0, 1.0), 9.0),
+    ("2^-1*x2", (0.0, 3.0), 1.5),
+])
+def test_unary_minus_negates_the_power(text, point, value):
+    fn = ex.compile_scalar(ex.parse_expression(text, VARS3[:2]), 2)
+    assert fn(*point) == value
+
+
+def test_negated_power_base_is_written_in_parentheses():
+    x = ex.Var(0)
+    assert ex.to_string(ex.powc(ex.neg(x), 2), VARS3) == "(-x1)^2.0"
+    assert ex.to_string(ex.neg(ex.powc(x, 2)), VARS3) == "-(x1^2.0)"
+    assert ex.to_string(ex.Pow(ex.Const(-0.0), -1.0), VARS3) == "(-0.0)^-1.0"
+    for tree in (ex.powc(ex.neg(x), 2), ex.Pow(ex.Const(-0.0), -1.0)):
+        assert ex.parse_expression(ex.to_string(tree, VARS3), VARS3) is tree
+
+
+# Python's parser is an independent oracle for the grammar: a text of the
+# grammar, with '^' spelled '**', is a Python expression of the same
+# precedence.  Every number but an exponent has a decimal point or an
+# exponent part, so Python computes in floats, as the generated code does,
+# and the two agree exactly wherever both are defined: finite, with no
+# error, and real (Python raises a negative number to a fractional power as
+# a complex number).
+_PY_NAMES = ("x", "y")
+_PY_LITERALS = ["0.0", "0.5", "1.0", "2.0", "3.", ".25", "1.5e1", "2e-1"]
+_PY_EXPONENTS = ["2", "3", "0.5", "1e0", "-1", "-2", "-0.5"]
+_PY_POINTS = [(3.0, 1.0), (-1.5, 0.75), (0.0, -0.5), (2.0, 2.0), (-0.5, 0.0)]
+_PY_FUNCTIONS = {name: getattr(math, name) for name in ex.FUNCTION_NAMES}
+
+
+def _grammar_texts():
+    leaves = st.sampled_from([*_PY_NAMES, *_PY_LITERALS])
+
+    def extend(inner):
+        atom = st.one_of(
+            leaves,
+            inner.map(lambda t: f"({t})"),
+            st.tuples(st.sampled_from(ex.FUNCTION_NAMES), inner).map(
+                lambda t: f"{t[0]}({t[1]})"),
+        )
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+            inner.map(lambda t: f"-{t}"),
+            st.tuples(atom, st.sampled_from(_PY_EXPONENTS)).map("^".join),
+            atom,
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _value_here(text, point):
+    fn = ex.compile_scalar(ex.parse_expression(text, _PY_NAMES), 2)
+    try:
+        v = fn(*point)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _value_in_python(text, point):
+    scope = {"__builtins__": {}, **_PY_FUNCTIONS, **dict(zip(_PY_NAMES, point))}
+    try:
+        v = eval(text.replace("^", "**"), scope)  # noqa: S307 - generated text
+    except (ArithmeticError, ValueError, TypeError):
+        return None
+    return v if isinstance(v, float) and math.isfinite(v) else None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_grammar_texts(), st.sampled_from(_PY_POINTS))
+@example("-x^2", (3.0, 1.0))
+@example("x*-y^2 - -2.0^-1", (3.0, 1.0))
+@example("-(x + y)^2 / -y^3", (3.0, 1.0))
+def test_parse_agrees_with_python_on_the_grammar(text, point):
+    here, python = _value_here(text, point), _value_in_python(text, point)
+    if here is not None and python is not None:
+        assert here == python, (text, point)
 
 
 # --- serialization round-trip -------------------------------------------------

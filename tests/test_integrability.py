@@ -324,6 +324,26 @@ def test_points_whose_curls_overflow_after_the_rescale_count_as_failed():
     json.dumps(v.as_report(), allow_nan=False)
 
 
+def test_rescaled_tensors_of_several_triples_match_the_unscaled_form():
+    # |R_ijk| near 1e400 overflows at every point; each triple's scaled value
+    # is computed again from the jet scaled by 1/max|F_i|, which gives the
+    # scaled values of the same form without the factor 1e200
+    names = ["w", "x", "y", "z"]
+    texts = ["1 + y", "z*w", "2 + x", "x - w"]
+    box = Box((-1,) * 4, (1,) * 4)
+    small_form = make_form(names, texts, box)
+    small = classify(small_form)
+    big = classify(make_form(names, [f"1e200*({t})" for t in texts], box))
+    assert big.classification == small.classification == CLASS_NON_INTEGRABLE
+    assert big.samples_used == small.samples_used == len(sample_points(small_form))
+    assert big.witness_triple == small.witness_triple
+    assert big.witness_value == pytest.approx(small.witness_value, rel=1e-12)
+    assert [t.triple for t in big.per_triple_max] == list(
+        itertools.combinations(range(4), 3))
+    for b, s in zip(big.per_triple_max, small.per_triple_max):
+        assert b.value == pytest.approx(s.value, rel=1e-12)
+
+
 # --- sample scan against the per-entry reference loop ---------------------------
 
 
@@ -433,6 +453,7 @@ def test_scan_matches_per_entry_reference(rng, monkeypatch):
                 expected = _ref_scan_samples(form, points, singular_tol)
                 assert got == expected
                 assert repr(got) == repr(expected)
+                assert got.used + got.singular + got.failed == len(points)
                 outcomes.update(k for k in ("used", "singular", "failed")
                                 if getattr(got, k))
     assert outcomes == {"used", "singular", "failed"}
