@@ -17,6 +17,14 @@ Trees are evaluated only through generated code (:func:`compile_scalar`,
 checked contract: an undefined operation or a non-finite result raises
 :class:`EvalDomainError` instead of returning a value.
 
+Raw generated code, these callables and the loops other modules generate
+around :func:`python_source`, raises an error of :data:`UNDEFINED` where
+an operation is undefined: ValueError for the log or square root of a
+negative value, ZeroDivisionError for a pole, OverflowError for an
+overflowing exp or power, the last two being ArithmeticErrors.  Every
+catcher of those errors names :data:`UNDEFINED`, and generated code reads
+it as ``_UNDEFINED`` (:func:`exec_source`); no other module lists them.
+
 Grammar accepted by :func:`parse_expression`::
 
     expr   := term (('+'|'-') term)*
@@ -52,6 +60,9 @@ FUNCTION_NAMES = ("exp", "log", "sin", "cos", "sqrt")
 # form still compiles.  Benchmark and catalog forms are at most 24 deep.
 MAX_DEPTH = 64
 
+# What raw generated code raises where an operation is undefined.
+UNDEFINED = (ValueError, ArithmeticError)
+
 __all__ = [
     "Expression",
     "Const",
@@ -61,6 +72,7 @@ __all__ = [
     "Pow",
     "FUNCTION_NAMES",
     "MAX_DEPTH",
+    "UNDEFINED",
     "constant",
     "variable",
     "neg",
@@ -270,7 +282,7 @@ def powc(base: Expression, exponent: float) -> Expression:
     if type(base) is Const:
         try:
             return Const(math.pow(base.value, exponent))
-        except (ValueError, OverflowError):
+        except UNDEFINED:
             pass
     return Pow(base, exponent)
 
@@ -418,10 +430,13 @@ def _prec(e):
 
 
 def _num_repr(v: float) -> str:
-    """Number text of the grammar; +-inf, which has no literal, as +-1e999."""
+    """Number text of the grammar; +-inf, which has no literal, as +-1e999,
+    and NaN as ``(1e999-1e999)``, which the parser folds to the NaN node."""
     v = float(v)
     if math.isinf(v):
         return "1e999" if v > 0 else "-1e999"
+    if v != v:
+        return "(1e999-1e999)"
     return repr(v)
 
 
@@ -648,8 +663,9 @@ def parse_expression(text: str, var_names) -> Expression:
 # compilation (fast scalar evaluation for inner loops)
 # ---------------------------------------------------------------------------
 
-# math functions as generated source spells them
+# math functions as generated source spells them, and UNDEFINED
 _KERNEL_GLOBALS = {
+    "_UNDEFINED": UNDEFINED,
     "_exp": math.exp,
     "_log": math.log,
     "_sin": math.sin,
@@ -809,7 +825,8 @@ def python_source(e: Expression, names) -> str:
 
 def exec_source(source: str, label: str, **extra) -> dict:
     """Run generated ``source`` in fresh globals: the names the text of
-    :func:`python_source` needs, plus ``extra``.
+    :func:`python_source` needs, ``_UNDEFINED`` (:data:`UNDEFINED`, for the
+    except clauses of generated loops), plus ``extra``.
 
     Returns the namespace, from which the caller takes the functions the
     source defines.  ``label`` names the code in tracebacks
@@ -832,10 +849,10 @@ def _compile_return(text, n_vars):
 def compile_scalar(e: Expression, n_vars: int):
     """Compile ``e`` into a raw positional callable ``f(x0, ..., x{n-1})``.
 
-    The raw callable is fast but unguarded: it may raise ValueError,
-    ZeroDivisionError or OverflowError, and may return inf/nan from plain
-    arithmetic; callers guard at a coarser granularity.  :func:`call_checked`
-    turns those into the :class:`EvalDomainError` contract.
+    The raw callable is fast but unguarded: it may raise an error of
+    :data:`UNDEFINED`, and may return inf/nan from plain arithmetic; callers
+    guard at a coarser granularity.  :func:`call_checked` turns those into
+    the :class:`EvalDomainError` contract.
     """
     return _compile_return(python_source(e, [f"x{i}" for i in range(n_vars)]), n_vars)
 
@@ -856,10 +873,9 @@ def call_checked(fn, point, n_vars: int) -> tuple:
 
     Raises :class:`ArityError` unless ``point`` has ``n_vars`` coordinates.
     The coordinates are passed as Python floats, so a numpy scalar divides
-    by zero with an error, not to inf.  ValueError, ZeroDivisionError and
-    OverflowError (a pole, log or sqrt of a negative value, an overflowing
-    exp or pow) and a non-finite entry of the result raise
-    :class:`EvalDomainError`.
+    by zero with an error, not to inf.  An error of :data:`UNDEFINED` (a
+    pole, log or sqrt of a negative value, an overflowing exp or pow) and a
+    non-finite entry of the result raise :class:`EvalDomainError`.
     """
     if len(point) != n_vars:
         raise ArityError(f"point of length {len(point)} for {n_vars} variables")
@@ -868,10 +884,10 @@ def call_checked(fn, point, n_vars: int) -> tuple:
         values = fn(*args)
     except ZeroDivisionError as exc:
         raise EvalDomainError("division by zero") from exc
-    except ValueError as exc:
-        raise EvalDomainError(f"undefined at {args}: {exc}") from exc
     except OverflowError as exc:
         raise EvalDomainError(f"overflow at {args}: {exc}") from exc
+    except UNDEFINED as exc:
+        raise EvalDomainError(f"undefined at {args}: {exc}") from exc
     for v in values:
         if not math.isfinite(v):
             raise EvalDomainError(f"non-finite result {v!r}")

@@ -77,7 +77,7 @@ def auto_transversal(form: PfaffianForm) -> TransversalSpec:
     for p in form.domain.samples(128):
         try:
             values.append(fns(*p))
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except ex.UNDEFINED:
             continue
     scores = []
     for axis in range(2):
@@ -181,7 +181,7 @@ def _characteristic_kernel(form: PfaffianForm, b: int):
 def solve_characteristic(form: PfaffianForm, start, direction: int,
                          transversal: TransversalSpec, rtol: float, atol: float,
                          pts=None):
-    """``(status, label, truncated)`` of the characteristic through ``start``.
+    """``(status, label)`` of the characteristic through ``start``.
 
     Integrates the curve annihilating a two-variable form, parametrizing by
     whichever variable currently gives the better-conditioned slope
@@ -220,14 +220,14 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
         and abs(x[transversal.fixed_axis] - transversal.value) <= 1e-14 * scale
         and transversal.on_span(x[transversal.varying_axis()])
     ):
-        return "transversal", x[transversal.varying_axis()], False
+        return "transversal", x[transversal.varying_axis()]
 
     try:
         f = form.coefficient_tuple_fn(*x)
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except ex.UNDEFINED:
         raise AnalysisError("coefficients undefined at the start point")
     if max(abs(f[0]), abs(f[1])) <= DEFAULT_SINGULAR_TOL:
-        return "singular", None, True
+        return "singular", None
     tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
 
     # the larger |F_b| is solved for
@@ -259,8 +259,8 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
         t, y, h = x[a], (x[b],), 0.0
         try:
             f0 = kernel.rhs(t, y)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            return "singular", None, True
+        except ex.UNDEFINED:
+            return "singular", None
         used, budget, accepted, rejected = steps_used, MAX_STEPS - steps_used, 0, 0
         level_b = level if on_b else math.nan
 
@@ -273,9 +273,9 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
                 rejected, limit, low_b, high_b, level_b, t_target, t_tol,
                 _SWAP_HYSTERESIS)
             if status == "max_steps":
-                return "max_steps", None, True
+                return "max_steps", None
             if status != "ok":
-                return "singular", None, True
+                return "singular", None
             steps_used = used + accepted
 
             # dependent-axis box exit: a step across a face ends at the
@@ -309,7 +309,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
                     # a probe solve stopped short: its step collapsed where
                     # the solved coefficient vanishes or is undefined, or its
                     # attempts ran out
-                    return "singular", None, True
+                    return "singular", None
 
             if crossed is not None:
                 t_hit, y_hit, kind = crossed
@@ -317,9 +317,9 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
                 if pts is not None:
                     pts.append(p_hit)
                 if kind == "transversal":
-                    return "transversal", p_hit[a], False
+                    return "transversal", p_hit[a]
                 # boundary hit without reaching the transversal
-                return "boundary", None, True
+                return "boundary", None
 
             x = _point(a, t, y[0])
             if pts is not None:
@@ -328,12 +328,12 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
             if abs(t - t_target) <= t_tol:
                 if hit_transversal_on_a:
                     if transversal.on_span(x[b]):
-                        return "transversal", x[b], False
+                        return "transversal", x[b]
                     # crossed the transversal line off its segment: keep going
                     hit_transversal_on_a = False
                     t_target = t_limit
                 else:
-                    return "boundary", None, False
+                    return "boundary", None
 
             # f0 is the slope -F_a / F_b at x, the last stage of the step
             if abs(f0[0]) > _SWAP_HYSTERESIS:
@@ -343,7 +343,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
         else:
             # the step budget is spent, after a step or after a swap on the
             # last step (whose first slope, above, is defined at the swap)
-            return "max_steps", None, True
+            return "max_steps", None
 
 
 def _point(a, t, y_b):
@@ -445,8 +445,7 @@ class FactorizationResult:
     flags: dict = field(default_factory=dict)
 
 
-# ZeroDivisionError and OverflowError are ArithmeticErrors
-_SKIP_ERRORS = (AnalysisError, EvalDomainError, ValueError, ArithmeticError)
+_SKIP_ERRORS = (AnalysisError, EvalDomainError, *ex.UNDEFINED)
 
 
 def _defined_values(evaluate, points):
@@ -563,11 +562,11 @@ def build_potential_2var(form: PfaffianForm, transversal: TransversalSpec = None
         towards = tv.value - key[tv.fixed_axis]
         try:
             tau_a = _tangent(fns(*key))[tv.fixed_axis]
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except ex.UNDEFINED:
             tau_a = 0.0
         first = 1 if towards * tau_a >= 0 else -1
         for direction in (first, -first):
-            status, label, _ = solve_characteristic(
+            status, label = solve_characteristic(
                 form, key, direction, tv, 1e-11, 1e-13)
             if status == "transversal":
                 cache[key] = label
@@ -701,7 +700,7 @@ class SurfaceField:
             status, y, _, _ = _integrate_unit(self.kernel, (*u0, *deltas),
                                               (float(xn),), t0, t1,
                                               self.rtol, self.atol)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except ex.UNDEFINED as exc:
             raise AnalysisError(f"surface integration failed: {exc}") from exc
         if status != "ok":
             raise AnalysisError(f"surface integration failed: {status}")
@@ -733,8 +732,7 @@ def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol):
     Returns ``(status, y, accepted, rejected)``: the status of the solve
     ("ok", "box_exit", "step_rejection" or "max_steps" after ``MAX_STEPS``
     attempts), its last accepted state and its attempt counts.  The
-    right-hand side at the start may raise ValueError, ZeroDivisionError or
-    OverflowError.
+    right-hand side at the start may raise an error of ``ex.UNDEFINED``.
     """
     status, _, y, _, _, accepted, rejected = kernel.advance(
         t0, y0, kernel.rhs(t0, y0, *params), 0.0, t1,
@@ -805,7 +803,7 @@ def _require_transversal_fiber(form: PfaffianForm, free_index, base):
     """
     try:
         value = form.coefficient_tuple_fn(*base)[free_index]
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except ex.UNDEFINED:
         value = math.nan
     if not (math.isfinite(value) and abs(value) > DEFAULT_SINGULAR_TOL):
         name = form.var_names[free_index]

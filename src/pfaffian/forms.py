@@ -160,7 +160,7 @@ def _probe_vector(form: PfaffianForm, p, needs_jet: bool):
     if needs_jet:
         try:
             values = form.jet_fn(*p)[:form.n]
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except ex.UNDEFINED:
             pass
         else:
             if all(map(math.isfinite, values)):

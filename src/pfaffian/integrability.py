@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ArityError, EvalDomainError, FormError
+from .expressions import UNDEFINED
 from .forms import DEFAULT_SINGULAR_TOL, PfaffianForm, Substitution, pullback
 
 DEFAULT_TOL = 1e-8
@@ -268,7 +269,7 @@ def _scan_samples(form, points):
     for p in points:
         try:
             values = jet(*p)
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except UNDEFINED:
             scan.failed += 1
             continue
         # below 1e153: no inf or NaN, and no value overflows (|R_ijk| <= 6 sum^2)

@@ -17,10 +17,10 @@ step's start: a characteristic runs each segment in one call and returns
 only at the steps where one of its events could fire.  Callers call
 ``advance`` directly and read the status it returns.
 
-An attempt that raises ValueError, ZeroDivisionError, OverflowError or
-ArithmeticError is refused and the step halved; a step size collapsing
-below its floor ends the solve with the status ``"step_rejection"``, which
-doubles as singularity detection.  A kernel compiled with ``bounds`` keeps
+An attempt that raises an error of ``expressions.UNDEFINED`` is refused
+and the step halved; a step size collapsing below its floor ends the solve
+with the status ``"step_rejection"``, which doubles as singularity
+detection.  A kernel compiled with ``bounds`` keeps
 state component 0 inside a widened box and ends a solve at once with the
 status ``"box_exit"`` when it is leaving that box; a refused attempt
 from inside the box proper aims its next step at the band past the box
@@ -114,8 +114,8 @@ def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
 
     ``body(t, ys, ks)`` returns the right-hand side as unindented statement
     lines that assign the names ``ks[i]`` from the names ``t`` and ``ys[i]``,
-    and raise ValueError, ZeroDivisionError or OverflowError where the ODE
-    is undefined.  The generated code uses the names ``t``, ``dt``, ``y``,
+    and raise an error of ``expressions.UNDEFINED`` where the ODE is
+    undefined.  The generated code uses the names ``t``, ``dt``, ``y``,
     ``f0``, those of one of the letters t, y, k, Y, E followed by digits
     and underscores, and those that start with ``dp_``; the body's
     temporaries must be other names.  ``params`` names the extra arguments
@@ -264,8 +264,7 @@ def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
         test = stop[1]("dp_t0", start, "t", ys, k[0])
         done += f" or ({test})"
     advance += [
-        "            except (ValueError, ZeroDivisionError, OverflowError,"
-        " ArithmeticError):",
+        "            except _UNDEFINED:",
         *refused,
         *collapse,
         "            dp_sq = 0.0",

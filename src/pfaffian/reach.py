@@ -153,16 +153,17 @@ LOST = "lost"  # a step raised: pivot lost or a coefficient domain error
 CUT = "cut"  # the last step counted left, and a bisection trial raised
 
 
-def _compile_loop(form: PfaffianForm, k, center, limit, squared, kind):
+def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     """Generated loop of constrained RK4 steps with pivot ``k``.
 
     Each step is that of :func:`_step_lines`, followed by the containment
-    test: the end point lies in ``form.domain`` and near ``center``, where near
-    means a squared distance ``<= limit`` when ``squared``, else a distance
-    ``<= limit``.  A step that raises PivotLostError (the solved coefficient
-    is not above ``DEFAULT_SINGULAR_TOL`` in size, or the solved velocity is
-    not within (-1e300, 1e300)), ValueError, ZeroDivisionError or
-    OverflowError is not counted and ends the loop.
+    test: the end point lies in ``form.domain`` and in the ball of radius
+    ``epsilon`` about ``center``.  A rollout tests a squared distance ``<=
+    epsilon * epsilon``, a leg a distance ``<= epsilon * (1 + 1e-12)``.  A
+    step that raises PivotLostError (the solved coefficient is not above
+    ``DEFAULT_SINGULAR_TOL`` in size, or the solved velocity is not within
+    (-1e300, 1e300)) or an error of ``ex.UNDEFINED`` is not counted and ends
+    the loop.
 
     Where a counted step leaves, the same loop locates the crossing by
     bisection on the fraction of the step: each trial re-steps from the last
@@ -227,9 +228,9 @@ def _compile_loop(form: PfaffianForm, k, center, limit, squared, kind):
     # ``d ** 2 != d * d`` for 2,676 of 3,000,000 uniform draws of d in
     # [-1, 1], and a square one ulp off can move a step across the sphere.
     dist2 = ex.python_sum(f"(X{i} - {lit(c)}) ** 2" for i, c in enumerate(center))
-    near = f"{dist2} <= {lit(limit)}" if squared else f"_sqrt({dist2}) <= {lit(limit)}"
     state = f"({point('x')}), ({point('a')})"
     if rollout:
+        near = f"{dist2} <= {lit(epsilon * epsilon)}"
         ended = "return None, r, steps + s, left - s, rmax, x, fx"
         lost = [ended]
         done = [
@@ -248,6 +249,7 @@ def _compile_loop(form: PfaffianForm, k, center, limit, squared, kind):
         ]
         gap = []
     else:
+        near = f"_sqrt({dist2}) <= {lit(epsilon * (1 + 1e-12))}"
         lost = [f"return {CUT!r} if bis else {LOST!r}, s, best, {state}"]
         done = [f"return {DONE!r}, s, best, {state}"]
         crossing = [f"return {EXIT!r}, s, best, ({point('w')}), ({point('g')})"]
@@ -266,7 +268,7 @@ def _compile_loop(form: PfaffianForm, k, center, limit, squared, kind):
         "while True:",
         "    try:",
         *_step_lines(form, k, "        ", residual=rollout),
-        "    except (_Lost, ValueError, ZeroDivisionError, OverflowError):",
+        "    except (_Lost, *_UNDEFINED):",
         *("        " + line for line in lost),
         f"    inside = {in_box('X')} and {near}",
         "    if bis:",
@@ -382,12 +384,28 @@ class ReachSample:
         }
 
 
-def _check_radius(epsilon):
-    """AnalysisError unless ``epsilon`` is finite, > 0 and at most
-    ``MAX_COORDINATE``, the radii the CLI accepts."""
+def _probe_start(form: PfaffianForm, p, epsilon):
+    """The start ``(p, F(p))`` of both probes, ``p`` as a tuple of floats.
+
+    Checks, in order: the form has at least 2 variables (else ArityError);
+    ``epsilon`` is > 0 and at most ``MAX_COORDINATE``, the radii the CLI
+    accepts; ``p`` lies in the box within 1e-12; F is defined at ``p``
+    (:func:`coefficient_vector` raises EvalDomainError otherwise); and some
+    ``|F_i(p)|`` exceeds ``DEFAULT_SINGULAR_TOL``.  The other failures are
+    AnalysisErrors.
+    """
+    if form.n < 2:
+        raise ArityError("exploration requires at least 2 variables")
     if not 0.0 < epsilon <= MAX_COORDINATE:  # false for NaN too
         raise AnalysisError(f"epsilon must be > 0 and at most {MAX_COORDINATE:g}, "
                             f"got {epsilon!r}")
+    p = tuple(float(v) for v in p)
+    if not form.domain.contains(p, tol=1e-12):
+        raise AnalysisError("base point outside domain")
+    f_p = coefficient_vector(form, p)
+    if max(abs(v) for v in f_p) <= DEFAULT_SINGULAR_TOL:
+        raise AnalysisError("base point is singular for the form")
+    return p, f_p
 
 
 def explore(form: PfaffianForm, p, epsilon, budget, seed) -> ReachSample:
@@ -404,23 +422,14 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed) -> ReachSample:
     rollouts in a row that took no step (every first step from p failed),
     which would otherwise repeat without end.  The solved coefficient must
     exceed ``DEFAULT_SINGULAR_TOL`` in size.  Only the endpoints are kept,
-    not the curves between them.
+    not the curves between them.  The start is checked by
+    :func:`_probe_start`.
     """
     import numpy as np
 
-    if form.n < 2:
-        raise ArityError("exploration requires at least 2 variables")
-    _check_radius(epsilon)
-    p = tuple(float(v) for v in p)
-    if not form.domain.contains(p, tol=1e-12):
-        raise AnalysisError("base point outside domain")
-    f_p = coefficient_vector(form, p)
-    if max(abs(v) for v in f_p) <= DEFAULT_SINGULAR_TOL:
-        raise AnalysisError("base point is singular for the form")
-
+    p, f_p = _probe_start(form, p, epsilon)
     n = form.n
-    rollouts = functools.cache(
-        lambda k: _compile_loop(form, k, p, epsilon * epsilon, True, "rollout"))
+    rollouts = functools.cache(lambda k: _compile_loop(form, k, p, epsilon, "rollout"))
     dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
     k_p = max(range(n), key=lambda i: abs(f_p[i]))
     endpoints = [p]
@@ -582,16 +591,15 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon,
     loops return to the starting level, so blocked targets keep honest gaps;
     budget-halving checkpoints record whether gaps persist as effort grows.
     A target counts as reached when its gap is at most 0.01 epsilon.  The
-    solved coefficient must exceed ``DEFAULT_SINGULAR_TOL`` in size.
+    solved coefficient must exceed ``DEFAULT_SINGULAR_TOL`` in size.  The
+    start is checked as :func:`explore` checks it (:func:`_probe_start`).
     """
     if not 0 <= free_index < form.n:
         raise ArityError("free variable index out of range")
-    _check_radius(epsilon)
-    p = tuple(float(v) for v in p)
+    p = _probe_start(form, p, epsilon)[0]
     offsets = linspace(-epsilon, epsilon, 32)
     per_budget = budget // 32
-    legs = functools.cache(
-        lambda k: _compile_loop(form, k, p, epsilon * (1 + 1e-12), False, "leg"))
+    legs = functools.cache(lambda k: _compile_loop(form, k, p, epsilon, "leg"))
     gaps = []
     halves = []
     used_total = 0
@@ -788,7 +796,7 @@ def _seek_target(form, legs, base, target, epsilon, budget):
     seeker = _Seeker(form, legs, base, target, epsilon, budget)
     try:
         return seeker.run()
-    except (PivotLostError, ValueError, ZeroDivisionError, OverflowError):
+    except (PivotLostError, *ex.UNDEFINED):
         best = seeker.best
         half = seeker.best_at_half if seeker.best_at_half is not None else best
         return best, half, seeker.used

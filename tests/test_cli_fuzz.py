@@ -192,7 +192,9 @@ WIDE3_TEXT = ("vars: x, y, z\nF[1] = 0\nF[2] = 0\nF[3] = 1 + x^2*1e308\n"
 # a sum of squared residuals overflowing (factor2, factor-global), a mu
 # overflowing on CSV grid points (factor-global), curls overflowing
 # where max|F_i| <= 1 (check, invariance), and an expression with trailing
-# whitespace (an IndexError in the tokenizer)
+# whitespace (an IndexError in the tokenizer); and a scan whose step size
+# underflows to 0, so that a leg divides by it and the seeker returns the
+# gap it has (the fallback of reach._seek_target)
 @example((EXACT3_TEXT, ["catalog", "--show", "nope"]))
 @example((EXACT3_TEXT, ["catalog", "--write-form", "nope", "{write}"]))
 @example((EXACT3_TEXT, ["reach", "{form}", "--budget", "1"]))
@@ -219,6 +221,8 @@ WIDE3_TEXT = ("vars: x, y, z\nF[1] = 0\nF[2] = 0\nF[3] = 1 + x^2*1e308\n"
 @example((SIN308_TEXT, ["check", "{form}"]))
 @example((SIN308_TEXT, ["invariance", "{form}"]))
 @example((EXACT3_TEXT, ["reach", "{form}", "--budget", "13", "--psi", "x+y+z "]))
+@example((CONTACT_TEXT, ["reach", "{form}", "--budget", "150", "--epsilon", "5e-324",
+                         "--free-var", "z"]))
 def test_cli_contract_under_fuzz(invocation):
     text, template = invocation
     with tempfile.TemporaryDirectory() as tmp:

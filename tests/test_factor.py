@@ -49,13 +49,12 @@ CONTACT = make_form(["x", "y", "z"], ["-y", "0", "1"], Box((-1,) * 3, (1,) * 3))
 
 
 def _curve(form, start, direction, transversal=None, rtol=1e-9, atol=1e-12):
-    """The characteristic through ``start``: its status, label, truncation
-    and points, by default at the tolerances ``foliate`` traces with."""
+    """The characteristic through ``start``: its status, label and points,
+    by default at the tolerances ``foliate`` traces with."""
     points = []
-    status, label, truncated = solve_characteristic(
+    status, label = solve_characteristic(
         form, start, direction, transversal, rtol, atol, points)
-    return SimpleNamespace(status=status, label=label, truncated=truncated,
-                           points=points)
+    return SimpleNamespace(status=status, label=label, points=points)
 
 
 def test_characteristic_conserves_product():
@@ -620,7 +619,7 @@ def test_characteristic_ends_singular_mid_curve():
     form = make_form(["x", "y"], ["1", "sqrt(x)"], Box((-1, -1), (1, 1)))
     for points in (None, []):
         assert solve_characteristic(form, (0.5, -0.5), -1, None, 1e-9, 1e-12,
-                                    points) == ("singular", None, True)
+                                    points) == ("singular", None)
     x, y = points[-1]
     assert 0.0 <= x <= 1e-12
     assert y == pytest.approx(2 * math.sqrt(0.5) - 0.5, abs=1e-6)
@@ -702,16 +701,16 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
         and abs(x[transversal.fixed_axis] - transversal.value) <= 1e-14 * scale
         and transversal.on_span(x[transversal.varying_axis()])
     ):
-        return "transversal", x[transversal.varying_axis()], False
+        return "transversal", x[transversal.varying_axis()]
     f = coeffs(*x)
     if max(abs(f[0]), abs(f[1])) <= singular_tol:
-        return "singular", None, True
+        return "singular", None
     tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
     dependent = int(np.argmax([abs(f[0]), abs(f[1])]))
     steps_used = 0
     while True:
         if steps_used >= max_steps:
-            return "max_steps", None, True
+            return "max_steps", None
         b = dependent
         a = 1 - b
         sign_a = 1.0 if tau[a] >= 0 else -1.0
@@ -727,7 +726,7 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
         try:
             state = dopri5_start(kernel, x[a], (x[b],))
         except (ValueError, ZeroDivisionError, OverflowError):
-            return "singular", None, True
+            return "singular", None
         budget = max_steps - steps_used
         while True:
             step_start = state[:3]
@@ -735,9 +734,9 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
             status, state = dopri5_step(kernel, state, t_target, sign_a, rtol, atol,
                                         budget)
             if status == "max_steps":
-                return "max_steps", None, True
+                return "max_steps", None
             if status != "ok":
-                return "singular", None, True
+                return "singular", None
             t_new, y_new = state[:2]
             steps_used += 1
             crossed = None
@@ -763,15 +762,15 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
                     t_hit = prev_t + lam * (t_new - prev_t)
                     y_hit = prev_y if probe is None else probe(lam)
             except _RefProbeFailed:
-                return "singular", None, True
+                return "singular", None
             if crossed is not None:
                 p_hit = [0.0, 0.0]
                 p_hit[a], p_hit[b] = t_hit, y_hit[0]
                 p_hit = box.clamp(p_hit)
                 pts.append(tuple(p_hit))
                 if kind == "transversal":
-                    return "transversal", p_hit[a], False
-                return "boundary", None, True
+                    return "transversal", p_hit[a]
+                return "boundary", None
             p_new = [0.0, 0.0]
             p_new[a], p_new[b] = t_new, y_new[0]
             x = tuple(p_new)
@@ -779,9 +778,9 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
             try:
                 f = coeffs(*x)
             except (ValueError, ZeroDivisionError, OverflowError):
-                return "singular", None, True
+                return "singular", None
             if max(abs(f[0]), abs(f[1])) <= singular_tol:
-                return "singular", None, True
+                return "singular", None
             tau_new = _unit_tangent(f)
             if tau_new[0] * tau[0] + tau_new[1] * tau[1] < 0:
                 tau_new = (-tau_new[0], -tau_new[1])
@@ -789,22 +788,22 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
             if abs(t_new - t_target) <= 1e-14 * max(1.0, abs(t_target)):
                 if hit_transversal_on_a:
                     if transversal.on_span(x[b]):
-                        return "transversal", x[b], False
+                        return "transversal", x[b]
                     hit_transversal_on_a = False
                     t_target = t_limit
                 else:
-                    return "boundary", None, False
+                    return "boundary", None
             if abs(f[a]) > _SWAP_HYSTERESIS * abs(f[b]):
                 dependent = a
                 swaps.append(a)
                 break
             if steps_used >= max_steps:
-                return "max_steps", None, True
+                return "max_steps", None
 
 
 def _assert_trace_matches(form, start, direction, tv, max_steps=100000,
                           rtol=1e-9, atol=1e-12, swaps=None):
-    """The trace and the reference agree on status, label, truncation and points.
+    """The trace and the reference agree on status, label and points.
 
     The trace that keeps its points runs one step per call of the generated
     loop, the trace of the label only runs each segment in one call that
@@ -818,7 +817,7 @@ def _assert_trace_matches(form, start, direction, tv, max_steps=100000,
         label_only = solve_characteristic(form, start, direction, tv, rtol, atol)
     ref = _ref_trace(form, start, direction, tv, rtol, atol, max_steps,
                      ref_pts, [] if swaps is None else swaps)
-    assert (trace[0], repr(trace[1]), trace[2]) == (ref[0], repr(ref[1]), ref[2])
+    assert (trace[0], repr(trace[1])) == (ref[0], repr(ref[1]))
     assert repr(label_only) == repr(trace)
     assert pts == ref_pts
     assert repr(pts) == repr(ref_pts)
@@ -1025,7 +1024,7 @@ def test_transversal_labels_lie_in_the_box_and_on_the_span(name):
     for spec in (tv, TransversalSpec(tv.fixed_axis, tv.value, span)):
         for p in grid:
             for direction in (1, -1):
-                status, label, _ = solve_characteristic(
+                status, label = solve_characteristic(
                     form, p, direction, spec, 1e-11, 1e-13)
                 if status == "transversal":
                     assert lo <= label <= hi and spec.on_span(label), (p, direction)
@@ -1054,7 +1053,7 @@ def test_product_exact_labels_are_true_crossings():
     for p in sampling.box_grid(form.domain.lows, form.domain.highs, 9):
         p = tuple(float(v) for v in p)
         for direction in (1, -1):
-            status, label, _ = solve_characteristic(
+            status, label = solve_characteristic(
                 form, p, direction, tv, 1e-11, 1e-13)
             if status == "transversal":
                 assert abs(label - p[0] * p[1] / tv.value) <= 1e-9, (p, direction)
@@ -1134,9 +1133,9 @@ def test_crossings_match_secant_search(name, grid, monkeypatch):
     calls = _factor2_traces(monkeypatch, entry(name).form, grid)
     monkeypatch.setattr(factor, "bisect_root", secant_bisect_root)
     labels = 0
-    for args, kwargs, (status, label, truncated) in calls:
-        ref_status, ref_label, ref_truncated = solve_characteristic(*args, **kwargs)
-        assert (status, truncated) == (ref_status, ref_truncated)
+    for args, kwargs, (status, label) in calls:
+        ref_status, ref_label = solve_characteristic(*args, **kwargs)
+        assert status == ref_status
         if ref_label is None:
             assert label is None
         else:
@@ -1156,7 +1155,7 @@ def test_rolling_cylinder_labels_exact(grid, monkeypatch):
     tv = auto_transversal(form)
     fixed, varying = tv.fixed_axis, tv.varying_axis()
     labels = 0
-    for args, _, (status, label, _) in _factor2_traces(monkeypatch, form, grid):
+    for args, _, (status, label) in _factor2_traces(monkeypatch, form, grid):
         if status == "transversal":
             p = args[1]
             assert abs(label - (tv.value + p[varying] - p[fixed])) <= 1e-14

@@ -11,8 +11,8 @@ from conftest import fold
 from pfaffian import expressions as ex
 from pfaffian import forms, reach
 from pfaffian.catalog import catalog
-from pfaffian.errors import AnalysisError
-from pfaffian.forms import DEFAULT_SINGULAR_TOL, Box, make_form
+from pfaffian.errors import AnalysisError, PfaffianError
+from pfaffian.forms import DEFAULT_SINGULAR_TOL, MAX_COORDINATE, Box, make_form
 from pfaffian.reach import (
     KIND_CODIM_ONE,
     KIND_FULL,
@@ -283,6 +283,36 @@ def test_explore_and_scan_reject_bad_radius(epsilon):
         explore(EXACT3, (0.0, 0.0, 0.0), epsilon, 200, 1)
     with pytest.raises(AnalysisError, match="epsilon"):
         surrounding_line_scan(CONTACT, (0.0, 0.0, 0.0), 2, epsilon, 320)
+
+
+POLE = make_form(["x", "y", "z"], ["1/x", "0", "1"], Box((-1,) * 3, (1,) * 3))
+SADDLE = make_form(["x", "y", "z"], ["y", "x", "z"], Box((-1,) * 3, (1,) * 3))
+LINE = make_form(["x"], ["1"], Box((-1,), (1,)))
+
+
+def _raised(probe):
+    with pytest.raises(PfaffianError) as info:
+        probe()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("form, base, epsilon", [
+    (CONTACT, (5.0, 0.0, 0.0), 0.3),  # outside the box
+    (CONTACT, (math.nan, 0.0, 0.0), 0.3),
+    (POLE, (0.0, 0.0, 0.0), 0.3),  # F undefined at the base
+    (SADDLE, (0.0, 0.0, 0.0), 0.3),  # F = 0 at the base
+    (LINE, (0.0,), 0.3),  # one variable
+    (CONTACT, (0.0, 0.0, 0.0), 0.0),
+    (CONTACT, (0.0, 0.0, 0.0), math.nan),
+    (CONTACT, (0.0, 0.0, 0.0), 2 * MAX_COORDINATE),
+], ids=["outside", "nan-base", "pole", "singular", "one-variable", "radius-0",
+        "radius-nan", "radius-too-large"])
+def test_scan_rejects_the_starts_explore_rejects(form, base, epsilon):
+    # both probes check their start in one place: the same error, same message
+    want = _raised(lambda: explore(form, base, epsilon, 200, 1))
+    free_index = form.n - 1
+    assert _raised(lambda: surrounding_line_scan(form, base, free_index, epsilon,
+                                                 320)) == want
 
 
 def test_estimate_dimension_kinds():
