@@ -42,10 +42,15 @@ def _positive_float(text):
 
 
 def _radius(text):
-    """argparse type: a ball radius, > 0 and at most the coordinate bound."""
+    """argparse type: a ball radius, at least the reciprocal of the
+    coordinate bound and at most the bound."""
     from .forms import MAX_COORDINATE
+    from .reach import MIN_RADIUS
 
     value = _positive_float(text)
+    if value < MIN_RADIUS:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {MIN_RADIUS:g}, got {text!r}")
     if value > MAX_COORDINATE:
         raise argparse.ArgumentTypeError(
             f"must be at most {MAX_COORDINATE:g}, got {text!r}")

@@ -11,7 +11,9 @@ an operation on constants becomes its value where that is defined.
 Nodes are interned (hash-consed) as they are built: constructing a node
 that is structurally equal to a live one returns that node, with ``0.0``
 and ``-0.0`` apart.  A subtree repeated within or across trees is one
-object, so memos keyed on node ``id`` share its work.
+object, so memos keyed on node ``id`` share its work.  Each node class's
+constructor looks its key up in the table itself; only a new node costs
+a further call, to enter it.
 Trees are evaluated only through generated code (:func:`compile_scalar`,
 :func:`compile_tuple`).  :func:`call_checked` calls such code with the
 checked contract: an undefined operation or a non-finite result raises
@@ -38,7 +40,14 @@ than ``^`` and more tightly than ``*`` and ``/``, as in Python: ``-x^2`` is
 ``-(x^2)``, ``x*-y`` is ``x*(-y)`` and ``x^-2`` is ``x^(-2)``.  Whitespace
 is insignificant anywhere, leading and trailing whitespace included.
 Nesting is bounded: an expression deeper than :data:`MAX_DEPTH` levels is
-a ParseError (see :func:`parse_expression`).
+a ParseError (see :func:`parse_expression`).  The parser reads the token
+texts by index with one method per level, ``expr``, ``term`` and
+``factor``; ``factor`` takes the unary minus, ``base`` and ``power``, and
+an error computes its offset in the text only when it is raised.
+
+Building leaves no reference cycles: the trees, the helpers of
+:func:`python_sources` and the functions :func:`exec_source` defines all
+go by reference counting once they are dropped.
 """
 
 from __future__ import annotations
@@ -109,9 +118,10 @@ class Expression:
 # Every node is interned: constructing a node returns the live node of the
 # same kind, operation and children if there is one.  The key is the kind,
 # the operation, the ``id`` of each child and, for a constant value or a Pow
-# exponent, the value and its sign (:func:`_number_key`).  A live entry's
-# node keeps its children alive, so their ids name them; an entry goes away
-# when its node dies.  Nodes are never keyed on themselves: ``==`` on nodes
+# exponent, the value and its sign, every NaN alike (:func:`python_literal`
+# spells every NaN ``float('nan')``).  A live entry's node keeps its children
+# alive, so their ids name them; an entry goes away when its node dies.
+# Nodes are never keyed on themselves: ``==`` on nodes
 # compares field values, under which ``Const(0.0) == Const(-0.0)``.  Sharing
 # is an optimization only: two equal nodes (as threads racing on one key
 # could make) are computed twice, with the same values.
@@ -130,25 +140,17 @@ def _forget(ref):
         del _NODES[ref.key]
 
 
-def _number_key(v):
-    """``v`` and its sign; every NaN alike.  The equivalence of
-    :func:`python_literal`, which spells every NaN ``float('nan')``."""
-    return (v, math.copysign(1.0, v)) if v == v else "nan"
-
-
-def _interned(cls, key, values):
-    """The live node under ``key``, or a new ``cls`` node with field ``values``."""
-    ref = _NODES.get(key)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-    node = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):  # the fields, then __weakref__
-        object.__setattr__(node, name, value)
+def _register(node, key):
+    """Enter the new ``node`` in the table under ``key``; returns ``node``."""
     ref = _NODES[key] = _NodeRef(node, _forget)
     ref.key = key
     return node
+
+
+# Each constructor looks its key up itself and returns a live node without a
+# further call; only a miss builds the node and calls _register.
+_set_field = object.__setattr__
+_copysign = math.copysign
 
 
 @dataclass(frozen=True, init=False)
@@ -157,7 +159,13 @@ class Const(Expression):
     value: float
 
     def __new__(cls, value):
-        return _interned(cls, (cls, _number_key(value)), (value,))
+        key = (cls, value, _copysign(1.0, value)) if value == value else (cls, "nan")
+        ref = _NODES.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = object.__new__(cls)
+        _set_field(node, "value", value)
+        return _register(node, key)
 
 
 @dataclass(frozen=True, init=False)
@@ -168,7 +176,13 @@ class Var(Expression):
     def __new__(cls, index):
         if index < 0:
             raise ArityError(f"variable index must be non-negative, got {index}")
-        return _interned(cls, (cls, index), (index,))
+        key = (cls, index)
+        ref = _NODES.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = object.__new__(cls)
+        _set_field(node, "index", index)
+        return _register(node, key)
 
 
 @dataclass(frozen=True, init=False)
@@ -178,7 +192,14 @@ class Unary(Expression):
     arg: Expression
 
     def __new__(cls, op, arg):
-        return _interned(cls, (cls, op, id(arg)), (op, arg))
+        key = (cls, op, id(arg))
+        ref = _NODES.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = object.__new__(cls)
+        _set_field(node, "op", op)
+        _set_field(node, "arg", arg)
+        return _register(node, key)
 
 
 @dataclass(frozen=True, init=False)
@@ -189,7 +210,15 @@ class Binary(Expression):
     right: Expression
 
     def __new__(cls, op, left, right):
-        return _interned(cls, (cls, op, id(left), id(right)), (op, left, right))
+        key = (cls, op, id(left), id(right))
+        ref = _NODES.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = object.__new__(cls)
+        _set_field(node, "op", op)
+        _set_field(node, "left", left)
+        _set_field(node, "right", right)
+        return _register(node, key)
 
 
 @dataclass(frozen=True, init=False)
@@ -199,8 +228,15 @@ class Pow(Expression):
     exponent: float  # constant exponent only
 
     def __new__(cls, base, exponent):
-        return _interned(cls, (cls, id(base), _number_key(exponent)),
-                         (base, exponent))
+        key = ((cls, id(base), exponent, _copysign(1.0, exponent))
+               if exponent == exponent else (cls, id(base), "nan"))
+        ref = _NODES.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = object.__new__(cls)
+        _set_field(node, "base", base)
+        _set_field(node, "exponent", exponent)
+        return _register(node, key)
 
 
 # The constants the folds and the derivative rules return most, kept alive
@@ -493,158 +529,181 @@ def _is_primary(e):
 # ---------------------------------------------------------------------------
 
 # One token per match, after the whitespace before it: a number, an
-# identifier, an operator, or any other character, which is an error.  The
-# matches of findall are then contiguous, and only trailing whitespace is
-# left unmatched.
+# identifier, an operator or parenthesis, or any other character, which is
+# an error.  The matches of findall are then contiguous, and only trailing
+# whitespace is left unmatched.
 _TOKEN_RE = re.compile(
-    r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|([A-Za-z_][A-Za-z0-9_]*)"
-    r"|([-+*/^()])"
-    r"|(\S))"
+    r"\s*((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+    r"|[A-Za-z_][A-Za-z0-9_]*"
+    r"|[-+*/^()]"
+    r"|\S)"
 )
+# A number starts with a decimal digit (``\d`` matches those of every
+# script; these sets hold the ASCII ones) or ``.``, an identifier with an
+# ASCII letter or ``_``.
+_NUMBER_START = frozenset("0123456789.")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ONE_CHAR_TOKENS = _IDENT_START | frozenset("0123456789+-*/^()")  # valid, ASCII
+_END = ""  # the token after the last
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    for space, num, ident, op, other in _TOKEN_RE.findall(text):
-        pos += len(space)
-        if num:
-            tokens.append(("num", num, pos))
-            pos += len(num)
-        elif ident:
-            tokens.append(("ident", ident, pos))
-            pos += len(ident)
-        elif op:
-            tokens.append(("op", op, pos))
-            pos += 1
-        else:
-            raise ParseError(f"unexpected character {other!r}", pos)
-    tokens.append(("eof", "", len(text)))
+    """The token texts of ``text``, then :data:`_END`.
+
+    An operator or parenthesis is its one character.  Any other character
+    that starts no token, a lone ``.`` among them, is a token of its own,
+    and the first one is a ParseError.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if not _ONE_CHAR_TOKENS.issuperset([t for t in set(tokens) if len(t) == 1]):
+        for k, t in enumerate(tokens):
+            if len(t) == 1 and t not in _ONE_CHAR_TOKENS and not t.isdecimal():
+                raise ParseError(f"unexpected character {t!r}", _offset(text, k))
+    tokens.append(_END)
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser; each rule returns ``(expression, depth)``.
+def _offset(text, k):
+    """Offset in ``text`` of its token ``k``; of :data:`_END`, ``len(text)``.
+    Errors only: the tokens carry no offsets."""
+    starts = [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    return starts[k] if k < len(starts) else len(text)
 
-    ``depth`` counts levels as :data:`MAX_DEPTH` does.  ``nesting`` counts
-    the parentheses, calls and unary minuses open around the current token,
-    so that the recursion stops at the bound before it goes deeper.
+
+class _Parser:
+    """Recursive-descent parser over the token texts, read by index ``i``.
+
+    One method per level of the grammar, each returning ``(expression,
+    depth)`` and leaving ``i`` at the token after what it read: ``expr``
+    and ``term`` loop over their operators, and ``factor`` reads a unary
+    minus and its operand, or a number, a variable, a call or a
+    parenthesized expression followed by an optional power.  ``depth``
+    counts levels as :data:`MAX_DEPTH` does.  ``nesting`` counts the
+    parentheses, calls and unary minuses open around the current token, so
+    that the recursion stops at the bound before it goes deeper.  An error
+    finds the offset of its token in the text only when it is raised.
     """
 
     def __init__(self, text, var_names):
         self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.i = 0
         self.nesting = 0
         self.var_index = {name: i for i, name in enumerate(var_names)}
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, symbol):
-        kind, value, offset = self.peek()
-        if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}", offset)
-        return self.advance()
-
-    @staticmethod
-    def deeper(depth, offset):
-        """``depth + 1``; ParseError at ``offset`` past :data:`MAX_DEPTH`."""
-        if depth >= MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
-                             offset)
-        return depth + 1
+    def error(self, message, k):
+        """ParseError ``message`` at token ``k``."""
+        return ParseError(message, _offset(self.text, k))
 
     def parse(self):
         e, _ = self.expr()
-        kind, value, offset = self.peek()
-        if kind != "eof":
-            raise ParseError(f"unexpected {value!r}", offset)
+        token = self.tokens[self.i]
+        if token != _END:
+            raise self.error(f"unexpected {token!r}", self.i)
         return e
 
     def expr(self):
         e, depth = self.term()
+        tokens = self.tokens
         while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs, rhs_depth = self.term()
-                e = _BINARY[value](e, rhs)
-                depth = self.deeper(max(depth, rhs_depth), offset)
-            else:
+            k = self.i
+            op = tokens[k]
+            if op != "+" and op != "-":
                 return e, depth
+            self.i = k + 1
+            rhs, rhs_depth = self.term()
+            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            if rhs_depth > depth:
+                depth = rhs_depth
+            if depth >= MAX_DEPTH:
+                raise self.error(_TOO_DEEP, k)
+            depth += 1
 
     def term(self):
         e, depth = self.factor()
+        tokens = self.tokens
         while True:
-            kind, value, offset = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs, rhs_depth = self.factor()
-                e = _BINARY[value](e, rhs)
-                depth = self.deeper(max(depth, rhs_depth), offset)
-            else:
+            k = self.i
+            op = tokens[k]
+            if op != "*" and op != "/":
                 return e, depth
+            self.i = k + 1
+            rhs, rhs_depth = self.factor()
+            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            if rhs_depth > depth:
+                depth = rhs_depth
+            if depth >= MAX_DEPTH:
+                raise self.error(_TOO_DEEP, k)
+            depth += 1
 
     def factor(self):
-        kind, value, offset = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            inner, depth = self.nested(self.factor, offset)
-            return neg(inner), depth
-        e, depth = self.base()  # power := base ("^" ["-"] number)?
-        kind, value, offset = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            depth = self.deeper(depth, offset)
+        tokens = self.tokens
+        k = self.i
+        token = tokens[k]
+        i = k + 1
+        first = token[:1]
+        if first in _NUMBER_START:
+            e, depth = Const(float(token)), 1
+        elif first in _IDENT_START and tokens[i] != "(":
+            index = self.var_index.get(token)
+            if index is None:
+                raise UnknownIdentifierError(token, _offset(self.text, k))
+            e, depth = Var(index), 1
+        elif first in _IDENT_START or token == "(":
+            # a call or a parenthesized expression: one level further in
+            if token != "(":
+                if token not in FUNCTION_NAMES:
+                    if token in self.var_index:
+                        raise self.error(f"{token!r} is not a function", k)
+                    raise UnknownIdentifierError(token, _offset(self.text, k))
+                i += 1
+            if self.nesting >= MAX_DEPTH:
+                raise self.error(_TOO_DEEP, k)
+            self.nesting += 1
+            self.i = i
+            e, depth = self.expr()
+            self.nesting -= 1
+            if depth >= MAX_DEPTH:
+                raise self.error(_TOO_DEEP, k)
+            depth += 1
+            i = self.i
+            if tokens[i] != ")":
+                raise self.error("expected ')'", i)
+            i += 1
+            if token != "(":
+                e = Unary(token, e)
+        elif token == "-":
+            # factor := '-' factor, one level further in
+            if self.nesting >= MAX_DEPTH:
+                raise self.error(_TOO_DEEP, k)
+            self.nesting += 1
+            self.i = i
+            e, depth = self.factor()
+            self.nesting -= 1
+            if depth >= MAX_DEPTH:
+                raise self.error(_TOO_DEEP, k)
+            return neg(e), depth + 1
+        elif first.isdecimal():  # a digit of another script
+            e, depth = Const(float(token)), 1
+        else:
+            raise self.error("expected a number, identifier or '('", k)
+        if tokens[i] == "^":  # power := base ('^' ['-'] number)?
+            if depth >= MAX_DEPTH:
+                raise self.error(_TOO_DEEP, i)
+            depth += 1
             sign = 1.0
-            kind, value, offset = self.peek()
-            if kind == "op" and value == "-":
-                self.advance()
+            i += 1
+            if tokens[i] == "-":
                 sign = -1.0
-                kind, value, offset = self.peek()
-            if kind != "num":
-                raise ParseError("expected a numeric exponent after '^'", offset)
-            self.advance()
-            e = powc(e, sign * float(value))
+                i += 1
+            first = tokens[i][:1]
+            if first not in _NUMBER_START and not first.isdecimal():
+                raise self.error("expected a numeric exponent after '^'", i)
+            e = powc(e, sign * float(tokens[i]))
+            i += 1
+        self.i = i
         return e, depth
-
-    def base(self):
-        kind, value, offset = self.advance()
-        if kind == "num":
-            return Const(float(value)), 1
-        if kind == "ident":
-            nxt_kind, nxt_value, _ = self.peek()
-            if nxt_kind == "op" and nxt_value == "(":
-                if value not in FUNCTION_NAMES:
-                    if value in self.var_index:
-                        raise ParseError(f"{value!r} is not a function", offset)
-                    raise UnknownIdentifierError(value, offset)
-                self.advance()
-                arg, depth = self.nested(self.expr, offset)
-                self.expect_op(")")
-                return func(value, arg), depth
-            if value in self.var_index:
-                return Var(self.var_index[value]), 1
-            raise UnknownIdentifierError(value, offset)
-        if kind == "op" and value == "(":
-            e, depth = self.nested(self.expr, offset)
-            self.expect_op(")")
-            return e, depth
-        raise ParseError(f"expected a number, identifier or '('", offset)
-
-    def nested(self, rule, offset):
-        """``rule()`` one level further in, its depth counting that level."""
-        self.nesting = self.deeper(self.nesting, offset)
-        e, depth = rule()
-        self.nesting -= 1
-        return e, self.deeper(depth, offset)
 
 
 def parse_expression(text: str, var_names) -> Expression:
@@ -708,36 +767,6 @@ def python_sum(items) -> str:
 _SUM, _PRODUCT, _NEGATION, _ATOM = range(4)
 
 
-def _operand(arg, strength):
-    """The text of ``arg``, a ``(text, strength)`` pair, as an operand that
-    must bind at least as tightly as ``strength``."""
-    text, own = arg
-    return text if own >= strength else f"({text})"
-
-
-def _node_text(e, args):
-    """``(text, strength)`` of the operation of node ``e`` on the operand
-    pairs ``args``, in only the parentheses Python's precedence needs.
-
-    Python parses the text to the tree a fully parenthesized text of ``e``
-    parses to: an operand is parenthesized where it binds more loosely than
-    its operator, and the right operand of a sum or product also where it
-    binds equally (``a-(b+c)``, ``a/(b*c)``), as the operators group left to
-    right.
-    """
-    t = type(e)
-    if t is Binary:
-        strength = _SUM if e.op in "+-" else _PRODUCT
-        left = _operand(args[0], strength)
-        right = _operand(args[1], strength + 1)
-        return f"{left}{e.op}{right}", strength
-    if t is Unary:
-        if e.op == "neg":
-            return f"-{_operand(args[0], _NEGATION)}", _NEGATION
-        return f"_{e.op}({args[0][0]})", _ATOM
-    return f"_pow({args[0][0]},{python_literal(e.exponent)})", _ATOM
-
-
 def python_sources(exprs, names):
     """Python expression texts of ``exprs``, each distinct subtree computed once.
 
@@ -787,27 +816,59 @@ def python_sources(exprs, names):
     bound = {}  # slot -> local name, once its assignment is written
 
     def text(slot):
-        """``(text, strength)`` of the node in ``slot``."""
+        """``(text, strength)`` of the node in ``slot``, in only the
+        parentheses Python's precedence needs.
+
+        Python parses the text to the tree a fully parenthesized text
+        parses to: an operand is parenthesized where it binds more loosely
+        than its operator, and the right operand of a sum or product also
+        where it binds equally (``a-(b+c)``, ``a/(b*c)``), as the operators
+        group left to right.
+        """
         local = bound.get(slot)
         if local is not None:
             return local, _ATOM
         e, kids = nodes[slot]
         t = type(e)
-        if t is Const:
+        if t is Binary:
+            left, left_strength = text(kids[0])
+            right, right_strength = text(kids[1])
+            op = e.op
+            strength = _SUM if op == "+" or op == "-" else _PRODUCT
+            if left_strength < strength:
+                left = f"({left})"
+            if right_strength <= strength:
+                right = f"({right})"
+            src = f"{left}{op}{right}"
+        elif t is Const:
             src = python_literal(e.value)
             return src, _NEGATION if src[0] == "-" else _ATOM
-        if t is Var:
+        elif t is Var:
             return names[e.index], _ATOM
-        src = _node_text(e, [text(kid) for kid in kids])
+        elif t is Unary:
+            arg, arg_strength = text(kids[0])
+            if e.op != "neg":
+                src, strength = f"_{e.op}({arg})", _ATOM
+            elif arg_strength < _NEGATION:
+                src, strength = f"-({arg})", _NEGATION
+            else:
+                src, strength = f"-{arg}", _NEGATION
+        else:
+            src, strength = f"_pow({text(kids[0])[0]},{python_literal(e.exponent)})", _ATOM
         if uses[slot] < 2:
-            return src
+            return src, strength
         local = bound[slot] = f"_cse{len(bound)}"
-        return f"({local} := {src[0]})", _ATOM
+        return f"({local} := {src})", _ATOM
 
-    roots = [slot_of(e) for e in exprs]
-    for root in roots:
-        uses[root] += 1
-    return [text(root)[0] for root in roots]
+    try:
+        roots = [slot_of(e) for e in exprs]
+        for root in roots:
+            uses[root] += 1
+        return [text(root)[0] for root in roots]
+    finally:
+        # each helper refers to itself through its closure: break those
+        # cycles, so that this call's garbage goes by reference counting
+        del slot_of, text
 
 
 def python_source(e: Expression, names) -> str:
@@ -828,15 +889,19 @@ def exec_source(source: str, label: str, **extra) -> dict:
     :func:`python_source` needs, ``_UNDEFINED`` (:data:`UNDEFINED`, for the
     except clauses of generated loops), plus ``extra``.
 
-    Returns the namespace, from which the caller takes the functions the
-    source defines.  ``label`` names the code in tracebacks
-    (``<pfaffian-label>``).  The one place generated code is executed.
+    Returns the names the source defines, by name.  They are bound outside
+    the globals, so a generated function and its globals form no reference
+    cycle and go as soon as the caller drops them; in turn, generated code
+    must not refer to a name its source defines.  ``label`` names the code
+    in tracebacks (``<pfaffian-label>``).  The one place generated code is
+    executed.
     """
-    namespace = {**_KERNEL_GLOBALS, **extra}
+    defined = {}
     exec(  # noqa: S102 - source is generated from our own AST
-        compile(source, f"<pfaffian-{label}>", "exec"), namespace
+        compile(source, f"<pfaffian-{label}>", "exec"),
+        {**_KERNEL_GLOBALS, **extra}, defined,
     )
-    return namespace
+    return defined
 
 
 def _compile_return(text, n_vars):

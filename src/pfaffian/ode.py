@@ -297,9 +297,9 @@ def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
     ]
 
     source = "\n".join([*rhs, "", *advance]) + "\n"
-    namespace = ex.exec_source(source, "ode", _isfinite=math.isfinite,
-                               _dp_sqrt=math.sqrt, _LeftBounds=_LeftBounds)
-    return OdeKernel(namespace["rhs"], namespace["advance"])
+    defined = ex.exec_source(source, "ode", _isfinite=math.isfinite,
+                             _dp_sqrt=math.sqrt, _LeftBounds=_LeftBounds)
+    return OdeKernel(defined["rhs"], defined["advance"])
 
 
 def bisect_root(fn, lo, hi, xtol=1e-13):

@@ -38,6 +38,9 @@ KIND_FULL = "full_dimensional"
 KIND_CODIM_ONE = "codimension_one_like"
 KIND_INCONCLUSIVE = "inconclusive"
 
+# The radii both probes accept lie in [MIN_RADIUS, MAX_COORDINATE]: epsilon
+# squared is then a finite, normal float
+MIN_RADIUS = 1.0 / MAX_COORDINATE
 SEGMENT_FRACTION = 0.125  # segment length as a fraction of epsilon
 STEPS_PER_SEGMENT = 12
 MAX_SEGMENTS = 48
@@ -345,9 +348,7 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
             "    while True:",
             *("        " + line for line in loop),
         ]
-    namespace = ex.exec_source("\n".join(lines) + "\n", kind,
-                               _Lost=PivotLostError)
-    return namespace[kind]
+    return ex.exec_source("\n".join(lines) + "\n", kind, _Lost=PivotLostError)[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +389,25 @@ def _probe_start(form: PfaffianForm, p, epsilon):
     """The start ``(p, F(p))`` of both probes, ``p`` as a tuple of floats.
 
     Checks, in order: the form has at least 2 variables (else ArityError);
-    ``epsilon`` is > 0 and at most ``MAX_COORDINATE``, the radii the CLI
-    accepts; ``p`` lies in the box within 1e-12; F is defined at ``p``
-    (:func:`coefficient_vector` raises EvalDomainError otherwise); and some
-    ``|F_i(p)|`` exceeds ``DEFAULT_SINGULAR_TOL``.  The other failures are
-    AnalysisErrors.
+    ``epsilon`` is at least ``MIN_RADIUS`` and at most ``MAX_COORDINATE``,
+    the radii the CLI accepts; ``p`` lies in the box within 1e-12; a step of
+    :func:`explore` moves every coordinate of ``p`` (``p_i + dt != p_i``);
+    F is defined at ``p`` (:func:`coefficient_vector` raises EvalDomainError
+    otherwise); and some ``|F_i(p)|`` exceeds ``DEFAULT_SINGULAR_TOL``.  The
+    other failures are AnalysisErrors.
     """
     if form.n < 2:
         raise ArityError("exploration requires at least 2 variables")
-    if not 0.0 < epsilon <= MAX_COORDINATE:  # false for NaN too
-        raise AnalysisError(f"epsilon must be > 0 and at most {MAX_COORDINATE:g}, "
-                            f"got {epsilon!r}")
+    if not MIN_RADIUS <= epsilon <= MAX_COORDINATE:  # false for NaN too
+        raise AnalysisError(f"epsilon must be at least {MIN_RADIUS:g} and at most "
+                            f"{MAX_COORDINATE:g}, got {epsilon!r}")
     p = tuple(float(v) for v in p)
     if not form.domain.contains(p, tol=1e-12):
         raise AnalysisError("base point outside domain")
+    dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT  # explore's step
+    if any(v + dt == v for v in p):
+        raise AnalysisError(f"epsilon {epsilon!r} is too small for the base point: "
+                            f"a step of {dt!r} leaves a coordinate unchanged")
     f_p = coefficient_vector(form, p)
     if max(abs(v) for v in f_p) <= DEFAULT_SINGULAR_TOL:
         raise AnalysisError("base point is singular for the form")

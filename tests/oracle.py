@@ -11,13 +11,32 @@ The package folds trees as it builds them (the parser and the derivative
 rules go through the folding constructors).  :func:`_ref_simplify` folds a
 raw tree after the fact, bottom-up through the same constructors, so tests
 compare what the package built against it.
+
+:func:`reference_parse` is the recursive-descent parser the package used
+before its parser read tokens by index, one method call per token and per
+grammar level; tests compare ``parse_expression`` against it, tree for tree
+and error for error.
 """
 
 import math
+import re
 
 from pfaffian import expressions as ex
-from pfaffian.errors import ArityError, EvalDomainError
-from pfaffian.expressions import Binary, Const, Expression, Pow, Unary, Var
+from pfaffian.errors import ArityError, EvalDomainError, ParseError, UnknownIdentifierError
+from pfaffian.expressions import (
+    _BINARY,
+    FUNCTION_NAMES,
+    MAX_DEPTH,
+    Binary,
+    Const,
+    Expression,
+    Pow,
+    Unary,
+    Var,
+    func,
+    neg,
+    powc,
+)
 
 _UNARY_EVAL = {
     "exp": math.exp,
@@ -225,3 +244,163 @@ def parenthesized_sources(exprs, names):
         return f"({local} := {src})"
 
     return [text(e) for e in exprs]
+
+
+# One token per match, after the whitespace before it: a number, an
+# identifier, an operator, or any other character, which is an error.  The
+# matches of findall are then contiguous, and only trailing whitespace is
+# left unmatched.
+_TOKEN_RE = re.compile(
+    r"(\s*)(?:((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|([-+*/^()])"
+    r"|(\S))"
+)
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    for space, num, ident, op, other in _TOKEN_RE.findall(text):
+        pos += len(space)
+        if num:
+            tokens.append(("num", num, pos))
+            pos += len(num)
+        elif ident:
+            tokens.append(("ident", ident, pos))
+            pos += len(ident)
+        elif op:
+            tokens.append(("op", op, pos))
+            pos += 1
+        else:
+            raise ParseError(f"unexpected character {other!r}", pos)
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    """Recursive-descent parser; each rule returns ``(expression, depth)``.
+
+    ``depth`` counts levels as :data:`MAX_DEPTH` does.  ``nesting`` counts
+    the parentheses, calls and unary minuses open around the current token,
+    so that the recursion stops at the bound before it goes deeper.
+    """
+
+    def __init__(self, text, var_names):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.nesting = 0
+        self.var_index = {name: i for i, name in enumerate(var_names)}
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, symbol):
+        kind, value, offset = self.peek()
+        if kind != "op" or value != symbol:
+            raise ParseError(f"expected {symbol!r}", offset)
+        return self.advance()
+
+    @staticmethod
+    def deeper(depth, offset):
+        """``depth + 1``; ParseError at ``offset`` past :data:`MAX_DEPTH`."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             offset)
+        return depth + 1
+
+    def parse(self):
+        e, _ = self.expr()
+        kind, value, offset = self.peek()
+        if kind != "eof":
+            raise ParseError(f"unexpected {value!r}", offset)
+        return e
+
+    def expr(self):
+        e, depth = self.term()
+        while True:
+            kind, value, offset = self.peek()
+            if kind == "op" and value in "+-":
+                self.advance()
+                rhs, rhs_depth = self.term()
+                e = _BINARY[value](e, rhs)
+                depth = self.deeper(max(depth, rhs_depth), offset)
+            else:
+                return e, depth
+
+    def term(self):
+        e, depth = self.factor()
+        while True:
+            kind, value, offset = self.peek()
+            if kind == "op" and value in "*/":
+                self.advance()
+                rhs, rhs_depth = self.factor()
+                e = _BINARY[value](e, rhs)
+                depth = self.deeper(max(depth, rhs_depth), offset)
+            else:
+                return e, depth
+
+    def factor(self):
+        kind, value, offset = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            inner, depth = self.nested(self.factor, offset)
+            return neg(inner), depth
+        e, depth = self.base()  # power := base ("^" ["-"] number)?
+        kind, value, offset = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            depth = self.deeper(depth, offset)
+            sign = 1.0
+            kind, value, offset = self.peek()
+            if kind == "op" and value == "-":
+                self.advance()
+                sign = -1.0
+                kind, value, offset = self.peek()
+            if kind != "num":
+                raise ParseError("expected a numeric exponent after '^'", offset)
+            self.advance()
+            e = powc(e, sign * float(value))
+        return e, depth
+
+    def base(self):
+        kind, value, offset = self.advance()
+        if kind == "num":
+            return Const(float(value)), 1
+        if kind == "ident":
+            nxt_kind, nxt_value, _ = self.peek()
+            if nxt_kind == "op" and nxt_value == "(":
+                if value not in FUNCTION_NAMES:
+                    if value in self.var_index:
+                        raise ParseError(f"{value!r} is not a function", offset)
+                    raise UnknownIdentifierError(value, offset)
+                self.advance()
+                arg, depth = self.nested(self.expr, offset)
+                self.expect_op(")")
+                return func(value, arg), depth
+            if value in self.var_index:
+                return Var(self.var_index[value]), 1
+            raise UnknownIdentifierError(value, offset)
+        if kind == "op" and value == "(":
+            e, depth = self.nested(self.expr, offset)
+            self.expect_op(")")
+            return e, depth
+        raise ParseError(f"expected a number, identifier or '('", offset)
+
+    def nested(self, rule, offset):
+        """``rule()`` one level further in, its depth counting that level."""
+        self.nesting = self.deeper(self.nesting, offset)
+        e, depth = rule()
+        self.nesting -= 1
+        return e, self.deeper(depth, offset)
+
+
+def reference_parse(text, var_names):
+    """``parse_expression`` as :class:`_Parser` computes it."""
+    return _Parser(text, var_names).parse()

@@ -283,6 +283,8 @@ def test_cli_reach_psi_with_trailing_whitespace(contact_file, capsys):
     ("--epsilon", "0"),
     ("--epsilon", "nan"),
     ("--epsilon", "inf"),
+    ("--epsilon", "5e-324"),
+    ("--epsilon", "1e-200"),
     ("--budget", "0"),
     ("--budget", "-5"),
 ])
@@ -954,6 +956,19 @@ def test_cli_reach_epsilon_beyond_coordinate_bound_is_input_error(tmp_path, caps
     assert main(["catalog", "--write-form", "exact_3var", str(path)]) == 0
     assert main(["reach", str(path), "--epsilon", "1e300", "--free-var", "x"]) == 2
     assert "--epsilon: must be at most 1e+150" in capsys.readouterr().err
+
+
+def test_cli_reach_radius_below_the_base_resolution_is_analysis_error(contact_file,
+                                                                      capsys):
+    # 1e-150 moves the center; 1e-20 / 96 does not move 0.5
+    base = ["reach", str(contact_file), "--free-var", "z", "--budget", "200"]
+    assert main([*base, "--epsilon", "1e-150"]) == 0
+    assert json.loads(capsys.readouterr().out)["epsilon"] == 1e-150
+    assert main([*base, "--point", "0.5,0.5,0.5", "--epsilon", "1e-20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "too small for the base point" in captured.err
+    assert "Traceback" not in captured.err
 
 
 # one CLI run in a fresh interpreter; prints the pfaffian submodules and

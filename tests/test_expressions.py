@@ -1,5 +1,6 @@
 import ast
 import copy
+import functools
 import gc
 import math
 import pickle
@@ -21,6 +22,7 @@ from conftest import (
     unit_box,
 )
 from oracle import _ref_simplify
+from test_cli_fuzz import _expressions as fuzz_expressions
 from pfaffian import expressions as ex
 from pfaffian.errors import (
     ArityError,
@@ -677,6 +679,64 @@ def test_parse_rejects_deep_input_without_recursion_error(text):
         ex.parse_expression(text, ["x"])
 
 
+# The parser against the reference parser of tests/oracle.py: on texts of
+# the CLI fuzzer's expression grammar, on random token soups and on
+# nestings around MAX_DEPTH, it returns the reference's interned tree or
+# raises the reference's error: the same class, message and offset.
+_SOUP_TOKENS = ["x", "y", "q", "exp", "sqrt", "tan", "0", "2.5", ".5", "3.", "1e999",
+                "1e-3", "1e", "(", ")", "+", "-", "*", "/", "^", "^-", " ", "\t", "$",
+                ".", "\u0663", "\u0663.\u0665", "\u00e9", "\u00b2", "\u00a0"]
+# wrappers that add one level or two; the outermost may leave a parenthesis
+# open, close one too many or lack an exponent
+_WRAPPERS = ["({})", "-{}", "--{}", "exp({})", "x+{}", "{}-x", "{}*y", "y/{}",
+             "({})^2", "({})^-1.5", "sin({})", "log(x)/{}"]
+_OUTERMOST = ["{}", "{}", "{}", "sqrt({}", "({}))", "{}^"]
+_NAMES = ("x", "y", "z", "T", "theta")
+_NAME_LISTS = [_NAMES, _NAMES, _NAMES, ("x", "y"), ("x", "exp"), ()]
+
+
+def _token_soups():
+    return st.lists(st.sampled_from(_SOUP_TOKENS), max_size=14).map("".join)
+
+
+def _nestings():
+    """Texts whose depth is about MAX_DEPTH: just inside and just past it."""
+    return st.tuples(
+        st.sampled_from(["x", "2", "x*y", "-y^3"]),
+        st.lists(st.sampled_from(_WRAPPERS), min_size=ex.MAX_DEPTH - 12,
+                 max_size=ex.MAX_DEPTH + 2),
+        st.sampled_from(_OUTERMOST),
+    ).map(lambda t: t[2].format(
+        functools.reduce(lambda text, w: w.format(text), t[1], t[0])))
+
+
+def _parse_outcome(parse, text, names):
+    try:
+        return parse(text, names)
+    except (ParseError, UnknownIdentifierError) as exc:
+        return type(exc), str(exc), exc.offset
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(st.one_of(fuzz_expressions(list(_NAMES)), _token_soups(), _nestings()),
+       st.sampled_from(_NAME_LISTS))
+@example("", ("x",))
+@example("x^-y", ("x", "y"))
+@example("exp(x) + exp + exp(", ("x", "exp"))
+@example("x(1)", ("x",))
+@example("\u0663.\u0665*x^\u0662 - x^-\u0663", ("x",))  # Arabic-Indic digits
+@example("-" * (ex.MAX_DEPTH + 1) + "x", ("x",))
+@example("sin(" * (ex.MAX_DEPTH + 1) + "x", ("x",))
+@example("(" * (ex.MAX_DEPTH - 1) + "x" + ")" * (ex.MAX_DEPTH - 2), ("x",))
+def test_parser_matches_the_reference_parser(text, names):
+    want = _parse_outcome(oracle.reference_parse, text, names)
+    got = _parse_outcome(ex.parse_expression, text, names)
+    if isinstance(want, ex.Expression):
+        assert got is want
+    else:
+        assert got == want
+
+
 # --- interning ----------------------------------------------------------------
 
 
@@ -727,6 +787,20 @@ def test_copies_are_the_interned_node():
     tree = ex.parse_expression("exp(x1*x2)*sin(-0.0) + x3^0.5", VARS3)
     assert copy.copy(tree) is tree and copy.deepcopy(tree) is tree
     assert pickle.loads(pickle.dumps(tree)) is tree
+
+
+def test_generated_functions_go_by_reference_counting():
+    # exec_source binds what the source defines outside the generated globals
+    gc.collect()
+    gc.disable()
+    try:
+        fn = ex.compile_tuple([ex.parse_expression("exp(x1)*x2 + x1", VARS3)] * 2, 3)
+        assert "_kernel" not in fn.__globals__
+        dead = weakref.ref(fn)
+        del fn
+        assert dead() is None
+    finally:
+        gc.enable()
 
 
 def test_table_entries_go_away_with_their_nodes():

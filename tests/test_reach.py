@@ -276,13 +276,32 @@ def test_explore_rejects_singular_base():
         explore(f, (0.0, 0.0), 0.3, 100, 1)
 
 
-@pytest.mark.parametrize("epsilon", [-0.3, 0.0, math.inf, math.nan, 2e150])
+@pytest.mark.parametrize("epsilon", [-0.3, 0.0, math.inf, math.nan, 2e150,
+                                     5e-324, 1e-200])
 def test_explore_and_scan_reject_bad_radius(epsilon):
-    # the radii the CLI refuses: not finite, not > 0, or past MAX_COORDINATE
+    # the radii the CLI refuses: not finite, below 1 / MAX_COORDINATE (whose
+    # squares are subnormal or zero), or past MAX_COORDINATE
     with pytest.raises(AnalysisError, match="epsilon"):
         explore(EXACT3, (0.0, 0.0, 0.0), epsilon, 200, 1)
     with pytest.raises(AnalysisError, match="epsilon"):
         surrounding_line_scan(CONTACT, (0.0, 0.0, 0.0), 2, epsilon, 320)
+
+
+def test_explore_and_scan_reject_a_base_their_steps_cannot_move():
+    # 0.5 + 1e-20 / 96 == 0.5: every step would leave the base where it is
+    for probe in (lambda: explore(CONTACT, (0.5, 0.5, 0.5), 1e-20, 200, 1),
+                  lambda: surrounding_line_scan(CONTACT, (0.5, 0.5, 0.5), 2,
+                                                1e-20, 320)):
+        with pytest.raises(AnalysisError, match="too small for the base point"):
+            probe()
+
+
+def test_smallest_radius_is_accepted_at_the_center():
+    sample = explore(CONTACT, (0.0, 0.0, 0.0), 1 / MAX_COORDINATE, 200, 1)
+    assert sample.budget_used == 200 and len(sample.endpoints) > 1
+    assert any(e != (0.0, 0.0, 0.0) for e in sample.endpoints)
+    scan = surrounding_line_scan(CONTACT, (0.0, 0.0, 0.0), 2, 1 / MAX_COORDINATE, 320)
+    assert 0 < scan.budget_used <= 320
 
 
 POLE = make_form(["x", "y", "z"], ["1/x", "0", "1"], Box((-1,) * 3, (1,) * 3))
