@@ -6,10 +6,11 @@ Usage: python scripts/cli_outputs.py OUT
 Runs, in-process through ``pfaffian.cli.main``: ``check`` on all seven
 catalog forms, ``factor2 --csv`` and ``foliate`` on the four two-variable
 forms, ``factor-global --free-var z --staircase --csv`` on the two
-integrable three-variable forms, and ``check`` on two fixed polynomial forms
-in 4 and 5 variables, which the script writes (catalog forms have at most
-three variables, so at most one tensor component).  None of these needs
-numpy.  OUT receives,
+integrable three-variable forms, ``check`` on two fixed polynomial forms
+in 4 and 5 variables (catalog forms have at most three variables, so at most
+one tensor component), and ``factor2 --csv`` and ``foliate`` on a fixed
+two-variable form whose coefficients tie in size; the script writes the
+fixed forms.  None of these needs numpy.  OUT receives,
 per run, the command, exit code, stdout, stderr and CSV file as JSON, so two
 interpreters (or two versions of the package) can be compared with ``cmp``.
 """
@@ -38,6 +39,10 @@ POLYNOMIAL_FORMS = {
                     "F[1] = w*x\nF[2] = x*y\nF[3] = y*z\nF[4] = z*v\nF[5] = v*w\n"
                     "domain: [-1,1] x [-1,1] x [-1,1] x [-1,1] x [-1,1]\n"),
 }
+# F = (y, y): the coefficients tie in size everywhere, so the pivot's
+# first-largest rule picks each characteristic's solved axis, and they vanish
+# on the line y = 0, where characteristics start singular
+TIED_FORM = {"tied_2var": "vars: x, y\nF[1] = y\nF[2] = y\ndomain: [-1,1] x [-1,1]\n"}
 
 
 def runs():
@@ -48,6 +53,8 @@ def runs():
     yield from ((name, "factor-global", ["--free-var", "z", "--staircase"], True)
                 for name in THREE_VAR_INTEGRABLE)
     yield from ((name, "check", [], False) for name in POLYNOMIAL_FORMS)
+    yield ("tied_2var", "factor2", [], True)
+    yield ("tied_2var", "foliate", [], False)
 
 
 def run_one(argv):
@@ -64,7 +71,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in POLYNOMIAL_FORMS.items():
+        for name, text in {**POLYNOMIAL_FORMS, **TIED_FORM}.items():
             with open(os.path.join(tmp, f"{name}.pfaff"), "w", encoding="utf-8") as fh:
                 fh.write(text)
         for name, command, extra, with_csv in runs():

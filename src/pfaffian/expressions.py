@@ -722,7 +722,7 @@ def parse_expression(text: str, var_names) -> Expression:
 # compilation (fast scalar evaluation for inner loops)
 # ---------------------------------------------------------------------------
 
-# math functions as generated source spells them, and UNDEFINED
+# math functions as generated source spells them, _isfinite and UNDEFINED
 _KERNEL_GLOBALS = {
     "_UNDEFINED": UNDEFINED,
     "_exp": math.exp,
@@ -731,6 +731,7 @@ _KERNEL_GLOBALS = {
     "_cos": math.cos,
     "_sqrt": math.sqrt,
     "_pow": math.pow,
+    "_isfinite": math.isfinite,
 }
 
 
@@ -885,9 +886,9 @@ def python_source(e: Expression, names) -> str:
 
 
 def exec_source(source: str, label: str, **extra) -> dict:
-    """Run generated ``source`` in fresh globals: the names the text of
-    :func:`python_source` needs, ``_UNDEFINED`` (:data:`UNDEFINED`, for the
-    except clauses of generated loops), plus ``extra``.
+    """Run generated ``source`` in fresh globals: ``_KERNEL_GLOBALS``, the
+    names generated text reads (``_UNDEFINED`` is :data:`UNDEFINED`), plus
+    ``extra``, the exception classes of the calling module.
 
     Returns the names the source defines, by name.  They are bound outside
     the globals, so a generated function and its globals form no reference

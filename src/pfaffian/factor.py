@@ -29,7 +29,7 @@ from .errors import (
     EvalDomainError,
     UnreachableTransversalError,
 )
-from .forms import DEFAULT_SINGULAR_TOL, Box, PfaffianForm
+from .forms import Box, PfaffianForm, pivot, singular, singular_source
 from .ode import bisect_root, compile_kernel
 from .sampling import box_grid, linspace
 
@@ -153,7 +153,7 @@ def _characteristic_kernel(form: PfaffianForm, b: int):
 
     Generated once per form and solved axis and kept in
     ``form.ode_kernels`` under ``("characteristic", b)``.  Raises
-    ZeroDivisionError where ``|F_b| <= DEFAULT_SINGULAR_TOL``.  Its
+    ZeroDivisionError where ``F_b`` is singular (``forms.singular_source``).  Its
     ``advance`` takes the stop arguments of :func:`_stop_test`.
     """
     key = ("characteristic", b)
@@ -161,7 +161,6 @@ def _characteristic_kernel(form: PfaffianForm, b: int):
         return form.ode_kernels[key]
     a = 1 - b
     fa, fb = form.coefficients[a], form.coefficients[b]
-    tol = ex.python_literal(DEFAULT_SINGULAR_TOL)
 
     def body(t, ys, ks):
         names = [None, None]
@@ -169,7 +168,7 @@ def _characteristic_kernel(form: PfaffianForm, b: int):
         return [
             f"fa = {ex.python_source(fa, names)}",
             f"fb = {ex.python_source(fb, names)}",
-            f"if -{tol} <= fb <= {tol}:",
+            f"if {singular_source('fb')}:",
             "    raise ZeroDivisionError('solved coefficient vanished')",
             f"{ks[0]} = -fa / fb",
         ]
@@ -226,12 +225,10 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
         f = form.coefficient_tuple_fn(*x)
     except ex.UNDEFINED:
         raise AnalysisError("coefficients undefined at the start point")
-    if max(abs(f[0]), abs(f[1])) <= DEFAULT_SINGULAR_TOL:
+    dependent = pivot(f)  # the larger |F_b| is solved for
+    if dependent is None:
         return "singular", None
     tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
-
-    # the larger |F_b| is solved for
-    dependent = _larger_index(abs(f[0]), abs(f[1]))
     sign_a = 1.0 if tau[1 - dependent] >= 0 else -1.0
     steps_used = 0
     level = transversal.value if transversal is not None else None
@@ -795,8 +792,8 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
 
 
 def _require_transversal_fiber(form: PfaffianForm, free_index, base):
-    """AnalysisError unless ``F_free(base)`` is finite and above
-    ``DEFAULT_SINGULAR_TOL`` in size.
+    """AnalysisError unless ``F_free(base)`` is finite and not singular
+    (``forms.singular``).
 
     Where the free coefficient vanishes the base fiber is not transversal
     to the leaves, and no path solve can leave it.
@@ -805,7 +802,7 @@ def _require_transversal_fiber(form: PfaffianForm, free_index, base):
         value = form.coefficient_tuple_fn(*base)[free_index]
     except ex.UNDEFINED:
         value = math.nan
-    if not (math.isfinite(value) and abs(value) > DEFAULT_SINGULAR_TOL):
+    if not math.isfinite(value) or singular((value,)):
         name = form.var_names[free_index]
         state = "zero" if math.isfinite(value) else "undefined"
         raise AnalysisError(

@@ -136,6 +136,26 @@ class PfaffianForm:
         return {}
 
 
+def singular(values) -> bool:
+    """Whether every ``|F_i|`` of ``values`` is at most ``DEFAULT_SINGULAR_TOL``.
+    With :func:`pivot`, the one rule of where a form is singular."""
+    return max(map(abs, values)) <= DEFAULT_SINGULAR_TOL
+
+
+def pivot(values):
+    """The index of the first largest ``|F_i|``, the coefficient a curve solves
+    for, or None where ``values`` is :func:`singular`.  ``max`` picks both, so
+    a tie goes to the first index, and a NaN it picks is a pivot."""
+    k = max(range(len(values)), key=lambda i: abs(values[i]))
+    return None if abs(values[k]) <= DEFAULT_SINGULAR_TOL else k
+
+
+def singular_source(name: str) -> str:
+    """:func:`singular` of the one value ``name``, as generated code."""
+    tol = ex.python_literal(DEFAULT_SINGULAR_TOL)
+    return f"({name} <= {tol} and {name} >= -{tol})"
+
+
 def _jacobian(exprs, n):
     """Rows ``(d e/dx_1, ..., d e/dx_n)`` of ``exprs``, one memo for all."""
     memo = {}
@@ -172,8 +192,8 @@ def _probe_vector(form: PfaffianForm, p, needs_jet: bool):
 
 
 def _check_nonsingular(form: PfaffianForm, needs_jet: bool):
-    """Raise SingularFormError unless some probe point has a vector above
-    ``DEFAULT_SINGULAR_TOL`` in size.
+    """Raise SingularFormError where F is :func:`singular` or undefined at
+    every probe point.
 
     The message tells probes where the vector is zero from those where a
     coefficient is undefined (a pole, a log of a negative value, ...).
@@ -189,7 +209,7 @@ def _check_nonsingular(form: PfaffianForm, needs_jet: bool):
         if values is None:
             undefined += 1
             continue
-        if max(abs(v) for v in values) > DEFAULT_SINGULAR_TOL:
+        if not singular(values):
             return
         zero += 1
     if not undefined:
@@ -202,21 +222,28 @@ def _check_nonsingular(form: PfaffianForm, needs_jet: bool):
     raise SingularFormError(message)
 
 
+def _checked_names(var_names, coefficients, box: Box) -> tuple:
+    """``var_names`` as a tuple, after the checks of both form constructors:
+    distinct names, one per coefficient and per axis of ``box``."""
+    var_names = tuple(var_names)
+    if len(var_names) != len(set(var_names)):
+        raise FormError("duplicate variable names")
+    if len(coefficients) != len(var_names):
+        raise ArityError(
+            f"{len(coefficients)} coefficients for {len(var_names)} variables"
+        )
+    if box.dim != len(var_names):
+        raise ArityError(f"box dimension {box.dim} != {len(var_names)} variables")
+    return var_names
+
+
 def make_form(var_names, coefficient_texts, box: Box, needs_jet=False):
     """Parse coefficient texts and construct a non-singular form on ``box``.
 
     ``needs_jet`` lets the nonsingularity probe use the jet (see
     :func:`_check_nonsingular`).
     """
-    var_names = tuple(var_names)
-    if len(var_names) != len(set(var_names)):
-        raise FormError("duplicate variable names")
-    if len(coefficient_texts) != len(var_names):
-        raise ArityError(
-            f"{len(coefficient_texts)} coefficients for {len(var_names)} variables"
-        )
-    if box.dim != len(var_names):
-        raise ArityError(f"box dimension {box.dim} != {len(var_names)} variables")
+    var_names = _checked_names(var_names, coefficient_texts, box)
     coeffs = tuple(ex.parse_expression(text, var_names) for text in coefficient_texts)
     form = PfaffianForm(var_names, coeffs, box)
     _check_nonsingular(form, needs_jet)
@@ -231,9 +258,7 @@ def form_from_expressions(var_names, coefficients, box: Box,
     The trees are stored as given, not folded; build them through the
     folding constructors of :mod:`.expressions`, as the parser does.
     """
-    var_names = tuple(var_names)
-    if len(coefficients) != len(var_names) or box.dim != len(var_names):
-        raise ArityError("variable, coefficient and box arities must agree")
+    var_names = _checked_names(var_names, coefficients, box)
     form = PfaffianForm(var_names, tuple(coefficients), box)
     _check_nonsingular(form, needs_jet)
     return form
@@ -260,10 +285,8 @@ def coefficient_vector(form: PfaffianForm, p):
 
 
 def is_singular_at(form: PfaffianForm, p) -> bool:
-    """Whether every coefficient at ``p`` is at most ``DEFAULT_SINGULAR_TOL``
-    in size."""
-    values = coefficient_vector(form, p)
-    return max(abs(v) for v in values) <= DEFAULT_SINGULAR_TOL
+    """Whether F is singular at ``p`` (:func:`singular`)."""
+    return singular(coefficient_vector(form, p))
 
 
 # ---------------------------------------------------------------------------

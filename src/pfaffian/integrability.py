@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import ArityError, EvalDomainError, FormError
 from .expressions import UNDEFINED
-from .forms import DEFAULT_SINGULAR_TOL, PfaffianForm, Substitution, pullback
+from .forms import PfaffianForm, Substitution, pullback, singular
 
 DEFAULT_TOL = 1e-8
 
@@ -211,7 +211,7 @@ class _SampleScan:
     defect_max: float = 0.0
     defect_point: tuple = None
     defect_pair: tuple = None
-    tensor_max: float = -1.0
+    tensor_max: float = 0.0
     tensor_point: tuple = None
     tensor_triple: tuple = None
     per_triple: dict = field(default_factory=dict)
@@ -237,8 +237,8 @@ def _scan_samples(form, points):
     """Defect and tensor maxima of ``form`` over ``points``.
 
     Each point costs one ``jet_fn`` call.  A point where the jet raises or
-    has a non-finite entry counts as failed, one where ``max|F_i|`` is at
-    most ``DEFAULT_SINGULAR_TOL`` as singular.  Every other point reads the
+    has a non-finite entry counts as failed, one where F is singular
+    (``forms.singular``) as singular.  Every other point reads the
     flat plan of :func:`_scan_plan`, built once per variable count: its
     curls are one list, computed each by one subtraction, and its defects
     ``|c_ij| * lin`` and tensor components ``|R_ijk| * quad``
@@ -252,20 +252,19 @@ def _scan_samples(form, points):
     by the point as :func:`_better` does: a value replaces the best so far
     if it is larger, or equal at a point that is lexicographically smaller.
     Within one point the first of several equal largest values wins, so
-    the defect and the tensor maximum take the first maximum of their list.
-    Every value is at least 0.0, so the maxima start at -1.0 and the first
-    point used sets them; a maximum no point sets reads 0.0.
+    the defect maximum takes the first maximum of its list.  The tensor
+    maximum, read off the per-triple maxima after the scan, follows the same
+    rule.  Every value is at least 0.0, so the maxima start at -1.0 and the
+    first point used sets them; a maximum no point sets reads 0.0.
     """
     n = form.n
     jet = form.jet_fn
     isfinite = math.isfinite
-    singular_tol = DEFAULT_SINGULAR_TOL
     curls, pairs, triples, rows = _scan_plan(n)
     scan = _SampleScan()
     triple_max = [-1.0] * len(triples)
     triple_point = [None] * len(triples)
     defect_max, defect_point, defect_pair = -1.0, None, None
-    tensor_max, tensor_point, tensor_triple = -1.0, None, None
     for p in points:
         try:
             values = jet(*p)
@@ -278,7 +277,7 @@ def _scan_samples(form, points):
             scan.failed += 1
             continue
         fvals = values[:n]
-        if max(map(abs, fvals)) <= singular_tol:
+        if singular(fvals):
             scan.singular += 1
             continue
         lin, quad = _scale_factors(fvals)
@@ -301,22 +300,19 @@ def _scan_samples(form, points):
             if d > defect_max or d == defect_max and point < defect_point:
                 defect_max, defect_point = d, point
                 defect_pair = pairs[defects.index(d)]
-        if tensors:
-            for m, r in enumerate(tensors):
-                best = triple_max[m]
-                if r > best or r == best and point < triple_point[m]:
-                    triple_max[m], triple_point[m] = r, point
-            r = max(tensors)
-            if r > tensor_max or r == tensor_max and point < tensor_point:
-                tensor_max, tensor_point = r, point
-                tensor_triple = triples[tensors.index(r)]
+        for m, r in enumerate(tensors):
+            best = triple_max[m]
+            if r > best or r == best and point < triple_point[m]:
+                triple_max[m], triple_point[m] = r, point
     # a maximum no point sets reads 0.0: with no triples, vacuously null
     scan.defect_max, scan.defect_point, scan.defect_pair = (
         max(defect_max, 0.0), defect_point, defect_pair)
     scan.per_triple = {t: (max(v, 0.0), q)
                        for t, v, q in zip(triples, triple_max, triple_point)}
-    scan.tensor_max, scan.tensor_point, scan.tensor_triple = (
-        max(tensor_max, 0.0), tensor_point, tensor_triple)
+    if scan.used and triples:  # largest value, then smallest point, first triple
+        m = min(range(len(triples)), key=lambda t: (-triple_max[t], triple_point[t]))
+        scan.tensor_max, scan.tensor_point, scan.tensor_triple = (
+            triple_max[m], triple_point[m], triples[m])
     return scan
 
 

@@ -45,7 +45,6 @@ loop as the reference the generated loop must match bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import expressions as ex
@@ -269,7 +268,7 @@ def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
         *collapse,
         "            dp_sq = 0.0",
         *norm,
-        f"            dp_norm = _dp_sqrt(dp_sq / {dim})",
+        f"            dp_norm = _sqrt(dp_sq / {dim})",
         "            if dp_norm <= 1.0 or dp_step <= dp_floor:",
         "                break",
         "            dp_rejected += 1",
@@ -297,8 +296,7 @@ def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
     ]
 
     source = "\n".join([*rhs, "", *advance]) + "\n"
-    defined = ex.exec_source(source, "ode", _isfinite=math.isfinite,
-                             _dp_sqrt=math.sqrt, _LeftBounds=_LeftBounds)
+    defined = ex.exec_source(source, "ode", _LeftBounds=_LeftBounds)
     return OdeKernel(defined["rhs"], defined["advance"])
 
 

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from . import expressions as ex
 from .errors import AnalysisError, ArityError
 from .forms import (
-    DEFAULT_SINGULAR_TOL,
     MAX_COORDINATE,
     PfaffianForm,
     coefficient_vector,
     distance,
+    pivot,
+    singular_source,
 )
 from .sampling import linspace
 
@@ -65,20 +66,17 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
     ``residual`` it also sets ``res``, the Simpson estimate of the form
     paired with the step chord, normalized by |F(X)| |X - x|.  Each line is
     indented by ``pad``.  A stage raises PivotLostError where the solved
-    coefficient is not above ``DEFAULT_SINGULAR_TOL`` in size, read when the
-    lines are written; the test spells out the two comparisons that
-    ``abs(f) > tol`` makes, which saves a call per stage and is false for
-    NaN just the same.
+    coefficient is singular (``forms.singular_source``) or the solved
+    velocity is not within (-1e300, 1e300), which a NaN coefficient fails.
     """
     n = form.n
     free = [i for i in range(n) if i != k]
-    tol = ex.python_literal(DEFAULT_SINGULAR_TOL)
     lines = []
 
     def solve(f, p):
         acc = "".join(f" + {f}{i} * v{i}" for i in free)
         lines.extend([
-            f"if not ({f}{k} > {tol} or {f}{k} < -{tol}):",
+            f"if {singular_source(f'{f}{k}')}:",
             "    raise _Lost('solved coefficient below tolerance')",
             f"{p} = -(0.0{acc}) / {f}{k}",
             f"if not -1e300 < {p} < 1e300:",
@@ -163,10 +161,8 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     test: the end point lies in ``form.domain`` and in the ball of radius
     ``epsilon`` about ``center``.  A rollout tests a squared distance ``<=
     epsilon * epsilon``, a leg a distance ``<= epsilon * (1 + 1e-12)``.  A
-    step that raises PivotLostError (the solved coefficient is not above
-    ``DEFAULT_SINGULAR_TOL`` in size, or the solved velocity is not within
-    (-1e300, 1e300)) or an error of ``ex.UNDEFINED`` is not counted and ends
-    the loop.
+    step that raises PivotLostError (see :func:`_step_lines`) or an error of
+    ``ex.UNDEFINED`` is not counted and ends the loop.
 
     Where a counted step leaves, the same loop locates the crossing by
     bisection on the fraction of the step: each trial re-steps from the last
@@ -189,10 +185,9 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     step, ends, counts)``, one rollout of :func:`explore` from ``(x, fx)``.
     It runs a segment of ``STEPS_PER_SEGMENT`` steps of size ``step`` per
     direction row of ``rows``, from row ``r`` on, while ``left`` steps of
-    the budget remain.  At each segment start it picks the pivot as the
-    first largest ``|F_i|``, as ``max`` over ``range(n)`` does; the rollout
-    ends where that is at most ``DEFAULT_SINGULAR_TOL``, and where the
-    pivot is not ``k`` the loop returns, for the other pivot's loop to go on
+    the budget remain.  At each segment start it picks the pivot as
+    ``forms.pivot`` does; the rollout ends where there is none, and where
+    it is not ``k`` the loop returns, for the other pivot's loop to go on
     from the same state.  A row is normalized by ``sqrt(row.dot(row))``, the
     norm ``np.linalg.norm`` computes for a 1-D row, and skipped when that is
     0.  A completed segment appends its end to ``ends`` and the rollout's
@@ -320,7 +315,7 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
                           f"                big, j = abs(a{i}), {i}"])
         lines.extend([
             "            if r == len(rows) or left <= 0 or "
-            f"big <= {lit(DEFAULT_SINGULAR_TOL)}:",
+            f"{singular_source('big')}:",
             f"                {ended}",
             f"            if j != {k}:",
             f"                return j, r, steps, left, rmax, {state}",
@@ -386,14 +381,14 @@ class ReachSample:
 
 
 def _probe_start(form: PfaffianForm, p, epsilon):
-    """The start ``(p, F(p))`` of both probes, ``p`` as a tuple of floats.
+    """The start ``(p, F(p), k)`` of both probes, ``p`` as floats, ``k`` the pivot.
 
     Checks, in order: the form has at least 2 variables (else ArityError);
     ``epsilon`` is at least ``MIN_RADIUS`` and at most ``MAX_COORDINATE``,
     the radii the CLI accepts; ``p`` lies in the box within 1e-12; a step of
     :func:`explore` moves every coordinate of ``p`` (``p_i + dt != p_i``);
     F is defined at ``p`` (:func:`coefficient_vector` raises EvalDomainError
-    otherwise); and some ``|F_i(p)|`` exceeds ``DEFAULT_SINGULAR_TOL``.  The
+    otherwise); and F is not singular at ``p``, so it has a pivot.  The
     other failures are AnalysisErrors.
     """
     if form.n < 2:
@@ -409,9 +404,10 @@ def _probe_start(form: PfaffianForm, p, epsilon):
         raise AnalysisError(f"epsilon {epsilon!r} is too small for the base point: "
                             f"a step of {dt!r} leaves a coordinate unchanged")
     f_p = coefficient_vector(form, p)
-    if max(abs(v) for v in f_p) <= DEFAULT_SINGULAR_TOL:
+    k = pivot(f_p)
+    if k is None:
         raise AnalysisError("base point is singular for the form")
-    return p, f_p
+    return p, f_p, k
 
 
 def explore(form: PfaffianForm, p, epsilon, budget, seed) -> ReachSample:
@@ -426,18 +422,15 @@ def explore(form: PfaffianForm, p, epsilon, budget, seed) -> ReachSample:
     bisection) and the rollout restarts from p.  Exploration
     ends when the step budget is used up, or after ``MAX_SEGMENTS``
     rollouts in a row that took no step (every first step from p failed),
-    which would otherwise repeat without end.  The solved coefficient must
-    exceed ``DEFAULT_SINGULAR_TOL`` in size.  Only the endpoints are kept,
-    not the curves between them.  The start is checked by
-    :func:`_probe_start`.
+    which would otherwise repeat without end.  Only the endpoints are kept,
+    not the curves between them.  :func:`_probe_start` checks the start.
     """
     import numpy as np
 
-    p, f_p = _probe_start(form, p, epsilon)
+    p, f_p, k_p = _probe_start(form, p, epsilon)
     n = form.n
     rollouts = functools.cache(lambda k: _compile_loop(form, k, p, epsilon, "rollout"))
     dt = (epsilon * SEGMENT_FRACTION) / STEPS_PER_SEGMENT
-    k_p = max(range(n), key=lambda i: abs(f_p[i]))
     endpoints = [p]
     step_counts = [0]
     left = budget
@@ -597,7 +590,6 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon,
     loops return to the starting level, so blocked targets keep honest gaps;
     budget-halving checkpoints record whether gaps persist as effort grows.
     A target counts as reached when its gap is at most 0.01 epsilon.  The
-    solved coefficient must exceed ``DEFAULT_SINGULAR_TOL`` in size.  The
     start is checked as :func:`explore` checks it (:func:`_probe_start`).
     """
     if not 0 <= free_index < form.n:
@@ -612,8 +604,8 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon,
     for off in offsets:
         q = list(p)
         q[free_index] += off
-        gap, gap_half, used = _seek_target(form, legs, p, tuple(q), epsilon,
-                                           per_budget)
+        gap, gap_half, used = _Seeker(form, legs, p, tuple(q), epsilon,
+                                      per_budget).run()
         gaps.append(gap)
         halves.append(gap_half)
         used_total += used
@@ -626,8 +618,9 @@ def surrounding_line_scan(form: PfaffianForm, p, free_index, epsilon,
 
 class _Seeker:
     """Deterministic steering toward one target inside the epsilon-ball, by the
-    leg loops ``legs(k)`` of pivot k, on solved coefficients above
-    ``DEFAULT_SINGULAR_TOL`` in size."""
+    leg loops ``legs(k)`` of pivot k (``forms.pivot``).  Nothing here raises:
+    a leg loop ends at a lost step or an undefined value itself, and every
+    square taken is of a difference of points in the box or the ball."""
 
     def __init__(self, form, legs, base, target, epsilon, budget):
         self.legs = legs
@@ -736,8 +729,8 @@ class _Seeker:
         for _round in range(120):
             if self.used >= self.budget or self.best <= gap_tol:
                 break
-            k = max(range(self.n), key=lambda i: abs(self.f[i]))
-            if abs(self.f[k]) <= DEFAULT_SINGULAR_TOL:
+            k = pivot(self.f)
+            if k is None:
                 break
             if not self._align_free(k):
                 break
@@ -780,8 +773,8 @@ class _Seeker:
             if self.used >= self.budget:
                 return
             improved = False
-            k = max(range(self.n), key=lambda i: abs(self.f[i]))
-            if abs(self.f[k]) <= DEFAULT_SINGULAR_TOL:
+            k = pivot(self.f)
+            if k is None:
                 return
             for pos in range(self.n - 1):
                 for sign in (1.0, -1.0):
@@ -797,12 +790,3 @@ class _Seeker:
             if not improved:
                 length *= 0.5
 
-
-def _seek_target(form, legs, base, target, epsilon, budget):
-    seeker = _Seeker(form, legs, base, target, epsilon, budget)
-    try:
-        return seeker.run()
-    except (PivotLostError, *ex.UNDEFINED):
-        best = seeker.best
-        half = seeker.best_at_half if seeker.best_at_half is not None else best
-        return best, half, seeker.used

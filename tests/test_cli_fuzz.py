@@ -193,8 +193,8 @@ WIDE3_TEXT = ("vars: x, y, z\nF[1] = 0\nF[2] = 0\nF[3] = 1 + x^2*1e308\n"
 # overflowing on CSV grid points (factor-global), curls overflowing
 # where max|F_i| <= 1 (check, invariance), and an expression with trailing
 # whitespace (an IndexError in the tokenizer); and a scan whose step size
-# underflows to 0, so that a leg divides by it and the seeker returns the
-# gap it has (the fallback of reach._seek_target)
+# underflows to 0, once a leg divided by it (now an --epsilon below the
+# smallest radius, an input error)
 @example((EXACT3_TEXT, ["catalog", "--show", "nope"]))
 @example((EXACT3_TEXT, ["catalog", "--write-form", "nope", "{write}"]))
 @example((EXACT3_TEXT, ["reach", "{form}", "--budget", "1"]))

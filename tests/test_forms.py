@@ -29,6 +29,7 @@ from pfaffian.forms import (
     PfaffianForm,
     coefficient_vector,
     distance,
+    form_from_expressions,
     format_form_file,
     is_singular_at,
     load_form,
@@ -37,8 +38,11 @@ from pfaffian.forms import (
     mild_nonlinear_substitution,
     parse_box,
     parse_form_file,
+    pivot,
     pullback,
     random_linear_substitution,
+    singular,
+    singular_source,
 )
 from pfaffian.forms import _jacobian
 
@@ -65,6 +69,48 @@ def test_make_form_identically_null_rejected():
 def test_make_form_arity_mismatch():
     with pytest.raises(ArityError):
         make_form(["x", "y"], ["y"], BOX2)
+
+
+@pytest.mark.parametrize("names, count, box, error, message", [
+    (("x", "x"), 2, BOX2, FormError, "duplicate variable names"),
+    (("x", "y"), 1, BOX2, ArityError, "1 coefficients for 2 variables"),
+    (("x", "y"), 2, BOX3, ArityError, "box dimension 3 != 2 variables"),
+])
+def test_both_constructors_validate_alike(names, count, box, error, message):
+    # the checks run before any text is parsed: "((" would be a ParseError
+    with pytest.raises(error, match=f"^{message}$"):
+        make_form(names, ["(("] * count, box)
+    with pytest.raises(error, match=f"^{message}$"):
+        form_from_expressions(names, [ex.constant(1.0)] * count, box)
+
+
+def test_pivot_is_the_first_largest_coefficient():
+    tol = DEFAULT_SINGULAR_TOL
+    assert pivot((0.5, -2.0, 2.0)) == 1  # a tie goes to the first index
+    assert pivot((-3.0, 3.0)) == 0
+    assert pivot((0.0, tol, -tol)) is None
+    assert pivot((0.0, 2 * tol)) == 1
+    assert pivot((math.inf, 1.0)) == 0
+    # a NaN is picked only where it comes first, as max picks it
+    assert pivot((math.nan, 1.0)) == 0
+    assert pivot((1.0, math.nan)) == 0
+    assert pivot((0.0, math.nan)) is None
+
+
+@pytest.mark.parametrize("values", [
+    (0.0, -0.0), (1e-12, -1e-12), (1e-12, 1.5e-12), (-3.0, 3.0, 1.0),
+    (math.nan, 0.0), (0.0, math.nan), (math.inf, math.nan), (-math.inf,),
+    (5e-324,), (1e300, -1e-300, 2.0),
+])
+def test_singular_rule_agrees_in_python_and_generated_code(values):
+    k = pivot(values)
+    assert singular(values) == (k is None)
+    k = max(range(len(values)), key=lambda i: abs(values[i]))
+    assert singular(values) == (abs(values[k]) <= DEFAULT_SINGULAR_TOL)
+    test = ex.exec_source(f"def test(v):\n    return {singular_source('v')}\n",
+                          "singular")["test"]
+    for v in values:
+        assert test(v) == singular((v,)) == (abs(v) <= DEFAULT_SINGULAR_TOL)
 
 
 def test_coefficient_vector_examples():

@@ -7,7 +7,7 @@ import pytest
 from conftest import gradient_form, random_polynomial, unit_box
 from oracle import _ref_simplify
 from pfaffian import expressions as ex
-from pfaffian import integrability
+from pfaffian import forms as pfaffian_forms
 from pfaffian.errors import ArityError
 from pfaffian.forms import (
     Box,
@@ -447,7 +447,7 @@ def test_scan_matches_per_entry_reference(rng, monkeypatch):
             points = sample_points(form, 48)
             points += [tuple(float(v) for v in p) for p in form.domain.samples(8)]
             for singular_tol in (1e-12, 0.5):
-                monkeypatch.setattr(integrability, "DEFAULT_SINGULAR_TOL",
+                monkeypatch.setattr(pfaffian_forms, "DEFAULT_SINGULAR_TOL",
                                     singular_tol)
                 got = _scan_samples(form, points)
                 expected = _ref_scan_samples(form, points, singular_tol)

@@ -46,7 +46,7 @@ def _loop_step(form, k, tol):
     n = form.n
     free = [i for i in range(n) if i != k]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(reach, "DEFAULT_SINGULAR_TOL", tol)
+        patch.setattr(forms, "DEFAULT_SINGULAR_TOL", tol)
         body = reach._step_lines(form, k, "        ", residual=True)
     xs, fs = (ex.python_tuple(f"{v}{i}" for i in range(n)) for v in "xa")
     source = "\n".join([
@@ -620,7 +620,7 @@ class _RefSeeker(_Seeker):
 
     def run(self):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reach, "DEFAULT_SINGULAR_TOL", self.tol)
+            patch.setattr(forms, "DEFAULT_SINGULAR_TOL", self.tol)
             return super().run()
 
     def _leg(self, vfree, k, length):
@@ -722,7 +722,6 @@ SCAN_BUDGETS = (32, 100, 1500)  # half-budget checkpoints after 0, 1, 23 steps
 
 def _set_singular_tol(monkeypatch, tol):
     """Run ``explore`` and the scan with the singular tolerance ``tol``."""
-    monkeypatch.setattr(reach, "DEFAULT_SINGULAR_TOL", tol)
     monkeypatch.setattr(forms, "DEFAULT_SINGULAR_TOL", tol)
 
 

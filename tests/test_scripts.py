@@ -47,13 +47,20 @@ def test_cli_outputs_script_records_every_run(tmp_path):
     out = tmp_path / "outputs.json"
     assert _script("cli_outputs").main([str(out)]) == 0
     records = json.loads(out.read_text(encoding="utf-8"))
-    assert len(records) == 19
+    assert len(records) == 21
     assert all(r["exit"] == 0 and r["stderr"] == "" and r["stdout"] for r in records)
-    # the polynomial forms come last, each scanned on several triples
-    assert [r["command"] for r in records[-2:]] == [["check", "cyclic_4var"],
-                                                    ["check", "cyclic_5var"]]
+    # the polynomial forms come next to last, each scanned on several triples
+    assert [r["command"] for r in records[17:19]] == [["check", "cyclic_4var"],
+                                                      ["check", "cyclic_5var"]]
     assert [len(json.loads(r["stdout"])["per_triple_max"])
-            for r in records[-2:]] == [4, 10]
+            for r in records[17:19]] == [4, 10]
+    # the form whose coefficients tie in size, and vanish on a line, comes last
+    factor2, foliate = records[19:]
+    assert [factor2["command"], foliate["command"]] == [["factor2", "tied_2var"],
+                                                        ["foliate", "tied_2var"]]
+    report = json.loads(factor2["stdout"])
+    assert (report["evaluated_points"], report["skipped_points"]) == (162, 127)
+    assert len(foliate["stdout"].splitlines()) == 1 + 73
     with_csv = [r["command"][:2] for r in records if r["csv"] is not None]
-    assert len(with_csv) == 6 and all(c[0] in ("factor2", "factor-global")
+    assert len(with_csv) == 7 and all(c[0] in ("factor2", "factor-global")
                                       for c in with_csv)
