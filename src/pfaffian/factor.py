@@ -123,29 +123,28 @@ def _unit_tangent(fvals, sign=1.0):
     return (sign * fvals[1] / norm, sign * -fvals[0] / norm)
 
 
-def _stop_test(t0, ys0, t1, ys1, ks1):
+def _stop_test(t0, ys0, t1, ys1, ks1, t_end):
     """Stop test of a characteristic step, in the stop arguments of :data:`_STOP`.
 
     True where one of the checks :func:`solve_characteristic` makes after a
     step could fire: an end of the step is not strictly inside ``(stop_lo,
     stop_hi)`` on the solved axis, the step meets ``stop_level`` there (the
     transversal's value when it is fixed on that axis), the step ends within
-    ``stop_tol`` of ``stop_t`` or its end slope is larger than
-    ``stop_slope`` in size.  Each comparison is written as the check it
-    stands for, so that it holds wherever that check holds.
+    ``stop_tol`` of the end ``t_end`` of the solve or its end slope is
+    larger than ``stop_slope`` in size.  Each comparison is written as the
+    check it stands for, so that it holds wherever that check holds.
     """
     y0, y1 = ys0[0], ys1[0]
     return (f"not (stop_lo < {y0} < stop_hi and stop_lo < {y1} < stop_hi)"
             f" or ({y0} - stop_level) * ({y1} - stop_level) <= 0.0"
-            f" or -stop_tol <= {t1} - stop_t <= stop_tol"
+            f" or -stop_tol <= {t1} - {t_end} <= stop_tol"
             f" or {ks1[0]} > stop_slope or -{ks1[0]} > stop_slope")
 
 
 # the stop test of a characteristic kernel (``stop`` of ``compile_kernel``),
 # and stop arguments that never stop a solve, for the probes
-_STOP = (("stop_lo", "stop_hi", "stop_level", "stop_t", "stop_tol", "stop_slope"),
-         _stop_test)
-_NO_STOP = (-math.inf, math.inf, math.nan, math.nan, 0.0, math.inf)
+_STOP = (("stop_lo", "stop_hi", "stop_level", "stop_tol", "stop_slope"), _stop_test)
+_NO_STOP = (-math.inf, math.inf, math.nan, 0.0, math.inf)
 
 
 def _characteristic_kernel(form: PfaffianForm, b: int):
@@ -153,8 +152,8 @@ def _characteristic_kernel(form: PfaffianForm, b: int):
 
     Generated once per form and solved axis and kept in
     ``form.ode_kernels`` under ``("characteristic", b)``.  Raises
-    ZeroDivisionError where ``F_b`` is singular (``forms.singular_source``).  Its
-    ``advance`` takes the stop arguments of :func:`_stop_test`.
+    ZeroDivisionError where ``F_b`` is singular (``forms.singular_source``).  It
+    takes the stop arguments of :func:`_stop_test`.
     """
     key = ("characteristic", b)
     if key in form.ode_kernels:
@@ -237,7 +236,6 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
         b = dependent
         a = 1 - b
         kernel = _characteristic_kernel(form, b)
-        advance = kernel.advance
         low_b, high_b = box.lows[b], box.highs[b]
         on_b = transversal is not None and transversal.fixed_axis == b
 
@@ -252,23 +250,25 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
 
         # the Dormand-Prince state of this segment; each call returns after
         # one step when the points are kept, else at the first step where a
-        # check below could fire (the stop test of the kernel)
-        t, y, h = x[a], (x[b],), 0.0
-        try:
-            f0 = kernel.rhs(t, y)
-        except ex.UNDEFINED:
-            return "singular", None
+        # check below could fire (the stop test of the kernel).  The first
+        # call evaluates the slope at the segment start (f0 None)
+        t, y, f0, h = x[a], (x[b],), None, 0.0
         used, budget, accepted, rejected = steps_used, MAX_STEPS - steps_used, 0, 0
         level_b = level if on_b else math.nan
 
         while steps_used < MAX_STEPS:
             t_tol = 1e-14 * max(1.0, abs(t_target))
             limit = budget if pts is None else accepted + 1
-            (status, t, y, f0, h, accepted, rejected,
-             prev_t, prev_y, prev_f0) = advance(
-                t, y, f0, h, t_target, sign_a, rtol, atol, budget, accepted,
-                rejected, limit, low_b, high_b, level_b, t_target, t_tol,
-                _SWAP_HYSTERESIS)
+            try:
+                (status, t, y, f0, h, accepted, rejected,
+                 prev_t, prev_y, prev_f0) = kernel(
+                    t, y, f0, h, t_target, sign_a, rtol, atol, budget, accepted,
+                    rejected, limit, low_b, high_b, level_b, t_tol,
+                    _SWAP_HYSTERESIS)
+            except ex.UNDEFINED:
+                if f0 is None:  # undefined at the segment start
+                    return "singular", None
+                raise
             if status == "max_steps":
                 return "max_steps", None
             if status != "ok":
@@ -294,7 +294,7 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
             if located is not None:
                 crossing_level, kind = located
                 try:
-                    probe = _step_probe(advance, prev_t, prev_y, prev_f0, t, y,
+                    probe = _step_probe(kernel, prev_t, prev_y, prev_f0, t, y,
                                         sign_a, rtol, atol)
                     # the probe is exact at the step's ends, which bracket the crossing
                     lam = bisect_root(lambda lam: probe(lam)[0] - crossing_level,
@@ -352,12 +352,12 @@ class _ProbeFailed(Exception):
     """Raised by a step probe whose solve ends with a status other than "ok"."""
 
 
-def _step_probe(advance, t0, y0, f0, t1, y1, direction, rtol, atol):
+def _step_probe(kernel, t0, y0, f0, t1, y1, direction, rtol, atol):
     """``probe(lam)``: the state at ``t0 + lam * (t1 - t0)`` inside an accepted step.
 
     The step went from ``(t0, y0)``, where the slope is ``f0``, to ``(t1,
     y1)`` in the sign of ``direction``.  A probe is one whole solve of the
-    step loop ``advance`` that took the step, with the step's tolerances and
+    step loop ``kernel`` that took the step, with the step's tolerances and
     at most ``MAX_STEPS`` attempts, from the step start to the probed time,
     and its first step spans that whole interval: an accepted attempt costs
     six right-hand-side calls.  ``lam`` 0 and 1 return ``y0`` and ``y1``
@@ -371,9 +371,8 @@ def _step_probe(advance, t0, y0, f0, t1, y1, direction, rtol, atol):
         if lam == 1.0:
             return y1
         t_end = t0 + lam * (t1 - t0)
-        status, _, y, *_ = advance(t0, y0, f0, abs(t_end - t0), t_end, direction,
-                                   rtol, atol, MAX_STEPS, 0, 0, math.inf,
-                                   *_NO_STOP)
+        status, _, y, *_ = kernel(t0, y0, f0, abs(t_end - t0), t_end, direction,
+                                  rtol, atol, MAX_STEPS, 0, 0, math.inf, *_NO_STOP)
         if status != "ok":
             raise _ProbeFailed(status)
         return y
@@ -641,7 +640,8 @@ class SurfaceField:
         ``dx_free/dt = -sum(F_i * d_i, d_i != 0) / F_free``, summed from 0.0
         in the order of ``other``, terms with a zero increment skipped
         unevaluated.  Raises ValueError once the free coordinate leaves
-        ``_free_bounds`` and ZeroDivisionError where ``F_free == 0``.  A
+        ``_free_bounds`` and ZeroDivisionError where ``F_free`` is singular
+        (``forms.singular_source``).  A
         solve that is leaving ``_free_bounds`` from past the box proper ends
         at once as a box exit (``bounds`` of :func:`compile_kernel`).  Its
         source depends on the form and the free index only, so it is
@@ -667,7 +667,7 @@ class SurfaceField:
                 lines.append(f"u{j} = a{j} + {t} * d{j}")
             lines += [
                 f"fn = {ex.python_source(coeffs[free], names)}",
-                "if fn == 0.0:",
+                f"if {singular_source('fn')}:",
                 "    raise ZeroDivisionError('free coefficient vanished on the path')",
                 "acc = 0.0",
             ]
@@ -724,16 +724,17 @@ class SurfaceField:
 
 
 def _integrate_unit(kernel, params, y0, t0, t1, rtol, atol):
-    """One whole solve from ``(t0, y0)`` to ``t1``: one call of ``kernel.advance``.
+    """One whole solve from ``(t0, y0)`` to ``t1``: one call of ``kernel``.
 
     Returns ``(status, y, accepted, rejected)``: the status of the solve
     ("ok", "box_exit", "step_rejection" or "max_steps" after ``MAX_STEPS``
     attempts), its last accepted state and its attempt counts.  The
-    right-hand side at the start may raise an error of ``ex.UNDEFINED``.
+    right-hand side at the start, which the call evaluates, may raise an
+    error of ``ex.UNDEFINED``.
     """
-    status, _, y, _, _, accepted, rejected = kernel.advance(
-        t0, y0, kernel.rhs(t0, y0, *params), 0.0, t1,
-        1.0 if t1 > t0 else -1.0, rtol, atol, MAX_STEPS, 0, 0, math.inf, *params)
+    status, _, y, _, _, accepted, rejected = kernel(
+        t0, y0, None, 0.0, t1, 1.0 if t1 > t0 else -1.0, rtol, atol, MAX_STEPS,
+        0, 0, math.inf, *params)
     return status, y, accepted, rejected
 
 
@@ -851,7 +852,8 @@ def staircase_defect(form: PfaffianForm, free_index: int, base):
     a disagreement well above it is the numerical shadow of a nonzero
     integrability tensor.  A target whose path solve fails (a solver
     failure, or a right-hand side undefined on the path) gets the defect
-    None and does not count toward the maximum.
+    None and does not count toward the maximum, which is None where no
+    target has a defect.
     """
     field_ = SurfaceField(form, free_index, base, rtol=1e-9, atol=1e-12)
     box = form.domain
@@ -862,7 +864,7 @@ def staircase_defect(form: PfaffianForm, free_index: int, base):
         for corner in itertools.product(*spans)
     ]
     per_target = []
-    worst = 0.0
+    worst = None
     for u_target in targets:
         try:
             a = _staircase_value(field_, u_target, reversed_order=False)
@@ -872,7 +874,7 @@ def staircase_defect(form: PfaffianForm, free_index: int, base):
             continue
         defect = abs(a - b)
         per_target.append({"target": list(u_target), "defect": defect})
-        worst = max(worst, defect)
+        worst = defect if worst is None else max(worst, defect)
     return worst, per_target
 
 

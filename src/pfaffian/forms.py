@@ -144,10 +144,12 @@ def singular(values) -> bool:
 
 def pivot(values):
     """The index of the first largest ``|F_i|``, the coefficient a curve solves
-    for, or None where ``values`` is :func:`singular`.  ``max`` picks both, so
-    a tie goes to the first index, and a NaN it picks is a pivot."""
-    k = max(range(len(values)), key=lambda i: abs(values[i]))
-    return None if abs(values[k]) <= DEFAULT_SINGULAR_TOL else k
+    for, or None where ``values`` is :func:`singular`.  ``max`` picks the
+    size, so a tie goes to the first index, and a NaN it picks is a pivot
+    (``index`` finds the very object ``max`` returns)."""
+    sizes = list(map(abs, values))
+    largest = max(sizes)
+    return None if largest <= DEFAULT_SINGULAR_TOL else sizes.index(largest)
 
 
 def singular_source(name: str) -> str:
@@ -222,12 +224,23 @@ def _check_nonsingular(form: PfaffianForm, needs_jet: bool):
     raise SingularFormError(message)
 
 
-def _checked_names(var_names, coefficients, box: Box) -> tuple:
-    """``var_names`` as a tuple, after the checks of both form constructors:
-    distinct names, one per coefficient and per axis of ``box``."""
+def _checked_variables(var_names) -> tuple:
+    """``var_names`` as a tuple, after the check of every variable list:
+    distinct names, at most ``MAX_VARIABLES`` of them."""
     var_names = tuple(var_names)
     if len(var_names) != len(set(var_names)):
         raise FormError("duplicate variable names")
+    if len(var_names) > MAX_VARIABLES:
+        raise FormError(f"{len(var_names)} variables; at most {MAX_VARIABLES} "
+                        "are supported")
+    return var_names
+
+
+def _checked_names(var_names, coefficients, box: Box) -> tuple:
+    """``var_names`` as a tuple, after the checks of both form constructors:
+    :func:`_checked_variables`, and one name per coefficient and per axis
+    of ``box``."""
+    var_names = _checked_variables(var_names)
     if len(coefficients) != len(var_names):
         raise ArityError(
             f"{len(coefficients)} coefficients for {len(var_names)} variables"
@@ -342,10 +355,11 @@ def make_substitution(new_var_names, expr_texts, base_point, new_domain: Box
                       ) -> Substitution:
     """The substitution ``x_i = expr_texts[i]`` of the new variables.
 
-    Raises FormError unless its Jacobian at ``base_point`` is finite with a
-    condition number of at most 1e12.
+    Raises FormError where the new variables fail
+    :func:`_checked_variables`, and unless its Jacobian at ``base_point`` is
+    finite with a condition number of at most 1e12.
     """
-    new_var_names = tuple(new_var_names)
+    new_var_names = _checked_variables(new_var_names)
     n = len(new_var_names)
     if len(expr_texts) != n or new_domain.dim != n or len(base_point) != n:
         raise ArityError("substitution arities must agree")
@@ -493,8 +507,6 @@ def parse_form_file(text: str, needs_jet=False) -> PfaffianForm:
     if box is None:
         raise FormError("missing 'domain:' line")
     n = len(var_names)
-    if n > MAX_VARIABLES:
-        raise FormError(f"{n} variables; at most {MAX_VARIABLES} are supported")
     if sorted(coeff_texts) != list(range(1, n + 1)):
         raise FormError(f"need coefficients F[1]..F[{n}], got {sorted(coeff_texts)}")
     texts = [coeff_texts[i] for i in range(1, n + 1)]

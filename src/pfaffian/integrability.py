@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import ArityError, EvalDomainError, FormError
 from .expressions import UNDEFINED
-from .forms import PfaffianForm, Substitution, pullback, singular
+from .forms import PfaffianForm, Substitution, pivot, pullback
 
 DEFAULT_TOL = 1e-8
 
@@ -198,8 +198,8 @@ def curl_triple_product(form: PfaffianForm, p) -> float:
     return f1 * curl1 + f2 * curl2 + f3 * curl3
 
 
-def _scale_factors(values):
-    m = max(map(abs, values))
+def _scale_factors(m):
+    """``1 / max(1, m)`` and its square, for ``m = max|F_i|``."""
     linear = 1.0 / max(1.0, m)
     return linear, linear * linear
 
@@ -237,18 +237,19 @@ def _scan_samples(form, points):
     """Defect and tensor maxima of ``form`` over ``points``.
 
     Each point costs one ``jet_fn`` call.  A point where the jet raises or
-    has a non-finite entry counts as failed, one where F is singular
-    (``forms.singular``) as singular.  Every other point reads the
+    has a non-finite entry counts as failed, one where F has no pivot
+    (``forms.pivot``) as singular.  Every other point reads the
     flat plan of :func:`_scan_plan`, built once per variable count: its
     curls are one list, computed each by one subtraction, and its defects
     ``|c_ij| * lin`` and tensor components ``|R_ijk| * quad``
-    (:func:`_tensors`), scaled by :func:`_scale_factors`, are two lists
-    read by position.  A scaled value that is not finite is computed again
-    from the jet entries multiplied by ``lin`` first, so that neither F nor
-    a curl overflows where ``|R_ijk|`` does (``max|F_i|`` above about
-    1e154); a point where that is not finite either counts as failed, and
-    none of its values enters a maximum (only a point whose jet entries add
-    up in size to 1e153 or more is checked for that).  The maxima break ties
+    (:func:`_tensors`), scaled by :func:`_scale_factors` of the pivot's
+    ``|F_k|``, which is ``max|F_i|``, are two lists read by position.  A
+    scaled value that is not finite is computed again from the jet entries
+    multiplied by ``lin`` first, so that neither F nor a curl overflows
+    where ``|R_ijk|`` does (``max|F_i|`` above about 1e154); a point where
+    that is not finite either counts as failed, and none of its values
+    enters a maximum (only a point whose jet entries add up in size to 1e153
+    or more is checked for that).  The maxima break ties
     by the point as :func:`_better` does: a value replaces the best so far
     if it is larger, or equal at a point that is lexicographically smaller.
     Within one point the first of several equal largest values wins, so
@@ -276,11 +277,11 @@ def _scan_samples(form, points):
         if not (safe or all(map(isfinite, values))):
             scan.failed += 1
             continue
-        fvals = values[:n]
-        if singular(fvals):
+        k = pivot(values[:n])
+        if k is None:
             scan.singular += 1
             continue
-        lin, quad = _scale_factors(fvals)
+        lin, quad = _scale_factors(abs(values[k]))
         c = [values[u] - values[v] for u, v in curls]
         defects = [abs(v) * lin for v in c[:len(pairs)]]
         tensors = [abs(r) * quad for r in _tensors(values, c, rows)]

@@ -2,31 +2,27 @@
 
 The right-hand side of an ODE is not a Python callable but generated source:
 :func:`compile_kernel` takes a function that writes the right-hand side as
-statements and emits two straight-line Python functions: the right-hand
-side alone, and the Dormand-Prince step loop ``advance`` with that body
-inlined at each of the six stages of an attempt.  The step loop holds the
-step-size control of Hairer, Norsett & Wanner, *Solving ODEs I*, section
-II.4 (the error norm, the step growth and shrink factors, the step-size
-floor and the step budget) and counts the accepted and rejected attempts.
-A call runs up to a limit on accepted steps: one step (the limit is the
-accepted count plus one), or a whole solve up to the end of the interval
-(no limit; surface paths, and the probes that locate a characteristic's
-crossing inside an accepted step).  A kernel compiled with a stop test
-also returns after any accepted step where that test holds, with the
-step's start: a characteristic runs each segment in one call and returns
-only at the steps where one of its events could fire.  Callers call
-``advance`` directly and read the status it returns.
+statements and emits one straight-line Python function, the Dormand-Prince
+step loop, with that body inlined at the start and at each of the six
+stages of an attempt.  That loop is the kernel: callers call it and read
+the status it returns.  It holds the step-size control of Hairer, Norsett
+& Wanner, *Solving ODEs I*, section II.4 (the error norm, the step growth
+and shrink factors, the step-size floor and the step budget) and counts
+the accepted and rejected attempts.  A call runs one step, or a whole
+solve (surface paths, and the probes that locate a characteristic's
+crossing inside an accepted step); a kernel compiled with a stop test also
+returns after any accepted step where that test holds, so a characteristic
+runs each segment in one call and returns only at the steps where one of
+its events could fire.
 
-An attempt that raises an error of ``expressions.UNDEFINED`` is refused
-and the step halved; a step size collapsing below its floor ends the solve
-with the status ``"step_rejection"``, which doubles as singularity
-detection.  A kernel compiled with ``bounds`` keeps
-state component 0 inside a widened box and ends a solve at once with the
-status ``"box_exit"`` when it is leaving that box; a refused attempt
-from inside the box proper aims its next step at the band past the box
-instead of halving into it (see :func:`compile_kernel`).  An exhausted
-step budget ends a solve with ``"max_steps"``.  ``rhs`` raises where the
-ODE is undefined; ``advance`` refuses such an attempt instead.
+A call without a start slope evaluates it first and raises an error of
+``expressions.UNDEFINED`` where the ODE is undefined there; an attempt
+that raises such an error is refused and the step halved.  A step size
+collapsing below its floor ends the solve with the status
+``"step_rejection"``, which doubles as singularity detection.  A kernel
+compiled with ``bounds`` ends a solve with ``"box_exit"`` where state
+component 0 is leaving a widened box (see :func:`compile_kernel`), and an
+exhausted step budget ends it with ``"max_steps"``.
 
 Each float operation is the one of the step loop and attempt written stage by
 stage with the tableau below: the tableau enters as ``repr`` literals with
@@ -44,8 +40,6 @@ loop as the reference the generated loop must match bit for bit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import expressions as ex
 from .errors import AnalysisError
@@ -66,38 +60,8 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 
 _E = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 
 
-@dataclass(frozen=True)
-class OdeKernel:
-    """Generated functions of one ODE ``y' = f(t, y, *params)``.
-
-    ``rhs(t, y, *params) -> f`` evaluates the right-hand side; ``advance``
-    is the Dormand-Prince step loop,
-
-        advance(t, y, f0, h, t_end, direction, rtol, atol, max_steps,
-                accepted, rejected, limit, *stop_args, *params)
-            -> (status, t, y, f0, h, accepted, rejected)
-
-    from ``(t, y)`` with ``f0 = f(t, y)`` and next step size ``h`` (0.0
-    before the first step) towards ``t_end``.  It takes accepted steps
-    until ``t_end`` or until the accepted count reaches ``limit`` (status
-    "ok"), so ``accepted + 1`` runs one step and ``math.inf`` a whole
-    solve.  It stops early when the attempt count ``accepted + rejected``
-    reaches ``max_steps`` ("max_steps"), when the step size collapses
-    ("step_rejection") or on a box exit ("box_exit").  It returns the last
-    accepted state, its ``f0``, the next step size and the counts.  A
-    kernel compiled with a stop test takes the ``stop_args`` and returns
-    "ok" after any accepted step where the test holds; its ``advance``
-    returns three more values, ``t, y, f0`` at the start of the last
-    accepted step (those of the call when it accepted none).  States and
-    right-hand sides are tuples of floats.
-    """
-
-    rhs: object
-    advance: object
-
-
 class _LeftBounds(Exception):
-    """Raised inside ``advance`` when a stage leaves the widened bounds."""
+    """Raised inside the step loop when a stage leaves the widened bounds."""
 
 
 def _combination(coeffs, ks):
@@ -108,8 +72,25 @@ def _combination(coeffs, ks):
     return ex.python_sum(f"{ex.python_literal(c)} * {k}" for c, k in zip(coeffs, ks))
 
 
-def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
-    """Generate the :class:`OdeKernel` of an ODE with ``dim`` state components.
+def compile_kernel(dim, body, params=(), bounds=None, stop=None):
+    """Generate the Dormand-Prince step loop of an ODE ``y' = f(t, y, *params)``
+    with ``dim`` state components,
+
+        kernel(t, y, f0, h, t_end, direction, rtol, atol, max_steps,
+               accepted, rejected, limit, *stop_args, *params)
+            -> (status, t, y, f0, h, accepted, rejected)
+
+    from ``(t, y)`` with the slope ``f0 = f(t, y)``, or None for the loop
+    to evaluate it first (raising where ``f`` is undefined there), and next
+    step size ``h`` (0.0 to let the loop choose the first step) towards
+    ``t_end``.  It takes accepted steps until ``t_end`` or until the
+    accepted count reaches ``limit`` (status "ok"), so ``accepted + 1`` runs
+    one step and ``math.inf`` a whole solve.  It stops early when the
+    attempt count ``accepted + rejected`` reaches ``max_steps``
+    ("max_steps"), when the step size collapses ("step_rejection") or on a
+    box exit ("box_exit").  It returns the last accepted state, its slope,
+    the next step size and the counts.  States and slopes are tuples of
+    floats.
 
     ``body(t, ys, ks)`` returns the right-hand side as unindented statement
     lines that assign the names ``ks[i]`` from the names ``t`` and ``ys[i]``,
@@ -117,56 +98,54 @@ def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
     undefined.  The generated code uses the names ``t``, ``dt``, ``y``,
     ``f0``, those of one of the letters t, y, k, Y, E followed by digits
     and underscores, and those that start with ``dp_``; the body's
-    temporaries must be other names.  ``params`` names the extra arguments
-    of every generated function, which the body may read.  Stage combinations
-    add their products left to right from ``0.0`` (:func:`_combination`),
-    never through the builtin ``sum``, whose rounding depends on the Python
+    temporaries must be other names.  ``params`` names the last arguments
+    of the kernel, which the body may read.  Stage combinations add their
+    products left to right from ``0.0`` (:func:`_combination`), never
+    through the builtin ``sum``, whose rounding depends on the Python
     version.
 
     ``bounds = ((lo, hi), (wide_lo, wide_hi))`` confines state component 0
     to the box ``[lo, hi]`` widened to ``[wide_lo, wide_hi]``: every
-    evaluation of the right-hand side first raises ValueError outside the
-    widened box.  In ``advance`` an attempt refused that way ends the solve
-    as a box exit when the last accepted state lies past ``[lo, hi]`` and
-    its slope, signed by the direction of integration, points further out.
-    When that state lies inside ``[lo, hi]`` and its slope is not zero, the
-    next step is the Euler step onto the middle of the band between the
-    face it moves towards and the widened bound, but at most half the
-    refused step and at least the step-size floor: the path lands in the
-    band, where the next refusal ends it, instead of halving its step
-    towards the band tens of times (Shampine & Thompson, "Event location
-    for ordinary differential equations", 2000).  Every other
-    refused attempt halves the step.
+    evaluation of the right-hand side first raises outside the widened box.
+    An attempt refused that way ends the solve as a box exit when the last
+    accepted state lies past ``[lo, hi]`` and its slope, signed by the
+    direction of integration, points further out.  When that state lies
+    inside ``[lo, hi]`` and its slope is not zero, the next step is the
+    Euler step onto the middle of the band between the face it moves
+    towards and the widened bound, but at most half the refused step and at
+    least the step-size floor: the path lands in the band, where the next
+    refusal ends it, instead of halving its step towards the band tens of
+    times (Shampine & Thompson, "Event location for ordinary differential
+    equations", 2000).  Every other refused attempt halves the step.
 
-    ``stop = (names, test)`` gives ``advance`` the extra arguments
-    ``names``, after ``limit`` and before ``params``, and a stop test:
-    ``test(t0, ys0, t1, ys1, ks1)`` returns a Python expression in the
-    names of the step's start time and state, end time and state and the
-    slope at the end, and the stop arguments.  After each accepted step
-    where it is true, ``advance`` returns "ok" with the start of that step
-    as well as its end.
+    ``stop = (names, test)`` gives the kernel the stop arguments ``names``,
+    after ``limit`` and before ``params``, and a stop test: ``test(t0, ys0,
+    t1, ys1, ks1, t_end)`` returns a Python expression in the names of the
+    step's start time and state, end time and state, the slope at the end
+    and the end of the solve, and the stop arguments.  After each accepted
+    step where it is true, the kernel returns "ok".  A kernel with a stop
+    test returns three more values, ``t, y, f0`` at the start of the last
+    accepted step (those of the call when it accepted none).
     """
     lit = ex.python_literal
     extra = "".join(f", {p}" for p in params)
     ys = [f"y0_{i}" for i in range(dim)]
     unpack = f"    {ex.python_tuple(ys)} = y"
-    leave = "raise ValueError('state left its bounds')"
 
-    def stage(lines, t, ys_, ks_, indent="    ", raise_=leave):
+    def stage(lines, t, ys_, ks_, indent, raise_):
         if bounds is not None:
             wide_lo, wide_hi = (lit(v) for v in bounds[1])
             lines += [f"{indent}if not {wide_lo} <= {ys_[0]} <= {wide_hi}:",
                       f"{indent}    {raise_}"]
         lines.extend(f"{indent}{line}" for line in body(t, ys_, ks_))
 
-    rhs = [f"def rhs(t, y{extra}):", unpack]
-    ks = [f"k0_{i}" for i in range(dim)]
-    stage(rhs, "t", ys, ks)
-    rhs.append(f"    return ({ex.python_tuple(ks)})")
-
-    # Dormand-Prince step loop: the outer loop runs one accepted step per pass,
-    # the inner loop one attempt, stage s at t{s} = t + c_s * dt
+    # Dormand-Prince step loop: the slope at the start where the call gives
+    # none, then the outer loop runs one accepted step per pass, the inner
+    # loop one attempt, stage s at t{s} = t + c_s * dt
     k = [[f"k{s}_{i}" for i in range(dim)] for s in range(7)]
+    first = ["    if f0 is None:"]
+    stage(first, "t", ys, k[0], " " * 8, "raise ValueError('state left its bounds')")
+    first += ["    else:", f"        {ex.python_tuple(k[0])} = f0"]
     state = (f"t, ({ex.python_tuple(ys)}), ({ex.python_tuple(k[0])}), dp_h, "
              "dp_accepted, dp_rejected")
     stop_args = "".join(f", {name}" for name in stop[0]) if stop else ""
@@ -181,7 +160,7 @@ def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
     advance = [
         "def advance(t, y, f0, dp_h, dp_end, dp_dir, dp_rtol, dp_atol, "
         f"dp_budget, dp_accepted, dp_rejected, dp_limit{stop_args}{extra}):",
-        unpack, f"    {ex.python_tuple(k[0])} = f0",
+        unpack, *first,
         *([f"    {keep_start}"] if stop else []),
         "    while True:",
         "        dp_span = dp_end - t",
@@ -260,7 +239,7 @@ def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
         ]
     done = "dp_accepted >= dp_limit or (t - dp_end) * dp_dir >= 0.0"
     if stop:
-        test = stop[1]("dp_t0", start, "t", ys, k[0])
+        test = stop[1]("dp_t0", start, "t", ys, k[0], "dp_end")
         done += f" or ({test})"
     advance += [
         "            except _UNDEFINED:",
@@ -295,9 +274,8 @@ def compile_kernel(dim, body, params=(), bounds=None, stop=None) -> OdeKernel:
         f"    return 'ok', {state}",
     ]
 
-    source = "\n".join([*rhs, "", *advance]) + "\n"
-    defined = ex.exec_source(source, "ode", _LeftBounds=_LeftBounds)
-    return OdeKernel(defined["rhs"], defined["advance"])
+    source = "\n".join(advance) + "\n"
+    return ex.exec_source(source, "ode", _LeftBounds=_LeftBounds)["advance"]
 
 
 def bisect_root(fn, lo, hi, xtol=1e-13):

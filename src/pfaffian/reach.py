@@ -47,10 +47,6 @@ STEPS_PER_SEGMENT = 12
 MAX_SEGMENTS = 48
 
 
-class PivotLostError(AnalysisError):
-    """Solved coefficient dropped below tolerance; caller must re-pivot."""
-
-
 # ---------------------------------------------------------------------------
 # generated steering loops
 # ---------------------------------------------------------------------------
@@ -65,9 +61,11 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
     bodies are inlined at the three stage points and at the end point.  With
     ``residual`` it also sets ``res``, the Simpson estimate of the form
     paired with the step chord, normalized by |F(X)| |X - x|.  Each line is
-    indented by ``pad``.  A stage raises PivotLostError where the solved
-    coefficient is singular (``forms.singular_source``) or the solved
-    velocity is not within (-1e300, 1e300), which a NaN coefficient fails.
+    indented by ``pad``.  A stage raises ZeroDivisionError where the solved
+    coefficient is singular (``forms.singular_source``) and ArithmeticError
+    where the solved velocity is not within (-1e300, 1e300), which a NaN
+    coefficient fails: the pivot is lost, and like an undefined operation
+    that is an error of ``ex.UNDEFINED``.
     """
     n = form.n
     free = [i for i in range(n) if i != k]
@@ -77,10 +75,10 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
         acc = "".join(f" + {f}{i} * v{i}" for i in free)
         lines.extend([
             f"if {singular_source(f'{f}{k}')}:",
-            "    raise _Lost('solved coefficient below tolerance')",
+            "    raise ZeroDivisionError('solved coefficient below tolerance')",
             f"{p} = -(0.0{acc}) / {f}{k}",
             f"if not -1e300 < {p} < 1e300:",
-            "    raise _Lost('constraint solve produced a non-finite velocity')",
+            "    raise ArithmeticError('constraint solve gave a non-finite velocity')",
         ])
 
     def coefficients(f, names):
@@ -161,8 +159,9 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     test: the end point lies in ``form.domain`` and in the ball of radius
     ``epsilon`` about ``center``.  A rollout tests a squared distance ``<=
     epsilon * epsilon``, a leg a distance ``<= epsilon * (1 + 1e-12)``.  A
-    step that raises PivotLostError (see :func:`_step_lines`) or an error of
-    ``ex.UNDEFINED`` is not counted and ends the loop.
+    step that raises an error of ``ex.UNDEFINED``, a lost pivot (see
+    :func:`_step_lines`) or an undefined operation, is not counted and ends
+    the loop.
 
     Where a counted step leaves, the same loop locates the crossing by
     bisection on the fraction of the step: each trial re-steps from the last
@@ -266,7 +265,7 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
         "while True:",
         "    try:",
         *_step_lines(form, k, "        ", residual=rollout),
-        "    except (_Lost, *_UNDEFINED):",
+        "    except _UNDEFINED:",
         *("        " + line for line in lost),
         f"    inside = {in_box('X')} and {near}",
         "    if bis:",
@@ -343,7 +342,7 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
             "    while True:",
             *("        " + line for line in loop),
         ]
-    return ex.exec_source("\n".join(lines) + "\n", kind, _Lost=PivotLostError)[kind]
+    return ex.exec_source("\n".join(lines) + "\n", kind)[kind]
 
 
 # ---------------------------------------------------------------------------

@@ -123,36 +123,53 @@ def fold(terms):
     return acc
 
 
+def _stop_args(kernel):
+    """The stop arguments that never stop a solve (``factor._NO_STOP``) for a
+    characteristic kernel, none for another kernel."""
+    code = inspect.unwrap(kernel).__code__
+    return _NO_STOP if "stop_lo" in code.co_varnames[:code.co_argcount] else ()
+
+
+def start_slope(kernel, t, y, params=()):
+    """The right-hand side of ``kernel`` at ``(t, y)``, which may raise.
+
+    A call of the step loop without a start slope and with the end ``t``
+    evaluates the slope at the start and takes no step; its limit is one
+    step, as that of :func:`dopri5_step`.
+    """
+    return kernel(t, y, None, 0.0, t, 1.0, 1.0, 1.0, 0, 0, 0, 1,
+                  *_stop_args(kernel), *params)[3]
+
+
 def dopri5_start(kernel, t, y, params=(), h=0.0):
     """State ``(t, y, f0, h, accepted, rejected)`` of a solve from ``(t, y)``.
 
-    ``f0`` is the generated right-hand side at the start, which may raise;
-    ``h`` is the first step size, 0.0 to let the loop choose it.
+    ``f0`` is the generated right-hand side at the start (:func:`start_slope`),
+    which may raise; ``h`` is the first step size, 0.0 to let the loop choose
+    it.
     """
     y = tuple(float(v) for v in y)
-    return t, y, kernel.rhs(t, y, *params), h, 0, 0
+    return t, y, start_slope(kernel, t, y, params), h, 0, 0
 
 
 def dopri5_step(kernel, state, t_limit, direction=1.0, rtol=1e-9, atol=1e-12,
                 max_steps=100000, params=(), whole=False):
     """Advance ``state`` one accepted step of the generated loop, never beyond ``t_limit``.
 
-    Calls ``kernel.advance`` with the limit of one more accepted step (or
+    Calls ``kernel`` with the limit of one more accepted step (or
     no limit, a whole solve to ``t_limit``, with ``whole`` true) from
     ``state = (t, y, f0, h, accepted, rejected)``, in the sign of
     ``direction``, with at most ``max_steps`` attempts counted from the
     state's.  A characteristic kernel also gets the stop arguments that
     never stop a solve (``factor._NO_STOP``).  Returns ``(status, state)``
-    with the state ``advance`` returns, without the start of the last step
+    with the state the kernel returns, without the start of the last step
     that a kernel with a stop test adds.
     """
     t, y, f0, h, accepted, rejected = state
-    code = inspect.unwrap(kernel.advance).__code__
-    stop = _NO_STOP if "stop_lo" in code.co_varnames[:code.co_argcount] else ()
-    status, *state = kernel.advance(
+    status, *state = kernel(
         t, y, f0, h, t_limit, 1.0 if direction >= 0 else -1.0, rtol, atol,
         max_steps, accepted, rejected, math.inf if whole else accepted + 1,
-        *stop, *params)
+        *_stop_args(kernel), *params)
     return status, tuple(state[:6])
 
 

@@ -473,11 +473,13 @@ def test_cli_staircase_undefined_path():
     # with y free, F_y = exp(z)*x vanishes at the base point (the box
     # center), where every staircase path starts; factor-global refuses
     # that base (test_cli_factor_global_rejects_vanishing_free_coefficient),
-    # so the staircase is called directly
+    # so the staircase is called directly; with no target measured there is
+    # no maximum, where 0.0 would read as path-independent
     form = entry("scaled_exact").form
-    _, targets = staircase_defect(form, 1, form.domain.center)
+    worst, targets = staircase_defect(form, 1, form.domain.center)
     assert len(targets) == 4
     assert all(t["defect"] is None for t in targets)
+    assert worst is None
 
 
 @pytest.mark.parametrize("name, var, base, state", [

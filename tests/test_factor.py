@@ -13,6 +13,7 @@ from conftest import (
     entropy,
     inset_samples,
     secant_bisect_root,
+    start_slope,
 )
 from pfaffian import expressions as ex
 from pfaffian import factor, ode, sampling
@@ -526,7 +527,7 @@ def test_path_solve_undefined_at_the_start_raises_analysis_error():
     form = make_form(["x", "y"], ["1", "y"], Box((-1, -1), (1, 1)))
     field = SurfaceField(form, 1, (0.0, 0.5))
     with pytest.raises(ZeroDivisionError):
-        field.kernel.rhs(0.0, (0.0,), 0.0, 0.3)
+        start_slope(field.kernel, 0.0, (0.0,), (0.0, 0.3))
     for _ in range(2):
         with pytest.raises(AnalysisError, match="^surface integration failed"):
             field.value((0.3,), 0.0)
@@ -897,26 +898,24 @@ def _recorded_stops(form, stops, monkeypatch):
     """
     for b in (0, 1):
         kernel = factor._characteristic_kernel(form, b)
-        advance = kernel.advance
 
-        @functools.wraps(advance)
-        def recording(*args, _advance=advance):
-            result = _advance(*args)
-            accepted0, limit = args[9], args[11]
-            lo, hi, level, t_stop, tol, slope = args[12:]
+        @functools.wraps(kernel)
+        def recording(*args, _kernel=kernel):
+            result = _kernel(*args)
+            t_end, accepted0, limit = args[4], args[9], args[11]
+            lo, hi, level, tol, slope = args[12:]
             status, t1, y1, f1, _, accepted, _, _, y0, _ = result
             if status == "ok" and limit not in (math.inf, accepted0 + 1):
                 fired = [name for name, hit in (
                     ("face", not (lo < y0[0] < hi and lo < y1[0] < hi)),
                     ("level", (y0[0] - level) * (y1[0] - level) <= 0),
-                    ("target", abs(t1 - t_stop) <= tol),
+                    ("target", abs(t1 - t_end) <= tol),
                     ("slope", abs(f1[0]) > slope),
                     ("limit", accepted >= limit)) if hit]
                 stops.update(fired or ["none"])
             return result
 
-        monkeypatch.setitem(form.ode_kernels, ("characteristic", b),
-                            ode.OdeKernel(kernel.rhs, recording))
+        monkeypatch.setitem(form.ode_kernels, ("characteristic", b), recording)
 
 
 def test_trace_stops_at_every_check(rng, monkeypatch):
@@ -962,13 +961,14 @@ def test_trace_stops_at_every_check(rng, monkeypatch):
 
 
 # stop arguments that make one check of the stop test hold from some step of
-# xy = 0.84 on, solved for y from x = 1.5 down to x = 0.6: y rises from 0.56
-# through 1.0 at x = 0.84, and the slope -y/x passes -1 at x = 0.917
+# xy = 0.84 on, solved for y from x = 1.5 down to the end x = 0.6: y rises
+# from 0.56 through 1.0 at x = 0.84, the slope -y/x passes -1 at x = 0.917,
+# and x comes within 0.4 of the end at x = 1.0
 _ONE_CHECK = {
-    "face": (-math.inf, 1.0, math.nan, math.nan, 0.0, math.inf),
-    "level": (-math.inf, math.inf, 1.0, math.nan, 0.0, math.inf),
-    "target": (-math.inf, math.inf, math.nan, 1.0, 0.05, math.inf),
-    "slope": (-math.inf, math.inf, math.nan, math.nan, 0.0, 1.0),
+    "face": (-math.inf, 1.0, math.nan, 0.0, math.inf),
+    "level": (-math.inf, math.inf, 1.0, 0.0, math.inf),
+    "target": (-math.inf, math.inf, math.nan, 0.4, math.inf),
+    "slope": (-math.inf, math.inf, math.nan, 0.0, 1.0),
 }
 
 
@@ -980,28 +980,29 @@ def test_segment_call_returns_at_the_first_step_a_check_holds(check):
     as one call per step takes it.
     """
     kernel = factor._characteristic_kernel(entry("product_exact").form, 1)
-    lo, hi, level, t_stop, tol, slope = stop = _ONE_CHECK[check]
+    lo, hi, level, tol, slope = stop = _ONE_CHECK[check]
+    t_end = 0.6
     holds = {
         "face": lambda t1, y0, y1, f1: not (lo < y0 < hi and lo < y1 < hi),
         "level": lambda t1, y0, y1, f1: (y0 - level) * (y1 - level) <= 0,
-        "target": lambda t1, y0, y1, f1: abs(t1 - t_stop) <= tol,
+        "target": lambda t1, y0, y1, f1: abs(t1 - t_end) <= tol,
         "slope": lambda t1, y0, y1, f1: abs(f1) > slope,
     }[check]
-    start = (1.5, (0.56,), kernel.rhs(1.5, (0.56,)), 0.0, 0, 0)
-    args = (0.6, -1.0, 1e-9, 1e-12, 100000)
+    start = (1.5, (0.56,), start_slope(kernel, 1.5, (0.56,)), 0.0, 0, 0)
+    args = (t_end, -1.0, 1e-9, 1e-12, 100000)
     t, y, f0, h, accepted, rejected = start
     steps = 0
     while True:
-        status, *state = kernel.advance(t, y, f0, h, *args, accepted, rejected,
-                                        accepted + 1, *stop)
-        assert status == "ok" and state[0] > 0.6
+        status, *state = kernel(t, y, f0, h, *args, accepted, rejected,
+                                accepted + 1, *stop)
+        assert status == "ok" and state[0] > t_end
         t1, y1, f1, h, accepted, rejected, _, y0, _ = state
         steps += 1
         if holds(t1, y0[0], y1[0], f1[0]):
             break
         t, y, f0 = t1, y1, f1
     assert steps > 2
-    segment = kernel.advance(*start[:4], *args, 0, 0, 100000, *stop)
+    segment = kernel(*start[:4], *args, 0, 0, 100000, *stop)
     assert repr(segment) == repr((status, *state))
 
 
@@ -1079,7 +1080,7 @@ def test_step_probe_returns_the_step_ends_exactly():
     t0, y0, f0, *_ = state = dopri5_start(kernel, 1.0, (1.5,))
     status, (t1, y1, *_) = dopri5_step(kernel, state, 2.0, rtol=1e-11, atol=1e-13)
     assert status == "ok"
-    probe = _step_probe(kernel.advance, t0, y0, f0, t1, y1, 1.0, 1e-11, 1e-13)
+    probe = _step_probe(kernel, t0, y0, f0, t1, y1, 1.0, 1e-11, 1e-13)
     assert probe(0.0) is y0 and probe(1.0) is y1
     # inside the step: one whole solve from the step start, whose first
     # attempt spans the interval
@@ -1094,7 +1095,7 @@ def test_step_probe_failure_raises():
     # y' = 1 / (1 - t): a solve across t = 1 collapses its step
     pole = ode.compile_kernel(1, lambda t, ys, ks: [f"{ks[0]} = 1.0 / (1.0 - {t})"],
                               stop=factor._STOP)
-    probe = _step_probe(pole.advance, 0.0, (0.0,), (1.0,), 2.0, (0.0,), 1.0,
+    probe = _step_probe(pole, 0.0, (0.0,), (1.0,), 2.0, (0.0,), 1.0,
                         1e-9, 1e-12)
     assert probe(0.25)[0] == pytest.approx(-math.log(0.5), rel=1e-8)
     with pytest.raises(factor._ProbeFailed, match="step_rejection"):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -45,6 +46,7 @@ from pfaffian.forms import (
     singular_source,
 )
 from pfaffian.forms import _jacobian
+from pfaffian.sampling import MAX_VARIABLES
 
 BOX2 = Box((-1, -1), (1, 1))
 BOX3 = Box((-1, -1, -1), (1, 1, 1))
@@ -95,6 +97,18 @@ def test_pivot_is_the_first_largest_coefficient():
     assert pivot((math.nan, 1.0)) == 0
     assert pivot((1.0, math.nan)) == 0
     assert pivot((0.0, math.nan)) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pivot_is_the_index_max_picks(n):
+    # every tuple of n sizes from a pool with ties, signed zeros, the
+    # tolerance, infinities and NaN: the rule max(range(n), key=...) states
+    pool = (0.0, -0.0, DEFAULT_SINGULAR_TOL, -2 * DEFAULT_SINGULAR_TOL, 0.5,
+            -0.5, 2.0, math.inf, -math.inf, math.nan)
+    for values in itertools.product(pool, repeat=n):
+        k = max(range(n), key=lambda i: abs(values[i]))
+        want = None if abs(values[k]) <= DEFAULT_SINGULAR_TOL else k
+        assert pivot(values) == want, values
 
 
 @pytest.mark.parametrize("values", [
@@ -267,6 +281,32 @@ def test_substitution_requires_invertible_jacobian():
     with pytest.raises(FormError):
         make_substitution(["u", "v"], ["u+v", "u+v"], (0, 0),
                           Box((-1, -1), (1, 1)))
+
+
+def test_substitution_rejects_repeated_new_variables():
+    # the parser binds a repeated name to its first position, so the
+    # Jacobian has a zero column: the error must name the repeat instead
+    with pytest.raises(FormError, match="^duplicate variable names$"):
+        make_substitution(["u", "u", "w"], ["u", "u", "w"], (0, 0, 0), BOX3)
+
+
+def test_variable_lists_beyond_the_sampling_bound_are_form_errors():
+    # the Halton samples have one prime base per variable, for at most
+    # MAX_VARIABLES variables: a longer list must fail when the form or the
+    # substitution is built, not when a sample is drawn
+    n = MAX_VARIABLES + 1
+    names = [f"x{i}" for i in range(n)]
+    box = Box((-1,) * n, (1,) * n)
+    message = f"^{n} variables; at most {MAX_VARIABLES} are supported$"
+    with pytest.raises(FormError, match=message):
+        make_form(names, ["1"] * n, box)
+    with pytest.raises(FormError, match=message):
+        make_substitution(names, names, (0,) * n, box)
+    text = "".join([f"vars: {', '.join(names)}\n",
+                    *(f"F[{i + 1}] = 1\n" for i in range(n)),
+                    "domain: " + " x ".join(["[-1,1]"] * n) + "\n"])
+    with pytest.raises(FormError, match=message):
+        parse_form_file(text)
 
 
 def test_mild_nonlinear_substitution_valid():

@@ -383,7 +383,7 @@ def _ref_scan_samples(form, points, singular_tol):
             scan.singular += 1
             continue
         scan.used += 1
-        lin, quad = _scale_factors(fvals)
+        lin, quad = _scale_factors(max(abs(v) for v in fvals))
         for i in range(n):
             for j in range(i + 1, n):
                 d = abs(dvals[j][i] - dvals[i][j]) * lin

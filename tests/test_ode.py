@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dopri5_start, dopri5_step, fold, secant_bisect_root
+from conftest import dopri5_start, dopri5_step, fold, secant_bisect_root, start_slope
 from pfaffian import expressions as ex
 from pfaffian.errors import AnalysisError
 from pfaffian.catalog import catalog, entry
 from pfaffian.factor import SurfaceField, _characteristic_kernel, _integrate_unit
-from pfaffian.forms import Box, make_form
+from pfaffian.forms import DEFAULT_SINGULAR_TOL, Box, make_form
 from pfaffian.ode import (
     _A,
     _B5,
@@ -181,7 +181,7 @@ def _drive(step, t_limit, steps=6):
 def _assert_steppers_match(kernel, params, ref, t, y, dt, bounds=None):
     """Generated and reference steppers agree step by step from ``(t, y)``.
 
-    The generated loop runs one accepted step per ``kernel.advance`` call
+    The generated loop runs one accepted step per ``kernel`` call
     (:func:`dopri5_step`, the limit of one more step).  Both start with step size
     ``|dt|`` in the direction of ``dt``, once with a large step budget and
     once with a budget of three attempts.
@@ -235,7 +235,7 @@ def _ref_path_rhs(field, u0, deltas):
             p[idx] = val
         p[free] = xn
         fn_val = fns[free](*p)
-        if fn_val == 0.0:
+        if abs(fn_val) <= DEFAULT_SINGULAR_TOL:
             raise ZeroDivisionError("free coefficient vanished on the path")
         total = 0.0
         for idx, d in zip(field.other, deltas):
@@ -254,8 +254,10 @@ def _outcome(call):
 
 
 def _assert_kernel_matches(kernel, params, ref, t, y, dt, bounds=None):
-    """rhs and the step loop of ``kernel`` equal the reference at (t, y, dt)."""
-    assert _outcome(lambda: kernel.rhs(t, y, *params)) == _outcome(lambda: ref(t, y))
+    """The start slope and the step loop of ``kernel`` equal the reference at
+    (t, y, dt)."""
+    assert (_outcome(lambda: start_slope(kernel, t, y, params))
+            == _outcome(lambda: ref(t, y)))
     try:
         ref(t, y)
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -395,8 +397,7 @@ def test_stage_combinations_add_left_to_right():
     _, compensated, _, _ = _ref_attempt(ref, 0.0, (0.0,), f0, 1.0, total=math.fsum)
     assert y1 == (0.5,) and compensated != y1
     # a huge atol accepts the attempt, whatever its error estimate
-    status, t, y, *_ = kernel.advance(0.0, (0.0,), f0, 1.0, 1.0, 1.0, 1e-9, 1e30,
-                                      1, 0, 0, 1)
+    status, t, y, *_ = kernel(0.0, (0.0,), f0, 1.0, 1.0, 1.0, 1e-9, 1e30, 1, 0, 0, 1)
     assert (status, t, y) == ("ok", 1.0, y1)
     _assert_kernel_matches(kernel, (), ref, 0.0, (0.0,), 1.0)
 
@@ -406,7 +407,7 @@ def test_path_terms_with_zero_increment_are_not_evaluated():
     form = make_form(["x", "y"], ["log(y)", "2"], Box((-1, -1), (1, 1)))
     field = SurfaceField(form, 1, (0.0, 0.5))
     u0, deltas = (0.0,), (0.0,)
-    assert field.kernel.rhs(0.0, (-0.5,), *u0, *deltas) == (-0.0,)
+    assert start_slope(field.kernel, 0.0, (-0.5,), (*u0, *deltas)) == (-0.0,)
     _assert_kernel_matches(field.kernel, (*u0, *deltas),
                            _ref_path_rhs(field, u0, deltas), 0.0, (-0.5,), 0.5,
                            _path_bounds(field))
@@ -436,7 +437,7 @@ def test_vanishing_solved_coefficient_raises_like_reference():
     assert _outcome(lambda: _ref_attempt(ref, 0.1, (0.0,), f0, -0.5)) is ZeroDivisionError
     assert _refused_first_attempt(kernel, (), 0.1, (0.0,), -0.5)
     _assert_steppers_match(kernel, (), ref, 0.1, (0.0,), -0.5)
-    assert _outcome(lambda: kernel.rhs(0.0, (0.3,))) is ZeroDivisionError
+    assert _outcome(lambda: start_slope(kernel, 0.0, (0.3,))) is ZeroDivisionError
 
 
 def test_free_coordinate_leaving_bounds_raises_like_reference():
@@ -452,7 +453,7 @@ def test_free_coordinate_leaving_bounds_raises_like_reference():
     landing = (0.5 * (1.0 + field._free_bounds[1]) - 0.999) / 2.0
     assert _refused_first_attempt(field.kernel, params, 0.0, y, 0.1, landing)
     _assert_steppers_match(field.kernel, params, ref, 0.0, y, 0.1, _path_bounds(field))
-    assert _outcome(lambda: field.kernel.rhs(0.0, (1.5,), *params)) is ValueError
+    assert _outcome(lambda: start_slope(field.kernel, 0.0, (1.5,), params)) is ValueError
 
 
 def test_zero_free_coefficient_raises_like_reference():
@@ -462,13 +463,32 @@ def test_zero_free_coefficient_raises_like_reference():
     u0, deltas = (0.5,), (-0.5,)
     params = (*u0, *deltas)
     ref = _ref_path_rhs(field, u0, deltas)
-    assert _outcome(lambda: field.kernel.rhs(1.0, (0.0,), *params)) is ZeroDivisionError
+    assert (_outcome(lambda: start_slope(field.kernel, 1.0, (0.0,), params))
+            is ZeroDivisionError)
     assert _outcome(lambda: ref(1.0, (0.0,))) is ZeroDivisionError
     f0 = ref(0.0, (0.0,))
     assert _outcome(lambda: _ref_attempt(ref, 0.0, (0.0,), f0, 1.0)) is ZeroDivisionError
     assert _refused_first_attempt(field.kernel, params, 0.0, (0.0,), 1.0)
     _assert_steppers_match(field.kernel, params, ref, 0.0, (0.0,), 1.0,
                           _path_bounds(field))
+
+
+@pytest.mark.parametrize("f_free", ["1e-13", "-1e-12", "0"])
+def test_singular_free_coefficient_raises_like_a_solved_one(f_free):
+    # a surface path divides by F_free where a characteristic divides by its
+    # solved coefficient: both refuse the same singular values
+    form = make_form(["x", "y"], ["1", f_free], Box((-1, -1), (1, 1)))
+    field = SurfaceField(form, 1, (0.0, 0.0))
+    params = (0.0, 0.3)
+    ref = _ref_path_rhs(field, params[:1], params[1:])
+    assert (_outcome(lambda: start_slope(field.kernel, 0.0, (0.0,), params))
+            is ZeroDivisionError)
+    assert _outcome(lambda: ref(0.0, (0.0,))) is ZeroDivisionError
+    characteristic = _characteristic_kernel(form, 1)
+    assert (_outcome(lambda: start_slope(characteristic, 0.0, (0.0,)))
+            is ZeroDivisionError)
+    with pytest.raises(AnalysisError, match="^surface integration failed"):
+        field.value((0.3,), 0.0)
 
 
 def test_log_of_negative_stage_value_raises_like_reference():
@@ -510,8 +530,8 @@ def test_kernel_source_defines_rhs_and_advance_only(monkeypatch):
     (source,) = sources
     defs = [line.split("(")[0] for line in source.splitlines()
             if line.startswith("def ")]
-    assert defs == ["def rhs", "def advance"]
-    assert vars(kernel).keys() == {"rhs", "advance"}
+    assert defs == ["def advance"]
+    assert kernel.__name__ == "advance"
 
 
 def test_dopri5_exponential_decay():
