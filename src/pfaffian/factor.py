@@ -113,16 +113,6 @@ def _tangent(fvals):
     return (fvals[1], -fvals[0])
 
 
-def _unit_tangent(fvals, sign=1.0):
-    """``sign * _tangent(fvals) / |fvals|``.
-
-    The norm is the plain ``sqrt(F_2^2 + F_1^2)``: it overflows to inf for
-    coefficients beyond about 1e154, and the tangent then reads 0 or NaN.
-    """
-    norm = math.sqrt(fvals[1] * fvals[1] + fvals[0] * fvals[0])
-    return (sign * fvals[1] / norm, sign * -fvals[0] / norm)
-
-
 def _stop_test(t0, ys0, t1, ys1, ks1, t_end):
     """Stop test of a characteristic step, in the stop arguments of :data:`_STOP`.
 
@@ -185,12 +175,13 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
     whichever variable currently gives the better-conditioned slope
     (swapping roles with 2x hysteresis), until the domain boundary, the
     ``transversal`` (None for none), a singular point of the form, or the
-    budget of ``MAX_STEPS`` steps.  ``status`` is "transversal", "boundary",
-    "singular" or "max_steps"; ``label`` is the varying-axis coordinate of
-    the transversal crossing, else None.  A start where the coefficients
-    are undefined is an AnalysisError.  The points of the curve, tuples of
-    Python floats from ``start`` along the direction of travel, are appended
-    to the list ``pts`` when one is given.
+    budget of ``MAX_STEPS`` steps; a step that crosses both the transversal
+    and a face ends at the first crossing along it.  ``status`` is
+    "transversal", "boundary", "singular" or "max_steps"; ``label`` is the
+    varying-axis coordinate of the transversal crossing, else None.  A
+    start where the coefficients are undefined is an AnalysisError.  The
+    points of the curve, tuples of Python floats from ``start`` along the
+    direction of travel, are appended to the list ``pts`` when one is given.
 
     Each segment between swaps is one call of the step loop of the form's
     kernel for the solved axis (:func:`_characteristic_kernel`), which
@@ -227,8 +218,10 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
     dependent = pivot(f)  # the larger |F_b| is solved for
     if dependent is None:
         return "singular", None
-    tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
-    sign_a = 1.0 if tau[1 - dependent] >= 0 else -1.0
+    # the sign of the tangent's component along the parameter axis, oriented
+    # by ``direction``; no norm, so that no size of F can overflow it
+    sign = 1.0 if direction >= 0 else -1.0
+    sign_a = 1.0 if sign * _tangent(f)[1 - dependent] >= 0 else -1.0
     steps_used = 0
     level = transversal.value if transversal is not None else None
 
@@ -275,38 +268,35 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
                 return "singular", None
             steps_used = used + accepted
 
-            # dependent-axis box exit: a step across a face ends at the
-            # located crossing; a step out from on (or past) a face, as from
-            # a start on it, ends where it began
+            # the first crossing along the step ends the curve.  The
+            # transversal's level lies inside the box, so a step that meets
+            # it and crosses a face meets it first; a crossing off its span
+            # leaves the face to end the curve.  A step across a face ends at
+            # the located crossing; a step out from on (or past) a face, as
+            # from a start on it, ends where it began
             crossed = None  # (t, y, kind) where the step ends
-            located = None  # (level, kind) of a crossing inside the step
-            for bound, outward in ((low_b, -1.0), (high_b, 1.0)):
-                g0, g1 = prev_y[0] - bound, y[0] - bound
-                if g0 * g1 < 0:
-                    located = (bound, "boundary")
-                elif g0 * outward >= 0 and g1 * outward > 0:
-                    crossed = (prev_t, prev_y, "boundary")
-            # transversal crossing on the dependent axis
-            if crossed is None and located is None and on_b:
-                g0, g1 = prev_y[0] - level, y[0] - level
-                if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
-                    located = (level, "transversal")
-            if located is not None:
-                crossing_level, kind = located
-                try:
-                    probe = _step_probe(kernel, prev_t, prev_y, prev_f0, t, y,
-                                        sign_a, rtol, atol)
-                    # the probe is exact at the step's ends, which bracket the crossing
-                    lam = bisect_root(lambda lam: probe(lam)[0] - crossing_level,
-                                      0.0, 1.0, xtol=1e-14)
-                    t_hit = prev_t + lam * (t - prev_t)
-                    if kind == "boundary" or transversal.on_span(t_hit):
-                        crossed = (t_hit, probe(lam), kind)
-                except _ProbeFailed:
-                    # a probe solve stopped short: its step collapsed where
-                    # the solved coefficient vanishes or is undefined, or its
-                    # attempts ran out
-                    return "singular", None
+            try:
+                if on_b:
+                    g0, g1 = prev_y[0] - level, y[0] - level
+                    if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
+                        t_hit, y_hit = _crossing(kernel, prev_t, prev_y, prev_f0,
+                                                 t, y, sign_a, rtol, atol, level)
+                        if transversal.on_span(t_hit):
+                            crossed = (t_hit, y_hit, "transversal")
+                if crossed is None:
+                    for bound, outward in ((low_b, -1.0), (high_b, 1.0)):
+                        g0, g1 = prev_y[0] - bound, y[0] - bound
+                        if g0 * g1 < 0:
+                            crossed = (*_crossing(kernel, prev_t, prev_y, prev_f0,
+                                                  t, y, sign_a, rtol, atol, bound),
+                                       "boundary")
+                        elif g0 * outward >= 0 and g1 * outward > 0:
+                            crossed = (prev_t, prev_y, "boundary")
+            except _ProbeFailed:
+                # a probe solve stopped short: its step collapsed where the
+                # solved coefficient vanishes or is undefined, or its
+                # attempts ran out
+                return "singular", None
 
             if crossed is not None:
                 t_hit, y_hit, kind = crossed
@@ -346,6 +336,15 @@ def solve_characteristic(form: PfaffianForm, start, direction: int,
 def _point(a, t, y_b):
     """The point with coordinate ``t`` on axis ``a`` and ``y_b`` on the other."""
     return (t, y_b) if a == 0 else (y_b, t)
+
+
+def _crossing(kernel, t0, y0, f0, t1, y1, direction, rtol, atol, level):
+    """``(t, y)`` where the accepted step from ``(t0, y0)`` to ``(t1, y1)``
+    meets ``level`` on the solved axis, bisected over :func:`_step_probe`."""
+    probe = _step_probe(kernel, t0, y0, f0, t1, y1, direction, rtol, atol)
+    # the probe is exact at the step's ends, which bracket the crossing
+    lam = bisect_root(lambda lam: probe(lam)[0] - level, 0.0, 1.0, xtol=1e-14)
+    return t0 + lam * (t1 - t0), probe(lam)
 
 
 class _ProbeFailed(Exception):
@@ -390,10 +389,13 @@ FD_SCALE = 1e-4
 def fd_partial(fn, p, axis, box: Box):
     """Partial derivative of a point evaluator by finite differences.
 
-    Uses the 4th-order central stencil where the box leaves room, a plain
-    central difference when only +-h fits, and a one-sided second-order
-    stencil at the boundary.  ``h = min(FD_SCALE, 1/8) * edge``, so one of
-    them fits at every point of the box.
+    The central difference ``(fn(x + h) - fn(x - h)) / 2h`` wherever ``x +-
+    h`` lies in the box, else the one-sided second-order rule from ``x``
+    inward at a face.  ``h = min(FD_SCALE, 1/8) * edge``, so one of them
+    fits at every point of the box.  It is the only finite difference of
+    the package: with ``h`` at 1e-4 of the edge and values solved to about
+    1e-11, rounding (about 1e-7) outweighs the central difference's
+    truncation (about 2e-9), so a higher-order stencil would buy nothing.
     """
     lo, hi = box.lows[axis], box.highs[axis]
     h = min(FD_SCALE * (hi - lo), (hi - lo) / 8.0)
@@ -404,8 +406,6 @@ def fd_partial(fn, p, axis, box: Box):
         q[axis] = v
         return fn(tuple(q))
 
-    if x - 2 * h >= lo and x + 2 * h <= hi:
-        return (at(x - 2 * h) - 8 * at(x - h) + 8 * at(x + h) - at(x + 2 * h)) / (12 * h)
     if x - h >= lo and x + h <= hi:
         return (at(x + h) - at(x - h)) / (2 * h)
     if x + 2 * h <= hi:
@@ -744,9 +744,10 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
     """Construct psi and mu for an n-variable form from a base fiber.
 
     psi(p) is the fiber coordinate of the level hypersurface through p;
-    mu(p) = F_free(p) * d x_free / d psi, the fiber derivative by centered
-    difference.  Points whose surfaces leave the box are skipped.  The
-    monotonicity of the fiber map is spot-checked and violations flagged.
+    mu(p) = F_free(p) * d x_free / d psi, the fiber derivative by
+    :func:`fd_partial` over the box's free axis.  Points whose surfaces
+    leave the box are skipped.  The monotonicity of the fiber map is
+    spot-checked and violations flagged.
     With ``require_integrable``, a form :func:`integrability.classify`
     calls non_integrable at its default tolerance is an AnalysisError.
     """
@@ -762,8 +763,7 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
     field_ = SurfaceField(form, free_index, base)
     _require_transversal_fiber(form, free_index, field_.base)
     box = form.domain
-    edge_n = box.edges[free_index]
-    delta = FD_SCALE * edge_n
+    fiber = Box((box.lows[free_index],), (box.highs[free_index],))
     flags = {
         "free_index": free_index,
         "base": list(field_.base),
@@ -772,15 +772,9 @@ def global_factorization(form: PfaffianForm, free_index: int, base,
 
     def mu(p):
         p = tuple(float(v) for v in p)
-        s = field_.fiber_through(p)
         u_p = tuple(p[i] for i in field_.other)
-        lo, hi = field_._free_bounds
-        s_lo, s_hi = s - delta, s + delta
-        if s_lo < lo or s_hi > hi:
-            shift = max(lo - s_lo, 0.0) - max(s_hi - hi, 0.0)
-            s_lo += shift
-            s_hi += shift
-        dxn_ds = (field_.value(u_p, s_hi) - field_.value(u_p, s_lo)) / (s_hi - s_lo)
+        dxn_ds = fd_partial(lambda q: field_.value(u_p, q[0]),
+                            (field_.fiber_through(p),), 0, fiber)
         return form.coefficient_tuple_fn(*p)[free_index] * dxn_ds
 
     result = FactorizationResult(psi=field_.fiber_through, mu=mu,

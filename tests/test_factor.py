@@ -17,7 +17,7 @@ from conftest import (
 )
 from pfaffian import expressions as ex
 from pfaffian import factor, ode, sampling
-from pfaffian.catalog import entry
+from pfaffian.catalog import catalog, entry
 from pfaffian.errors import AnalysisError
 from pfaffian.factor import (
     METHOD_GLOBAL,
@@ -27,7 +27,7 @@ from pfaffian.factor import (
     TransversalSpec,
     _SWAP_HYSTERESIS,
     _step_probe,
-    _unit_tangent,
+    _tangent,
     auto_transversal,
     build_potential_2var,
     global_factorization,
@@ -287,8 +287,8 @@ def test_ray_form_levels_match_ratio(rng):
 
 
 @pytest.mark.parametrize("x, offsets, order", [
-    (50.3, {-2, -1, 1, 2}, 4),  # room for +-2h: the 4th-order central stencil
-    (0.015, {-1, 1}, 2),  # within [lo + h, lo + 2h): the plain central difference
+    (50.3, {-1, 1}, 2),  # room for +-h: the central difference
+    (0.015, {-1, 1}, 2),  # within [lo + h, lo + 2h): still the central difference
     (0.005, {0, 1, 2}, 2),  # within h of the low face: one-sided forward
     (100.0, {0, -1, -2}, 2),  # on the high face: one-sided backward
 ])
@@ -356,6 +356,34 @@ def test_verify_fills_result_and_scales_overflowing_rms():
     assert (res.evaluated_points, res.skipped_points) == (8, 0)
     assert res.residual_max == pytest.approx(1e200, rel=1e-9)
     assert res.residual_rms == pytest.approx(1e200, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+def test_verification_sees_a_millionth(name):
+    """The check stays sharp under the central difference: scaling mu by
+    1 + 1e-6, or adding 1e-6 * x_0^2 to psi, lifts residual_max above 5e-7
+    on every catalog entry (two-variable ones on the 9-point grid, the others
+    from the box center with z free, on the 5-point grid)."""
+    form = entry(name).form
+    box = form.domain
+    if form.n == 2:
+        per_axis = 9
+        result = build_potential_2var(form, grid_per_axis=per_axis)
+    else:
+        per_axis = 5
+        result = global_factorization(form, form.n - 1, box.center, per_axis,
+                                      require_integrable=False)
+    assert result.residual_max <= 1e-7 or name == "contact"
+    grid = sampling.box_grid(box.lows, box.highs, per_axis)
+    psi, mu = result.psi, result.mu
+    for perturbed in (
+        FactorizationResult(psi=psi, mu=lambda p: (1 + 1e-6) * mu(p), method="mu"),
+        FactorizationResult(psi=lambda p: psi(p) + 1e-6 * p[0] ** 2, mu=mu,
+                            method="psi"),
+    ):
+        verify_factorization(form, perturbed, grid)
+        assert perturbed.evaluated_points == result.evaluated_points
+        assert perturbed.residual_max > 5e-7, perturbed.method
 
 
 # --- global construction ---------------------------------------------------------
@@ -686,10 +714,11 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
     generated loop directly, when each segment ran a stepper object with its
     own attempt counts, here the state ``(t, y, f0, h, accepted, rejected)``
     of :func:`dopri5_step` over the form's characteristic kernels; with its
-    later rule that a step leaving the box from on a face of the solved axis
-    is a boundary exit.  A crossing inside a step is located by
-    :func:`_ref_crossing`.  Appends one entry to ``swaps`` per change of the
-    solved axis.
+    later rules that a step leaving the box from on a face of the solved axis
+    is a boundary exit, and that a step crossing both the transversal on its
+    span and a face ends at the transversal, which it meets first.  A
+    crossing inside a step is located by :func:`_ref_crossing`.  Appends one
+    entry to ``swaps`` per change of the solved axis.
     """
     singular_tol = DEFAULT_SINGULAR_TOL
     box = form.domain
@@ -706,7 +735,8 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
     f = coeffs(*x)
     if max(abs(f[0]), abs(f[1])) <= singular_tol:
         return "singular", None
-    tau = _unit_tangent(f, 1.0 if direction >= 0 else -1.0)
+    sign = 1.0 if direction >= 0 else -1.0
+    tau = (sign * _tangent(f)[0], sign * _tangent(f)[1])
     dependent = int(np.argmax([abs(f[0]), abs(f[1])]))
     steps_used = 0
     while True:
@@ -744,20 +774,20 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
             locate = functools.partial(_ref_crossing, kernel, step_start,
                                        (t_new, y_new), sign_a, rtol, atol, max_steps)
             try:
-                for bound, outward in ((box.lows[b], -1.0), (box.highs[b], 1.0)):
-                    g0, g1 = prev_y[0] - bound, y_new[0] - bound
-                    if g0 * g1 < 0:
-                        crossed = (*locate(bound), "boundary")
-                    elif g0 * outward >= 0 and g1 * outward > 0:
-                        crossed = (0.0, None, "boundary")
-                if (crossed is None and transversal is not None
-                        and transversal.fixed_axis == b):
+                if transversal is not None and transversal.fixed_axis == b:
                     g0 = prev_y[0] - transversal.value
                     g1 = y_new[0] - transversal.value
                     if g0 * g1 <= 0 and (g0 != 0 or g1 != 0):
                         lam, probe = locate(transversal.value)
                         if transversal.on_span(prev_t + lam * (t_new - prev_t)):
                             crossed = (lam, probe, "transversal")
+                faces = () if crossed else ((box.lows[b], -1.0), (box.highs[b], 1.0))
+                for bound, outward in faces:
+                    g0, g1 = prev_y[0] - bound, y_new[0] - bound
+                    if g0 * g1 < 0:
+                        crossed = (*locate(bound), "boundary")
+                    elif g0 * outward >= 0 and g1 * outward > 0:
+                        crossed = (0.0, None, "boundary")
                 if crossed is not None:
                     lam, probe, kind = crossed
                     t_hit = prev_t + lam * (t_new - prev_t)
@@ -782,7 +812,7 @@ def _ref_trace(form, start, direction, transversal, rtol, atol, max_steps,
                 return "singular", None
             if max(abs(f[0]), abs(f[1])) <= singular_tol:
                 return "singular", None
-            tau_new = _unit_tangent(f)
+            tau_new = _tangent(f)
             if tau_new[0] * tau[0] + tau_new[1] * tau[1] < 0:
                 tau_new = (-tau_new[0], -tau_new[1])
             tau = tau_new
@@ -1045,6 +1075,31 @@ def test_start_leaving_through_its_face_is_a_boundary_exit(name, start):
     assert all(form.domain.contains(p) for p in curve.points)
 
 
+def test_transversal_crossed_before_a_face_in_one_step_labels_the_curve():
+    # x - theta = 0.49 meets the transversal x = 0.5 at theta = 0.01 and the
+    # face x = 1 at theta = 0.51, both inside the one step the straight line
+    # takes: the transversal comes first along it
+    form = entry("rolling_cylinder").form
+    status, label = solve_characteristic(form, (-0.5, -0.99), -1,
+                                         TransversalSpec(0, 0.5), 1e-11, 1e-13)
+    assert status == "transversal"
+    assert label == pytest.approx(0.01, abs=1e-14)
+    # so the default transversal x = 0 labels as many grid points as its
+    # mirror image theta = 0, whose curves need no such step
+    assert (build_potential_2var(form, grid_per_axis=17).evaluated_points
+            == build_potential_2var(form, TransversalSpec(1, 0.0), 17).evaluated_points
+            == 199)
+
+
+@pytest.mark.parametrize("scale", ["", "1e155*", "1e200*"])
+def test_direction_survives_coefficients_whose_norm_overflows(scale):
+    # |F| overflows beyond about 1.34e154: the direction of travel is still
+    # set by the sign of the tangent, so both directions are tried
+    form = make_form(["x", "y"], [f"{scale}y", f"{scale}x"], Box((0.5, 0.5), (1.5, 1.5)))
+    result = build_potential_2var(form, TransversalSpec(1, 1.0), 9)
+    assert result.evaluated_points == 54
+
+
 def test_product_exact_labels_are_true_crossings():
     """xy is constant on the leaves of y dx + x dy: the label is x*y / value."""
     form = entry("product_exact").form
@@ -1167,11 +1222,13 @@ def test_rolling_cylinder_labels_exact(grid, monkeypatch):
 def test_criterion_5_run_attempt_bound(monkeypatch):
     """The global construction of acceptance criterion 5 stays cheap.
 
-    scaled_exact, free z, grid 9: 8,709 path solves, 8,520 of them ending
-    "ok" and 189 as box exits, in 36,914 Dormand-Prince attempts.  Halving
-    the step into the band past the box made 41,509, and the stepper
-    without box exits 449,296 (four solves crawled along the widened bound
-    until the step budget ran out).
+    scaled_exact, free z, grid 9: 5,671 path solves, 5,482 of them ending
+    "ok" and 189 as box exits, in 24,762 Dormand-Prince attempts.  With the
+    4-point stencil in the verification and mu's own centered difference
+    it made 8,709 solves in 36,914 attempts.  Halving the step into the band
+    past the box made 41,509 of those, and the stepper without box exits
+    449,296 (four solves crawled along the widened bound until the step
+    budget ran out).
     """
     attempts, statuses = [], collections.Counter()
     solve = factor._integrate_unit
@@ -1186,5 +1243,5 @@ def test_criterion_5_run_attempt_bound(monkeypatch):
     result = global_factorization(entry("scaled_exact").form, 2, (0.0, 0.0, 0.0),
                                   grid_per_axis=9)
     assert (result.evaluated_points, result.skipped_points) == (541, 188)
-    assert statuses == {"ok": 8520, "box_exit": 189}
+    assert statuses == {"ok": 5482, "box_exit": 189}
     assert sum(attempts) <= 40000
