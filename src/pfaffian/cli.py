@@ -166,12 +166,13 @@ def _factor_report(result, extra=None):
     return report
 
 
-def _factor_csv(form, result, per_axis):
+def _factor_csv(form, result):
+    """The CSV of ``result`` over the grid its verification was given."""
     from .factor import grid_rows
     from .reports import csv_text
 
     header = [*("{}".format(v) for v in form.var_names), "psi", "mu"]
-    return csv_text(header, grid_rows(form, result, per_axis))
+    return csv_text(header, grid_rows(result))
 
 
 def _cmd_factor2(args):
@@ -205,7 +206,7 @@ def _cmd_factor2(args):
     result = build_potential_2var(form, transversal=tv, grid_per_axis=args.grid)
     _emit(json_text(_factor_report(result, {"grid_per_axis": args.grid})), args.out)
     if args.csv:
-        write_text(args.csv, _factor_csv(form, result, args.grid))
+        write_text(args.csv, _factor_csv(form, result))
     return 0
 
 
@@ -231,7 +232,7 @@ def _cmd_factor_global(args):
         extra["staircase"] = {"max_disagreement": worst, "targets": per_target}
     _emit(json_text(_factor_report(result, extra)), args.out)
     if args.csv:
-        write_text(args.csv, _factor_csv(form, result, args.grid))
+        write_text(args.csv, _factor_csv(form, result))
     return 0
 
 

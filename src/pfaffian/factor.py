@@ -12,8 +12,11 @@ hypersurface and mu = F_free * (d x_free / d fiber-coordinate).
 Both integrate with generated Dormand-Prince kernels that the form keeps in
 ``PfaffianForm.ode_kernels``.  All psi/mu evaluators are numerical;
 verify_factorization closes the loop by checking the defining identity with
-finite differences of psi.  Its statistics and the CSV rows of grid_rows
-leave out the same points: those where a value is undefined or not finite.
+finite differences of psi, and keeps the mu it computed at each grid point;
+grid_rows writes the CSV from those.  The two leave out different points:
+the statistics need the psi gradient, mu and F to be defined and finite, the
+rows only psi and mu, so a point whose gradient stencil fails can still have
+a row.
 """
 
 from __future__ import annotations
@@ -428,7 +431,9 @@ class FactorizationResult:
 
     ``psi`` and ``mu`` are point evaluators; they raise AnalysisError
     subclasses at points the construction could not cover (those are the
-    skipped points of the residual statistics).
+    skipped points of the residual statistics).  ``mu_at`` holds ``(p,
+    mu)`` for each point :func:`verify_factorization` was given, in its
+    order (see there).
     """
 
     psi: object
@@ -439,29 +444,40 @@ class FactorizationResult:
     skipped_points: int = 0
     evaluated_points: int = 0
     flags: dict = field(default_factory=dict)
+    mu_at: list = field(default_factory=list)
 
 
 _SKIP_ERRORS = (AnalysisError, EvalDomainError, *ex.UNDEFINED)
 
 
-def _defined_values(evaluate, points):
-    """``(p, evaluate(p))`` for the points where ``evaluate`` raises none of
-    ``_SKIP_ERRORS`` and returns finite values only: the point-skip rule."""
-    for p in points:
-        try:
-            values = evaluate(p)
-        except _SKIP_ERRORS:
+def _defined(evaluate, p):
+    """``evaluate(p)``, or NaN where it raises one of ``_SKIP_ERRORS``: a
+    value that is undefined counts as one that is not finite."""
+    try:
+        return evaluate(p)
+    except _SKIP_ERRORS:
+        return math.nan
+
+
+def grid_rows(result: FactorizationResult):
+    """Rows ``[*p, psi(p), mu(p)]`` of the points verification was given, for
+    those where both values are defined and finite.
+
+    mu is read from ``result.mu_at`` and evaluated only where verification
+    did not reach it; psi is evaluated only where mu is finite.  A point
+    whose gradient stencil failed in verification, and so has no residual,
+    still has a row where psi and mu are defined there.
+    """
+    rows = []
+    for p, mu_p in result.mu_at:
+        if mu_p is None:
+            mu_p = _defined(result.mu, p)
+        if not math.isfinite(mu_p):
             continue
-        if all(map(math.isfinite, values)):
-            yield p, values
-
-
-def grid_rows(form: PfaffianForm, result: FactorizationResult, per_axis: int):
-    """Rows ``[*p, psi(p), mu(p)]`` of the ``per_axis``-point box grid, for
-    the points where both values are defined and finite."""
-    grid = box_grid(form.domain.lows, form.domain.highs, per_axis)
-    return [[*p, *values] for p, values in
-            _defined_values(lambda p: (result.psi(p), result.mu(p)), grid)]
+        psi_p = _defined(result.psi, p)
+        if math.isfinite(psi_p):
+            rows.append([*p, psi_p, mu_p])
+    return rows
 
 
 def _rms(values, scale):
@@ -480,25 +496,38 @@ def verify_factorization(form: PfaffianForm, result: FactorizationResult,
     ``samples`` into ``result``, and return it.
 
     Residual at p is max_i |F_i(p) - mu(p) * dpsi/dx_i(p)| / max(1, |F_i(p)|),
-    with dpsi by finite differences of the psi evaluator.  Samples left out
-    by :func:`_defined_values` are counted as skipped, never fatal.  Where
-    the squares overflow, the rms is scaled by the largest residual.
+    with dpsi by finite differences of the psi evaluator.  At each sample
+    the gradient is taken first, then mu, then F; a sample where one of them
+    raises one of ``_SKIP_ERRORS`` or any value is not finite is counted as
+    skipped, never fatal.  Where the squares overflow, the rms is scaled by
+    the largest residual.
+
+    ``result.mu_at`` gets ``(p, mu)`` for every sample: the value mu
+    returned, NaN where it raised, and None where the gradient raised before
+    mu was called.
     """
-    n = form.n
     fns = form.coefficient_tuple_fn
     box = form.domain
-    samples = list(samples)
-
-    def evaluate(p):
-        return (*fd_gradient(result.psi, p, box), result.mu(p), *fns(*p))
-
+    mu_at = result.mu_at = []
     residuals = []
-    for _, values in _defined_values(evaluate, samples):
-        grad, mu_p, fvals = values[:n], values[n], values[n + 1:]
-        residuals.append(max(abs(f - mu_p * g) / max(1.0, abs(f))
-                             for f, g in zip(fvals, grad)))
+    for p in samples:
+        try:
+            grad = fd_gradient(result.psi, p, box)
+        except _SKIP_ERRORS:
+            mu_at.append((p, None))
+            continue
+        mu_p = _defined(result.mu, p)
+        mu_at.append((p, mu_p))
+        try:
+            fvals = fns(*p)
+        except _SKIP_ERRORS:
+            continue
+        values = (*grad, mu_p, *fvals)
+        if all(map(math.isfinite, values)):
+            residuals.append(max(abs(f - mu_p * g) / max(1.0, abs(f))
+                                 for f, g in zip(fvals, grad)))
     result.evaluated_points = len(residuals)
-    result.skipped_points = len(samples) - len(residuals)
+    result.skipped_points = len(mu_at) - len(residuals)
     result.residual_max = max(residuals, default=math.nan)
     result.residual_rms = _rms(residuals, 1.0)
     if not math.isfinite(result.residual_rms):  # the squares overflow

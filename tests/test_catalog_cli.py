@@ -735,7 +735,10 @@ def test_off_center_base_report_byte_identical(tmp_path, capsys, monkeypatch):
     verification's stencil became the central difference and mu's fiber
     derivative came to use it: 4,651 path solves in 23,560 attempts, with
     the same box exits, and the residual moved at the level of the solves'
-    errors.
+    errors.  The run counts the solves of its CSV too.  Those fell when the
+    CSV came to read the mu that verification computed and to solve psi
+    only where mu is finite: 663 box exits in 2,511 refused attempts (743
+    in 3,508 before), the same 3,908 ok solves, and the same bytes.
     """
     solves = collections.Counter()
     solve = factor._integrate_unit
@@ -753,10 +756,37 @@ def test_off_center_base_report_byte_identical(tmp_path, capsys, monkeypatch):
     report = json.loads(out)
     assert (report["evaluated_points"], report["skipped_points"]) == (364, 365)
     assert report["residual_max"] == pytest.approx(2.718e-12, rel=1e-3, abs=0.0)
-    assert solves == {"ok": 3908, "ok_rejected": 0, "box_exit": 743,
-                      "box_exit_rejected": 3508}
+    assert solves == {"ok": 3908, "ok_rejected": 0, "box_exit": 663,
+                      "box_exit_rejected": 2511}
     assert digest == ("ecbd2dbdd9ddbf0d4bb704c9b330769c"
                       "f17e9cd90aadbad3b680bb63b12ba70f")
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog() if e.form.n == 2])
+def test_factor_csv_solves_at_most_one_characteristic_per_row(
+        name, tmp_path, capsys, monkeypatch):
+    """factor2 --grid 9: the CSV reads the mu that verification computed and
+    solves psi only where mu is defined, so it adds at most one
+    characteristic solve per row to the run without it.  Re-evaluating both
+    took 72 solves for 54 rows on product_exact, 73 for 51 on
+    rolling_cylinder and 71 for 54 on ray_form."""
+    path = _catalog_file(tmp_path, name)
+    solves = collections.Counter()
+    solve = factor.solve_characteristic
+
+    def counting(*args):
+        solves[csv] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(factor, "solve_characteristic", counting)
+    csv_path = tmp_path / "rows.csv"
+    for csv in (False, True):
+        argv = ["factor2", path, "--grid", "9"]
+        assert main(argv + ["--csv", str(csv_path)] if csv else argv) == 0
+    capsys.readouterr()
+    rows = len(csv_path.read_text().splitlines()) - 1
+    assert rows > 0
+    assert solves[True] - solves[False] <= rows
 
 
 # --- one compile per check job; F-only commands build no Jacobian ----------------

@@ -386,6 +386,71 @@ def test_verification_sees_a_millionth(name):
         assert perturbed.residual_max > 5e-7, perturbed.method
 
 
+def test_verification_keeps_mu_and_the_rows_read_it():
+    """On F = (1, 1) over [-1, 1]^2 with psi = x + y and mu = 1: psi fails
+    at x > 0.5 (so the gradient fails at x = 0.5 and beyond, before mu is
+    called) and mu raises at y < -0.5 and is infinite at y = 1.  The rows
+    call mu only where verification did not, and psi only where mu is
+    finite."""
+    form = make_form(["x", "y"], ["1", "1"], Box((-1, -1), (1, 1)))
+    calls = collections.Counter()
+
+    def psi(p):
+        calls["psi", p] += 1
+        if p[0] > 0.5:
+            raise AnalysisError("no characteristic")
+        return p[0] + p[1]
+
+    def mu(p):
+        calls["mu", p] += 1
+        if p[1] < -0.5:
+            raise AnalysisError("no mu")
+        return math.inf if p[1] == 1.0 else 1.0
+
+    result = FactorizationResult(psi=psi, mu=mu, method="marked")
+    grid = sampling.box_grid((-1, -1), (1, 1), 5)
+    verify_factorization(form, result, grid)
+    # None where the gradient failed first, NaN where mu raised
+    assert [(p, "nan" if m != m else m) for p, m in result.mu_at] == [
+        ((x, y), None if x >= 0.5 else "nan" if y < -0.5
+         else math.inf if y == 1.0 else 1.0)
+        for x, y in grid]
+    # x in (-1, -0.5, 0), y in (-0.5, 0, 0.5)
+    assert (result.evaluated_points, result.skipped_points) == (9, 16)
+
+    calls.clear()
+    rows = factor.grid_rows(result)
+    reached = [p for p in grid if p[0] < 0.5]
+    assert not any(calls["mu", p] for p in reached)
+    assert all(calls["mu", p] == 1 for p in grid if p not in reached)
+    finite_mu = [p for p in grid if -0.5 <= p[1] < 1.0]
+    assert sorted(p for (kind, p), c in calls.items() if kind == "psi" and c) \
+        == sorted(finite_mu)
+    # psi is defined up to x = 0.5, so that column keeps its rows although
+    # its gradient stencil reaches past it
+    assert rows == [[x, y, x + y, 1.0] for x, y in finite_mu if x <= 0.5]
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog() if e.form.n == 2])
+def test_two_variable_rows_are_the_evaluated_points(name):
+    """factor2 at grid 9: the CSV has a row at each point with a residual,
+    and no other; psi and mu fail together with the gradient there."""
+    result = build_potential_2var(entry(name).form, grid_per_axis=9)
+    assert len(factor.grid_rows(result)) == result.evaluated_points
+
+
+@pytest.mark.parametrize("per_axis, evaluated, rows", [(5, 73, 93), (9, 541, 585)])
+def test_global_rows_include_points_without_a_residual(per_axis, evaluated, rows):
+    """scaled_exact from the center with z free: the CSV has more rows than
+    the report has evaluated points.  The extra rows are points where psi
+    and mu are defined but a path solve of the gradient stencil leaves the
+    box."""
+    form = entry("scaled_exact").form
+    result = global_factorization(form, 2, form.domain.center, per_axis)
+    assert result.evaluated_points == evaluated
+    assert len(factor.grid_rows(result)) == rows
+
+
 # --- global construction ---------------------------------------------------------
 
 
