@@ -95,6 +95,7 @@ __all__ = [
     "to_string",
     "differentiate",
     "substitute",
+    "variables",
     "compile_scalar",
     "compile_tuple",
     "call_checked",
@@ -447,6 +448,15 @@ def substitute(e: Expression, replacements) -> Expression:
         a = substitute(e.arg, replacements)
         return neg(a) if e.op == "neg" else func(e.op, a)
     raise TypeError(f"not an Expression node: {e!r}")
+
+
+def variables(exprs) -> set:
+    """The indices ``i`` of the ``Var(i)`` nodes in ``exprs``."""
+    memo = {}
+    mask = 0
+    for e in exprs:
+        mask |= _derivative_entry(e, memo)[1]
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ pivot changes, for the other pivot's loop to go on, or where the rollout
 ends.  A leg of the scan is one call per chunk of steps.  Where a step
 leaves the ball or the box, the loop locates the crossing by bisection on
 the step fraction, re-stepping through its one copy of the step body.
+
+A loop is built for its form: what the coefficient trees decide is settled
+when its source is written.  A constant coefficient is a literal, neither
+tested nor divided by where that is decided already; a stage is evaluated
+only where its point changes a coordinate F reads, and a stage coordinate
+only where F reads it.  Each float operation left is that of the RK4 step
+written stage by stage, in the same order, and each one dropped is an
+identity on the values the loops hold (see :func:`_step_lines`).
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .forms import (
     coefficient_vector,
     distance,
     pivot,
+    singular,
     singular_source,
 )
 from .sampling import linspace
@@ -52,6 +61,13 @@ MAX_SEGMENTS = 48
 # ---------------------------------------------------------------------------
 
 
+def _values(form: PfaffianForm, name):
+    """Texts of F at the point of stage ``name``: ``<name><i>``, or the
+    literal of a constant coefficient, which no stage binds to a name."""
+    return [ex.python_literal(e.value) if type(e) is ex.Const else f"{name}{i}"
+            for i, e in enumerate(form.coefficients)]
+
+
 def _step_lines(form: PfaffianForm, k, pad, residual):
     """Source lines of one constrained RK4 step of ``form`` with pivot ``k``.
 
@@ -66,57 +82,115 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
     where the solved velocity is not within (-1e300, 1e300), which a NaN
     coefficient fails: the pivot is lost, and like an undefined operation
     that is an error of ``ex.UNDEFINED``.
+
+    The lines settle what the coefficient trees decide:
+    - A constant coefficient is its literal wherever the step reads it
+      (:func:`_values`), in the state too: both loops hold ``a<i> = F(x)``
+      at every step.  No stage binds it.  A solve drops its term where it
+      is 0.0 and writes ``v<i>`` for ``1.0 * v<i>``.  A constant pivot is
+      tested by ``forms.singular`` here: where it is singular the step is
+      that one raise, else it has no test, and it is not divided by where
+      it is 1.0.
+    - A stage whose texts are an earlier stage's is that stage, its values
+      and its solved velocity: stage 3 is stage 2 where F does not read the
+      pivot coordinate, and every stage is the state where F is constant.
+    - A stage coordinate that F does not read is not computed.
+    - In the residual and in |F(X)|^2, a constant's term is a float worked
+      out here by the operations of the text; a term of 0.0 is dropped, and
+      a Simpson weight of 1.0 leaves the bare ``D<i>``.
+
+    Each float operation left is that of the step written stage by stage,
+    in the same order, and each one dropped is an identity on the values
+    the loops hold: ``x / 1.0`` is ``x``; a sum added left to right from
+    ``0.0`` is never ``-0.0``, so adding a zero leaves it as it is; the free
+    velocity and ``D<i>`` are finite; and one text on the same inputs gives
+    the same floats.  A form with no constant coefficient that reads every
+    coordinate gets the step written stage by stage.
     """
     n = form.n
     free = [i for i in range(n) if i != k]
+    consts = {i: e.value for i, e in enumerate(form.coefficients)
+              if type(e) is ex.Const}
+    varying = [i for i in range(n) if i not in consts]
+    read = ex.variables(form.coefficients)
+    lit = ex.python_literal
+    lost = "raise ZeroDivisionError('solved coefficient below tolerance')"
+    if k in consts and singular([consts[k]]):
+        return [pad + lost]
     lines = []
 
+    def at(names):
+        # the texts of F at the point ``names``, a constant as its literal: a
+        # subtree shared by two coefficients is computed once, in the line
+        # of the first (the lines run in order)
+        return tuple(ex.python_sources(form.coefficients, names))
+
     def solve(f, p):
-        acc = "".join(f" + {f}{i} * v{i}" for i in free)
+        acc = ""
+        for i in free:
+            c = consts.get(i)
+            if c is None or c != 0.0:
+                acc += f" + v{i}" if c == 1.0 else f" + {f[i]} * v{i}"
+        if k not in consts:
+            lines.extend([f"if {singular_source(f[k])}:", f"    {lost}"])
+        quotient = "" if consts.get(k) == 1.0 else f" / {f[k]}"
         lines.extend([
-            f"if {singular_source(f'{f}{k}')}:",
-            "    raise ZeroDivisionError('solved coefficient below tolerance')",
-            f"{p} = -(0.0{acc}) / {f}{k}",
+            f"{p} = -(0.0{acc}){quotient}",
             f"if not -1e300 < {p} < 1e300:",
             "    raise ArithmeticError('constraint solve gave a non-finite velocity')",
         ])
 
-    def coefficients(f, names):
-        # one text per stage: a subtree shared by two coefficients is
-        # computed once, in the line of the first (the lines run in order)
-        texts = ex.python_sources(form.coefficients, names)
-        lines.extend(f"{f}{i} = {t}" for i, t in enumerate(texts))
+    fa = tuple(_values(form, "a"))
+    stages = {fa: (fa, "p1")}  # the texts of F at a stage -> its values, velocity
+    solve(fa, "p1")
+
+    def stage(f, p, names, coords):
+        # F as ``f<i>`` at the point ``names``, its coordinates ``coords``
+        # written where F reads them, and its solved velocity ``p``
+        texts = at(names)
+        if texts not in stages:
+            lines.extend(f"{names[i]} = {v}" for i, v in coords if i in read)
+            lines.extend(f"{f}{i} = {texts[i]}" for i in varying)
+            stages[texts] = _values(form, f), p
+            solve(*stages[texts])
+        return stages[texts]
 
     # stage points: free components move with vfree, the pivot with the
     # solved velocity of the previous stage, so stages 2 and 3 differ only
     # in the pivot component
-    solve("a", "p1")
-    lines.extend(f"y{i} = x{i} + hv{i}" for i in free)
-    lines.append(f"y{k} = x{k} + h * p1")
-    coefficients("b", [f"y{i}" for i in range(n)])
-    solve("b", "p2")
-    lines.append(f"z{k} = x{k} + h * p2")
-    coefficients("c", [f"z{i}" if i == k else f"y{i}" for i in range(n)])
-    solve("c", "p3")
-    lines.extend(f"u{i} = x{i} + dv{i}" for i in free)
-    lines.append(f"u{k} = x{k} + dt * p3")
-    coefficients("d", [f"u{i}" for i in range(n)])
-    solve("d", "p4")
+    y = [f"y{i}" for i in range(n)]
+    fb, p2 = stage("b", "p2", y, [*((i, f"x{i} + hv{i}") for i in free),
+                                  (k, f"x{k} + h * p1")])
+    z = [f"z{k}" if i == k else y[i] for i in range(n)]
+    fc, p3 = stage("c", "p3", z, [(k, f"x{k} + h * {p2}")])
+    _, p4 = stage("d", "p4", [f"u{i}" for i in range(n)],
+                  [*((i, f"x{i} + dv{i}") for i in free), (k, f"x{k} + dt * {p3}")])
     lines.extend(f"X{i} = x{i} + qv{i}" for i in free)
-    lines.append(f"X{k} = x{k} + q * (p1 + 2.0 * p2 + 2.0 * p3 + p4)")
-    coefficients("e", [f"X{i}" for i in range(n)])
+    lines.append(f"X{k} = x{k} + q * (p1 + 2.0 * {p2} + 2.0 * {p3} + {p4})")
+    texts = at([f"X{i}" for i in range(n)])
+    lines.extend(f"e{i} = {texts[i]}" for i in varying)
     if residual:
         # Simpson residual of the form paired with the step chord
+        fe = _values(form, "e")
         lines.extend(f"D{i} = X{i} - x{i}" for i in range(n))
-        pairing = ex.python_sum(
-            f"(a{i} + 4.0 * (0.5 * (b{i} + c{i})) + e{i}) / 6.0 * D{i}"
-            for i in range(n)
-        )
-        fsq = ex.python_sum(f"e{i} * e{i}" for i in range(n))
+        pairing = []
+        fsq = []
+        for i in range(n):
+            c = consts.get(i)
+            if c is None:
+                pairing.append(f"({fa[i]} + 4.0 * (0.5 * ({fb[i]} + {fc[i]})) + "
+                               f"{fe[i]}) / 6.0 * D{i}")
+                fsq.append(f"{fe[i]} * {fe[i]}")
+                continue
+            w = (c + 4.0 * (0.5 * (c + c)) + c) / 6.0
+            if w != 0.0:
+                pairing.append(f"D{i}" if w == 1.0 else f"{lit(w)} * D{i}")
+            if c * c != 0.0:
+                fsq.append(lit(c * c))
         dsq = ex.python_sum(f"D{i} * D{i}" for i in range(n))
         lines.extend([
-            f"pairing = {pairing}",
-            f"fmag = _sqrt({fsq})",
+            f"pairing = {ex.python_sum(pairing)}",
+            f"fmag = _sqrt({ex.python_sum(fsq)})",
             f"dxmag = _sqrt({dsq})",
             "if fmag == 0.0 or dxmag == 0.0:",
             "    res = 0.0",
@@ -173,12 +247,17 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     when no trial did; a trial that raises leaves no crossing.
 
     Each float operation is that of the RK4 step written stage by stage, in
-    the same order: the solved velocity is ``-(0.0 + sum of F_i v_i) /
-    F_k``, and the sums of the residual and of the containment test add
+    the same order, minus the operations the coefficient trees settle when
+    the loop is built, each an identity on the values the loop holds
+    (:func:`_step_lines`): the solved velocity is ``-(0.0 + sum of F_i v_i)
+    / F_k``, and the sums of the residual and of the containment test add
     their terms left to right from ``0.0`` (:func:`ex.python_sum`), as the
     builtin ``sum`` does up to Python 3.11.  ``tests/test_reach.py`` keeps
     that stage-by-stage form, and loops that take one step per iteration in
-    Python, as the references the loop must match bit for bit.
+    Python, as the references the loop must match bit for bit.  The loop
+    holds ``fx = F(x)`` at every state it starts from, steps to and
+    returns, so ``fx`` must be ``F(x)``: it carries a constant coefficient
+    as its literal, not as the value passed in.
 
     ``kind`` "rollout" gives ``rollout(x, fx, rows, r, steps, left, rmax,
     step, ends, counts)``, one rollout of :func:`explore` from ``(x, fx)``.
@@ -216,6 +295,18 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     def point(name):
         return ex.python_tuple(f"{name}{i}" for i in range(n))
 
+    # F is carried as its values ``a``, ``e`` and ``g`` beside the points
+    # ``x``, ``X`` and ``w``, its constant coefficients as their literals
+    fa = _values(form, "a")
+    varying = [i for i, e in enumerate(form.coefficients) if type(e) is not ex.Const]
+
+    def values(name):
+        return ex.python_tuple(_values(form, name))
+
+    def state(x, f):
+        return ex.python_tuple([*(f"{x}{i}" for i in range(n)),
+                                *(f"{f}{i}" for i in varying)])
+
     def in_box(name):
         return " and ".join(
             f"{lit(lo)} <= {name}{i} <= {lit(hi)}"
@@ -225,7 +316,8 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     # ``d ** 2 != d * d`` for 2,676 of 3,000,000 uniform draws of d in
     # [-1, 1], and a square one ulp off can move a step across the sphere.
     dist2 = ex.python_sum(f"(X{i} - {lit(c)}) ** 2" for i, c in enumerate(center))
-    state = f"({point('x')}), ({point('a')})"
+    carried = f"({point('x')}), ({values('a')})"
+    unpacked = ex.python_tuple(f"a{i}" if i in varying else "_" for i in range(n))
     if rollout:
         near = f"{dist2} <= {lit(epsilon * epsilon)}"
         ended = "return None, r, steps + s, left - s, rmax, x, fx"
@@ -247,9 +339,9 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
         gap = []
     else:
         near = f"_sqrt({dist2}) <= {lit(epsilon * (1 + 1e-12))}"
-        lost = [f"return {CUT!r} if bis else {LOST!r}, s, best, {state}"]
-        done = [f"return {DONE!r}, s, best, {state}"]
-        crossing = [f"return {EXIT!r}, s, best, ({point('w')}), ({point('g')})"]
+        lost = [f"return {CUT!r} if bis else {LOST!r}, s, best, {carried}"]
+        done = [f"return {DONE!r}, s, best, {carried}"]
+        crossing = [f"return {EXIT!r}, s, best, ({point('w')}), ({values('g')})"]
         # forms.distance of the new state to the target
         gap = [
             f"dist = _sqrt({ex.python_sum(f'(x{i} - t{i}) ** 2' for i in range(n))})",
@@ -271,21 +363,21 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
         "    if bis:",
         "        if inside:",
         "            lo = mid",
-        f"            {point('w')}, {point('g')} = {point('X')}, {point('e')}",
+        f"            {state('w', 'g')} = {state('X', 'e')}",
         "        else:",
         "            hi = mid",
         "    else:",
         "        s += 1",
         *(["        if res > rmax:", "            rmax = res"] if rollout else []),
         "        if inside:",
-        f"            {point('x')}, {point('a')} = {point('X')}, {point('e')}",
+        f"            {state('x', 'a')} = {state('X', 'e')}",
         *("            " + line for line in gap),
         "            if s < m:",
         "                continue",
         *("            " + line for line in done),
         "        bis = True",
         "        lo, hi = 0.0, 1.0",
-        f"        {point('w')}, {point('g')} = {point('x')}, {point('a')}",
+        f"        {state('w', 'g')} = {state('x', 'a')}",
         "    if hi - lo < 1e-12:",
         *("        " + line for line in crossing),
         "    mid = 0.5 * (lo + hi)",
@@ -301,23 +393,23 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
         lines = [
             "def rollout(x, fx, rows, r, steps, left, rmax, step, ends, counts):",
             f"    {point('x')} = x",
-            f"    {point('a')} = fx",
+            f"    {unpacked} = fx",
             "    bis = False",
             "    while True:",
             "        if not bis:",
             "            s = 0",
-            "            big = abs(a0)",
+            f"            big = abs({fa[0]})",
             "            j = 0",
         ]
         for i in range(1, n):
-            lines.extend([f"            if abs(a{i}) > big:",
-                          f"                big, j = abs(a{i}), {i}"])
+            lines.extend([f"            if abs({fa[i]}) > big:",
+                          f"                big, j = abs({fa[i]}), {i}"])
         lines.extend([
             "            if r == len(rows) or left <= 0 or "
             f"{singular_source('big')}:",
             f"                {ended}",
             f"            if j != {k}:",
-            f"                return j, r, steps, left, rmax, {state}",
+            f"                return j, r, steps, left, rmax, {carried}",
             "            row = rows[r]",
             "            r += 1",
             "            norm = _sqrt(row.dot(row))",
@@ -334,7 +426,7 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
             "def leg(x, fx, vfree, step, m, target, best):",
             f"    {point('t')} = target",
             f"    {point('x')} = x",
-            f"    {point('a')} = fx",
+            f"    {unpacked} = fx",
             *([f"    {vfree} = vfree"] if free else []),
             "    dt = step",
             "    s = 0",

@@ -471,6 +471,15 @@ def test_substitute_composition(rng):
         assert _rel_close(oracle.evaluate(composed, (u, v)), direct, 1e-12)
 
 
+def test_variables_are_the_indices_the_trees_read():
+    names = ["x", "y", "z", "w"]
+    exprs = [ex.parse_expression(t, names)
+             for t in ("exp(y) * sqrt(z)^-2", "-y / 3", "2.5", "sin(1) + x - x")]
+    assert ex.variables(exprs) == {0, 1, 2}
+    assert ex.variables(exprs[1:3]) == {1}
+    assert ex.variables([ex.Const(1.0), ex.func("exp", ex.Const(1.0))]) == set()
+
+
 def test_nodes_are_immutable():
     node = ex.Var(0)
     with pytest.raises(Exception):

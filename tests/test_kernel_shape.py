@@ -8,6 +8,12 @@ exception that never leaves the step loop, and no module reads a kernel's
 ``expressions.UNDEFINED`` where a value is undefined or a curve's pivot is
 lost, or ``_LeftBounds``, and every ``expressions.exec_source`` call adds no
 name to the kernel namespace but ``_LeftBounds``.  The census is syntactic.
+
+A null-curve step is built from what its form's trees fix: on ``contact``
+(F = (-y, 0, 1), pivot z) the rollout evaluates F at three stages per
+step, not four, and never tests its constant pivot, while a form with no
+constant coefficient that reads every coordinate keeps all four stages and
+a singular test per solve.  The census counts them in the rollout's source.
 """
 
 import ast
@@ -16,6 +22,8 @@ import pathlib
 import re
 
 import pfaffian
+from pfaffian import expressions, reach
+from pfaffian.catalog import entry
 from pfaffian.expressions import UNDEFINED
 
 SRC = pathlib.Path(pfaffian.__file__).parent
@@ -26,6 +34,9 @@ _RAISE_TEXT = re.compile(r"\braise\s+([A-Za-z_][A-Za-z0-9_.]*)")
 def _trees():
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(SRC.glob("*.py"))}
+
+
+_STAGE_LINE = re.compile(r"^ *([b-e])[0-9]+ = ", re.MULTILINE)
 
 
 def _raises_undefined(name):
@@ -118,3 +129,36 @@ def test_census_sees_classes_attributes_raises_and_extras():
     assert kernel_attributes(tree) == [3, 4]
     assert generated_raises(tree) == [(5, "_Lost"), (9, "AnalysisError")]
     assert exec_source_extras(tree) == [(10, "_Lost"), (11, None)]
+
+
+def rollout_source(form, k, monkeypatch):
+    """The source of the rollout loop of ``form`` with pivot ``k``."""
+    sources = []
+    exec_source = expressions.exec_source
+
+    def keep(source, label, **extra):
+        sources.append(source)
+        return exec_source(source, label, **extra)
+
+    monkeypatch.setattr(expressions, "exec_source", keep)
+    reach._compile_loop(form, k, form.domain.center, 0.3, "rollout")
+    return sources[-1]
+
+
+def step_census(source):
+    """``(stages, tests)``: the letters of the coefficient stages ``b`` to
+    ``e`` the step binds, and the number of its singular tests."""
+    stages = "".join(sorted(set(_STAGE_LINE.findall(source))))
+    return stages, source.count("raise ZeroDivisionError")
+
+
+def test_contact_step_has_three_stages_and_no_singular_test(monkeypatch):
+    # F does not read z, so stage 3 is stage 2, and F_z = 1 is not singular
+    assert step_census(rollout_source(entry("contact").form, 2, monkeypatch)) == (
+        "bde", 0)
+
+
+def test_a_form_reading_every_coordinate_keeps_every_stage(monkeypatch):
+    form = entry("scaled_exact").form  # exp(z) (y, x, 1)
+    for k in range(form.n):
+        assert step_census(rollout_source(form, k, monkeypatch)) == ("bcde", 4)

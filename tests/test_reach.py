@@ -64,7 +64,7 @@ def _loop_step(form, k, tol):
         "    except (ValueError, ArithmeticError):",
         f"        return {LOST!r}",
         f"    return ({ex.python_tuple(f'X{i}' for i in range(n))}), "
-        f"({ex.python_tuple(f'e{i}' for i in range(n))}), res",
+        f"({ex.python_tuple(reach._values(form, 'e'))}), res",
     ])
     return ex.exec_source(source + "\n", "step")["step"]
 
@@ -174,27 +174,39 @@ def _outcome(call):
         return type(exc)
 
 
-# together these use every node kind: exp, log, sin, cos, sqrt, ^ (positive
-# and negative exponents), division, negation and a constant coefficient
+# (id, names, texts, box, singular_tol): together the n<k> forms use every
+# node kind: exp, log, sin, cos, sqrt, ^ (positive and negative exponents),
+# division, negation and a constant coefficient.  The others exercise what
+# the step settles when it is built: constant coefficients 0.0 (dropped),
+# 1.0 (not multiplied or divided by), -1.0 and 1.5; stages that repeat an
+# earlier one (F does not read the pivot coordinate, or is constant); and
+# constant pivots at the tolerance, just above it, and under a patched one.
 STEP_FORMS = [
-    (["x", "y"], ["exp(x) * y + 2", "-(x / (1 + y^2))"], Box((-0.5,) * 2, (0.5,) * 2)),
-    (["x", "y", "z"], ["log(2 + x) * z - 1", "sin(y) - cos(z)", "sqrt(3 + x * y)"],
-     Box((-0.5,) * 3, (0.5,) * 3)),
-    (["x", "y", "z", "w"],
+    ("n2", ["x", "y"], ["exp(x) * y + 2", "-(x / (1 + y^2))"],
+     Box((-0.5,) * 2, (0.5,) * 2), 1e-12),
+    ("n3", ["x", "y", "z"], ["log(2 + x) * z - 1", "sin(y) - cos(z)", "sqrt(3 + x * y)"],
+     Box((-0.5,) * 3, (0.5,) * 3), 1e-12),
+    ("n4", ["x", "y", "z", "w"],
      ["1.5", "x * y^3 - w", "cos(x + z) / (2 + sin(w))", "exp(-y) + z^2"],
-     Box((-0.5,) * 4, (0.5,) * 4)),
-    (["x", "y", "z", "u", "v"],
+     Box((-0.5,) * 4, (0.5,) * 4), 1e-12),
+    ("n5", ["x", "y", "z", "u", "v"],
      ["v^-1 + x", "sqrt(4 - y^2) * u", "-log(3 + z)", "sin(x * y) + 0.25",
       "exp(u - v) / (1 + x^2)"],
-     Box((-0.5, -0.5, -0.5, -0.5, 0.5), (0.5, 0.5, 0.5, 0.5, 1.5))),
+     Box((-0.5, -0.5, -0.5, -0.5, 0.5), (0.5, 0.5, 0.5, 0.5, 1.5)), 1e-12),
+    ("constant", ["x", "y", "z", "w"], ["0", "-1", "1.5", "1"],
+     Box((-0.5,) * 4, (0.5,) * 4), 1e-12),
+    ("pivot-free", ["x", "y", "z"], ["-y", "0", "1 + x^2"],
+     Box((-0.5,) * 3, (0.5,) * 3), 1e-12),
+    ("tol-edge", ["x", "y", "z"], ["1e-12", "2e-12", "x * y"],
+     Box((-0.5,) * 3, (0.5,) * 3), 1e-12),
+    ("patched-tol", ["x", "y"], ["0.3", "2 + y"], Box((-0.5,) * 2, (0.5,) * 2), 0.45),
 ]
 
 
-@pytest.mark.parametrize("names, texts, box", STEP_FORMS,
-                         ids=[f"n{len(f[0])}" for f in STEP_FORMS])
-def test_generated_step_bit_identical(names, texts, box):
+@pytest.mark.parametrize("names, texts, box, tol", [f[1:] for f in STEP_FORMS],
+                         ids=[f[0] for f in STEP_FORMS])
+def test_generated_step_bit_identical(names, texts, box, tol):
     form = make_form(names, texts, box)
-    tol = 1e-12
     rng = np.random.default_rng(len(names))
     lows, highs = np.asarray(box.lows), np.asarray(box.highs)
     for k in range(form.n):
@@ -709,6 +721,9 @@ SQRT_EDGE = make_form(["x", "y", "z"], ["sqrt(x)", "1", "y"],
 # the step toward x < 0 fails at once: a scan leg's first chunk takes no step
 LOG_WALL = make_form(["x", "y"], ["-log(x) - 3", "1"], Box((1e-3, -1), (2, 1)))
 PIVOT_DROP = make_form(["x", "y"], ["x", "0.3"], Box((-1, -1), (1, 1)))
+# steps built from constants alone, and with stage 3 that of stage 2
+CONSTANT = make_form(["x", "y", "z"], ["0", "-1", "1.5"], Box((-1,) * 3, (1,) * 3))
+PIVOT_FREE = make_form(["x", "y", "z"], ["-y", "0", "1 + x^2"], Box((-1,) * 3, (1,) * 3))
 CATALOG = {e.name: e.form for e in catalog()}
 
 # (form, base, epsilon, singular_tol): the catalog entries at their box
@@ -724,6 +739,8 @@ LOOP_CASES = [
     ("log-wall", LOG_WALL, (0.003, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
     ("sqrt-edge", SQRT_EDGE, (0.02, 0.0, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
     ("pivot-drop", PIVOT_DROP, (0.5, 0.0), 0.3, 0.45),
+    ("constant", CONSTANT, (0.0, 0.0, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
+    ("pivot-free", PIVOT_FREE, (0.0, 0.0, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
     # a step leaving the box from the base, where no bisection trial stays
     # inside, records the base again when it lies on the face, and nothing
     # when it lies past the face within the tolerance explore allows
