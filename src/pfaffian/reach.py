@@ -20,8 +20,11 @@ A loop is built for its form: what the coefficient trees decide is settled
 when its source is written.  A constant coefficient is a literal, neither
 tested nor divided by where that is decided already; a stage is evaluated
 only where its point changes a coordinate F reads, and a stage coordinate
-only where F reads it.  Each float operation left is that of the RK4 step
-written stage by stage, in the same order, and each one dropped is an
+only where F reads it.  On an all-constant form the solved velocity is
+set once per step size.  A box test that the ball test implies is dropped;
+the pivot's stays, since the pivot can move by up to 1e300 times a step
+(see :func:`_compile_loop`).  Each float operation left is that of the RK4
+step written stage by stage, in the same order, and each one dropped is an
 identity on the values the loops hold (see :func:`_step_lines`).
 """
 
@@ -68,20 +71,32 @@ def _values(form: PfaffianForm, name):
             for i, e in enumerate(form.coefficients)]
 
 
-def _step_lines(form: PfaffianForm, k, pad, residual):
-    """Source lines of one constrained RK4 step of ``form`` with pivot ``k``.
+def _squares(terms):
+    """Source text ``t0 + t1 + ...`` of a sum of the squares ``terms``.
+
+    The squares add left to right, as :func:`ex.python_sum` adds, but with
+    no ``0.0 +`` in front: a square is ``+0.0`` or larger, or NaN, and
+    ``0.0 + t`` is ``t`` for each of them.
+    """
+    return " + ".join(terms)
+
+
+def _step_lines(form: PfaffianForm, k, residual):
+    """Source lines ``(steady, lines)`` of one constrained RK4 step of
+    ``form`` with pivot ``k``: ``steady`` runs once per step size, after the
+    step terms, and ``lines`` once per step.
 
     The step goes from the state ``x<i>`` with ``a<i> = F(x)`` to ``X<i>``
     with ``e<i> = F(X)``, reading the free velocity ``v<i>``, the step
     ``dt`` and the step terms of :func:`_term_lines`.  The coefficient
     bodies are inlined at the three stage points and at the end point.  With
     ``residual`` it also sets ``res``, the Simpson estimate of the form
-    paired with the step chord, normalized by |F(X)| |X - x|.  Each line is
-    indented by ``pad``.  A stage raises ZeroDivisionError where the solved
-    coefficient is singular (``forms.singular_source``) and ArithmeticError
-    where the solved velocity is not within (-1e300, 1e300), which a NaN
-    coefficient fails: the pivot is lost, and like an undefined operation
-    that is an error of ``ex.UNDEFINED``.
+    paired with the step chord, normalized by |F(X)| |X - x|.  A stage
+    raises ZeroDivisionError where the solved coefficient is singular
+    (``forms.singular_source``) and ArithmeticError where the solved
+    velocity is not within (-1e300, 1e300), which a NaN coefficient fails:
+    the pivot is lost, and like an undefined operation that is an error of
+    ``ex.UNDEFINED``.  The lines are not indented.
 
     The lines settle what the coefficient trees decide:
     - A constant coefficient is its literal wherever the step reads it
@@ -98,14 +113,21 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
     - In the residual and in |F(X)|^2, a constant's term is a float worked
       out here by the operations of the text; a term of 0.0 is dropped, and
       a Simpson weight of 1.0 leaves the bare ``D<i>``.
+    - Where every coefficient is constant, the solved velocity ``p1``, its
+      finiteness test and the pivot's increment ``qp = q * (p1 + 2.0 * p1 +
+      2.0 * p1 + p1)`` depend on ``v`` and ``dt`` alone, and ``|F(X)|`` is
+      a float worked out here.  Those lines are ``steady``, which is empty
+      on any other form.
 
     Each float operation left is that of the step written stage by stage,
     in the same order, and each one dropped is an identity on the values
     the loops hold: ``x / 1.0`` is ``x``; a sum added left to right from
-    ``0.0`` is never ``-0.0``, so adding a zero leaves it as it is; the free
-    velocity and ``D<i>`` are finite; and one text on the same inputs gives
-    the same floats.  A form with no constant coefficient that reads every
-    coordinate gets the step written stage by stage.
+    ``0.0`` is never ``-0.0``, so adding a zero leaves it as it is, and a
+    sum of squares needs no ``0.0`` (:func:`_squares`); the free velocity
+    and ``D<i>`` are finite; and one text on the same inputs gives the same
+    floats.  A form with no constant coefficient that reads every
+    coordinate gets the step written stage by stage, its sums of squares
+    as :func:`_squares` writes them.
     """
     n = form.n
     free = [i for i in range(n) if i != k]
@@ -116,7 +138,7 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
     lit = ex.python_literal
     lost = "raise ZeroDivisionError('solved coefficient below tolerance')"
     if k in consts and singular([consts[k]]):
-        return [pad + lost]
+        return [], [lost]
     lines = []
 
     def at(names):
@@ -165,8 +187,14 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
     fc, p3 = stage("c", "p3", z, [(k, f"x{k} + h * {p2}")])
     _, p4 = stage("d", "p4", [f"u{i}" for i in range(n)],
                   [*((i, f"x{i} + dv{i}") for i in free), (k, f"x{k} + dt * {p3}")])
+    increment = f"q * (p1 + 2.0 * {p2} + 2.0 * {p3} + {p4})"
+    steady = []
+    if not varying:  # every stage is the state's: p1 is fixed for a step size
+        lines.append(f"qp = {increment}")
+        increment = "qp"
+        steady, lines = lines, []
     lines.extend(f"X{i} = x{i} + qv{i}" for i in free)
-    lines.append(f"X{k} = x{k} + q * (p1 + 2.0 * {p2} + 2.0 * {p3} + {p4})")
+    lines.append(f"X{k} = x{k} + {increment}")
     texts = at([f"X{i}" for i in range(n)])
     lines.extend(f"e{i} = {texts[i]}" for i in varying)
     if residual:
@@ -187,17 +215,23 @@ def _step_lines(form: PfaffianForm, k, pad, residual):
                 pairing.append(f"D{i}" if w == 1.0 else f"{lit(w)} * D{i}")
             if c * c != 0.0:
                 fsq.append(lit(c * c))
-        dsq = ex.python_sum(f"D{i} * D{i}" for i in range(n))
+        if varying:
+            fmag = f"_sqrt({_squares(fsq)})"
+        else:
+            total = 0.0  # the squares of the constants, left to right
+            for c in consts.values():
+                total += c * c
+            fmag = lit(math.sqrt(total))
         lines.extend([
             f"pairing = {ex.python_sum(pairing)}",
-            f"fmag = _sqrt({ex.python_sum(fsq)})",
-            f"dxmag = _sqrt({dsq})",
+            f"fmag = {fmag}",
+            f"dxmag = _sqrt({_squares(f'D{i} * D{i}' for i in range(n))})",
             "if fmag == 0.0 or dxmag == 0.0:",
             "    res = 0.0",
             "else:",
             "    res = abs(pairing) / (fmag * dxmag)",
         ])
-    return [pad + line for line in lines]
+    return steady, lines
 
 
 def _term_lines(free, pad):
@@ -235,7 +269,20 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     epsilon * epsilon``, a leg a distance ``<= epsilon * (1 + 1e-12)``.  A
     step that raises an error of ``ex.UNDEFINED``, a lost pivot (see
     :func:`_step_lines`) or an undefined operation, is not counted and ends
-    the loop.
+    the loop; so does an error of the lines an all-constant form's step
+    runs once per step size, with the step terms, as the first step's
+    would.
+
+    The box test is settled where the ball decides it.  Either ball test
+    bounds ``|X_i - c_i|`` by ``epsilon`` up to a relative 1e-12 and a few
+    ulps, so a free coordinate whose ball interval ``[c_i - epsilon, c_i +
+    epsilon]`` lies inside the box with a margin of ``1e-9 * (epsilon +
+    |c_i|)`` is in the box wherever the ball test holds: its box test is
+    dropped.  The pivot's test stays, and runs before the ball test: a free
+    coordinate moves at most ``dt`` a step, but the pivot moves by the
+    solved velocity, up to 1e300 times ``dt``, and its box test is what
+    keeps its square from raising OverflowError.  The crossing's box test
+    tests every coordinate.
 
     Where a counted step leaves, the same loop locates the crossing by
     bisection on the fraction of the step: each trial re-steps from the last
@@ -250,14 +297,16 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     the same order, minus the operations the coefficient trees settle when
     the loop is built, each an identity on the values the loop holds
     (:func:`_step_lines`): the solved velocity is ``-(0.0 + sum of F_i v_i)
-    / F_k``, and the sums of the residual and of the containment test add
-    their terms left to right from ``0.0`` (:func:`ex.python_sum`), as the
-    builtin ``sum`` does up to Python 3.11.  ``tests/test_reach.py`` keeps
-    that stage-by-stage form, and loops that take one step per iteration in
-    Python, as the references the loop must match bit for bit.  The loop
-    holds ``fx = F(x)`` at every state it starts from, steps to and
-    returns, so ``fx`` must be ``F(x)``: it carries a constant coefficient
-    as its literal, not as the value passed in.
+    / F_k``, the residual's pairing adds its terms left to right from
+    ``0.0`` (:func:`ex.python_sum`), as the builtin ``sum`` does up to
+    Python 3.11, and a sum of squares adds them left to right from the
+    first (:func:`_squares`), a square of ``X_i - 0.0`` written as that of
+    ``X_i``.  ``tests/test_reach.py`` keeps that stage-by-stage form, and
+    loops that take one step per iteration in Python, as the references the
+    loop must match bit for bit.  The loop holds ``fx = F(x)`` at every
+    state it starts from, steps to and returns, so ``fx`` must be ``F(x)``:
+    it carries a constant coefficient as its literal, not as the value
+    passed in.
 
     ``kind`` "rollout" gives ``rollout(x, fx, rows, r, steps, left, rmax,
     step, ends, counts)``, one rollout of :func:`explore` from ``(x, fx)``.
@@ -307,15 +356,28 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
         return ex.python_tuple([*(f"{x}{i}" for i in range(n)),
                                 *(f"{f}{i}" for i in varying)])
 
-    def in_box(name):
-        return " and ".join(
-            f"{lit(lo)} <= {name}{i} <= {lit(hi)}"
-            for i, (lo, hi) in enumerate(zip(form.domain.lows, form.domain.highs)))
+    lows, highs = form.domain.lows, form.domain.highs
+
+    def in_box(name, coords=range(n)):
+        return " and ".join(f"{lit(lows[i])} <= {name}{i} <= {lit(highs[i])}"
+                            for i in coords)
+
+    def confined(i):
+        # the ball's interval on coordinate i lies inside the box's, with a
+        # margin for the rounding of the ball test
+        margin = 1e-9 * (epsilon + abs(center[i]))
+        return (lows[i] + margin <= center[i] - epsilon
+                and center[i] + epsilon <= highs[i] - margin)
 
     # The squares stay powers, as forms.distance writes them: on glibc 2.36
     # ``d ** 2 != d * d`` for 2,676 of 3,000,000 uniform draws of d in
     # [-1, 1], and a square one ulp off can move a step across the sphere.
-    dist2 = ex.python_sum(f"(X{i} - {lit(c)}) ** 2" for i, c in enumerate(center))
+    # ``X - 0.0`` is ``X``, and ``X - -0.0`` has the square of ``X``.
+    dist2 = _squares(f"X{i} ** 2" if c == 0.0 else f"(X{i} - {lit(c)}) ** 2"
+                     for i, c in enumerate(center))
+    # the end point's box test, run before the ball test: the pivot's, and
+    # that of each free coordinate the box does not confine (see the docstring)
+    tested = [i for i in range(n) if i == k or not confined(i)]
     carried = f"({point('x')}), ({values('a')})"
     unpacked = ex.python_tuple(f"a{i}" if i in varying else "_" for i in range(n))
     if rollout:
@@ -344,7 +406,7 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
         crossing = [f"return {EXIT!r}, s, best, ({point('w')}), ({values('g')})"]
         # forms.distance of the new state to the target
         gap = [
-            f"dist = _sqrt({ex.python_sum(f'(x{i} - t{i}) ** 2' for i in range(n))})",
+            f"dist = _sqrt({_squares(f'(x{i} - t{i}) ** 2' for i in range(n))})",
             "if dist < best:",
             "    best = dist",
         ]
@@ -352,14 +414,19 @@ def _compile_loop(form: PfaffianForm, k, center, epsilon, kind):
     # while the size holds.  s counts the steps taken; once one leaves, bis
     # is set and each step is a bisection trial of the fraction mid of the
     # step, in (lo, hi), with w, g the state at the fraction lo.
+    steady, step_lines = _step_lines(form, k, rollout)
+    terms = _term_lines(free, "")
+    if steady:  # an error there ends the loop as the first step's would
+        terms += ["try:", *("    " + line for line in steady),
+                  "except _UNDEFINED:", *("    " + line for line in lost)]
     loop = [
-        *_term_lines(free, ""),
+        *terms,
         "while True:",
         "    try:",
-        *_step_lines(form, k, "        ", residual=rollout),
+        *("        " + line for line in step_lines),
         "    except _UNDEFINED:",
         *("        " + line for line in lost),
-        f"    inside = {in_box('X')} and {near}",
+        f"    inside = {in_box('X', tested)} and {near}",
         "    if bis:",
         "        if inside:",
         "            lo = mid",

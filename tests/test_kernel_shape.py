@@ -21,9 +21,11 @@ import builtins
 import pathlib
 import re
 
+import pytest
+
 import pfaffian
 from pfaffian import expressions, reach
-from pfaffian.catalog import entry
+from pfaffian.catalog import catalog, entry
 from pfaffian.expressions import UNDEFINED
 
 SRC = pathlib.Path(pfaffian.__file__).parent
@@ -131,8 +133,9 @@ def test_census_sees_classes_attributes_raises_and_extras():
     assert exec_source_extras(tree) == [(10, "_Lost"), (11, None)]
 
 
-def rollout_source(form, k, monkeypatch):
-    """The source of the rollout loop of ``form`` with pivot ``k``."""
+def rollout_source(form, k, monkeypatch, kind="rollout", center=None):
+    """The source of the ``kind`` loop of ``form`` with pivot ``k``, about
+    ``center`` (the box center by default) with radius 0.3."""
     sources = []
     exec_source = expressions.exec_source
 
@@ -141,7 +144,8 @@ def rollout_source(form, k, monkeypatch):
         return exec_source(source, label, **extra)
 
     monkeypatch.setattr(expressions, "exec_source", keep)
-    reach._compile_loop(form, k, form.domain.center, 0.3, "rollout")
+    center = form.domain.center if center is None else center
+    reach._compile_loop(form, k, center, 0.3, kind)
     return sources[-1]
 
 
@@ -162,3 +166,51 @@ def test_a_form_reading_every_coordinate_keeps_every_stage(monkeypatch):
     form = entry("scaled_exact").form  # exp(z) (y, x, 1)
     for k in range(form.n):
         assert step_census(rollout_source(form, k, monkeypatch)) == ("bcde", 4)
+
+
+_BOX_TEST = re.compile(r"<= X([0-9]+) <=")
+
+
+def box_tested(source):
+    """The coordinates whose box test the end point ``X`` of a step gets."""
+    (line,) = [line for line in source.splitlines() if "inside = " in line]
+    return sorted(int(i) for i in _BOX_TEST.findall(line))
+
+
+def corner(e):
+    return tuple(lo + 0.05 * (hi - lo) for lo, hi in zip(e.box.lows, e.box.highs))
+
+
+@pytest.mark.parametrize("kind", ["rollout", "leg"])
+@pytest.mark.parametrize("e", catalog(), ids=lambda e: e.name)
+def test_box_is_tested_where_the_ball_crosses_a_face(e, kind, monkeypatch):
+    # at the box center the ball of radius 0.3 lies inside every catalog box:
+    # only the pivot is tested, as it moves by the solved velocity
+    for k in range(e.form.n):
+        assert box_tested(rollout_source(e.form, k, monkeypatch, kind)) == [k]
+    # near a corner the ball crosses a face on every coordinate
+    for k in range(e.form.n):
+        source = rollout_source(e.form, k, monkeypatch, kind, corner(e))
+        assert box_tested(source) == list(range(e.form.n))
+
+
+@pytest.mark.parametrize("kind", ["rollout", "leg"])
+def test_box_is_tested_where_the_ball_touches_a_face(kind, monkeypatch):
+    # contact on [-1, 1]^3: the ball of radius 0.3 about x = 0.7 touches the
+    # face x = 1, so x keeps its test; about x = 0.69 it stays 0.01 inside
+    form = entry("contact").form
+    for k in range(form.n):
+        touch = rollout_source(form, k, monkeypatch, kind, (0.7, 0.0, 0.0))
+        clear = rollout_source(form, k, monkeypatch, kind, (0.69, 0.0, 0.0))
+        assert box_tested(touch) == sorted({0, k})
+        assert box_tested(clear) == [k]
+
+
+def test_constant_step_solves_once_per_step_size(monkeypatch):
+    # exact_3var: p1 and |F(X)| are set with the step terms, not in each step
+    for kind in ("rollout", "leg"):
+        source = rollout_source(entry("exact_3var").form, 0, monkeypatch, kind)
+        step = source[source.rindex("while True:"):]
+        assert "p1 =" not in step and "qp = " in source
+        for arg in re.findall(r"_sqrt\((.*)\)", step):
+            assert re.search(r"\b(?!float\b)[A-Za-z_]", arg), arg

@@ -51,7 +51,7 @@ def _loop_step(form, k, tol):
     free = [i for i in range(n) if i != k]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(forms, "DEFAULT_SINGULAR_TOL", tol)
-        body = reach._step_lines(form, k, "        ", residual=True)
+        steady, body = reach._step_lines(form, k, residual=True)
     xs, fs = (ex.python_tuple(f"{v}{i}" for i in range(n)) for v in "xa")
     source = "\n".join([
         "def step(x, fx, vfree, dt):",
@@ -60,7 +60,7 @@ def _loop_step(form, k, tol):
         f"    {ex.python_tuple(f'v{i}' for i in free)} = vfree",
         *reach._term_lines(free, "    "),
         "    try:",
-        *body,
+        *("        " + line for line in steady + body),
         "    except (ValueError, ArithmeticError):",
         f"        return {LOST!r}",
         f"    return ({ex.python_tuple(f'X{i}' for i in range(n))}), "
@@ -724,6 +724,12 @@ PIVOT_DROP = make_form(["x", "y"], ["x", "0.3"], Box((-1, -1), (1, 1)))
 # steps built from constants alone, and with stage 3 that of stage 2
 CONSTANT = make_form(["x", "y", "z"], ["0", "-1", "1.5"], Box((-1,) * 3, (1,) * 3))
 PIVOT_FREE = make_form(["x", "y", "z"], ["-y", "0", "1 + x^2"], Box((-1,) * 3, (1,) * 3))
+# with pivot y, a step moves y by up to 1e300 * dt: only the box test of the
+# pivot keeps the ball test from squaring it
+STEEP_PIVOT = make_form(["x", "y"], ["1e200*x", "1"], Box((-1, -1), (1, 1)))
+# the solve of an all-constant form, set once per step size, overflows on
+# some rows
+CONSTANT_OVERFLOW = make_form(["x", "y", "z"], ["1.5e308"] * 3, Box((-1,) * 3, (1,) * 3))
 CATALOG = {e.name: e.form for e in catalog()}
 
 # (form, base, epsilon, singular_tol): the catalog entries at their box
@@ -748,6 +754,13 @@ LOOP_CASES = [
      DEFAULT_SINGULAR_TOL),
     ("contact-past-face", CATALOG["contact"], (1.0 + 5e-13, 0.0, 0.0), 0.3,
      DEFAULT_SINGULAR_TOL),
+    ("steep-pivot", STEEP_PIVOT, (0.0, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
+    ("constant-overflow", CONSTANT_OVERFLOW, (0.0, 0.0, 0.0), 0.3,
+     DEFAULT_SINGULAR_TOL),
+    # the ball touches the face x = 1, so the loops test x against the box,
+    # and stays 0.01 inside it, where they do not
+    ("contact-touch", CATALOG["contact"], (0.7, 0.0, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
+    ("contact-clear", CATALOG["contact"], (0.69, 0.0, 0.0), 0.3, DEFAULT_SINGULAR_TOL),
 ]
 EXPLORE_BUDGETS = (1, 7, 1003)  # 7 and 1003 end mid-segment
 SCAN_BUDGETS = (32, 100, 1500)  # half-budget checkpoints after 0, 1, 23 steps
