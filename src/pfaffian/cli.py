@@ -395,7 +395,11 @@ def _build_parser():
     p = sub.add_parser("check", help="classify a form file")
     p.add_argument("form_file")
     p.add_argument("--tol", type=_positive_float, default=1e-8)
-    p.add_argument("--samples", type=_positive_int, default=64)
+    p.add_argument("--samples", type=_positive_int, default=64,
+                   help="Halton points scanned after the box center and "
+                   "corners; the verdict covers only the samples_used points "
+                   "of this plan, and a defect narrower than their spacing "
+                   "can hide")
     p.add_argument("--expect", choices=[
         "exact", "locally_integrable", "non_integrable", "inconclusive"])
     p.add_argument("--strict", action="store_true",

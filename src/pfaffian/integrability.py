@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ArityError, EvalDomainError, FormError
 from .expressions import UNDEFINED
@@ -204,37 +204,14 @@ def _scale_factors(m):
     return linear, linear * linear
 
 
-@dataclass
-class _SampleScan:
-    """Aggregates defect/tensor maxima over the sample plan."""
-
-    defect_max: float = 0.0
-    defect_point: tuple = None
-    defect_pair: tuple = None
-    tensor_max: float = 0.0
-    tensor_point: tuple = None
-    tensor_triple: tuple = None
-    per_triple: dict = field(default_factory=dict)
-    used: int = 0
-    singular: int = 0
-    failed: int = 0
-
-
-def _better(value, point, best_value, best_point):
-    """Max-reduction with lexicographic tie-break on point coordinates.
-
-    The rule of every maximum of :func:`_scan_samples`, which makes these
-    comparisons inline.
-    """
-    if value > best_value:
-        return True
-    if value == best_value and tuple(point) < tuple(best_point):
-        return True
-    return False
-
-
 def _scan_samples(form, points):
     """Defect and tensor maxima of ``form`` over ``points``.
+
+    Returns ``(used, singular, failed, defect, per_triple)``: the counts of
+    the points used, skipped as singular and failed; the defect witness
+    ``(value, point, pair)``; and one :class:`TensorSample` per triple
+    ``(i, j, k)`` with ``i < j < k``, in combinations order, holding that
+    triple's maximum (:func:`_tensor_witness` picks the decisive one).
 
     Each point costs one ``jet_fn`` call.  A point where the jet raises or
     has a non-finite entry counts as failed, one where F has no pivot
@@ -249,20 +226,18 @@ def _scan_samples(form, points):
     where ``|R_ijk|`` does (``max|F_i|`` above about 1e154); a point where
     that is not finite either counts as failed, and none of its values
     enters a maximum (only a point whose jet entries add up in size to 1e153
-    or more is checked for that).  The maxima break ties
-    by the point as :func:`_better` does: a value replaces the best so far
-    if it is larger, or equal at a point that is lexicographically smaller.
+    or more is checked for that).  A value replaces the maximum so far if it
+    is larger, or equal at a point that is lexicographically smaller.
     Within one point the first of several equal largest values wins, so
-    the defect maximum takes the first maximum of its list.  The tensor
-    maximum, read off the per-triple maxima after the scan, follows the same
-    rule.  Every value is at least 0.0, so the maxima start at -1.0 and the
-    first point used sets them; a maximum no point sets reads 0.0.
+    the defect maximum takes the first maximum of its list.  Every value is
+    at least 0.0, so the maxima start at -1.0 and the first point used sets
+    them; a maximum no point sets reads 0.0 at point None.
     """
     n = form.n
     jet = form.jet_fn
     isfinite = math.isfinite
     curls, pairs, triples, rows = _scan_plan(n)
-    scan = _SampleScan()
+    used = singular = failed = 0
     triple_max = [-1.0] * len(triples)
     triple_point = [None] * len(triples)
     defect_max, defect_point, defect_pair = -1.0, None, None
@@ -270,16 +245,16 @@ def _scan_samples(form, points):
         try:
             values = jet(*p)
         except UNDEFINED:
-            scan.failed += 1
+            failed += 1
             continue
         # below 1e153: no inf or NaN, and no value overflows (|R_ijk| <= 6 sum^2)
         safe = sum(map(abs, values)) < 1e153
         if not (safe or all(map(isfinite, values))):
-            scan.failed += 1
+            failed += 1
             continue
         k = pivot(values[:n])
         if k is None:
-            scan.singular += 1
+            singular += 1
             continue
         lin, quad = _scale_factors(abs(values[k]))
         c = [values[u] - values[v] for u, v in curls]
@@ -292,9 +267,9 @@ def _scan_samples(form, points):
             tensors = [r if isfinite(r) else abs(s) for r, s in
                        zip(tensors, _tensors(scaled, sc, rows))]
             if not all(map(isfinite, defects + tensors)):
-                scan.failed += 1
+                failed += 1
                 continue
-        scan.used += 1
+        used += 1
         point = tuple(p)
         if defects:
             d = max(defects)
@@ -305,16 +280,19 @@ def _scan_samples(form, points):
             best = triple_max[m]
             if r > best or r == best and point < triple_point[m]:
                 triple_max[m], triple_point[m] = r, point
-    # a maximum no point sets reads 0.0: with no triples, vacuously null
-    scan.defect_max, scan.defect_point, scan.defect_pair = (
-        max(defect_max, 0.0), defect_point, defect_pair)
-    scan.per_triple = {t: (max(v, 0.0), q)
-                       for t, v, q in zip(triples, triple_max, triple_point)}
-    if scan.used and triples:  # largest value, then smallest point, first triple
-        m = min(range(len(triples)), key=lambda t: (-triple_max[t], triple_point[t]))
-        scan.tensor_max, scan.tensor_point, scan.tensor_triple = (
-            triple_max[m], triple_point[m], triples[m])
-    return scan
+    per_triple = tuple(TensorSample(q, t, max(v, 0.0))
+                       for t, v, q in zip(triples, triple_max, triple_point))
+    return (used, singular, failed,
+            (max(defect_max, 0.0), defect_point, defect_pair), per_triple)
+
+
+def _tensor_witness(per_triple):
+    """The decisive tensor sample of a scan, as ``(value, point, triple)``:
+    the largest value, then the smallest point, then the first triple;
+    ``(0.0, None, None)`` where there is no triple (n < 3).
+    """
+    w = min(per_triple, key=lambda s: (-s.value, s.point), default=None)
+    return (0.0, None, None) if w is None else (w.value, w.point, w.triple)
 
 
 def classify(form: PfaffianForm, points: int = 64,
@@ -325,28 +303,25 @@ def classify(form: PfaffianForm, points: int = 64,
     Defects and tensor components are scale-normalized at each sample point
     (by 1/max(1, max|F_i|) and its square respectively) before comparison
     against ``tol``; points where ``max|F_i|`` is at most
-    ``DEFAULT_SINGULAR_TOL`` are skipped as singular.  Forms in fewer than
-    three variables are never non_integrable.  Evaluation failures
-    everywhere yield inconclusive.
+    ``DEFAULT_SINGULAR_TOL`` are skipped as singular.  The verdict is exact
+    if the defect witness of :func:`_scan_samples` is within ``tol``, and
+    otherwise decided by the tensor witness of its per-triple maxima
+    (:func:`_tensor_witness`).  Forms in fewer than three variables are
+    never non_integrable.  Evaluation failures everywhere yield
+    inconclusive.
     """
-    scan = _scan_samples(form, sample_points(form, points))
-    if scan.used == 0:
+    used, _, _, (defect, point, pair), per_triple = _scan_samples(
+        form, sample_points(form, points))
+    if used == 0:
         return Verdict(CLASS_INCONCLUSIVE, None, None, float("nan"), 0, tol)
-    per_triple = tuple(
-        TensorSample(pt, t, v) for t, (v, pt) in sorted(scan.per_triple.items())
-    )
-    if scan.defect_max <= tol:
-        return Verdict(CLASS_EXACT, scan.defect_point, scan.defect_pair,
-                       scan.defect_max, scan.used, tol, per_triple)
+    if defect <= tol:
+        return Verdict(CLASS_EXACT, point, pair, defect, used, tol, per_triple)
     if form.n < 3:
-        return Verdict(CLASS_LOCALLY_INTEGRABLE, scan.defect_point, None, 0.0,
-                       scan.used, tol, per_triple)
-    if scan.tensor_max <= tol:
-        return Verdict(CLASS_LOCALLY_INTEGRABLE, scan.tensor_point,
-                       scan.tensor_triple, scan.tensor_max, scan.used, tol,
+        return Verdict(CLASS_LOCALLY_INTEGRABLE, point, None, 0.0, used, tol,
                        per_triple)
-    return Verdict(CLASS_NON_INTEGRABLE, scan.tensor_point, scan.tensor_triple,
-                   scan.tensor_max, scan.used, tol, per_triple)
+    value, point, triple = _tensor_witness(per_triple)
+    verdict = CLASS_LOCALLY_INTEGRABLE if value <= tol else CLASS_NON_INTEGRABLE
+    return Verdict(verdict, point, triple, value, used, tol, per_triple)
 
 
 @dataclass(frozen=True)
@@ -373,15 +348,17 @@ def invariance_check(form: PfaffianForm, sub: Substitution,
 
     Samples the new box with the plan of :func:`sample_points`; evaluates
     the pulled-back tensor there and the original tensor at the image
-    points.  Only the zero/nonzero verdict is compared: the tensor itself
-    rescales under coordinate changes.  For two-variable forms the tensor
-    has no components and nullity is vacuously preserved.
+    points.  ``max_original`` and ``max_pullback`` are the tensor witness
+    values (:func:`_tensor_witness`) of the two scans' per-triple maxima.
+    Only the zero/nonzero verdict is compared: the tensor itself rescales
+    under coordinate changes.  For two-variable forms the tensor has no
+    components, both values are 0.0 and nullity is vacuously preserved.
     """
     if form.n < 2:
         raise FormError("invariance check requires at least 2 variables")
     pulled = pullback(form, sub, needs_jet=True)  # scanned on its jet below
     new_points = sample_points(pulled)
-    new_scan = _scan_samples(pulled, new_points)
+    new_used, *_, new_triples = _scan_samples(pulled, new_points)
     image_points = []
     for p in new_points:
         try:
@@ -390,15 +367,17 @@ def invariance_check(form: PfaffianForm, sub: Substitution,
             continue
         if form.domain.contains(q, tol=1e-9):
             image_points.append(form.domain.clamp(q))
-    old_scan = _scan_samples(form, image_points)
-    if new_scan.used == 0 or old_scan.used == 0:
+    old_used, *_, old_triples = _scan_samples(form, image_points)
+    if new_used == 0 or old_used == 0:
         raise FormError("no usable samples for the invariance comparison")
-    both_null = old_scan.tensor_max <= tol and new_scan.tensor_max <= tol
-    both_nonnull = old_scan.tensor_max > tol and new_scan.tensor_max > tol
+    max_original = _tensor_witness(old_triples)[0]
+    max_pullback = _tensor_witness(new_triples)[0]
+    both_null = max_original <= tol and max_pullback <= tol
+    both_nonnull = max_original > tol and max_pullback > tol
     return InvarianceReport(
-        max_original=float(old_scan.tensor_max),
-        max_pullback=float(new_scan.tensor_max),
+        max_original=max_original,
+        max_pullback=max_pullback,
         tolerance=tol,
-        nullity_preserved=bool(both_null or both_nonnull),
-        samples_used=min(old_scan.used, new_scan.used),
+        nullity_preserved=both_null or both_nonnull,
+        samples_used=min(old_used, new_used),
     )

@@ -31,12 +31,8 @@ from pfaffian.integrability import (
     invariance_check,
     sample_points,
 )
-from pfaffian.integrability import (
-    _better,
-    _SampleScan,
-    _scale_factors,
-    _scan_samples,
-)
+from pfaffian import integrability
+from pfaffian.integrability import TensorSample, _scale_factors, _scan_samples
 
 BOX3 = Box((-1, -1, -1), (1, 1, 1))
 
@@ -351,9 +347,22 @@ def _finite(v):
     return -float("inf") < v < float("inf") and v == v
 
 
+def _better(value, point, best_value, best_point):
+    """Max-reduction with lexicographic tie-break on point coordinates."""
+    if value > best_value:
+        return True
+    if value == best_value and tuple(point) < tuple(best_point):
+        return True
+    return False
+
+
 def _ref_scan_samples(form, points, singular_tol):
     """The scan evaluating each coefficient and off-diagonal partial separately.
 
+    Returns the record of ``_scan_samples``, ``(used, singular, failed,
+    defect, per_triple)``, and the tensor witness ``(value, point, triple)``
+    as the argmax over every (point, triple) value by :func:`_better`, the
+    first triple winning among equal values at one point.
     ``dvals[i][j]`` is dF_i/dx_j; the diagonal partials are not evaluated.
     """
     n = form.n
@@ -361,10 +370,11 @@ def _ref_scan_samples(form, points, singular_tol):
     dfs = {(i, j): ex.compile_scalar(d, n)
            for i, row in enumerate(_jacobian(form.coefficients, n))
            for j, d in enumerate(row) if j != i}
-    scan = _SampleScan()
+    used = singular = failed = 0
+    defect_max, defect_point, defect_pair = 0.0, None, None
+    tensor_max, tensor_point, tensor_triple = 0.0, None, None
     triples = list(itertools.combinations(range(n), 3))
-    for t in triples:
-        scan.per_triple[t] = (0.0, None)
+    per_triple = {t: (0.0, None) for t in triples}
     for p in points:
         try:
             fvals = [fn(*p) for fn in fns]
@@ -372,26 +382,24 @@ def _ref_scan_samples(form, points, singular_tol):
             for (i, j), d in dfs.items():
                 dvals[i][j] = d(*p)
         except (ValueError, ZeroDivisionError, OverflowError):
-            scan.failed += 1
+            failed += 1
             continue
         if not all(_finite(v) for v in fvals) or not all(
             _finite(v) for row in dvals for v in row if v is not None
         ):
-            scan.failed += 1
+            failed += 1
             continue
         if max(abs(v) for v in fvals) <= singular_tol:
-            scan.singular += 1
+            singular += 1
             continue
-        scan.used += 1
+        used += 1
         lin, quad = _scale_factors(max(abs(v) for v in fvals))
         for i in range(n):
             for j in range(i + 1, n):
                 d = abs(dvals[j][i] - dvals[i][j]) * lin
-                if scan.defect_point is None or _better(
-                    d, p, scan.defect_max, scan.defect_point
-                ):
-                    scan.defect_max, scan.defect_point = d, tuple(p)
-                    scan.defect_pair = (i, j)
+                if defect_point is None or _better(d, p, defect_max, defect_point):
+                    defect_max, defect_point = d, tuple(p)
+                    defect_pair = (i, j)
         for (i, j, k) in triples:
             r = (
                 fvals[i] * (dvals[k][j] - dvals[j][k])
@@ -399,17 +407,15 @@ def _ref_scan_samples(form, points, singular_tol):
                 + fvals[k] * (dvals[j][i] - dvals[i][j])
             )
             r = abs(r) * quad
-            prev_val, prev_pt = scan.per_triple[(i, j, k)]
+            prev_val, prev_pt = per_triple[(i, j, k)]
             if prev_pt is None or _better(r, p, prev_val, prev_pt):
-                scan.per_triple[(i, j, k)] = (r, tuple(p))
-            if scan.tensor_point is None or _better(
-                r, p, scan.tensor_max, scan.tensor_point
-            ):
-                scan.tensor_max, scan.tensor_point = r, tuple(p)
-                scan.tensor_triple = (i, j, k)
-    if scan.tensor_point is None:
-        scan.tensor_max = 0.0
-    return scan
+                per_triple[(i, j, k)] = (r, tuple(p))
+            if tensor_point is None or _better(r, p, tensor_max, tensor_point):
+                tensor_max, tensor_point = r, tuple(p)
+                tensor_triple = (i, j, k)
+    record = (used, singular, failed, (defect_max, defect_point, defect_pair),
+              tuple(TensorSample(q, t, v) for t, (v, q) in per_triple.items()))
+    return record, (tensor_max, tensor_point, tensor_triple)
 
 
 _SCAN_FORMS = (
@@ -420,8 +426,28 @@ _SCAN_FORMS = (
     (("x", "y", "z", "w"), ("exp(60*x)*y", "-w", "x*y*z", "log(1.5 + z)/w"),
      (-1, -1, -1, -1), (1, 1, 1, 1)),
     (("x", "y"), ("1", "x^300"), (10.55, 0), (10.64, 1)),  # overflows everywhere
+    # ties: the four tensor maxima are 2.0, first at the same corner; with
+    # d in [0, 1], triple (1, 2, 4) reaches 2.0 at a smaller point than
+    # (1, 2, 3)
+    (("a", "b", "c", "d"), ("-b", "a", "-d", "c"), (-1,) * 4, (1,) * 4),
+    (("a", "b", "c", "d"), ("-b", "a", "-d", "c"), (-1, -1, -1, 0), (1,) * 4),
     (("x", "y", "z"), ("-y", "0", "1"), (-1, -1, -1), (1, 1, 1)),
 )
+
+
+def test_tied_tensor_maxima_report_the_first_triple_at_the_smallest_point():
+    # |R_ijk| is 2|x_l| for the one variable l outside the triple, so every
+    # triple reaches 2.0 first at the corner where all coordinates are -1
+    f = make_form(["a", "b", "c", "d"], ["-b", "a", "-d", "c"],
+                  Box((-1,) * 4, (1,) * 4))
+    report = classify(f).as_report()
+    corner = [-1.0] * 4
+    assert report["class"] == CLASS_NON_INTEGRABLE
+    assert report["witness"] == {"point": corner, "triple": [1, 2, 3],
+                                 "value": 2.0}
+    assert report["per_triple_max"] == [
+        {"triple": list(t), "value": 2.0, "point": corner}
+        for t in itertools.combinations(range(1, 5), 3)]
 
 
 def test_one_variable_report_keeps_zero_witness_value():
@@ -450,12 +476,28 @@ def test_scan_matches_per_entry_reference(rng, monkeypatch):
                 monkeypatch.setattr(pfaffian_forms, "DEFAULT_SINGULAR_TOL",
                                     singular_tol)
                 got = _scan_samples(form, points)
-                expected = _ref_scan_samples(form, points, singular_tol)
+                expected, (value, point, triple) = _ref_scan_samples(
+                    form, points, singular_tol)
                 assert got == expected
                 assert repr(got) == repr(expected)
-                assert got.used + got.singular + got.failed == len(points)
-                outcomes.update(k for k in ("used", "singular", "failed")
-                                if getattr(got, k))
+                used, singular, failed = got[:3]
+                assert used + singular + failed == len(points)
+                outcomes.update(k for k, count in zip(
+                    ("used", "singular", "failed"), got) if count)
+                # classify reads the same scan; a tolerance below every
+                # value makes it report the tensor witness wherever n >= 3
+                with monkeypatch.context() as m:
+                    m.setattr(integrability, "sample_points",
+                              lambda form, count: points)
+                    v = classify(form, tol=-1.0)
+                if not used:
+                    assert v.classification == CLASS_INCONCLUSIVE
+                    continue
+                assert repr(v.per_triple_max) == repr(expected[4])
+                if form.n < 3:
+                    value, point, triple = 0.0, expected[3][1], None
+                assert repr((v.witness_value, v.witness_point,
+                             v.witness_triple)) == repr((value, point, triple))
     assert outcomes == {"used", "singular", "failed"}
 
 
